@@ -52,6 +52,12 @@ leader histories / final replica state), so the JSON doubles as evidence that a
 perf refactor kept experiment outputs byte-identical: compare ``fingerprint``
 against the baseline's.
 
+Every service workload's row also carries ``events_per_commit`` and
+``messages_per_commit`` — scheduler events and sent messages per committed
+command.  They are exact counts (pure functions of the seed), the unit the
+consensus layer is priced in; ``tests/integration/test_bench_fingerprints.py``
+pins a ceiling on the ``sharded_service`` quick shape.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_perf.py [--quick] [--output BENCH_PERF.json]
@@ -107,6 +113,21 @@ def _fingerprint(payload: object) -> str:
     """Deterministic digest of a JSON-serialisable result structure."""
     blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def _per_commit(events: int, messages: int, committed: int) -> dict:
+    """Work per committed command: exact counts, pure functions of the seed.
+
+    The deterministic cost pair of every service workload — unlike the
+    wall-clock rates beside them these repeat to the last digit on any box, so
+    a change in either is a change in what the protocol does, never noise.
+    """
+    if not committed:
+        return {"events_per_commit": 0.0, "messages_per_commit": 0.0}
+    return {
+        "events_per_commit": round(events / committed, 3),
+        "messages_per_commit": round(messages / committed, 3),
+    }
 
 
 def _best_of(runner, repeat: int) -> dict:
@@ -230,6 +251,7 @@ def bench_sharded_service(quick: bool, noop_fault_plan: bool = False) -> dict:
         "messages": messages,
         "messages_per_sec": round(messages / wall) if wall else 0,
         "committed_commands": committed,
+        **_per_commit(events, messages, committed),
         "consistent": service.is_consistent(),
         "fingerprint": fingerprint,
     }
@@ -309,6 +331,7 @@ def bench_sharded_service_storage(quick: bool) -> dict:
         "messages": messages,
         "messages_per_sec": round(messages / wall) if wall else 0,
         "committed_commands": committed,
+        **_per_commit(events, messages, committed),
         "recoveries": recoveries,
         "storage_writes": service.storage_writes(),
         "storage_cost": round(service.storage_cost(), 2),
@@ -405,6 +428,7 @@ def bench_sharded_service_compaction(quick: bool) -> dict:
         "messages": messages,
         "messages_per_sec": round(messages / wall) if wall else 0,
         "committed_commands": committed,
+        **_per_commit(events, messages, committed),
         "committed_mid_run": committed_mid,
         "peak_decided_residency": peak,
         **counters,
@@ -457,6 +481,7 @@ def bench_sharded_service_parallel(quick: bool, workers: int = 0) -> dict:
         "messages": report.messages,
         "messages_per_sec": round(report.messages / wall) if wall else 0,
         "committed_commands": report.committed,
+        **_per_commit(report.events, report.messages, report.committed),
         "consistent": report.consistent,
         "shard_stats": [
             {
@@ -581,6 +606,7 @@ def bench_sharded_service_read_leases(quick: bool, noop_fault_plan: bool = False
         "messages": messages,
         "messages_per_sec": round(messages / wall) if wall else 0,
         "committed_commands": committed,
+        **_per_commit(events, messages, committed),
         "baseline_committed_commands": baseline["committed"],
         "read_speedup": read_speedup,
         "min_read_speedup": LEASE_READ_SPEEDUP_FLOOR,

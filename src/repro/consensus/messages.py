@@ -94,7 +94,16 @@ class Decide(Message):
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Forward(Message):
-    """A client command forwarded to the process currently trusted as leader."""
+    """Client commands handed to the process currently trusted as leader.
+
+    ``value`` is a :class:`~repro.consensus.commands.Batch` of the sender's
+    commands in submission order, at most one message per drive tick (what is
+    sent when: "The command path" in :mod:`repro.consensus.replicated_log`).
+    Reusing the batch envelope means the receive-side payload check and the
+    corruption model already cover it: a tampered member fails the batch's
+    verification and the message is rejected whole.  A bare (unbatched) value
+    is still admitted as itself.
+    """
 
     value: Any
 

@@ -26,6 +26,33 @@ Two throughput features serve the service layer of :mod:`repro.service`:
   contiguous decided prefix extends, in log order — the hook state machines use to
   apply the log without rescanning it.
 
+The command path
+----------------
+A command submitted at a non-leader reaches the leader in a
+:class:`~repro.consensus.messages.Forward`.  Forwarding is **once, batched**:
+on a drive tick a non-leader sends *at most one* ``Forward`` to the process it
+trusts, carrying — as a :class:`~repro.consensus.commands.Batch`, so the
+payload check and the corruption model treat it like any other command
+envelope — only the commands submitted since its previous tick.  The whole
+pending set is sent again only when
+
+* the trusted leader **changed** since the previous tick (the new leader has
+  never seen them; a process that was leader itself and got demoted is the
+  same case), or
+* ``retry_period`` has elapsed since the last full send to an unchanged
+  leader — the retransmission that covers a lost ``Forward``, a tampered one
+  (rejected whole by the payload check) and a leader that restarted amnesic.
+
+The receiver admits each member that is neither decided nor already queued, so
+a re-send of something the leader already holds changes nothing.  A leader
+proposes its own submissions and the forwarded ones from one queue, in the
+order it learnt of them, so a busy leader-side gateway cannot starve the
+followers'.
+
+Forwarding therefore costs O(submissions + ticks / retry) messages instead of
+the O(backlog × ticks) of re-sending every pending command on every tick,
+which during a leader outage was most of the traffic in the system.
+
 The catch-up protocol
 ---------------------
 ``Decide`` announcements are broadcast once and are gone for whoever was not
@@ -191,7 +218,7 @@ class _ValueIndex:
 
 
 class _OrderedValueSet:
-    """Insertion-ordered set of undecided submissions (pending / forwarded).
+    """Insertion-ordered set of undecided submissions (pending / arrivals).
 
     Replaces the seed's plain lists, whose per-decision rebuild
     (``[v for v in pending if v not in decided]``) cost O(pending) for every
@@ -258,10 +285,15 @@ class ReplicatedLog(Process):
         :class:`~repro.consensus.stack.OmegaConsensusStack`).
     drive_period:
         How often (virtual time) the process re-evaluates leadership, forwards its
-        pending commands and (if leader) starts proposals.
+        newly submitted commands and (if leader) starts proposals.
     retry_period:
-        Minimum time between two proposal attempts of the same instance by the same
-        leader (prevents ballot storms while a proposal is in flight).
+        The retransmission clock of the command path, with two meanings.  For a
+        leader: minimum time between two proposal attempts of the same instance
+        (prevents ballot storms while a proposal is in flight).  For a
+        non-leader: time after which its whole pending set is forwarded again to
+        an unchanged trusted leader (covers a lost or tampered ``Forward`` and
+        an amnesic leader restart; see "The command path" in the module
+        docstring).
     batch_size:
         Maximum number of distinct commands the leader packs into one consensus
         value.  1 (the default) proposes bare values exactly like the seed
@@ -352,8 +384,20 @@ class ReplicatedLog(Process):
         self.decisions: Dict[int, Any] = {}
         #: Commands submitted locally and not yet known decided.
         self._pending = _OrderedValueSet()
-        #: Commands forwarded by other processes and not yet known decided.
-        self._forwarded = _OrderedValueSet()
+        #: Those plus the commands other processes forwarded here, in the order
+        #: this process learnt of them — the order a leader proposes in, so its
+        #: own gateway cannot starve the followers'.
+        self._arrivals = _OrderedValueSet()
+        #: Commands submitted since the last drive tick (submission order) —
+        #: what a tick forwards when no full re-send is due.
+        self._unforwarded: List[Any] = []
+        #: Whom the last drive tick trusted as leader, and when the whole
+        #: pending set was last forwarded to it (the re-send rule's two inputs).
+        self._forward_leader: Optional[int] = None
+        self._full_forward_time = 0.0
+        #: Forward messages sent, and commands they carried (re-sends included).
+        self.forward_msgs_sent = 0
+        self.forward_commands_sent = 0
         #: Number of proposal attempts started by this process (reporting).
         self.proposals_started = 0
         #: Deliveries rejected because a carried payload failed its checksum
@@ -411,6 +455,8 @@ class ReplicatedLog(Process):
             raise ValueError("the no-op filler value cannot be submitted")
         if value not in self._pending and not self._is_decided_value(value):
             self._pending.add(value)
+            self._arrivals.add(value)
+            self._unforwarded.append(value)
 
     @property
     def pending(self) -> List[Any]:
@@ -420,7 +466,7 @@ class ReplicatedLog(Process):
     @property
     def forwarded(self) -> List[Any]:
         """Commands forwarded by peers and not yet known decided (in order)."""
-        return self._forwarded.as_list()
+        return [value for value in self._arrivals if value not in self._pending]
 
     @property
     def frontier(self) -> int:
@@ -576,6 +622,8 @@ class ReplicatedLog(Process):
             "catchup_polls_sent": self.catchup_polls_sent,
             "catchup_replies_sent": self.catchup_replies_sent,
             "read_index_polls": self.read_index_polls,
+            "forward_msgs_sent": self.forward_msgs_sent,
+            "forward_commands_sent": self.forward_commands_sent,
         }
         if self.snapshots is not None:
             counters.update(self.snapshots.counters())
@@ -601,12 +649,9 @@ class ReplicatedLog(Process):
             self.corrupt_rejected += 1
             return
         if isinstance(message, Forward):
-            if (
-                not self._is_decided_value(message.value)
-                and message.value not in self._forwarded
-                and message.value not in self._pending
-            ):
-                self._forwarded.add(message.value)
+            for value in flatten_value(message.value):
+                if not self._is_decided_value(value):
+                    self._arrivals.add(value)
             return
         if isinstance(message, CatchUpRequest):
             self._serve_catch_up(env, sender, message.frontier)
@@ -717,7 +762,7 @@ class ReplicatedLog(Process):
             # exactly the commands this decision carried (submit/forward never
             # admit an already-decided value, so nothing else can match).
             self._pending.discard(command)
-            self._forwarded.discard(command)
+            self._arrivals.discard(command)
         self._accepted_undecided.discard(instance_id)
         self._advance_frontier()
         if self.snapshots is not None and not self._rehydrating:
@@ -825,7 +870,7 @@ class ReplicatedLog(Process):
         return self._frontier
 
     def _candidate_value(self) -> Optional[Any]:
-        """Pick up to the batch limit of distinct undecided commands to propose.
+        """Pick up to the batch limit of undecided commands, oldest arrival first.
 
         The limit is the fixed ``batch_size`` knob, or — with an
         :class:`~repro.consensus.batching.AdaptiveBatchPolicy` — the policy's
@@ -833,17 +878,12 @@ class ReplicatedLog(Process):
         """
         limit = self.batch_size
         if self._batch_policy is not None:
-            limit = self._batch_policy.observe(
-                len(self._pending) + len(self._forwarded)
-            )
+            limit = self._batch_policy.observe(len(self._arrivals))
         picked: List[Any] = []
-        for source in (self._pending, self._forwarded):
-            for value in source:
-                if value in self._decided_index or value in picked:
-                    continue
-                picked.append(value)
-                if len(picked) >= limit:
-                    break
+        for value in self._arrivals:
+            if value in self._decided_index:
+                continue
+            picked.append(value)
             if len(picked) >= limit:
                 break
         if not picked:
@@ -939,6 +979,29 @@ class ReplicatedLog(Process):
             env.send(leader, ReadIndexRequest(read_id=read_id))
         self._read_index_queue.clear()
 
+    def _forward_pending(self, env: Environment, leader: int) -> None:
+        """Hand pending commands to the trusted leader: at most one message.
+
+        The whole pending set goes out when the trusted leader changed since
+        the last tick or ``retry_period`` elapsed since the last full send;
+        otherwise only the commands submitted since the last tick do.
+        """
+        if (
+            leader != self._forward_leader
+            or env.now - self._full_forward_time >= self.retry_period
+        ):
+            commands = tuple(self._pending)
+            self._forward_leader = leader
+            self._full_forward_time = env.now
+        else:
+            # Decided between submit and tick: already out of _pending.
+            commands = tuple(v for v in self._unforwarded if v in self._pending)
+        self._unforwarded.clear()
+        if commands:
+            self.forward_msgs_sent += 1
+            self.forward_commands_sent += len(commands)
+            env.send(leader, Forward(value=Batch(commands=commands)))
+
     def _drive(self, env: Environment) -> None:
         leader = self.oracle.leader()
         if self.leases is not None:
@@ -946,9 +1009,7 @@ class ReplicatedLog(Process):
             if self.on_drive is not None:
                 self.on_drive(env.now)
         if leader != self.pid:
-            # Not the leader: hand our pending commands to whoever is.
-            for value in self._pending:
-                env.send(leader, Forward(value=value))
+            self._forward_pending(env, leader)
             # Poll the leader for decisions we may have missed (a crashed-and-
             # recovered replica restarts with an empty log; a replica on the
             # minority side of a healed partition has holes).  The leader stays
@@ -957,6 +1018,10 @@ class ReplicatedLog(Process):
             self.catchup_polls_sent += 1
             env.send(leader, CatchUpRequest(frontier=self._frontier))
             return
+        # Leader: nothing to forward; a later demotion is a leader change, so
+        # whatever is still pending then goes out whole.
+        self._forward_leader = leader
+        self._unforwarded.clear()
         position = self._next_position()
         value = self._candidate_value()
         if value is None:

@@ -624,6 +624,8 @@ class ShardedService:
             ),
             "storage_writes": self.storage_writes(),
             "round_resyncs": self.round_resyncs(),
+            "forward_msgs_sent": self._lifetime_counter("forward_msgs_sent"),
+            "forward_commands_sent": self._lifetime_counter("forward_commands_sent"),
             "snapshots_taken": self.snapshots_taken(),
             "snapshot_restores": self.snapshot_restores(),
             "positions_compacted": self.positions_compacted(),

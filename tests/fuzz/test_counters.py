@@ -17,6 +17,7 @@ These tests pin the harvest path end to end: the stack merges both layers,
 
 from repro.consensus.stack import OmegaConsensusStack
 from repro.fuzz.executor import ScenarioSpec, build_service
+from repro.service.clients import start_clients, zipfian_workload
 from repro.simulation.faults import Crash, FaultPlan, Recover
 
 
@@ -82,3 +83,36 @@ class TestRecoveryProofTotals:
             expected += shell.algorithm.lifetime_counters()["catchup_polls_sent"]
         assert service.catchup_polls() == expected
         assert service.catchup_polls() > 0
+
+
+class TestForwardCounters:
+    """``forward_msgs_sent`` / ``forward_commands_sent``: the command path's
+    cost, countable from ``perf_counters()`` without the perfbench harness."""
+
+    def _loaded_service_with_restart(self):
+        service = _service_with_restart(run_to=0.0)
+        start_clients(
+            service,
+            num_clients=6,
+            workload_factory=lambda i: zipfian_workload(num_keys=8),
+            stop_at=60.0,
+        )
+        service.run_until(ScenarioSpec(seed=3).horizon)
+        return service
+
+    def test_counted_forwards_equal_the_forwards_on_the_wire(self):
+        service = self._loaded_service_with_restart()
+        on_the_wire = sum(
+            system.stats.sent_by_tag.get("FORWARD", 0) for system in service.systems
+        )
+        counters = service.perf_counters()
+        assert on_the_wire > 0
+        assert counters["forward_msgs_sent"] == on_the_wire
+        assert counters["forward_commands_sent"] >= counters["forward_msgs_sent"]
+
+    def test_forward_counters_are_retired_across_the_recovery(self):
+        service = self._loaded_service_with_restart()
+        shell = service.systems[0].shells[1]
+        assert shell.recoveries == 1
+        assert "forward_msgs_sent" in shell.retired_counters
+        assert "forward_commands_sent" in shell.retired_counters

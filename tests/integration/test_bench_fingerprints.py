@@ -9,9 +9,11 @@ substrate that alters an execution (event order, RNG draw order, delay
 arithmetic, digest content) flips one of these digests and fails loudly.
 
 When a PR *intentionally* changes executions (new protocol feature, changed
-default), re-pin the constants together with the refreshed
-``benchmarks/perf_baseline.json`` — never in a perf-only PR, whose whole
-contract is that these digests stay byte-identical.
+default, a protocol-level optimisation that sends different messages), re-pin
+the constants together with the refreshed ``benchmarks/perf_baseline.json`` —
+never in a substrate-only perf PR, whose whole contract is that these digests
+stay byte-identical.  ``omega_broadcast`` is the paper-exactness witness: it
+runs Figure 3 alone and moves only if the paper's algorithm does.
 """
 
 import importlib.util
@@ -30,11 +32,16 @@ _spec.loader.exec_module(bench_perf)
 #: for when these may be re-pinned).
 PINNED_QUICK_FINGERPRINTS = {
     "omega_broadcast": "5b36c19e15a2d846c7993c1ab1ae0ea3c4168de467ca0aeb79e9c3d3da0685cb",
-    "sharded_service": "42a2ccb8bb5276211502618783b4f4f5f6bc18f33f50484e3c586ed94d797f32",
-    "sharded_service_storage": "62a29253e76abd677d118119d8343a024fe0d2596947f8c46f60f94bedd50ea5",
-    "sharded_service_compaction": "3991ea5c639d4c4e646fff0e392fa3ec8454ea4694f9737ed958ae765a4b6a8b",
-    "sharded_service_read_leases": "3b1a8995ee5ae3894dad5ef8255cc4b2a0f95bd7d656b4be24b473ed2c8789c7",
+    "sharded_service": "b35fe4564930f58ec9a1a0c6e945b66fd33a8a0f5377501c364d5e417c3c41fb",
+    "sharded_service_storage": "da3a97af43c1b8c3f970452cd24c2b5209c09747ba49e456f341afa24eeb7165",
+    "sharded_service_compaction": "fa1d10a225510ea091160b7b1aef55623e76ab8d804ada6037c22883e8be1c9e",
+    "sharded_service_read_leases": "f4b44a9ef218166523f5cc033c2360d68b20d15f76766d6010ae002e7bdbfcec",
 }
+
+#: Messages per committed command of the ``sharded_service`` quick shape — an
+#: exact count.  It was 13.463 while every pending command was re-forwarded on
+#: every drive tick; a change that raises it again must say why and re-pin.
+SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 12.826
 
 
 @pytest.mark.parametrize(
@@ -58,6 +65,11 @@ PINNED_QUICK_FINGERPRINTS = {
 )
 def test_sequential_workload_matches_pinned_fingerprint(workload, runner):
     assert runner()["fingerprint"] == PINNED_QUICK_FINGERPRINTS[workload]
+
+
+def test_sharded_service_stays_under_its_messages_per_commit_ceiling():
+    result = bench_perf.bench_sharded_service(quick=True)
+    assert result["messages_per_commit"] <= SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT
 
 
 def test_read_lease_workload_clears_the_speedup_floor():
