@@ -1,7 +1,7 @@
 """Omega-based consensus and replicated log (Theorem 5)."""
 
 from repro.consensus.commands import Batch, Command, flatten_value
-from repro.consensus.instance import NO_BALLOT, ConsensusInstance, InstanceState
+from repro.consensus.instance import NO_BALLOT, ConsensusInstance
 from repro.consensus.messages import (
     AcceptRequest,
     Accepted,
@@ -22,7 +22,6 @@ __all__ = [
     "ConsensusInstance",
     "Decide",
     "Forward",
-    "InstanceState",
     "LOG_CHANNEL",
     "NOOP",
     "NO_BALLOT",

@@ -188,6 +188,11 @@ def _value_intact(value: Any) -> bool:
     return bool(verify())
 
 
+def _rows_intact(rows: Optional[Tuple[tuple, ...]]) -> bool:
+    """True when every row's value (its last element) is intact."""
+    return not rows or all(_value_intact(row[-1]) for row in rows)
+
+
 def payload_intact(message: Any) -> bool:
     """True when every checksummed payload carried by *message* verifies.
 
@@ -196,17 +201,16 @@ def payload_intact(message: Any) -> bool:
     them), so corruption on a link degrades into message loss rather than a
     divergent decision or a garbled state-machine command.  The walk mirrors the
     shapes the corruption model can tamper with — a wrapped envelope's
-    ``inner``, a ``value`` / ``accepted_value`` field, and the ``decisions`` of
-    a catch-up reply; messages carrying none of these are trivially intact.
+    ``inner``, a ``value`` field, and the rows of a catch-up reply's or a
+    promise's ``decisions`` and of a promise's ``accepted`` (the value is the
+    last element of each row); messages carrying none of these are trivially
+    intact.
     """
     inner = getattr(message, "inner", None)
     if inner is not None:
         return payload_intact(inner)
     if not _value_intact(getattr(message, "value", None)):
         return False
-    if not _value_intact(getattr(message, "accepted_value", None)):
-        return False
-    decisions = getattr(message, "decisions", None)
-    if decisions is not None:
-        return all(_value_intact(value) for _, value in decisions)
-    return True
+    return _rows_intact(getattr(message, "decisions", None)) and _rows_intact(
+        getattr(message, "accepted", None)
+    )

@@ -1,4 +1,4 @@
-"""Single-decree, ballot-based consensus instance.
+"""Acceptor and learner state of one log position.
 
 Safety (agreement + validity) holds in a fully asynchronous system with up to ``t``
 crashes — it relies only on quorum intersection (``t < n/2``) and ballot ordering,
@@ -7,294 +7,95 @@ paper discusses in Section 1.1: a misbehaving oracle can only delay decisions, n
 produce wrong ones.  Liveness is obtained when the oracle stabilises on a correct
 leader (Theorem 5: majority of correct processes + intermittent rotating t-star).
 
-The class below holds the acceptor, proposer and learner state of **one** process for
-**one** instance; the replicated log of :mod:`repro.consensus.replicated_log` owns a
-collection of them and moves messages in and out.
+The protocol is Multi-Paxos: everything about a *ballot* — the log-wide promise,
+the ``Prepare``/``Promise`` exchange, ballot ownership and the vote count of the
+position in flight — lives in :mod:`repro.consensus.replicated_log`, once per
+process.  What is left per position, and held by the class below, is what an
+acceptor accepted there and what a learner learnt there.  The replicated log
+owns a collection of these and checks every ``AcceptRequest`` against its
+promise before it lets one :meth:`~ConsensusInstance.accept`.
 
 Stable storage
 --------------
-Quorum intersection only guarantees agreement while acceptors *remember* their
-promises.  When a :class:`~repro.storage.stable_store.StableStore` is attached
-(``store=``), every acceptor-state mutation is persisted **before** the reply
-that reveals it leaves the process (write-ahead, like an fsync before the
-Promise/Accepted goes out), under the key ``("acceptor", instance)``.  A
-recovered incarnation rehydrates those fields through
-:meth:`restore_acceptor_state`, so a restart can no longer make this process
-re-promise a lower ballot — the quorum-amnesia hazard of storage-less crash
-recovery (see ``tests/integration/test_quorum_amnesia.py``).
+Quorum intersection only guarantees agreement while acceptors *remember* what
+they accepted.  When a :class:`~repro.storage.stable_store.StableStore` is
+attached (``store=``), an accepted value is persisted **before** the
+``Accepted`` that reveals it leaves the process (write-ahead, like an fsync
+before the reply), under the key ``("acceptor", instance)``.  A recovered
+incarnation rehydrates it through :meth:`~ConsensusInstance.restore`, so a
+restart can no longer make a quorum forget a value it may have chosen — the
+quorum-amnesia hazard of storage-less crash recovery (see
+``tests/integration/test_quorum_amnesia.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.storage.stable_store import StableStore
 
-from repro.consensus.messages import (
-    Accepted,
-    AcceptRequest,
-    Decide,
-    Nack,
-    Prepare,
-    Promise,
-)
-from repro.core.interfaces import Environment, Message
-
-#: Sentinel meaning "no ballot accepted yet".
+#: Sentinel meaning "no ballot yet" (nothing promised, nothing accepted).
 NO_BALLOT = -1
 
 
-@dataclasses.dataclass
-class InstanceState:
-    """State of one consensus instance at one process."""
-
-    instance: int
-    # Acceptor state.
-    promised_ballot: int = NO_BALLOT
-    accepted_ballot: int = NO_BALLOT
-    accepted_value: Any = None
-    # Learner state.
-    decided: bool = False
-    decided_value: Any = None
-    # Proposer state (used only while this process believes it is the leader).
-    proposing: bool = False
-    proposal_value: Any = None
-    current_ballot: int = NO_BALLOT
-    promises: Dict[int, Promise] = dataclasses.field(default_factory=dict)
-    accepts: Set[int] = dataclasses.field(default_factory=set)
-    phase: str = "idle"  # idle | prepare | accept | done
-
-
 class ConsensusInstance:
-    """Message-driven consensus logic for one instance at one process."""
+    """What one process accepted and learnt at one log position."""
+
+    __slots__ = (
+        "instance",
+        "accepted_ballot",
+        "accepted_value",
+        "decided",
+        "decided_value",
+        "_on_decide",
+        "_store",
+    )
 
     def __init__(
         self,
-        pid: int,
-        n: int,
-        quorum: int,
         instance: int,
         on_decide: Callable[[int, Any], None],
         store: Optional["StableStore"] = None,
-        on_accept: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        self.pid = pid
-        self.n = n
-        self.quorum = quorum
-        self.state = InstanceState(instance=instance)
+        self.instance = instance
+        # Acceptor state.
+        self.accepted_ballot = NO_BALLOT
+        self.accepted_value: Any = None
+        # Learner state (``decided_value`` is None until ``decided``).
+        self.decided = False
+        self.decided_value: Any = None
         self._on_decide = on_decide
-        #: Optional stable store; when set, acceptor state is written through
-        #: before any reply revealing it is sent (write-ahead durability).
+        #: Optional stable store; when set, an accepted value is written
+        #: through before the caller reveals it (write-ahead durability).
         self._store = store
-        #: Optional ``(instance, ballot)`` hook fired when this acceptor
-        #: accepts a value — the lease layer's foreign-accept bookkeeping.
-        self._on_accept = on_accept
 
-    # ------------------------------------------------------------------ queries --
-    @property
-    def decided(self) -> bool:
-        """True once this process has learnt the decision."""
-        return self.state.decided
-
-    @property
-    def decided_value(self) -> Any:
-        """The decided value (``None`` until :attr:`decided`)."""
-        return self.state.decided_value
-
-    # ------------------------------------------------------------------ storage --
-    def restore_acceptor_state(
-        self, promised: int, accepted_ballot: int, accepted_value: Any
-    ) -> None:
+    def restore(self, accepted_ballot: int, accepted_value: Any) -> None:
         """Rehydrate the acceptor fields from stable storage (recovery path)."""
-        state = self.state
-        state.promised_ballot = promised
-        state.accepted_ballot = accepted_ballot
-        state.accepted_value = accepted_value
+        self.accepted_ballot = accepted_ballot
+        self.accepted_value = accepted_value
 
-    def _persist_acceptor(self) -> None:
-        """Write the acceptor state through to stable storage (write-ahead)."""
-        state = self.state
-        self._store.put(
-            ("acceptor", state.instance),
-            (state.promised_ballot, state.accepted_ballot, state.accepted_value),
-        )
+    def accept(self, ballot: int, value: Any) -> None:
+        """Accept *value* at *ballot*, durably when a store is attached.
 
-    # ------------------------------------------------------------------ proposer --
-    def start_proposal(self, env: Environment, value: Any, attempt: int) -> None:
-        """Start (or restart with a higher ballot) a proposal for *value*.
-
-        Called by the replicated log when this process currently trusts itself as
-        leader; *attempt* is a monotonically increasing per-instance attempt counter
-        so the ballot ``attempt * n + pid`` grows at every retry.
+        The caller holds the log-wide promise and has already checked
+        ``ballot`` against it; a promise is never below an accepted ballot, so
+        the ballots passed here never decrease.
         """
-        if self.state.decided:
-            return
-        state = self.state
-        state.proposing = True
-        state.proposal_value = value
-        state.current_ballot = attempt * self.n + self.pid
-        state.promises = {}
-        state.accepts = set()
-        state.phase = "prepare"
-        env.broadcast(
-            Prepare(instance=state.instance, ballot=state.current_ballot),
-            include_self=True,
-        )
+        self.accepted_ballot = ballot
+        self.accepted_value = value
+        if self._store is not None:
+            self._store.put(("acceptor", self.instance), (ballot, value))
 
-    def stop_proposal(self) -> None:
-        """Abandon the current proposal attempt (e.g. this process lost leadership)."""
-        self.state.proposing = False
-        self.state.phase = "idle"
+    def learn(self, value: Any) -> None:
+        """Learn *value* as the decision (idempotent).
 
-    def learn(self, env: Environment, value: Any) -> None:
-        """Learn *value* as the decision (catch-up path; idempotent).
-
-        Used when the decision is obtained out of band — from a
-        :class:`~repro.consensus.messages.CatchUpReply` — instead of from this
-        instance's own ``Decide`` broadcast.  Safe because a value offered for
-        catch-up was already decided at a quorum; learning cannot contradict it.
+        The value comes from a ``Decide``, a catch-up reply, a ``Promise``'s
+        decisions or this process's own vote count — in every case it was
+        accepted by a quorum first, so learning cannot contradict a decision.
         """
-        self._learn(env, value)
-
-    # ------------------------------------------------------------------ dispatch --
-    def on_message(self, env: Environment, sender: int, message: Message) -> None:
-        """Process one consensus message addressed to this instance."""
-        if isinstance(message, Prepare):
-            self._on_prepare(env, sender, message)
-        elif isinstance(message, Promise):
-            self._on_promise(env, sender, message)
-        elif isinstance(message, AcceptRequest):
-            self._on_accept_request(env, sender, message)
-        elif isinstance(message, Accepted):
-            self._on_accepted(env, sender, message)
-        elif isinstance(message, Nack):
-            self._on_nack(env, sender, message)
-        elif isinstance(message, Decide):
-            self._learn(env, message.value)
-        else:
-            raise TypeError(f"consensus instance received unexpected {message!r}")
-
-    # ------------------------------------------------------------------ acceptor --
-    def _on_prepare(self, env: Environment, sender: int, message: Prepare) -> None:
-        state = self.state
-        if message.ballot > state.promised_ballot:
-            state.promised_ballot = message.ballot
-            if self._store is not None:
-                # Durable before the Promise leaves: a restart must never make
-                # this acceptor re-promise a lower ballot.
-                self._persist_acceptor()
-            env.send(
-                sender,
-                Promise(
-                    instance=state.instance,
-                    ballot=message.ballot,
-                    accepted_ballot=state.accepted_ballot,
-                    accepted_value=state.accepted_value,
-                ),
-            )
-        else:
-            env.send(
-                sender,
-                Nack(
-                    instance=state.instance,
-                    ballot=message.ballot,
-                    promised=state.promised_ballot,
-                ),
-            )
-
-    def _on_accept_request(
-        self, env: Environment, sender: int, message: AcceptRequest
-    ) -> None:
-        state = self.state
-        if message.ballot >= state.promised_ballot:
-            state.promised_ballot = message.ballot
-            state.accepted_ballot = message.ballot
-            state.accepted_value = message.value
-            if self._store is not None:
-                # Durable before the Accepted leaves: an accepted value a
-                # quorum may rely on must survive this process's restarts.
-                self._persist_acceptor()
-            if self._on_accept is not None:
-                self._on_accept(state.instance, message.ballot)
-            env.send(
-                sender,
-                Accepted(
-                    instance=state.instance, ballot=message.ballot, value=message.value
-                ),
-            )
-        else:
-            env.send(
-                sender,
-                Nack(
-                    instance=state.instance,
-                    ballot=message.ballot,
-                    promised=state.promised_ballot,
-                ),
-            )
-
-    # ------------------------------------------------------------------ proposer --
-    def _on_promise(self, env: Environment, sender: int, message: Promise) -> None:
-        state = self.state
-        if (
-            not state.proposing
-            or state.phase != "prepare"
-            or message.ballot != state.current_ballot
-        ):
+        if self.decided:
             return
-        state.promises[sender] = message
-        if len(state.promises) < self.quorum:
-            return
-        # Classic Paxos value selection: adopt the value accepted at the highest
-        # ballot among the promises, if any; otherwise propose our own value.
-        best: Optional[Promise] = None
-        for promise in state.promises.values():
-            if promise.accepted_ballot != NO_BALLOT and (
-                best is None or promise.accepted_ballot > best.accepted_ballot
-            ):
-                best = promise
-        value = best.accepted_value if best is not None else state.proposal_value
-        state.phase = "accept"
-        state.accepts = set()
-        env.broadcast(
-            AcceptRequest(
-                instance=state.instance, ballot=state.current_ballot, value=value
-            ),
-            include_self=True,
-        )
-
-    def _on_accepted(self, env: Environment, sender: int, message: Accepted) -> None:
-        state = self.state
-        if (
-            not state.proposing
-            or state.phase != "accept"
-            or message.ballot != state.current_ballot
-        ):
-            return
-        state.accepts.add(sender)
-        if len(state.accepts) >= self.quorum:
-            state.phase = "done"
-            env.broadcast(
-                Decide(instance=state.instance, value=message.value), include_self=True
-            )
-
-    def _on_nack(self, env: Environment, sender: int, message: Nack) -> None:
-        state = self.state
-        if not state.proposing or message.ballot != state.current_ballot:
-            return
-        # A higher ballot exists: abandon this attempt, the retry timer of the
-        # replicated log will start a fresh one with a higher ballot if we still
-        # trust ourselves as leader.
-        state.phase = "idle"
-
-    # ------------------------------------------------------------------ learner --
-    def _learn(self, env: Environment, value: Any) -> None:
-        state = self.state
-        if state.decided:
-            return
-        state.decided = True
-        state.decided_value = value
-        state.proposing = False
-        state.phase = "done"
-        self._on_decide(state.instance, value)
+        self.decided = True
+        self.decided_value = value
+        self._on_decide(self.instance, value)

@@ -1,10 +1,14 @@
 """Messages of the Omega-based consensus / replicated-log layer.
 
-The consensus protocol is a classical ballot-based, quorum-ack single-decree
-protocol (Paxos-like, in the family of the leader-based indulgent consensus
-algorithms the paper cites [8, 12, 17]).  Ballots are totally ordered integers;
-ballot ``b`` of proposer ``p`` in an ``n``-process system is encoded as
-``b = attempt * n + p`` so that two proposers never use the same ballot.
+The consensus protocol is a classical ballot-based, quorum-ack protocol in its
+Multi-Paxos form (in the family of the leader-based indulgent consensus
+algorithms the paper cites [8, 12, 17]): **one ballot covers many log
+positions**.  A ``Prepare``/``Promise`` exchange is about the whole log suffix
+from ``from_position`` on, so a leader that keeps its ballot runs only
+``AcceptRequest``/``Accepted``/``Decide`` per position.  Ballots are totally
+ordered integers; ballot ``b`` of proposer ``p`` in an ``n``-process system is
+encoded as ``b = attempt * n + p`` so that two proposers never use the same
+ballot.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from repro.core.interfaces import Message
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Prepare(Message):
-    """Phase-1a: the proposer asks acceptors to promise ballot ``ballot``."""
+    """Phase-1a, once per leadership: the proposer asks acceptors to promise
+    ``ballot`` for every log position at or above ``from_position`` (its
+    frontier — everything below is decided at the proposer)."""
 
-    instance: int
     ballot: int
+    from_position: int
 
     @property
     def tag(self) -> str:
@@ -29,12 +35,20 @@ class Prepare(Message):
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Promise(Message):
-    """Phase-1b: an acceptor promises ``ballot`` and reveals its accepted value."""
+    """Phase-1b: an acceptor promises ``ballot`` log-wide and reveals what it
+    holds at or above the ``Prepare``'s ``from_position``.
 
-    instance: int
+    ``accepted`` lists ``(position, accepted_ballot, accepted_value)`` for
+    every undecided position it has accepted a value at — the proposer must
+    re-propose the highest-ballot value per position; ``decisions`` lists
+    ``(position, value)`` for the positions it knows decided (the
+    :class:`CatchUpReply` shape), which the proposer simply learns.  Both are
+    in position order and never reach below the sender's compaction floor.
+    """
+
     ballot: int
-    accepted_ballot: int
-    accepted_value: Any
+    accepted: Tuple[Tuple[int, int, Any], ...]
+    decisions: Tuple[Tuple[int, Any], ...]
 
     @property
     def tag(self) -> str:
@@ -69,9 +83,10 @@ class Accepted(Message):
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Nack(Message):
-    """An acceptor refuses a ballot because it promised a higher one."""
+    """An acceptor refuses ``ballot`` — a ``Prepare`` or an ``AcceptRequest``
+    at any position — because it promised ``promised``, which is at least as
+    high.  The proposer's next ballot starts above ``promised``."""
 
-    instance: int
     ballot: int
     promised: int
 

@@ -2,10 +2,10 @@
 
 This is the application layer the paper motivates Omega with (Section 1.1 and
 Theorem 5): commands submitted at any process are forwarded to the process currently
-trusted by the leader oracle, which proposes them — one consensus instance per log
-position — to the ballot-based protocol of :mod:`repro.consensus.instance`.  Decided
-positions form a totally ordered log delivered identically at every process
-(atomic broadcast by repeated consensus, as in [3, 12]).
+trusted by the leader oracle, which proposes them — one log position after the
+other, all under one ballot (see "The leader ballot" below).  Decided positions form
+a totally ordered log delivered identically at every process (atomic broadcast by
+repeated consensus, as in [3, 12]).
 
 Properties exercised by the tests and experiments E7/E8/E10:
 
@@ -53,6 +53,43 @@ Forwarding therefore costs O(submissions + ticks / retry) messages instead of
 the O(backlog × ticks) of re-sending every pending command on every tick,
 which during a leader outage was most of the traffic in the system.
 
+The leader ballot
+-----------------
+Consensus is Multi-Paxos: **one ballot, many positions**.  Phase 1 is run once
+per leadership, not once per position:
+
+* the first proposal of a process its oracle names leader broadcasts one
+  ``Prepare(ballot, from_position=frontier)`` to its peers.  Each acceptor
+  holds **one log-wide promise** (durable under the single key
+  ``("promised",)`` before its reply leaves) and answers a higher ballot with
+  one ``Promise`` listing, for the positions at or above ``from_position``,
+  the undecided ones it accepted a value at and the ones it knows decided; a
+  ballot that is not higher gets a ``Nack`` carrying the promise that beat it;
+* on a quorum of promises (its own included) the leader **owns** the ballot:
+  it learns the reported decisions, re-proposes the highest-ballot accepted
+  value at each reported position — never a different value — fills holes
+  below them with ``NOOP``, and sends every later position straight to
+  ``AcceptRequest`` under the owned ballot;
+* ownership is volatile and is dropped by a ``Nack`` for the ballot, by
+  promising or accepting a rival's higher ballot, by the oracle naming
+  someone else on a drive tick, and by a restart.  The next tick that has
+  something to propose prepares afresh, above every ballot this process has
+  promised or was nacked with — one round, however long the rival's history.
+
+The leader is its own acceptor and learner: ``Prepare``, ``AcceptRequest``
+and ``Decide`` are fanned out to the *peers* only, and **then** the leader
+promises / accepts / learns locally in the same handler turn and counts its
+own vote without a network round trip.  Sending first matters under a
+write-cost model: the fan-out is not charged the leader's own fsync (the two
+overlap, as they would on a real disk), while every *reply* an acceptor sends
+still leaves after its write.  A steady leader therefore spends
+``3 × (n - 1)`` messages and two message delays per decided position.  The
+drive tick still paces proposals with one position in flight, and
+``retry_period`` re-sends an unanswered ``AcceptRequest`` under the same
+ballot with the same value (an unanswered ``Prepare`` is retried with a
+higher ballot: acceptors nack a ballot they already promised, which is what
+stops an amnesic restarted proposer from reusing one).
+
 The catch-up protocol
 ---------------------
 ``Decide`` announcements are broadcast once and are gone for whoever was not
@@ -98,15 +135,16 @@ crash recovery *without* stable storage, with the quorum-amnesia caveat that a
 restarted acceptor forgets its promises.  Attaching a
 :class:`~repro.storage.stable_store.StableStore` (:meth:`attach_storage`, done
 by the :class:`~repro.simulation.system.System` when built with ``storage=``)
-makes the log durable: acceptor state is written through by each
-:class:`~repro.consensus.instance.ConsensusInstance` before its replies leave,
-every decided position is persisted under ``("decided", pos)`` before it is
-indexed, and per-position proposal attempts under ``("attempt", pos)`` so a
-restarted proposer never reuses one of its own ballots for a different value.
-Attaching a non-empty store (the recovery path) **rehydrates** the new
-incarnation: decided positions are replayed in log order (driving
-``on_deliver``, which rebuilds the state machine and its exactly-once session
-table), then the surviving acceptor states and attempt counters are restored.
+makes the log durable: the log-wide promise is persisted under
+``("promised",)`` and each accepted value under ``("acceptor", pos)`` before
+the reply that reveals it leaves, and every decided position under
+``("decided", pos)`` before it is indexed.  A leader promises its own ballot
+like any acceptor, so the durable promise is also what keeps a restarted
+proposer from reusing one of its own ballots.  Attaching a non-empty store
+(the recovery path) **rehydrates** the new incarnation: decided positions are
+replayed in log order (driving ``on_deliver``, which rebuilds the state
+machine and its exactly-once session table), then the promise and the
+surviving accepted values are restored.
 Pending/forwarded submissions are deliberately volatile — losing them is
 message loss, which client retransmission already covers.
 
@@ -118,18 +156,20 @@ ServiceReplica` built with a compaction policy) bounds the log's memory:
 whenever the contiguous decided prefix grows past the policy interval the
 manager captures a checksummed :class:`~repro.storage.snapshot.Snapshot` of
 the applied state and the log **truncates** everything below the truncation
-floor — ``decisions``, the decided-value index, consensus instances, attempt
-bookkeeping, the delivered window and (when durable) the ``("decided"/
-"acceptor"/"attempt", pos)`` store entries.  Steady-state residency becomes
-O(interval + retain) instead of O(history).
+floor — ``decisions``, the decided-value index, consensus instances, the
+delivered window and (when durable) the ``("decided"/"acceptor", pos)`` store
+entries.  Steady-state residency becomes O(interval + retain) instead of
+O(history).
 
 Three protocol consequences:
 
 * messages addressed to instances below the floor are dropped (counted in
-  :attr:`compacted_drops`) — a truncated acceptor stays *silent* for decided
-  positions rather than answering from a reborn empty instance, which is the
-  amnesia-safe behaviour (silence looks like a crash; any prepare quorum that
-  completes still contains a non-truncated witness of the decided value);
+  :attr:`compacted_drops`), and so is a ``Prepare`` whose ``from_position``
+  lies below it — a truncated acceptor stays *silent* about decided positions
+  rather than promising "nothing accepted there", which is the amnesia-safe
+  behaviour (silence looks like a crash; any promise quorum that completes
+  then consists of acceptors that still hold everything from
+  ``from_position`` up, a witness of every chosen value among them);
 * a catch-up request whose frontier lies below the floor cannot be served
   position-by-position any more — the server starts a chunked **snapshot
   transfer** instead (``SNAP_REP`` chunks pulled with ``SNAP_REQ``; see
@@ -147,20 +187,24 @@ path behaves (and fingerprints) exactly as before.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.commands import Batch, flatten_value, payload_intact
 from repro.consensus.instance import NO_BALLOT, ConsensusInstance
 from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import (
+    Accepted,
     AcceptRequest,
     CatchUpReply,
     CatchUpRequest,
+    Decide,
     Forward,
     LeaseGrant,
     LeaseRequest,
+    Nack,
     Prepare,
+    Promise,
     ReadIndexReply,
     ReadIndexRequest,
     SnapshotReply,
@@ -288,8 +332,9 @@ class ReplicatedLog(Process):
         newly submitted commands and (if leader) starts proposals.
     retry_period:
         The retransmission clock of the command path, with two meanings.  For a
-        leader: minimum time between two proposal attempts of the same instance
-        (prevents ballot storms while a proposal is in flight).  For a
+        leader: how long an unanswered ``Prepare`` or ``AcceptRequest`` stays in
+        flight before it is sent again (the ``Prepare`` under a higher ballot,
+        the ``AcceptRequest`` unchanged).  For a
         non-leader: time after which its whole pending set is forwarded again to
         an unchanged trusted leader (covers a lost or tampered ``Forward`` and
         an amnesic leader restart; see "The command path" in the module
@@ -372,13 +417,28 @@ class ReplicatedLog(Process):
         #: Undecided positions holding an accepted value — the accepted
         #: ingredient of lease barrier hints (a commit may be in flight whose
         #: Decide this replica never saw).  Maintained only when leases are on
-        #: (instance callback), and repopulated from the rehydrated acceptor
-        #: states on recovery.
+        #: and repopulated from the rehydrated acceptor states on recovery.
         self._accepted_undecided: set = set()
 
         self._instances: Dict[int, ConsensusInstance] = {}
-        self._attempts: Dict[int, int] = {}
-        self._last_attempt_time: Dict[int, float] = {}
+        #: Acceptor: the one log-wide promise (durable under ``("promised",)``).
+        self._promised = NO_BALLOT
+        # Proposer, all volatile: the ballot being prepared or owned (owned
+        # once a quorum promised it), when its Prepare left, who promised,
+        # and the highest-ballot accepted value they reported per position —
+        # what this leader is bound to re-propose there.
+        self._ballot = NO_BALLOT
+        self._owned = False
+        self._ballot_time = 0.0
+        self._promisers: Set[int] = set()
+        self._recovered: Dict[int, Tuple[int, Any]] = {}
+        #: Highest promise a Nack reported; the next ballot starts above it.
+        self._nacked_ballot = NO_BALLOT
+        # The one accept round in flight: its position, when its
+        # AcceptRequest last left, and who voted for it so far.
+        self._inflight = -1
+        self._inflight_time = 0.0
+        self._votes: Set[int] = set()
         #: Log position -> decided value (learnt locally; with compaction,
         #: only positions at or above the truncation floor stay resident).
         self.decisions: Dict[int, Any] = {}
@@ -398,8 +458,10 @@ class ReplicatedLog(Process):
         #: Forward messages sent, and commands they carried (re-sends included).
         self.forward_msgs_sent = 0
         self.forward_commands_sent = 0
-        #: Number of proposal attempts started by this process (reporting).
-        self.proposals_started = 0
+        #: Prepare broadcasts (one per ballot this process tried to own) and
+        #: AcceptRequest broadcasts (re-sends included) it started.
+        self.ballots_started = 0
+        self.accept_rounds_started = 0
         #: Deliveries rejected because a carried payload failed its checksum
         #: (tampered in flight by a corrupting link); rejected messages are
         #: treated exactly like lost ones.
@@ -555,7 +617,7 @@ class ReplicatedLog(Process):
         floor), then only the decided tail at or above the floor is replayed —
         through :meth:`_on_decide`, so ``on_deliver`` rebuilds the rest of the
         state machine exactly as the dead incarnation built it — and finally
-        the persisted acceptor states and proposal attempts are restored.
+        the persisted promise and accepted values are restored.
         Stale entries below the snapshot floor (a crash can land between the
         snapshot write and its truncations) are deleted rather than replayed.
         """
@@ -573,32 +635,21 @@ class ReplicatedLog(Process):
                 if position < floor:
                     store.delete(("decided", position))
                     continue
-                self._instance(position).learn(None, value)
-            for (_, position), state in store.items_with_prefix("acceptor"):
+                self._instance(position).learn(value)
+            self._promised = store.get(("promised",), NO_BALLOT)
+            for (_, position), accepted in store.items_with_prefix("acceptor"):
                 if position < floor:
                     store.delete(("acceptor", position))
                     continue
-                promised, accepted_ballot, accepted_value = state
-                self._instance(position).restore_acceptor_state(
-                    promised, accepted_ballot, accepted_value
-                )
-                if (
-                    self.leases is not None
-                    and accepted_ballot != NO_BALLOT
-                    and position not in self.decisions
-                ):
-                    # The on_accept hook fires only in the live AcceptRequest
-                    # handler; a rehydrated acceptor must re-enter its durably
-                    # accepted undecided positions here, or this granter's
-                    # barrier hints would omit commits that were in flight at
-                    # the crash — letting a new leaseholder gain read
-                    # authority below a committed-but-unlearnt write.
+                self._instance(position).restore(*accepted)
+                if self.leases is not None and position not in self.decisions:
+                    # _accept tracks these only while running; a rehydrated
+                    # acceptor must re-enter its durably accepted undecided
+                    # positions here, or this granter's barrier hints would
+                    # omit commits that were in flight at the crash — letting
+                    # a new leaseholder gain read authority below a
+                    # committed-but-unlearnt write.
                     self._accepted_undecided.add(position)
-            for (_, position), attempt in store.items_with_prefix("attempt"):
-                if position < floor:
-                    store.delete(("attempt", position))
-                    continue
-                self._attempts[position] = attempt
         finally:
             self._rehydrating = False
 
@@ -617,7 +668,8 @@ class ReplicatedLog(Process):
         """
         counters = {
             "corrupt_rejected": self.corrupt_rejected,
-            "proposals_started": self.proposals_started,
+            "ballots_started": self.ballots_started,
+            "accept_rounds_started": self.accept_rounds_started,
             "compacted_drops": self.compacted_drops,
             "catchup_polls_sent": self.catchup_polls_sent,
             "catchup_replies_sent": self.catchup_replies_sent,
@@ -648,6 +700,17 @@ class ReplicatedLog(Process):
             # corruption degrades into message loss (which is tolerated).
             self.corrupt_rejected += 1
             return
+        if isinstance(message, (AcceptRequest, Accepted, Decide)):
+            # Phase 2, about one log position each — most of the traffic.
+            if isinstance(message, AcceptRequest):
+                if not self._gated(env, sender) and self._resident(message.instance):
+                    self._on_accept_request(env, sender, message)
+            elif self._resident(message.instance):
+                if isinstance(message, Decide):
+                    self._instance(message.instance).learn(message.value)
+                else:
+                    self._on_accepted(env, sender, message)
+            return
         if isinstance(message, Forward):
             for value in flatten_value(message.value):
                 if not self._is_decided_value(value):
@@ -658,10 +721,8 @@ class ReplicatedLog(Process):
             return
         if isinstance(message, CatchUpReply):
             for position, value in message.decisions:
-                if position < self._floor:
-                    self.compacted_drops += 1
-                    continue
-                self._instance(position).learn(env, value)
+                if self._resident(position):
+                    self._instance(position).learn(value)
             return
         if isinstance(message, SnapshotReply):
             if self.snapshots is not None:
@@ -700,43 +761,47 @@ class ReplicatedLog(Process):
             if self.on_read_index is not None:
                 self.on_read_index(message.read_id, message.index)
             return
-        instance_id = getattr(message, "instance", None)
-        if instance_id is None:
+        if isinstance(message, Prepare):
+            self._on_prepare(env, sender, message)
+        elif isinstance(message, Promise):
+            if message.ballot == self._ballot and not self._owned:
+                self._on_promise(env, sender, message.accepted, message.decisions)
+        elif isinstance(message, Nack):
+            if message.ballot == self._ballot:
+                # A higher ballot exists.  Ownership is gone whichever phase
+                # and position the refusal was for; the next tick prepares
+                # above the ballot that beat this one.
+                self._nacked_ballot = max(self._nacked_ballot, message.promised)
+                self._drop_ballot()
+        else:
             raise TypeError(f"replicated log received unexpected {message!r}")
-        if self.leases is not None and isinstance(
-            message, (Prepare, AcceptRequest)
-        ):
-            # Lease gating: while our grant to some process is live, proposer
-            # traffic from anyone else is dropped (counted).  This is what
-            # makes a grant quorum exclude foreign commits until the grants —
-            # and with them the holder's earlier-expiring lease — run out.
-            # Decide/catch-up/snapshot messages are never gated: learning an
-            # already-committed value cannot create staleness.
-            if self.leases.gates(env.now, sender):
-                return
-        if instance_id < self._floor:
-            # The instance was truncated by compaction: its position is decided
-            # and snapshotted away.  Stay silent (never answer from a reborn
-            # empty instance — that would be manufactured amnesia); to the
-            # sender this looks exactly like a crashed acceptor, which the
-            # indulgent protocol tolerates.
-            self.compacted_drops += 1
-            return
-        self._instance(instance_id).on_message(env, sender, message)
+
+    def _gated(self, env: Environment, proposer: int) -> bool:
+        """Lease gating: while our grant to some process is live, proposer
+        traffic from anyone else is dropped (counted) — our own included, so a
+        gated leader does not propose at all.  This is what makes a grant
+        quorum exclude foreign commits until the grants — and with them the
+        holder's earlier-expiring lease — run out.  Decide/catch-up/snapshot
+        messages are never gated: learning an already-committed value cannot
+        create staleness."""
+        return self.leases is not None and self.leases.gates(env.now, proposer)
+
+    def _resident(self, position: int) -> bool:
+        """False (and counted) for a position compaction truncated: it is
+        decided and snapshotted away.  The caller then stays silent — never
+        answer from a reborn empty instance, that would be manufactured
+        amnesia; to the sender this looks exactly like a crashed acceptor,
+        which the indulgent protocol tolerates."""
+        if position >= self._floor:
+            return True
+        self.compacted_drops += 1
+        return False
 
     # ------------------------------------------------------------------ internals --
     def _instance(self, instance_id: int) -> ConsensusInstance:
         instance = self._instances.get(instance_id)
         if instance is None:
-            instance = ConsensusInstance(
-                pid=self.pid,
-                n=self.n,
-                quorum=self.quorum,
-                instance=instance_id,
-                on_decide=self._on_decide,
-                store=self._store,
-                on_accept=self._note_accept if self.leases is not None else None,
-            )
+            instance = ConsensusInstance(instance_id, self._on_decide, self._store)
             self._instances[instance_id] = instance
         return instance
 
@@ -786,9 +851,9 @@ class ReplicatedLog(Process):
         Called by the snapshot manager after a snapshot covering those
         positions is (durably, when storage is attached) in place: the decided
         values, their index entries, the consensus instances with their
-        acceptor state, the attempt bookkeeping, the delivered-window entries
-        and the durable ``("decided"/"acceptor"/"attempt", pos)`` records all
-        go.  The digest chain is folded first so no unfolded position is lost.
+        acceptor state, the delivered-window entries and the durable
+        ``("decided"/"acceptor", pos)`` records all go.  The digest chain is
+        folded first so no unfolded position is lost.
         """
         if floor <= self._floor:
             return 0
@@ -804,13 +869,10 @@ class ReplicatedLog(Process):
                 for command in flatten_value(value):
                     self._decided_index.discard(command)
             self._instances.pop(position, None)
-            self._attempts.pop(position, None)
-            self._last_attempt_time.pop(position, None)
             self._accepted_undecided.discard(position)
             if self._store is not None:
                 self._store.delete(("decided", position))
                 self._store.delete(("acceptor", position))
-                self._store.delete(("attempt", position))
         if dropped_deliveries:
             self._delivered = self._delivered[dropped_deliveries:]
         self._floor = floor
@@ -834,10 +896,6 @@ class ReplicatedLog(Process):
             dropped += 1
         for position in [p for p in self._instances if p < floor]:
             del self._instances[position]
-        for position in [p for p in self._attempts if p < floor]:
-            del self._attempts[position]
-        for position in [p for p in self._last_attempt_time if p < floor]:
-            del self._last_attempt_time[position]
         for position in [p for p in self._accepted_undecided if p < floor]:
             self._accepted_undecided.discard(position)
         if self._store is not None and not self._rehydrating:
@@ -845,9 +903,6 @@ class ReplicatedLog(Process):
                 if key[1] < floor:
                     self._store.delete(key)
             for key, _ in self._store.items_with_prefix("acceptor"):
-                if key[1] < floor:
-                    self._store.delete(key)
-            for key, _ in self._store.items_with_prefix("attempt"):
                 if key[1] < floor:
                     self._store.delete(key)
         self._frontier = floor
@@ -865,9 +920,6 @@ class ReplicatedLog(Process):
         )
         self._advance_frontier()
         return dropped
-
-    def _next_position(self) -> int:
-        return self._frontier
 
     def _candidate_value(self) -> Optional[Any]:
         """Pick up to the batch limit of undecided commands, oldest arrival first.
@@ -937,11 +989,6 @@ class ReplicatedLog(Process):
         """
         self._read_index_queue.append(read_id)
 
-    def _note_accept(self, position: int, ballot: int) -> None:
-        """Track undecided positions holding an accepted value (the accepted
-        ingredient of lease barrier hints)."""
-        self._accepted_undecided.add(position)
-
     def _lease_barrier_hint(self) -> int:
         """This replica's read-authority barrier ingredient: the highest
         position seen decided or accepted from *any* ballot (a commit may be
@@ -1009,6 +1056,7 @@ class ReplicatedLog(Process):
             if self.on_drive is not None:
                 self.on_drive(env.now)
         if leader != self.pid:
+            self._drop_ballot()  # the oracle demoted us (no-op for a follower)
             self._forward_pending(env, leader)
             # Poll the leader for decisions we may have missed (a crashed-and-
             # recovered replica restarts with an empty log; a replica on the
@@ -1022,28 +1070,176 @@ class ReplicatedLog(Process):
         # whatever is still pending then goes out whole.
         self._forward_leader = leader
         self._unforwarded.clear()
-        position = self._next_position()
-        value = self._candidate_value()
-        if value is None:
-            # Nothing to propose; only fill a hole if positions above it decided.
-            if self._max_decided > position:
-                value = NOOP
-            else:
-                return
-        instance = self._instance(position)
-        if instance.decided:
-            return
-        state = instance.state
-        last = self._last_attempt_time.get(position)
-        in_flight = state.proposing and state.phase in ("prepare", "accept")
-        if in_flight and last is not None and env.now - last < self.retry_period:
-            return
-        attempt = self._attempts.get(position, 0) + 1
-        self._attempts[position] = attempt
+        self._lead(env)
+
+    # ------------------------------------------------------------------ acceptor --
+    def _promise(self, ballot: int) -> None:
+        """Raise the log-wide promise to *ballot*, durably.
+
+        Called before the message revealing it leaves (a ``Promise``, an
+        ``Accepted``) — a restart must never make this acceptor honour a
+        lower ballot.  Promising someone else's ballot ends our own.
+        """
+        self._promised = ballot
+        if ballot != self._ballot:
+            self._drop_ballot()
         if self._store is not None:
-            # Durable before the Prepare leaves: a restarted proposer must not
-            # reuse one of its own ballots for a different value.
-            self._store.put(("attempt", position), attempt)
-        self._last_attempt_time[position] = env.now
-        self.proposals_started += 1
-        instance.start_proposal(env, value, attempt)
+            self._store.put(("promised",), ballot)
+
+    def _accept(self, position: int, ballot: int, value: Any) -> None:
+        """Accept *value* at *position* (the caller checked the promise)."""
+        self._instance(position).accept(ballot, value)
+        if self.leases is not None and position not in self.decisions:
+            self._accepted_undecided.add(position)
+
+    def _held_from(self, from_position: int) -> Tuple[tuple, tuple]:
+        """What this acceptor holds at or above *from_position*: the
+        ``(accepted, decisions)`` payload of a :class:`Promise`."""
+        accepted, decisions = [], []
+        for position in sorted(p for p in self._instances if p >= from_position):
+            instance = self._instances[position]
+            if instance.decided:
+                decisions.append((position, instance.decided_value))
+            elif instance.accepted_ballot != NO_BALLOT:
+                accepted.append(
+                    (position, instance.accepted_ballot, instance.accepted_value)
+                )
+        return tuple(accepted), tuple(decisions)
+
+    def _on_prepare(self, env: Environment, sender: int, message: Prepare) -> None:
+        if self._gated(env, sender):
+            return
+        # With part of the range truncated by compaction, a Promise would
+        # claim "nothing accepted there" about positions this acceptor may
+        # have been the only witness of: silence, as for a single instance.
+        if not self._resident(message.from_position):
+            return
+        if message.ballot > self._promised:
+            self._promise(message.ballot)
+            accepted, decisions = self._held_from(message.from_position)
+            env.send(
+                sender,
+                Promise(ballot=message.ballot, accepted=accepted, decisions=decisions),
+            )
+        else:
+            env.send(sender, Nack(ballot=message.ballot, promised=self._promised))
+
+    def _on_accept_request(
+        self, env: Environment, sender: int, message: AcceptRequest
+    ) -> None:
+        if message.ballot < self._promised:
+            env.send(sender, Nack(ballot=message.ballot, promised=self._promised))
+            return
+        if message.ballot > self._promised:
+            # Accepting is promising: a restart must not let a lower ballot
+            # overwrite what is accepted here.
+            self._promise(message.ballot)
+        self._accept(message.instance, message.ballot, message.value)
+        env.send(
+            sender,
+            Accepted(
+                instance=message.instance, ballot=message.ballot, value=message.value
+            ),
+        )
+
+    # ------------------------------------------------------------------ proposer --
+    def _drop_ballot(self) -> None:
+        """Give up the ballot being prepared or owned (ownership is volatile)."""
+        self._ballot = NO_BALLOT
+        self._owned = False
+
+    def _start_ballot(self, env: Environment) -> None:
+        """Phase 1, once per leadership: ask for the whole log suffix."""
+        attempt = max(self._promised, self._nacked_ballot) // self.n + 1
+        self._ballot = attempt * self.n + self.pid
+        self._ballot_time = env.now
+        self._promisers = set()
+        self._recovered = {}
+        self._inflight = -1
+        self.ballots_started += 1
+        env.broadcast(Prepare(ballot=self._ballot, from_position=self._frontier))
+        # Our own promise, after the fan-out (which must not wait for our
+        # fsync).  It is also what keeps a restart from reusing this ballot.
+        self._promise(self._ballot)
+        self._on_promise(env, self.pid, *self._held_from(self._frontier))
+
+    def _on_promise(
+        self, env: Environment, sender: int, accepted: tuple, decisions: tuple
+    ) -> None:
+        for position, value in decisions:
+            if self._resident(position):
+                self._instance(position).learn(value)
+        for position, ballot, value in accepted:
+            best = self._recovered.get(position)
+            if best is None or ballot > best[0]:
+                self._recovered[position] = (ballot, value)
+        self._promisers.add(sender)
+        if len(self._promisers) >= self.quorum:
+            self._owned = True
+            self._lead(env)
+
+    def _lead(self, env: Environment) -> None:
+        """The leader's proposal step: one position in flight at a time.
+
+        Runs on every drive tick of a process its oracle names leader, and
+        once more the moment a promise quorum hands it the ballot.
+        """
+        position = self._frontier
+        value = self._candidate_value()
+        if self._gated(env, self.pid):
+            return
+        if not self._owned:
+            if (
+                self._ballot != NO_BALLOT
+                and env.now - self._ballot_time < self.retry_period
+            ):
+                return  # our Prepare is in flight
+            if value is not None or self._max_decided > position:
+                self._start_ballot(env)
+            return
+        resend = position == self._inflight
+        if resend:
+            if env.now - self._inflight_time < self.retry_period:
+                return
+            # Unanswered: same ballot, so it must be the same value.
+            value = self._instances[position].accepted_value
+        else:
+            recovered = self._recovered.pop(position, None)
+            if recovered is not None:
+                value = recovered[1]
+            elif value is None:
+                # Nothing to propose; only fill a hole below something decided
+                # or reported accepted.
+                if self._max_decided > position or any(
+                    above > position for above in self._recovered
+                ):
+                    value = NOOP
+                else:
+                    return
+            self._inflight = position
+            self._votes = set()
+        self._inflight_time = env.now
+        self.accept_rounds_started += 1
+        env.broadcast(
+            AcceptRequest(instance=position, ballot=self._ballot, value=value)
+        )
+        if not resend:
+            # Our own vote, after the fan-out and without a network round trip.
+            self._accept(position, self._ballot, value)
+            self._count_vote(env, self.pid)
+
+    def _on_accepted(self, env: Environment, sender: int, message: Accepted) -> None:
+        if (
+            self._owned
+            and message.ballot == self._ballot
+            and message.instance == self._inflight
+        ):
+            self._count_vote(env, sender)
+
+    def _count_vote(self, env: Environment, voter: int) -> None:
+        self._votes.add(voter)
+        if len(self._votes) >= self.quorum:
+            position, self._inflight = self._inflight, -1
+            value = self._instances[position].accepted_value
+            env.broadcast(Decide(instance=position, value=value))
+            self._instances[position].learn(value)

@@ -531,6 +531,8 @@ def harvest_features(
         "suspicions_sent": service._lifetime_counter("suspicions_sent"),
         "catchup_polls": service.catchup_polls(),
         "catchup_replies": service.catchup_replies(),
+        "ballots_started": service._lifetime_counter("ballots_started"),
+        "accept_rounds_started": service._lifetime_counter("accept_rounds_started"),
         "recoveries": recoveries,
         "messages_dropped": dropped,
         "corrupted_messages": service.corrupted_messages(),

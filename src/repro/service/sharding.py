@@ -626,6 +626,8 @@ class ShardedService:
             "round_resyncs": self.round_resyncs(),
             "forward_msgs_sent": self._lifetime_counter("forward_msgs_sent"),
             "forward_commands_sent": self._lifetime_counter("forward_commands_sent"),
+            "ballots_started": self._lifetime_counter("ballots_started"),
+            "accept_rounds_started": self._lifetime_counter("accept_rounds_started"),
             "snapshots_taken": self.snapshots_taken(),
             "snapshot_restores": self.snapshot_restores(),
             "positions_compacted": self.positions_compacted(),

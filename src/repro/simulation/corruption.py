@@ -13,12 +13,12 @@ The model is deliberately *tamper-evident*, not arbitrary-Byzantine:
 
 * Tampering targets **integrity-protected payloads** — any frozen dataclass
   carrying a ``checksum`` field (a ``Command``, or a ``Batch`` of them, found
-  inside a ``Wrapped`` envelope, a ``value`` / ``accepted_value`` field, or the
-  ``decisions`` of a catch-up reply).  The payload is garbled while the *stale*
-  checksum is preserved, exactly like a bit-flip that a forwarding hop passes
-  on but an end-to-end CRC catches.
+  inside a ``Wrapped`` envelope, a ``value`` field, the ``decisions`` of a
+  catch-up reply or the ``accepted`` / ``decisions`` rows of a ``Promise``).
+  The payload is garbled while the *stale* checksum is preserved, exactly like
+  a bit-flip that a forwarding hop passes on but an end-to-end CRC catches.
 * Messages carrying no such payload (the Omega layer's ``ALIVE`` /
-  ``SUSPICION`` control traffic, a bare ``Prepare``) pass through unchanged:
+  ``SUSPICION`` control traffic, a ``Prepare``) pass through unchanged:
   they have no free-form payload for this model to flip — their entire content
   is protocol metadata, which we treat as protected by the transport framing.
   :func:`corrupt_message` returns ``None`` for them, and the network counts a
@@ -92,8 +92,9 @@ def corrupt_message(message: Any, rng: RandomSource) -> Optional[Any]:
     ``None`` means the message carries nothing this model can tamper with; the
     caller must then deliver the original untouched (and not count a
     corruption).  The walk mirrors ``payload_intact`` on the receive side: a
-    wrapped envelope's ``inner``, a ``value`` / ``accepted_value`` field, and
-    the ``(position, value)`` pairs of a catch-up reply.
+    wrapped envelope's ``inner``, a ``value`` field, and the value-last rows
+    of a catch-up reply's or a promise's ``decisions`` and of a promise's
+    ``accepted``.
     """
     inner = getattr(message, "inner", None)
     if inner is not None:
@@ -101,25 +102,27 @@ def corrupt_message(message: Any, rng: RandomSource) -> Optional[Any]:
         if tampered is None:
             return None
         return dataclasses.replace(message, inner=tampered)
-    for field in ("value", "accepted_value"):
-        if hasattr(message, field):
-            tampered = corrupt_value(getattr(message, field), rng)
+    if hasattr(message, "value"):
+        tampered = corrupt_value(message.value, rng)
+        if tampered is not None:
+            return dataclasses.replace(message, value=tampered)
+    for field in ("decisions", "accepted"):
+        rows = getattr(message, field, None)
+        if not rows:
+            continue
+        # Rows end with their value — ``(position, value)`` decisions,
+        # ``(position, ballot, value)`` accepted entries.  Try each starting
+        # from a random one, without further draws.
+        index = rng.randint(0, len(rows) - 1)
+        for offset in range(len(rows)):
+            position = (index + offset) % len(rows)
+            tampered = corrupt_value(rows[position][-1], rng)
             if tampered is not None:
-                return dataclasses.replace(message, **{field: tampered})
-    decisions = getattr(message, "decisions", None)
-    if decisions:
-        index = rng.randint(0, len(decisions) - 1)
-        for offset in range(len(decisions)):
-            position = (index + offset) % len(decisions)
-            slot, value = decisions[position]
-            tampered = corrupt_value(value, rng)
-            if tampered is not None:
-                garbled = (
-                    decisions[:position]
-                    + ((slot, tampered),)
-                    + decisions[position + 1 :]
+                garbled = rows[position][:-1] + (tampered,)
+                return dataclasses.replace(
+                    message,
+                    **{field: rows[:position] + (garbled,) + rows[position + 1 :]},
                 )
-                return dataclasses.replace(message, decisions=garbled)
     items = getattr(message, "items", None)
     if items:
         # A snapshot-transfer chunk: garble one payload row while keeping the

@@ -775,9 +775,14 @@ class FaultPlan:
         hazard check is identical with the ``compaction`` knob on.  Conversely,
         truncating durable acceptor state below the snapshot floor does not
         *create* a hazard: those positions are decided, truncated replicas
-        stay silent for them (indistinguishable from a crashed acceptor), and
-        any prepare quorum that completes still intersects the accept quorum
-        in a non-truncated witness.
+        stay silent for them (indistinguishable from a crashed acceptor) —
+        also for a ``Prepare`` whose range reaches below their floor — so a
+        promise quorum that completes consists of acceptors still holding
+        everything from the prepared position up.
+
+        The acceptor's promise is one log-wide ballot (one durable key)
+        rather than one per position; that changes what a storage-less
+        restart forgets by nothing, so the count below is unchanged.
         """
         validate_process_count(n, t)
         restarted = self.restarted_ids()

@@ -32,11 +32,12 @@ that reveals the state leaves the process):
 =======================  =====================================================
 key                      value
 =======================  =====================================================
-``("acceptor", pos)``    ``(promised_ballot, accepted_ballot, accepted_value)``
+``("promised",)``        the one log-wide promised ballot (a leader promises
+                         its own ballot too, so a restarted proposer never
+                         reuses one)
+``("acceptor", pos)``    ``(accepted_ballot, accepted_value)`` of log position
+                         ``pos``
 ``("decided", pos)``     the decided value of log position ``pos``
-``("attempt", pos)``     highest proposal attempt this process used for ``pos``
-                         (so a restarted proposer never reuses one of its own
-                         ballots for a different value)
 ``("snapshot", slot)``   a :class:`~repro.storage.snapshot.Snapshot` capturing
                          the applied state up to its floor (written by the
                          :class:`~repro.storage.snapshot.SnapshotManager`; the

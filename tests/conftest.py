@@ -9,8 +9,17 @@ times of the paper's algorithms under every scenario exercised here.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.config import OmegaConfig
+
+# Tier-1 is an acceptance gate comparing two commits, so it must run the same
+# examples on both: with ``derandomize`` every property draws from a seed
+# derived from its own test function instead of from the clock, and no example
+# database carries one run's finds into the next.  Registered here (loaded
+# before any test module) so the per-test ``@settings(...)`` inherit it.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

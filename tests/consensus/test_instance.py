@@ -1,159 +1,87 @@
-"""Unit tests for the single-decree consensus instance (safety mechanics)."""
+"""Unit tests for the per-position acceptor/learner record.
 
-import pytest
+Ballot-level behaviour — the log-wide promise, Prepare/Promise/Nack, ballot
+ownership, vote counting — is the replicated log's and is tested in
+``test_replicated_log.py``; what is left per position is what was accepted
+there and what was learnt there.
+"""
 
 from repro.consensus.instance import NO_BALLOT, ConsensusInstance
-from repro.consensus.messages import (
-    Accepted,
-    AcceptRequest,
-    Decide,
-    Nack,
-    Prepare,
-    Promise,
-)
-from repro.testing import FakeEnvironment
+from repro.storage.stable_store import StableStore
 
 
-def make(pid=0, n=5, quorum=3, instance=0):
+def make(instance=0, store=None):
     decisions = []
     inst = ConsensusInstance(
-        pid=pid,
-        n=n,
-        quorum=quorum,
-        instance=instance,
-        on_decide=lambda i, v: decisions.append((i, v)),
+        instance, lambda i, v: decisions.append((i, v)), store=store
     )
-    env = FakeEnvironment(pid=pid, n=n)
-    return inst, env, decisions
+    return inst, decisions
 
 
 class TestAcceptorRole:
-    def test_prepare_answered_with_promise(self):
-        inst, env, _ = make(pid=1)
-        inst.on_message(env, 0, Prepare(instance=0, ballot=5))
-        promises = [m for m in env.messages_to(0) if isinstance(m, Promise)]
-        assert len(promises) == 1
-        assert promises[0].ballot == 5
-        assert promises[0].accepted_ballot == NO_BALLOT
+    def test_starts_with_nothing_accepted(self):
+        inst, _ = make()
+        assert inst.accepted_ballot == NO_BALLOT
+        assert inst.accepted_value is None
 
-    def test_lower_prepare_nacked(self):
-        inst, env, _ = make(pid=1)
-        inst.on_message(env, 0, Prepare(instance=0, ballot=10))
-        inst.on_message(env, 2, Prepare(instance=0, ballot=5))
-        nacks = [m for m in env.messages_to(2) if isinstance(m, Nack)]
-        assert len(nacks) == 1
-        assert nacks[0].promised == 10
+    def test_accept_records_ballot_and_value(self):
+        inst, _ = make()
+        inst.accept(5, "v")
+        assert (inst.accepted_ballot, inst.accepted_value) == (5, "v")
 
-    def test_accept_request_honoured_at_promised_ballot(self):
-        inst, env, _ = make(pid=1)
-        inst.on_message(env, 0, Prepare(instance=0, ballot=5))
-        inst.on_message(env, 0, AcceptRequest(instance=0, ballot=5, value="v"))
-        accepted = [m for m in env.messages_to(0) if isinstance(m, Accepted)]
-        assert len(accepted) == 1
-        assert inst.state.accepted_value == "v"
+    def test_later_accept_replaces_the_earlier_one(self):
+        inst, _ = make()
+        inst.accept(5, "old")
+        inst.accept(9, "new")
+        assert (inst.accepted_ballot, inst.accepted_value) == (9, "new")
 
-    def test_accept_request_below_promise_nacked(self):
-        inst, env, _ = make(pid=1)
-        inst.on_message(env, 0, Prepare(instance=0, ballot=10))
-        inst.on_message(env, 2, AcceptRequest(instance=0, ballot=5, value="v"))
-        nacks = [m for m in env.messages_to(2) if isinstance(m, Nack)]
-        assert len(nacks) == 1
-        assert inst.state.accepted_value is None
+    def test_accept_is_written_through_under_the_position_key(self):
+        store = StableStore(pid=1)
+        inst, _ = make(instance=7, store=store)
+        inst.accept(5, "v")
+        assert store.snapshot() == {("acceptor", 7): (5, "v")}
+        assert store.writes == 1
 
-    def test_promise_reveals_previously_accepted_value(self):
-        inst, env, _ = make(pid=1)
-        inst.on_message(env, 0, AcceptRequest(instance=0, ballot=5, value="old"))
-        inst.on_message(env, 2, Prepare(instance=0, ballot=9))
-        promise = [m for m in env.messages_to(2) if isinstance(m, Promise)][0]
-        assert promise.accepted_ballot == 5
-        assert promise.accepted_value == "old"
+    def test_restore_rehydrates_what_accept_persisted(self):
+        store = StableStore(pid=1)
+        dead, _ = make(instance=7, store=store)
+        dead.accept(5, "v")
+        reborn, _ = make(instance=7, store=store)
+        reborn.restore(*store.get(("acceptor", 7)))
+        assert (reborn.accepted_ballot, reborn.accepted_value) == (5, "v")
+        assert store.writes == 1  # rehydration writes nothing back
 
-
-class TestProposerRole:
-    def test_start_proposal_broadcasts_prepare(self):
-        inst, env, _ = make(pid=2)
-        inst.start_proposal(env, "value", attempt=1)
-        prepares = env.messages_of_type(Prepare)
-        assert len(prepares) == 5  # include_self
-        assert prepares[0].ballot == 1 * 5 + 2
-
-    def test_quorum_of_promises_triggers_accept_phase(self):
-        inst, env, _ = make(pid=2)
-        inst.start_proposal(env, "mine", attempt=1)
-        env.clear_sent()
-        ballot = inst.state.current_ballot
-        for sender in (0, 1, 2):
-            inst.on_message(
-                env,
-                sender,
-                Promise(instance=0, ballot=ballot, accepted_ballot=NO_BALLOT, accepted_value=None),
-            )
-        accepts = env.messages_of_type(AcceptRequest)
-        assert len(accepts) == 5
-        assert accepts[0].value == "mine"
-
-    def test_highest_accepted_value_adopted(self):
-        inst, env, _ = make(pid=2)
-        inst.start_proposal(env, "mine", attempt=1)
-        ballot = inst.state.current_ballot
-        inst.on_message(env, 0, Promise(instance=0, ballot=ballot, accepted_ballot=3, accepted_value="a"))
-        inst.on_message(env, 1, Promise(instance=0, ballot=ballot, accepted_ballot=7, accepted_value="b"))
-        env.clear_sent()
-        inst.on_message(env, 3, Promise(instance=0, ballot=ballot, accepted_ballot=NO_BALLOT, accepted_value=None))
-        accepts = env.messages_of_type(AcceptRequest)
-        assert accepts[0].value == "b"
-
-    def test_quorum_of_accepted_broadcasts_decide(self):
-        inst, env, decisions = make(pid=2)
-        inst.start_proposal(env, "mine", attempt=1)
-        ballot = inst.state.current_ballot
-        for sender in (0, 1, 3):
-            inst.on_message(env, sender, Promise(instance=0, ballot=ballot, accepted_ballot=NO_BALLOT, accepted_value=None))
-        env.clear_sent()
-        for sender in (0, 1, 3):
-            inst.on_message(env, sender, Accepted(instance=0, ballot=ballot, value="mine"))
-        decides = env.messages_of_type(Decide)
-        assert len(decides) == 5
-        assert decides[0].value == "mine"
-
-    def test_stale_promises_ignored(self):
-        inst, env, _ = make(pid=2)
-        inst.start_proposal(env, "mine", attempt=2)
-        env.clear_sent()
-        for sender in (0, 1, 3):
-            inst.on_message(env, sender, Promise(instance=0, ballot=1, accepted_ballot=NO_BALLOT, accepted_value=None))
-        assert env.messages_of_type(AcceptRequest) == []
-
-    def test_nack_aborts_attempt(self):
-        inst, env, _ = make(pid=2)
-        inst.start_proposal(env, "mine", attempt=1)
-        inst.on_message(env, 0, Nack(instance=0, ballot=inst.state.current_ballot, promised=99))
-        assert inst.state.phase == "idle"
-
-    def test_stop_proposal(self):
-        inst, env, _ = make(pid=2)
-        inst.start_proposal(env, "mine", attempt=1)
-        inst.stop_proposal()
-        assert inst.state.proposing is False
+    def test_accepting_does_not_decide(self):
+        inst, decisions = make()
+        inst.accept(5, "v")
+        assert not inst.decided and decisions == []
 
 
 class TestLearnerRole:
-    def test_decide_learns_once(self):
-        inst, env, decisions = make(pid=1)
-        inst.on_message(env, 0, Decide(instance=0, value="x"))
-        inst.on_message(env, 2, Decide(instance=0, value="x"))
-        assert decisions == [(0, "x")]
-        assert inst.decided
-        assert inst.decided_value == "x"
+    def test_learn_decides_and_notifies_once(self):
+        inst, decisions = make(instance=3)
+        inst.learn("x")
+        inst.learn("x")
+        assert decisions == [(3, "x")]
+        assert inst.decided and inst.decided_value == "x"
 
-    def test_proposal_after_decision_is_a_no_op(self):
-        inst, env, _ = make(pid=1)
-        inst.on_message(env, 0, Decide(instance=0, value="x"))
-        env.clear_sent()
-        inst.start_proposal(env, "other", attempt=5)
-        assert env.sent == []
+    def test_learning_leaves_the_acceptor_record_alone(self):
+        inst, _ = make()
+        inst.accept(5, "stale")  # accepted under a ballot that never won
+        inst.learn("chosen")
+        assert (inst.accepted_ballot, inst.accepted_value) == (5, "stale")
+        assert inst.decided_value == "chosen"
 
-    def test_unexpected_message_rejected(self):
-        inst, env, _ = make()
-        with pytest.raises(TypeError):
-            inst.on_message(env, 0, object())
+    def test_accept_after_the_decision_is_still_recorded(self):
+        # A late AcceptRequest for a decided position is answered like any
+        # other (the leader may still be collecting its quorum).
+        inst, decisions = make()
+        inst.learn("x")
+        inst.accept(9, "x")
+        assert inst.accepted_ballot == 9 and decisions == [(0, "x")]
+
+
+def test_instances_carry_no_dict():
+    # One per resident log position: slotted, like the messages.
+    inst, _ = make()
+    assert not hasattr(inst, "__dict__")

@@ -15,13 +15,23 @@ fuzz soak):
   past its dead incarnation's in-flight commits;
 * rehydrating acceptor state from stable storage re-enters durably accepted
   undecided positions into the barrier-hint fold, so a crash-recovered
-  granter never attests a frontier below a committed-but-unlearnt write.
+  granter never attests a frontier below a committed-but-unlearnt write;
+* gating covers the leader ballot: a foreign ranged ``Prepare`` and a foreign
+  ``AcceptRequest`` at any position are dropped while a grant is live, and a
+  leader whose own grant is held by someone else does not vote for itself.
 """
 
-from repro.consensus.instance import NO_BALLOT
 from repro.consensus.leases import LeaseManager
+from repro.consensus.messages import (
+    AcceptRequest,
+    LeaseGrant,
+    LeaseRequest,
+    Prepare,
+    Promise,
+)
 from repro.consensus.replicated_log import ReplicatedLog
 from repro.storage.stable_store import StableStore
+from repro.testing import FakeEnvironment
 
 
 def make_manager(pid=0, n=3, t=1, duration=6.0, **kwargs):
@@ -101,19 +111,19 @@ class TestBarrierHints:
         # Ballot 3 belongs to pid 0 (ballot % n == 0) — the grantee itself.
         # The hint must cover it anyway: by pid alone, a pre-crash amnesic
         # incarnation's in-flight commit is indistinguishable from a live one.
-        log._note_accept(5, ballot=3)
+        log._accept(5, 3, "v")
         assert log._lease_barrier_hint() == 5
 
     def test_hint_covers_decided_and_foreign_accepted_positions(self):
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         assert log._lease_barrier_hint() == -1
         log._on_decide(0, "a")
-        log._note_accept(2, ballot=4)  # pid 1's ballot
+        log._accept(2, 4, "v")  # pid 1's ballot
         assert log._lease_barrier_hint() == 2
 
     def test_decided_positions_leave_the_accepted_fold(self):
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
-        log._note_accept(0, ballot=4)
+        log._accept(0, 4, "a")
         log._on_decide(0, "a")
         assert log._accepted_undecided == set()
         assert log._lease_barrier_hint() == 0  # now via max-decided
@@ -135,30 +145,76 @@ class TestRehydratedBarrierHints:
         # authority below a committed-but-unlearnt write.
         store = self._store_with(
             decided={0: "a"},
-            acceptors={0: (5, 5, "a"), 1: (7, 7, "b")},
+            acceptors={0: (5, "a"), 1: (7, "b")},
         )
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         log.attach_storage(store)
         assert 1 in log._accepted_undecided
         assert log._lease_barrier_hint() == 1
 
-    def test_recovery_skips_promise_only_and_decided_positions(self):
-        store = self._store_with(
-            decided={0: "a"},
-            acceptors={0: (5, 5, "a"), 1: (7, NO_BALLOT, None)},
-        )
+    def test_recovery_skips_decided_positions(self):
+        store = self._store_with(decided={0: "a"}, acceptors={0: (5, "a")})
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         log.attach_storage(store)
-        # A bare promise constrains nothing readable; the decided position is
-        # already covered by the max-decided ingredient.
+        # Already covered by the max-decided ingredient.
         assert log._accepted_undecided == set()
         assert log._lease_barrier_hint() == 0
 
     def test_recovery_without_leases_tracks_nothing(self):
         store = self._store_with(
             decided={},
-            acceptors={1: (7, 7, "b")},
+            acceptors={1: (7, "b")},
         )
         log = make_log()
         log.attach_storage(store)
         assert log._accepted_undecided == set()
+
+
+class TestLeaseGating:
+    """A live grant makes its holder the only proposer this replica hears —
+    also for the ranged ``Prepare`` of the leader ballot, and also when the
+    silenced proposer is this replica itself."""
+
+    def granted_to(self, holder, pid=0):
+        log = make_log(pid=pid, leases=make_manager(pid=pid))
+        env = FakeEnvironment(pid=pid, n=3)
+        env.set_time(10.0)  # past the post-start grant blackout
+        log.on_message(env, holder, LeaseRequest(round=1, sent_at=9.5))
+        assert [type(m) for m in env.messages_to(holder)] == [LeaseGrant]
+        env.clear_sent()
+        return log, env
+
+    def test_foreign_ranged_prepare_is_dropped_while_the_grant_is_live(self):
+        log, env = self.granted_to(holder=1)
+        log.on_message(env, 2, Prepare(ballot=8, from_position=0))
+        assert env.sent == []  # neither a Promise nor a Nack
+        assert log._promised == -1
+        assert log.leases.gated_drops == 1
+        # The holder itself is heard ...
+        log.on_message(env, 1, Prepare(ballot=7, from_position=0))
+        assert [type(m) for m in env.messages_to(1)] == [Promise]
+        # ... and so is anyone once the grant (10.0 + 6.0) has run out.
+        env.set_time(16.0)
+        log.on_message(env, 2, Prepare(ballot=8, from_position=0))
+        assert [type(m) for m in env.messages_to(2)] == [Promise]
+        assert log.leases.gated_drops == 1
+
+    def test_foreign_accept_request_is_dropped_at_any_position(self):
+        log, env = self.granted_to(holder=1)
+        for position in (0, 9):
+            log.on_message(env, 2, AcceptRequest(instance=position, ballot=8, value="x"))
+        assert env.sent == [] and log._instances == {}
+        assert log.leases.gated_drops == 2
+
+    def test_a_gated_leader_proposes_nothing_not_even_to_itself(self):
+        # Its own vote would be a foreign commit's vote as far as the holder's
+        # lease is concerned, so the local shortcut must respect the gate too.
+        log, env = self.granted_to(holder=1)
+        log.submit("cmd")
+        env.set_time(12.0)
+        log._drive(env)
+        assert env.messages_of_type(Prepare) == []
+        assert log._promised == -1 and log.ballots_started == 0
+        env.set_time(16.0)
+        log._drive(env)
+        assert len(env.messages_of_type(Prepare)) == 2

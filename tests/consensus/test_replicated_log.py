@@ -3,9 +3,20 @@
 import pytest
 
 from repro.consensus.commands import Batch, Command, flatten_value, payload_intact
-from repro.consensus.messages import AcceptRequest, Decide, Forward, Prepare
+from repro.consensus.messages import (
+    Accepted,
+    AcceptRequest,
+    Decide,
+    Forward,
+    Nack,
+    Prepare,
+    Promise,
+)
 from repro.consensus.replicated_log import NOOP, ReplicatedLog
 from repro.simulation.corruption import corrupt_message
+from repro.simulation.delays import ConstantDelay
+from repro.simulation.system import System, SystemConfig
+from repro.storage.stable_store import StableStore
 from repro.testing import FakeEnvironment
 from repro.util.rng import RandomSource
 
@@ -70,7 +81,7 @@ class TestSubmissionAndForwarding:
         env.fire_due_timers(log)
         prepares = env.messages_of_type(Prepare)
         assert prepares, "the leader must start a proposal"
-        assert log.proposals_started == 1
+        assert log.ballots_started == 1
 
     def test_non_leader_does_not_propose(self):
         log, _, env = make(pid=0, leader=3)
@@ -91,6 +102,35 @@ def tick(log, env, ticks=1, period=2.0):
     for _ in range(ticks):
         env.advance(period)
         env.fire_due_timers(log)
+
+
+def two_peers(log):
+    """Two peers of *log*: with its own voice, a quorum at the default n=5, t=2."""
+    return [pid for pid in range(log.n) if pid != log.pid][:2]
+
+
+def promise(log, env, senders=None, accepted=(), decisions=()):
+    """Answer the latest Prepare of *log* from *senders*; returns that Prepare."""
+    prepare = env.messages_of_type(Prepare)[-1]
+    for sender in senders or two_peers(log):
+        log.on_message(
+            env,
+            sender,
+            Promise(ballot=prepare.ballot, accepted=accepted, decisions=decisions),
+        )
+    return prepare
+
+
+def vote(log, env, senders=None):
+    """Answer the latest AcceptRequest of *log* from *senders*; returns it."""
+    request = env.messages_of_type(AcceptRequest)[-1]
+    for sender in senders or two_peers(log):
+        log.on_message(
+            env,
+            sender,
+            Accepted(instance=request.instance, ballot=request.ballot, value=request.value),
+        )
+    return request
 
 
 def forwarded_batches(env, dest=None):
@@ -284,25 +324,25 @@ class TestDecisionsAndDelivery:
         log, _, env = make(pid=0, leader=0)
         # Position 1 decided, position 0 is a hole; the leader has nothing pending.
         log.on_message(env, 2, Decide(instance=1, value="x"))
-        env.advance(2.0)
-        env.fire_due_timers(log)
-        prepares = env.messages_of_type(Prepare)
-        assert prepares and prepares[0].instance == 0
+        tick(log, env)
+        assert promise(log, env).from_position == 0
+        (request, *_) = env.messages_of_type(AcceptRequest)
+        assert (request.instance, request.value) == (0, NOOP)
 
-    def test_retry_waits_for_retry_period(self):
+    def test_unanswered_prepare_is_retried_with_a_higher_ballot(self):
         log, _, env = make(pid=0, leader=0, drive_period=2.0, retry_period=10.0)
         log.submit("cmd")
-        env.advance(2.0)
-        env.fire_due_timers(log)
-        first_count = len(env.messages_of_type(Prepare))
-        env.advance(2.0)
-        env.fire_due_timers(log)
-        # The proposal is still in flight and the retry period has not elapsed:
-        # no second Prepare burst yet.
-        assert len(env.messages_of_type(Prepare)) == first_count
-        env.advance(10.0)
-        env.fire_due_timers(log)
-        assert len(env.messages_of_type(Prepare)) > first_count
+        tick(log, env)
+        (first,) = {m.ballot for m in env.messages_of_type(Prepare)}
+        tick(log, env)
+        # The Prepare is still in flight and the retry period has not elapsed:
+        # no second burst yet.
+        assert {m.ballot for m in env.messages_of_type(Prepare)} == {first}
+        tick(log, env, ticks=5)
+        # Acceptors nack a ballot they already promised, so the retry is a
+        # fresh, higher one.
+        (second,) = {m.ballot for m in env.messages_of_type(Prepare)} - {first}
+        assert second > first and log.ballots_started == 2
 
     def test_unexpected_message_rejected(self):
         log, _, env = make()
@@ -379,19 +419,8 @@ class TestBatching:
             log.submit(command)
         env.advance(2.0)
         env.fire_due_timers(log)
-        accepts = env.messages_of_type(AcceptRequest)
-        prepares = env.messages_of_type(Prepare)
-        assert prepares and prepares[0].instance == 0
-        # Feed promises back so phase 2 reveals the proposed value.
-        from repro.consensus.messages import Promise
-
-        for sender in range(3):
-            log.on_message(
-                env,
-                sender,
-                Promise(instance=0, ballot=prepares[0].ballot, accepted_ballot=-1,
-                        accepted_value=None),
-            )
+        assert env.messages_of_type(AcceptRequest) == []
+        assert promise(log, env).from_position == 0
         accepts = env.messages_of_type(AcceptRequest)
         assert accepts, "quorum of promises must trigger phase 2"
         value = accepts[0].value
@@ -404,32 +433,17 @@ class TestBatching:
         log.submit(command)
         env.advance(2.0)
         env.fire_due_timers(log)
-        from repro.consensus.messages import Promise
-
-        prepare = env.messages_of_type(Prepare)[0]
-        for sender in range(3):
-            log.on_message(
-                env,
-                sender,
-                Promise(instance=0, ballot=prepare.ballot, accepted_ballot=-1,
-                        accepted_value=None),
-            )
+        promise(log, env)
         value = env.messages_of_type(AcceptRequest)[0].value
         assert value == command
 
     def proposed_value(self, log, env):
-        """Drive one tick and answer its Prepare so phase 2 shows the value."""
-        from repro.consensus.messages import Promise
-
+        """Drive one tick (answering its Prepare, if it sent one) and return
+        the value phase 2 carries."""
+        prepares = len(env.messages_of_type(Prepare))
         tick(log, env)
-        prepare = env.messages_of_type(Prepare)[-1]
-        for sender in range(3):
-            log.on_message(
-                env,
-                sender,
-                Promise(instance=prepare.instance, ballot=prepare.ballot, accepted_ballot=-1,
-                        accepted_value=None),
-            )
+        if len(env.messages_of_type(Prepare)) > prepares:
+            promise(log, env)
         return env.messages_of_type(AcceptRequest)[-1].value
 
     def test_leader_proposes_own_and_forwarded_commands_in_arrival_order(self):
@@ -485,13 +499,13 @@ class TestDeliveryCallback:
 
 
 class TestHotPathCursors:
-    def test_next_position_tracks_first_hole(self):
+    def test_frontier_tracks_first_hole(self):
         log, _, env = make(pid=1)
-        assert log._next_position() == 0
+        assert log.frontier == 0
         log.on_message(env, 0, Decide(instance=0, value="a"))
         log.on_message(env, 0, Decide(instance=1, value="b"))
         log.on_message(env, 0, Decide(instance=5, value="f"))
-        assert log._next_position() == 2
+        assert log.frontier == 2
 
     def test_delivered_is_incremental_not_a_rescan(self):
         log, _, env = make(pid=1)
@@ -500,3 +514,408 @@ class TestHotPathCursors:
         assert log.delivered() == [f"v{position}" for position in range(50)]
         # The cache is the source: mutating decisions out of band has no effect.
         assert len(log._delivered) == 50
+
+
+def sent_to(env, message_type):
+    """``(dest, message)`` pairs of the *message_type* messages sent so far."""
+    return [
+        (sent.dest, sent.message)
+        for sent in env.sent
+        if isinstance(sent.message, message_type)
+    ]
+
+
+class TestLogWideAcceptor:
+    """One promise for the whole log: what a follower answers to phase 1 and
+    how that promise governs phase 2 at every position."""
+
+    def test_prepare_answered_with_one_promise(self):
+        log, _, env = make(pid=1)
+        log.on_message(env, 0, Prepare(ballot=5, from_position=0))
+        assert sent_to(env, Promise) == [
+            (0, Promise(ballot=5, accepted=(), decisions=()))
+        ]
+
+    def test_lower_or_equal_prepare_nacked_with_the_promise_that_beat_it(self):
+        log, _, env = make(pid=1)
+        log.on_message(env, 0, Prepare(ballot=10, from_position=0))
+        log.on_message(env, 2, Prepare(ballot=7, from_position=0))
+        log.on_message(env, 0, Prepare(ballot=10, from_position=0))  # a reuse
+        assert sent_to(env, Nack) == [
+            (2, Nack(ballot=7, promised=10)),
+            (0, Nack(ballot=10, promised=10)),
+        ]
+        assert len(sent_to(env, Promise)) == 1
+
+    def test_promise_lists_what_is_held_from_the_requested_position_up(self):
+        log, _, env = make(pid=1)
+        log.on_message(env, 0, Decide(instance=0, value="a"))
+        log.on_message(env, 0, AcceptRequest(instance=1, ballot=3, value="below"))
+        log.on_message(env, 0, AcceptRequest(instance=2, ballot=3, value="b"))
+        log.on_message(env, 0, Decide(instance=3, value="c"))
+        log.on_message(env, 0, AcceptRequest(instance=3, ballot=3, value="c"))
+        log.on_message(env, 0, AcceptRequest(instance=5, ballot=3, value="e"))
+        log.on_message(env, 2, Prepare(ballot=9, from_position=2))
+        ((dest, reply),) = sent_to(env, Promise)
+        assert dest == 2 and reply.ballot == 9
+        assert reply.accepted == ((2, 3, "b"), (5, 3, "e"))
+        assert reply.decisions == ((3, "c"),)
+
+    def test_accept_request_honoured_at_the_promise_and_above_it(self):
+        log, _, env = make(pid=1)
+        log.on_message(env, 0, Prepare(ballot=5, from_position=0))
+        log.on_message(env, 0, AcceptRequest(instance=0, ballot=5, value="v"))
+        log.on_message(env, 2, AcceptRequest(instance=1, ballot=8, value="w"))
+        assert sent_to(env, Accepted) == [
+            (0, Accepted(instance=0, ballot=5, value="v")),
+            (2, Accepted(instance=1, ballot=8, value="w")),
+        ]
+        # Accepting ballot 8 promised it: ballot 5 is now refused everywhere.
+        log.on_message(env, 0, AcceptRequest(instance=2, ballot=5, value="x"))
+        assert sent_to(env, Nack) == [(0, Nack(ballot=5, promised=8))]
+
+    @pytest.mark.parametrize("position", [0, 1, 7, 1000])
+    def test_deposed_owner_is_nacked_at_any_position(self, position):
+        # Ballot 3 was owned by p0; p2 then prepared ballot 12.  Every
+        # acceptor that promised the successor refuses the old owner wherever
+        # it tries, including positions it never heard of before.
+        log, _, env = make(pid=1)
+        log.on_message(env, 0, Prepare(ballot=3, from_position=0))
+        log.on_message(env, 0, AcceptRequest(instance=0, ballot=3, value="old"))
+        log.on_message(env, 2, Prepare(ballot=12, from_position=0))
+        env.clear_sent()
+        log.on_message(env, 0, AcceptRequest(instance=position, ballot=3, value="x"))
+        assert sent_to(env, Nack) == [(0, Nack(ballot=3, promised=12))]
+        assert sent_to(env, Accepted) == []
+        assert log._held_from(1) == ((), ())  # nothing new was accepted
+
+    def test_promise_is_durable_before_the_reply_and_survives_a_restart(self):
+        store = StableStore(pid=1)
+        log, _, env = make(pid=1)
+        log.attach_storage(store)
+        log.on_message(env, 0, Prepare(ballot=5, from_position=0))
+        log.on_message(env, 0, AcceptRequest(instance=4, ballot=5, value="v"))
+        assert store.snapshot() == {("promised",): 5, ("acceptor", 4): (5, "v")}
+        reborn, _, env = make(pid=1)
+        reborn.attach_storage(store)
+        # An amnesic proposer reusing ballot 5 (or anything lower) gets a Nack
+        # for its Prepare: it never reaches an AcceptRequest.
+        reborn.on_message(env, 0, Prepare(ballot=5, from_position=0))
+        assert sent_to(env, Nack) == [(0, Nack(ballot=5, promised=5))]
+        reborn.on_message(env, 2, Prepare(ballot=7, from_position=0))
+        assert sent_to(env, Promise) == [
+            (2, Promise(ballot=7, accepted=((4, 5, "v"),), decisions=()))
+        ]
+
+    def test_truncated_acceptor_is_silent_for_a_range_reaching_below_its_floor(self):
+        log, _, env = make(pid=1)
+        for position, value in enumerate("abc"):
+            log.on_message(env, 0, Decide(instance=position, value=value))
+        assert log.compact_below(2) == 2
+        log.on_message(env, 2, Prepare(ballot=5, from_position=0))
+        log.on_message(env, 2, Prepare(ballot=6, from_position=1))
+        assert env.sent == []  # no Promise, and no Nack either
+        assert log.compacted_drops == 2
+        # At or above the floor it answers, and reports nothing below it.
+        log.on_message(env, 2, Prepare(ballot=7, from_position=2))
+        assert sent_to(env, Promise) == [
+            (2, Promise(ballot=7, accepted=(), decisions=((2, "c"),)))
+        ]
+
+
+class TestLeaderBallot:
+    """One ballot, many positions: phase 1 once per leadership, the leader as
+    its own acceptor and learner (default shape n=5, t=2: quorum 3)."""
+
+    def owning_leader(self, **kwargs):
+        """A leader that owns its ballot and has decided ``first`` at position 0."""
+        log, oracle, env = make(pid=0, leader=0, **kwargs)
+        log.submit("first")
+        tick(log, env)
+        promise(log, env)
+        vote(log, env)
+        assert log.decided_log() == {0: "first"}
+        return log, oracle, env
+
+    def test_first_proposal_prepares_the_suffix_at_the_peers_only(self):
+        log, _, env = make(pid=0, leader=0)
+        log.on_message(env, 1, Decide(instance=0, value="a"))
+        log.submit("cmd")
+        tick(log, env)
+        prepares = sent_to(env, Prepare)
+        assert [dest for dest, _ in prepares] == [1, 2, 3, 4]
+        assert {message for _, message in prepares} == {
+            Prepare(ballot=prepares[0][1].ballot, from_position=1)
+        }
+        assert env.messages_of_type(AcceptRequest) == []
+
+    def test_own_promise_and_own_vote_count_without_a_round_trip(self):
+        log, _, env = make(pid=0, leader=0)
+        log.submit("cmd")
+        tick(log, env)
+        promise(log, env, senders=(1,))
+        assert env.messages_of_type(AcceptRequest) == []  # 2 of 3
+        promise(log, env, senders=(3,))
+        requests = sent_to(env, AcceptRequest)
+        assert [dest for dest, _ in requests] == [1, 2, 3, 4]
+        assert requests[0][1].value == "cmd"
+        vote(log, env, senders=(4,))
+        assert env.messages_of_type(Decide) == []  # 2 of 3
+        vote(log, env, senders=(2,))
+        assert [dest for dest, _ in sent_to(env, Decide)] == [1, 2, 3, 4]
+        assert log.delivered() == ["cmd"]  # learnt locally, same turn
+
+    def test_later_positions_skip_phase_one(self):
+        log, _, env = self.owning_leader()
+        env.clear_sent()
+        for position, command in enumerate(("second", "third"), start=1):
+            log.submit(command)
+            tick(log, env)
+            request = vote(log, env)
+            assert (request.instance, request.value) == (position, command)
+        assert env.messages_of_type(Prepare) == []
+        assert log.delivered() == ["first", "second", "third"]
+        assert log.lifetime_counters()["ballots_started"] == 1
+        assert log.lifetime_counters()["accept_rounds_started"] == 3
+
+    def test_takeover_reproposes_the_in_flight_value_and_only_that_value(self):
+        # p0 had "A" accepted at p1 for position 0 when leadership moved to
+        # p2, which has its own command "B".  One Prepare broadcast recovers
+        # "A"; "B" goes to position 1 under the same ballot.
+        log, _, env = make(pid=2, leader=2)
+        log.submit("B")
+        tick(log, env)
+        promise(log, env, senders=(1,), accepted=((0, 3, "A"),))
+        promise(log, env, senders=(3,))
+        vote(log, env)
+        tick(log, env)
+        vote(log, env)
+        assert len(sent_to(env, Prepare)) == 4  # exactly one broadcast
+        proposed = {(m.instance, m.value) for m in env.messages_of_type(AcceptRequest)}
+        assert proposed == {(0, "A"), (1, "B")}
+        assert log.decided_log() == {0: "A", 1: "B"}
+
+    def test_highest_ballot_report_wins_per_position_own_record_included(self):
+        log, _, env = make(pid=2, leader=2)
+        log.on_message(env, 0, AcceptRequest(instance=1, ballot=5, value="own-old"))
+        log.submit("mine")
+        tick(log, env)
+        promise(log, env, senders=(1,), accepted=((0, 3, "a3"), (1, 4, "b4")))
+        promise(log, env, senders=(3,), accepted=((0, 8, "a8"),))
+        assert vote(log, env).value == "a8"
+        tick(log, env)
+        assert vote(log, env).value == "own-old"  # own ballot 5 beats the reported 4
+        tick(log, env)
+        assert vote(log, env).value == "mine"
+
+    def test_hole_below_a_reported_position_is_filled_with_noop(self):
+        log, _, env = make(pid=2, leader=2)
+        log.on_message(env, 0, Forward(value="late"))
+        tick(log, env)
+        promise(log, env, senders=(1, 3), accepted=((1, 3, "A"),))
+        # Position 0 is free: the pending command takes it, "A" keeps its slot.
+        assert vote(log, env).value == "late"
+        tick(log, env)
+        assert (vote(log, env).instance, log.decided_log()[1]) == (1, "A")
+        # With nothing pending, a free slot below a reported one gets the filler.
+        log, _, env = make(pid=2, leader=2)
+        log.on_message(env, 0, Decide(instance=3, value="x"))
+        tick(log, env)
+        promise(log, env, senders=(1, 3), accepted=((1, 3, "A"),))
+        assert vote(log, env).value == NOOP
+        tick(log, env)
+        assert vote(log, env).value == "A"
+        tick(log, env)
+        assert vote(log, env).value == NOOP
+        assert log.frontier == 4
+
+    def test_reported_decisions_are_learnt_not_reproposed(self):
+        log, _, env = make(pid=2, leader=2)
+        log.submit("mine")
+        tick(log, env)
+        promise(log, env, senders=(1,), decisions=((0, "a"), (1, "b")))
+        assert log.delivered() == ["a", "b"]  # before the quorum, even
+        promise(log, env, senders=(3,))
+        request = vote(log, env)
+        assert (request.instance, request.value) == (2, "mine")
+
+    def test_nack_drops_ownership_and_the_next_ballot_clears_it_in_one_step(self):
+        log, _, env = self.owning_leader()
+        owned = env.messages_of_type(Prepare)[-1].ballot
+        log.submit("second")
+        tick(log, env)
+        log.on_message(env, 1, Nack(ballot=owned, promised=57))
+        vote(log, env)  # too late: the ballot is no longer ours
+        assert env.messages_of_type(Decide)[-1].instance == 0
+        assert 1 not in log.decided_log()
+        env.clear_sent()
+        tick(log, env)
+        (ballot,) = {m.ballot for m in env.messages_of_type(Prepare)}
+        assert ballot == 60  # (57 // 5 + 1) * 5 + pid 0: one round, not eleven
+        promise(log, env, senders=(1, 2), accepted=((1, owned, "second"),))
+        assert vote(log, env).value == "second"
+
+    def test_stale_nack_is_ignored(self):
+        log, _, env = self.owning_leader()
+        owned = env.messages_of_type(Prepare)[-1].ballot
+        log.on_message(env, 1, Nack(ballot=owned - 5, promised=1000))
+        log.submit("second")
+        tick(log, env)
+        assert env.messages_of_type(AcceptRequest)[-1].value == "second"
+
+    def test_demotion_by_the_oracle_drops_ownership(self):
+        log, oracle, env = self.owning_leader()
+        owned = env.messages_of_type(Prepare)[-1].ballot
+        oracle.set(3)
+        tick(log, env)
+        oracle.set(0)
+        log.submit("second")
+        env.clear_sent()
+        tick(log, env)
+        assert env.messages_of_type(AcceptRequest) == []
+        assert {m.ballot for m in env.messages_of_type(Prepare)} == {owned + 5}
+
+    def test_promising_a_rival_drops_ownership(self):
+        log, _, env = self.owning_leader()
+        log.on_message(env, 3, Prepare(ballot=43, from_position=1))
+        assert sent_to(env, Promise)[-1][0] == 3
+        log.submit("second")
+        env.clear_sent()
+        tick(log, env)
+        assert env.messages_of_type(AcceptRequest) == []
+        assert {m.ballot for m in env.messages_of_type(Prepare)} == {45}
+
+    def test_unanswered_accept_request_is_resent_unchanged(self):
+        log, _, env = self.owning_leader(batch_size=4, retry_period=10.0)
+        store = StableStore(pid=0)
+        log.attach_storage(store)
+        log.submit("second")
+        tick(log, env)
+        first = env.messages_of_type(AcceptRequest)[-1]
+        assert store.snapshot() == {("acceptor", 1): (first.ballot, "second")}
+        log.submit("third")  # must not leak into the re-send
+        env.clear_sent()
+        tick(log, env, ticks=4)
+        assert env.sent == []
+        tick(log, env)
+        assert {m for m in env.messages_of_type(AcceptRequest)} == {first}
+        assert store.writes == 1  # the vote was cast, and written, once
+        assert env.messages_of_type(Prepare) == []
+        vote(log, env)
+        assert log.decided_log()[1] == "second"
+
+    def test_votes_for_another_round_do_not_count(self):
+        log, _, env = self.owning_leader()
+        owned = env.messages_of_type(Prepare)[-1].ballot
+        log.submit("second")
+        tick(log, env)
+        for sender in (1, 2):  # wrong position, then wrong ballot
+            log.on_message(env, sender, Accepted(instance=0, ballot=owned, value="first"))
+            log.on_message(env, sender, Accepted(instance=1, ballot=owned - 5, value="x"))
+        assert 1 not in log.decided_log()
+
+    def test_restart_on_storage_never_reuses_a_ballot(self):
+        store = StableStore(pid=0)
+        log, _, env = make(pid=0, leader=0)
+        log.attach_storage(store)
+        log.submit("cmd")
+        tick(log, env)
+        (used,) = {m.ballot for m in env.messages_of_type(Prepare)}
+        assert store.get(("promised",)) == used
+        reborn, _, env = make(pid=0, leader=0)
+        reborn.attach_storage(store)
+        reborn.submit("cmd")
+        tick(reborn, env)
+        (fresh,) = {m.ballot for m in env.messages_of_type(Prepare)}
+        assert fresh > used
+
+    def test_only_witness_truncated_means_no_quorum_and_no_rival_value(self):
+        # n=3.  "A" was decided at position 0; p0 is gone and p1, the only
+        # reachable witness, has compacted position 0 away.  p2 (frontier 0,
+        # wants "B") must not get a quorum out of p1's ignorance.
+        witness, _, witness_env = make(pid=1, n=3, t=1, leader=2)
+        witness.on_message(witness_env, 0, Decide(instance=0, value="A"))
+        witness.on_message(witness_env, 0, Decide(instance=1, value="A2"))
+        witness.compact_below(1)
+        leader, _, leader_env = make(pid=2, n=3, t=1, leader=2)
+        leader.submit("B")
+        tick(leader, leader_env)
+        (prepare,) = {m for m in leader_env.messages_of_type(Prepare)}
+        witness.on_message(witness_env, 2, prepare)
+        assert witness_env.sent == []
+        tick(leader, leader_env, ticks=3)
+        assert leader_env.messages_of_type(AcceptRequest) == []
+
+
+class _Scripted:
+    """Leader oracle reading a virtual clock: *first* until *switch_at*, then *second*."""
+
+    def __init__(self, system_ref, first, second, switch_at):
+        self._system_ref, self._first, self._second = system_ref, first, second
+        self._switch_at = switch_at
+
+    def leader(self):
+        now = self._system_ref[0].scheduler.now
+        return self._first if now < self._switch_at else self._second
+
+
+def run_log_system(n, t, submissions, horizon, switch_at=float("inf"), second=0):
+    """A system of bare replicated logs under constant 0.5 delays; *submissions*
+    is ``[(time, pid, value)]``.  Returns the finished system."""
+    holder = []
+    oracle = _Scripted(holder, 0, second, switch_at)
+    system = System(
+        SystemConfig(n=n, t=t, seed=1),
+        lambda pid: ReplicatedLog(pid=pid, n=n, t=t, oracle=oracle),
+        ConstantDelay(0.5),
+    )
+    holder.append(system)
+    for time, pid, value in submissions:
+        system.scheduler.schedule_at(
+            time, lambda pid=pid, value=value: system.shells[pid].algorithm.submit(value)
+        )
+    system.run_until(horizon)
+    return system
+
+
+class TestSteadyStateCost:
+    """The exact price of a decided position under a stable leader."""
+
+    @pytest.mark.parametrize("n, t", [(3, 1), (7, 3)])
+    def test_after_the_first_decision_a_position_costs_three_fanouts(self, n, t):
+        peers = n - 1
+        first = run_log_system(n, t, [(1.0, 0, "c0")], horizon=9.0)
+        sent = first.stats.sent_by_tag
+        assert first.shells[0].algorithm.decided_log() == {0: "c0"}
+        assert (sent["PREPARE"], sent["PROMISE"]) == (peers, peers)
+        assert (sent["ACCEPT"], sent["ACCEPTED"], sent["DECIDE"]) == (peers,) * 3
+        # Ten more positions: 3 x (n - 1) messages each and not one more
+        # PREPARE or PROMISE.
+        commands = [(1.0 + 4 * k, 0, f"c{k}") for k in range(11)]
+        run = run_log_system(n, t, commands, horizon=50.0)
+        sent = run.stats.sent_by_tag
+        for shell in run.shells:
+            assert shell.algorithm.delivered() == [f"c{k}" for k in range(11)]
+        assert (sent["PREPARE"], sent["PROMISE"]) == (peers, peers)
+        assert (sent["ACCEPT"], sent["ACCEPTED"], sent["DECIDE"]) == (11 * peers,) * 3
+        assert sent.get("NACK", 0) == 0
+
+    def test_a_commit_under_an_owned_ballot_takes_two_message_delays(self):
+        # Submitted at t=9 (a drive tick is due at t=10), delays 0.5: the
+        # AcceptRequest leaves at 10, the quorum's Accepted is back at 11.
+        run = run_log_system(3, 1, [(1.0, 0, "warm"), (9.0, 0, "timed")], horizon=10.9)
+        assert run.shells[0].algorithm.delivered() == ["warm"]
+        run = run_log_system(3, 1, [(1.0, 0, "warm"), (9.0, 0, "timed")], horizon=11.0)
+        assert run.shells[0].algorithm.delivered() == ["warm", "timed"]
+
+    def test_leader_change_costs_one_prepare_broadcast_and_keeps_the_value(self):
+        # p0 proposes "A" (accepted by p1 and p2 at t=3.5) and is then named
+        # no more; p2 takes over at t=3.9, before any Decide, with its own "B".
+        run = run_log_system(
+            3, 1, [(1.0, 0, "A"), (1.0, 2, "B")], horizon=30.0, switch_at=3.9, second=2
+        )
+        for shell in run.shells:
+            assert shell.algorithm.delivered() == ["A", "B"]
+        sent = run.stats.sent_by_tag
+        assert sent["PREPARE"] == 2 + 2  # p0's ballot, then p2's: one each
+        assert run.shells[2].algorithm.lifetime_counters()["ballots_started"] == 1

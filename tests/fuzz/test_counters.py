@@ -16,7 +16,7 @@ These tests pin the harvest path end to end: the stack merges both layers,
 """
 
 from repro.consensus.stack import OmegaConsensusStack
-from repro.fuzz.executor import ScenarioSpec, build_service
+from repro.fuzz.executor import ScenarioSpec, build_service, harvest_features
 from repro.service.clients import start_clients, zipfian_workload
 from repro.simulation.faults import Crash, FaultPlan, Recover
 
@@ -35,7 +35,8 @@ class TestStackHarvest:
         assert counters["catchup_replies_sent"] == 2
         # The log-layer counters still ride along.
         assert "corrupt_rejected" in counters
-        assert "proposals_started" in counters
+        assert "ballots_started" in counters
+        assert "accept_rounds_started" in counters
 
 
 def _service_with_restart(run_to=None):
@@ -116,3 +117,48 @@ class TestForwardCounters:
         assert shell.recoveries == 1
         assert "forward_msgs_sent" in shell.retired_counters
         assert "forward_commands_sent" in shell.retired_counters
+
+
+class TestBallotCounters:
+    """``ballots_started`` / ``accept_rounds_started``: what phase 1 and
+    phase 2 cost, countable from ``perf_counters()`` and from the fuzzer's
+    coverage features."""
+
+    def _loaded_service_with_leader_restart(self):
+        # The leader (pid 0, the star centre) restarts: its successor and then
+        # its own new incarnation each start a ballot, on top of the first.
+        spec = ScenarioSpec(seed=3)
+        plan = FaultPlan([Crash(time=20.0, pid=0), Recover(time=40.0, pid=0)])
+        service = build_service(spec, plan)
+        clients = start_clients(
+            service,
+            num_clients=6,
+            workload_factory=lambda i: zipfian_workload(num_keys=8),
+            stop_at=70.0,
+        )
+        service.run_until(spec.horizon)
+        return service, clients
+
+    def test_counted_ballots_equal_the_prepares_on_the_wire(self):
+        service, _ = self._loaded_service_with_leader_restart()
+        sent = service.systems[0].stats.sent_by_tag
+        counters = service.perf_counters()
+        peers = service.n - 1
+        assert counters["ballots_started"] >= 2
+        assert counters["ballots_started"] * peers == sent["PREPARE"]
+        assert counters["accept_rounds_started"] * peers == sent["ACCEPT"]
+        assert counters["accept_rounds_started"] > counters["ballots_started"]
+
+    def test_ballot_counters_are_retired_across_the_recovery(self):
+        service, _ = self._loaded_service_with_leader_restart()
+        shell = service.systems[0].shells[0]
+        assert shell.recoveries == 1
+        assert shell.retired_counters["ballots_started"] >= 1
+        assert shell.retired_counters["accept_rounds_started"] >= 1
+
+    def test_both_are_fuzz_coverage_features(self):
+        service, clients = self._loaded_service_with_leader_restart()
+        features = harvest_features(service, clients)
+        counters = service.perf_counters()
+        assert features["ballots_started"] == counters["ballots_started"]
+        assert features["accept_rounds_started"] == counters["accept_rounds_started"]

@@ -76,7 +76,7 @@ class TestMessageSlotsRegression:
     def test_instances_carry_no_dict(self):
         # __slots__ only sheds __dict__ if every base cooperates; exercise a
         # real instance so a dict-backed base sneaking into the MRO fails here.
-        prepare = messages.Prepare(instance=0, ballot=1)
+        prepare = messages.Prepare(ballot=1, from_position=0)
         assert not hasattr(prepare, "__dict__")
         assert prepare.tag == "PREPARE"  # the class-level tag cache still works
 

@@ -191,34 +191,80 @@ class TestRandomCrashScheduleProperty:
 
 
 class TestConsensusAcceptorProperty:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(["prepare", "accept"]), st.integers(0, 40)),
+            st.tuples(
+                st.sampled_from(["prepare", "accept", "decide"]),
+                st.integers(0, 40),
+                st.integers(0, 3),
+            ),
             min_size=1,
             max_size=40,
         )
     )
-    def test_promised_ballot_monotone_and_acceptance_consistent(self, operations):
-        """The acceptor never goes back on a promise: its promised ballot is
-        monotone and it only accepts ballots at least as high as its promise."""
-        from repro.consensus.instance import ConsensusInstance
-        from repro.consensus.messages import AcceptRequest, Prepare
-
-        instance = ConsensusInstance(
-            pid=1, n=5, quorum=3, instance=0, on_decide=lambda i, v: None
+    def test_promise_is_log_wide_monotone_durable_and_governs_every_position(
+        self, operations
+    ):
+        """The acceptor never goes back on its promise, at any position: the
+        one log-wide promise is monotone, a position only accepts ballots at
+        least as high as it, every reply says so, learning never disturbs
+        either — and the durable store mirrors all of it before the reply."""
+        from repro.consensus.messages import (
+            Accepted,
+            AcceptRequest,
+            Decide,
+            Nack,
+            Prepare,
+            Promise,
         )
+        from repro.consensus.replicated_log import ReplicatedLog
+        from repro.storage.stable_store import StableStore
+
+        class Oracle:
+            def leader(self):
+                return 0
+
+        log = ReplicatedLog(pid=1, n=5, t=2, oracle=Oracle())
+        store = StableStore(pid=1)
+        log.attach_storage(store)
         env = FakeEnvironment(pid=1, n=5)
-        previous_promise = -1
-        for kind, ballot in operations:
+        accepted = {}
+        for kind, ballot, position in operations:
+            promised = log._promised
+            env.clear_sent()
             if kind == "prepare":
-                instance.on_message(env, 0, Prepare(instance=0, ballot=ballot))
-            else:
-                instance.on_message(
-                    env, 0, AcceptRequest(instance=0, ballot=ballot, value=f"v{ballot}")
+                log.on_message(env, 0, Prepare(ballot=ballot, from_position=position))
+                (reply,) = env.messages_to(0)
+                if ballot > promised:
+                    assert isinstance(reply, Promise) and reply.ballot == ballot
+                    reported = {entry[0]: entry[1:] for entry in reply.accepted}
+                    reported.update({pos: None for pos, _ in reply.decisions})
+                    assert set(reported) == {
+                        pos for pos in set(accepted) | set(log.decisions) if pos >= position
+                    }
+                else:
+                    assert reply == Nack(ballot=ballot, promised=promised)
+            elif kind == "accept":
+                value = f"v{ballot}"
+                log.on_message(
+                    env, 0, AcceptRequest(instance=position, ballot=ballot, value=value)
                 )
-            state = instance.state
-            assert state.promised_ballot >= previous_promise
-            previous_promise = state.promised_ballot
-            if state.accepted_ballot >= 0:
-                assert state.accepted_ballot <= state.promised_ballot
+                (reply,) = env.messages_to(0)
+                if ballot >= promised:
+                    assert reply == Accepted(instance=position, ballot=ballot, value=value)
+                    assert ballot >= accepted.get(position, (-1, None))[0]
+                    accepted[position] = (ballot, value)
+                else:
+                    assert reply == Nack(ballot=ballot, promised=promised)
+            else:
+                log.on_message(env, 0, Decide(instance=position, value=f"d{position}"))
+                assert env.sent == []
+            assert log._promised >= promised
+            assert all(b <= log._promised for b, _ in accepted.values())
+            durable = store.snapshot()
+            assert durable.get(("promised",), -1) == log._promised
+            for pos, record in accepted.items():
+                assert durable[("acceptor", pos)] == record
+                instance = log._instances[pos]
+                assert (instance.accepted_ballot, instance.accepted_value) == record

@@ -123,8 +123,9 @@ class TestMonotonicCountersAcrossRecovery:
 
     Audit result: ``NetworkStats`` (network-side) and the shell's
     ``messages_sent`` / ``messages_received`` were already cumulative; the
-    replica-side ``corrupt_rejected`` and ``proposals_started`` were the
-    remaining resettable counters — now harvested into
+    replica-side ``corrupt_rejected`` and the proposal counters (today
+    ``ballots_started`` / ``accept_rounds_started``) were the remaining
+    resettable counters — now harvested into
     ``SimProcessShell.retired_counters`` at recovery (``commands_delivered``
     is deliberately not carried: replay/catch-up recounts it).
     """
@@ -174,4 +175,4 @@ class TestMonotonicCountersAcrossRecovery:
         shell = service.systems[0].shells[RESTARTED]
         assert shell.recoveries == 1
         assert shell.retired_counters.get("corrupt_rejected", 0) > 0
-        assert "proposals_started" in shell.retired_counters
+        assert "accept_rounds_started" in shell.retired_counters

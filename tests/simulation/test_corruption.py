@@ -7,6 +7,7 @@ from repro.consensus.messages import (
     AcceptRequest,
     CatchUpReply,
     Forward,
+    Prepare,
     Promise,
 )
 from repro.core.config import OmegaConfig
@@ -107,14 +108,32 @@ class TestCorruptMessage:
         assert tampered is not None
         assert not payload_intact(tampered)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {"accepted": ((3, 4, command(1)), (5, 4, "<noop>")), "decisions": ()},
+            {"accepted": (), "decisions": ((0, "<noop>"), (1, command(2)))},
+        ],
+        ids=["accepted", "decisions"],
+    )
+    def test_garbles_promise_rows_and_keeps_their_positions(self, rows):
+        message = Promise(ballot=7, **rows)
+        assert payload_intact(message)
+        tampered = corrupt_message(message, RandomSource(6))
+        assert tampered is not None
+        assert not payload_intact(tampered)
+        for field, original in rows.items():
+            garbled = getattr(tampered, field)
+            assert [row[:-1] for row in garbled] == [row[:-1] for row in original]
+
     def test_control_traffic_is_not_corruptible(self):
         rng = RandomSource(4)
         alive = Alive(rn=7, susp_level=((0, 1), (1, 0)))
         assert corrupt_message(alive, rng) is None
         assert corrupt_message(Wrapped(channel="omega", inner=alive), rng) is None
-        # A Promise that has not accepted anything carries no payload either.
-        empty = Promise(instance=0, ballot=1, accepted_ballot=-1, accepted_value=None)
-        assert corrupt_message(empty, rng) is None
+        # A Promise that reports nothing, and a Prepare, carry no payload either.
+        assert corrupt_message(Promise(ballot=1, accepted=(), decisions=()), rng) is None
+        assert corrupt_message(Prepare(ballot=1, from_position=0), rng) is None
 
     def test_opaque_legacy_values_are_not_corruptible(self):
         rng = RandomSource(5)

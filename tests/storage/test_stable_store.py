@@ -8,7 +8,7 @@ from repro.storage import StableStorage, StableStore, WriteCostModel
 class TestWriteCostModel:
     def test_flat_cost(self):
         model = WriteCostModel(per_write=0.25)
-        assert model.cost(("acceptor", 0), (3, 3, "A")) == pytest.approx(0.25)
+        assert model.cost(("acceptor", 0), (3, "A")) == pytest.approx(0.25)
 
     def test_per_byte_cost_scales_with_value_size(self):
         model = WriteCostModel(per_write=0.0, per_byte=0.1)
@@ -27,8 +27,8 @@ class TestStableStore:
     def test_put_get_roundtrip_and_counters(self):
         store = StableStore(pid=1)
         assert store.get(("acceptor", 0)) is None
-        store.put(("acceptor", 0), (3, 3, "A"))
-        assert store.get(("acceptor", 0)) == (3, 3, "A")
+        store.put(("acceptor", 0), (3, "A"))
+        assert store.get(("acceptor", 0)) == (3, "A")
         assert ("acceptor", 0) in store
         assert store.writes == 1
         assert store.reads == 2
@@ -36,24 +36,26 @@ class TestStableStore:
 
     def test_overwrite_keeps_one_entry_but_counts_both_writes(self):
         store = StableStore(pid=0)
-        store.put(("acceptor", 0), (3, -1, None))
-        store.put(("acceptor", 0), (5, 5, "B"))
+        store.put(("acceptor", 0), (3, "A"))
+        store.put(("acceptor", 0), (5, "B"))
         assert len(store) == 1
         assert store.writes == 2
-        assert store.get(("acceptor", 0)) == (5, 5, "B")
+        assert store.get(("acceptor", 0)) == (5, "B")
 
     def test_items_with_prefix_sorted_by_position(self):
         store = StableStore(pid=0)
         store.put(("decided", 2), "c")
         store.put(("decided", 0), "a")
-        store.put(("acceptor", 1), (3, 3, "b"))
+        store.put(("acceptor", 1), (3, "b"))
         store.put(("decided", 1), "b")
+        store.put(("promised",), 3)
         assert store.items_with_prefix("decided") == [
             (("decided", 0), "a"),
             (("decided", 1), "b"),
             (("decided", 2), "c"),
         ]
-        assert store.items_with_prefix("attempt") == []
+        assert store.items_with_prefix("promised") == [(("promised",), 3)]
+        assert store.items_with_prefix("snapshot") == []
 
     def test_cost_model_charges_through_bound_callback(self):
         charged = []
