@@ -392,17 +392,16 @@ def bench_sharded_service_compaction(quick: bool) -> dict:
     events = service.scheduler.executed
     messages = sum(system.stats.total_sent for system in service.systems)
     committed = sum(client.stats.completed for client in clients)
-    peak = service.peak_decided_residency()
+    totals = service.counters()
+    peak = totals["peak_decided_residency"]
     # Out-of-order decides and in-flight instances sit above the frontier, so
     # allow one batch of slack past the policy window.
     bounded = peak <= policy.interval + policy.retain + 64
     advancing = committed > committed_mid > 0
     consistent = service.is_consistent()
     counters = {
-        "snapshots_taken": service.snapshots_taken(),
-        "snapshot_restores": service.snapshot_restores(),
-        "positions_compacted": service.positions_compacted(),
-        "snapshots_rejected": service.snapshots_rejected(),
+        name: totals[name]
+        for name in ("snapshots_taken", "snapshot_restores", "positions_compacted", "snapshots_rejected")
     }
     fingerprint = _fingerprint(
         {

@@ -119,7 +119,8 @@ def main() -> None:
         )
     print()
 
-    peak = service.peak_decided_residency()
+    counters = service.counters()
+    peak = counters["peak_decided_residency"]
     bound = POLICY.interval + POLICY.retain + RESIDENCY_SLACK
     rows = []
     converged = True
@@ -150,7 +151,7 @@ def main() -> None:
     summary = summarize_service(service, clients, duration=horizon)
     print(
         f"snapshots: {summary.snapshots_taken} taken, "
-        f"{service.snapshot_restores()} installed "
+        f"{counters['snapshot_restores']} installed "
         f"(restarted replicas recovered by snapshot transfer), "
         f"{summary.positions_compacted} positions compacted"
     )
@@ -169,7 +170,7 @@ def main() -> None:
         failures.append(f"peak residency {peak} exceeded the bound {bound}")
     if not converged:
         failures.append("replica digests or digest chains diverged")
-    if service.snapshot_restores() < 1:
+    if counters["snapshot_restores"] < 1:
         failures.append("no snapshot transfer happened (recovery took the wrong path)")
     if failures:
         raise SystemExit("compaction demo FAILED: " + "; ".join(failures))

@@ -152,6 +152,7 @@ def summarize_service(service, clients=(), duration: Optional[float] = None) -> 
         latencies.extend(client.stats.latencies)
         completed += client.stats.completed
         retries += client.stats.retries
+    counters = service.counters()
     return ServiceSummary(
         duration=span,
         num_shards=service.num_shards,
@@ -164,7 +165,7 @@ def summarize_service(service, clients=(), duration: Optional[float] = None) -> 
         completed=completed,
         retries=retries,
         per_shard=per_shard,
-        snapshots_taken=service.snapshots_taken(),
-        positions_compacted=service.positions_compacted(),
-        peak_decided_residency=service.peak_decided_residency(),
+        snapshots_taken=counters["snapshots_taken"],
+        positions_compacted=counters["positions_compacted"],
+        peak_decided_residency=counters["peak_decided_residency"],
     )

@@ -58,6 +58,7 @@ the virtual-clock validation were missing.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.util.validation import require_positive
@@ -131,10 +132,9 @@ class LeaseManager:
         #: Highest barrier hint over every satisfied round (monotone).
         self.barrier = NO_BARRIER
 
-        # Monotone counters (harvested through ``lifetime_counters``).
-        self.grants_sent = 0
-        self.renewals = 0
-        self.gated_drops = 0
+        #: Counter registry (see :attr:`~repro.core.interfaces.Process.counters`);
+        #: the log this manager is handed to replaces it with its own.
+        self.counters: Dict[str, int] = Counter()
 
     # ------------------------------------------------------------------ granter --
     def grant_live(self, now: float) -> bool:
@@ -153,7 +153,7 @@ class LeaseManager:
         self._granted_to = requester
         self._grant_expires = now + self.duration
         if requester != self.pid:
-            self.grants_sent += 1
+            self.counters["lease_grants_sent"] += 1
         return True
 
     def gates(self, now: float, proposer: int) -> bool:
@@ -165,7 +165,7 @@ class LeaseManager:
         once the grant has expired.)
         """
         if self.grant_live(now) and self._granted_to != proposer:
-            self.gated_drops += 1
+            self.counters["lease_gated_drops"] += 1
             return True
         return False
 
@@ -221,7 +221,7 @@ class LeaseManager:
         round_barrier = max(grants.values())
         if round_barrier > self.barrier:
             self.barrier = round_barrier
-        self.renewals += 1
+        self.counters["lease_renewals"] += 1
         if self.audit is not None:
             # The usable window opens when the quorum completes (now), never
             # retroactively at the send time — that is what exclusion tests
@@ -238,14 +238,6 @@ class LeaseManager:
         """True when reads may be served locally: valid lease *and* the applied
         frontier strictly past every barrier hint a granting quorum reported."""
         return self.holds_lease(now) and frontier > self.barrier
-
-    # ------------------------------------------------------------------ reporting --
-    def counters(self) -> Dict[str, int]:
-        return {
-            "lease_grants_sent": self.grants_sent,
-            "lease_renewals": self.renewals,
-            "lease_gated_drops": self.gated_drops,
-        }
 
 
 __all__ = ["NO_BARRIER", "LeaseManager"]

@@ -122,8 +122,8 @@ Every incoming message is checked with
 :func:`~repro.consensus.commands.payload_intact` before it is processed: a
 delivery whose command payload was tampered in flight (a
 :class:`~repro.simulation.faults.CorruptLink` garbles payloads but preserves
-their stale checksums) is **rejected** — counted in :attr:`ReplicatedLog.
-corrupt_rejected` and otherwise treated exactly like a lost message, which the
+their stale checksums) is **rejected** — counted as ``corruption_rejections``
+and otherwise treated exactly like a lost message, which the
 indulgent protocol already tolerates.  Rejection happens *before* the consensus
 state machine sees the message, so a garbled value can never be promised,
 accepted, decided, learnt through catch-up or applied.
@@ -163,8 +163,8 @@ O(history).
 
 Three protocol consequences:
 
-* messages addressed to instances below the floor are dropped (counted in
-  :attr:`compacted_drops`), and so is a ``Prepare`` whose ``from_position``
+* messages addressed to instances below the floor are dropped (counted as
+  ``compacted_drops``), and so is a ``Prepare`` whose ``from_position``
   lies below it — a truncated acceptor stays *silent* about decided positions
   rather than promising "nothing accepted there", which is the amnesia-safe
   behaviour (silence looks like a crash; any promise quorum that completes
@@ -187,6 +187,7 @@ path behaves (and fingerprints) exactly as before.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.consensus.batching import AdaptiveBatchPolicy
@@ -402,14 +403,18 @@ class ReplicatedLog(Process):
         self.retry_period = retry_period
         self.batch_size = batch_size
         self.on_deliver = on_deliver
+        #: Counter registry (see :attr:`~repro.core.interfaces.Process.counters`),
+        #: shared with the lease and snapshot managers this log is handed; a
+        #: stack hosting the log shares it with the oracle too.
+        self.counters: Dict[str, int] = Counter()
         #: Lease-based read path (None = disabled, every path byte-identical).
         self.leases = leases
+        if leases is not None:
+            leases.counters = self.counters
         self.on_read_index = on_read_index
         #: Pending follower reads awaiting a leader frontier certification
         #: (read ids queued by the service replica, flushed on drive ticks).
         self._read_index_queue: List[int] = []
-        #: ReadIndexRequest polls sent to the trusted leader.
-        self.read_index_polls = 0
         #: Optional per-drive-tick hook ``(now)`` — the service replica uses
         #: it to expire pending lease reads into the consensus fallback.
         #: Invoked only when leases are enabled.
@@ -455,25 +460,6 @@ class ReplicatedLog(Process):
         #: pending set was last forwarded to it (the re-send rule's two inputs).
         self._forward_leader: Optional[int] = None
         self._full_forward_time = 0.0
-        #: Forward messages sent, and commands they carried (re-sends included).
-        self.forward_msgs_sent = 0
-        self.forward_commands_sent = 0
-        #: Prepare broadcasts (one per ballot this process tried to own) and
-        #: AcceptRequest broadcasts (re-sends included) it started.
-        self.ballots_started = 0
-        self.accept_rounds_started = 0
-        #: Deliveries rejected because a carried payload failed its checksum
-        #: (tampered in flight by a corrupting link); rejected messages are
-        #: treated exactly like lost ones.
-        self.corrupt_rejected = 0
-        #: Messages dropped because they addressed an instance the compaction
-        #: floor already truncated (the amnesia-safe silence).
-        self.compacted_drops = 0
-        #: Catch-up polls this replica sent (drive-tick polls of the leader plus
-        #: poll-backs to a requester that turned out to be ahead of us).
-        self.catchup_polls_sent = 0
-        #: Catch-up replies this replica served (each carries >= 1 decision).
-        self.catchup_replies_sent = 0
 
         # Hot-path state: first position not yet decided (contiguous-prefix
         # cursor), highest decided position, decided-command index, and the
@@ -484,15 +470,13 @@ class ReplicatedLog(Process):
         self._decided_index = _ValueIndex()
         self._delivered: List[Any] = []
 
-        # Observer counters that survive windowing: total non-noop deliveries,
-        # total non-noop decisions, the lazily folded delivered-prefix digest
-        # chain (_digest_pos = first position not folded yet), and the high-
-        # water mark of resident decided entries (the bounded-memory metric).
+        # Observer state that survives windowing: total non-noop deliveries,
+        # total non-noop decisions, and the lazily folded delivered-prefix
+        # digest chain (_digest_pos = first position not folded yet).
         self.delivered_total = 0
         self.decided_value_count = 0
         self._digest_state = ""
         self._digest_pos = 0
-        self.peak_decided_entries = 0
 
         # Compaction (attach_snapshots): _floor is the truncation floor —
         # positions below it were snapshotted away and no longer exist here.
@@ -653,36 +637,6 @@ class ReplicatedLog(Process):
         finally:
             self._rehydrating = False
 
-    def lifetime_counters(self) -> Dict[str, int]:
-        """Monotone counters the shell carries across incarnations.
-
-        A recovery rebuilds the algorithm object, resetting every per-replica
-        counter; :meth:`~repro.simulation.process.SimProcessShell.recover`
-        harvests these from the dying incarnation so whole-run totals (e.g.
-        :meth:`~repro.service.sharding.ShardedService.corruption_rejections`)
-        stay monotonic.  Only counters that rehydration/catch-up does *not*
-        reconstruct belong here — ``commands_delivered`` is recounted when the
-        new incarnation replays the log, so carrying it would double-count.
-        The snapshot manager's counters (snapshots taken, restores, positions
-        compacted, ...) die with the incarnation too, so they ride along.
-        """
-        counters = {
-            "corrupt_rejected": self.corrupt_rejected,
-            "ballots_started": self.ballots_started,
-            "accept_rounds_started": self.accept_rounds_started,
-            "compacted_drops": self.compacted_drops,
-            "catchup_polls_sent": self.catchup_polls_sent,
-            "catchup_replies_sent": self.catchup_replies_sent,
-            "read_index_polls": self.read_index_polls,
-            "forward_msgs_sent": self.forward_msgs_sent,
-            "forward_commands_sent": self.forward_commands_sent,
-        }
-        if self.snapshots is not None:
-            counters.update(self.snapshots.counters())
-        if self.leases is not None:
-            counters.update(self.leases.counters())
-        return counters
-
     # ------------------------------------------------------------------ lifecycle --
     def on_start(self, env: Environment) -> None:
         env.set_timer(self.drive_period, _DRIVE_TIMER)
@@ -698,7 +652,7 @@ class ReplicatedLog(Process):
             # The digest check at the consensus/service boundary: a tampered
             # payload is dropped before any protocol state sees it, so
             # corruption degrades into message loss (which is tolerated).
-            self.corrupt_rejected += 1
+            self.counters["corruption_rejections"] += 1
             return
         if isinstance(message, (AcceptRequest, Accepted, Decide)):
             # Phase 2, about one log position each — most of the traffic.
@@ -794,7 +748,7 @@ class ReplicatedLog(Process):
         which the indulgent protocol tolerates."""
         if position >= self._floor:
             return True
-        self.compacted_drops += 1
+        self.counters["compacted_drops"] += 1
         return False
 
     # ------------------------------------------------------------------ internals --
@@ -814,8 +768,9 @@ class ReplicatedLog(Process):
             # prefix must survive this process's restarts.
             self._store.put(("decided", instance_id), value)
         self.decisions[instance_id] = value
-        if len(self.decisions) > self.peak_decided_entries:
-            self.peak_decided_entries = len(self.decisions)
+        if len(self.decisions) > self.counters["peak_decided_residency"]:
+            # The bounded-memory metric: resident decided entries, high water.
+            self.counters["peak_decided_residency"] = len(self.decisions)
         if instance_id > self._max_decided:
             self._max_decided = instance_id
         if value != NOOP:
@@ -961,7 +916,7 @@ class ReplicatedLog(Process):
             # followers' routine polls carry their higher frontiers, and the
             # poll-back turns them into servers.  No ping-pong: the poll-back
             # carries a *lower* frontier, so the peer answers with data.
-            self.catchup_polls_sent += 1
+            self.counters["catchup_polls"] += 1
             env.send(sender, CatchUpRequest(frontier=self._frontier))
             return
         if self._max_decided < frontier:
@@ -974,7 +929,7 @@ class ReplicatedLog(Process):
                 if len(decisions) >= CATCH_UP_BATCH:
                     break
         if decisions:
-            self.catchup_replies_sent += 1
+            self.counters["catchup_replies"] += 1
             env.send(sender, CatchUpReply(decisions=tuple(decisions)))
 
     # ------------------------------------------------------------------ lease path --
@@ -1021,7 +976,7 @@ class ReplicatedLog(Process):
                     if self.on_read_index is not None:
                         self.on_read_index(read_id, self._frontier)
             return  # no authority yet: keep the queue for the next tick
-        self.read_index_polls += len(self._read_index_queue)
+        self.counters["read_index_polls"] += len(self._read_index_queue)
         for read_id in self._read_index_queue:
             env.send(leader, ReadIndexRequest(read_id=read_id))
         self._read_index_queue.clear()
@@ -1045,8 +1000,9 @@ class ReplicatedLog(Process):
             commands = tuple(v for v in self._unforwarded if v in self._pending)
         self._unforwarded.clear()
         if commands:
-            self.forward_msgs_sent += 1
-            self.forward_commands_sent += len(commands)
+            # One Forward message, and the commands it carries (re-sends included).
+            self.counters["forward_msgs_sent"] += 1
+            self.counters["forward_commands_sent"] += len(commands)
             env.send(leader, Forward(value=Batch(commands=commands)))
 
     def _drive(self, env: Environment) -> None:
@@ -1063,7 +1019,7 @@ class ReplicatedLog(Process):
             # minority side of a healed partition has holes).  The leader stays
             # silent unless it actually has something newer, so the poll costs
             # one small message per drive tick.
-            self.catchup_polls_sent += 1
+            self.counters["catchup_polls"] += 1
             env.send(leader, CatchUpRequest(frontier=self._frontier))
             return
         # Leader: nothing to forward; a later demotion is a leader change, so
@@ -1156,7 +1112,7 @@ class ReplicatedLog(Process):
         self._promisers = set()
         self._recovered = {}
         self._inflight = -1
-        self.ballots_started += 1
+        self.counters["ballots_started"] += 1  # = Prepare broadcasts
         env.broadcast(Prepare(ballot=self._ballot, from_position=self._frontier))
         # Our own promise, after the fan-out (which must not wait for our
         # fsync).  It is also what keeps a restart from reusing this ballot.
@@ -1219,7 +1175,7 @@ class ReplicatedLog(Process):
             self._inflight = position
             self._votes = set()
         self._inflight_time = env.now
-        self.accept_rounds_started += 1
+        self.counters["accept_rounds_started"] += 1  # = AcceptRequest broadcasts
         env.broadcast(
             AcceptRequest(instance=position, ballot=self._ballot, value=value)
         )

@@ -57,6 +57,9 @@ class OmegaConsensusStack(CompositeProcess, LeaderOracle):
             on_read_index=on_read_index,
         )
         super().__init__({OMEGA_CHANNEL: omega, LOG_CHANNEL: log})
+        #: The process's one counter registry: the oracle counts into the
+        #: mapping the log already shares with its lease and snapshot managers.
+        self.counters = omega.counters = log.counters
         self.pid = pid
         self.n = n
         self.t = t
@@ -83,21 +86,6 @@ class OmegaConsensusStack(CompositeProcess, LeaderOracle):
         soft state the ALIVE exchange rebuilds — so only the log persists.
         """
         self.log.attach_storage(store)
-
-    def lifetime_counters(self):
-        """Monotone counters the shell carries across incarnations.
-
-        Merges the replicated log's counters with the oracle's: the Omega layer
-        keeps no durable state, so a recovery resets ``round_resyncs`` and
-        ``suspicions_sent`` with the rest of its soft state — without this
-        harvest, whole-run totals (the coverage features of :mod:`repro.fuzz`
-        among them) would silently *shrink* at every restart.
-        """
-        counters = self.log.lifetime_counters()
-        counters["round_resyncs"] = self.omega.round_resyncs
-        counters["suspicions_sent"] = self.omega.suspicions_sent
-        counters["level_increments"] = sum(self.omega.level_increments.values())
-        return counters
 
     def submit(self, value) -> None:
         """Submit a command to the replicated log."""

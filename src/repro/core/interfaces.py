@@ -21,7 +21,8 @@ import abc
 import dataclasses
 import itertools
 import sys
-from typing import Any, Optional, Sequence
+import types
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.util.rng import RandomSource
 
@@ -159,6 +160,25 @@ class Environment(abc.ABC):
         """Record a trace event (no-op unless the runtime installs a tracer)."""
 
 
+#: Counter names that are high-water marks: wherever registries are combined
+#: they fold with ``max``.  Every other name is an event count and sums.
+HIGH_WATER_COUNTERS = frozenset({"peak_decided_residency"})
+
+
+def fold_counters(total: Dict[str, int], part: Mapping[str, int]) -> None:
+    """Fold the counter registry *part* into *total*, in place.
+
+    The one rule for combining counts — a dying incarnation into its successor
+    (:meth:`~repro.simulation.process.SimProcessShell.recover`), processes into
+    a service total, shards into a parallel-run report.
+    """
+    for name, value in part.items():
+        if name in HIGH_WATER_COUNTERS:
+            total[name] = max(total.get(name, 0), value)
+        else:
+            total[name] = total.get(name, 0) + value
+
+
 class Process(abc.ABC):
     """Base class for every distributed algorithm in the library.
 
@@ -167,6 +187,17 @@ class Process(abc.ABC):
     both runtimes guarantee that at most one handler of a given process runs at a
     time.
     """
+
+    #: The process's counter registry, a flat ``name -> int`` mapping.  An
+    #: algorithm that counts creates a ``collections.Counter`` in its
+    #: constructor and increments it where the event happens
+    #: (``self.counters["ballots_started"] += 1``); a composite shares one
+    #: mapping with all of its parts.  Counts belong to the process, not the
+    #: incarnation: a recovery folds the dying incarnation's registry into its
+    #: successor's, so nothing else is needed for a count to survive restarts.
+    #: Observers only — protocol logic never reads a count.  (This class-level
+    #: default is the empty registry of an algorithm that counts nothing.)
+    counters: Mapping[str, int] = types.MappingProxyType({})
 
     def on_start(self, env: Environment) -> None:
         """Called once, before any message is delivered to the process."""

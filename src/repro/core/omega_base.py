@@ -30,6 +30,7 @@ lines 19-21     :meth:`leader`
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.core.config import OmegaConfig
@@ -93,13 +94,9 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         self.timeout_history: List[tuple] = []
         #: History of (time, leader) pairs, recorded at every leader change.
         self.leader_history: List[tuple] = []
-        #: Number of SUSPICION messages sent.
-        self.suspicions_sent = 0
-        #: Number of receiving-round fast-forwards (crash-recovery extension;
-        #: always 0 unless ``config.round_resync_gap`` is set).
-        self.round_resyncs = 0
-        #: Number of line-17 increments performed, per target process.
-        self.level_increments: Dict[int, int] = {pid_: 0 for pid_ in process_ids}
+        #: Counter registry (see :attr:`Process.counters`); a stack hosting this
+        #: oracle replaces it with the process-wide one.
+        self.counters: Dict[str, int] = Counter()
 
     # ------------------------------------------------------------------ oracle --
     def leader(self) -> int:
@@ -197,7 +194,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         for rounds that are demonstrably stuck — timer expired, receptions
         short of ``alpha``, and a peer already ``resync_gap`` rounds ahead.
         """
-        self.round_resyncs += 1
+        self.counters["round_resyncs"] += 1
         env.log("round_resync", from_rn=self.receiving_round, to_rn=rn)
         self.receiving_round = rn
         self._arm_round_timer(env, self._timeout_value())
@@ -227,7 +224,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         suspects = frozenset(pid for pid in range(self.n) if pid not in received)
         # The paper broadcasts unconditionally (line 10), even when the suspect set is
         # empty; we do the same so message-count experiments match its cost discussion.
-        self.suspicions_sent += 1
+        self.counters["suspicions_sent"] += 1
         env.broadcast(Suspicion(rn=rn, suspects=suspects), include_self=True)
         env.log("round_closed", rn=rn, suspects=sorted(suspects))
 
@@ -259,7 +256,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
             count = self.records.add_suspicion(rn, suspect)
             if count >= self.alpha and self._may_increase_level(suspect, rn):
                 self.susp_level.increase(suspect)
-                self.level_increments[suspect] += 1
+                self.counters["level_increments"] += 1
         self._record_leader(env)
 
     def _may_increase_level(self, suspect: int, rn: int) -> bool:

@@ -8,9 +8,9 @@ returns an :class:`ExecutionResult` carrying
 
 * the **coverage features** the feedback loop buckets for novelty (leader
   changes, round resyncs, catch-up and snapshot-transfer activity, corruption
-  rejections, recoveries, client retries, ...) — all read through the
-  recovery-proof ``retired_counters`` path, so a restart can never shrink a
-  feature mid-run;
+  rejections, recoveries, client retries, ...) — the protocol counts among
+  them read from per-process counter registries that outlive incarnations, so
+  a restart can never shrink a feature mid-run;
 * the **invariant verdicts**: per-position agreement across every replica
   incarnation, exactly-once session safety, digest-chain convergence of
   equally-advanced replicas, durability of acknowledged writes, and a real
@@ -35,7 +35,7 @@ from repro.consensus.commands import Command, flatten_value
 from repro.core.config import OmegaConfig
 from repro.fuzz.linearizability import check_history
 from repro.service.clients import ClosedLoopClient, start_clients, uniform_workload
-from repro.service.sharding import ShardedService
+from repro.service.sharding import LEASE_MODE_COUNTERS, ShardedService
 from repro.simulation.adversary import ChurnAdversary, LeaderHunter, RandomAdversary
 from repro.simulation.delays import ConstantDelay
 from repro.simulation.faults import FaultPlan
@@ -500,16 +500,32 @@ def check_invariants(
 
 
 # ------------------------------------------------------------------ feature harvest --
+#: The registry counts that are coverage features, under their registry names
+#: (plus, in lease mode only, ``LEASE_MODE_COUNTERS``).
+_COUNTER_FEATURES = (
+    "round_resyncs",
+    "suspicions_sent",
+    "catchup_polls",
+    "catchup_replies",
+    "ballots_started",
+    "accept_rounds_started",
+    "corruption_rejections",
+    "snapshots_taken",
+    "snapshot_restores",
+    "positions_compacted",
+    "snapshots_rejected",
+)
+
+
 def harvest_features(
     service: ShardedService, clients: List[ClosedLoopClient]
 ) -> Dict[str, int]:
     """The coverage feature vector (every value a non-negative int).
 
-    Protocol counters are read through the recovery-proof
-    ``ShardedService._lifetime_counter`` accessors (retired + live
-    incarnations), so features are monotone over the run regardless of
-    restarts — the counter-gap audit of this PR exists precisely so a restart
-    cannot make a campaign believe a behaviour disappeared.
+    Protocol counts come from ``service.counters()`` — per-process registries
+    that outlive incarnations — so features are monotone over the run
+    regardless of restarts: a restart cannot make a campaign believe a
+    behaviour disappeared.
     """
     recoveries = sum(
         shell.recoveries for system in service.systems for shell in system.shells
@@ -527,30 +543,14 @@ def harvest_features(
         "completed_ops": sum(client.stats.completed for client in clients),
         "client_retries": sum(client.stats.retries for client in clients),
         "leader_changes": leader_changes,
-        "round_resyncs": service.round_resyncs(),
-        "suspicions_sent": service._lifetime_counter("suspicions_sent"),
-        "catchup_polls": service.catchup_polls(),
-        "catchup_replies": service.catchup_replies(),
-        "ballots_started": service._lifetime_counter("ballots_started"),
-        "accept_rounds_started": service._lifetime_counter("accept_rounds_started"),
         "recoveries": recoveries,
         "messages_dropped": dropped,
         "corrupted_messages": service.corrupted_messages(),
-        "corruption_rejections": service.corruption_rejections(),
-        "snapshots_taken": service.snapshots_taken(),
-        "snapshot_restores": service.snapshot_restores(),
-        "positions_compacted": service.positions_compacted(),
-        "snapshots_rejected": service.snapshots_rejected(),
         "storage_writes": service.storage_writes(),
     }
-    if service.leases:
-        # Lease-mode-only features: leases-off feature vectors (and the
-        # fingerprints hashed over them) stay byte-identical to the seed.
-        features["lease_renewals"] = service.lease_renewals()
-        features["lease_gated_drops"] = service.lease_gated_drops()
-        features["lease_reads_served"] = service.lease_reads_served()
-        features["lease_read_fallbacks"] = service.lease_read_fallbacks()
-        features["read_index_polls"] = service.read_index_polls()
+    names = _COUNTER_FEATURES + LEASE_MODE_COUNTERS if service.leases else _COUNTER_FEATURES
+    counters = service.counters()
+    features.update((name, counters[name]) for name in names)
     return features
 
 

@@ -8,9 +8,10 @@ classes this repository has actually shipped and fixed by hand:
   wall-clock/randomness sources are confined to ``util/rng.py`` and
   ``util/wallclock.py``, and no fingerprint/digest/merge fold may iterate an
   unsorted set.
-* **CNT002** — every monotone counter incremented by a replica/stack/log/lease
-  class must be reachable from a ``lifetime_counters``/``counters`` merge, or
-  it silently resets on crash-recovery (the PR 5 / PR 7 bug class).
+* **CNT002** — a replica/stack/log/lease/oracle class counts into the
+  process's counter registry (``self.counters[name] += 1``), never onto a
+  plain attribute, which silently resets on crash-recovery (the PR 5 / PR 7
+  bug class).
 * **MSG003** — every protocol message class has a dispatch arm, and the fault
   event registry (``EVENT_KINDS``) is a bijection with the ``FaultEvent``
   subclasses.

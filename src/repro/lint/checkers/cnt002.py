@@ -1,27 +1,22 @@
-"""CNT002 — counter retirement: every replica counter must survive recovery.
+"""CNT002 — counts go into the counter registry, not onto the incarnation.
 
-When a process recovers, :meth:`repro.simulation.process.SimProcessShell.recover`
-harvests the dying incarnation's ``lifetime_counters()`` into
-``retired_counters`` so whole-run accounting stays monotone.  A counter that a
-replica/stack/log/lease class increments but never exposes through a
-``lifetime_counters``/``counters``/``perf_counters`` merge silently resets to
-zero at every restart — exactly the bug shipped (and hand-fixed) in PR 5 and
-again in PR 7.
+A recovery replaces a process's algorithm object, so a plain attribute counter
+(``self.drops += 1``) silently resets to zero at every restart — the bug shipped
+(and hand-fixed) in PR 5 and again in PR 7.  The process's counter registry
+(:attr:`repro.core.interfaces.Process.counters`) is folded across incarnations
+by :meth:`repro.simulation.process.SimProcessShell.recover`, so the rule is
+just: count there (``self.counters["drops"] += 1``).
 
 Scope: classes whose name mentions Replica/Stack/Log/Lease/Omega, outside the
 paper-baseline package (``baselines/`` algorithms predate the recovery model
 and are exercised crash-stop only).  A *counter* is a non-underscore attribute
 whose only mutations are ``self.<name> += <positive const>`` bumps (plain or
 dict-slot) — an attribute also plainly reassigned outside ``__init__`` is
-protocol state, not a counter.  Coverage is satisfied when the attribute name
-is referenced (as an attribute or string key) inside *any* counters-merge
-method in the project, which models cross-class harvests such as the stack
-folding the oracle's counters in.
+protocol state, not a counter.
 """
 
 from __future__ import annotations
 
-import ast
 import re
 from typing import List, Set
 
@@ -29,37 +24,20 @@ from repro.lint.report import Finding
 from repro.lint.walker import ProjectModel
 
 RULE_ID = "CNT002"
-SUMMARY = "counter incremented by a replica class but absent from every counters merge"
-HISTORICAL_BUG = "PR 5 / PR 7: counters silently reset by crash-recovery harvests"
+SUMMARY = "counter kept on a replica class attribute instead of the counter registry"
+HISTORICAL_BUG = "PR 5 / PR 7: counters silently reset by crash-recovery"
 
-#: Class names subject to the counter-retirement discipline.
+#: Class names subject to the counter discipline.
 SCOPED_CLASS_NAME = re.compile(r"Replica|Stack|Log|Lease|Omega")
 
 #: Module path fragments excluded from the rule.
 EXCLUDED_PATH_FRAGMENTS = ("baselines/", "consensus/messages.py")
 
-#: Methods recognised as counters merges.
-MERGE_METHOD_NAMES = ("lifetime_counters", "counters", "perf_counters")
-
-
-def _exported_names(model: ProjectModel) -> Set[str]:
-    """Attribute tails and string keys referenced inside any counters merge."""
-    names: Set[str] = set()
-    for cls in model.iter_classes():
-        for method_name in MERGE_METHOD_NAMES:
-            method = cls.methods.get(method_name)
-            if method is None:
-                continue
-            for node in ast.walk(method.node):
-                if isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+#: The registry attribute: ``self.counters[name] += ...`` is the sanctioned bump.
+REGISTRY_ATTR = "counters"
 
 
 def check(model: ProjectModel) -> List[Finding]:
-    exported = _exported_names(model)
     findings = []
     for cls in model.iter_classes():
         if not SCOPED_CLASS_NAME.search(cls.name):
@@ -69,9 +47,9 @@ def check(model: ProjectModel) -> List[Finding]:
         reported: Set[str] = set()
         for increment in cls.counter_increments:
             name = increment.name
-            if name in reported or name in cls.reassigned_attrs:
+            if name == REGISTRY_ATTR and increment.subscripted:
                 continue
-            if name in exported:
+            if name in reported or name in cls.reassigned_attrs:
                 continue
             reported.add(name)
             findings.append(
@@ -81,9 +59,9 @@ def check(model: ProjectModel) -> List[Finding]:
                     line=increment.lineno,
                     symbol=f"{cls.name}.{name}",
                     message=(
-                        f"counter {name!r} is incremented but reachable from no "
-                        "lifetime_counters/counters merge; it resets to zero on "
-                        "crash-recovery"
+                        f"counter {name!r} is kept on the incarnation and resets to "
+                        f"zero on crash-recovery; bump self.{REGISTRY_ATTR}[{name!r}] "
+                        "instead"
                     ),
                 )
             )

@@ -9,8 +9,8 @@ other :class:`~repro.core.interfaces.Process` — the same object runs under the
 discrete-event simulator and under the asyncio runtime.
 
 The state machine is shielded from in-flight payload tampering: the underlying
-replicated log checksum-verifies every delivery and drops tampered ones (see
-:attr:`ServiceReplica.corruption_rejections`), so only commands whose integrity
+replicated log checksum-verifies every delivery and drops tampered ones
+(counted as ``corruption_rejections``), so only commands whose integrity
 verified are ever ordered or applied — replicas cannot diverge under
 :class:`~repro.simulation.faults.CorruptLink` faults.
 
@@ -90,10 +90,6 @@ class ServiceReplica(OmegaConsensusStack):
         self._pending_reads: Dict[int, Tuple[Command, float, Optional[int]]] = {}
         #: client_id -> (seq, result, certified index) of the latest served read.
         self._lease_read_results: Dict[str, Tuple[int, Any, int]] = {}
-        #: Reads answered locally under the lease (never entered the log).
-        self.lease_reads_served = 0
-        #: Pending lease reads that timed out into the consensus path.
-        self.lease_read_fallbacks = 0
         if leases is not None:
             self.log.on_drive = self._expire_pending_reads
         self.compaction = compaction
@@ -182,7 +178,7 @@ class ServiceReplica(OmegaConsensusStack):
         # Latest-seq registry: the one-in-flight client discipline means a
         # fresh read always supersedes the previous one.
         self._lease_read_results[command.client_id] = (command.seq, result, index)
-        self.lease_reads_served += 1
+        self.counters["lease_reads_served"] += 1  # answered locally, never entered the log
 
     def _on_read_index(self, read_id: int, index: int) -> None:
         """The leader certified *index* for *read_id* (read-index protocol)."""
@@ -218,15 +214,8 @@ class ServiceReplica(OmegaConsensusStack):
         ]
         for read_id in overdue:
             command, _, _ = self._pending_reads.pop(read_id)
-            self.lease_read_fallbacks += 1
+            self.counters["lease_read_fallbacks"] += 1
             self.submit(command)
-
-    def lifetime_counters(self):
-        counters = super().lifetime_counters()
-        if self.leases is not None:
-            counters["lease_reads_served"] = self.lease_reads_served
-            counters["lease_read_fallbacks"] = self.lease_read_fallbacks
-        return counters
 
     def command_applied(self, client_id: str, seq: int) -> bool:
         """True once the command identified by ``(client_id, seq)`` took effect here."""
@@ -238,17 +227,6 @@ class ServiceReplica(OmegaConsensusStack):
         )
 
     # ------------------------------------------------------------------ reporting --
-    @property
-    def corruption_rejections(self) -> int:
-        """Deliveries this replica rejected because a payload failed its checksum.
-
-        Tampered messages (see :class:`~repro.simulation.faults.CorruptLink`)
-        are dropped at the consensus/service boundary before any protocol or
-        state-machine code sees them, so the state machine only ever applies
-        commands whose integrity verified.
-        """
-        return self.log.corrupt_rejected
-
     def decided_command_positions(self) -> int:
         """Number of decided non-noop log positions (consensus instances spent).
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro.assumptions.base import Scenario
@@ -25,6 +26,7 @@ from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.commands import Command
 from repro.consensus.leases import LeaseManager
 from repro.core.figure3 import Figure3Omega
+from repro.core.interfaces import fold_counters
 from repro.core.omega_base import RotatingStarOmegaBase
 from repro.service.replica import ServiceReplica
 from repro.service.state_machine import KeyValueStore, StateMachine
@@ -36,6 +38,30 @@ from repro.storage.compaction import CompactionPolicy
 from repro.storage.stable_store import StableStorage, WriteCostModel
 from repro.util.rng import RandomSource, derive_seed
 from repro.util.validation import require_positive
+
+#: The registry counts ``ShardedService.perf_counters`` reports.
+_PERF_COUNTERS = (
+    "round_resyncs",
+    "forward_msgs_sent",
+    "forward_commands_sent",
+    "ballots_started",
+    "accept_rounds_started",
+    "snapshots_taken",
+    "snapshot_restores",
+    "positions_compacted",
+    "snapshots_rejected",
+    "peak_decided_residency",
+)
+#: Counts reported only in lease mode — by ``perf_counters`` and by the fuzz
+#: coverage features alike — so that leases-off reports (and the fingerprints
+#: derived from them) stay byte-identical to the seed.
+LEASE_MODE_COUNTERS = (
+    "lease_renewals",
+    "lease_gated_drops",
+    "lease_reads_served",
+    "lease_read_fallbacks",
+    "read_index_polls",
+)
 
 
 class ShardRouter:
@@ -463,32 +489,11 @@ class ShardedService:
     def corrupted_deliveries(self) -> int:
         """Tampered messages handed to an alive replica, across all shards.
 
-        Every one of these was rejected at the consensus/service boundary.
-        The count is network-side and therefore trivially recovery-proof; the
-        replica-side view :meth:`corruption_rejections` now matches it across
-        recoveries too (retired incarnations' counters are carried over by the
-        shells).
+        Every one of these was rejected at the consensus/service boundary:
+        the replica-side count ``counters()["corruption_rejections"]`` matches
+        this network-side one exactly, across recoveries too.
         """
         return sum(system.stats.corrupted_delivered for system in self.systems)
-
-    def corruption_rejections(self) -> int:
-        """Whole-run boundary rejections, monotonic across recoveries.
-
-        A recovery rebuilds a replica's algorithm object, resetting its
-        ``corrupt_rejected`` counter; the shell harvests the dying
-        incarnation's monotone counters (``lifetime_counters()``) into
-        ``SimProcessShell.retired_counters``, and this total adds them back —
-        so it matches :meth:`corrupted_deliveries` exactly even after replicas
-        have restarted, with or without stable storage.
-        """
-        total = 0
-        for system in self.systems:
-            for shell in system.shells:
-                total += shell.retired_counters.get("corrupt_rejected", 0)
-                log = getattr(shell.algorithm, "log", None)
-                if log is not None:
-                    total += log.corrupt_rejected
-        return total
 
     def storage_writes(self) -> int:
         """Durable writes across all shards (0 with ``stable_storage`` off)."""
@@ -517,132 +522,43 @@ class ShardedService:
             for store in storage.stores()
         )
 
-    def _lifetime_counter(self, name: str) -> int:
-        """Whole-run total of one monotone protocol counter, recovery-proof.
+    def counters(self) -> Dict[str, int]:
+        """Whole-run total of every count any replica keeps, by name.
 
-        Live incarnations' counters (``lifetime_counters()``) plus the retired
-        totals the shells harvested at each recovery — the pattern behind
-        :meth:`corruption_rejections`, generalised.  Every coverage feature of
-        :mod:`repro.fuzz` reads through here, so a restart can never make a
-        feature count shrink mid-campaign.
+        The fold of every process's counter registry (see
+        :attr:`~repro.core.interfaces.Process.counters`).  A registry already
+        covers all of its process's incarnations, so totals — high-water marks
+        included — never shrink at a restart.  Names nothing bumped read as 0.
         """
-        total = 0
+        total: Dict[str, int] = Counter()
         for system in self.systems:
             for shell in system.shells:
-                total += shell.retired_counters.get(name, 0)
-                harvest = getattr(shell.algorithm, "lifetime_counters", None)
-                if harvest is not None:
-                    total += int(harvest().get(name, 0))
+                fold_counters(total, shell.algorithm.counters)
         return total
-
-    # Alias kept for the snapshot accessors below (their counters ride along in
-    # lifetime_counters via the snapshot manager).
-    _snapshot_counter = _lifetime_counter
-
-    def round_resyncs(self) -> int:
-        """Receiving-round fast-forwards across all shards and incarnations."""
-        return self._lifetime_counter("round_resyncs")
-
-    def catchup_polls(self) -> int:
-        """Catch-up polls sent across all shards and incarnations."""
-        return self._lifetime_counter("catchup_polls_sent")
-
-    def catchup_replies(self) -> int:
-        """Catch-up replies served across all shards and incarnations."""
-        return self._lifetime_counter("catchup_replies_sent")
-
-    def lease_renewals(self) -> int:
-        """Quorum-satisfied lease renewals across all shards and incarnations."""
-        return self._lifetime_counter("lease_renewals")
-
-    def lease_gated_drops(self) -> int:
-        """Foreign proposer messages dropped by live grant holders (whole run)."""
-        return self._lifetime_counter("lease_gated_drops")
-
-    def lease_reads_served(self) -> int:
-        """Reads served locally under a lease (leader- plus read-index-path)."""
-        return self._lifetime_counter("lease_reads_served")
-
-    def lease_read_fallbacks(self) -> int:
-        """Lease reads that timed out into the consensus path."""
-        return self._lifetime_counter("lease_read_fallbacks")
-
-    def read_index_polls(self) -> int:
-        """Read-index certification requests sent by followers (whole run)."""
-        return self._lifetime_counter("read_index_polls")
-
-    def snapshots_taken(self) -> int:
-        """Snapshots captured across all shards and incarnations."""
-        return self._snapshot_counter("snapshots_taken")
-
-    def snapshot_restores(self) -> int:
-        """Verified snapshot installs (wire transfers + durable rehydrations)."""
-        return self._snapshot_counter("snapshot_restores")
-
-    def positions_compacted(self) -> int:
-        """Decided log positions truncated out of memory across the run."""
-        return self._snapshot_counter("positions_compacted")
-
-    def snapshots_rejected(self) -> int:
-        """Snapshot transfers/slots whose checksum failed (tampered or torn)."""
-        return self._snapshot_counter("snapshots_rejected")
-
-    def peak_decided_residency(self) -> int:
-        """High-water mark of resident decided-log entries over live replicas.
-
-        *The* bounded-memory metric: with a compaction policy this stays
-        O(interval + retain) regardless of run length; without one it grows
-        with the history.  (Per-incarnation: a restarted replica restarts its
-        own high-water mark, which can only lower the reported peak.)
-        """
-        peak = 0
-        for system in self.systems:
-            for shell in system.shells:
-                log = getattr(shell.algorithm, "log", None)
-                if log is not None and log.peak_decided_entries > peak:
-                    peak = log.peak_decided_entries
-        return peak
 
     def total_instances(self) -> int:
         """Decided non-noop consensus instances across all shards."""
         return sum(self.decided_instances(shard) for shard in range(self.num_shards))
 
     def perf_counters(self) -> Dict[str, int]:
-        """Whole-run monotone counters in one dict (reporting/merge surface).
+        """The counts the perf reports select (reporting/merge surface).
 
-        Everything here is recovery-proof (reads through the retired-counter
-        path) and deterministic for a given seed.  All values are totals
-        except ``peak_decided_residency``, a high-water mark — mergers that
-        combine services (the parallel shard executor) must fold it with
-        ``max``, not ``+``.
+        Deterministic for a given seed.  All values are totals except
+        ``peak_decided_residency``, a high-water mark — mergers that combine
+        services fold with :func:`~repro.core.interfaces.fold_counters`.
         """
-        counters = {
+        names = _PERF_COUNTERS + LEASE_MODE_COUNTERS if self.leases else _PERF_COUNTERS
+        counters = self.counters()
+        perf = {
             "recoveries": sum(
                 shell.recoveries
                 for system in self.systems
                 for shell in system.shells
             ),
             "storage_writes": self.storage_writes(),
-            "round_resyncs": self.round_resyncs(),
-            "forward_msgs_sent": self._lifetime_counter("forward_msgs_sent"),
-            "forward_commands_sent": self._lifetime_counter("forward_commands_sent"),
-            "ballots_started": self._lifetime_counter("ballots_started"),
-            "accept_rounds_started": self._lifetime_counter("accept_rounds_started"),
-            "snapshots_taken": self.snapshots_taken(),
-            "snapshot_restores": self.snapshot_restores(),
-            "positions_compacted": self.positions_compacted(),
-            "snapshots_rejected": self.snapshots_rejected(),
-            "peak_decided_residency": self.peak_decided_residency(),
         }
-        if self.leases:
-            # Added only in lease mode: leases-off perf reports (and the
-            # fingerprints derived from them) stay byte-identical to the seed.
-            counters["lease_renewals"] = self.lease_renewals()
-            counters["lease_gated_drops"] = self.lease_gated_drops()
-            counters["lease_reads_served"] = self.lease_reads_served()
-            counters["lease_read_fallbacks"] = self.lease_read_fallbacks()
-            counters["read_index_polls"] = self.read_index_polls()
-        return counters
+        perf.update((name, counters[name]) for name in names)
+        return perf
 
     def rng(self, *labels: object) -> RandomSource:
         """Derive a deterministic random source for workload machinery."""

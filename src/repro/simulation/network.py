@@ -190,7 +190,7 @@ class NetworkStats:
         Counted at send time, when a :class:`~repro.simulation.faults.CorruptLink`
         actually garbled the payload; the receiving side's integrity check is
         what turns these deliveries into rejections (see
-        ``ReplicatedLog.corrupt_rejected``)."""
+        the log's ``corruption_rejections`` counter)."""
         return self._total_corrupted
 
     @property

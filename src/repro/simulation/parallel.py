@@ -50,6 +50,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.assumptions.scenarios import IntermittentRotatingStarScenario
+from repro.core.interfaces import fold_counters
 from repro.service.clients import start_clients, zipfian_workload
 from repro.service.sharding import ShardedService
 from repro.simulation.faults import FaultPlan
@@ -58,10 +59,6 @@ from repro.storage.stable_store import WriteCostModel
 from repro.util.parallel import run_tasks
 from repro.util.rng import derive_seed
 from repro.util.wallclock import now as wallclock_now
-
-#: Merged counters that are high-water marks (fold with ``max``); every other
-#: counter is monotone event accounting and folds with ``+``.
-_MAX_COUNTERS = frozenset({"peak_decided_residency"})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -379,8 +376,9 @@ def merge_shard_results(
 ) -> ParallelRunReport:
     """Fold per-shard results — **in shard order** — into one report.
 
-    Totals are sums, high-water marks (:data:`_MAX_COUNTERS`) fold with
-    ``max``, digests stay per shard, violations concatenate with a shard
+    Totals are sums, counters fold with
+    :func:`~repro.core.interfaces.fold_counters` (high-water marks with
+    ``max``), digests stay per shard, violations concatenate with a shard
     label, and the run fingerprint digests the ordered per-shard
     fingerprints.  Nothing here reads a clock or an rng, so the merge is a
     pure function of the (ordered) results.
@@ -393,11 +391,7 @@ def merge_shard_results(
         )
     counters: Dict[str, int] = {}
     for result in ordered:
-        for name, value in result.counters.items():
-            if name in _MAX_COUNTERS:
-                counters[name] = max(counters.get(name, 0), value)
-            else:
-                counters[name] = counters.get(name, 0) + value
+        fold_counters(counters, result.counters)
     violations = tuple(
         f"shard {result.shard}: {violation}"
         for result in ordered

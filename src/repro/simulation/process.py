@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.core.interfaces import Environment, Message, Process, TimerHandle
+from repro.core.interfaces import Environment, Message, Process, TimerHandle, fold_counters
 from repro.simulation.network import Network
 from repro.simulation.scheduler import EventScheduler
 from repro.util.rng import RandomSource
@@ -78,9 +78,6 @@ class SimProcessShell(Environment):
         #: cumulative across incarnations.
         self.messages_sent = 0
         self.messages_received = 0
-        #: Monotone protocol counters harvested from dead incarnations (see
-        #: :meth:`recover`); empty in every crash-stop run.
-        self.retired_counters: dict = {}
         # Stable-storage write cost accrued during the current handler turn
         # (identified by the scheduler's executed-event count); added to the
         # delay of every message this turn still sends — fsync before reply.
@@ -151,18 +148,14 @@ class SimProcessShell(Environment):
         recovery (the link held them), exactly like messages sent to a process
         that never crashed.
 
-        Before the swap, the dying incarnation's monotone protocol counters
-        (``lifetime_counters()``, when the algorithm exposes it) are harvested
-        into :attr:`retired_counters`, so whole-run accounting that sums
-        per-replica counters stays monotonic across recoveries.
+        Before the swap, the dying incarnation's counter registry is folded
+        into the newcomer's (which may already hold what rehydration counted):
+        counts belong to the process, so ``algorithm.counters`` always covers
+        every incarnation so far.
         """
         if not self.crashed:
             return
-        harvest = getattr(self.algorithm, "lifetime_counters", None)
-        if harvest is not None:
-            retired = self.retired_counters
-            for name, value in harvest().items():
-                retired[name] = retired.get(name, 0) + int(value)
+        fold_counters(algorithm.counters, self.algorithm.counters)
         self.recoveries += 1
         self.crashed = False
         self.crash_time = None

@@ -218,8 +218,7 @@ class SnapshotManager:
     ``ReplicatedLog.attach_snapshots``) and, when stable storage is attached,
     to the replica's store with :meth:`bind_store`.
 
-    Counters (harvested into ``SimProcessShell.retired_counters`` across
-    recoveries via ``ReplicatedLog.lifetime_counters``):
+    Counts into the bound log's counter registry:
 
     ``snapshots_taken``
         Snapshots captured locally.
@@ -250,16 +249,12 @@ class SnapshotManager:
         self._incoming: Optional[_IncomingTransfer] = None
         self._last_floor = 0
         self._next_slot = 0
-        self.snapshots_taken = 0
-        self.snapshot_restores = 0
-        self.positions_compacted = 0
-        self.snapshots_rejected = 0
-        self.snapshot_chunks_sent = 0
-        self.snapshot_chunks_received = 0
 
     # ------------------------------------------------------------------ wiring --
     def bind_log(self, log: "ReplicatedLog") -> None:
         self._log = log
+        #: The log's counter registry — bound before rehydration, which counts.
+        self.counters = log.counters
 
     def bind_store(self, store: "StableStore") -> None:
         self._store = store
@@ -268,17 +263,6 @@ class SnapshotManager:
     def latest(self) -> Optional[Snapshot]:
         """The newest verified snapshot this replica holds (serves transfers)."""
         return self._latest
-
-    def counters(self) -> Dict[str, int]:
-        """Monotone counters carried across incarnations by the shell."""
-        return {
-            "snapshots_taken": self.snapshots_taken,
-            "snapshot_restores": self.snapshot_restores,
-            "positions_compacted": self.positions_compacted,
-            "snapshots_rejected": self.snapshots_rejected,
-            "snapshot_chunks_sent": self.snapshot_chunks_sent,
-            "snapshot_chunks_received": self.snapshot_chunks_received,
-        }
 
     # ------------------------------------------------------------------ capture --
     def maybe_snapshot(self) -> None:
@@ -311,10 +295,10 @@ class SnapshotManager:
         )
         self._latest = snapshot
         self._last_floor = snapshot.floor
-        self.snapshots_taken += 1
+        self.counters["snapshots_taken"] += 1
         if self._store is not None:
             self._persist(snapshot)
-        self.positions_compacted += log.compact_below(
+        self.counters["positions_compacted"] += log.compact_below(
             self.policy.truncation_floor(snapshot.floor)
         )
         return snapshot
@@ -338,7 +322,7 @@ class SnapshotManager:
         if self._latest is None:
             return
         env.send(dest, self._latest.chunk(0))
-        self.snapshot_chunks_sent += 1
+        self.counters["snapshot_chunks_sent"] += 1
 
     def on_request(self, env, sender: int, message: SnapshotRequest) -> None:
         """Answer a receiver pulling chunk ``message.index``.
@@ -357,12 +341,12 @@ class SnapshotManager:
             env.send(sender, snapshot.chunk(0))
         else:
             env.send(sender, snapshot.chunk(message.index))
-        self.snapshot_chunks_sent += 1
+        self.counters["snapshot_chunks_sent"] += 1
 
     # ------------------------------------------------------------------ receiving --
     def on_chunk(self, env, sender: int, message: SnapshotReply) -> None:
         """Process one incoming transfer chunk; install when assembly completes."""
-        self.snapshot_chunks_received += 1
+        self.counters["snapshot_chunks_received"] += 1
         log = self._log
         if message.floor <= log.frontier:
             return  # stale transfer: we already advanced past its floor
@@ -389,7 +373,7 @@ class SnapshotManager:
             # A chunk was tampered in flight (the corruption model preserves
             # the carried whole-snapshot checksum, so the garbled payload fails
             # here): reject the transfer.  The next catch-up poll restarts it.
-            self.snapshots_rejected += 1
+            self.counters["snapshots_rejected"] += 1
             return
         self.install(snapshot, persist=True)
 
@@ -410,8 +394,8 @@ class SnapshotManager:
         self._last_floor = snapshot.floor
         if persist and self._store is not None:
             self._persist(snapshot)
-        self.positions_compacted += log.adopt_snapshot(snapshot)
-        self.snapshot_restores += 1
+        self.counters["positions_compacted"] += log.adopt_snapshot(snapshot)
+        self.counters["snapshot_restores"] += 1
         return True
 
     # ------------------------------------------------------------------ recovery --
@@ -436,7 +420,7 @@ class SnapshotManager:
             if isinstance(value, Snapshot) and value.verify():
                 best = value
                 break
-            self.snapshots_rejected += 1
+            self.counters["snapshots_rejected"] += 1
             store.delete(key)
         if best is None:
             return 0

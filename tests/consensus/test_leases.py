@@ -65,7 +65,7 @@ class TestSlowGrantRoundTrips:
         # ...and the late grant must still complete the *first* round's quorum,
         # with the conservative expiry computed from that round's send time.
         manager.on_grant(12.5, granter=1, round_id=first, hint=-1)
-        assert manager.renewals == 1
+        assert manager.counters["lease_renewals"] == 1
         assert manager.holds_lease(15.9)
         assert not manager.holds_lease(16.0)  # sent_at(10) + duration(6)
 
@@ -86,7 +86,7 @@ class TestSlowGrantRoundTrips:
         first = manager.start_round(10.0, own_hint=-1)
         # The whole term (6.0) elapsed while the grant was in flight.
         manager.on_grant(16.0, granter=1, round_id=first, hint=-1)
-        assert manager.renewals == 0
+        assert manager.counters["lease_renewals"] == 0
         assert not manager.holds_lease(16.0)
 
     def test_rounds_past_their_term_are_pruned(self):
@@ -95,14 +95,14 @@ class TestSlowGrantRoundTrips:
         manager.start_round(30.0, own_hint=-1)  # prunes the expired round
         assert first not in manager._rounds
         manager.on_grant(30.5, granter=1, round_id=first, hint=-1)
-        assert manager.renewals == 0
+        assert manager.counters["lease_renewals"] == 0
 
     def test_duplicate_grants_do_not_fake_a_quorum(self):
         manager = make_manager(n=5, t=2)
         round_id = manager.start_round(10.0, own_hint=-1)
         manager.on_grant(10.5, granter=1, round_id=round_id, hint=-1)
         manager.on_grant(10.6, granter=1, round_id=round_id, hint=-1)
-        assert manager.renewals == 0  # quorum is 3; {self, 1} plus a dup is 2
+        assert manager.counters["lease_renewals"] == 0  # quorum is 3; {self, 1} plus a dup is 2
 
 
 class TestBarrierHints:
@@ -189,7 +189,7 @@ class TestLeaseGating:
         log.on_message(env, 2, Prepare(ballot=8, from_position=0))
         assert env.sent == []  # neither a Promise nor a Nack
         assert log._promised == -1
-        assert log.leases.gated_drops == 1
+        assert log.counters["lease_gated_drops"] == 1
         # The holder itself is heard ...
         log.on_message(env, 1, Prepare(ballot=7, from_position=0))
         assert [type(m) for m in env.messages_to(1)] == [Promise]
@@ -197,14 +197,14 @@ class TestLeaseGating:
         env.set_time(16.0)
         log.on_message(env, 2, Prepare(ballot=8, from_position=0))
         assert [type(m) for m in env.messages_to(2)] == [Promise]
-        assert log.leases.gated_drops == 1
+        assert log.counters["lease_gated_drops"] == 1
 
     def test_foreign_accept_request_is_dropped_at_any_position(self):
         log, env = self.granted_to(holder=1)
         for position in (0, 9):
             log.on_message(env, 2, AcceptRequest(instance=position, ballot=8, value="x"))
         assert env.sent == [] and log._instances == {}
-        assert log.leases.gated_drops == 2
+        assert log.counters["lease_gated_drops"] == 2
 
     def test_a_gated_leader_proposes_nothing_not_even_to_itself(self):
         # Its own vote would be a foreign commit's vote as far as the holder's
@@ -214,7 +214,7 @@ class TestLeaseGating:
         env.set_time(12.0)
         log._drive(env)
         assert env.messages_of_type(Prepare) == []
-        assert log._promised == -1 and log.ballots_started == 0
+        assert log._promised == -1 and log.counters["ballots_started"] == 0
         env.set_time(16.0)
         log._drive(env)
         assert len(env.messages_of_type(Prepare)) == 2

@@ -81,7 +81,7 @@ class TestSubmissionAndForwarding:
         env.fire_due_timers(log)
         prepares = env.messages_of_type(Prepare)
         assert prepares, "the leader must start a proposal"
-        assert log.ballots_started == 1
+        assert log.counters["ballots_started"] == 1
 
     def test_non_leader_does_not_propose(self):
         log, _, env = make(pid=0, leader=3)
@@ -158,8 +158,8 @@ class TestForwardOnceBatched:
         assert forwarded_batches(env) == [tuple(commands)]
         assert forwarded_batches(env, dest=4) == [tuple(commands)]
         assert isinstance(env.messages_of_type(Forward)[0].value, Batch)
-        assert log.lifetime_counters()["forward_msgs_sent"] == 1
-        assert log.lifetime_counters()["forward_commands_sent"] == 5
+        assert log.counters["forward_msgs_sent"] == 1
+        assert log.counters["forward_commands_sent"] == 5
 
     def test_nothing_resent_while_leader_unchanged_and_retry_not_elapsed(self):
         log, _, env = make(pid=2, leader=4)
@@ -257,14 +257,14 @@ class TestForwardOnceBatched:
         tampered = corrupt_message(forward, RandomSource(7, label="tamper"))
         assert tampered is not None and not payload_intact(tampered)
         leader.on_message(leader_env, 2, tampered)
-        assert leader.corrupt_rejected == 1
+        assert leader.counters["corruption_rejections"] == 1
         assert leader.forwarded == []  # not even the intact members got in
         sender_env.clear_sent()
         tick(sender, sender_env, ticks=5)  # retry_period later: the full re-send
         (resend,) = sender_env.messages_of_type(Forward)
         leader.on_message(leader_env, 2, resend)
         assert leader.forwarded == commands
-        assert leader.corrupt_rejected == 1
+        assert leader.counters["corruption_rejections"] == 1
 
     def test_leader_forwards_nothing_and_once_demoted_forwards_survivors(self):
         log, oracle, env = make(pid=2, leader=2)
@@ -342,7 +342,7 @@ class TestDecisionsAndDelivery:
         # Acceptors nack a ballot they already promised, so the retry is a
         # fresh, higher one.
         (second,) = {m.ballot for m in env.messages_of_type(Prepare)} - {first}
-        assert second > first and log.ballots_started == 2
+        assert second > first and log.counters["ballots_started"] == 2
 
     def test_unexpected_message_rejected(self):
         log, _, env = make()
@@ -615,7 +615,7 @@ class TestLogWideAcceptor:
         log.on_message(env, 2, Prepare(ballot=5, from_position=0))
         log.on_message(env, 2, Prepare(ballot=6, from_position=1))
         assert env.sent == []  # no Promise, and no Nack either
-        assert log.compacted_drops == 2
+        assert log.counters["compacted_drops"] == 2
         # At or above the floor it answers, and reports nothing below it.
         log.on_message(env, 2, Prepare(ballot=7, from_position=2))
         assert sent_to(env, Promise) == [
@@ -675,8 +675,8 @@ class TestLeaderBallot:
             assert (request.instance, request.value) == (position, command)
         assert env.messages_of_type(Prepare) == []
         assert log.delivered() == ["first", "second", "third"]
-        assert log.lifetime_counters()["ballots_started"] == 1
-        assert log.lifetime_counters()["accept_rounds_started"] == 3
+        assert log.counters["ballots_started"] == 1
+        assert log.counters["accept_rounds_started"] == 3
 
     def test_takeover_reproposes_the_in_flight_value_and_only_that_value(self):
         # p0 had "A" accepted at p1 for position 0 when leadership moved to
@@ -918,4 +918,4 @@ class TestSteadyStateCost:
             assert shell.algorithm.delivered() == ["A", "B"]
         sent = run.stats.sent_by_tag
         assert sent["PREPARE"] == 2 + 2  # p0's ballot, then p2's: one each
-        assert run.shells[2].algorithm.lifetime_counters()["ballots_started"] == 1
+        assert run.shells[2].algorithm.counters["ballots_started"] == 1

@@ -203,7 +203,7 @@ class TestSuspicionHandling:
         algorithm, env = make()
         algorithm.on_start(env)
         deliver_suspicions(algorithm, env, rn=1, suspect=2, senders=[0, 1, 3])
-        assert algorithm.level_increments[2] == 1
+        assert algorithm.counters["level_increments"] == 1
 
 
 class TestLeaderElection:
@@ -249,7 +249,7 @@ class TestRoundResync:
         deliver_round_alive(algorithm, env, rn=1, senders=[1, 2, 3])
         algorithm.on_message(env, 4, Alive(rn=50, susp_level=()))
         assert algorithm.receiving_round == 1
-        assert algorithm.round_resyncs == 0
+        assert algorithm.counters["round_resyncs"] == 0
 
     def test_round_with_live_timer_is_not_skipped(self):
         algorithm, env = self._resync_algorithm()
@@ -257,7 +257,7 @@ class TestRoundResync:
         # full timeout before the gap rule may kick in.
         algorithm.on_message(env, 1, Alive(rn=50, susp_level=()))
         assert algorithm.receiving_round == 1
-        assert algorithm.round_resyncs == 0
+        assert algorithm.counters["round_resyncs"] == 0
 
     def test_stuck_round_is_fast_forwarded(self):
         algorithm, env = self._resync_algorithm()
@@ -266,9 +266,9 @@ class TestRoundResync:
         env.advance(1.0)
         env.fire_due_timers(algorithm)
         algorithm.on_message(env, 1, Alive(rn=2, susp_level=()))
-        assert algorithm.round_resyncs == 0  # gap 1 <= 4: no resync yet
+        assert algorithm.counters["round_resyncs"] == 0  # gap 1 <= 4: no resync yet
         algorithm.on_message(env, 2, Alive(rn=50, susp_level=()))
-        assert algorithm.round_resyncs == 1
+        assert algorithm.counters["round_resyncs"] == 1
         assert algorithm.receiving_round == 50
 
     def test_disabled_by_default(self):
@@ -278,7 +278,7 @@ class TestRoundResync:
         env.fire_due_timers(algorithm)
         algorithm.on_message(env, 1, Alive(rn=500, susp_level=()))
         assert algorithm.receiving_round == 1
-        assert algorithm.round_resyncs == 0
+        assert algorithm.counters["round_resyncs"] == 0
 
 
 class TestErrorsAndHousekeeping:

@@ -1,22 +1,21 @@
-"""CNT002 seeded violation: a counter missing from the lifetime merge."""
+"""CNT002 seeded violation: a counter kept on the incarnation."""
+
+from collections import Counter
 
 
 class ToyReplicatedLog:
     def __init__(self):
-        self.proposals_started = 0
+        self.counters = Counter()
         self.orphan_drops = 0
         self.current_round = 0
 
     def on_propose(self):
-        self.proposals_started += 1
+        self.counters["proposals_started"] += 1
 
     def on_drop(self):
-        self.orphan_drops += 1  # never reaches lifetime_counters: resets on recover
+        self.orphan_drops += 1  # a plain attribute: resets on recover
 
     def resync(self, round_number):
         self.current_round += 1
         if round_number > self.current_round:
             self.current_round = round_number  # reassigned: state, not a counter
-
-    def lifetime_counters(self):
-        return {"proposals_started": self.proposals_started}

@@ -1,32 +1,20 @@
-"""CNT002 near-miss: the counter is harvested by another class's merge."""
+"""CNT002 near-miss: every count goes into the registry; the rest is state."""
+
+from collections import Counter
 
 
 class ToyReplicatedLog:
     def __init__(self):
-        self.proposals_started = 0
-        self.orphan_drops = 0
+        self.counters = Counter()
         self.current_round = 0
 
     def on_propose(self):
-        self.proposals_started += 1
+        self.counters["proposals_started"] += 1
 
     def on_drop(self):
-        self.orphan_drops += 1
+        self.counters["orphan_drops"] += 1
 
     def resync(self, round_number):
         self.current_round += 1
         if round_number > self.current_round:
             self.current_round = round_number
-
-    def lifetime_counters(self):
-        return {"proposals_started": self.proposals_started}
-
-
-class ToyConsensusStack:
-    def __init__(self, log):
-        self.log = log
-
-    def lifetime_counters(self):
-        counters = self.log.lifetime_counters()
-        counters["orphan_drops"] = self.log.orphan_drops  # cross-class harvest
-        return counters

@@ -2,8 +2,8 @@
 
 Each rule owns a miniature project tree under ``fixtures/<rule>/``: ``bad/``
 contains exactly the violations the rule exists for, ``ok/`` the closest
-constructs that must *not* be flagged (sorted folds, cross-class counter
-harvests, tuple dispatch arms, slotted dataclasses, module-level workers).
+constructs that must *not* be flagged (sorted folds, registry counter bumps,
+tuple dispatch arms, slotted dataclasses, module-level workers).
 """
 
 from pathlib import Path
@@ -39,13 +39,13 @@ class TestDET001:
 
 
 class TestCNT002:
-    def test_dropped_counter_is_flagged(self):
+    def test_attribute_counter_is_flagged(self):
         found = findings_for("CNT002", "bad")
         assert symbols(found) == ["ToyReplicatedLog.orphan_drops"]
         assert "resets to zero on crash-recovery" in found[0].message
 
-    def test_cross_class_harvest_and_state_stay_clean(self):
-        # orphan_drops is exported by the stack's merge; current_round is
+    def test_registry_bumps_and_state_stay_clean(self):
+        # Every count is a self.counters[...] bump; current_round is
         # reassigned protocol state, not a counter.
         assert findings_for("CNT002", "ok") == []
 

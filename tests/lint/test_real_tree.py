@@ -2,8 +2,8 @@
 
 Two layers: (1) ``python -m repro.lint src/ --baseline lint_baseline.json``
 must exit clean from the repo root, exactly as CI runs it; (2) regression
-tests for the real findings the first full run produced — the unharvested
-``level_increments`` counter (CNT002), wall-clock reads on the deterministic
+tests for the real findings the first full run produced — the
+``level_increments`` counter that restarts threw away (CNT002), wall-clock reads on the deterministic
 hot path (DET001), and dict-backed message classes (SLT004).
 """
 
@@ -16,6 +16,7 @@ from repro.consensus import messages
 from repro.consensus.stack import OmegaConsensusStack
 from repro.core.interfaces import Message
 from repro.lint import build_model, run_checkers
+from repro.testing import FakeEnvironment, deliver_suspicions
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -47,14 +48,17 @@ class TestRealTreeGate:
         assert run_checkers(model, select=["DET001"]) == []
 
 
-class TestCounterHarvestRegression:
-    def test_level_increments_reaches_lifetime_counters(self):
-        # CNT002's real catch: Omega's per-suspect level counters never made
-        # it into the merge, so every recovery threw the totals away.
+class TestCounterRegistryRegression:
+    def test_level_increments_reach_the_process_registry(self):
+        # CNT002's real catch: Omega's level counters never made it into the
+        # whole-run totals, so every recovery threw them away.  The oracle now
+        # counts into the one registry its stack shares with the log.
         stack = OmegaConsensusStack(pid=0, n=3, t=1)
-        stack.omega.level_increments[1] = 5
-        stack.omega.level_increments[2] = 2
-        assert stack.lifetime_counters()["level_increments"] == 7
+        assert stack.omega.counters is stack.log.counters is stack.counters
+        env = FakeEnvironment(pid=0, n=3)
+        stack.omega.on_start(env)
+        deliver_suspicions(stack.omega, env, rn=1, suspect=2, senders=[0, 1])
+        assert stack.counters["level_increments"] == 1
 
 
 class TestMessageSlotsRegression:

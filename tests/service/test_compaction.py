@@ -56,10 +56,10 @@ class TestBoundedResidency:
         submit_puts(service, range(1, 81))
         service.run_until(HORIZON)
 
-        assert service.snapshots_taken() > 0
-        assert service.positions_compacted() > 0
+        assert service.counters()["snapshots_taken"] > 0
+        assert service.counters()["positions_compacted"] > 0
         # The high-water mark is O(window), far below the 80+ decided history.
-        assert service.peak_decided_residency() <= POLICY.interval + POLICY.retain + 16
+        assert service.counters()["peak_decided_residency"] <= POLICY.interval + POLICY.retain + 16
         for replica in service.replicas(0):
             log = replica.log
             assert log.compaction_floor > 0
@@ -67,6 +67,20 @@ class TestBoundedResidency:
             # The truncated prefix survives in the observer counters.
             assert log.delivered_total == 80
         assert service.is_consistent()
+
+    def test_peak_residency_survives_a_restart(self):
+        """The reported peak is a property of the process, not the live
+        incarnation: an incarnation that peaked high and died still counts."""
+        service = build(fault_plan_factory=restart_plan)
+        submit_puts(service, range(1, 21))
+        service.run_until(CRASH_AT - 1.0)
+        doomed = service.replicas(0)[RESTARTED]
+        peak = 10 * (POLICY.interval + POLICY.retain)  # no later incarnation gets near
+        doomed.counters["peak_decided_residency"] = peak
+        service.run_until(HORIZON)
+        assert service.replicas(0)[RESTARTED] is not doomed
+        assert service.counters()["peak_decided_residency"] == peak
+        assert service.perf_counters()["peak_decided_residency"] == peak
 
     def test_digest_chains_converge_across_compacting_replicas(self):
         """The incremental digest covers the *full* prefix even though most of
@@ -104,7 +118,7 @@ class TestSnapshotCatchUp:
         assert floor > 0  # the prefix the laggard needs is really gone
         service.run_until(HORIZON)
 
-        assert service.snapshot_restores() >= 1
+        assert service.counters()["snapshot_restores"] >= 1
         fresh = service.replicas(0)[RESTARTED]
         assert fresh.log.compaction_floor > 0  # adopted the snapshot floor
         digests = service.state_digests(0, correct_only=False)
@@ -121,7 +135,7 @@ class TestSnapshotCatchUp:
         service.run_until(CRASH_AT + 1.0)
         submit_puts(service, range(21, 61), client="filler")
         service.run_until(HORIZON - 50.0)
-        assert service.snapshot_restores() >= 1
+        assert service.counters()["snapshot_restores"] >= 1
         # The increment's position is long truncated everywhere.
         for replica in service.replicas(0):
             assert replica.log.compaction_floor > 1
@@ -158,8 +172,8 @@ class TestSnapshotCatchUp:
         submit_puts(service, range(21, 61))
         service.run_until(HORIZON)
 
-        assert service.snapshots_rejected() >= 1
-        assert service.snapshot_restores() >= 1
+        assert service.counters()["snapshots_rejected"] >= 1
+        assert service.counters()["snapshot_restores"] >= 1
         digests = service.state_digests(0, correct_only=False)
         assert len(set(digests)) == 1
 
@@ -185,7 +199,7 @@ class TestDurableSnapshots:
         assert fresh.command_applied("cli", 1)
         assert fresh.log.compaction_floor > 0
         service.run_until(HORIZON)
-        assert service.snapshot_restores() >= 1
+        assert service.counters()["snapshot_restores"] >= 1
         assert service.is_consistent()
         assert service.storage_deletes() > 0  # compaction pruned the store too
 
@@ -218,7 +232,7 @@ class TestDurableSnapshots:
         fresh = service.replicas(0)[RESTARTED]
         assert fresh.command_applied("cli", 1)  # the fallback slot served
         service.run_until(HORIZON)
-        assert service.snapshots_rejected() >= 1
+        assert service.counters()["snapshots_rejected"] >= 1
         digests = service.state_digests(0, correct_only=False)
         assert len(set(digests)) == 1
         assert service.is_consistent()
@@ -250,10 +264,7 @@ class TestCompactionComposition:
             service.run_until(HORIZON)
             return (
                 service.scheduler.executed,
-                service.snapshots_taken(),
-                service.snapshot_restores(),
-                service.positions_compacted(),
-                service.peak_decided_residency(),
+                sorted(service.counters().items()),
                 service.state_digests(0, correct_only=False),
                 [replica.log.delivered_digest() for replica in service.replicas(0)],
             )
@@ -266,8 +277,8 @@ class TestCompactionComposition:
         service = build(compaction=None)
         submit_puts(service, range(1, 21))
         service.run_until(200.0)
-        assert service.snapshots_taken() == 0
-        assert service.positions_compacted() == 0
+        assert service.counters()["snapshots_taken"] == 0
+        assert service.counters()["positions_compacted"] == 0
         for replica in service.replicas(0):
             assert replica.log.snapshots is None
             assert replica.log.compaction_floor == 0

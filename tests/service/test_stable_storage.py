@@ -123,11 +123,12 @@ class TestMonotonicCountersAcrossRecovery:
 
     Audit result: ``NetworkStats`` (network-side) and the shell's
     ``messages_sent`` / ``messages_received`` were already cumulative; the
-    replica-side ``corrupt_rejected`` and the proposal counters (today
+    replica-side ``corruption_rejections`` and the proposal counters (today
     ``ballots_started`` / ``accept_rounds_started``) were the remaining
-    resettable counters — now harvested into
-    ``SimProcessShell.retired_counters`` at recovery (``commands_delivered``
-    is deliberately not carried: replay/catch-up recounts it).
+    resettable counters — now kept in the process's counter registry, which
+    ``SimProcessShell.recover`` folds into the new incarnation's
+    (``commands_delivered`` is deliberately not a registry count:
+    replay/catch-up recounts it).
     """
 
     @staticmethod
@@ -157,22 +158,26 @@ class TestMonotonicCountersAcrossRecovery:
         for seq in range(1, 13):
             service.submit(Command.put("cli", seq, f"k{seq}", seq), gateway=0)
         service.run_until(CRASH_AT - 1.0)
-        rejected_before_crash = service.corruption_rejections()
+        rejected_before_crash = service.counters()["corruption_rejections"]
         assert rejected_before_crash > 0  # the doomed replica saw tampering
         service.run_until(HORIZON)
         # The pre-crash rejections were counted by an incarnation the recovery
         # destroyed; the carried-over total must still cover them and keep
         # matching the (trivially monotonic) network-side view.
-        assert service.corruption_rejections() >= rejected_before_crash
-        assert service.corruption_rejections() == service.corrupted_deliveries()
+        assert service.counters()["corruption_rejections"] >= rejected_before_crash
+        assert service.counters()["corruption_rejections"] == service.corrupted_deliveries()
         assert service.is_consistent()
 
-    def test_retired_counters_are_harvested_on_recovery(self):
+    def test_the_registry_outlives_the_incarnation(self):
         service = self.corrupting_restart_service(False)
         for seq in range(1, 13):
             service.submit(Command.put("cli", seq, f"k{seq}", seq), gateway=0)
-        service.run_until(HORIZON)
+        service.run_until(RECOVER_AT - 1.0)
         shell = service.systems[0].shells[RESTARTED]
-        assert shell.recoveries == 1
-        assert shell.retired_counters.get("corrupt_rejected", 0) > 0
-        assert "accept_rounds_started" in shell.retired_counters
+        dying = shell.algorithm
+        assert shell.crashed and dying.counters["corruption_rejections"] > 0
+        before = dict(dying.counters)
+        service.run_until(HORIZON)
+        assert shell.recoveries == 1 and shell.algorithm is not dying
+        for name, value in before.items():
+            assert shell.algorithm.counters[name] >= value, name

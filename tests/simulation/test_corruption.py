@@ -300,7 +300,7 @@ class TestEndToEndCorruption:
         # No recoveries in this run: every tampered delivery to an alive
         # replica shows up in exactly one replica-side rejection counter.
         rejected = sum(
-            shell.algorithm.log.corrupt_rejected for shell in system.shells
+            shell.algorithm.counters["corruption_rejections"] for shell in system.shells
         )
         assert rejected == stats.corrupted_delivered
         # The leader never saw an intact copy, so nothing may have been applied

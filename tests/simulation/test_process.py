@@ -1,5 +1,7 @@
 """Unit tests for the simulator process shell (crash-stop semantics, timers)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.interfaces import Process
@@ -171,3 +173,32 @@ class TestCrash:
         assert shells[0].is_alive() is True
         shells[0].crash()
         assert shells[0].is_alive() is False
+
+
+class TestRecoverFoldsCounters:
+    def test_counts_sum_and_high_water_marks_max_across_incarnations(self):
+        _, _, shells, algorithms = build_shell()
+        shell, dying = shells[0], algorithms[0]
+        dying.counters = Counter(ballots_started=4, peak_decided_residency=9)
+        shell.start()
+        shell.crash()
+        # Built (and rehydrated, which counts) before the shell swaps it in.
+        newcomer = _Recorder()
+        newcomer.counters = Counter(
+            ballots_started=1, snapshot_restores=1, peak_decided_residency=3
+        )
+        shell.recover(newcomer)
+        assert shell.recoveries == 1 and newcomer.started
+        assert newcomer.counters == {
+            "ballots_started": 5,
+            "snapshot_restores": 1,
+            "peak_decided_residency": 9,  # a restart never lowers a peak
+        }
+
+    def test_an_algorithm_that_counts_nothing_recovers_with_an_empty_registry(self):
+        _, _, shells, _ = build_shell()
+        shells[0].start()
+        shells[0].crash()
+        newcomer = _Recorder()
+        shells[0].recover(newcomer)
+        assert newcomer.started and not newcomer.counters

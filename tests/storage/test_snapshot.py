@@ -1,6 +1,7 @@
 """Unit tests for the snapshot/compaction layer (policy, snapshot, manager)."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -108,6 +109,7 @@ class _StubLog:
     """Just enough of ReplicatedLog for the manager's unit-level contract."""
 
     def __init__(self, frontier=0):
+        self.counters = Counter()
         self.frontier = frontier
         self.delivered_total = frontier
         self.compacted = []
@@ -145,14 +147,14 @@ class TestSnapshotManagerCapture:
     def test_maybe_snapshot_respects_the_policy_interval(self):
         manager, log, _ = make_manager(frontier=3)
         manager.maybe_snapshot()
-        assert manager.snapshots_taken == 0
+        assert manager.counters["snapshots_taken"] == 0
         log.frontier = 4
         manager.maybe_snapshot()
-        assert manager.snapshots_taken == 1
+        assert manager.counters["snapshots_taken"] == 1
         assert manager.latest.floor == 4
         # Truncation keeps the retained tail: floor 4 - retain 1.
         assert log.compacted == [3]
-        assert manager.positions_compacted == 3
+        assert manager.counters["positions_compacted"] == 3
 
     def test_durable_slots_rotate_keeping_the_torn_write_fallback(self):
         store = StableStore(pid=0)
@@ -190,22 +192,22 @@ class TestSnapshotTransfer:
         self.feed(manager, env, snapshot, [2])
         assert captured["restored"] == [snapshot.payload]
         assert log.adopted.floor == snapshot.floor
-        assert manager.snapshot_restores == 1
-        assert manager.snapshot_chunks_received == 3
+        assert manager.counters["snapshot_restores"] == 1
+        assert manager.counters["snapshot_chunks_received"] == 3
 
     def test_chunks_arriving_out_of_order_still_assemble(self):
         snapshot = self.build_server_snapshot()
         manager, log, captured = make_manager(frontier=0)
         self.feed(manager, _Env(), snapshot, [2, 0, 1])
         assert captured["restored"] == [snapshot.payload]
-        assert manager.snapshot_restores == 1
+        assert manager.counters["snapshot_restores"] == 1
 
     def test_duplicate_chunks_are_idempotent(self):
         snapshot = self.build_server_snapshot()
         manager, log, captured = make_manager(frontier=0)
         self.feed(manager, _Env(), snapshot, [0, 0, 1, 1, 2])
         assert captured["restored"] == [snapshot.payload]
-        assert manager.snapshot_restores == 1
+        assert manager.counters["snapshot_restores"] == 1
 
     def test_stale_transfer_below_local_frontier_is_ignored(self):
         snapshot = self.build_server_snapshot(floor=10)
@@ -214,7 +216,7 @@ class TestSnapshotTransfer:
         self.feed(manager, env, snapshot, [0, 1, 2])
         assert env.sent == []
         assert captured["restored"] == []
-        assert manager.snapshot_restores == 0
+        assert manager.counters["snapshot_restores"] == 0
 
     def test_tampered_chunk_fails_assembly_verification(self):
         snapshot = self.build_server_snapshot()
@@ -227,9 +229,9 @@ class TestSnapshotTransfer:
         manager.on_chunk(env, 0, snapshot.chunk(0, items_per_chunk=2))
         manager.on_chunk(env, 0, garbled)
         manager.on_chunk(env, 0, snapshot.chunk(2, items_per_chunk=2))
-        assert manager.snapshots_rejected == 1
+        assert manager.counters["snapshots_rejected"] == 1
         assert captured["restored"] == []
-        assert manager.snapshot_restores == 0
+        assert manager.counters["snapshot_restores"] == 0
 
     def test_server_restarts_receiver_when_its_snapshot_moved_on(self):
         manager, log, _ = make_manager(frontier=4)
@@ -253,7 +255,7 @@ class TestRehydration:
         store.put(("snapshot", 1), torn)
         manager, log, captured = make_manager(store=store)
         assert manager.rehydrate() == 8
-        assert manager.snapshots_rejected == 1
+        assert manager.counters["snapshots_rejected"] == 1
         assert ("snapshot", 1) not in store  # the torn slot was discarded
         assert captured["restored"] == [good.payload]
         assert log.adopted.floor == 8
