@@ -10,11 +10,10 @@ are reported for inspection in ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.analysis import ExperimentResult, build_system, run_omega_experiment
+from repro.analysis import ExperimentResult, build_system
 from repro.assumptions.base import Scenario
-from repro.simulation.crash import CrashSchedule
 from repro.util.tables import format_table
 
 
@@ -31,23 +30,6 @@ def scaled(value, quick: bool, factor: float = 0.25, minimum=None):
     if minimum is not None:
         shrunk = max(minimum, shrunk)
     return type(value)(shrunk)
-
-
-def run_and_summarize(
-    scenario: Scenario,
-    algorithm_cls,
-    duration: float,
-    seed: int,
-    crash_schedule: Optional[CrashSchedule] = None,
-) -> ExperimentResult:
-    """Run one experiment (thin wrapper kept for symmetry with the tests)."""
-    return run_omega_experiment(
-        scenario,
-        algorithm_cls,
-        duration=duration,
-        seed=seed,
-        crash_schedule=crash_schedule,
-    )
 
 
 def result_table(results: Sequence[ExperimentResult], title: str) -> str:

@@ -7,10 +7,11 @@ leader-change count and message cost of the Figure 1 algorithm when every round
 
 import pytest
 
-from _harness import record, run_and_summarize
+from _harness import record
+from repro.analysis import run_omega_experiment
 from repro.assumptions import EventualRotatingStarScenario
 from repro.core import Figure1Omega
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 
 DURATION = 300.0
 
@@ -20,7 +21,7 @@ def test_e1_failure_free(benchmark, n, t):
     scenario = EventualRotatingStarScenario(n=n, t=t, center=1, seed=1000 + n)
 
     def run():
-        return run_and_summarize(scenario, Figure1Omega, DURATION, seed=1000 + n)
+        return run_omega_experiment(scenario, Figure1Omega, DURATION, seed=1000 + n)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record(benchmark, [result], f"E1: Figure 1 under A0, failure-free, n={n}, t={t}")
@@ -31,11 +32,11 @@ def test_e1_failure_free(benchmark, n, t):
 @pytest.mark.parametrize("n,t", [(5, 2), (7, 3)])
 def test_e1_with_crashes_of_low_ids(benchmark, n, t):
     scenario = EventualRotatingStarScenario(n=n, t=t, center=n - 1, seed=1100 + n)
-    crashes = CrashSchedule.staggered(list(range(t)), start=15.0, spacing=10.0)
+    crashes = FaultPlan.crashes({pid: 15.0 + 10.0 * pid for pid in range(t)})
 
     def run():
-        return run_and_summarize(
-            scenario, Figure1Omega, DURATION, seed=1100 + n, crash_schedule=crashes
+        return run_omega_experiment(
+            scenario, Figure1Omega, DURATION, seed=1100 + n, fault_plan=crashes
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

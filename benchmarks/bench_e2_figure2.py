@@ -7,7 +7,8 @@ window test) under the same intermittent assumption.
 
 import pytest
 
-from _harness import center_suspicion_metric, record, run_and_summarize
+from _harness import center_suspicion_metric, record
+from repro.analysis import run_omega_experiment
 from repro.assumptions import IntermittentRotatingStarScenario, RotatingPersecutionScenario
 from repro.core import Figure1Omega, Figure2Omega
 
@@ -21,7 +22,7 @@ def test_e2_gap_sweep(benchmark, max_gap):
     )
 
     def run():
-        return run_and_summarize(scenario, Figure2Omega, DURATION, seed=2000 + max_gap)
+        return run_omega_experiment(scenario, Figure2Omega, DURATION, seed=2000 + max_gap)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record(benchmark, [result], f"E2: Figure 2 under A with D={max_gap}")

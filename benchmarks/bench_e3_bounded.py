@@ -6,10 +6,11 @@ the timeouts stabilise — side by side with Figure 2, whose levels and timeouts
 without bound once a process has crashed.
 """
 
-from _harness import record, run_and_summarize
+from _harness import record
+from repro.analysis import run_omega_experiment
 from repro.assumptions import IntermittentRotatingStarScenario
 from repro.core import Figure2Omega, Figure3Omega
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 from repro.util.tables import format_table
 
 DURATION = 600.0
@@ -17,11 +18,11 @@ DURATION = 600.0
 
 def test_e3_bounded_variables_figure3(benchmark):
     scenario = IntermittentRotatingStarScenario(n=7, t=3, center=6, seed=3000, max_gap=4)
-    crashes = CrashSchedule({0: 25.0, 1: 50.0})
+    crashes = FaultPlan.crashes({0: 25.0, 1: 50.0})
 
     def run():
-        return run_and_summarize(
-            scenario, Figure3Omega, DURATION, seed=3000, crash_schedule=crashes
+        return run_omega_experiment(
+            scenario, Figure3Omega, DURATION, seed=3000, fault_plan=crashes
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -40,14 +41,14 @@ def test_e3_bounded_variables_figure3(benchmark):
 
 def test_e3_figure2_vs_figure3_timeouts_and_pace(benchmark):
     scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=3100, max_gap=3)
-    crashes = CrashSchedule({4: 30.0})
+    crashes = FaultPlan.crashes({4: 30.0})
 
     def run():
-        fig2 = run_and_summarize(
-            scenario, Figure2Omega, DURATION, seed=3100, crash_schedule=crashes
+        fig2 = run_omega_experiment(
+            scenario, Figure2Omega, DURATION, seed=3100, fault_plan=crashes
         )
-        fig3 = run_and_summarize(
-            scenario, Figure3Omega, DURATION, seed=3100, crash_schedule=crashes
+        fig3 = run_omega_experiment(
+            scenario, Figure3Omega, DURATION, seed=3100, fault_plan=crashes
         )
         return fig2, fig3
 

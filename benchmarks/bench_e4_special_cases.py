@@ -5,7 +5,8 @@ pattern, combined, A0, A): the same Figure 3 algorithm must elect a stable corre
 leader under each of them.
 """
 
-from _harness import record, run_and_summarize
+from _harness import record
+from repro.analysis import run_omega_experiment
 from repro.assumptions import special_case_scenarios
 from repro.core import Figure3Omega
 
@@ -18,7 +19,7 @@ def test_e4_all_special_cases(benchmark):
 
     def run():
         return [
-            run_and_summarize(scenario, Figure3Omega, DURATION, seed=SEED)
+            run_omega_experiment(scenario, Figure3Omega, DURATION, seed=SEED)
             for scenario in scenarios
         ]
 

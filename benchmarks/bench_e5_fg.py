@@ -7,7 +7,8 @@ run on the mildest schedule for comparison.
 
 import pytest
 
-from _harness import record, run_and_summarize
+from _harness import record
+from repro.analysis import run_omega_experiment
 from repro.assumptions import GrowingStarScenario
 from repro.core import FgOmega, Figure3Omega
 
@@ -32,7 +33,7 @@ def test_e5_fg_growth_sweep(benchmark, f_slope, g_slope):
     scenario = make_scenario(f_slope, g_slope, seed)
 
     def run():
-        return run_and_summarize(scenario, FgOmega, DURATION, seed=seed)
+        return run_omega_experiment(scenario, FgOmega, DURATION, seed=seed)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record(
@@ -49,7 +50,7 @@ def test_e5_plain_figure3_on_mild_growth(benchmark):
     scenario = make_scenario(16, 0.01, seed=5100)
 
     def run():
-        return run_and_summarize(scenario, Figure3Omega, DURATION, seed=5100)
+        return run_omega_experiment(scenario, Figure3Omega, DURATION, seed=5100)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     record(benchmark, [result], "E5 control: plain Figure 3 under mild growth")

@@ -10,7 +10,8 @@ algorithm and the three baselines and regenerates:
 
 import pytest
 
-from _harness import center_suspicion_metric, record, run_and_summarize
+from _harness import center_suspicion_metric, record
+from repro.analysis import run_omega_experiment
 from repro.assumptions import (
     MessagePatternScenario,
     RotatingPersecutionScenario,
@@ -29,7 +30,7 @@ def test_e6_persecution_scenario(benchmark):
 
     def run():
         return [
-            run_and_summarize(scenario, algorithm, 900.0, seed=401)
+            run_omega_experiment(scenario, algorithm, 900.0, seed=401)
             for algorithm in ALGORITHMS
         ]
 

@@ -9,7 +9,7 @@ import pytest
 
 from _harness import scaled
 from repro.assumptions import IntermittentRotatingStarScenario
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 from repro.system_builders import build_consensus_system
 from repro.util.tables import format_table
 
@@ -26,7 +26,7 @@ def run_replication(
         t=t,
         scenario=scenario,
         seed=seed,
-        crash_schedule=CrashSchedule(crash_times),
+        fault_plan=FaultPlan.crashes(crash_times),
         batch_size=batch_size,
     )
     expected = set()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.assumptions import AsynchronousAdversaryScenario
 from repro.consensus import NOOP
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 from repro.system_builders import build_consensus_system
 from repro.util.tables import format_table
 
@@ -20,7 +20,7 @@ HORIZON = 400.0
 def run_adversarial(n, t, seed, crash_times):
     scenario = AsynchronousAdversaryScenario(n=n, t=t, seed=seed)
     system = build_consensus_system(
-        n=n, t=t, scenario=scenario, seed=seed, crash_schedule=CrashSchedule(crash_times)
+        n=n, t=t, scenario=scenario, seed=seed, fault_plan=FaultPlan.crashes(crash_times)
     )
     submitted = set()
     for shell in system.shells:

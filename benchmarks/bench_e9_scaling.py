@@ -9,7 +9,7 @@ of the Figure 3 algorithm under the intermittent star.
 
 import pytest
 
-from _harness import run_and_summarize
+from repro.analysis import run_omega_experiment
 from repro.assumptions import IntermittentRotatingStarScenario
 from repro.core import Figure3Omega
 from repro.util.tables import format_table
@@ -25,7 +25,7 @@ def test_e9_scaling_with_n(benchmark, n):
     )
 
     def run():
-        return run_and_summarize(scenario, Figure3Omega, DURATION, seed=9000 + n)
+        return run_omega_experiment(scenario, Figure3Omega, DURATION, seed=9000 + n)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     per_round = (

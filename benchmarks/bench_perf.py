@@ -7,7 +7,7 @@ Unlike the E1-E10 benchmarks (which regenerate the paper's experiment tables in
 It is the perf trajectory of the repository — every run writes ``BENCH_PERF.json``
 at the repo root so successive PRs can show before/after numbers.
 
-Five workloads are measured:
+Six workloads are measured:
 
 * ``omega_broadcast`` — an n-process Figure 3 Omega system under uniform delays.
   Every process broadcasts ALIVE every period and SUSPICION every round, so the
@@ -150,14 +150,8 @@ def _best_of(runner, repeat: int) -> dict:
     return best
 
 
-def bench_omega_broadcast(quick: bool, noop_fault_plan: bool = False) -> dict:
-    """n-process Figure 3 run: the ALIVE/SUSPICION n² broadcast hot path.
-
-    With ``noop_fault_plan`` the system is built through the fault-plan engine
-    with an empty :class:`FaultPlan`; the run must be byte-identical (same
-    fingerprint) and just as fast — the CI perf-smoke job runs this variant to
-    prove the engine costs nothing on the hot path.
-    """
+def bench_omega_broadcast(quick: bool) -> dict:
+    """n-process Figure 3 run: the ALIVE/SUSPICION n² broadcast hot path."""
     n = 12 if quick else 25
     t = (n - 1) // 3
     horizon = 150.0 if quick else 400.0
@@ -168,7 +162,6 @@ def bench_omega_broadcast(quick: bool, noop_fault_plan: bool = False) -> dict:
         SystemConfig(n=n, t=t, seed=seed),
         lambda pid: Figure3Omega(pid=pid, n=n, t=t),
         delay_model,
-        fault_plan=FaultPlan.none() if noop_fault_plan else None,
     )
     start = time.perf_counter()
     system.run_until(horizon)
@@ -199,7 +192,7 @@ def bench_omega_broadcast(quick: bool, noop_fault_plan: bool = False) -> dict:
     }
 
 
-def bench_sharded_service(quick: bool, noop_fault_plan: bool = False) -> dict:
+def bench_sharded_service(quick: bool) -> dict:
     """E10-style run: S consensus groups + closed-loop clients on one clock."""
     num_shards = 2 if quick else 4
     num_clients = 12 if quick else 48
@@ -212,7 +205,6 @@ def bench_sharded_service(quick: bool, noop_fault_plan: bool = False) -> dict:
         t=1,
         seed=seed,
         batch_size=8,
-        fault_plan_factory=(lambda shard: FaultPlan.none()) if noop_fault_plan else None,
     )
     clients = start_clients(
         service,
@@ -501,7 +493,7 @@ def bench_sharded_service_parallel(quick: bool, workers: int = 0) -> dict:
     return result
 
 
-def bench_sharded_service_read_leases(quick: bool, noop_fault_plan: bool = False) -> dict:
+def bench_sharded_service_read_leases(quick: bool) -> dict:
     """Read-heavy workload, consensus reads vs the lease read path, same seed.
 
     The pair of runs share everything — seed, shards, clients, zipfian key
@@ -534,9 +526,6 @@ def bench_sharded_service_read_leases(quick: bool, noop_fault_plan: bool = False
             seed=seed,
             batch_size="adaptive",
             leases=leases,
-            fault_plan_factory=(
-                (lambda shard: FaultPlan.none()) if noop_fault_plan else None
-            ),
         )
         clients = start_clients(
             service,
@@ -617,17 +606,12 @@ def bench_sharded_service_read_leases(quick: bool, noop_fault_plan: bool = False
 
 def run_benchmarks(
     quick: bool,
-    noop_fault_plan: bool = False,
     repeat: int = 3,
     parallel_workers: int = 0,
 ) -> dict:
     return {
-        "omega_broadcast": _best_of(
-            lambda: bench_omega_broadcast(quick, noop_fault_plan), repeat
-        ),
-        "sharded_service": _best_of(
-            lambda: bench_sharded_service(quick, noop_fault_plan), repeat
-        ),
+        "omega_broadcast": _best_of(lambda: bench_omega_broadcast(quick), repeat),
+        "sharded_service": _best_of(lambda: bench_sharded_service(quick), repeat),
         "sharded_service_storage": _best_of(
             lambda: bench_sharded_service_storage(quick), repeat
         ),
@@ -638,7 +622,7 @@ def run_benchmarks(
             lambda: bench_sharded_service_parallel(quick, parallel_workers), repeat
         ),
         "sharded_service_read_leases": _best_of(
-            lambda: bench_sharded_service_read_leases(quick, noop_fault_plan), repeat
+            lambda: bench_sharded_service_read_leases(quick), repeat
         ),
     }
 
@@ -696,12 +680,6 @@ def main(argv=None) -> int:
         help="exit non-zero when the omega_broadcast benchmark runs slower than this",
     )
     parser.add_argument(
-        "--noop-fault-plan",
-        action="store_true",
-        help="route the runs through the fault-plan engine with an empty FaultPlan "
-        "(must match the default path's fingerprints and speed exactly)",
-    )
-    parser.add_argument(
         "--repeat",
         type=int,
         default=3,
@@ -735,14 +713,12 @@ def main(argv=None) -> int:
 
     results = run_benchmarks(
         args.quick,
-        args.noop_fault_plan,
         repeat=args.repeat,
         parallel_workers=args.parallel_workers,
     )
     report = {
         "schema": 1,
         "quick": args.quick,
-        "noop_fault_plan": args.noop_fault_plan,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "benchmarks": results,

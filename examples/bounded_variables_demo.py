@@ -12,7 +12,7 @@ Run with:  python examples/bounded_variables_demo.py
 from repro.analysis import build_system
 from repro.assumptions import IntermittentRotatingStarScenario
 from repro.core import Figure2Omega, Figure3Omega
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 from repro.util.tables import format_table
 
 N, T = 5, 2
@@ -23,7 +23,7 @@ CHECKPOINTS = [100.0, 200.0, 300.0, 400.0, 500.0, 600.0]
 def trajectory(algorithm_cls):
     scenario = IntermittentRotatingStarScenario(n=N, t=T, center=2, seed=5, max_gap=3)
     system = build_system(
-        scenario, algorithm_cls, seed=5, crash_schedule=CrashSchedule({4: 30.0})
+        scenario, algorithm_cls, seed=5, fault_plan=FaultPlan.crashes({4: 30.0})
     )
     rows = []
     for checkpoint in CHECKPOINTS:

@@ -10,7 +10,7 @@ Run with:  python examples/quickstart.py
 """
 
 from repro import IntermittentRotatingStarScenario, build_omega_system
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 
 N, T = 5, 2
 HORIZON = 300.0
@@ -18,13 +18,13 @@ HORIZON = 300.0
 
 def main() -> None:
     scenario = IntermittentRotatingStarScenario(n=N, t=T, center=0, seed=42, max_gap=4)
-    crashes = CrashSchedule({4: 60.0})  # process 4 crashes after 60 time units
+    crashes = {4: 60.0}  # process 4 crashes after 60 time units
     system = build_omega_system(
-        n=N, t=T, scenario=scenario, seed=42, crash_schedule=crashes
+        n=N, t=T, scenario=scenario, seed=42, fault_plan=FaultPlan.crashes(crashes)
     )
 
     print(f"scenario : {scenario.describe()}")
-    print(f"crashes  : {dict(crashes.items())}")
+    print(f"crashes  : {crashes}")
     print()
     print(f"{'time':>6} | {'leader elected by each alive process'}")
     for checkpoint in range(20, int(HORIZON) + 1, 20):

@@ -10,7 +10,7 @@ Run with:  python examples/replicated_log_demo.py
 """
 
 from repro import IntermittentRotatingStarScenario
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 from repro.system_builders import build_consensus_system
 
 N, T = 7, 3
@@ -19,9 +19,9 @@ HORIZON = 400.0
 
 def main() -> None:
     scenario = IntermittentRotatingStarScenario(n=N, t=T, center=3, seed=11, max_gap=4)
-    crashes = CrashSchedule({0: 80.0, 6: 160.0})
+    crashes = {0: 80.0, 6: 160.0}
     system = build_consensus_system(
-        n=N, t=T, scenario=scenario, seed=11, crash_schedule=crashes
+        n=N, t=T, scenario=scenario, seed=11, fault_plan=FaultPlan.crashes(crashes)
     )
 
     # A small banking workload: each process submits a couple of transfers.
@@ -33,7 +33,7 @@ def main() -> None:
             shell.algorithm.submit(command)
 
     print(f"submitted {len(commands)} commands at {N} processes")
-    print(f"crashes: {dict(crashes.items())}")
+    print(f"crashes: {crashes}")
     print()
 
     for checkpoint in (100.0, 200.0, 300.0, HORIZON):

@@ -72,7 +72,6 @@ from repro.assumptions import (
 from repro.simulation import (
     CorruptLink,
     Crash,
-    CrashSchedule,
     DelayModel,
     EventScheduler,
     FaultPlan,
@@ -138,7 +137,6 @@ __all__ = [
     # simulation
     "CorruptLink",
     "Crash",
-    "CrashSchedule",
     "DelayModel",
     "EventScheduler",
     "FaultPlan",

@@ -16,10 +16,10 @@ from repro.analysis.bounds import BoundsAudit, audit_bounds
 from repro.analysis.metrics import LeaderPoller
 from repro.assumptions.base import Scenario
 from repro.core.config import OmegaConfig
-from repro.core.interfaces import Process
 from repro.core.omega_base import RotatingStarOmegaBase
-from repro.simulation.crash import CrashSchedule
-from repro.simulation.system import System, SystemConfig
+from repro.simulation.faults import FaultPlan
+from repro.simulation.system import System
+from repro.system_builders import build_omega_system
 from repro.util.validation import require_positive
 
 
@@ -102,34 +102,34 @@ def build_system(
     algorithm_cls: Type[RotatingStarOmegaBase],
     seed: int = 0,
     config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
+    fault_plan: Optional[FaultPlan] = None,
     start_jitter: float = 0.0,
     tracer: Optional[object] = None,
 ) -> System:
-    """Build a simulated system running *algorithm_cls* under *scenario*."""
-    omega_config = config if config is not None else scenario.recommended_omega_config()
-    schedule = crash_schedule or CrashSchedule.none()
-    schedule.validate(scenario.n, scenario.t)
-    protected = scenario.protected_processes()
-    overlap = protected.intersection(schedule.faulty_ids())
-    if overlap:
-        raise ValueError(
-            f"crash schedule kills protected processes {sorted(overlap)}; the "
-            f"scenario {scenario.name} requires them to stay correct"
-        )
+    """Build a simulated system running *algorithm_cls* under *scenario*.
 
-    def factory(pid: int) -> Process:
-        return algorithm_cls(pid=pid, n=scenario.n, t=scenario.t, config=omega_config)
-
-    system_config = SystemConfig(
-        n=scenario.n, t=scenario.t, seed=seed, start_jitter=start_jitter
-    )
-    return System(
-        config=system_config,
-        process_factory=factory,
-        delay_model=scenario.build_delay_model(),
-        crash_schedule=schedule,
+    :func:`~repro.system_builders.build_omega_system` behind an admission
+    check: a plan that permanently breaks the scenario's assumption (e.g. one
+    that leaves a protected process down) is rejected, because an experiment
+    under a broken assumption measures nothing the paper claims.
+    """
+    if fault_plan is not None:
+        violations = scenario.fault_plan_violations(fault_plan)
+        if violations:
+            raise ValueError(
+                f"fault plan breaks the assumption of scenario {scenario.name}: "
+                + "; ".join(violations)
+            )
+    return build_omega_system(
+        scenario.n,
+        scenario.t,
+        scenario,
+        algorithm_cls,
+        config=config,
+        seed=seed,
         tracer=tracer,
+        fault_plan=fault_plan,
+        start_jitter=start_jitter,
     )
 
 
@@ -139,7 +139,7 @@ def run_omega_experiment(
     duration: float = 600.0,
     seed: int = 0,
     config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
+    fault_plan: Optional[FaultPlan] = None,
     poll_interval: float = 5.0,
     start_jitter: float = 0.0,
 ) -> ExperimentResult:
@@ -158,8 +158,8 @@ def run_omega_experiment(
         Master seed (propagated to delays, crashes and jitter).
     config:
         Algorithm configuration; defaults to the scenario's recommendation.
-    crash_schedule:
-        Which processes crash and when; defaults to a failure-free run.
+    fault_plan:
+        The run's faults; defaults to a fault-free run.
     poll_interval:
         Virtual-time distance between two leadership samples.
     """
@@ -169,7 +169,7 @@ def run_omega_experiment(
         algorithm_cls,
         seed=seed,
         config=config,
-        crash_schedule=crash_schedule,
+        fault_plan=fault_plan,
         start_jitter=start_jitter,
     )
     poller = LeaderPoller(system, interval=poll_interval)
@@ -213,7 +213,7 @@ def summarize_run(
         messages_by_tag=dict(system.stats.sent_by_tag),
         rounds_completed=rounds,
         bounds=audit_bounds(system, poller),
-        crashed=system.crash_schedule.faulty_ids(),
+        crashed=system.fault_plan.final_down_ids(),
     )
 
 
@@ -222,16 +222,16 @@ def compare_algorithms(
     algorithm_classes: Sequence[Type[RotatingStarOmegaBase]],
     duration: float = 600.0,
     seed: int = 0,
-    crash_schedule: Optional[CrashSchedule] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> List[ExperimentResult]:
-    """Run several algorithms under the same scenario (same seed, same crashes)."""
+    """Run several algorithms under the same scenario (same seed, same faults)."""
     return [
         run_omega_experiment(
             scenario,
             algorithm_cls,
             duration=duration,
             seed=seed,
-            crash_schedule=crash_schedule,
+            fault_plan=fault_plan,
         )
         for algorithm_cls in algorithm_classes
     ]

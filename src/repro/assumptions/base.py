@@ -57,8 +57,8 @@ class Scenario(abc.ABC):
     def protected_processes(self) -> FrozenSet[int]:
         """Processes that must stay correct for the assumption to hold.
 
-        Crash schedules used with this scenario must not crash these processes; the
-        default is the centre (when any).
+        Fault plans used with this scenario must not leave these processes down
+        (see :meth:`fault_plan_violations`); the default is the centre (when any).
         """
         if self.center is None:
             return frozenset()

@@ -30,12 +30,11 @@ import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.assumptions.base import Scenario
-from repro.assumptions.scenarios import IntermittentRotatingStarScenario
 from repro.consensus.commands import Command, flatten_value
 from repro.core.config import OmegaConfig
 from repro.fuzz.linearizability import check_history
 from repro.service.clients import ClosedLoopClient, start_clients, uniform_workload
-from repro.service.sharding import LEASE_MODE_COUNTERS, ShardedService
+from repro.service.sharding import LEASE_MODE_COUNTERS, ShardedService, default_star_scenario
 from repro.simulation.adversary import ChurnAdversary, LeaderHunter, RandomAdversary
 from repro.simulation.delays import ConstantDelay
 from repro.simulation.faults import FaultPlan
@@ -220,13 +219,7 @@ def build_service(spec: ScenarioSpec, plan: FaultPlan) -> ShardedService:
 
     def scenario_factory(shard: int) -> Scenario:
         if spec.scenario == "star":
-            return IntermittentRotatingStarScenario(
-                n=spec.n,
-                t=spec.t,
-                center=shard % spec.n,
-                seed=derive_seed(spec.seed, "scenario", shard),
-                max_gap=4,
-            )
+            return default_star_scenario(spec.n, spec.t, spec.seed, shard)
         return ConstantDelayScenario(spec.n, spec.t, delay=spec.delay)
 
     def fault_plan_factory(shard: int) -> FaultPlan:

@@ -4,7 +4,7 @@ A single replicated log serialises every command through one leader — throughp
 bounded by one consensus pipeline.  :class:`ShardedService` scales out the paper's
 stack the standard way: the keyspace is hash-partitioned across ``S`` independent
 shard groups, each an autonomous ``AS_{n,t}`` system (its own Omega oracle, its own
-consensus instances, its own delay scenario and crash schedule), all multiplexed on
+consensus instances, its own delay scenario and fault plan), all multiplexed on
 **one** :class:`~repro.simulation.scheduler.EventScheduler` so a single virtual
 clock drives the whole deployment and cross-shard throughput is measured coherently.
 
@@ -16,6 +16,7 @@ given shard count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import zlib
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
@@ -30,7 +31,7 @@ from repro.core.interfaces import fold_counters
 from repro.core.omega_base import RotatingStarOmegaBase
 from repro.service.replica import ServiceReplica
 from repro.service.state_machine import KeyValueStore, StateMachine
-from repro.simulation.crash import CrashSchedule
+from repro.simulation.crash import random_crash_times
 from repro.simulation.faults import DEFAULT_ROUND_RESYNC_GAP, FaultPlan
 from repro.simulation.scheduler import EventScheduler
 from repro.simulation.system import System, SystemConfig
@@ -87,17 +88,13 @@ class ShardedService:
         Size and fault budget of **each** group (``t < n/2`` per group).
     scenario_factory:
         Callable ``shard -> Scenario`` building the behavioural assumption of each
-        group (defaults to an intermittent rotating star with a per-shard seed and
-        a rotating centre).
-    crash_schedule_factory:
-        Optional callable ``shard -> CrashSchedule`` injecting per-shard crashes
-        (legacy adapter; converted to a pure crash-stop fault plan).
+        group (defaults to :func:`default_star_scenario`: an intermittent
+        rotating star with a per-shard seed and a rotating centre).
     fault_plan_factory:
         Optional callable ``shard -> FaultPlan`` injecting per-shard faults
-        (crashes, recoveries, partitions, link faults, payload corruption).
-        Mutually exclusive with ``crash_schedule_factory``.  Plans that
-        permanently break a shard's assumption are recorded in
-        :attr:`assumption_violations`.
+        (crashes, recoveries, partitions, link faults, payload corruption);
+        ``None`` runs every shard fault-free.  Plans that permanently break a
+        shard's assumption are recorded in :attr:`assumption_violations`.
     adversary:
         Optional adaptive adversary (see :mod:`repro.simulation.adversary`);
         it is installed on the whole service — observing every shard on the
@@ -170,7 +167,6 @@ class ShardedService:
         n: int,
         t: int,
         scenario_factory: Optional[Callable[[int], Scenario]] = None,
-        crash_schedule_factory: Optional[Callable[[int], CrashSchedule]] = None,
         fault_plan_factory: Optional[Callable[[int], FaultPlan]] = None,
         adversary=None,
         batch_size: Union[int, str, AdaptiveBatchPolicy] = 8,
@@ -186,11 +182,6 @@ class ShardedService:
         lease_validation: bool = True,
     ) -> None:
         require_positive(num_shards, "num_shards")
-        if crash_schedule_factory is not None and fault_plan_factory is not None:
-            raise ValueError(
-                "pass either crash_schedule_factory (legacy adapter) or "
-                "fault_plan_factory, not both"
-            )
         self.num_shards = int(num_shards)
         self.n = n
         self.t = t
@@ -247,7 +238,7 @@ class ShardedService:
         self._correct_replicas_cache: Dict[int, Tuple[int, List[ServiceReplica]]] = {}
 
         if scenario_factory is None:
-            scenario_factory = self._default_scenario_factory()
+            scenario_factory = functools.partial(default_star_scenario, n, t, seed)
 
         for shard in range(self.num_shards):
             scenario = scenario_factory(shard)
@@ -257,12 +248,11 @@ class ShardedService:
                     f"t={scenario.t}), expected (n={n}, t={t})"
                 )
             omega_config = scenario.recommended_omega_config()
-            if fault_plan_factory is not None:
-                fault_plan = fault_plan_factory(shard)
-            elif crash_schedule_factory is not None:
-                fault_plan = FaultPlan.crash_stop(crash_schedule_factory(shard))
-            else:
-                fault_plan = FaultPlan.none()
+            fault_plan = (
+                fault_plan_factory(shard)
+                if fault_plan_factory is not None
+                else FaultPlan.none()
+            )
             self.assumption_violations[shard] = scenario.fault_plan_violations(
                 fault_plan
             )
@@ -275,8 +265,8 @@ class ShardedService:
                 # Partitions / recoveries can stall the paper's exact-round
                 # closing rule; enable the crash-recovery round fast-forward.
                 # An adversary injects such events at run time, so its mere
-                # presence enables the gap.  Pure crash-stop plans skip this,
-                # staying byte-identical to the legacy crash-schedule path.
+                # presence enables the gap.  Pure crash-stop plans skip this
+                # and keep the paper's exact semantics.
                 omega_config = dataclasses.replace(
                     omega_config, round_resync_gap=DEFAULT_ROUND_RESYNC_GAP
                 )
@@ -330,20 +320,6 @@ class ShardedService:
         self.adversary = adversary
         if adversary is not None:
             adversary.install(self)
-
-    def _default_scenario_factory(self) -> Callable[[int], Scenario]:
-        n, t, seed = self.n, self.t, self.seed
-
-        def factory(shard: int) -> Scenario:
-            return IntermittentRotatingStarScenario(
-                n=n,
-                t=t,
-                center=shard % n,
-                seed=derive_seed(seed, "scenario", shard),
-                max_gap=4,
-            )
-
-        return factory
 
     # ------------------------------------------------------------------ execution --
     @property
@@ -565,6 +541,24 @@ class ShardedService:
         return RandomSource(derive_seed(self.seed, "service", *labels))
 
 
+def default_star_scenario(
+    n: int, t: int, seed: int, shard: int
+) -> IntermittentRotatingStarScenario:
+    """The behavioural assumption a shard group runs under unless told otherwise.
+
+    An intermittent rotating star whose centre rotates with the shard index
+    and whose schedule derives from the *service* seed — *shard* is the global
+    index, also when a shard runs alone (see :mod:`repro.simulation.parallel`).
+    """
+    return IntermittentRotatingStarScenario(
+        n=n,
+        t=t,
+        center=shard % n,
+        seed=derive_seed(seed, "scenario", shard),
+        max_gap=4,
+    )
+
+
 def build_sharded_service(
     num_shards: int,
     n: int,
@@ -580,25 +574,23 @@ def build_sharded_service(
     ``crashes_per_shard`` > 0 injects that many random crashes (at most ``t``) per
     shard at uniform times in ``[0, crash_horizon]``, protecting each shard's star
     centre so the liveness assumption keeps holding.  An explicit
-    ``crash_schedule_factory`` or ``fault_plan_factory`` keyword overrides the
-    random schedules.
+    ``fault_plan_factory`` keyword overrides the random crashes.
     """
-    service_seed = seed
 
-    def crash_factory(shard: int) -> CrashSchedule:
-        if crashes_per_shard <= 0:
-            return CrashSchedule.none()
-        return CrashSchedule.random(
-            n=n,
-            t=t,
-            rng=RandomSource(derive_seed(service_seed, "crash", shard)),
-            horizon=crash_horizon,
-            count=min(crashes_per_shard, t),
-            protect=[shard % n],
+    def random_crashes(shard: int) -> FaultPlan:
+        return FaultPlan.crashes(
+            random_crash_times(
+                n=n,
+                t=t,
+                rng=RandomSource(derive_seed(seed, "crash", shard)),
+                horizon=crash_horizon,
+                count=min(crashes_per_shard, t),
+                protect=[shard % n],
+            )
         )
 
-    if kwargs.get("fault_plan_factory") is None:
-        kwargs.setdefault("crash_schedule_factory", crash_factory)
+    if crashes_per_shard > 0 and kwargs.get("fault_plan_factory") is None:
+        kwargs["fault_plan_factory"] = random_crashes
     return ShardedService(
         num_shards=num_shards,
         n=n,

@@ -13,7 +13,6 @@ and is therefore not re-exported here).
 """
 
 from repro.simulation.corruption import corrupt_message, corrupt_value
-from repro.simulation.crash import CrashSchedule
 from repro.simulation.faults import (
     CorruptLink,
     Crash,
@@ -49,7 +48,6 @@ __all__ = [
     "ConstantDelay",
     "CorruptLink",
     "Crash",
-    "CrashSchedule",
     "DelayModel",
     "Envelope",
     "Event",

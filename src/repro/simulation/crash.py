@@ -1,119 +1,47 @@
-"""Crash schedules.
+"""The one random crash draw :class:`~repro.simulation.faults.FaultPlan` cannot make.
 
-The paper's failure model is crash-stop: a process behaves correctly until it
-possibly halts, and at most ``t`` of the ``n`` processes crash in a run.  A
-:class:`CrashSchedule` describes *which* processes crash and *when* (in virtual
-time); the :class:`~repro.simulation.system.System` injects the crashes at the
-scheduled instants.
+The paper's failure model is crash-stop: at most ``t`` of the ``n`` processes halt
+in a run.  A run's faults are described by a ``FaultPlan`` and by nothing else;
+this module holds the single piece of the older crash-only vocabulary that has no
+plan equivalent — the *draw sequence* behind
+``build_sharded_service(crashes_per_shard=...)``: sample the victims, then one
+uniform crash time over the whole horizon per victim.  ``FaultPlan.random`` draws
+differently (crash times in the first half of the horizon, plus one recovery coin
+per victim), so routing through it would move every seeded ``crashes_per_shard``
+run.  The result goes straight into ``FaultPlan.crashes``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.util.rng import RandomSource
 from repro.util.validation import require_non_negative, validate_process_count
 
 
-class CrashSchedule:
-    """Maps crashing process ids to their crash times."""
+def random_crash_times(
+    n: int,
+    t: int,
+    rng: RandomSource,
+    horizon: float,
+    count: Optional[int] = None,
+    protect: Iterable[int] = (),
+) -> Dict[int, float]:
+    """Draw ``pid -> crash time`` for *count* (default ``t``) random processes.
 
-    def __init__(self, crash_times: Optional[Mapping[int, float]] = None) -> None:
-        self._crash_times: Dict[int, float] = {}
-        for pid, time in (crash_times or {}).items():
-            self.add(pid, time)
-
-    # ------------------------------------------------------------------ builders --
-    @classmethod
-    def none(cls) -> "CrashSchedule":
-        """A failure-free run."""
-        return cls()
-
-    @classmethod
-    def crash_set(cls, pids: Iterable[int], at: float) -> "CrashSchedule":
-        """Crash every process in *pids* at the same instant *at*."""
-        return cls({pid: at for pid in pids})
-
-    @classmethod
-    def staggered(
-        cls, pids: Iterable[int], start: float, spacing: float
-    ) -> "CrashSchedule":
-        """Crash *pids* one after another, ``spacing`` time units apart."""
-        require_non_negative(start, "start")
-        require_non_negative(spacing, "spacing")
-        return cls({pid: start + index * spacing for index, pid in enumerate(pids)})
-
-    @classmethod
-    def random(
-        cls,
-        n: int,
-        t: int,
-        rng: RandomSource,
-        horizon: float,
-        count: Optional[int] = None,
-        protect: Iterable[int] = (),
-    ) -> "CrashSchedule":
-        """Crash up to *count* (default ``t``) random processes at random times.
-
-        Processes listed in *protect* (e.g. the star centre) never crash.
-        """
-        validate_process_count(n, t)
-        require_non_negative(horizon, "horizon")
-        count = t if count is None else count
-        if count > t:
-            raise ValueError(f"cannot crash {count} > t={t} processes")
-        candidates = [pid for pid in range(n) if pid not in set(protect)]
-        if count > len(candidates):
-            raise ValueError(
-                f"cannot crash {count} processes: only {len(candidates)} candidates"
-            )
-        victims = rng.sample(candidates, count) if count else []
-        return cls({pid: rng.uniform(0.0, horizon) for pid in victims})
-
-    # ------------------------------------------------------------------ mutation --
-    def add(self, pid: int, time: float) -> None:
-        """Schedule process *pid* to crash at *time*."""
-        require_non_negative(time, f"crash time of process {pid}")
-        self._crash_times[int(pid)] = float(time)
-
-    # ------------------------------------------------------------------ queries --
-    def crash_time(self, pid: int) -> Optional[float]:
-        """Return the crash time of *pid*, or ``None`` if it never crashes."""
-        return self._crash_times.get(pid)
-
-    def is_correct(self, pid: int) -> bool:
-        """Return True when *pid* never crashes under this schedule."""
-        return pid not in self._crash_times
-
-    def faulty_ids(self) -> List[int]:
-        """Return the ids of the processes that crash (sorted)."""
-        return sorted(self._crash_times)
-
-    def correct_ids(self, n: int) -> List[int]:
-        """Return the ids of the processes that never crash, out of ``range(n)``."""
-        return [pid for pid in range(n) if pid not in self._crash_times]
-
-    def items(self):
-        """Iterate over ``(pid, crash_time)`` pairs."""
-        return self._crash_times.items()
-
-    def __len__(self) -> int:
-        return len(self._crash_times)
-
-    def validate(self, n: int, t: int) -> None:
-        """Check the schedule against the system parameters.
-
-        Raises ``ValueError`` if more than ``t`` processes crash or if a crashing id
-        is outside ``range(n)``.
-        """
-        validate_process_count(n, t)
-        if len(self._crash_times) > t:
-            raise ValueError(
-                f"schedule crashes {len(self._crash_times)} processes but t={t}"
-            )
-        for pid in self._crash_times:
-            if not 0 <= pid < n:
-                raise ValueError(f"crashing pid {pid} outside [0, {n})")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CrashSchedule({self._crash_times!r})"
+    Times are uniform in ``[0, horizon]``; processes listed in *protect* (e.g.
+    the star centre) never crash.
+    """
+    validate_process_count(n, t)
+    require_non_negative(horizon, "horizon")
+    count = t if count is None else count
+    if count > t:
+        raise ValueError(f"cannot crash {count} > t={t} processes")
+    protected = set(protect)
+    candidates = [pid for pid in range(n) if pid not in protected]
+    if count > len(candidates):
+        raise ValueError(
+            f"cannot crash {count} processes: only {len(candidates)} candidates"
+        )
+    victims = rng.sample(candidates, count) if count else []
+    return {pid: rng.uniform(0.0, horizon) for pid in victims}

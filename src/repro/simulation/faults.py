@@ -1,10 +1,9 @@
 """Unified fault-plan engine: crashes, recoveries, partitions, link faults and
 message corruption.
 
-The paper's failure model is crash-stop, and the seed codebase hard-wired it in
-four disconnected places (:class:`~repro.simulation.crash.CrashSchedule`, the
-delay models, the fair-lossy channel models and the scenario layer).  This module
-replaces that with one composable surface:
+The paper's failure model is crash-stop: at most ``t`` of the ``n`` processes
+halt.  This module is the one vocabulary in which a run's faults — that model
+and everything the service layers test beyond it — are described:
 
 * a :class:`FaultEvent` is one timed fault — :class:`Crash`, :class:`Recover`,
   :class:`PartitionStart` / :class:`PartitionHeal`, :class:`LinkFault` /
@@ -31,13 +30,13 @@ loss rather than divergent replica state.
 
 Determinism and the hot path
 ----------------------------
-A plan containing only :class:`Crash` events is executed exactly like the
-equivalent :class:`CrashSchedule` used to be: no :class:`LinkState` is installed
-(the network's per-message cost is a single ``is None`` check), the delay model's
-RNG stream is untouched, and crash events occupy the same scheduler positions —
-seeded runs are byte-identical to the pre-engine behaviour.  Topology faults
-draw their loss decisions from a dedicated, labelled RNG stream so that
-activating them never perturbs delay draws.
+A plan containing only :class:`Crash` events (or nothing) installs no
+:class:`LinkState` — the network's per-message cost is a single ``is None``
+check — and leaves the delay model's RNG stream untouched; its crash events are
+scheduled in plan order, so two plans listing the same crashes in the same order
+occupy the same scheduler positions.  Topology faults draw their loss decisions
+from a dedicated, labelled RNG stream so that activating them never perturbs
+delay draws.
 
 Semantics
 ---------
@@ -66,7 +65,6 @@ import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.simulation.corruption import corrupt_message
-from repro.simulation.crash import CrashSchedule
 from repro.util.rng import RandomSource
 from repro.util.validation import (
     require_in_range,
@@ -348,9 +346,8 @@ class FaultPlan:
     """A declarative, ordered collection of :class:`FaultEvent`\\ s.
 
     Events are kept in insertion order; events sharing a timestamp are applied in
-    that order (the scheduler breaks timestamp ties by scheduling order), which is
-    what makes a :meth:`crash_stop` plan execute identically to the legacy
-    :class:`~repro.simulation.crash.CrashSchedule` path.
+    that order (the scheduler breaks timestamp ties by scheduling order), so the
+    order a builder lists its events in is part of what a seeded run replays.
     """
 
     def __init__(self, events: Optional[Iterable[FaultEvent]] = None) -> None:
@@ -381,15 +378,6 @@ class FaultPlan:
     def crashes(cls, crash_times: Mapping[int, float]) -> "FaultPlan":
         """Pure crash-stop plan from a ``pid -> time`` mapping (insertion order)."""
         return cls(Crash(time=float(t), pid=int(pid)) for pid, t in crash_times.items())
-
-    @classmethod
-    def crash_stop(cls, schedule: CrashSchedule) -> "FaultPlan":
-        """Adapter: the plan equivalent to a legacy :class:`CrashSchedule`.
-
-        Event order follows ``schedule.items()`` so that seeded executions are
-        byte-identical to the pre-engine crash-schedule path.
-        """
-        return cls(Crash(time=t, pid=pid) for pid, t in schedule.items())
 
     @classmethod
     def rolling_restarts(
@@ -607,9 +595,16 @@ class FaultPlan:
 
         Malformed input — wrong version, unknown event kinds or fields,
         out-of-range values — raises ``ValueError``.  Passing ``n`` and ``t``
-        additionally runs :meth:`validate`, so a plan loaded for a concrete
-        system is checked against its ≤ t budget before anything executes it.
+        (both, or neither) additionally runs :meth:`validate`, so a plan loaded
+        for a concrete system is checked against its ≤ t budget before anything
+        executes it.
         """
+        if (n is None) != (t is None):
+            missing = "n" if n is None else "t"
+            raise ValueError(
+                f"from_dict validates against both n and t or neither; "
+                f"{missing} is missing"
+            )
         if not isinstance(data, Mapping):
             raise ValueError(f"fault plan must be a mapping, got {data!r}")
         version = data.get("version", 1)
@@ -620,16 +615,12 @@ class FaultPlan:
             raise ValueError(f"fault plan 'events' must be a list, got {events!r}")
         plan = cls(event_from_dict(event) for event in events)
         if n is not None:
-            plan.validate(n, t if t is not None else 0)
+            plan.validate(n, t)
         return plan
 
     # ------------------------------------------------------------------ queries --
     def __len__(self) -> int:
         return len(self.events)
-
-    def is_crash_stop_only(self) -> bool:
-        """True when the plan contains nothing but :class:`Crash` events."""
-        return all(type(event) is Crash for event in self.events)
 
     def has_topology_events(self) -> bool:
         """True when the plan needs a :class:`LinkState` matrix."""
@@ -677,25 +668,6 @@ class FaultPlan:
         """Processes that are *eventually up* under the plan, out of ``range(n)``."""
         down = set(self.final_down_ids())
         return [pid for pid in range(n) if pid not in down]
-
-    def to_crash_schedule(self) -> CrashSchedule:
-        """Legacy view: each eventually-down process at its *final* crash time.
-
-        For a pure crash-stop plan this is the exact inverse of
-        :meth:`crash_stop` (same pids, same times, same order).
-        """
-        final_crash: Dict[int, float] = {}
-        for event in self._chronological():
-            if type(event) is Crash:
-                final_crash[event.pid] = event.time
-            elif type(event) is Recover:
-                final_crash.pop(event.pid, None)
-        if self.is_crash_stop_only():
-            # Preserve plan (insertion) order for byte-identical legacy behaviour.
-            return CrashSchedule(
-                {event.pid: event.time for event in self.events if event.pid in final_crash}
-            )
-        return CrashSchedule(final_crash)
 
     def final_partition(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
         """The partition still in force at the end of the plan, or ``None``."""

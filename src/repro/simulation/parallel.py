@@ -49,10 +49,9 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
-from repro.assumptions.scenarios import IntermittentRotatingStarScenario
 from repro.core.interfaces import fold_counters
 from repro.service.clients import start_clients, zipfian_workload
-from repro.service.sharding import ShardedService
+from repro.service.sharding import ShardedService, default_star_scenario
 from repro.simulation.faults import FaultPlan
 from repro.storage.compaction import CompactionPolicy
 from repro.storage.stable_store import WriteCostModel
@@ -222,15 +221,6 @@ def run_shard(spec: ParallelServiceSpec, shard: int) -> ShardResult:
         )
     shard_seed = derive_seed(spec.seed, "pshard", shard)
 
-    def scenario_factory(_local: int) -> IntermittentRotatingStarScenario:
-        return IntermittentRotatingStarScenario(
-            n=spec.n,
-            t=spec.t,
-            center=shard % spec.n,
-            seed=derive_seed(spec.seed, "scenario", shard),
-            max_gap=4,
-        )
-
     plan_data = (spec.fault_plans or {}).get(shard)
     fault_plan_factory = None
     if plan_data is not None:
@@ -255,7 +245,9 @@ def run_shard(spec: ParallelServiceSpec, shard: int) -> ShardResult:
         num_shards=1,
         n=spec.n,
         t=spec.t,
-        scenario_factory=scenario_factory,
+        scenario_factory=lambda _local: default_star_scenario(
+            spec.n, spec.t, spec.seed, shard
+        ),
         fault_plan_factory=fault_plan_factory,
         batch_size=spec.batch_size,
         seed=shard_seed,

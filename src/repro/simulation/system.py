@@ -4,8 +4,8 @@ A :class:`System` wires together the scheduler, the network (with a delay model 
 typically comes from a :class:`~repro.assumptions.base.Scenario`), one
 :class:`~repro.simulation.process.SimProcessShell` per process, and a fault plan
 (crashes, recoveries, partitions, link faults — see
-:mod:`repro.simulation.faults`; the legacy ``crash_schedule=`` keyword remains as
-a thin adapter).  It is the object every test, example and benchmark drives:
+:mod:`repro.simulation.faults`; no plan means a fault-free run).  It is the
+object every test, example and benchmark drives:
 
 >>> system = System(SystemConfig(n=5, t=2, seed=7), factory, delay_model)
 >>> system.run_until(500.0)
@@ -19,7 +19,6 @@ import dataclasses
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.core.interfaces import LeaderOracle, Process
-from repro.simulation.crash import CrashSchedule
 from repro.simulation.delays import DelayModel
 from repro.simulation.faults import FaultInjector, FaultPlan, LinkState
 from repro.simulation.network import Network, NetworkStats
@@ -71,28 +70,17 @@ class System:
         config: SystemConfig,
         process_factory: ProcessFactory,
         delay_model: DelayModel,
-        crash_schedule: Optional[CrashSchedule] = None,
         tracer: Optional[object] = None,
         scheduler: Optional[EventScheduler] = None,
         fault_plan: Optional[FaultPlan] = None,
         storage: Optional["StableStorage"] = None,
     ) -> None:
-        if crash_schedule is not None and fault_plan is not None:
-            raise ValueError(
-                "pass either crash_schedule= (legacy adapter) or fault_plan=, not both"
-            )
         self.config = config
-        if fault_plan is None:
-            fault_plan = FaultPlan.crash_stop(crash_schedule or CrashSchedule.none())
-        self.fault_plan = fault_plan
+        self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.none()
         self.fault_plan.validate(config.n, config.t)
         #: Optional stable storage; when set, each algorithm is attached to its
         #: process's durable store at boot and rehydrated from it at recovery.
         self.storage = storage
-        # Legacy crash_schedule view: derived lazily per fault epoch (see the
-        # property) so run-time injected crashes show up in it.
-        self._crash_schedule_view: Optional[CrashSchedule] = None
-        self._crash_schedule_view_epoch = -1
         self.tracer = tracer
 
         # An externally supplied scheduler lets several independent systems (e.g.
@@ -159,21 +147,6 @@ class System:
             shell.stop()
 
     # ------------------------------------------------------------------ faults --
-    @property
-    def crash_schedule(self) -> CrashSchedule:
-        """Legacy view of the fault plan: each eventually-down process at its
-        final crash time (``faulty_ids()``, ``correct_ids()``, ...).
-
-        Derived from the plan per fault epoch rather than frozen at
-        construction, so crashes injected at run time (:meth:`inject_fault`)
-        are reflected — experiment summaries read the crashed set from here.
-        """
-        epoch = self._fault_epoch
-        if self._crash_schedule_view is None or self._crash_schedule_view_epoch != epoch:
-            self._crash_schedule_view = self.fault_plan.to_crash_schedule()
-            self._crash_schedule_view_epoch = epoch
-        return self._crash_schedule_view
-
     @property
     def fault_epoch(self) -> int:
         """Monotone counter bumped whenever the fault state of the system changes:

@@ -1,8 +1,10 @@
 """Convenience builders for the most common system configurations.
 
-These are thin wrappers over :class:`repro.simulation.system.System` used by the
-quickstart example and the package-level docstring; the experiment harness in
-:mod:`repro.analysis.experiments` offers the richer interface (polling, summaries).
+These are thin wrappers over :class:`repro.simulation.system.System`: the one
+place that turns a scenario into an Omega (or Omega + consensus) system.  The
+experiment harness in :mod:`repro.analysis.experiments` builds through
+:func:`build_omega_system` and adds the richer interface (assumption admission,
+polling, summaries).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from repro.consensus.stack import OmegaConsensusStack
 from repro.core.config import OmegaConfig
 from repro.core.figure3 import Figure3Omega
 from repro.core.omega_base import RotatingStarOmegaBase
-from repro.simulation.crash import CrashSchedule
 from repro.simulation.faults import FaultPlan
 from repro.simulation.system import System, SystemConfig
 
@@ -27,10 +28,10 @@ def build_omega_system(
     scenario: Scenario,
     algorithm_cls: Type[RotatingStarOmegaBase] = Figure3Omega,
     config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
     seed: int = 0,
     tracer: Optional[object] = None,
     fault_plan: Optional[FaultPlan] = None,
+    start_jitter: float = 0.0,
 ) -> System:
     """Build a system in which every process runs one of the paper's Omega algorithms.
 
@@ -45,13 +46,14 @@ def build_omega_system(
         Which of the paper's algorithms to run (Figure 3 by default).
     config:
         Algorithm configuration override.
-    crash_schedule:
-        Crash injection plan (failure-free by default; legacy adapter).
     seed:
         Master seed of the run.
     fault_plan:
-        Full fault plan (crashes, recoveries, partitions, link faults);
-        mutually exclusive with ``crash_schedule``.
+        The run's faults (crashes, recoveries, partitions, link faults);
+        fault-free by default.
+    start_jitter:
+        Upper bound of the processes' random start offsets (see
+        :class:`~repro.simulation.system.SystemConfig`).
     """
     if (n, t) != (scenario.n, scenario.t):
         raise ValueError(
@@ -64,10 +66,9 @@ def build_omega_system(
         return algorithm_cls(pid=pid, n=n, t=t, config=omega_config)
 
     return System(
-        config=SystemConfig(n=n, t=t, seed=seed),
+        config=SystemConfig(n=n, t=t, seed=seed, start_jitter=start_jitter),
         process_factory=factory,
         delay_model=scenario.build_delay_model(),
-        crash_schedule=crash_schedule,
         fault_plan=fault_plan,
         tracer=tracer,
     )
@@ -79,7 +80,6 @@ def build_consensus_system(
     scenario: Scenario,
     omega_cls: Type[RotatingStarOmegaBase] = Figure3Omega,
     omega_config: Optional[OmegaConfig] = None,
-    crash_schedule: Optional[CrashSchedule] = None,
     seed: int = 0,
     drive_period: float = 2.0,
     batch_size: int = 1,
@@ -115,7 +115,6 @@ def build_consensus_system(
         config=SystemConfig(n=n, t=t, seed=seed),
         process_factory=factory,
         delay_model=scenario.build_delay_model(),
-        crash_schedule=crash_schedule,
         fault_plan=fault_plan,
         tracer=tracer,
     )

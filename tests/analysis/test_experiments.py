@@ -11,7 +11,7 @@ from repro.analysis.experiments import (
 )
 from repro.assumptions import EventualTSourceScenario, IntermittentRotatingStarScenario
 from repro.core import Figure1Omega, Figure3Omega, OmegaConfig
-from repro.simulation import CrashSchedule
+from repro.simulation import Crash, FaultPlan, Recover
 
 
 class TestBuildSystem:
@@ -25,8 +25,16 @@ class TestBuildSystem:
         scenario = EventualTSourceScenario(n=5, t=2, center=3, seed=0)
         with pytest.raises(ValueError, match="protected"):
             build_system(
-                scenario, Figure3Omega, crash_schedule=CrashSchedule({3: 10.0})
+                scenario, Figure3Omega, fault_plan=FaultPlan.crashes({3: 10.0})
             )
+
+    def test_admits_a_center_that_crashes_and_recovers(self):
+        """Only *permanent* damage breaks the eventual assumption: the same
+        crash followed by a recovery leaves the centre correct."""
+        scenario = EventualTSourceScenario(n=5, t=2, center=3, seed=0)
+        plan = FaultPlan([Crash(time=10.0, pid=3), Recover(time=20.0, pid=3)])
+        system = build_system(scenario, Figure3Omega, fault_plan=plan)
+        assert 3 in system.correct_ids()
 
     def test_config_override(self):
         scenario = EventualTSourceScenario(n=5, t=2, seed=0)
@@ -56,7 +64,7 @@ class TestRunOmegaExperiment:
             Figure3Omega,
             duration=150.0,
             seed=3,
-            crash_schedule=CrashSchedule({1: 20.0}),
+            fault_plan=FaultPlan.crashes({1: 20.0}),
         )
         assert result.crashed == [1]
         assert result.final_leader != 1

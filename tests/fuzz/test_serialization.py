@@ -95,6 +95,16 @@ class TestPlanRoundTrip:
         with pytest.raises(ValueError):
             FaultPlan.from_dict(plan.to_dict(), n=3, t=1)
 
+    def test_from_dict_needs_both_n_and_t_or_neither(self):
+        """Regression: ``n`` without ``t`` used to validate against t=0, which
+        rejected every plan containing a crash with a misleading budget error."""
+        data = FaultPlan.crashes({1: 5.0}).to_dict()
+        with pytest.raises(ValueError, match="t is missing"):
+            FaultPlan.from_dict(data, n=3)
+        with pytest.raises(ValueError, match="n is missing"):
+            FaultPlan.from_dict(data, t=1)
+        assert FaultPlan.from_dict(data, n=3, t=1).final_down_ids() == [1]
+
     def test_version_and_shape_checked(self):
         with pytest.raises(ValueError):
             FaultPlan.from_dict({"version": 99, "events": []})

@@ -12,7 +12,7 @@ from repro.analysis import build_system
 from repro.analysis.experiments import run_omega_experiment
 from repro.assumptions import IntermittentRotatingStarScenario, RotatingPersecutionScenario
 from repro.core import Figure1Omega, Figure2Omega, Figure3Omega
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 
 DURATION = 700.0
 
@@ -70,9 +70,9 @@ class TestMinimalityTestIsNecessary:
 
     def test_figure2_levels_grow_with_a_crashed_process(self):
         scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=202, max_gap=3)
-        crashes = CrashSchedule({4: 30.0})
+        crashes = FaultPlan.crashes({4: 30.0})
         result = run_omega_experiment(
-            scenario, Figure2Omega, duration=DURATION, seed=202, crash_schedule=crashes
+            scenario, Figure2Omega, duration=DURATION, seed=202, fault_plan=crashes
         )
         # The crashed process's level grows for ever (Lemma 3): far beyond B + 1.
         assert result.bounds.max_level_ever > result.bounds.bound_b + 1
@@ -80,9 +80,9 @@ class TestMinimalityTestIsNecessary:
 
     def test_figure3_levels_bounded_with_a_crashed_process(self):
         scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=202, max_gap=3)
-        crashes = CrashSchedule({4: 30.0})
+        crashes = FaultPlan.crashes({4: 30.0})
         result = run_omega_experiment(
-            scenario, Figure3Omega, duration=DURATION, seed=202, crash_schedule=crashes
+            scenario, Figure3Omega, duration=DURATION, seed=202, fault_plan=crashes
         )
         assert result.bounds.theorem4_holds
         assert result.bounds.lemma8_violations == 0
@@ -90,12 +90,12 @@ class TestMinimalityTestIsNecessary:
 
     def test_figure3_timeouts_bounded_figure2_timeouts_grow(self):
         scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=203, max_gap=3)
-        crashes = CrashSchedule({4: 30.0})
+        crashes = FaultPlan.crashes({4: 30.0})
         fig2 = run_omega_experiment(
-            scenario, Figure2Omega, duration=DURATION, seed=203, crash_schedule=crashes
+            scenario, Figure2Omega, duration=DURATION, seed=203, fault_plan=crashes
         )
         fig3 = run_omega_experiment(
-            scenario, Figure3Omega, duration=DURATION, seed=203, crash_schedule=crashes
+            scenario, Figure3Omega, duration=DURATION, seed=203, fault_plan=crashes
         )
         assert max(fig2.bounds.final_timeouts.values()) > max(
             fig3.bounds.final_timeouts.values()
@@ -107,11 +107,11 @@ class TestMinimalityTestIsNecessary:
         # rounds keep a steady pace, whereas Figure 2's growing timeouts slow the
         # whole detector down once a process has crashed.
         scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=204, max_gap=3)
-        crashes = CrashSchedule({4: 30.0})
+        crashes = FaultPlan.crashes({4: 30.0})
         fig2 = run_omega_experiment(
-            scenario, Figure2Omega, duration=DURATION, seed=204, crash_schedule=crashes
+            scenario, Figure2Omega, duration=DURATION, seed=204, fault_plan=crashes
         )
         fig3 = run_omega_experiment(
-            scenario, Figure3Omega, duration=DURATION, seed=204, crash_schedule=crashes
+            scenario, Figure3Omega, duration=DURATION, seed=204, fault_plan=crashes
         )
         assert fig3.rounds_completed > fig2.rounds_completed

@@ -83,12 +83,6 @@ def test_read_lease_workload_clears_the_speedup_floor():
     assert result["lease_reads_served"] > result["baseline_committed_commands"]
 
 
-def test_noop_fault_plan_path_is_byte_identical():
-    """The fault-plan engine with an empty plan must not change executions."""
-    result = bench_perf.bench_omega_broadcast(quick=True, noop_fault_plan=True)
-    assert result["fingerprint"] == PINNED_QUICK_FINGERPRINTS["omega_broadcast"]
-
-
 def test_parallel_workload_quick_shape_is_reproducible():
     """The parallel workload's quick shape: stable fingerprint, honest stats."""
     first = bench_perf.bench_sharded_service_parallel(quick=True)

@@ -29,7 +29,6 @@ def build_lossy_system(loss_probability, seed=0, n=5, t=2):
         config=SystemConfig(n=n, t=t, seed=seed),
         process_factory=factory,
         delay_model=lossy,
-        crash_schedule=None,
     )
 
 

@@ -16,7 +16,7 @@ from repro.assumptions import (
     IntermittentRotatingStarScenario,
 )
 from repro.consensus import NOOP
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 from repro.system_builders import build_consensus_system
 
 
@@ -55,9 +55,9 @@ class TestE7LivenessUnderTheStarAssumption:
 
     def test_all_commands_decided_despite_crashes(self):
         scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=302, max_gap=3)
-        crashes = CrashSchedule({0: 60.0, 4: 120.0})
+        crashes = FaultPlan.crashes({0: 60.0, 4: 120.0})
         system = build_consensus_system(
-            n=5, t=2, scenario=scenario, seed=302, crash_schedule=crashes
+            n=5, t=2, scenario=scenario, seed=302, fault_plan=crashes
         )
         submit_one_per_process(system)
         system.run_until(400.0)
@@ -95,9 +95,9 @@ class TestE8IndulgenceUnderNoAssumption:
 
     def test_safety_holds_under_adversary_with_crashes(self):
         scenario = AsynchronousAdversaryScenario(n=5, t=2, seed=311)
-        crashes = CrashSchedule({1: 50.0, 3: 100.0})
+        crashes = FaultPlan.crashes({1: 50.0, 3: 100.0})
         system = build_consensus_system(
-            n=5, t=2, scenario=scenario, seed=311, crash_schedule=crashes
+            n=5, t=2, scenario=scenario, seed=311, fault_plan=crashes
         )
         submit_one_per_process(system)
         system.run_until(400.0)

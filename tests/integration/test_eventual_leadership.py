@@ -21,7 +21,7 @@ from repro.assumptions import (
     special_case_scenarios,
 )
 from repro.core import FgOmega, Figure1Omega, Figure2Omega, Figure3Omega
-from repro.simulation import CrashSchedule
+from repro.simulation import FaultPlan
 
 DURATION = 300.0
 
@@ -46,18 +46,18 @@ class TestE1Figure1UnderA0:
         # Crash the processes the lexicographic tie-break would otherwise prefer:
         # the elected leader must move to a correct process (Lemma 1).
         scenario = EventualRotatingStarScenario(n=5, t=2, center=3, seed=102)
-        crashes = CrashSchedule({0: 30.0, 1: 60.0})
+        crashes = FaultPlan.crashes({0: 30.0, 1: 60.0})
         result = run_omega_experiment(
-            scenario, Figure1Omega, duration=DURATION, seed=102, crash_schedule=crashes
+            scenario, Figure1Omega, duration=DURATION, seed=102, fault_plan=crashes
         )
         assert_eventual_leadership(result)
         assert result.final_leader in {2, 3, 4}
 
     def test_crashed_process_levels_grow(self):
         scenario = EventualRotatingStarScenario(n=5, t=2, center=3, seed=103)
-        crashes = CrashSchedule({0: 20.0})
+        crashes = FaultPlan.crashes({0: 20.0})
         result = run_omega_experiment(
-            scenario, Figure1Omega, duration=DURATION, seed=103, crash_schedule=crashes
+            scenario, Figure1Omega, duration=DURATION, seed=103, fault_plan=crashes
         )
         # Lemma 1: the suspicion level of a crashed process increases forever, so by
         # the end of the run it dominates every live level.
@@ -84,9 +84,9 @@ class TestE2Figure2UnderIntermittentStar:
         # rounds slow down considerably (this sluggishness is precisely what the
         # bounded-variable Figure 3 removes, see test_ablation.py).
         scenario = IntermittentRotatingStarScenario(n=7, t=3, center=5, seed=115, max_gap=4)
-        crashes = CrashSchedule.staggered([0, 1, 2], start=10.0, spacing=5.0)
+        crashes = FaultPlan.crashes({pid: 10.0 + 5.0 * pid for pid in (0, 1, 2)})
         result = run_omega_experiment(
-            scenario, Figure2Omega, duration=500.0, seed=115, crash_schedule=crashes
+            scenario, Figure2Omega, duration=500.0, seed=115, fault_plan=crashes
         )
         assert_eventual_leadership(result, duration=500.0)
         assert result.final_leader in {3, 4, 5, 6}
@@ -106,9 +106,9 @@ class TestE3Figure3Bounded:
         # Even with crashed processes (whose level grows for ever under Figure 2),
         # Figure 3 keeps every entry within B + 1.
         scenario = IntermittentRotatingStarScenario(n=7, t=3, center=6, seed=121, max_gap=4)
-        crashes = CrashSchedule({0: 30.0, 1: 60.0, 2: 90.0})
+        crashes = FaultPlan.crashes({0: 30.0, 1: 60.0, 2: 90.0})
         result = run_omega_experiment(
-            scenario, Figure3Omega, duration=400.0, seed=121, crash_schedule=crashes
+            scenario, Figure3Omega, duration=400.0, seed=121, fault_plan=crashes
         )
         assert_eventual_leadership(result, duration=400.0)
         assert result.bounds.theorem4_holds
@@ -117,9 +117,9 @@ class TestE3Figure3Bounded:
 
     def test_timeouts_stabilize(self):
         scenario = IntermittentRotatingStarScenario(n=5, t=2, center=1, seed=122, max_gap=4)
-        crashes = CrashSchedule({4: 50.0})
+        crashes = FaultPlan.crashes({4: 50.0})
         result = run_omega_experiment(
-            scenario, Figure3Omega, duration=400.0, seed=122, crash_schedule=crashes
+            scenario, Figure3Omega, duration=400.0, seed=122, fault_plan=crashes
         )
         assert result.bounds.timeouts_stabilized
         # All timeouts derive from bounded suspicion levels.
@@ -152,9 +152,9 @@ class TestE4SpecialCases:
 
     def test_moving_source_with_crashes(self):
         scenario = EventualTMovingSourceScenario(n=7, t=3, center=1, seed=133)
-        crashes = CrashSchedule({0: 30.0, 6: 90.0})
+        crashes = FaultPlan.crashes({0: 30.0, 6: 90.0})
         result = run_omega_experiment(
-            scenario, Figure3Omega, duration=DURATION, seed=133, crash_schedule=crashes
+            scenario, Figure3Omega, duration=DURATION, seed=133, fault_plan=crashes
         )
         assert_eventual_leadership(result)
         assert result.final_leader not in {0, 6}

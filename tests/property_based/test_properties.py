@@ -172,22 +172,23 @@ class TestNetworkReliabilityProperty:
         assert network.stats.total_dropped == 0
 
 
-class TestRandomCrashScheduleProperty:
+class TestRandomCrashTimesProperty:
     @given(
         st.integers(min_value=3, max_value=12),
         st.integers(min_value=0, max_value=2**31),
     )
-    def test_random_schedule_always_respects_t(self, n, seed):
-        from repro.simulation.crash import CrashSchedule
+    def test_draw_always_respects_t(self, n, seed):
+        from repro.simulation.crash import random_crash_times
+        from repro.simulation.faults import FaultPlan
 
         t = (n - 1) // 2
-        schedule = CrashSchedule.random(
+        times = random_crash_times(
             n=n, t=t, rng=RandomSource(seed), horizon=50.0, protect=[0]
         )
-        schedule.validate(n, t)
-        assert len(schedule) <= t
-        assert 0 not in schedule.faulty_ids()
-        assert all(0.0 <= time <= 50.0 for _, time in schedule.items())
+        FaultPlan.crashes(times).validate(n, t)
+        assert len(times) <= t
+        assert 0 not in times
+        assert all(0.0 <= time <= 50.0 for time in times.values())
 
 
 class TestConsensusAcceptorProperty:

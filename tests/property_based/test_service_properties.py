@@ -97,12 +97,10 @@ class TestExactlyOnce:
     def test_exactly_once_survives_a_leader_crash(self, seed, crash_time):
         """Retried increments across a mid-run crash (forcing a leader change at
         the affected shard) still apply exactly once."""
-        from repro.simulation.crash import CrashSchedule
-
         # Crash the current-leader candidate pid 1 (centre 0 is protected).
         service = build_sharded_service(
             num_shards=1, n=3, t=1, seed=seed, batch_size=4,
-            crash_schedule_factory=lambda shard: CrashSchedule({1: crash_time}),
+            fault_plan_factory=lambda shard: FaultPlan.crashes({1: crash_time}),
         )
         commands = [Command.incr("hot-client", s, "c0") for s in range(1, 13)]
         # Submit everything twice, through both surviving gateways.

@@ -80,7 +80,7 @@ class TestAcceptanceWorkload:
         assert drain(service, commands) is not None
         service.run_until(max(service.now, 60.0))  # past the crash horizon
         for shard in range(4):
-            assert len(service.systems[shard].crash_schedule.faulty_ids()) == 1
+            assert len(service.systems[shard].fault_plan.final_down_ids()) == 1
         assert service.is_consistent()
 
 
@@ -98,11 +98,11 @@ class TestRoutingAndSubmission:
                 assert applied == (shard == home)
 
     def test_submit_falls_back_to_an_alive_gateway(self):
-        from repro.simulation.crash import CrashSchedule
+        from repro.simulation import FaultPlan
 
         service = build_sharded_service(
             num_shards=1, n=3, t=1, seed=4, batch_size=4,
-            crash_schedule_factory=lambda shard: CrashSchedule({1: 5.0}),
+            fault_plan_factory=lambda shard: FaultPlan.crashes({1: 5.0}),
         )
         service.run_until(10.0)
         command = Command.put("a", 1, "k", "v")
@@ -193,18 +193,6 @@ class TestFaultPlans:
         assert len(set(digests)) == 1
         assert service.reference_replica(0).command_applied("c", 20)
 
-    def test_fault_plan_and_crash_schedule_factories_are_exclusive(self):
-        from repro.service import ShardedService
-        from repro.simulation import FaultPlan
-        from repro.simulation.crash import CrashSchedule
-
-        with pytest.raises(ValueError, match="not both"):
-            ShardedService(
-                num_shards=1, n=3, t=1,
-                crash_schedule_factory=lambda s: CrashSchedule.none(),
-                fault_plan_factory=lambda s: FaultPlan.none(),
-            )
-
     def test_assumption_violations_reported_per_shard(self):
         from repro.simulation import FaultPlan
 
@@ -235,8 +223,7 @@ class TestFaultPlans:
         )
         omega = faulty.replicas(0)[0].omega
         assert omega.config.round_resync_gap == DEFAULT_ROUND_RESYNC_GAP
-        # Pure crash-stop plans keep the paper's exact semantics (and stay
-        # byte-identical to the legacy crash-schedule path).
+        # Pure crash-stop plans keep the paper's exact semantics.
         crash_stop = build_sharded_service(
             num_shards=1, n=3, t=1, seed=1,
             fault_plan_factory=lambda shard: FaultPlan.crashes({1: 10.0}),

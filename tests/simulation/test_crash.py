@@ -1,77 +1,46 @@
-"""Unit tests for crash schedules."""
+"""Unit tests for the random crash-time draw behind ``crashes_per_shard``."""
 
 import pytest
 
-from repro.simulation.crash import CrashSchedule
+from repro.simulation.crash import random_crash_times
 from repro.util.rng import RandomSource
 
 
 class TestBuilders:
-    def test_none_schedule_is_empty(self):
-        schedule = CrashSchedule.none()
-        assert len(schedule) == 0
-        assert schedule.is_correct(0)
-
-    def test_crash_set(self):
-        schedule = CrashSchedule.crash_set([1, 3], at=10.0)
-        assert schedule.crash_time(1) == 10.0
-        assert schedule.crash_time(3) == 10.0
-        assert schedule.faulty_ids() == [1, 3]
-
-    def test_staggered(self):
-        schedule = CrashSchedule.staggered([2, 4, 5], start=5.0, spacing=3.0)
-        assert schedule.crash_time(2) == 5.0
-        assert schedule.crash_time(4) == 8.0
-        assert schedule.crash_time(5) == 11.0
-
     def test_random_respects_t_and_protection(self):
         rng = RandomSource(3)
-        schedule = CrashSchedule.random(n=7, t=3, rng=rng, horizon=100.0, protect=[0])
-        assert len(schedule) == 3
-        assert 0 not in schedule.faulty_ids()
-        for pid in schedule.faulty_ids():
-            assert 0.0 <= schedule.crash_time(pid) <= 100.0
+        times = random_crash_times(n=7, t=3, rng=rng, horizon=100.0, protect=[0])
+        assert len(times) == 3
+        assert 0 not in times
+        assert all(0.0 <= time <= 100.0 for time in times.values())
+
+    def test_random_draw_sequence_is_pinned(self):
+        """The draw order (victims first, then one uniform time each, over the
+        whole horizon) is why this function exists: every seeded
+        ``crashes_per_shard`` run replays it."""
+        times = random_crash_times(
+            n=7, t=3, rng=RandomSource(3), horizon=100.0, protect=[0]
+        )
+        assert list(times.items()) == [
+            (2, 36.99551665480792),
+            (5, 60.39200385961945),
+            (6, 62.572030410805404),
+        ]
 
     def test_random_with_explicit_count(self):
-        schedule = CrashSchedule.random(n=5, t=2, rng=RandomSource(1), horizon=10.0, count=1)
-        assert len(schedule) == 1
+        times = random_crash_times(n=5, t=2, rng=RandomSource(1), horizon=10.0, count=1)
+        assert len(times) == 1
 
     def test_random_rejects_count_above_t(self):
         with pytest.raises(ValueError):
-            CrashSchedule.random(n=5, t=1, rng=RandomSource(1), horizon=10.0, count=2)
+            random_crash_times(n=5, t=1, rng=RandomSource(1), horizon=10.0, count=2)
 
     def test_random_rejects_overprotection(self):
         with pytest.raises(ValueError):
-            CrashSchedule.random(
+            random_crash_times(
                 n=3, t=2, rng=RandomSource(1), horizon=10.0, protect=[0, 1, 2]
             )
 
-
-class TestQueries:
-    def test_correct_ids(self):
-        schedule = CrashSchedule({1: 5.0})
-        assert schedule.correct_ids(4) == [0, 2, 3]
-
-    def test_items(self):
-        schedule = CrashSchedule({2: 7.0})
-        assert dict(schedule.items()) == {2: 7.0}
-
-    def test_crash_time_none_for_correct(self):
-        assert CrashSchedule.none().crash_time(3) is None
-
-
-class TestValidation:
-    def test_accepts_at_most_t_crashes(self):
-        CrashSchedule({0: 1.0, 1: 2.0}).validate(n=5, t=2)
-
-    def test_rejects_too_many_crashes(self):
-        with pytest.raises(ValueError, match="crashes 3"):
-            CrashSchedule({0: 1.0, 1: 2.0, 2: 3.0}).validate(n=5, t=2)
-
-    def test_rejects_out_of_range_pid(self):
-        with pytest.raises(ValueError, match="outside"):
-            CrashSchedule({7: 1.0}).validate(n=5, t=2)
-
-    def test_rejects_negative_crash_time(self):
+    def test_random_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
-            CrashSchedule({0: -1.0})
+            random_crash_times(n=5, t=2, rng=RandomSource(1), horizon=-1.0)

@@ -6,7 +6,6 @@ from repro.core import Figure3Omega, OmegaConfig
 from repro.simulation import (
     ConstantDelay,
     Crash,
-    CrashSchedule,
     FaultPlan,
     LinkFault,
     LinkHeal,
@@ -21,7 +20,7 @@ from repro.simulation import (
 from repro.util.rng import RandomSource
 
 
-def build(n=4, t=1, seed=0, fault_plan=None, crash_schedule=None, delay=None):
+def build(n=4, t=1, seed=0, fault_plan=None, delay=None):
     config = SystemConfig(n=n, t=t, seed=seed)
     omega_config = OmegaConfig()
 
@@ -29,29 +28,15 @@ def build(n=4, t=1, seed=0, fault_plan=None, crash_schedule=None, delay=None):
         return Figure3Omega(pid=pid, n=n, t=t, config=omega_config)
 
     delay_model = delay if delay is not None else ConstantDelay(0.2)
-    return System(
-        config,
-        factory,
-        delay_model,
-        crash_schedule=crash_schedule,
-        fault_plan=fault_plan,
-    )
+    return System(config, factory, delay_model, fault_plan=fault_plan)
 
 
 class TestFaultPlanBuilders:
     def test_none_is_empty_and_crash_stop_only(self):
         plan = FaultPlan.none()
         assert len(plan) == 0
-        assert plan.is_crash_stop_only()
         assert not plan.has_topology_events()
         assert not plan.has_recoveries()
-
-    def test_crash_stop_round_trips_through_crash_schedule(self):
-        schedule = CrashSchedule({3: 40.0, 1: 10.0})
-        plan = FaultPlan.crash_stop(schedule)
-        assert plan.is_crash_stop_only()
-        back = plan.to_crash_schedule()
-        assert list(back.items()) == list(schedule.items())
 
     def test_rolling_restarts_alternates_crash_and_recover(self):
         plan = FaultPlan.rolling_restarts([0, 1], start=10.0, downtime=5.0)
@@ -128,40 +113,15 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             PartitionStart(time=1.0, groups=((0, 1), (1, 2)))
 
-    def test_system_rejects_both_crash_schedule_and_fault_plan(self):
+    def test_rejects_negative_crash_time(self):
         with pytest.raises(ValueError):
-            build(
-                crash_schedule=CrashSchedule({1: 5.0}),
-                fault_plan=FaultPlan.none(),
-            )
+            FaultPlan.crashes({0: -1.0})
 
 
-class TestCrashStopEquivalence:
-    def test_crash_only_plan_matches_crash_schedule_execution(self):
-        """A pure-crash FaultPlan is byte-identical to the legacy path."""
-        schedule = CrashSchedule({2: 15.0, 0: 40.0})
-
-        def run(**kwargs):
-            system = build(
-                t=2, seed=9, delay=UniformDelay(0.2, 1.5, RandomSource(9)), **kwargs
-            )
-            system.run_until(80.0)
-            return {
-                "executed": system.scheduler.executed,
-                "stats": system.stats.as_dict(),
-                "histories": {
-                    shell.pid: shell.algorithm.leader_history
-                    for shell in system.shells
-                },
-            }
-
-        legacy = run(crash_schedule=schedule)
-        planned = run(fault_plan=FaultPlan.crash_stop(schedule))
-        assert legacy == planned
-
-    def test_crash_schedule_attribute_reflects_plan(self):
+class TestCrashStopPlans:
+    def test_faulty_and_correct_sets_reflect_plan(self):
         system = build(fault_plan=FaultPlan.crashes({2: 15.0}))
-        assert system.crash_schedule.faulty_ids() == [2]
+        assert system.fault_plan.final_down_ids() == [2]
         assert system.correct_ids() == [0, 1, 3]
 
 
@@ -313,14 +273,19 @@ class TestCorrectShellCacheInvalidation:
         assert len(system.fault_plan) == 1
         system.fault_plan.validate(4, 1)
 
-    def test_crash_schedule_view_reflects_injected_crashes(self):
-        """Regression: the legacy crash_schedule view must not be frozen at
-        construction — experiment reports read the crashed set from it."""
+    def test_faulty_set_follows_injection(self):
+        """Regression: the faulty set must not be frozen at construction —
+        experiment reports read the crashed set from the live plan — and a
+        rejected injection must not linger in it."""
         system = build()
-        assert system.crash_schedule.faulty_ids() == []
+        assert system.fault_plan.final_down_ids() == []
         system.inject_fault(Crash(time=10.0, pid=2))
-        assert system.crash_schedule.faulty_ids() == [2]
-        assert system.crash_schedule.crash_time(2) == 10.0
+        assert system.fault_plan.final_down_ids() == [2]
+        assert system.correct_ids() == [0, 1, 3]
+        with pytest.raises(ValueError):  # a second crash exceeds t=1
+            system.inject_fault(Crash(time=12.0, pid=3))
+        assert system.fault_plan.events == [Crash(time=10.0, pid=2)]
+        assert system.correct_ids() == [0, 1, 3]
 
 
 class TestPartitions:

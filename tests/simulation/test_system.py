@@ -5,7 +5,7 @@ import pytest
 from repro.core import Figure3Omega, OmegaConfig
 from repro.simulation import (
     ConstantDelay,
-    CrashSchedule,
+    FaultPlan,
     System,
     SystemConfig,
     UniformDelay,
@@ -13,7 +13,7 @@ from repro.simulation import (
 from repro.util.rng import RandomSource
 
 
-def build(n=4, t=1, seed=0, crash_schedule=None, start_jitter=0.0, delay=None):
+def build(n=4, t=1, seed=0, fault_plan=None, start_jitter=0.0, delay=None):
     config = SystemConfig(n=n, t=t, seed=seed, start_jitter=start_jitter)
     omega_config = OmegaConfig()
 
@@ -21,7 +21,7 @@ def build(n=4, t=1, seed=0, crash_schedule=None, start_jitter=0.0, delay=None):
         return Figure3Omega(pid=pid, n=n, t=t, config=omega_config)
 
     delay_model = delay if delay is not None else ConstantDelay(0.2)
-    return System(config, factory, delay_model, crash_schedule=crash_schedule)
+    return System(config, factory, delay_model, fault_plan=fault_plan)
 
 
 class TestConfigValidation:
@@ -33,9 +33,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(n=3, t=1, start_jitter=-1.0)
 
-    def test_rejects_crash_schedule_exceeding_t(self):
+    def test_rejects_fault_plan_exceeding_t(self):
         with pytest.raises(ValueError):
-            build(n=4, t=1, crash_schedule=CrashSchedule.crash_set([0, 1], at=1.0))
+            build(n=4, t=1, fault_plan=FaultPlan.crashes({0: 1.0, 1: 1.0}))
 
 
 class TestExecution:
@@ -85,7 +85,7 @@ class TestExecution:
 
 class TestCrashInjection:
     def test_crash_happens_at_scheduled_time(self):
-        system = build(crash_schedule=CrashSchedule({2: 3.0}))
+        system = build(fault_plan=FaultPlan.crashes({2: 3.0}))
         system.run_until(2.9)
         assert not system.shell(2).crashed
         system.run_until(3.1)
@@ -93,7 +93,7 @@ class TestCrashInjection:
         assert system.shell(2).crash_time == pytest.approx(3.0)
 
     def test_alive_and_correct_helpers(self):
-        system = build(crash_schedule=CrashSchedule({2: 3.0}))
+        system = build(fault_plan=FaultPlan.crashes({2: 3.0}))
         system.run_until(5.0)
         alive_ids = [shell.pid for shell in system.alive_shells()]
         assert 2 not in alive_ids
