@@ -68,11 +68,6 @@ Usage::
     # CI smoke: fail when the substrate regresses below a conservative floor
     PYTHONPATH=src python benchmarks/bench_perf.py --quick --min-events-per-sec 20000
 
-    # where do the cycles go?  cProfile each workload once, top 25 by
-    # cumulative time into BENCH_PROFILE.txt (no JSON report: profiled wall
-    # times are distorted and must never enter the perf trajectory)
-    PYTHONPATH=src python benchmarks/bench_perf.py --quick --profile
-
 When ``benchmarks/perf_baseline.json`` exists its numbers are embedded in the
 output under ``"baseline"`` together with per-workload ``"speedup"`` factors
 (current events/sec divided by baseline events/sec).
@@ -81,7 +76,6 @@ output under ``"baseline"`` together with per-workload ``"speedup"`` factors
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import platform
 import sys
@@ -93,26 +87,24 @@ if str(_REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.core.figure3 import Figure3Omega
-from repro.service import build_sharded_service, start_clients, zipfian_workload
+from repro.service import (
+    ServiceSpec,
+    build_sharded_service,
+    start_clients,
+    zipfian_workload,
+)
 from repro.simulation.delays import UniformDelay
 from repro.simulation.faults import FaultPlan
-from repro.simulation.parallel import ParallelServiceSpec, run_parallel_service
+from repro.simulation.parallel import run_parallel_service
 from repro.simulation.system import System, SystemConfig
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, fingerprint
 
 BASELINE_PATH = _REPO_ROOT / "benchmarks" / "perf_baseline.json"
 DEFAULT_OUTPUT = _REPO_ROOT / "BENCH_PERF.json"
-DEFAULT_PROFILE_OUTPUT = _REPO_ROOT / "BENCH_PROFILE.txt"
 
 #: Minimum committed-ops ratio (leases on / leases off) the read-lease
 #: workload must sustain; ``main`` exits non-zero below it.
 LEASE_READ_SPEEDUP_FLOOR = 5.0
-
-
-def _fingerprint(payload: object) -> str:
-    """Deterministic digest of a JSON-serialisable result structure."""
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _per_commit(events: int, messages: int, committed: int) -> dict:
@@ -169,7 +161,7 @@ def bench_omega_broadcast(quick: bool) -> dict:
 
     events = system.scheduler.executed
     messages = system.stats.total_sent
-    fingerprint = _fingerprint(
+    digest = fingerprint(
         {
             "leader_histories": {
                 shell.pid: shell.algorithm.leader_history for shell in system.shells
@@ -188,7 +180,7 @@ def bench_omega_broadcast(quick: bool) -> dict:
         "events_per_sec": round(events / wall) if wall else 0,
         "messages": messages,
         "messages_per_sec": round(messages / wall) if wall else 0,
-        "fingerprint": fingerprint,
+        "fingerprint": digest,
     }
 
 
@@ -218,7 +210,7 @@ def bench_sharded_service(quick: bool) -> dict:
     events = service.scheduler.executed
     messages = sum(system.stats.total_sent for system in service.systems)
     committed = sum(client.stats.completed for client in clients)
-    fingerprint = _fingerprint(
+    digest = fingerprint(
         {
             "digests": {
                 shard: service.state_digests(shard)
@@ -245,7 +237,7 @@ def bench_sharded_service(quick: bool) -> dict:
         "committed_commands": committed,
         **_per_commit(events, messages, committed),
         "consistent": service.is_consistent(),
-        "fingerprint": fingerprint,
+        "fingerprint": digest,
     }
 
 
@@ -300,7 +292,7 @@ def bench_sharded_service_storage(quick: bool) -> dict:
     recoveries = sum(
         shell.recoveries for system in service.systems for shell in system.shells
     )
-    fingerprint = _fingerprint(
+    digest = fingerprint(
         {
             "digests": {
                 shard: service.state_digests(shard, correct_only=False)
@@ -328,7 +320,7 @@ def bench_sharded_service_storage(quick: bool) -> dict:
         "storage_writes": service.storage_writes(),
         "storage_cost": round(service.storage_cost(), 2),
         "consistent": service.is_consistent(),
-        "fingerprint": fingerprint,
+        "fingerprint": digest,
     }
 
 
@@ -395,7 +387,7 @@ def bench_sharded_service_compaction(quick: bool) -> dict:
         name: totals[name]
         for name in ("snapshots_taken", "snapshot_restores", "positions_compacted", "snapshots_rejected")
     }
-    fingerprint = _fingerprint(
+    digest = fingerprint(
         {
             "digests": {
                 shard: service.state_digests(shard, correct_only=False)
@@ -426,22 +418,22 @@ def bench_sharded_service_compaction(quick: bool) -> dict:
         "bounded": bounded,
         "advancing": advancing,
         "consistent": consistent,
-        "fingerprint": fingerprint,
+        "fingerprint": digest,
     }
 
 
-def parallel_spec(quick: bool) -> ParallelServiceSpec:
+def parallel_spec(quick: bool) -> ServiceSpec:
     """The benchmark's parallel-deployment shape (shared with the CI check)."""
     num_shards = 4 if quick else 10
-    return ParallelServiceSpec(
+    return ServiceSpec(
         num_shards=num_shards,
         n=3,
         t=1,
         seed=1200 + num_shards,
         horizon=120.0 if quick else 300.0,
-        clients_per_shard=8 if quick else 12,
+        num_clients=8 if quick else 12,  # per shard: each shard is its own service
         num_keys=64,
-        batch_size=8,
+        zipf_theta=0.99,
     )
 
 
@@ -461,7 +453,7 @@ def bench_sharded_service_parallel(quick: bool, workers: int = 0) -> dict:
     wall = report.wall_seconds
     result = {
         "shards": spec.num_shards,
-        "clients_per_shard": spec.clients_per_shard,
+        "clients_per_shard": spec.num_clients,
         "horizon": spec.horizon,
         "seed": spec.seed,
         "workers": workers,
@@ -564,7 +556,7 @@ def bench_sharded_service_read_leases(quick: bool) -> dict:
             "read_index_polls",
         )
     }
-    fingerprint = _fingerprint(
+    digest = fingerprint(
         {
             "digests": {
                 shard: service.state_digests(shard)
@@ -600,7 +592,7 @@ def bench_sharded_service_read_leases(quick: bool) -> dict:
         "min_read_speedup": LEASE_READ_SPEEDUP_FLOOR,
         **lease_counters,
         "consistent": service.is_consistent() and baseline["service"].is_consistent(),
-        "fingerprint": fingerprint,
+        "fingerprint": digest,
     }
 
 
@@ -625,39 +617,6 @@ def run_benchmarks(
             lambda: bench_sharded_service_read_leases(quick), repeat
         ),
     }
-
-
-def profile_benchmarks(quick: bool, output: Path) -> None:
-    """cProfile every workload once; top 25 by cumulative time per section.
-
-    Profiled wall times are distorted by tracing overhead, so this mode
-    writes only the profile artifact — never the JSON perf report.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    workloads = [
-        ("omega_broadcast", lambda: bench_omega_broadcast(quick)),
-        ("sharded_service", lambda: bench_sharded_service(quick)),
-        ("sharded_service_storage", lambda: bench_sharded_service_storage(quick)),
-        ("sharded_service_compaction", lambda: bench_sharded_service_compaction(quick)),
-        ("sharded_service_parallel", lambda: bench_sharded_service_parallel(quick)),
-        ("sharded_service_read_leases", lambda: bench_sharded_service_read_leases(quick)),
-    ]
-    sections = []
-    for name, runner in workloads:
-        profiler = cProfile.Profile()
-        profiler.enable()
-        runner()
-        profiler.disable()
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("cumulative").print_stats(25)
-        sections.append(f"=== {name} ===\n{stream.getvalue()}")
-        print(f"profiled {name}", file=sys.stderr)
-    output.write_text("\n".join(sections))
-    print(f"wrote {output}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -693,23 +652,7 @@ def main(argv=None) -> int:
         "(0 = inline; > 1 additionally checks the pool path reproduces the "
         "inline fingerprint, exiting non-zero on divergence)",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=f"cProfile each workload once into {DEFAULT_PROFILE_OUTPUT.name} "
-        "instead of producing the JSON report",
-    )
-    parser.add_argument(
-        "--profile-output",
-        type=Path,
-        default=DEFAULT_PROFILE_OUTPUT,
-        help="where --profile writes the per-workload profile sections",
-    )
     args = parser.parse_args(argv)
-
-    if args.profile:
-        profile_benchmarks(args.quick, args.profile_output)
-        return 0
 
     results = run_benchmarks(
         args.quick,

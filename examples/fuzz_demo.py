@@ -25,8 +25,9 @@ Run with:  python examples/fuzz_demo.py [--quick]
 """
 
 import argparse
+import dataclasses
 
-from repro.fuzz import CampaignConfig, ScenarioSpec, run_campaign, seed_corpus
+from repro.fuzz import FUZZ_BASELINE, CampaignConfig, run_campaign, seed_corpus
 from repro.simulation import FaultPlan
 from repro.util.tables import format_table
 
@@ -35,7 +36,7 @@ N, T = 3, 1
 
 def hunt(minimize_budget: int):
     config = CampaignConfig(
-        spec=ScenarioSpec(seed=3, stable_storage=False),
+        spec=dataclasses.replace(FUZZ_BASELINE, seed=3),  # storage off
         seed=11,
         max_executions=40,
         stop_on_first_finding=True,
@@ -46,7 +47,7 @@ def hunt(minimize_budget: int):
 
 def soak(max_executions: int):
     config = CampaignConfig(
-        spec=ScenarioSpec(seed=5, stable_storage=True),
+        spec=dataclasses.replace(FUZZ_BASELINE, seed=5, storage_write_cost=0.0),
         seed=21,
         max_executions=max_executions,
         round_size=16,

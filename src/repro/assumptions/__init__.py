@@ -5,6 +5,7 @@ from repro.assumptions.growing import GrowingStarDelayModel, GrowingStarScenario
 from repro.assumptions.scenarios import (
     AsynchronousAdversaryScenario,
     CombinedMrtScenario,
+    ConstantDelayScenario,
     EventualRotatingStarScenario,
     EventualTMovingSourceScenario,
     EventualTSourceScenario,
@@ -32,6 +33,7 @@ __all__ = [
     "AlwaysFastPolicy",
     "AsynchronousAdversaryScenario",
     "CombinedMrtScenario",
+    "ConstantDelayScenario",
     "DEFAULT_CONSTRAINED_TAGS",
     "EscalatingPersecutionPolicy",
     "EventualRotatingStarScenario",

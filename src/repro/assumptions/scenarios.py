@@ -15,10 +15,12 @@ Scenario                          Paper assumption
                                           every process is persecuted for ever-growing
                                           stretches of rounds (defeats Figure 1)
 :class:`AsynchronousAdversaryScenario`    no assumption at all (negative control)
+:class:`ConstantDelayScenario`            every link timely with one constant delay (the
+                                          fuzzer's controllable baseline)
 ===============================  ==============================================
 
-All of them share the :class:`~repro.assumptions.star.StarDelayModel` machinery; they
-differ only in how the star schedule and the background adversary are configured.
+All but the last share the :class:`~repro.assumptions.star.StarDelayModel` machinery;
+they differ only in how the star schedule and the background adversary are configured.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from repro.assumptions.star import (
     StarTiming,
 )
 from repro.core.config import OmegaConfig
-from repro.simulation.delays import DelayModel
+from repro.simulation.delays import ConstantDelay, DelayModel
 from repro.util.validation import validate_process_count
 
 
@@ -374,6 +376,31 @@ class AsynchronousAdversaryScenario(Scenario):
 
     def describe(self) -> str:
         return f"{self.name}(n={self.n}, t={self.t}, policy={self._policy.describe()})"
+
+
+class ConstantDelayScenario(Scenario):
+    """Uniform constant delays — the fuzzer's controllable baseline.
+
+    Constant symmetric delays make every process an (intermittent) star
+    centre, so leadership is well-defined and the scenario has no protected
+    process: every fault plan is assumption-admissible, which is exactly what
+    a fuzzer wants — the *plans* are the experiment, not the delay model.
+    """
+
+    name = "constant-delay"
+
+    def __init__(self, n: int, t: int, delay: float = 0.5) -> None:
+        super().__init__(n, t)
+        if delay <= 0:
+            raise ValueError(f"delay must be positive, got {delay}")
+        self.delay = delay
+
+    def build_delay_model(self) -> ConstantDelay:
+        return ConstantDelay(self.delay)
+
+    def recommended_omega_config(self) -> OmegaConfig:
+        # ALIVE period comfortably above the delay keeps rounds closing.
+        return OmegaConfig(alive_period=max(1.0, 2.0 * self.delay))
 
 
 def special_case_scenarios(

@@ -188,7 +188,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.commands import Batch, flatten_value, payload_intact
@@ -222,99 +222,6 @@ _DRIVE_TIMER = "drive"
 #: Maximum decided positions shipped per CatchUpReply (bounds message size; the
 #: requester's next drive tick continues from its advanced frontier).
 CATCH_UP_BATCH = 16
-
-
-class _ValueIndex:
-    """Set-like membership index over decided values.
-
-    Hashable values (strings, :class:`~repro.consensus.commands.Command`, ...) live
-    in a set; the rare unhashable legacy value degrades to an equality scan over a
-    short list instead of poisoning the whole index.
-    """
-
-    def __init__(self) -> None:
-        self._hashable: set = set()
-        self._unhashable: List[Any] = []
-
-    def add(self, value: Any) -> None:
-        try:
-            self._hashable.add(value)
-        except TypeError:
-            if value not in self._unhashable:
-                self._unhashable.append(value)
-
-    def discard(self, value: Any) -> None:
-        """Forget *value* (compaction of the decided prefix it belonged to)."""
-        try:
-            self._hashable.discard(value)
-        except TypeError:
-            try:
-                self._unhashable.remove(value)
-            except ValueError:
-                pass
-
-    def __contains__(self, value: Any) -> bool:
-        try:
-            if value in self._hashable:
-                return True
-        except TypeError:
-            pass
-        return bool(self._unhashable) and value in self._unhashable
-
-
-class _OrderedValueSet:
-    """Insertion-ordered set of undecided submissions (pending / arrivals).
-
-    Replaces the seed's plain lists, whose per-decision rebuild
-    (``[v for v in pending if v not in decided]``) cost O(pending) for every
-    decision: membership, insertion and removal are O(1) here for hashable
-    values (dict-backed; removal preserves relative order exactly like the
-    list filter did).  The rare unhashable legacy value degrades to an
-    equality-scanned list, iterated after the hashable ones.
-    """
-
-    __slots__ = ("_hashable", "_unhashable")
-
-    def __init__(self) -> None:
-        self._hashable: Dict[Any, None] = {}
-        self._unhashable: List[Any] = []
-
-    def add(self, value: Any) -> None:
-        try:
-            self._hashable.setdefault(value, None)
-        except TypeError:
-            if value not in self._unhashable:
-                self._unhashable.append(value)
-
-    def discard(self, value: Any) -> None:
-        try:
-            self._hashable.pop(value, None)
-        except TypeError:
-            try:
-                self._unhashable.remove(value)
-            except ValueError:
-                pass
-
-    def __contains__(self, value: Any) -> bool:
-        try:
-            if value in self._hashable:
-                return True
-        except TypeError:
-            pass
-        return bool(self._unhashable) and value in self._unhashable
-
-    def __len__(self) -> int:
-        return len(self._hashable) + len(self._unhashable)
-
-    def __bool__(self) -> bool:
-        return bool(self._hashable) or bool(self._unhashable)
-
-    def __iter__(self) -> Iterator[Any]:
-        yield from self._hashable
-        yield from self._unhashable
-
-    def as_list(self) -> List[Any]:
-        return list(self)
 
 
 class ReplicatedLog(Process):
@@ -447,12 +354,13 @@ class ReplicatedLog(Process):
         #: Log position -> decided value (learnt locally; with compaction,
         #: only positions at or above the truncation floor stay resident).
         self.decisions: Dict[int, Any] = {}
-        #: Commands submitted locally and not yet known decided.
-        self._pending = _OrderedValueSet()
+        #: Commands submitted locally and not yet known decided — an
+        #: insertion-ordered set (a dict's keys), like ``_arrivals``.
+        self._pending: Dict[Any, None] = {}
         #: Those plus the commands other processes forwarded here, in the order
         #: this process learnt of them — the order a leader proposes in, so its
         #: own gateway cannot starve the followers'.
-        self._arrivals = _OrderedValueSet()
+        self._arrivals: Dict[Any, None] = {}
         #: Commands submitted since the last drive tick (submission order) —
         #: what a tick forwards when no full re-send is due.
         self._unforwarded: List[Any] = []
@@ -467,7 +375,7 @@ class ReplicatedLog(Process):
         # and >= the truncation floor).
         self._frontier = 0
         self._max_decided = -1
-        self._decided_index = _ValueIndex()
+        self._decided_index: Set[Any] = set()
         self._delivered: List[Any] = []
 
         # Observer state that survives windowing: total non-noop deliveries,
@@ -500,14 +408,14 @@ class ReplicatedLog(Process):
         if value == NOOP:
             raise ValueError("the no-op filler value cannot be submitted")
         if value not in self._pending and not self._is_decided_value(value):
-            self._pending.add(value)
-            self._arrivals.add(value)
+            self._pending[value] = None
+            self._arrivals[value] = None
             self._unforwarded.append(value)
 
     @property
     def pending(self) -> List[Any]:
         """Commands submitted locally and not yet known decided (in order)."""
-        return self._pending.as_list()
+        return list(self._pending)
 
     @property
     def forwarded(self) -> List[Any]:
@@ -668,7 +576,7 @@ class ReplicatedLog(Process):
         if isinstance(message, Forward):
             for value in flatten_value(message.value):
                 if not self._is_decided_value(value):
-                    self._arrivals.add(value)
+                    self._arrivals[value] = None
             return
         if isinstance(message, CatchUpRequest):
             self._serve_catch_up(env, sender, message.frontier)
@@ -781,8 +689,8 @@ class ReplicatedLog(Process):
             # rebuild per decision: undecided bookkeeping only ever *loses*
             # exactly the commands this decision carried (submit/forward never
             # admit an already-decided value, so nothing else can match).
-            self._pending.discard(command)
-            self._arrivals.discard(command)
+            self._pending.pop(command, None)
+            self._arrivals.pop(command, None)
         self._accepted_undecided.discard(instance_id)
         self._advance_frontier()
         if self.snapshots is not None and not self._rehydrating:

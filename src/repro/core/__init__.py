@@ -27,7 +27,6 @@ from repro.core.interfaces import (
     LeaderOracle,
     Message,
     Process,
-    ProcessDescriptor,
     TimerHandle,
 )
 from repro.core.messages import Alive, Suspicion, Wrapped
@@ -47,7 +46,6 @@ __all__ = [
     "Message",
     "OmegaConfig",
     "Process",
-    "ProcessDescriptor",
     "ROUND_TIMER",
     "RotatingStarOmegaBase",
     "RoundRecords",

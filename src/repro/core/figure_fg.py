@@ -21,6 +21,7 @@ suite checks that degeneration trace-for-trace.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.core.config import OmegaConfig, TimeoutFunction, WindowFunction
@@ -44,16 +45,11 @@ class FgOmega(Figure3Omega):
         base = config if config is not None else OmegaConfig()
         if f is not None or g is not None:
             # The functions may be supplied either through the config or as explicit
-            # arguments; explicit arguments win, the other field is preserved.
-            base = OmegaConfig(
-                alive_period=base.alive_period,
-                alive_jitter=base.alive_jitter,
-                timeout_unit=base.timeout_unit,
-                initial_timeout=base.initial_timeout,
-                alpha=base.alpha,
+            # arguments; explicit arguments win, every other field is preserved.
+            base = dataclasses.replace(
+                base,
                 f=f if f is not None else base.f,
                 g=g if g is not None else base.g,
-                history_horizon=base.history_horizon,
             )
         super().__init__(pid=pid, n=n, t=t, config=base)
 

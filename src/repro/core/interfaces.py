@@ -22,7 +22,7 @@ import dataclasses
 import itertools
 import sys
 import types
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 from repro.util.rng import RandomSource
 
@@ -227,32 +227,3 @@ class LeaderOracle(abc.ABC):
     @abc.abstractmethod
     def leader(self) -> int:
         """Return the identifier of the process currently trusted as leader."""
-
-
-def is_message(value: Any) -> bool:
-    """Return True when *value* is a protocol message."""
-    return isinstance(value, Message)
-
-
-@dataclasses.dataclass(frozen=True)
-class ProcessDescriptor:
-    """Static description of a process used by system builders.
-
-    Attributes
-    ----------
-    pid:
-        The process identifier.
-    factory_name:
-        Human-readable name of the algorithm the process runs.
-    crash_time:
-        Time at which the process crashes, or ``None`` if it is correct.
-    """
-
-    pid: int
-    factory_name: str
-    crash_time: Optional[float] = None
-
-    @property
-    def is_correct(self) -> bool:
-        """True when the process never crashes in the planned execution."""
-        return self.crash_time is None

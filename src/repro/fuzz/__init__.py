@@ -6,8 +6,9 @@ service layer, the way a coverage-guided fuzzer closes one over a program:
 * :mod:`~repro.fuzz.corpus` — serialized seed plans (``FaultPlan.to_dict``
   round-trip), deduplicated by canonical fingerprint, persisted one JSON file
   per entry;
-* :mod:`~repro.fuzz.executor` — deterministic ``(spec, plan, seed)``
-  executions of the *real* stack with invariant probes (per-position
+* :mod:`~repro.fuzz.executor` — deterministic ``(spec, plan)`` executions
+  (a :class:`~repro.service.sharding.ServiceSpec` and a fault plan) of the
+  *real* stack with invariant probes (per-position
   agreement, exactly-once sessions, digest convergence, durability of
   acknowledged writes) and a behavioural feature harvest;
 * :mod:`~repro.fuzz.linearizability` — a real Wing–Gong checker validating
@@ -40,9 +41,8 @@ from repro.fuzz.corpus import (
 )
 from repro.fuzz.coverage import CoverageMap, bucket, signature
 from repro.fuzz.executor import (
-    ConstantDelayScenario,
+    FUZZ_BASELINE,
     ExecutionResult,
-    ScenarioSpec,
     Violation,
     check_invariants,
     harvest_features,
@@ -66,16 +66,15 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "CampaignRunner",
-    "ConstantDelayScenario",
     "Corpus",
     "CorpusEntry",
     "CoverageMap",
     "ExecutionResult",
+    "FUZZ_BASELINE",
     "Finding",
     "LinearizabilityVerdict",
     "MinimizationResult",
     "MutationEngine",
-    "ScenarioSpec",
     "Violation",
     "amnesia_witness_plan",
     "apply_kv",

@@ -26,9 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.coverage import CoverageMap
-from repro.fuzz.executor import ExecutionResult, ScenarioSpec, run_scenario
+from repro.fuzz.executor import FUZZ_BASELINE, ExecutionResult, run_scenario
 from repro.fuzz.minimize import emit_regression_test, minimize
 from repro.fuzz.mutators import MutationEngine
+from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import FaultPlan
 from repro.util.parallel import run_tasks
 from repro.util.rng import RandomSource, derive_seed
@@ -37,7 +38,7 @@ from repro.util.rng import RandomSource, derive_seed
 def _execute_payload(payload: Dict) -> Dict:
     """Worker entry point: run one serialized task (must stay module-level and
     dict-in/dict-out so any multiprocessing start method can ship it)."""
-    spec = ScenarioSpec.from_dict(payload["spec"])
+    spec = ServiceSpec.from_dict(payload["spec"])
     plan = FaultPlan.from_dict(payload["plan"])
     return run_scenario(spec, plan).to_dict()
 
@@ -46,7 +47,7 @@ def _execute_payload(payload: Dict) -> Dict:
 class CampaignConfig:
     """Knobs of one campaign run."""
 
-    spec: ScenarioSpec = dataclasses.field(default_factory=ScenarioSpec)
+    spec: ServiceSpec = FUZZ_BASELINE
     seed: int = 0
     #: Total executions (mutation rounds stop when the budget is spent).
     max_executions: int = 200
@@ -70,8 +71,6 @@ class CampaignConfig:
     stop_on_first_finding: bool = False
     #: Oracle executions granted to each finding's minimization.
     minimize_budget: int = 100
-    #: Environment-variable gate written into emitted regression tests.
-    regression_skip_env: Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -89,8 +88,8 @@ class Finding:
     minimize_executions: int = 0
     regression_test: Optional[str] = None
 
-    def spec(self) -> ScenarioSpec:
-        return ScenarioSpec.from_dict(self.spec_data)
+    def spec(self) -> ServiceSpec:
+        return ServiceSpec.from_dict(self.spec_data)
 
     def plan(self) -> FaultPlan:
         return FaultPlan.from_dict(self.plan_data)
@@ -165,7 +164,9 @@ class CampaignRunner:
         self.config = config
         self.corpus = corpus
         self.coverage = CoverageMap()
-        admission = config.require_quorum_memory and not config.spec.stable_storage
+        admission = (
+            config.require_quorum_memory and config.spec.storage_write_cost is None
+        )
         self.engine = MutationEngine(
             n=config.spec.n,
             t=config.spec.t,
@@ -198,7 +199,7 @@ class CampaignRunner:
             return None
         return plan
 
-    def _task_spec(self, rng: RandomSource, slot_seed: int) -> ScenarioSpec:
+    def _task_spec(self, rng: RandomSource, slot_seed: int) -> ServiceSpec:
         spec = self.config.spec
         adversary = rng.choice(list(self.config.adversaries))
         changes: Dict[str, object] = {}
@@ -208,7 +209,7 @@ class CampaignRunner:
             changes["seed"] = slot_seed % (2**31)
         return dataclasses.replace(spec, **changes) if changes else spec
 
-    def _seed_round(self) -> List[Tuple[str, ScenarioSpec, FaultPlan]]:
+    def _seed_round(self) -> List[Tuple[str, ServiceSpec, FaultPlan]]:
         tasks = []
         for entry in self.corpus:
             plan = self._admit(entry)
@@ -218,7 +219,7 @@ class CampaignRunner:
             tasks.append((entry.name, self.config.spec, plan))
         return tasks
 
-    def _mutation_round(self, round_index: int) -> List[Tuple[str, ScenarioSpec, FaultPlan]]:
+    def _mutation_round(self, round_index: int) -> List[Tuple[str, ServiceSpec, FaultPlan]]:
         entries = list(self.corpus)
         if not entries:
             return []
@@ -254,7 +255,7 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------ execution --
     def _execute(
-        self, tasks: Sequence[Tuple[str, ScenarioSpec, FaultPlan]]
+        self, tasks: Sequence[Tuple[str, ServiceSpec, FaultPlan]]
     ) -> List[ExecutionResult]:
         payloads = [
             {"spec": spec.to_dict(), "plan": plan.to_dict()}
@@ -267,7 +268,7 @@ class CampaignRunner:
     def _fold(
         self,
         round_index: int,
-        tasks: Sequence[Tuple[str, ScenarioSpec, FaultPlan]],
+        tasks: Sequence[Tuple[str, ServiceSpec, FaultPlan]],
         results: Sequence[ExecutionResult],
     ) -> None:
         for slot, ((parent, spec, plan), result) in enumerate(zip(tasks, results)):
@@ -351,7 +352,6 @@ class CampaignRunner:
                 plan=outcome.plan,
                 kinds=(finding.kind,),
                 title=f"{finding.kind} violation found by fuzzing",
-                skip_env=self.config.regression_skip_env,
             )
 
 

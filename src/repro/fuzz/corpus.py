@@ -14,7 +14,6 @@ sorted name order, so a directory corpus is deterministic and diff-friendly.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -27,6 +26,7 @@ from repro.simulation.faults import (
     PartitionStart,
     Recover,
 )
+from repro.util.rng import fingerprint
 
 #: Wire-format version of corpus entry files.
 CORPUS_VERSION = 1
@@ -34,8 +34,7 @@ CORPUS_VERSION = 1
 
 def plan_fingerprint(plan_data: Dict) -> str:
     """Canonical fingerprint of a serialized plan (order-insensitive JSON)."""
-    payload = json.dumps(plan_data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return fingerprint(plan_data)
 
 
 @dataclasses.dataclass

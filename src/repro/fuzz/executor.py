@@ -1,10 +1,11 @@
 """Deterministic one-shot execution of a ``(spec, plan, seed)`` fuzz scenario.
 
 :func:`run_scenario` is the campaign's measurement instrument: it builds a
-real :class:`~repro.service.sharding.ShardedService` (actual Omega elections,
-actual consensus, actual clients — no scripted oracles), injects the fault
-plan, drives closed-loop clients that record timed operation histories, and
-returns an :class:`ExecutionResult` carrying
+real :class:`~repro.service.sharding.ShardedService` from a
+:class:`~repro.service.sharding.ServiceSpec` (actual Omega elections, actual
+consensus, actual clients — no scripted oracles), injects the fault plan,
+drives closed-loop clients that record timed operation histories, and returns
+an :class:`ExecutionResult` carrying
 
 * the **coverage features** the feedback loop buckets for novelty (leader
   changes, round resyncs, catch-up and snapshot-transfer activity, corruption
@@ -27,112 +28,35 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.assumptions.base import Scenario
 from repro.consensus.commands import Command, flatten_value
-from repro.core.config import OmegaConfig
 from repro.fuzz.linearizability import check_history
-from repro.service.clients import ClosedLoopClient, start_clients, uniform_workload
-from repro.service.sharding import LEASE_MODE_COUNTERS, ShardedService, default_star_scenario
-from repro.simulation.adversary import ChurnAdversary, LeaderHunter, RandomAdversary
-from repro.simulation.delays import ConstantDelay
+from repro.service.clients import ClosedLoopClient, start_workload
+from repro.service.sharding import (
+    LEASE_MODE_COUNTERS,
+    ServiceSpec,
+    ShardedService,
+    build_service,
+)
 from repro.simulation.faults import FaultPlan
-from repro.util.rng import derive_seed
 
-
-class ConstantDelayScenario(Scenario):
-    """Uniform constant delays — the fuzzer's controllable baseline.
-
-    Constant symmetric delays make every process an (intermittent) star
-    centre, so leadership is well-defined and the scenario has no protected
-    process: every fault plan is assumption-admissible, which is exactly what
-    a fuzzer wants — the *plans* are the experiment, not the delay model.
-    """
-
-    name = "constant-delay"
-
-    def __init__(self, n: int, t: int, delay: float = 0.5) -> None:
-        super().__init__(n, t)
-        if delay <= 0:
-            raise ValueError(f"delay must be positive, got {delay}")
-        self.delay = delay
-
-    def build_delay_model(self) -> ConstantDelay:
-        return ConstantDelay(self.delay)
-
-    def recommended_omega_config(self) -> OmegaConfig:
-        # ALIVE period comfortably above the delay keeps rounds closing.
-        return OmegaConfig(alive_period=max(1.0, 2.0 * self.delay))
-
-
-#: Adversary names accepted by :attr:`ScenarioSpec.adversary`.
-ADVERSARIES = ("leader-hunter", "churn", "random")
-
-
-@dataclasses.dataclass(frozen=True)
-class ScenarioSpec:
-    """Everything but the fault plan: topology, workload, knobs, master seed.
-
-    A spec is deliberately JSON-flat (``to_dict``/``from_dict``) so findings
-    and regression artifacts can embed it verbatim and campaign workers can
-    receive it across process boundaries.
-    """
-
-    n: int = 3
-    t: int = 1
-    num_shards: int = 1
-    seed: int = 0
-    horizon: float = 110.0
-    quiesce_at: float = 80.0
-    num_clients: int = 2
-    num_keys: int = 4
-    read_fraction: float = 0.5
-    poll_interval: float = 1.0
-    retry_timeout: float = 12.0
-    batch_size: int = 1
-    drive_period: float = 2.0
-    retry_period: float = 10.0
-    scenario: str = "constant"  # "constant" | "star"
-    delay: float = 0.5
-    stable_storage: bool = False
-    compaction: Optional[int] = None
-    adversary: Optional[str] = None
-    adversary_period: float = 15.0
-    #: Lease-based read path (leader leases + read-index; see
-    #: :mod:`repro.consensus.leases`).  Off by default: every committed
-    #: leases-off fingerprint stays byte-identical.
-    leases: bool = False
-    lease_duration: float = 6.0
-    #: **Unsafe when False** — serve-time expiry validation off; exists so the
-    #: stale-read regression witness can pin the schedule where the virtual
-    #: clock check is load-bearing.
-    lease_validation: bool = True
-
-    def __post_init__(self) -> None:
-        if self.scenario not in ("constant", "star"):
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.adversary is not None and self.adversary not in ADVERSARIES:
-            raise ValueError(
-                f"unknown adversary {self.adversary!r} (expected one of {ADVERSARIES})"
-            )
-        if not 0 < self.quiesce_at <= self.horizon:
-            raise ValueError(
-                f"quiesce_at={self.quiesce_at} must lie in (0, horizon={self.horizon}]"
-            )
-
-    def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ScenarioSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"scenario spec must be a dict, got {data!r}")
-        names = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ValueError(f"unknown scenario spec field(s) {unknown}")
-        return cls(**data)
+#: The fuzz baseline every campaign, witness and test ``dataclasses.replace``-s:
+#: one small group under constant delays, two uniform-key clients that stop at
+#: 80 so the run quiesces before the horizon, batches of one and a retry
+#: timeout short enough to fire inside a fault window.
+FUZZ_BASELINE = ServiceSpec(
+    n=3,
+    t=1,
+    num_shards=1,
+    horizon=110.0,
+    stop_at=80.0,
+    num_clients=2,
+    num_keys=4,
+    batch_size=1,
+    retry_timeout=12.0,
+    scenario="constant",
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,53 +121,6 @@ class ExecutionResult:
             assumption_violations=tuple(str(x) for x in data["assumption_violations"]),
             history_len=int(data["history_len"]),
         )
-
-
-# ------------------------------------------------------------------ construction --
-def _build_adversary(spec: ScenarioSpec):
-    if spec.adversary is None:
-        return None
-    kwargs = dict(period=spec.adversary_period, stop=spec.quiesce_at)
-    if spec.adversary == "leader-hunter":
-        return LeaderHunter(downtime=10.0, **kwargs)
-    if spec.adversary == "churn":
-        return ChurnAdversary(downtime=8.0, **kwargs)
-    if spec.adversary == "random":
-        return RandomAdversary(seed=derive_seed(spec.seed, "adversary"), **kwargs)
-    raise ValueError(f"unknown adversary {spec.adversary!r}")
-
-
-def build_service(spec: ScenarioSpec, plan: FaultPlan) -> ShardedService:
-    """Construct the sharded service a spec describes, with *plan* on every shard."""
-    plan_data = plan.to_dict()
-
-    def scenario_factory(shard: int) -> Scenario:
-        if spec.scenario == "star":
-            return default_star_scenario(spec.n, spec.t, spec.seed, shard)
-        return ConstantDelayScenario(spec.n, spec.t, delay=spec.delay)
-
-    def fault_plan_factory(shard: int) -> FaultPlan:
-        # A fresh deserialization per shard: plans are stateless, but sharing
-        # one object across shards would alias the injector bookkeeping.
-        return FaultPlan.from_dict(plan_data)
-
-    return ShardedService(
-        num_shards=spec.num_shards,
-        n=spec.n,
-        t=spec.t,
-        scenario_factory=scenario_factory,
-        fault_plan_factory=fault_plan_factory,
-        adversary=_build_adversary(spec),
-        batch_size=spec.batch_size,
-        drive_period=spec.drive_period,
-        retry_period=spec.retry_period,
-        seed=spec.seed,
-        stable_storage=spec.stable_storage,
-        compaction=spec.compaction,
-        leases=spec.leases,
-        lease_duration=spec.lease_duration,
-        lease_validation=spec.lease_validation,
-    )
 
 
 # ------------------------------------------------------------------ invariant probes --
@@ -562,21 +439,17 @@ def _leader_change_times(service: ShardedService) -> Tuple[float, ...]:
 
 
 # ------------------------------------------------------------------ the instrument --
-def run_scenario(spec: ScenarioSpec, plan: FaultPlan) -> ExecutionResult:
-    """Execute one ``(spec, plan)`` pair; pure in ``(spec, plan, spec.seed)``."""
+def run_scenario(spec: ServiceSpec, plan: FaultPlan) -> ExecutionResult:
+    """Execute one ``(spec, plan)`` pair (*plan* on every shard); pure in
+    ``(spec, plan, spec.seed)``."""
     plan.validate(spec.n, spec.t)
-    service = build_service(spec, plan)
-    clients = start_clients(
-        service,
-        num_clients=spec.num_clients,
-        workload_factory=lambda index: uniform_workload(
-            spec.num_keys, read_fraction=spec.read_fraction
-        ),
-        poll_interval=spec.poll_interval,
-        retry_timeout=spec.retry_timeout,
-        stop_at=spec.quiesce_at,
-        record_history=True,
+    plan_data = plan.to_dict()
+    # A fresh deserialization per shard: plans are stateless, but sharing one
+    # object across shards would alias the injector bookkeeping.
+    service = build_service(
+        spec, fault_plan_factory=lambda shard: FaultPlan.from_dict(plan_data)
     )
+    clients = start_workload(service, spec, record_history=True)
     service.run_until(spec.horizon)
 
     violations = tuple(check_invariants(service, clients))
@@ -600,7 +473,7 @@ def run_scenario(spec: ScenarioSpec, plan: FaultPlan) -> ExecutionResult:
     ).encode("utf-8")
     return ExecutionResult(
         spec_data=spec.to_dict(),
-        plan_data=plan.to_dict(),
+        plan_data=plan_data,
         features=features,
         violations=violations,
         leader_change_times=_leader_change_times(service),
@@ -620,13 +493,10 @@ def run_scenario(spec: ScenarioSpec, plan: FaultPlan) -> ExecutionResult:
 
 
 __all__ = [
-    "ADVERSARIES",
-    "ConstantDelayScenario",
     "ExecutionResult",
-    "ScenarioSpec",
+    "FUZZ_BASELINE",
     "Violation",
     "agreement_violations",
-    "build_service",
     "check_invariants",
     "divergence_violations",
     "durability_violations",

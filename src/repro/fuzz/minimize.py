@@ -25,7 +25,8 @@ import dataclasses
 import pprint
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.fuzz.executor import ScenarioSpec, run_scenario
+from repro.fuzz.executor import run_scenario
+from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import FaultEvent, FaultPlan
 
 Predicate = Callable[[Sequence[FaultEvent]], bool]
@@ -61,7 +62,7 @@ class _Budget:
 
 
 def _violates(
-    spec: ScenarioSpec,
+    spec: ServiceSpec,
     events: Sequence[FaultEvent],
     target_kinds: Set[str],
     budget: _Budget,
@@ -138,7 +139,7 @@ def _shrink_times(
 
 
 def minimize(
-    spec: ScenarioSpec,
+    spec: ServiceSpec,
     plan: FaultPlan,
     target_kinds: Sequence[str],
     budget: int = 120,
@@ -181,10 +182,11 @@ _REGRESSION_TEMPLATE = '''"""Auto-generated fuzz regression: {title}.
 Emitted by repro.fuzz.minimize.emit_regression_test from a minimized
 counterexample.  The scenario replays deterministically from the embedded
 (spec, plan) pair; the assertion pins the violation kind(s) the campaign
-observed{gate_note}.
+observed.
 """
 
-{imports}from repro.fuzz.executor import ScenarioSpec, run_scenario
+from repro.fuzz.executor import run_scenario
+from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import FaultPlan
 
 SPEC = {spec_json}
@@ -194,8 +196,8 @@ PLAN = {plan_json}
 EXPECTED_KINDS = {kinds!r}
 
 
-{gate_deco}def test_{name}():
-    spec = ScenarioSpec.from_dict(SPEC)
+def test_{name}():
+    spec = ServiceSpec.from_dict(SPEC)
     plan = FaultPlan.from_dict(PLAN, n=spec.n, t=spec.t)
     result = run_scenario(spec, plan)
     observed = {{violation.kind for violation in result.violations}}
@@ -208,17 +210,12 @@ EXPECTED_KINDS = {kinds!r}
 
 def emit_regression_test(
     name: str,
-    spec: ScenarioSpec,
+    spec: ServiceSpec,
     plan: FaultPlan,
     kinds: Sequence[str],
     title: Optional[str] = None,
-    skip_env: Optional[str] = None,
 ) -> str:
-    """Render a self-contained pytest module reproducing a minimized finding.
-
-    ``skip_env`` gates the test behind an environment variable (set to ``1``
-    to skip), the convention expected-violation witnesses in this repo use.
-    """
+    """Render a self-contained pytest module reproducing a minimized finding."""
     safe = name.replace("-", "_")
     if not safe.isidentifier():
         raise ValueError(f"{name!r} does not form a valid test name")
@@ -226,25 +223,12 @@ def emit_regression_test(
     # so None/True/False must render as such, not null/true/false.
     spec_json = pprint.pformat(spec.to_dict(), width=79, sort_dicts=True)
     plan_json = pprint.pformat(plan.to_dict(), width=79, sort_dicts=True)
-    imports = ""
-    gate_deco = ""
-    gate_note = ""
-    if skip_env:
-        imports = "import os\n\nimport pytest\n\n"
-        gate_deco = (
-            f'@pytest.mark.skipif(\n    os.environ.get("{skip_env}") == "1",\n'
-            f'    reason="disabled via {skip_env}=1",\n)\n'
-        )
-        gate_note = f" (skippable via {skip_env}=1)"
     return _REGRESSION_TEMPLATE.format(
         title=title or f"minimized fault schedule {name}",
         name=safe,
-        imports=imports,
         spec_json=spec_json,
         plan_json=plan_json,
         kinds=tuple(sorted(set(kinds))),
-        gate_deco=gate_deco,
-        gate_note=gate_note,
     )
 
 

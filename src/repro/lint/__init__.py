@@ -6,8 +6,9 @@ classes this repository has actually shipped and fixed by hand:
 
 * **DET001** — seeded runs must be byte-identically reproducible, so direct
   wall-clock/randomness sources are confined to ``util/rng.py`` and
-  ``util/wallclock.py``, and no fingerprint/digest/merge fold may iterate an
-  unsorted set.
+  ``util/wallclock.py``, no fingerprint/digest/merge fold may iterate an
+  unsorted set, and ``hashlib`` is called only by the modules that own a
+  digest format (everything else uses ``util/rng.py``'s ``fingerprint``).
 * **CNT002** — a replica/stack/log/lease/oracle class counts into the
   process's counter registry (``self.counters[name] += 1``), never onto a
   plain attribute, which silently resets on crash-recovery (the PR 5 / PR 7

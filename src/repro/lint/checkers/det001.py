@@ -1,4 +1,4 @@
-"""DET001 — determinism: wall clock / ambient randomness / unsorted-set folds.
+"""DET001 — determinism: wall clock / ambient randomness / unsorted-set folds / ad-hoc digests.
 
 Seeded executions must be byte-identically reproducible (the run fingerprints
 of :mod:`repro.fuzz` and the parallel-merge equality checks depend on it), so:
@@ -12,7 +12,11 @@ of :mod:`repro.fuzz` and the parallel-merge equality checks depend on it), so:
 * no function reachable from a fingerprint/digest/merge fold may iterate a
   set without sorting it first — string hashes are randomised per process, so
   set order is the classic source of fingerprint drift (dicts iterate in
-  insertion order and are not flagged).
+  insertion order and are not flagged);
+* "the same run" is decided by one digest, :func:`repro.util.rng.fingerprint`
+  — a ``hashlib.*`` call outside the few modules that own a digest *format*
+  (:data:`DIGEST_OWNER_SUFFIXES`) is a finding: a second canonical-JSON helper
+  is a second definition of equality waiting to drift.
 
 Historical bug: the PR 8 parallel merge had to be built order-independent by
 hand; this rule keeps every later fold honest.
@@ -27,7 +31,7 @@ from repro.lint.report import Finding
 from repro.lint.walker import FunctionInfo, ProjectModel, resolve_dotted
 
 RULE_ID = "DET001"
-SUMMARY = "ambient nondeterminism (wall clock, global RNG, unsorted-set folds)"
+SUMMARY = "ambient nondeterminism (wall clock, global RNG, unsorted-set folds, ad-hoc digests)"
 HISTORICAL_BUG = (
     "hand-audited order independence of the PR 8 parallel merge and the fuzz "
     "run fingerprints"
@@ -35,6 +39,14 @@ HISTORICAL_BUG = (
 
 #: Modules allowed to touch the ambient sources (the sanctioned wrappers).
 ALLOWED_MODULE_SUFFIXES = ("util/rng.py", "util/wallclock.py")
+
+#: Modules that own a digest format and so call ``hashlib`` themselves (the
+#: ``util/rng.py`` home of ``fingerprint`` / ``derive_seed`` is allowed above).
+DIGEST_OWNER_SUFFIXES = (
+    "consensus/replicated_log.py",  # delivered-prefix digest chain
+    "service/state_machine.py",  # state digest
+    "fuzz/executor.py",  # operation-history fingerprint
+)
 
 #: Dotted call names that leak wall-clock or process-random state.
 BANNED_CALLS = frozenset(
@@ -70,6 +82,7 @@ def _banned_call_findings(model: ProjectModel) -> List[Finding]:
     for module in model.modules.values():
         if module.matches(*ALLOWED_MODULE_SUFFIXES):
             continue
+        owns_digest = module.matches(*DIGEST_OWNER_SUFFIXES)
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -87,6 +100,19 @@ def _banned_call_findings(model: ProjectModel) -> List[Finding]:
                             f"direct {dotted}() call; route randomness through "
                             "util/rng.py and wall-clock reads through "
                             "util/wallclock.py"
+                        ),
+                    )
+                )
+            elif dotted.startswith("hashlib.") and not owns_digest:
+                findings.append(
+                    Finding(
+                        rule=RULE_ID,
+                        path=module.relpath,
+                        line=node.lineno,
+                        symbol=dotted,
+                        message=(
+                            f"ad-hoc {dotted}() digest; fingerprint results "
+                            "with util/rng.py's fingerprint()"
                         ),
                     )
                 )

@@ -11,8 +11,10 @@ The layering, bottom up:
   boundary, never applied);
 * **this package** — replicated state machines (:mod:`~repro.service.state_machine`),
   service replicas (:mod:`~repro.service.replica`), hash-partitioned shard groups
-  (:mod:`~repro.service.sharding`, including ``ShardedService(adversary=...)``)
-  and client sessions / workload generators (:mod:`~repro.service.clients`).
+  (:mod:`~repro.service.sharding`, including ``ShardedService(adversary=...)``
+  and :class:`~repro.service.sharding.ServiceSpec`, the one JSON-flat
+  description of a run) and client sessions / workload generators
+  (:mod:`~repro.service.clients`).
 """
 
 from repro.consensus.commands import Batch, Command, flatten_value
@@ -26,11 +28,18 @@ from repro.service.clients import (
     ZipfianKeys,
     generate_commands,
     start_clients,
+    start_workload,
     uniform_workload,
     zipfian_workload,
 )
 from repro.service.replica import ServiceReplica
-from repro.service.sharding import ShardRouter, ShardedService, build_sharded_service
+from repro.service.sharding import (
+    ServiceSpec,
+    ShardRouter,
+    ShardedService,
+    build_service,
+    build_sharded_service,
+)
 from repro.service.state_machine import KeyValueStore, StateMachine
 
 __all__ = [
@@ -42,16 +51,19 @@ __all__ = [
     "OperationRecord",
     "RESULT_UNKNOWN",
     "ServiceReplica",
+    "ServiceSpec",
     "ShardRouter",
     "ShardedService",
     "StateMachine",
     "UniformKeys",
     "Workload",
     "ZipfianKeys",
+    "build_service",
     "build_sharded_service",
     "flatten_value",
     "generate_commands",
     "start_clients",
+    "start_workload",
     "uniform_workload",
     "zipfian_workload",
 ]

@@ -22,7 +22,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.commands import Command
-from repro.service.sharding import ShardedService
+from repro.service.sharding import ServiceSpec, ShardedService
 from repro.util.rng import RandomSource
 from repro.util.validation import require_positive
 
@@ -375,9 +375,6 @@ class ClosedLoopClient:
             return True
         return False
 
-    def _completed(self, command: Command) -> bool:
-        return self._applied_replica(command) is not None
-
     def _applied_replica(self, command: Command):
         """The first correct replica that applied *command*, or ``None``."""
         assert self._shard is not None
@@ -440,3 +437,26 @@ def start_clients(
         client.start(delay=stagger * index / max(1, num_clients))
         clients.append(client)
     return clients
+
+
+def start_workload(
+    service: ShardedService, spec: ServiceSpec, record_history: bool = False
+) -> List[ClosedLoopClient]:
+    """Start the closed-loop load *spec* describes on *service*."""
+
+    def workload_factory(_index: int) -> Workload:
+        if spec.zipf_theta is None:
+            return uniform_workload(spec.num_keys, read_fraction=spec.read_fraction)
+        return zipfian_workload(
+            spec.num_keys, theta=spec.zipf_theta, read_fraction=spec.read_fraction
+        )
+
+    return start_clients(
+        service,
+        num_clients=spec.num_clients,
+        workload_factory=workload_factory,
+        poll_interval=spec.poll_interval,
+        retry_timeout=spec.retry_timeout,
+        stop_at=spec.stop_at,
+        record_history=record_history,
+    )

@@ -11,6 +11,12 @@ clock drives the whole deployment and cross-shard throughput is measured coheren
 The :class:`ShardRouter` uses CRC-32 (stable across processes and platforms, unlike
 Python's randomised ``hash``) so that a key's home shard is reproducible for a
 given shard count.
+
+:class:`ServiceSpec` is the one JSON-flat description of a run — what the fuzz
+executor, the parallel shard executor, benchmarks and regression artifacts
+exchange — and :func:`build_service` the one mapping from it to a
+:class:`ShardedService` (:func:`~repro.service.clients.start_workload` starts
+the load it describes).
 """
 
 from __future__ import annotations
@@ -22,7 +28,10 @@ from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro.assumptions.base import Scenario
-from repro.assumptions.scenarios import IntermittentRotatingStarScenario
+from repro.assumptions.scenarios import (
+    ConstantDelayScenario,
+    IntermittentRotatingStarScenario,
+)
 from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.commands import Command
 from repro.consensus.leases import LeaseManager
@@ -31,6 +40,7 @@ from repro.core.interfaces import fold_counters
 from repro.core.omega_base import RotatingStarOmegaBase
 from repro.service.replica import ServiceReplica
 from repro.service.state_machine import KeyValueStore, StateMachine
+from repro.simulation.adversary import ADVERSARIES, adversary_by_name
 from repro.simulation.crash import random_crash_times
 from repro.simulation.faults import DEFAULT_ROUND_RESYNC_GAP, FaultPlan
 from repro.simulation.scheduler import EventScheduler
@@ -556,6 +566,169 @@ def default_star_scenario(
         center=shard % n,
         seed=derive_seed(seed, "scenario", shard),
         max_gap=4,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class ServiceSpec:
+    """One description of a run: everything but the fault plans.
+
+    Cluster, protocol, storage/compaction, leases, assumption/adversary and
+    closed-loop load, JSON-flat (``to_dict``/``from_dict`` round-trip exactly)
+    so findings and regression artifacts embed it verbatim and worker
+    processes receive it across process boundaries.  Fault plans travel beside
+    it: ``(spec, plan)`` is a complete, replayable run.
+
+    **Naming and defaults are one rule.**  A field that feeds one
+    :class:`ShardedService` / :func:`~repro.service.clients.start_clients`
+    keyword carries that keyword's name and default: ``seed``, ``batch_size``
+    (an int or ``"adaptive"``), ``drive_period``, ``retry_period``, ``leases``,
+    ``lease_duration``, ``lease_validation``, ``num_clients``, ``stop_at``,
+    ``poll_interval``, ``retry_timeout``.  Keywords that take an object have
+    flat stand-ins:
+
+    ``storage_write_cost``
+        ``stable_storage``: ``None`` off, ``0.0`` free durable writes, ``> 0``
+        a ``WriteCostModel(per_write=...)`` charged on the virtual clock.
+    ``compaction_interval`` / ``compaction_retain``
+        ``compaction``: ``None`` off, else a ``CompactionPolicy`` (whose
+        default ``retain`` is this one's).
+    ``scenario`` / ``delay``
+        ``scenario_factory``: ``"star"`` is :func:`default_star_scenario`,
+        ``"constant"`` a ``ConstantDelayScenario(delay=...)`` on every shard.
+    ``adversary`` / ``adversary_period``
+        ``adversary``: ``None`` or a name :func:`~repro.simulation.adversary.
+        adversary_by_name` knows; it stops acting at ``stop_at``.
+    ``num_keys`` / ``read_fraction`` / ``zipf_theta``
+        ``workload_factory``: uniform keys when ``zipf_theta`` is ``None``,
+        zipfian with that skew otherwise.
+
+    Fields with no constructor default (``n``, ``t``, ``num_shards``,
+    ``horizon``, ``num_clients``, ``num_keys``) are required.  Under
+    :func:`~repro.simulation.parallel.run_parallel_service` every shard is its
+    own service, so ``num_clients`` is per shard there.
+    """
+
+    n: int
+    t: int
+    num_shards: int
+    horizon: float
+    num_clients: int
+    num_keys: int
+    seed: int = 0
+    batch_size: Union[int, str] = 8
+    drive_period: float = 2.0
+    retry_period: float = 10.0
+    storage_write_cost: Optional[float] = None
+    compaction_interval: Optional[int] = None
+    compaction_retain: int = 32
+    leases: bool = False
+    lease_duration: float = 6.0
+    #: **Unsafe when False** — see :class:`ShardedService`.
+    lease_validation: bool = True
+    scenario: str = "star"
+    delay: float = 0.5
+    adversary: Optional[str] = None
+    adversary_period: float = 15.0
+    stop_at: Optional[float] = None
+    read_fraction: float = 0.5
+    zipf_theta: Optional[float] = None
+    poll_interval: float = 1.0
+    retry_timeout: float = 40.0
+
+    def __post_init__(self) -> None:
+        if self.num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
+        if self.horizon <= 0:
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if self.num_clients < 1:
+            raise ValueError(f"num_clients must be >= 1, got {self.num_clients}")
+        if self.stop_at is not None and not 0 < self.stop_at <= self.horizon:
+            raise ValueError(
+                f"stop_at={self.stop_at} must lie in (0, horizon={self.horizon}]"
+            )
+        if self.storage_write_cost is not None and self.storage_write_cost < 0:
+            raise ValueError(
+                f"storage_write_cost must be >= 0, got {self.storage_write_cost}"
+            )
+        if self.scenario not in ("star", "constant"):
+            raise ValueError(f"unknown scenario {self.scenario!r}")
+        if self.adversary is not None and self.adversary not in ADVERSARIES:
+            raise ValueError(
+                f"unknown adversary {self.adversary!r} (expected one of {ADVERSARIES})"
+            )
+
+    def to_dict(self) -> Dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "ServiceSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"service spec must be a dict, got {data!r}")
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(data) - {field.name for field in fields})
+        if unknown:
+            raise ValueError(f"unknown service spec field(s) {unknown}")
+        missing = sorted(
+            field.name
+            for field in fields
+            if field.default is dataclasses.MISSING and field.name not in data
+        )
+        if missing:
+            raise ValueError(f"service spec is missing field(s) {missing}")
+        return cls(**data)
+
+    def build_scenario(self, shard: int) -> Scenario:
+        """The behavioural assumption of (global) shard index *shard*."""
+        if self.scenario == "constant":
+            return ConstantDelayScenario(self.n, self.t, delay=self.delay)
+        return default_star_scenario(self.n, self.t, self.seed, shard)
+
+
+def build_service(
+    spec: ServiceSpec,
+    fault_plan_factory: Optional[Callable[[int], FaultPlan]] = None,
+    scenario_factory: Optional[Callable[[int], Scenario]] = None,
+) -> ShardedService:
+    """Construct the service *spec* describes — the only spec → service mapping.
+
+    ``fault_plan_factory`` is :class:`ShardedService`'s; ``scenario_factory``
+    overrides ``spec.build_scenario`` (a shard run alone passes its global
+    index through it — see :func:`repro.simulation.parallel.run_shard`).
+    """
+    stable_storage: Union[bool, WriteCostModel] = False
+    if spec.storage_write_cost is not None:
+        stable_storage = (
+            WriteCostModel(per_write=spec.storage_write_cost)
+            if spec.storage_write_cost > 0
+            else True
+        )
+    compaction = None
+    if spec.compaction_interval is not None:
+        compaction = CompactionPolicy(
+            interval=spec.compaction_interval, retain=spec.compaction_retain
+        )
+    adversary = None
+    if spec.adversary is not None:
+        adversary = adversary_by_name(
+            spec.adversary, spec.adversary_period, spec.stop_at, spec.seed
+        )
+    return ShardedService(
+        num_shards=spec.num_shards,
+        n=spec.n,
+        t=spec.t,
+        scenario_factory=scenario_factory or spec.build_scenario,
+        fault_plan_factory=fault_plan_factory,
+        adversary=adversary,
+        batch_size=spec.batch_size,
+        drive_period=spec.drive_period,
+        retry_period=spec.retry_period,
+        seed=spec.seed,
+        stable_storage=stable_storage,
+        compaction=compaction,
+        leases=spec.leases,
+        lease_duration=spec.lease_duration,
+        lease_validation=spec.lease_validation,
     )
 
 

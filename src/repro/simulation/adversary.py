@@ -61,7 +61,7 @@ from repro.simulation.faults import (
     Recover,
 )
 from repro.simulation.system import System
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, derive_seed
 from repro.util.validation import require_positive
 
 
@@ -437,10 +437,35 @@ class RandomAdversary(Adversary):
                     )
 
 
+#: Names :func:`adversary_by_name` accepts (``ServiceSpec.adversary``).
+ADVERSARIES = ("leader-hunter", "churn", "random")
+
+
+def adversary_by_name(
+    name: str, period: float, stop: Optional[float], seed: int
+) -> Adversary:
+    """Build the shipped adversary a JSON-flat run description names.
+
+    The downtimes are the ones every pinned fuzz campaign ran with; *seed* is
+    the run's master seed (only the random adversary draws from it).
+    """
+    if name == "leader-hunter":
+        return LeaderHunter(downtime=10.0, period=period, stop=stop)
+    if name == "churn":
+        return ChurnAdversary(downtime=8.0, period=period, stop=stop)
+    if name == "random":
+        return RandomAdversary(
+            seed=derive_seed(seed, "adversary"), period=period, stop=stop
+        )
+    raise ValueError(f"unknown adversary {name!r} (expected one of {ADVERSARIES})")
+
+
 __all__ = [
+    "ADVERSARIES",
     "Adversary",
     "AdversaryAction",
     "ChurnAdversary",
     "LeaderHunter",
     "RandomAdversary",
+    "adversary_by_name",
 ]

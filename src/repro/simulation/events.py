@@ -130,29 +130,6 @@ class EventQueue:
         self._live -= 1
         return event
 
-    def pop_at_or_before(self, limit: float) -> Optional[Event]:
-        """Pop the next live event with ``time <= limit`` (``None`` otherwise).
-
-        Single-pass variant of ``peek_time`` + ``pop`` used by the scheduler's
-        ``run_until`` hot loop: the heap root is examined exactly once per event.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            event = entry[2]
-            if event.cancelled:
-                heappop(heap)
-                event._in_queue = False
-                continue
-            if entry[0] > limit:
-                return None
-            heappop(heap)
-            event._in_queue = False
-            self._live -= 1
-            return event
-        return None
-
     def requeue_run(self, events: Sequence[Event]) -> None:
         """Push already-drained *events* back into the queue (exception unwind).
 

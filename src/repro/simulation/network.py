@@ -99,11 +99,11 @@ class Envelope:
 class NetworkStats:
     """Message accounting used by the cost experiments (E6, E9).
 
-    Counters are plain ``dict[str, int]`` / ``dict[int, int]`` updated inline (the
-    per-message cost is two dict increments and an integer add); the public
-    ``*_by_tag`` / ``*_by_process`` attributes of the original API are exposed as
-    lazily materialised :class:`collections.Counter` views, so ``as_dict()`` output
-    and ``stats.sent_by_tag["ALIVE"]``-style reads are unchanged.
+    Counters are plain ``dict[str, int]`` updated inline (the per-message cost is
+    one dict increment and an integer add); the public ``*_by_tag`` attributes of
+    the original API are exposed as lazily materialised
+    :class:`collections.Counter` views, so ``as_dict()`` output and
+    ``stats.sent_by_tag["ALIVE"]``-style reads are unchanged.
     """
 
     __slots__ = (
@@ -111,8 +111,6 @@ class NetworkStats:
         "_delivered_by_tag",
         "_dropped_by_tag",
         "_corrupted_by_tag",
-        "_sent_by_process",
-        "_delivered_to_process",
         "_total_sent",
         "_total_delivered",
         "_total_dropped",
@@ -127,8 +125,6 @@ class NetworkStats:
         self._delivered_by_tag: Dict[str, int] = {}
         self._dropped_by_tag: Dict[str, int] = {}
         self._corrupted_by_tag: Dict[str, int] = {}
-        self._sent_by_process: Dict[int, int] = {}
-        self._delivered_to_process: Dict[int, int] = {}
         self._total_sent = 0
         self._total_delivered = 0
         self._total_dropped = 0
@@ -157,16 +153,6 @@ class NetworkStats:
     def corrupted_by_tag(self) -> Counter:
         """Messages whose payload was tampered in flight, per innermost tag."""
         return Counter(self._corrupted_by_tag)
-
-    @property
-    def sent_by_process(self) -> Counter:
-        """Messages handed to the network, per sender."""
-        return Counter(self._sent_by_process)
-
-    @property
-    def delivered_to_process(self) -> Counter:
-        """Messages delivered, per destination."""
-        return Counter(self._delivered_to_process)
 
     @property
     def total_sent(self) -> int:
@@ -211,20 +197,16 @@ class NetworkStats:
         return self.total_delay / delivered if delivered else 0.0
 
     # -- recording (hot path) ------------------------------------------------------
-    def record_sent(self, tag: str, sender: int, count: int = 1) -> None:
-        """Count *count* messages with *tag* handed to the network by *sender*."""
+    def record_sent(self, tag: str, count: int = 1) -> None:
+        """Count *count* messages with *tag* handed to the network."""
         self._total_sent += count
         by_tag = self._sent_by_tag
         by_tag[tag] = by_tag.get(tag, 0) + count
-        by_process = self._sent_by_process
-        by_process[sender] = by_process.get(sender, 0) + count
 
-    def record_delivered(self, tag: str, dest: int, delay: float) -> None:
+    def record_delivered(self, tag: str, delay: float) -> None:
         self._total_delivered += 1
         by_tag = self._delivered_by_tag
         by_tag[tag] = by_tag.get(tag, 0) + 1
-        to_process = self._delivered_to_process
-        to_process[dest] = to_process.get(dest, 0) + 1
         self.total_delay += delay
         if delay > self.max_delay:
             self.max_delay = delay
@@ -343,7 +325,7 @@ class Network:
         if dest not in self._deliver:
             raise KeyError(f"destination process {dest} is not registered")
         tag = unwrap_tag(message)
-        self.stats.record_sent(tag, sender)
+        self.stats.record_sent(tag)
         return self._dispatch(
             sender,
             dest,
@@ -383,7 +365,7 @@ class Network:
         tag = unwrap_tag(message)
         rn = unwrap_round_number(message)
         now = self._scheduler.now
-        self.stats.record_sent(tag, sender, count=len(dests))
+        self.stats.record_sent(tag, count=len(dests))
         dispatch = self._dispatch
         return [
             dispatch(sender, dest, message, tag, rn, now, extra_delay)
@@ -495,7 +477,7 @@ class Network:
             self.stats.record_dropped(tag)
             return
         delay = envelope.deliver_time - envelope.send_time
-        self.stats.record_delivered(tag, dest, delay)
+        self.stats.record_delivered(tag, delay)
         if envelope.corrupted:
             self.stats.record_corrupted_delivered()
         if self._tracer is not None:

@@ -4,7 +4,9 @@
 shard groups on **one** event loop — coherent, but bounded by a single core.
 This module is the scale-out path: each shard's event loop runs in its own
 worker process and the per-shard results are merged **deterministically**, so
-a seeded run is byte-identical regardless of worker count.
+a seeded run is byte-identical regardless of worker count.  A run is described
+by the same :class:`~repro.service.sharding.ServiceSpec` every other harness
+uses, plus an optional fault plan per shard.
 
 Why this is exact, not approximate
 ----------------------------------
@@ -45,96 +47,15 @@ parallel speedup).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.interfaces import fold_counters
-from repro.service.clients import start_clients, zipfian_workload
-from repro.service.sharding import ShardedService, default_star_scenario
+from repro.service.clients import start_workload
+from repro.service.sharding import ServiceSpec, build_service
 from repro.simulation.faults import FaultPlan
-from repro.storage.compaction import CompactionPolicy
-from repro.storage.stable_store import WriteCostModel
 from repro.util.parallel import run_tasks
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_seed, fingerprint
 from repro.util.wallclock import now as wallclock_now
-
-
-@dataclasses.dataclass(frozen=True)
-class ParallelServiceSpec:
-    """Everything that defines a parallel service run — JSON-flat and picklable.
-
-    A spec fully determines every shard's execution: the worker receives
-    ``(spec dict, shard index)`` and nothing else, so results can never depend
-    on executor state.  ``to_dict``/``from_dict`` round-trip exactly.
-
-    ``storage_cost`` selects the durability mode: ``None`` runs storage-less,
-    ``0.0`` gives every replica free durable writes, a positive value charges
-    each write on the virtual clock (``WriteCostModel(per_write=...)``).
-    ``compaction_interval`` (with ``compaction_retain``) installs a
-    snapshot/compaction policy on every replica.  ``fault_plans`` maps shard
-    index -> serialized :class:`~repro.simulation.faults.FaultPlan`
-    (``FaultPlan.to_dict`` form); unlisted shards run fault-free.
-    """
-
-    num_shards: int = 4
-    n: int = 3
-    t: int = 1
-    seed: int = 0
-    horizon: float = 300.0
-    clients_per_shard: int = 12
-    num_keys: int = 64
-    read_fraction: float = 0.5
-    zipf_theta: float = 0.99
-    batch_size: int = 8
-    poll_interval: float = 1.0
-    retry_timeout: float = 40.0
-    stop_at: Optional[float] = None
-    storage_cost: Optional[float] = None
-    compaction_interval: Optional[int] = None
-    compaction_retain: int = 16
-    fault_plans: Optional[Dict[int, Dict]] = None
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.clients_per_shard < 1:
-            raise ValueError(
-                f"clients_per_shard must be >= 1, got {self.clients_per_shard}"
-            )
-        if self.stop_at is not None and not 0 < self.stop_at <= self.horizon:
-            raise ValueError(
-                f"stop_at={self.stop_at} must lie in (0, horizon={self.horizon}]"
-            )
-        if self.storage_cost is not None and self.storage_cost < 0:
-            raise ValueError(f"storage_cost must be >= 0, got {self.storage_cost}")
-        if self.fault_plans is not None:
-            for shard in self.fault_plans:
-                if not 0 <= int(shard) < self.num_shards:
-                    raise ValueError(
-                        f"fault_plans references shard {shard}, valid range is "
-                        f"[0, {self.num_shards})"
-                    )
-
-    def to_dict(self) -> Dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ParallelServiceSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"parallel service spec must be a dict, got {data!r}")
-        names = {field.name for field in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise ValueError(f"unknown parallel service spec field(s) {unknown}")
-        data = dict(data)
-        plans = data.get("fault_plans")
-        if plans is not None:
-            # JSON round-trips dict keys as strings; normalise back to ints.
-            data["fault_plans"] = {int(shard): plan for shard, plan in plans.items()}
-        return cls(**data)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,7 +63,7 @@ class ShardResult:
     """One shard's complete, deterministic outcome (plus its wall time).
 
     Every field except ``wall_seconds`` is a pure function of
-    ``(spec, shard)``; the ``fingerprint`` digests exactly those fields, so
+    ``(spec, shard, plan)``; the ``fingerprint`` digests exactly those fields, so
     equal inputs produce byte-identical fingerprints in any process.
     """
 
@@ -195,21 +116,18 @@ class ShardResult:
         return cls(**data)
 
 
-def _result_fingerprint(payload: Dict) -> str:
-    """SHA-256 over the canonical JSON form of a deterministic payload."""
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def run_shard(spec: ParallelServiceSpec, shard: int) -> ShardResult:
+def run_shard(
+    spec: ServiceSpec, shard: int, plan: Optional[FaultPlan] = None
+) -> ShardResult:
     """Run *shard* of *spec* to the horizon — the pure per-shard function.
 
     Builds a self-contained single-shard :class:`ShardedService` on its own
-    virtual clock: shard seed ``derive_seed(spec.seed, "pshard", shard)``,
-    the default intermittent-rotating-star scenario with the *global* shard
-    index rotating the centre (matching the multiplexed deployment's
-    topology diversity), shard-local closed-loop clients, and the spec's
-    storage / compaction / fault-plan configuration for this shard.
+    virtual clock: *spec* with ``num_shards=1`` and the shard seed
+    ``derive_seed(spec.seed, "pshard", shard)``, but the scenario the whole
+    deployment gives this shard — ``spec.build_scenario(shard)``, the *global*
+    index and the *run* seed, so the default star's centre rotates across
+    shards exactly as in the multiplexed deployment — *plan* (``None`` runs
+    fault-free) and ``spec.num_clients`` shard-local closed-loop clients.
 
     ``workers=0`` and ``workers=N`` paths of :func:`run_parallel_service`
     both land here with identical arguments; everything but ``wall_seconds``
@@ -219,53 +137,14 @@ def run_shard(spec: ParallelServiceSpec, shard: int) -> ShardResult:
         raise ValueError(
             f"shard {shard} out of range for num_shards={spec.num_shards}"
         )
-    shard_seed = derive_seed(spec.seed, "pshard", shard)
-
-    plan_data = (spec.fault_plans or {}).get(shard)
-    fault_plan_factory = None
-    if plan_data is not None:
-
-        def fault_plan_factory(_local):
-            return FaultPlan.from_dict(plan_data, n=spec.n, t=spec.t)
-
-    stable_storage: object = False
-    if spec.storage_cost is not None:
-        stable_storage = (
-            True
-            if spec.storage_cost == 0.0
-            else WriteCostModel(per_write=spec.storage_cost)
-        )
-    compaction = None
-    if spec.compaction_interval is not None:
-        compaction = CompactionPolicy(
-            interval=spec.compaction_interval, retain=spec.compaction_retain
-        )
-
-    service = ShardedService(
-        num_shards=1,
-        n=spec.n,
-        t=spec.t,
-        scenario_factory=lambda _local: default_star_scenario(
-            spec.n, spec.t, spec.seed, shard
+    service = build_service(
+        dataclasses.replace(
+            spec, num_shards=1, seed=derive_seed(spec.seed, "pshard", shard)
         ),
-        fault_plan_factory=fault_plan_factory,
-        batch_size=spec.batch_size,
-        seed=shard_seed,
-        stable_storage=stable_storage,
-        compaction=compaction,
+        fault_plan_factory=None if plan is None else lambda _local: plan,
+        scenario_factory=lambda _local: spec.build_scenario(shard),
     )
-    clients = start_clients(
-        service,
-        num_clients=spec.clients_per_shard,
-        workload_factory=lambda i: zipfian_workload(
-            num_keys=spec.num_keys,
-            theta=spec.zipf_theta,
-            read_fraction=spec.read_fraction,
-        ),
-        poll_interval=spec.poll_interval,
-        retry_timeout=spec.retry_timeout,
-        stop_at=spec.stop_at,
-    )
+    clients = start_workload(service, spec)
 
     start = wallclock_now()
     service.run_until(spec.horizon)
@@ -298,15 +177,18 @@ def run_shard(spec: ParallelServiceSpec, shard: int) -> ShardResult:
         counters=counters,
         violations=violations,
         wall_seconds=wall,
-        fingerprint=_result_fingerprint(deterministic),
+        fingerprint=fingerprint(deterministic),
     )
 
 
 def _run_shard_payload(payload: Dict) -> Dict:
     """Worker entry point (module-level, dict-in/dict-out — see
     :mod:`repro.util.parallel` for why)."""
-    spec = ParallelServiceSpec.from_dict(payload["spec"])
-    return run_shard(spec, payload["shard"]).to_dict()
+    spec = ServiceSpec.from_dict(payload["spec"])
+    plan = payload["plan"]
+    if plan is not None:
+        plan = FaultPlan.from_dict(plan, n=spec.n, t=spec.t)
+    return run_shard(spec, payload["shard"], plan).to_dict()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,7 +200,7 @@ class ParallelRunReport:
     and the two rates are the only fields that vary between runs.
     """
 
-    spec: ParallelServiceSpec
+    spec: ServiceSpec
     workers: int
     shards: Tuple[ShardResult, ...]
     events: int
@@ -361,7 +243,7 @@ class ParallelRunReport:
 
 
 def merge_shard_results(
-    spec: ParallelServiceSpec,
+    spec: ServiceSpec,
     results: List[ShardResult],
     workers: int,
     wall_seconds: float,
@@ -389,7 +271,7 @@ def merge_shard_results(
         for result in ordered
         for violation in result.violations
     )
-    run_fingerprint = _result_fingerprint(
+    run_fingerprint = fingerprint(
         {
             "schema": 1,
             "seed": spec.seed,
@@ -414,7 +296,9 @@ def merge_shard_results(
 
 
 def run_parallel_service(
-    spec: ParallelServiceSpec, workers: int = 0
+    spec: ServiceSpec,
+    workers: int = 0,
+    plans: Optional[Dict[int, FaultPlan]] = None,
 ) -> ParallelRunReport:
     """Run every shard of *spec* and merge deterministically.
 
@@ -423,9 +307,23 @@ def run_parallel_service(
     paths execute the identical :func:`run_shard` payloads and fold results
     in shard order, so the report's ``run_fingerprint`` — and every
     deterministic field — is byte-identical across worker counts.
+
+    ``plans`` maps shard index -> that shard's fault plan; unlisted shards
+    run fault-free.
     """
+    plans = plans or {}
+    for shard in plans:
+        if not 0 <= shard < spec.num_shards:
+            raise ValueError(
+                f"plans references shard {shard}, valid range is "
+                f"[0, {spec.num_shards})"
+            )
     payloads = [
-        {"spec": spec.to_dict(), "shard": shard}
+        {
+            "spec": spec.to_dict(),
+            "shard": shard,
+            "plan": plans[shard].to_dict() if shard in plans else None,
+        }
         for shard in range(spec.num_shards)
     ]
     start = wallclock_now()

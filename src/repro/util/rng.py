@@ -6,11 +6,16 @@ reproducible from a single integer seed.  Sub-streams are derived with
 :func:`derive_seed`, which hashes the parent seed together with a string label; two
 components that draw from differently-labelled sub-streams therefore never interfere
 with each other's sequences, even when the order in which they draw changes.
+
+:func:`fingerprint` is the other half of reproducibility: the one digest of a
+deterministic result structure, so "the same run" is checked the same way by
+the parallel executor, the fuzz corpus, the benchmarks and the tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from typing import Iterable, Optional, Sequence, TypeVar
 
@@ -28,6 +33,16 @@ def derive_seed(parent_seed: int, *labels: object) -> int:
     payload = repr((int(parent_seed),) + tuple(str(label) for label in labels))
     digest = hashlib.sha256(payload.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % _SEED_MODULUS
+
+
+def fingerprint(payload: object) -> str:
+    """SHA-256 over the canonical JSON form of a deterministic *payload*.
+
+    Keys are sorted, so dict insertion order never matters; values JSON cannot
+    express are rendered with ``repr``.
+    """
+    blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
 
 
 class RandomSource:

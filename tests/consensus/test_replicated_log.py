@@ -52,6 +52,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             log.submit(NOOP)
 
+    def test_unhashable_value_is_rejected_at_submit(self):
+        # Undecided and decided values are indexed by hash; the error surfaces
+        # at the call, before any bookkeeping changed.
+        log, _, _ = make()
+        with pytest.raises(TypeError, match="unhashable"):
+            log.submit(["not", "hashable"])
+        assert log.pending == []
+
 
 class TestSubmissionAndForwarding:
     def test_submit_is_idempotent(self):

@@ -9,6 +9,8 @@ Each algorithm adds exactly one guard to the previous one:
 The tests below exercise each guard in isolation through the fake environment.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import OmegaConfig
@@ -166,6 +168,12 @@ class TestFgVariant:
         config = OmegaConfig(g=lambda rn: 100.0)
         fg = FgOmega(pid=0, n=5, t=2, config=config, g=lambda rn: 1.0)
         assert fg.config.timeout_extension(5) == 1.0
+
+    def test_explicit_functions_preserve_every_other_config_field(self):
+        config = OmegaConfig(alive_period=3.0, round_resync_gap=8)
+        fg = FgOmega(pid=0, n=4, t=1, config=config, g=lambda rn: 0.5)
+        assert fg.config == dataclasses.replace(config, g=fg.config.g)
+        assert fg.config.round_resync_gap == 8
 
     def test_config_functions_used_when_no_explicit_arguments(self):
         config = OmegaConfig(f=lambda rn: 2, g=lambda rn: 3.0)

@@ -14,22 +14,23 @@ The soak and determinism tests each run a few hundred simulations; they are
 the slowest tests in the repo (~10 s each) but they ARE the deliverable.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.fuzz.campaign import CampaignConfig, CampaignRunner, run_campaign
 from repro.fuzz.corpus import seed_corpus
-from repro.fuzz.executor import ScenarioSpec
+from repro.fuzz.executor import FUZZ_BASELINE
 from repro.simulation.faults import FaultPlan
 
 
 def hunt_config(**overrides):
     base = dict(
-        spec=ScenarioSpec(seed=3, stable_storage=False),
+        spec=dataclasses.replace(FUZZ_BASELINE, seed=3),
         seed=11,
         max_executions=40,
         stop_on_first_finding=True,
         minimize_budget=80,
-        regression_skip_env="REPRO_SKIP_AMNESIA_WITNESS",
     )
     base.update(overrides)
     return CampaignConfig(**base)
@@ -68,7 +69,6 @@ class TestHuntCampaign:
         agreement = next(f for f in hunt_report.findings if f.kind == "agreement")
         assert agreement.regression_test is not None
         compile(agreement.regression_test, "<emitted>", "exec")
-        assert "REPRO_SKIP_AMNESIA_WITNESS" in agreement.regression_test
 
     def test_inadmissible_seeds_are_skipped_not_run(self):
         # With quorum-memory admission on (modelling the paper's assumption
@@ -86,7 +86,7 @@ class TestSoakCampaign:
         # Acceptance criterion: >= 200 pinned-seed executions with stable
         # storage enabled report zero invariant violations.
         config = CampaignConfig(
-            spec=ScenarioSpec(seed=5, stable_storage=True),
+            spec=dataclasses.replace(FUZZ_BASELINE, seed=5, storage_write_cost=0.0),
             seed=21,
             max_executions=200,
             round_size=16,
@@ -107,7 +107,7 @@ class TestWorkerDeterminism:
     def test_report_is_worker_count_independent(self):
         def run(workers):
             config = CampaignConfig(
-                spec=ScenarioSpec(seed=7, stable_storage=True),
+                spec=dataclasses.replace(FUZZ_BASELINE, seed=7, storage_write_cost=0.0),
                 seed=13,
                 max_executions=24,
                 round_size=8,

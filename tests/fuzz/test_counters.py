@@ -8,18 +8,21 @@ without listing them.  The wire-equality tests below them pin what individual
 counts *mean*.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fuzz.executor import ScenarioSpec, build_service, harvest_features
+from repro.fuzz.executor import FUZZ_BASELINE, harvest_features
 from repro.service.clients import start_clients, zipfian_workload
+from repro.service.sharding import build_service
 from repro.simulation.faults import Crash, FaultPlan, Recover
 
 CRASH_AT, RECOVER_AT = 20.0, 40.0
 
 
 def _loaded_service(spec, plan, stop_at):
-    service = build_service(spec, plan)
+    service = build_service(spec, fault_plan_factory=lambda shard: plan)
     clients = start_clients(
         service,
         num_clients=6,
@@ -30,7 +33,7 @@ def _loaded_service(spec, plan, stop_at):
 
 
 def _service_with_restart(pid, **spec_kwargs):
-    spec = ScenarioSpec(seed=3, **spec_kwargs)
+    spec = dataclasses.replace(FUZZ_BASELINE, seed=3, **spec_kwargs)
     plan = FaultPlan([Crash(time=CRASH_AT, pid=pid), Recover(time=RECOVER_AT, pid=pid)])
     service, clients = _loaded_service(spec, plan, stop_at=70.0)
     return spec, service, clients
@@ -40,7 +43,7 @@ class TestEveryCountSurvivesARestart:
     @pytest.mark.parametrize("pid", [0, 1])  # the leader (star centre), a follower
     @pytest.mark.parametrize(
         "spec_kwargs",
-        [{}, {"stable_storage": True, "compaction": 4, "leases": True}],
+        [{}, {"storage_write_cost": 0.0, "compaction_interval": 4, "leases": True}],
         ids=["bare", "storage+compaction+leases"],
     )
     def test_no_total_is_lower_after_the_restart_than_just_before_the_crash(
@@ -87,12 +90,13 @@ class TestTotalsAreMonotoneInVirtualTime:
             clock += uptime + downtime
             plan.add(Recover(time=clock, pid=pid))
         horizon = clock + 20.0
-        spec = ScenarioSpec(
+        spec = dataclasses.replace(
+            FUZZ_BASELINE,
             seed=seed,
             horizon=horizon,
-            quiesce_at=horizon,
-            stable_storage=True,
-            compaction=4,
+            stop_at=horizon,
+            storage_write_cost=0.0,
+            compaction_interval=4,
             leases=leases,
         )
         service, _ = _loaded_service(spec, plan, stop_at=horizon)

@@ -7,27 +7,17 @@ like any write and stays covered.  A blanket ``op == "get"`` exemption would
 silently narrow durability coverage in lease-mode campaigns.
 """
 
-from repro.fuzz.executor import ScenarioSpec, build_service, durability_violations
-from repro.service.clients import (
-    OperationRecord,
-    start_clients,
-    uniform_workload,
-)
-from repro.simulation.faults import FaultPlan
+import dataclasses
+
+from repro.fuzz.executor import FUZZ_BASELINE, durability_violations
+from repro.service.clients import OperationRecord, start_workload
+from repro.service.sharding import build_service
 
 
 def _run_lease_service(seed=3):
-    spec = ScenarioSpec(seed=seed, leases=True, read_fraction=0.9)
-    service = build_service(spec, FaultPlan.none())
-    clients = start_clients(
-        service,
-        num_clients=spec.num_clients,
-        workload_factory=lambda i: uniform_workload(
-            spec.num_keys, read_fraction=spec.read_fraction
-        ),
-        stop_at=spec.quiesce_at,
-        record_history=True,
-    )
+    spec = dataclasses.replace(FUZZ_BASELINE, seed=seed, leases=True, read_fraction=0.9)
+    service = build_service(spec)
+    clients = start_workload(service, spec, record_history=True)
     service.run_until(spec.horizon)
     return service, clients
 

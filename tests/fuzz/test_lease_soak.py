@@ -14,16 +14,19 @@ leased while the victim's grants drain — exactly the window the safety
 argument is about.
 """
 
+import dataclasses
+
 from repro.fuzz.campaign import CampaignConfig, CampaignRunner
 from repro.fuzz.corpus import seed_corpus
-from repro.fuzz.executor import ScenarioSpec
+from repro.fuzz.executor import FUZZ_BASELINE
 
 
 class TestLeaseSoakCampaign:
     def test_lease_enabled_campaign_is_clean(self):
-        spec = ScenarioSpec(
+        spec = dataclasses.replace(
+            FUZZ_BASELINE,
             seed=5,
-            stable_storage=True,
+            storage_write_cost=0.0,
             leases=True,
             read_fraction=0.9,
         )

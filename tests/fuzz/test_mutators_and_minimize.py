@@ -7,12 +7,15 @@ tested against a synthetic predicate (exact, no simulation) and through
 ``emit_regression_test``'s round-trip.
 """
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.fuzz.corpus import amnesia_witness_plan, seed_corpus
-from repro.fuzz.executor import ScenarioSpec
+from repro.fuzz.executor import FUZZ_BASELINE
 from repro.fuzz.minimize import ddmin, emit_regression_test
 from repro.fuzz.mutators import MAX_EVENTS, MutationEngine
+from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import Crash, FaultPlan, Recover
 from repro.util.rng import RandomSource
 
@@ -92,22 +95,20 @@ class TestDdmin:
 
 class TestEmitRegressionTest:
     def test_emitted_module_is_valid_python_and_replayable(self):
-        spec = ScenarioSpec(seed=3)
+        spec = dataclasses.replace(FUZZ_BASELINE, seed=3)
         plan = FaultPlan([Crash(time=10.0, pid=1), Recover(time=14.0, pid=1)])
         source = emit_regression_test(
             name="example-finding",
             spec=spec,
             plan=plan,
             kinds=("agreement",),
-            skip_env="REPRO_SKIP_AMNESIA_WITNESS",
         )
         compile(source, "<emitted>", "exec")  # syntactically valid
         assert "def test_example_finding()" in source
-        assert "REPRO_SKIP_AMNESIA_WITNESS" in source
         # The embedded dicts round-trip to the exact spec/plan.  Executing the
         # module only defines the test function; it does not run the scenario.
         namespace: dict = {}
         exec(compile(source, "<emitted>", "exec"), namespace)
-        assert ScenarioSpec.from_dict(namespace["SPEC"]) == spec
+        assert ServiceSpec.from_dict(namespace["SPEC"]) == spec
         assert FaultPlan.from_dict(namespace["PLAN"]).events == plan.events
         assert namespace["EXPECTED_KINDS"] == ("agreement",)

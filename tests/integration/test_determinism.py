@@ -14,24 +14,15 @@ covered by ``benchmarks/bench_perf.py``, whose run fingerprints are compared
 against the committed ``benchmarks/perf_baseline.json``.
 """
 
-import hashlib
-import json
-
 from repro.core.figure3 import Figure3Omega
 from repro.service import build_sharded_service, start_clients, zipfian_workload
 from repro.simulation.delays import UniformDelay
 from repro.simulation.faults import FaultPlan
 from repro.simulation.system import System, SystemConfig
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, fingerprint
 
 SEED = 20260730
 HORIZON = 80.0
-
-
-def _sha256(payload) -> str:
-    """The same digest shape bench_perf.py uses for its run fingerprints."""
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _omega_run():
@@ -170,7 +161,7 @@ class TestDeterminism:
         """Same seed + same FaultPlan ⇒ identical runs, even under churn."""
         first = _faulty_service_run()
         second = _faulty_service_run()
-        assert _sha256(first) == _sha256(second)
+        assert fingerprint(first) == fingerprint(second)
         assert first == second
         # Post-heal, post-restart: every replica of every shard identical.
         assert first["consistent"]
@@ -183,7 +174,7 @@ class TestDeterminism:
         re-elect a leader per shard and converge all replica digests."""
         first = _adversarial_service_run()
         second = _adversarial_service_run()
-        assert _sha256(first) == _sha256(second)
+        assert fingerprint(first) == fingerprint(second)
         assert first == second
         assert first["actions"]  # the hunter actually attacked
         assert first["tampered"] > 0 and first["rejected"] > 0
@@ -214,7 +205,7 @@ class TestCrashOnlyPlan:
         )
         system.run_until(150.0)
         assert system.link_state is None
-        assert CRASH_ONLY_PLAN_FINGERPRINT == _sha256(
+        assert CRASH_ONLY_PLAN_FINGERPRINT == fingerprint(
             {
                 "leader_histories": {
                     shell.pid: shell.algorithm.leader_history

@@ -25,14 +25,12 @@ p0 until t=30, p2 after):
   on the cut link), so p2 free-picks ``B`` and decides it at {p1, p2}.
 
 Result with storage off: position 0 is decided as ``A`` at p0 and ``B`` at
-p1/p2 — agreement violated (kept below as a skipif-marked witness).  With
+p1/p2 — agreement violated (kept below as a witness).  With
 ``System(storage=...)`` the recoveries rehydrate the acceptors' durable
 promises, the promise quorum reports ``(3, A)``, and p2 is forced to re-propose
 ``A``: one value, decided everywhere.  Same seed, same plan, same schedule —
 only durability differs.
 """
-
-import os
 
 import pytest
 
@@ -114,15 +112,11 @@ def decided_at_position_zero(system) -> dict:
 
 
 class TestQuorumAmnesia:
-    @pytest.mark.skipif(
-        os.environ.get("REPRO_SKIP_AMNESIA_WITNESS") == "1",
-        reason="storage-off amnesia witness disabled via REPRO_SKIP_AMNESIA_WITNESS=1",
-    )
     def test_storage_off_witness_agreement_is_violated(self):
         """Witness of the amnesic behaviour: without stable storage the
-        schedule decides TWO different values for position 0.  Kept (skippable
-        via the env var) to document the storage-off hazard the
-        ``FaultPlan.amnesia_hazards`` admission flag warns about."""
+        schedule decides TWO different values for position 0.  Kept to document
+        the storage-off hazard the ``FaultPlan.amnesia_hazards`` admission flag
+        warns about."""
         system = run_schedule(stable_storage=False)
         decided = decided_at_position_zero(system)
         assert decided[0] == "A"  # p0 decided A before the links were cut

@@ -1,5 +1,7 @@
-"""DET001 seeded violations: ambient clocks/RNG and an unsorted-set fold."""
+"""DET001 seeded violations: ambient clocks/RNG, an unsorted-set fold, an ad-hoc digest."""
 
+import hashlib
+import json
 import random
 import time
 
@@ -18,3 +20,8 @@ def jitter():
 
 def order(items):
     return sorted(items, key=id)  # object addresses vary between runs
+
+
+def result_fingerprint(payload):
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()  # a second canonical-JSON digest helper

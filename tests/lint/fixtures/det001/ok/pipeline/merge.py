@@ -1,5 +1,7 @@
 """DET001 near-misses: every construct here is deterministic and must not flag."""
 
+from pipeline.util.rng import fingerprint
+
 
 def merge_results(results):
     seen = set(results)
@@ -15,3 +17,7 @@ def jitter(rng):
 
 def order(items):
     return sorted(items, key=str)  # deterministic key
+
+
+def result_fingerprint(payload):
+    return fingerprint(payload)  # the shared helper, not hashlib

@@ -28,6 +28,7 @@ class TestDET001:
     def test_bad_tree_is_flagged(self):
         found = symbols(findings_for("DET001", "bad"))
         assert found == [
+            "hashlib.sha256",
             "id-in-sort",
             "merge_results:unsorted-set",
             "random.random",

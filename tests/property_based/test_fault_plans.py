@@ -10,16 +10,13 @@ Two invariants over *random* fault plans:
   end of the run would be an Omega violation under churn.
 """
 
-import hashlib
-import json
-
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.metrics import component_agreed_leaders, reachable_components
 from repro.core.config import OmegaConfig
 from repro.core.figure3 import Figure3Omega
 from repro.simulation import FaultPlan, System, SystemConfig, UniformDelay
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, fingerprint
 
 FAULT_HORIZON = 60.0  # every fault of the random plan ends by here
 RUN_UNTIL = 360.0  # generous stabilisation margin past the last fault
@@ -54,15 +51,15 @@ def _run(seed: int, n: int, t: int, plan: FaultPlan) -> System:
 
 
 def _fingerprint(system: System) -> str:
-    payload = {
-        "executed": system.scheduler.executed,
-        "stats": system.stats.as_dict(),
-        "histories": {
-            shell.pid: shell.algorithm.leader_history for shell in system.shells
-        },
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return fingerprint(
+        {
+            "executed": system.scheduler.executed,
+            "stats": system.stats.as_dict(),
+            "histories": {
+                shell.pid: shell.algorithm.leader_history for shell in system.shells
+            },
+        }
+    )
 
 
 class TestRandomFaultPlanProperties:

@@ -16,14 +16,15 @@ adversary doing its worst in both of its modes:
   ``(spec, plan, seed)`` — equal inputs give byte-identical fingerprints.
 """
 
+import dataclasses
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fuzz.executor import ScenarioSpec, build_service, run_scenario
+from repro.fuzz.executor import FUZZ_BASELINE, run_scenario
 from repro.fuzz.linearizability import check_history
 from repro.service.clients import start_clients, zipfian_workload
-from repro.service.sharding import ShardedService
+from repro.service.sharding import ServiceSpec, ShardedService, build_service
 from repro.simulation.adversary import LeaderHunter
 from repro.simulation.faults import FaultPlan
 
@@ -41,7 +42,7 @@ def assert_leases_exclusive(service: ShardedService) -> None:
             )
 
 
-def lease_spec(seed: int, **changes) -> ScenarioSpec:
+def lease_spec(seed: int, **changes) -> ServiceSpec:
     base = dict(
         seed=seed,
         leases=True,
@@ -49,12 +50,12 @@ def lease_spec(seed: int, **changes) -> ScenarioSpec:
         num_keys=4,
         read_fraction=0.9,
         horizon=140.0,
-        quiesce_at=100.0,
+        stop_at=100.0,
         adversary="leader-hunter",
-        stable_storage=True,
+        storage_write_cost=0.0,
     )
     base.update(changes)
-    return ScenarioSpec(**base)
+    return dataclasses.replace(FUZZ_BASELINE, **base)
 
 
 class TestLeaseMutualExclusion:
@@ -64,7 +65,7 @@ class TestLeaseMutualExclusion:
         # The executor's "leader-hunter" kills every agreed leader it sees:
         # recovered granters forget their outstanding grants, which is exactly
         # what the post-restart grant blackout must compensate for.
-        service = build_service(lease_spec(seed), FaultPlan.none())
+        service = build_service(lease_spec(seed))
         clients = start_clients(
             service,
             num_clients=4,

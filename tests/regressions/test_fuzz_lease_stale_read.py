@@ -3,20 +3,18 @@
 Emitted by repro.fuzz.minimize.emit_regression_test from a minimized
 counterexample.  The scenario replays deterministically from the embedded
 (spec, plan) pair; the assertion pins the violation kind(s) the campaign
-observed (skippable via REPRO_SKIP_LEASE_WITNESS=1).
+observed.
 """
 
-import os
-
-import pytest
-
-from repro.fuzz.executor import ScenarioSpec, run_scenario
+from repro.fuzz.executor import run_scenario
+from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import FaultPlan
 
 SPEC = {'adversary': None,
  'adversary_period': 15.0,
  'batch_size': 1,
- 'compaction': None,
+ 'compaction_interval': None,
+ 'compaction_retain': 32,
  'delay': 0.5,
  'drive_period': 2.0,
  'horizon': 110.0,
@@ -28,14 +26,15 @@ SPEC = {'adversary': None,
  'num_keys': 2,
  'num_shards': 1,
  'poll_interval': 1.0,
- 'quiesce_at': 80.0,
  'read_fraction': 0.9,
  'retry_period': 10.0,
  'retry_timeout': 12.0,
  'scenario': 'constant',
  'seed': 2,
- 'stable_storage': False,
- 't': 1}
+ 'stop_at': 80.0,
+ 'storage_write_cost': None,
+ 't': 1,
+ 'zipf_theta': None}
 
 PLAN = {'events': [{'groups': [[0]], 'kind': 'partition_start', 'time': 12.0},
             {'kind': 'partition_heal', 'time': 32.0}],
@@ -44,12 +43,8 @@ PLAN = {'events': [{'groups': [[0]], 'kind': 'partition_start', 'time': 12.0},
 EXPECTED_KINDS = ('linearizability', 'stale-read')
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_SKIP_LEASE_WITNESS") == "1",
-    reason="disabled via REPRO_SKIP_LEASE_WITNESS=1",
-)
 def test_lease_stale_read():
-    spec = ScenarioSpec.from_dict(SPEC)
+    spec = ServiceSpec.from_dict(SPEC)
     plan = FaultPlan.from_dict(PLAN, n=spec.n, t=spec.t)
     result = run_scenario(spec, plan)
     observed = {violation.kind for violation in result.violations}
@@ -59,16 +54,12 @@ def test_lease_stale_read():
     )
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_SKIP_LEASE_WITNESS") == "1",
-    reason="disabled via REPRO_SKIP_LEASE_WITNESS=1",
-)
 def test_lease_stale_read_is_prevented_by_clock_validation():
     # The identical schedule with the virtual-clock expiry check ON: the
     # partitioned old leader's lease runs out before the majority side's
     # writes complete, so the read falls back and every probe stays clean —
     # pinning that the validation is exactly the load-bearing protection.
-    spec = ScenarioSpec.from_dict({**SPEC, "lease_validation": True})
+    spec = ServiceSpec.from_dict({**SPEC, "lease_validation": True})
     plan = FaultPlan.from_dict(PLAN, n=spec.n, t=spec.t)
     result = run_scenario(spec, plan)
     assert result.ok, [violation.detail for violation in result.violations]

@@ -3,36 +3,38 @@
 Emitted by repro.fuzz.minimize.emit_regression_test from a minimized
 counterexample.  The scenario replays deterministically from the embedded
 (spec, plan) pair; the assertion pins the violation kind(s) the campaign
-observed (skippable via REPRO_SKIP_AMNESIA_WITNESS=1).
+observed.
 """
 
-import os
-
-import pytest
-
-from repro.fuzz.executor import ScenarioSpec, run_scenario
+from repro.fuzz.executor import run_scenario
+from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import FaultPlan
 
 SPEC = {'adversary': None,
  'adversary_period': 15.0,
  'batch_size': 1,
- 'compaction': None,
+ 'compaction_interval': None,
+ 'compaction_retain': 32,
  'delay': 0.5,
  'drive_period': 2.0,
  'horizon': 110.0,
+ 'lease_duration': 6.0,
+ 'lease_validation': True,
+ 'leases': False,
  'n': 3,
  'num_clients': 2,
  'num_keys': 4,
  'num_shards': 1,
  'poll_interval': 1.0,
- 'quiesce_at': 80.0,
  'read_fraction': 0.5,
  'retry_period': 10.0,
  'retry_timeout': 12.0,
  'scenario': 'constant',
  'seed': 3,
- 'stable_storage': False,
- 't': 1}
+ 'stop_at': 80.0,
+ 'storage_write_cost': None,
+ 't': 1,
+ 'zipf_theta': None}
 
 PLAN = {'events': [{'block': True,
              'delay_add': 0.0,
@@ -61,12 +63,8 @@ PLAN = {'events': [{'block': True,
 EXPECTED_KINDS = ('agreement',)
 
 
-@pytest.mark.skipif(
-    os.environ.get("REPRO_SKIP_AMNESIA_WITNESS") == "1",
-    reason="disabled via REPRO_SKIP_AMNESIA_WITNESS=1",
-)
 def test_fuzz_agreement_0():
-    spec = ScenarioSpec.from_dict(SPEC)
+    spec = ServiceSpec.from_dict(SPEC)
     plan = FaultPlan.from_dict(PLAN, n=spec.n, t=spec.t)
     result = run_scenario(spec, plan)
     observed = {violation.kind for violation in result.violations}

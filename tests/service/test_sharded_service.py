@@ -6,16 +6,28 @@ replica of every shard applies the identical KeyValueStore state for a
 crashes per shard.
 """
 
+import dataclasses
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import summarize_service
+from repro.assumptions import ConstantDelayScenario
 from repro.service import (
     Command,
+    ServiceSpec,
+    ShardedService,
+    build_service,
     build_sharded_service,
     generate_commands,
     start_clients,
+    start_workload,
+    uniform_workload,
     zipfian_workload,
 )
+from repro.simulation.adversary import ADVERSARIES, ChurnAdversary
+from repro.storage import CompactionPolicy, WriteCostModel
 
 HORIZON = 900.0
 CHECK_INTERVAL = 25.0
@@ -229,3 +241,154 @@ class TestFaultPlans:
             fault_plan_factory=lambda shard: FaultPlan.crashes({1: 10.0}),
         )
         assert crash_stop.replicas(0)[0].omega.config.round_resync_gap is None
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.1, max_value=1e4, **_finite)
+#: Every field of the spec; ``stop_at`` is drawn as a fraction of the horizon.
+_spec_kwargs = st.fixed_dictionaries(
+    dict(
+        n=st.integers(1, 9),
+        t=st.integers(0, 4),
+        num_shards=st.integers(1, 16),
+        horizon=_positive,
+        num_clients=st.integers(1, 64),
+        num_keys=st.integers(1, 256),
+        seed=st.integers(0, 2**31),
+        batch_size=st.integers(1, 64) | st.just("adaptive"),
+        drive_period=_positive,
+        retry_period=_positive,
+        storage_write_cost=st.none() | st.floats(min_value=0.0, max_value=5.0, **_finite),
+        compaction_interval=st.none() | st.integers(1, 256),
+        compaction_retain=st.integers(0, 64),
+        leases=st.booleans(),
+        lease_duration=_positive,
+        lease_validation=st.booleans(),
+        scenario=st.sampled_from(["star", "constant"]),
+        delay=_positive,
+        adversary=st.sampled_from((None,) + ADVERSARIES),
+        adversary_period=_positive,
+        stop_at=st.none() | st.floats(min_value=0.01, max_value=1.0, **_finite),
+        read_fraction=st.floats(min_value=0.0, max_value=1.0, **_finite),
+        zipf_theta=st.none() | st.floats(min_value=0.1, max_value=2.0, **_finite),
+        poll_interval=_positive,
+        retry_timeout=_positive,
+    )
+)
+
+#: A small valid spec the rejection cases each break in one place.
+VALID = ServiceSpec(n=3, t=1, num_shards=2, horizon=60.0, num_clients=3, num_keys=8)
+
+
+class TestServiceSpec:
+    @given(kwargs=_spec_kwargs)
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_through_json(self, kwargs):
+        assert set(kwargs) == {field.name for field in dataclasses.fields(ServiceSpec)}
+        if kwargs["stop_at"] is not None:
+            kwargs["stop_at"] *= kwargs["horizon"]
+        spec = ServiceSpec(**kwargs)
+        data = json.loads(json.dumps(spec.to_dict()))
+        assert ServiceSpec.from_dict(data) == spec
+
+    def test_invalid_values_are_rejected(self):
+        for change in (
+            dict(num_shards=0),
+            dict(horizon=0.0),
+            dict(horizon=-1.0),
+            dict(num_clients=0),
+            dict(stop_at=0.0),
+            dict(stop_at=60.5),
+            dict(storage_write_cost=-0.1),
+            dict(scenario="ring"),
+            dict(adversary="gremlin"),
+        ):
+            with pytest.raises(ValueError):
+                dataclasses.replace(VALID, **change)
+            with pytest.raises(ValueError):
+                ServiceSpec.from_dict({**VALID.to_dict(), **change})
+
+    def test_unknown_field_is_rejected(self):
+        # The retired spellings among them: an artifact written for one of the
+        # two old specs must fail loudly, not load with a default in its place.
+        for name in (
+            "bogus",
+            "quiesce_at",
+            "stable_storage",
+            "compaction",
+            "clients_per_shard",
+            "storage_cost",
+            "fault_plans",
+        ):
+            with pytest.raises(ValueError, match=f"unknown.*{name}"):
+                ServiceSpec.from_dict({**VALID.to_dict(), name: None})
+        with pytest.raises(ValueError, match="must be a dict"):
+            ServiceSpec.from_dict([("n", 3)])
+
+    def test_missing_required_field_is_rejected(self):
+        data = VALID.to_dict()
+        del data["num_keys"], data["horizon"]
+        with pytest.raises(ValueError, match=r"missing.*\['horizon', 'num_keys'\]"):
+            ServiceSpec.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "changes, keywords, workload",
+        [
+            (
+                dict(
+                    batch_size=4,
+                    storage_write_cost=0.2,
+                    compaction_interval=16,
+                    compaction_retain=4,
+                    leases=True,
+                    zipf_theta=0.9,
+                    read_fraction=0.8,
+                    poll_interval=0.5,
+                ),
+                dict(
+                    batch_size=4,
+                    stable_storage=WriteCostModel(per_write=0.2),
+                    compaction=CompactionPolicy(interval=16, retain=4),
+                    leases=True,
+                ),
+                lambda: zipfian_workload(8, theta=0.9, read_fraction=0.8),
+            ),
+            (
+                dict(
+                    scenario="constant",
+                    delay=0.7,
+                    storage_write_cost=0.0,
+                    adversary="churn",
+                    stop_at=45.0,
+                    poll_interval=0.5,
+                ),
+                dict(
+                    scenario_factory=lambda shard: ConstantDelayScenario(3, 1, delay=0.7),
+                    stable_storage=True,
+                    adversary=ChurnAdversary(downtime=8.0, period=15.0, stop=45.0),
+                ),
+                lambda: uniform_workload(8),
+            ),
+        ],
+        ids=["star+charged-storage+compaction+leases", "constant+free-storage+adversary"],
+    )
+    def test_build_service_builds_what_the_same_keywords_build(
+        self, changes, keywords, workload
+    ):
+        spec = dataclasses.replace(VALID, seed=17, **changes)
+        described = build_service(spec)
+        start_workload(described, spec)
+        spelled_out = ShardedService(num_shards=2, n=3, t=1, seed=17, **keywords)
+        start_clients(
+            spelled_out,
+            num_clients=3,
+            workload_factory=lambda index: workload(),
+            poll_interval=0.5,
+            stop_at=spec.stop_at,
+        )
+        for service in (described, spelled_out):
+            service.run_until(spec.horizon)
+        assert described.total_applied() > 0
+        assert described.counters() == spelled_out.counters()
+        for shard in range(2):
+            assert described.state_digests(shard) == spelled_out.state_digests(shard)

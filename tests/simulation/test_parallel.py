@@ -7,24 +7,37 @@ same run fingerprint, across seeds, fault plans, storage and compaction
 modes.  Wall-clock fields are the only thing allowed to differ.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import FaultPlan
 from repro.simulation.parallel import (
     ParallelRunReport,
-    ParallelServiceSpec,
     ShardResult,
     merge_shard_results,
     run_parallel_service,
     run_shard,
 )
 
-#: Small but non-trivial: 3 shards, enough horizon for real consensus traffic.
-BASE_SPEC = ParallelServiceSpec(
-    num_shards=3, n=3, t=1, seed=901, horizon=80.0, clients_per_shard=4
+#: Small but non-trivial: 3 shards (4 zipfian clients each), enough horizon
+#: for real consensus traffic.
+BASE_SPEC = ServiceSpec(
+    num_shards=3,
+    n=3,
+    t=1,
+    seed=901,
+    horizon=80.0,
+    num_clients=4,
+    num_keys=64,
+    zipf_theta=0.99,
 )
+
+
+def spec_with(**changes) -> ServiceSpec:
+    return dataclasses.replace(BASE_SPEC, **changes)
 
 
 def _deterministic_view(report: ParallelRunReport) -> dict:
@@ -51,17 +64,13 @@ class TestWorkerCountIndependence:
         assert _deterministic_view(inline) == _deterministic_view(four)
 
     def test_other_seed_still_worker_count_independent(self):
-        spec = ParallelServiceSpec(
-            num_shards=2, n=3, t=1, seed=4242, horizon=70.0, clients_per_shard=3
-        )
+        spec = spec_with(num_shards=2, seed=4242, horizon=70.0, num_clients=3)
         inline = run_parallel_service(spec, workers=0)
         pooled = run_parallel_service(spec, workers=2)
         assert _deterministic_view(inline) == _deterministic_view(pooled)
 
     def test_different_seeds_produce_different_runs(self):
-        other = ParallelServiceSpec(
-            num_shards=3, n=3, t=1, seed=902, horizon=80.0, clients_per_shard=4
-        )
+        other = spec_with(seed=902)
         assert (
             run_parallel_service(BASE_SPEC, workers=0).run_fingerprint
             != run_parallel_service(other, workers=0).run_fingerprint
@@ -69,31 +78,21 @@ class TestWorkerCountIndependence:
 
     def test_fault_plans_are_worker_count_independent(self):
         plan = FaultPlan.rolling_restarts([1], start=20.0, downtime=8.0)
-        spec = ParallelServiceSpec(
-            num_shards=2,
-            n=3,
-            t=1,
-            seed=77,
-            horizon=70.0,
-            clients_per_shard=3,
-            fault_plans={0: plan.to_dict()},
-        )
-        inline = run_parallel_service(spec, workers=0)
-        pooled = run_parallel_service(spec, workers=2)
+        spec = spec_with(num_shards=2, seed=77, horizon=70.0, num_clients=3)
+        inline = run_parallel_service(spec, workers=0, plans={0: plan})
+        pooled = run_parallel_service(spec, workers=2, plans={0: plan})
         assert _deterministic_view(inline) == _deterministic_view(pooled)
         # The restart actually happened, and only on the planned shard.
         assert inline.shards[0].counters["recoveries"] == 1
         assert inline.shards[1].counters["recoveries"] == 0
 
     def test_storage_mode_is_worker_count_independent(self):
-        spec = ParallelServiceSpec(
+        spec = spec_with(
             num_shards=2,
-            n=3,
-            t=1,
             seed=55,
             horizon=70.0,
-            clients_per_shard=3,
-            storage_cost=0.2,
+            num_clients=3,
+            storage_write_cost=0.2,
             stop_at=50.0,
         )
         inline = run_parallel_service(spec, workers=0)
@@ -102,13 +101,11 @@ class TestWorkerCountIndependence:
         assert inline.counters["storage_writes"] > 0
 
     def test_compaction_mode_is_worker_count_independent(self):
-        spec = ParallelServiceSpec(
+        spec = spec_with(
             num_shards=2,
-            n=3,
-            t=1,
             seed=66,
             horizon=400.0,
-            clients_per_shard=3,
+            num_clients=3,
             compaction_interval=32,
             compaction_retain=8,
         )
@@ -140,32 +137,9 @@ class TestRunShard:
         with pytest.raises(ValueError, match="out of range"):
             run_shard(BASE_SPEC, 3)
 
-
-class TestSpecValidation:
-    def test_round_trip_through_json(self):
-        spec = ParallelServiceSpec(
-            num_shards=2,
-            seed=9,
-            storage_cost=0.1,
-            compaction_interval=64,
-            fault_plans={1: FaultPlan.none().to_dict()},
-        )
-        data = json.loads(json.dumps(spec.to_dict()))
-        assert ParallelServiceSpec.from_dict(data) == spec
-
-    def test_unknown_field_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            ParallelServiceSpec.from_dict({"num_shards": 2, "bogus": 1})
-
-    def test_invalid_values_are_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelServiceSpec(num_shards=0)
-        with pytest.raises(ValueError):
-            ParallelServiceSpec(horizon=-1.0)
-        with pytest.raises(ValueError):
-            ParallelServiceSpec(stop_at=500.0, horizon=100.0)
-        with pytest.raises(ValueError):
-            ParallelServiceSpec(num_shards=2, fault_plans={5: {}})
+    def test_plan_for_an_out_of_range_shard_is_rejected(self):
+        with pytest.raises(ValueError, match="references shard 5"):
+            run_parallel_service(BASE_SPEC, plans={5: FaultPlan.none()})
 
 
 def _shard_result(shard, *, events=10, peak=5, fingerprint="f"):
@@ -186,7 +160,7 @@ def _shard_result(shard, *, events=10, peak=5, fingerprint="f"):
 
 class TestMerge:
     def test_totals_sum_and_high_water_marks_max(self):
-        spec = ParallelServiceSpec(num_shards=2, seed=1)
+        spec = spec_with(num_shards=2, seed=1)
         report = merge_shard_results(
             spec,
             [_shard_result(0, peak=5), _shard_result(1, peak=9)],
@@ -198,7 +172,7 @@ class TestMerge:
         assert report.counters["peak_decided_residency"] == 9  # high-water: max
 
     def test_merge_folds_in_shard_order_not_arrival_order(self):
-        spec = ParallelServiceSpec(num_shards=2, seed=1)
+        spec = spec_with(num_shards=2, seed=1)
         forward = merge_shard_results(
             spec, [_shard_result(0), _shard_result(1)], workers=0, wall_seconds=1.0
         )
@@ -209,7 +183,7 @@ class TestMerge:
         assert [s.shard for s in reversed_.shards] == [0, 1]
 
     def test_missing_or_duplicate_shard_is_rejected(self):
-        spec = ParallelServiceSpec(num_shards=2, seed=1)
+        spec = spec_with(num_shards=2, seed=1)
         with pytest.raises(ValueError, match="one result per shard"):
             merge_shard_results(spec, [_shard_result(0)], workers=0, wall_seconds=1.0)
         with pytest.raises(ValueError, match="one result per shard"):
@@ -218,7 +192,7 @@ class TestMerge:
             )
 
     def test_run_fingerprint_depends_on_every_shard(self):
-        spec = ParallelServiceSpec(num_shards=2, seed=1)
+        spec = spec_with(num_shards=2, seed=1)
         base = merge_shard_results(
             spec, [_shard_result(0), _shard_result(1)], workers=0, wall_seconds=1.0
         )
