@@ -22,14 +22,21 @@ This demo runs the same churn **with** stable storage
 The demo exits non-zero unless every shard re-elects a single leader and every
 replica — including all restarted ones — converges to the identical digest.
 
+It then prints each shard's round clock (``analysis.round_clock``: the restarted
+replicas number their ALIVEs like the replica that never went down, and
+receiving rounds stay close behind) and crashes every shard's current leader:
+the survivors — one of them restarted earlier — must agree on a live leader
+within 80 virtual time units, or the demo exits non-zero.  Election time is a
+handful of rounds, not the shard's uptime.
+
 Run with:  python examples/recovery_demo.py [--quick]
 """
 
 import argparse
 
-from repro.analysis import summarize_service
+from repro.analysis import round_clock, summarize_service
 from repro.service import build_sharded_service, start_clients, zipfian_workload
-from repro.simulation import FaultPlan
+from repro.simulation import Crash, FaultPlan
 from repro.storage import WriteCostModel
 from repro.util.tables import format_table
 
@@ -37,6 +44,7 @@ SHARDS = 3
 N, T = 3, 1
 RESTART_AT, DOWNTIME = 60.0, 25.0
 HORIZON = 300.0
+FAILOVER_CEILING = 80.0
 
 
 def shard_fault_plan(shard: int) -> FaultPlan:
@@ -141,6 +149,36 @@ def main() -> None:
     print(f"single leader re-elected per shard and all replicas identical: {converged}")
     if not converged:
         raise SystemExit("post-restart convergence FAILED")
+
+    print()
+    print("round clock after the restarts (sending/receiving round per replica):")
+    for shard, system in enumerate(service.systems):
+        clock = round_clock(system)
+        rounds = " ".join(f"p{pid}={s}/{r}" for pid, (s, r) in clock.rounds.items())
+        print(
+            f"  shard{shard}: {rounds}  (sending spread {clock.sending_spread}, "
+            f"receive lag {clock.receive_lag})"
+        )
+
+    crashed_at = service.now
+    for system in service.systems:
+        system.inject_fault(Crash(time=crashed_at, pid=system.agreed_leader()))
+    elected = {}
+    while len(elected) < SHARDS and service.now - crashed_at < FAILOVER_CEILING:
+        service.run_for(0.5)
+        for shard, system in enumerate(service.systems):
+            leader = system.agreed_leader()
+            if shard not in elected and leader is not None and not system.shells[leader].crashed:
+                elected[shard] = (leader, service.now - crashed_at)
+    print(f"every shard's leader crashed at t={crashed_at:g}; re-election:")
+    for shard in range(SHARDS):
+        if shard in elected:
+            leader, took = elected[shard]
+            print(f"  shard{shard}: p{leader} agreed after {took:g} vt")
+        else:
+            print(f"  shard{shard}: no live leader agreed on")
+    if len(elected) < SHARDS:
+        raise SystemExit(f"failover took longer than {FAILOVER_CEILING:g} vt: FAILED")
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ from repro.analysis.metrics import (
     LeaderPoller,
     LeaderSample,
     MessageStats,
+    RoundClock,
     component_agreed_leaders,
     component_leaders,
     reachable_components,
+    round_clock,
     summarize_levels,
 )
 from repro.analysis.service_metrics import (
@@ -35,6 +37,7 @@ __all__ = [
     "LeaderPoller",
     "LeaderSample",
     "MessageStats",
+    "RoundClock",
     "ServiceSummary",
     "ShardReport",
     "TraceEvent",
@@ -46,6 +49,7 @@ __all__ = [
     "component_leaders",
     "latency_stats",
     "reachable_components",
+    "round_clock",
     "run_omega_experiment",
     "summarize_levels",
     "summarize_run",

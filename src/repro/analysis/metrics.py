@@ -11,6 +11,10 @@ every live process of a system.  From those samples the module computes:
 * the boundedness statistics needed by experiment E3 (maximum suspicion level,
   Lemma 8 spread violations, final timeout values).
 
+:func:`round_clock` reads the two round numbers the three figures share off
+every alive process: how far apart the ALIVE numberings are and how far the
+receiving rounds trail them — the quantities a slow re-election hides in.
+
 The fault-plan engine (:mod:`repro.simulation.faults`) adds partition-aware and
 availability views: :func:`reachable_components` groups the alive processes by
 the partition currently in force, :func:`component_leaders` measures leader
@@ -23,7 +27,7 @@ crash-recovery plans.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.interfaces import LeaderOracle
 from repro.core.omega_base import RotatingStarOmegaBase
@@ -183,6 +187,36 @@ class LeaderPoller:
             for pid, timeout in sample.timeouts.items():
                 per_process.setdefault(pid, set()).add(timeout)
         return all(len(values) == 1 for values in per_process.values())
+
+
+# ---------------------------------------------------------------------- round clock
+@dataclasses.dataclass(frozen=True)
+class RoundClock:
+    """Where the alive processes of a system stand on the shared round clock."""
+
+    #: pid -> ``(sending_round, receiving_round)`` of every alive oracle.
+    rounds: Dict[int, Tuple[int, int]]
+    #: ``max - min`` sending round: how far apart the ALIVE numberings are.  A
+    #: peer further behind than the others' receiving rounds is not heard.
+    sending_spread: int
+    #: ``max`` sending round ``- min`` receiving round: the backlog of buffered
+    #: rounds a crashed process's last ALIVEs can hide behind.
+    receive_lag: int
+
+
+def round_clock(system: System) -> RoundClock:
+    """Read ``s_rn`` / ``r_rn`` off every alive process (oracle or stack)."""
+    rounds: Dict[int, Tuple[int, int]] = {}
+    for shell in system.alive_shells():
+        oracle = getattr(shell.algorithm, "omega", shell.algorithm)
+        if isinstance(oracle, RotatingStarOmegaBase):
+            rounds[shell.pid] = (oracle.sending_round, oracle.receiving_round)
+    newest = max((s_rn for s_rn, _ in rounds.values()), default=0)
+    return RoundClock(
+        rounds=rounds,
+        sending_spread=newest - min((s_rn for s_rn, _ in rounds.values()), default=0),
+        receive_lag=newest - min((r_rn for _, r_rn in rounds.values()), default=0),
+    )
 
 
 # ---------------------------------------------------------------------- partitions

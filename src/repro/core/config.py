@@ -60,30 +60,57 @@ class OmegaConfig:
         long benchmark runs without affecting any decision of the algorithm.
     round_resync_gap:
         Crash-recovery / partition extension (NOT part of the paper, whose model
-        is crash-stop with reliable links).  The line-8 round-closing rule waits
-        for ``alpha`` ALIVE messages of the *exact* current receiving round;
-        messages lost to a partition, or a peer whose sending round restarted
-        from 0 after a recovery, can therefore stall the receiving round forever
-        — freezing suspicion counting and, with it, leadership.  When set, a
-        process fast-forwards its receiving round to an observed ALIVE round
-        number once **all three** hold: the observed round exceeds the
-        receiving round by more than this gap, the round timer has expired, and
-        the current round is still short of its ``alpha`` receptions — i.e. the
+        is crash-stop with reliable links): when set, the process keeps its two
+        round numbers on the clock its peers share.
+
+        *Rejoin.*  An ALIVE whose round exceeds the receiver's own **sending**
+        round by more than this gap moves the sending round up to it.  Peers
+        count no ALIVE below their receiving round, so a recovered process —
+        a fresh incarnation numbers its ALIVEs from 1 — would otherwise be
+        mute to the detector for as long as its peers had been up; the send
+        rounds it skips are exactly the ones it never sent while down.
+
+        *Resync.*  The line-8 round-closing rule waits for ``alpha`` ALIVE
+        messages of the *exact* current receiving round; messages lost to a
+        partition, or never sent because a peer was down, can therefore stall
+        the receiving round forever — freezing suspicion counting and, with
+        it, leadership.  The process fast-forwards its receiving round once
+        **all three** hold: an observed ALIVE round exceeds the receiving
+        round by more than this gap, the round timer has expired, and the
+        current round is still short of its ``alpha`` receptions — i.e. the
         round is demonstrably stuck, not merely lagging.  (A receiving round
         that lags the sending rounds is the *normal* regime whenever the
         line-11 timeout exceeds the ALIVE period, and must not be skipped:
         every skipped round loses its SUSPICION broadcast, and with exactly
         ``alpha`` processes alive one missing broadcast starves the line-``*``
-        window forever, freezing a crashed process's suspicion level — and
-        possibly a dead leader — in place.)  No suspicions are broadcast for
-        the skipped rounds — conservative: skipping can only *under*-suspect,
-        never wrongly accuse.  ``None`` (the default) disables
-        resynchronisation and keeps the paper's exact semantics; fault plans
-        with partitions or recoveries enable it through
+        window, which needs consecutive quorum rounds.)  For the same reason
+        the jump lands on the first later round that already holds ``alpha``
+        receptions, and on the observed round only when there is none: the
+        rounds skipped are the ones that could never close.  No suspicions are
+        broadcast for them — conservative: skipping can only *under*-suspect,
+        never wrongly accuse.
+
+        ``None`` (the default) disables both and keeps the paper's exact
+        semantics; fault plans with partitions or recoveries enable it through
         :meth:`~repro.simulation.faults.FaultPlan.needs_round_resync`, and a
         :class:`~repro.service.sharding.ShardedService` switches it on
         automatically for such plans (or when an adaptive adversary is
         installed).
+    pace_alive:
+        Service extension (NOT part of the paper).  When true, task T1
+        waits ``max(alive_period, timeout_unit * max(susp_level))`` between
+        two ALIVE broadcasts instead of ``alive_period``: a receiving round
+        takes at least the line-11 timeout to close, so an unpaced sender
+        outruns its receivers as soon as that timeout exceeds ``alive_period``
+        and the receiving rounds fall behind the sending rounds by a constant
+        fraction of the uptime — a crashed leader's buffered ALIVEs then keep
+        it unsuspected until the backlog is consumed.  Paced, the lag only
+        ratchets up to the longest ``alpha``-th arrival seen.  T1 requires a
+        *bounded* period, so this is sound only where timeouts are bounded:
+        Figure 3 (Theorem 4), not Figures 1-2, whose level for a crashed
+        process grows for ever.  ``False`` (the default) is the paper's T1; a
+        :class:`~repro.service.sharding.ShardedService` turns it on when its
+        oracle is a :class:`~repro.core.figure3.Figure3Omega`.
     """
 
     alive_period: float = 1.0
@@ -95,6 +122,7 @@ class OmegaConfig:
     g: Optional[TimeoutFunction] = None
     history_horizon: Optional[int] = 512
     round_resync_gap: Optional[int] = None
+    pace_alive: bool = False
 
     def __post_init__(self) -> None:
         require_positive(self.alive_period, "alive_period")

@@ -139,6 +139,9 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
     # ------------------------------------------------------------------ task T1 --
     def _schedule_alive(self, env: Environment) -> None:
         period = self.config.alive_period
+        if self.config.pace_alive:
+            # Send no faster than a receiving round can close (line 11).
+            period = max(period, self.config.timeout_unit * self.susp_level.maximum())
         if self.config.alive_jitter:
             period += env.random.uniform(0.0, self.config.alive_jitter)
         env.set_timer(period, ALIVE_TIMER)
@@ -159,9 +162,18 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         # merge_items consumes the message's snapshot tuple directly (no dict
         # materialised per delivery; one ALIVE is delivered to n-1 processes).
         self.susp_level.merge_items(message.susp_level)
+        resync_gap = self.config.round_resync_gap
+        if resync_gap is not None and message.rn - self.sending_round > resync_gap:
+            # Rejoin the peers' ALIVE numbering: peers count no ALIVE below
+            # their receiving round, so a restarted process numbering from 1
+            # again would stay mute to them for as long as they had been up.
+            # The skipped send rounds are those a process that was down never
+            # sent anyway.
+            self.counters["alive_rejoins"] += 1
+            env.log("alive_rejoin", from_rn=self.sending_round, to_rn=message.rn)
+            self.sending_round = message.rn
         if message.rn >= self.receiving_round:
             self.records.add_reception(message.rn, sender)
-            resync_gap = self.config.round_resync_gap
             if (
                 resync_gap is not None
                 and message.rn - self.receiving_round > resync_gap
@@ -186,17 +198,30 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         """Fast-forward a stalled receiving round (crash-recovery extension).
 
         The paper's line-8 rule cannot make progress when the ALIVE messages of
-        the current round were lost to a partition or pre-date a peer's
-        recovery; jumping to the observed round *rn* restores liveness.  No
-        SUSPICION is broadcast for the skipped rounds (we did not observe them,
-        so we accuse nobody), which keeps the suspicion-counting safety
-        unchanged.  Only runs when ``config.round_resync_gap`` is set, and only
-        for rounds that are demonstrably stuck — timer expired, receptions
-        short of ``alpha``, and a peer already ``resync_gap`` rounds ahead.
+        the current round were lost to a partition or were never sent because
+        a peer was down; jumping ahead restores liveness.  The jump lands on
+        the first later round that already holds ``alpha`` receptions (on the
+        observed round *rn* when there is none), so only rounds that can never
+        fill are skipped: every closable round still gets its SUSPICION
+        broadcast, and the line-``*`` window — which needs *consecutive*
+        quorum rounds — keeps its evidence.  No SUSPICION is broadcast for the
+        skipped rounds (we did not observe them, so we accuse nobody), which
+        keeps the suspicion-counting safety unchanged.  Only runs when
+        ``config.round_resync_gap`` is set, and only for rounds that are
+        demonstrably stuck — timer expired, receptions short of ``alpha``, and
+        a peer already ``resync_gap`` rounds ahead.
         """
+        target = next(
+            (
+                later
+                for later in range(self.receiving_round + 1, rn)
+                if self.records.reception_count(later) >= self.alpha
+            ),
+            rn,
+        )
         self.counters["round_resyncs"] += 1
-        env.log("round_resync", from_rn=self.receiving_round, to_rn=rn)
-        self.receiving_round = rn
+        env.log("round_resync", from_rn=self.receiving_round, to_rn=target)
+        self.receiving_round = target
         self._arm_round_timer(env, self._timeout_value())
         self._collect_garbage()
 

@@ -258,6 +258,12 @@ class ShardedService:
                     f"t={scenario.t}), expected (n={n}, t={t})"
                 )
             omega_config = scenario.recommended_omega_config()
+            if issubclass(omega_cls, Figure3Omega):
+                # Heartbeats pace themselves to the line-11 timeout, which only
+                # Figure 3 bounds (Theorem 4): under Figures 1-2 a crashed
+                # process's level — hence the ALIVE period — would grow for
+                # ever and break task T1's bounded period.
+                omega_config = dataclasses.replace(omega_config, pace_alive=True)
             fault_plan = (
                 fault_plan_factory(shard)
                 if fault_plan_factory is not None

@@ -634,7 +634,8 @@ class FaultPlan:
         """True when the plan can stall the paper's round-based algorithms.
 
         Partitions and lossy/blocked links lose ALIVE messages outright, and a
-        recovery resets a peer's sending round to 0; either can leave a
+        process that is down sends none — then comes back numbering its rounds
+        from 1 until it rejoins its peers' numbering; either can leave a
         receiving round permanently short of its ``alpha`` exact-round
         receptions.  Systems running such plans should enable
         ``OmegaConfig.round_resync_gap`` (the sharded service does this

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis.experiments import build_system
-from repro.analysis.metrics import LeaderPoller, LeaderSample, summarize_levels
+from repro.analysis.metrics import (
+    LeaderPoller,
+    LeaderSample,
+    round_clock,
+    summarize_levels,
+)
 from repro.assumptions import EventualTSourceScenario
 from repro.core import Figure3Omega
 
@@ -154,6 +159,33 @@ class TestPollingIntegration:
         system = build_system(scenario, Figure3Omega, seed=1)
         with pytest.raises(ValueError):
             LeaderPoller(system, interval=0.0)
+
+
+class TestRoundClock:
+    def test_reads_alive_processes_and_both_spreads(self):
+        scenario = EventualTSourceScenario(n=4, t=1, seed=1)
+        system = build_system(scenario, Figure3Omega, seed=1)
+        system.run_until(50.0)
+        system.shells[3].crash()
+        oracles = [shell.algorithm for shell in system.shells[:3]]
+        oracles[0].sending_round += 5
+        clock = round_clock(system)
+        assert clock.rounds == {
+            pid: (o.sending_round, o.receiving_round) for pid, o in enumerate(oracles)
+        }
+        sending = [o.sending_round for o in oracles]
+        assert clock.sending_spread == max(sending) - min(sending) >= 5
+        assert clock.receive_lag == max(sending) - min(
+            o.receiving_round for o in oracles
+        )
+
+    def test_no_alive_process(self):
+        scenario = EventualTSourceScenario(n=4, t=1, seed=1)
+        system = build_system(scenario, Figure3Omega, seed=1)
+        for shell in system.shells:
+            shell.crash()
+        clock = round_clock(system)
+        assert (clock.rounds, clock.sending_spread, clock.receive_lag) == ({}, 0, 0)
 
 
 class TestSummarizeLevels:

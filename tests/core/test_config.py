@@ -11,6 +11,12 @@ class TestValidation:
         assert config.alive_period == 1.0
         assert config.timeout_unit == 1.0
 
+    def test_crash_recovery_extensions_are_off_by_default(self):
+        # The paper's exact semantics: no round resync / rejoin, unpaced T1.
+        config = OmegaConfig()
+        assert config.round_resync_gap is None
+        assert config.pace_alive is False
+
     def test_rejects_non_positive_period(self):
         with pytest.raises(ValueError):
             OmegaConfig(alive_period=0.0)

@@ -82,6 +82,29 @@ class TestTaskT1:
         names = [timer.name for timer in env.timers]
         assert names.count(ALIVE_TIMER) == 2
 
+    @pytest.mark.parametrize(
+        "pace_alive, level, expected",
+        [(True, 3, 1.5), (True, 0, 1.0), (True, 1, 1.0), (False, 3, 1.0)],
+    )
+    def test_paced_alive_period_follows_the_line_11_timeout(
+        self, pace_alive, level, expected
+    ):
+        # Paced: max(alive_period, timeout_unit * max susp_level); the paper's
+        # fixed period when pacing is off or the timeout is the shorter one.
+        algorithm, env = make(pace_alive=pace_alive, timeout_unit=0.5)
+        algorithm.susp_level.merge({2: level})
+        algorithm.on_start(env)
+        (alive_timer,) = [t for t in env.timers if t.name == ALIVE_TIMER]
+        assert alive_timer.fires_at == expected
+
+    def test_jitter_is_added_on_top_of_the_paced_period(self):
+        algorithm, env = make(pace_alive=True, timeout_unit=2.0, alive_jitter=0.5)
+        algorithm.susp_level.merge({2: 3})
+        algorithm.on_start(env)
+        (alive_timer,) = [t for t in env.timers if t.name == ALIVE_TIMER]
+        assert 6.0 <= alive_timer.fires_at <= 6.5
+        assert alive_timer.fires_at != 6.0
+
 
 class TestAliveReception:
     def test_gossip_merges_levels(self):
@@ -226,7 +249,8 @@ class TestLeaderElection:
 
 
 class TestRoundResync:
-    """The crash-recovery fast-forward only skips *stuck* rounds.
+    """The crash-recovery round clock: rejoin the ALIVE numbering, and
+    fast-forward only *stuck* receiving rounds, only past unfillable ones.
 
     Regression for the stabilisation bug found by the fault-plan hypothesis
     property: the original trigger fired on the observed-round gap alone, so
@@ -279,6 +303,57 @@ class TestRoundResync:
         algorithm.on_message(env, 1, Alive(rn=500, susp_level=()))
         assert algorithm.receiving_round == 1
         assert algorithm.counters["round_resyncs"] == 0
+
+    @pytest.mark.parametrize(
+        "gap, observed, next_rn",
+        [(8, 500, 501), (None, 500, 2), (8, 9, 2)],
+        ids=["far-ahead", "gap-off", "within-gap"],
+    )
+    def test_restarted_process_rejoins_the_alive_numbering(
+        self, gap, observed, next_rn
+    ):
+        # A fresh incarnation has just sent ALIVE(1); its peers are at round
+        # `observed`.  Far ahead, it numbers its next ALIVE like they do.
+        algorithm, env = make(n=5, t=2, round_resync_gap=gap)
+        algorithm.on_start(env)
+        algorithm.on_message(env, 1, Alive(rn=observed, susp_level=()))
+        env.clear_sent()
+        env.advance(1.0)
+        env.fire_due_timers(algorithm)
+        assert {message.rn for message in env.messages_of_type(Alive)} == {next_rn}
+        assert algorithm.counters["alive_rejoins"] == (1 if next_rn == 501 else 0)
+
+    def _stuck_at_round_1(self):
+        algorithm, env = make(n=5, t=2, round_resync_gap=8)
+        algorithm.on_start(env)
+        env.advance(1.0)
+        env.fire_due_timers(algorithm)  # round 1: timer expired, 1 < alpha = 3
+        return algorithm, env
+
+    def test_resync_lands_on_the_first_closable_round(self):
+        algorithm, env = self._stuck_at_round_1()
+        # Rounds 2..10 are buffered; 2-4 can never fill, 5..9 already hold
+        # alpha receptions.  The jump must skip only the unfillable ones.
+        for rn in range(2, 10):
+            deliver_round_alive(algorithm, env, rn, senders=[1] if rn < 5 else [1, 2])
+        assert algorithm.counters["round_resyncs"] == 0
+        env.clear_sent()
+        algorithm.on_message(env, 1, Alive(rn=10, susp_level=()))
+        assert algorithm.counters["round_resyncs"] == 1
+        assert algorithm.receiving_round == 5
+        env.fire_due_timers(algorithm)
+        # Every later round that can close still broadcasts its SUSPICION.
+        assert algorithm.receiving_round == 10
+        assert sorted({m.rn for m in env.messages_of_type(Suspicion)}) == [5, 6, 7, 8, 9]
+
+    def test_resync_falls_back_to_the_observed_round(self):
+        algorithm, env = self._stuck_at_round_1()
+        for rn in range(2, 10):
+            deliver_round_alive(algorithm, env, rn, senders=[1])
+        algorithm.on_message(env, 1, Alive(rn=10, susp_level=()))
+        assert algorithm.counters["round_resyncs"] == 1
+        assert algorithm.receiving_round == 10
+        assert env.messages_of_type(Suspicion) == []
 
 
 class TestErrorsAndHousekeeping:

@@ -33,8 +33,8 @@ _spec.loader.exec_module(bench_perf)
 PINNED_QUICK_FINGERPRINTS = {
     "omega_broadcast": "5b36c19e15a2d846c7993c1ab1ae0ea3c4168de467ca0aeb79e9c3d3da0685cb",
     "sharded_service": "bb507c703f0f843385958a049fb0bfa1fbb2eefb6b2fb8190072ce5c9f59b533",
-    "sharded_service_storage": "92b6bae4cb254102de47526f2cfa8fca7c8a1be8fc775715d7f2eaa6e576b25c",
-    "sharded_service_compaction": "79295a2082c14404741f3e129dab678f3e7d547c7747eda72c7d69324804afde",
+    "sharded_service_storage": "8d9115bbb30fb4ca1114d71452f44c137333de4d6f774933be117152cfa1e254",
+    "sharded_service_compaction": "037960eef3f3d3f30f7551316d2ec897d6aa7126ef0c7e53aec2c3eff94f06f3",
     "sharded_service_read_leases": "b3e6183dc313924523e7ea45604d32dbd3fbb114af84b8c81752bcb35f854c97",
 }
 

@@ -7,8 +7,9 @@ keeps doing so until the end of the run.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis import run_omega_experiment
+from repro.analysis import round_clock, run_omega_experiment
 from repro.assumptions import (
     CombinedMrtScenario,
     EventualRotatingStarScenario,
@@ -20,8 +21,10 @@ from repro.assumptions import (
     StrictTSourceScenario,
     special_case_scenarios,
 )
-from repro.core import FgOmega, Figure1Omega, Figure2Omega, Figure3Omega
-from repro.simulation import FaultPlan
+from repro.core import FgOmega, Figure1Omega, Figure2Omega, Figure3Omega, OmegaConfig
+from repro.service import build_sharded_service
+from repro.simulation import Crash, FaultPlan, Recover
+from repro.simulation.faults import DEFAULT_ROUND_RESYNC_GAP
 
 DURATION = 300.0
 
@@ -200,3 +203,93 @@ class TestDeterminism:
         assert first.messages_sent == second.messages_sent
         assert first.stabilization_time == second.stabilization_time
         assert first.final_leader == second.final_leader
+
+
+class TestOneRoundClock:
+    """Failover is a handful of rounds, whatever the shard's age or history.
+
+    Before the crash-recovery round clock (rejoin + lossless resync under
+    ``round_resync_gap``, paced ALIVEs in the service) re-election took as long
+    as the shard had been up: a restarted follower numbered its ALIVEs from 1
+    and stayed mute to the detector until it caught up, and receiving rounds
+    trailed sending rounds by half the uptime, so a dead leader's buffered
+    ALIVEs kept it unsuspected.  Every cell below took 118-920 vt then.
+    """
+
+    #: Re-election ceiling: the floor is the scenario's own slow / winning /
+    #: blocker delays (a few rounds of 14-60 vt arrivals), about 30 vt.
+    ELECTION_CEILING = 80.0
+    HORIZON = 1500.0
+
+    @pytest.mark.parametrize("crash_at", [300.0, 900.0])
+    @pytest.mark.parametrize("earlier_restart", [False, True])
+    @pytest.mark.parametrize("n, t", [(3, 1), (7, 3)])
+    def test_leader_crash_is_healed_within_the_ceiling(
+        self, n, t, earlier_restart, crash_at
+    ):
+        def restart_a_follower(shard):
+            return FaultPlan.rolling_restarts([1], start=100.0, downtime=60.0)
+
+        service = build_sharded_service(
+            num_shards=1,
+            n=n,
+            t=t,
+            seed=2,
+            fault_plan_factory=restart_a_follower if earlier_restart else None,
+        )
+        system = service.systems[0]
+        service.run_until(crash_at)
+        leader = system.agreed_leader()
+        assert leader is not None
+        system.inject_fault(Crash(time=service.now, pid=leader))
+
+        def live_leader_agreed():
+            agreed = system.agreed_leader()
+            return agreed is not None and not system.shells[agreed].crashed
+
+        while not live_leader_agreed():
+            assert service.now - crash_at < self.ELECTION_CEILING, system.leaders()
+            service.run_for(0.5)
+
+        service.run_until(self.HORIZON)
+        clock = round_clock(system)
+        # ALIVE numberings stay together (rejoin) and receiving rounds trail
+        # them by what the longest arrival (a 60-vt blocker) buffers at most —
+        # not by a fraction of the uptime (it was 328-627 rounds here).
+        assert clock.sending_spread <= DEFAULT_ROUND_RESYNC_GAP + 4, clock
+        assert clock.receive_lag <= 90, clock
+
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.sampled_from([(3, 1), (5, 2)]),
+        crash_at=st.floats(50.0, 600.0),
+        downtime=st.floats(30.0, 300.0),
+    )
+    @settings(max_examples=4, deadline=None)
+    def test_paced_figure3_keeps_its_bounds_when_the_centre_restarts(
+        self, seed, size, crash_at, downtime
+    ):
+        """Pacing trades the ever-growing receive lag the paper's argument
+        leans on for a bounded one; Lemma 8, Theorem 4 and stabilisation must
+        survive it — also when the star centre itself crashes and recovers."""
+        n, t = size
+        center = seed % n
+        scenario = IntermittentRotatingStarScenario(
+            n=n, t=t, center=center, seed=seed, max_gap=4
+        )
+        result = run_omega_experiment(
+            scenario,
+            Figure3Omega,
+            duration=3000.0,
+            seed=seed,
+            config=OmegaConfig(round_resync_gap=8, pace_alive=True),
+            fault_plan=FaultPlan(
+                [
+                    Crash(time=crash_at, pid=center),
+                    Recover(time=crash_at + downtime, pid=center),
+                ]
+            ),
+        )
+        assert result.bounds.lemma8_violations == 0
+        assert result.bounds.theorem4_holds
+        assert_eventual_leadership(result, duration=2000.0)

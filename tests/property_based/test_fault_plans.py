@@ -35,9 +35,9 @@ def _random_plan(seed: int, n: int, t: int) -> FaultPlan:
 
 
 def _run(seed: int, n: int, t: int, plan: FaultPlan) -> System:
-    # Partitions lose ALIVE messages and recoveries reset sending rounds, both
-    # of which can stall the paper's exact-round closing rule — enable the
-    # crash-recovery round fast-forward, as the sharded service does for such
+    # Partitions lose ALIVE messages and a process that is down sends none,
+    # both of which can stall the paper's exact-round closing rule — enable
+    # the crash-recovery round clock, as the sharded service does for such
     # plans (OmegaConfig.round_resync_gap).
     config = OmegaConfig(round_resync_gap=8)
     system = System(

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import summarize_service
 from repro.assumptions import ConstantDelayScenario
+from repro.core import Figure1Omega, Figure2Omega
 from repro.service import (
     Command,
     ServiceSpec,
@@ -241,6 +242,21 @@ class TestFaultPlans:
             fault_plan_factory=lambda shard: FaultPlan.crashes({1: 10.0}),
         )
         assert crash_stop.replicas(0)[0].omega.config.round_resync_gap is None
+
+    @pytest.mark.parametrize("omega_cls", [Figure1Omega, Figure2Omega])
+    def test_unbounded_timeout_oracles_stay_unpaced(self, omega_cls):
+        """Figures 1-2 grow a crashed process's level — hence the line-11
+        timeout — for ever; pacing ALIVEs to it would unbound task T1's
+        period, so the service must leave those oracles on the paper's T1."""
+        service = build_sharded_service(
+            num_shards=1, n=3, t=1, seed=1, omega_cls=omega_cls
+        )
+        assert not any(r.omega.config.pace_alive for r in service.replicas(0))
+
+    def test_figure3_oracles_are_paced(self):
+        # Theorem 4 bounds Figure 3's timeouts, so the default oracle is paced.
+        service = build_sharded_service(num_shards=1, n=3, t=1, seed=1)
+        assert all(r.omega.config.pace_alive for r in service.replicas(0))
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
