@@ -111,6 +111,20 @@ class OmegaConfig:
         process grows for ever.  ``False`` (the default) is the paper's T1; a
         :class:`~repro.service.sharding.ShardedService` turns it on when its
         oracle is a :class:`~repro.core.figure3.Figure3Omega`.
+    quiet_rounds:
+        Service extension (NOT part of the paper).  When true, a receiving
+        round that closes with an empty suspect set broadcasts no SUSPICION;
+        everything else about the round close (round number, line-11 timer,
+        garbage collection) is unchanged and a non-empty set is broadcast
+        exactly as in the paper.  Lines 13-18 — and the line-``*``/``**``
+        guards of Figures 2-3 and ``A_{f,g}`` — only ever act on the members
+        of ``suspects``, so an empty SUSPICION is a no-op at every receiver
+        in every variant: no process's state can tell whether it was sent.
+        ``False`` (the default) is the paper's line 10, which broadcasts at
+        the end of *every* round and is what the Θ(n²)-per-period cost table
+        of experiment E9 counts; a
+        :class:`~repro.service.sharding.ShardedService` turns it on for every
+        oracle class.
     """
 
     alive_period: float = 1.0
@@ -123,6 +137,7 @@ class OmegaConfig:
     history_horizon: Optional[int] = 512
     round_resync_gap: Optional[int] = None
     pace_alive: bool = False
+    quiet_rounds: bool = False
 
     def __post_init__(self) -> None:
         require_positive(self.alive_period, "alive_period")

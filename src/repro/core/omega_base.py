@@ -248,9 +248,12 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         received = self.records.rec_from(rn)
         suspects = frozenset(pid for pid in range(self.n) if pid not in received)
         # The paper broadcasts unconditionally (line 10), even when the suspect set is
-        # empty; we do the same so message-count experiments match its cost discussion.
-        self.counters["suspicions_sent"] += 1
-        env.broadcast(Suspicion(rn=rn, suspects=suspects), include_self=True)
+        # empty; so do we by default, so message-count experiments match its cost
+        # discussion.  ``quiet_rounds`` skips the empty broadcast: lines 13-18 only
+        # iterate over ``suspects``, so no receiver could have acted on it.
+        if suspects or not self.config.quiet_rounds:
+            self.counters["suspicions_sent"] += 1
+            env.broadcast(Suspicion(rn=rn, suspects=suspects), include_self=True)
         env.log("round_closed", rn=rn, suspects=sorted(suspects))
 
         timeout = self._timeout_value()

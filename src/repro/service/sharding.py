@@ -257,7 +257,12 @@ class ShardedService:
                     f"shard {shard} scenario was built for (n={scenario.n}, "
                     f"t={scenario.t}), expected (n={n}, t={t})"
                 )
-            omega_config = scenario.recommended_omega_config()
+            # A round that suspects nobody broadcasts nothing: an empty
+            # SUSPICION is a no-op at every receiver under every figure, so —
+            # unlike pacing below — this does not depend on the oracle class.
+            omega_config = dataclasses.replace(
+                scenario.recommended_omega_config(), quiet_rounds=True
+            )
             if issubclass(omega_cls, Figure3Omega):
                 # Heartbeats pace themselves to the line-11 timeout, which only
                 # Figure 3 bounds (Theorem 4): under Figures 1-2 a crashed

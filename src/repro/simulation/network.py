@@ -21,9 +21,11 @@ messages, and corrupting links replace the payload with a garbled copy
 
 Hot-path design
 ---------------
-The paper's algorithms broadcast ALIVE/SUSPICION every period — n² messages per
-round — so per-message cost dominates simulated throughput.  Three choices keep one
-message cheap:
+The paper's algorithms broadcast an ALIVE every period and a SUSPICION every round
+— n² messages per period whether or not anyone is suspected (the ALIVE half alone
+once ``OmegaConfig.quiet_rounds`` silences the rounds that suspect nobody) — so
+per-message cost dominates simulated throughput.  Three choices keep one message
+cheap:
 
 * :meth:`Network.broadcast` is the native fan-out entry point: the innermost tag and
   round number of the (possibly wrapped) message are computed **once** per broadcast

@@ -265,8 +265,15 @@ class SimProcessShell(Environment):
         event = getattr(handle, _SIM_EVENT_ATTR, None)
         if event is not None:
             self._scheduler.cancel(event)
+            # Break the handle <-> event cycle (see _fire_timer).
+            setattr(handle, _SIM_EVENT_ATTR, None)
 
     def _fire_timer(self, handle: TimerHandle) -> None:
+        # The event's ``arg`` is the handle and the handle holds the event: a
+        # reference cycle, so drop the handle's side now that the event has
+        # been popped — a fired handle is then freed by reference count, not
+        # kept for the cyclic collector (which timing runs switch off).
+        setattr(handle, _SIM_EVENT_ATTR, None)
         if self.crashed or handle.cancelled:
             return
         if self.recoveries and getattr(handle, _SIM_INCARNATION_ATTR, 0) != self.recoveries:

@@ -12,10 +12,12 @@ class TestValidation:
         assert config.timeout_unit == 1.0
 
     def test_crash_recovery_extensions_are_off_by_default(self):
-        # The paper's exact semantics: no round resync / rejoin, unpaced T1.
+        # The paper's exact semantics: no round resync / rejoin, unpaced T1,
+        # a SUSPICION at the end of every round (line 10).
         config = OmegaConfig()
         assert config.round_resync_gap is None
         assert config.pace_alive is False
+        assert config.quiet_rounds is False
 
     def test_rejects_non_positive_period(self):
         with pytest.raises(ValueError):

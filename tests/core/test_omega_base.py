@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import OmegaConfig
 from repro.core.figure1 import Figure1Omega
 from repro.core.messages import Alive, Suspicion
-from repro.core.omega_base import ALIVE_TIMER
+from repro.core.omega_base import ALIVE_TIMER, ROUND_TIMER
 from repro.testing import FakeEnvironment, deliver_round_alive, deliver_suspicions
 
 
@@ -193,6 +193,87 @@ class TestRoundClosure:
         assert algorithm.receiving_round == 3
         suspicion_rounds = {m.rn for m in env.messages_of_type(Suspicion)}
         assert suspicion_rounds == {1, 2}
+
+
+class TestQuietRounds:
+    """``OmegaConfig.quiet_rounds``: a round that suspects nobody broadcasts
+    nothing; everything else about closing it is lines 9-12 as written."""
+
+    EVERYONE = [1, 2, 3, 4]
+
+    def _close_round_1(self, senders, susp_level=None, **config_kwargs):
+        """Round 1's ALIVEs from *senders* arrive, then its timer expires."""
+        algorithm, env = make(initial_timeout=0.5, **config_kwargs)
+        algorithm.on_start(env)
+        deliver_round_alive(algorithm, env, 1, senders, susp_level=susp_level)
+        env.advance(0.5)
+        env.fire_due_timers(algorithm)
+        return algorithm, env
+
+    def test_empty_round_is_silent_but_still_closes(self):
+        algorithm, env = self._close_round_1(self.EVERYONE, quiet_rounds=True)
+        assert env.messages_of_type(Suspicion) == []
+        assert algorithm.counters["suspicions_sent"] == 0
+        assert algorithm.receiving_round == 2
+        assert (0.5, "round_closed", {"rn": 1, "suspects": []}) in env.logged
+
+    def test_silent_round_rearms_the_timer_with_the_line_11_value(self):
+        algorithm, env = self._close_round_1(
+            self.EVERYONE,
+            susp_level={pid: 3 if pid == 2 else 0 for pid in range(5)},
+            quiet_rounds=True,
+            timeout_unit=2.0,
+        )
+        assert env.messages_of_type(Suspicion) == []
+        assert algorithm.current_timeout == 6.0
+        assert (env.timers[-1].name, env.timers[-1].fires_at) == (ROUND_TIMER, 6.5)
+
+    def test_silent_rounds_are_still_garbage_collected(self):
+        algorithm, env = make(quiet_rounds=True, history_horizon=4)
+        algorithm.susp_level.merge({2: 1})  # every round waits 1.0 for its timer
+        algorithm.on_start(env)
+        for rn in range(1, 40):
+            deliver_round_alive(algorithm, env, rn, senders=self.EVERYONE)
+            env.advance(1.0)
+            env.fire_due_timers(algorithm)
+        assert algorithm.receiving_round == 40
+        assert env.messages_of_type(Suspicion) == []
+        assert algorithm.records.purged_below > 0
+        assert algorithm.records.tracked_rounds() < 40
+
+    @pytest.mark.parametrize(
+        "quiet_rounds, senders, suspects",
+        [(False, [1, 2, 3, 4], frozenset()), (True, [1, 2], frozenset({3, 4}))],
+        ids=["empty-knob-off", "non-empty-knob-on"],
+    )
+    def test_every_other_round_is_broadcast_as_in_the_paper(
+        self, quiet_rounds, senders, suspects
+    ):
+        algorithm, env = self._close_round_1(senders, quiet_rounds=quiet_rounds)
+        suspicions = [s for s in env.sent if isinstance(s.message, Suspicion)]
+        # Line 10: to every process, itself included.
+        assert [sent.dest for sent in suspicions] == [0, 1, 2, 3, 4]
+        assert {sent.message for sent in suspicions} == {
+            Suspicion(rn=1, suspects=suspects)
+        }
+        assert algorithm.counters["suspicions_sent"] == 1
+        assert algorithm.receiving_round == 2
+
+    def test_burst_close_broadcasts_only_the_non_empty_rounds(self):
+        algorithm, env = make(initial_timeout=0.0, quiet_rounds=True)
+        algorithm.on_start(env)
+        # Rounds 1-4 are buffered before the timer fires; 2 and 4 miss someone.
+        deliver_round_alive(algorithm, env, 1, senders=self.EVERYONE)
+        deliver_round_alive(algorithm, env, 2, senders=[1, 2, 3])
+        deliver_round_alive(algorithm, env, 3, senders=self.EVERYONE)
+        deliver_round_alive(algorithm, env, 4, senders=[2, 4])
+        env.fire_due_timers(algorithm)
+        assert algorithm.receiving_round == 5
+        suspicions = env.messages_of_type(Suspicion)
+        assert [(m.rn, m.suspects) for m in suspicions] == (
+            [(2, frozenset({4}))] * 5 + [(4, frozenset({1, 3}))] * 5
+        )
+        assert algorithm.counters["suspicions_sent"] == 2
 
 
 class TestSuspicionHandling:

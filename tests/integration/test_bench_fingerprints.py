@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.service import build_sharded_service
+
 _BENCH_PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_perf.py"
 _spec = importlib.util.spec_from_file_location("bench_perf", _BENCH_PATH)
 bench_perf = importlib.util.module_from_spec(_spec)
@@ -32,17 +34,30 @@ _spec.loader.exec_module(bench_perf)
 #: for when these may be re-pinned).
 PINNED_QUICK_FINGERPRINTS = {
     "omega_broadcast": "5b36c19e15a2d846c7993c1ab1ae0ea3c4168de467ca0aeb79e9c3d3da0685cb",
-    "sharded_service": "bb507c703f0f843385958a049fb0bfa1fbb2eefb6b2fb8190072ce5c9f59b533",
-    "sharded_service_storage": "8d9115bbb30fb4ca1114d71452f44c137333de4d6f774933be117152cfa1e254",
-    "sharded_service_compaction": "037960eef3f3d3f30f7551316d2ec897d6aa7126ef0c7e53aec2c3eff94f06f3",
-    "sharded_service_read_leases": "b3e6183dc313924523e7ea45604d32dbd3fbb114af84b8c81752bcb35f854c97",
+    "sharded_service": "06db6bfa3fc5d242bd9e90d340ea1bf0a3dff60cab8e6c30e248bebfbeee9714",
+    "sharded_service_storage": "7b05e1520fa7ff3ae59a305354cab619260e5bf5a690e462f9fe8cbd5ea2850b",
+    "sharded_service_compaction": "88935d4eebebd272fe6745c6adec15b7c65693b36223abcd3ccef763c31ca4d6",
+    "sharded_service_read_leases": "e5ae32a813bd3ad7853602a24efd39e4e3b5311d03bdff0bad287424fb677abd",
 }
 
 #: Messages per committed command of the ``sharded_service`` quick shape — an
 #: exact count.  It was 13.463 while every pending command was re-forwarded on
-#: every drive tick and 12.826 while every log position ran its own Paxos
-#: phase 1; a change that raises it again must say why and re-pin.
-SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 9.69
+#: every drive tick, 12.826 while every log position ran its own Paxos phase 1
+#: and 9.69 while every receiving round broadcast a SUSPICION, empty or not
+#: (``OmegaConfig.quiet_rounds``); a change that raises it again must say why
+#: and re-pin.
+SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 6.365
+
+#: Exact sends by tag of one default-star shard that no client ever talks to,
+#: run for 200 vt at seed 0 — ``(n, t) -> tag -> count``; every other tag is 0.
+#: What the failure detector and the drive tick cost when nothing is failing
+#: and nothing is asked: per process per ALIVE period ``n - 1`` ALIVE, a
+#: SUSPICION broadcast only for a round in which someone was late, and one
+#: CATCHUP_REQ per follower per drive tick.
+IDLE_SHARD_SENDS_BY_TAG = {
+    (3, 1): {"ALIVE": 1206, "SUSPICION": 279, "CATCHUP_REQ": 200},
+    (7, 3): {"ALIVE": 8442, "SUSPICION": 2121, "CATCHUP_REQ": 600},
+}
 
 
 @pytest.mark.parametrize(
@@ -71,6 +86,19 @@ def test_sequential_workload_matches_pinned_fingerprint(workload, runner):
 def test_sharded_service_stays_under_its_messages_per_commit_ceiling():
     result = bench_perf.bench_sharded_service(quick=True)
     assert result["messages_per_commit"] <= SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT
+
+
+@pytest.mark.parametrize("n, t", sorted(IDLE_SHARD_SENDS_BY_TAG))
+def test_idle_shard_stays_within_its_message_budget(n, t):
+    """The background, not only the commit path: a change to what an idle
+    shard sends fails here, not in the next ledger run."""
+    service = build_sharded_service(num_shards=1, n=n, t=t, seed=0)
+    service.run_until(200.0)
+    sent = dict(service.systems[0].network.stats.sent_by_tag)
+    assert sent == IDLE_SHARD_SENDS_BY_TAG[(n, t)]
+    # Before quiet rounds SUSPICION *exceeded* ALIVE (1.34x at n=3, 1.03x at
+    # n=7 on this run); the first election's share is included here.
+    assert sent["SUSPICION"] < sent["ALIVE"] / 2
 
 
 def test_read_lease_workload_clears_the_speedup_floor():

@@ -9,7 +9,7 @@ keeps doing so until the end of the run.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import round_clock, run_omega_experiment
+from repro.analysis import Tracer, round_clock, run_omega_experiment
 from repro.assumptions import (
     CombinedMrtScenario,
     EventualRotatingStarScenario,
@@ -24,7 +24,9 @@ from repro.assumptions import (
 from repro.core import FgOmega, Figure1Omega, Figure2Omega, Figure3Omega, OmegaConfig
 from repro.service import build_sharded_service
 from repro.simulation import Crash, FaultPlan, Recover
+from repro.simulation.delays import DelayModel
 from repro.simulation.faults import DEFAULT_ROUND_RESYNC_GAP
+from repro.simulation.system import System, SystemConfig
 
 DURATION = 300.0
 
@@ -282,7 +284,7 @@ class TestOneRoundClock:
             Figure3Omega,
             duration=3000.0,
             seed=seed,
-            config=OmegaConfig(round_resync_gap=8, pace_alive=True),
+            config=OmegaConfig(round_resync_gap=8, pace_alive=True, quiet_rounds=True),
             fault_plan=FaultPlan(
                 [
                     Crash(time=crash_at, pid=center),
@@ -293,3 +295,78 @@ class TestOneRoundClock:
         assert result.bounds.lemma8_violations == 0
         assert result.bounds.theorem4_holds
         assert_eventual_leadership(result, duration=2000.0)
+
+
+class _ArithmeticDelay(DelayModel):
+    """Delays that are a function of the message alone and draw nothing.
+
+    Removing a message then shifts no other message's delay, so two runs that
+    differ only in messages nobody acts on are comparable state for state.
+    Most ALIVEs are fast; the ``(sender, rn)`` pairs below are slow enough to
+    miss their round, so live processes get suspected now and then.
+    """
+
+    def delay(self, ctx):
+        rn = ctx.round_number or 0
+        delay = 0.05 + 0.01 * ((3 * ctx.sender + 5 * ctx.dest + rn) % 11)
+        if ctx.tag == "ALIVE" and (rn + 2 * ctx.sender) % 9 < 2 and rn % 5 != ctx.dest:
+            delay += 4.0 + ctx.sender
+        return delay
+
+
+class TestQuietRoundsChangeNoState:
+    """``quiet_rounds`` drops only messages no receiver acts on: every
+    process ends in the state it reaches under the paper's line 10."""
+
+    N, T, CRASHED, DURATION = 5, 2, 3, 240.0
+
+    def _run(self, omega_cls, quiet_rounds):
+        config = OmegaConfig(
+            quiet_rounds=quiet_rounds,
+            f=(lambda rn: rn % 3) if omega_cls is FgOmega else None,
+            g=(lambda rn: 0.25 * (rn % 4)) if omega_cls is FgOmega else None,
+        )
+        tracer = Tracer(kinds={"round_closed"})
+        system = System(
+            config=SystemConfig(n=self.N, t=self.T),
+            process_factory=lambda pid: omega_cls(pid=pid, n=self.N, t=self.T, config=config),
+            delay_model=_ArithmeticDelay(),
+            tracer=tracer,
+            fault_plan=FaultPlan.crashes({self.CRASHED: 60.0}),
+        )
+        system.run_until(self.DURATION)
+        closes = [
+            (event.time, event.pid, event.detail("rn"), tuple(event.detail("suspects")))
+            for event in tracer.events
+        ]
+        states = {
+            pid: (
+                oracle.leader_history,
+                oracle.timeout_history,
+                oracle.susp_level.as_dict(),
+                oracle.sending_round,
+                oracle.receiving_round,
+                oracle.counters["level_increments"],
+            )
+            for pid, oracle in system.algorithms().items()
+        }
+        return states, closes, system.network.stats.sent_by_tag
+
+    @pytest.mark.parametrize(
+        "omega_cls", [Figure1Omega, Figure2Omega, Figure3Omega, FgOmega]
+    )
+    def test_every_variant_reaches_identical_state(self, omega_cls):
+        states, closes, sent = self._run(omega_cls, quiet_rounds=False)
+        quiet_states, quiet_closes, quiet_sent = self._run(omega_cls, quiet_rounds=True)
+        assert quiet_states == states
+        assert quiet_closes == closes
+        assert quiet_sent["ALIVE"] == sent["ALIVE"]
+
+        empty = sum(1 for *_, suspects in closes if not suspects)
+        assert sent["SUSPICION"] == self.N * len(closes)
+        assert quiet_sent["SUSPICION"] == sent["SUSPICION"] - self.N * empty
+        # The run exercises both sides of the skip, and levels really climb.
+        assert 0 < empty < len(closes)
+        for _, _, levels, *_ in states.values():
+            assert levels[self.CRASHED] > 0
+            assert any(level for pid, level in levels.items() if pid != self.CRASHED)

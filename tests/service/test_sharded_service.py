@@ -12,9 +12,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import build_consensus_system, build_omega_system
 from repro.analysis import summarize_service
 from repro.assumptions import ConstantDelayScenario
-from repro.core import Figure1Omega, Figure2Omega
+from repro.core import Figure1Omega, Figure2Omega, Figure3Omega
 from repro.service import (
     Command,
     ServiceSpec,
@@ -257,6 +258,25 @@ class TestFaultPlans:
         # Theorem 4 bounds Figure 3's timeouts, so the default oracle is paced.
         service = build_sharded_service(num_shards=1, n=3, t=1, seed=1)
         assert all(r.omega.config.pace_alive for r in service.replicas(0))
+
+    @pytest.mark.parametrize("omega_cls", [Figure1Omega, Figure2Omega, Figure3Omega])
+    def test_every_oracle_class_runs_quiet_rounds(self, omega_cls):
+        # An empty SUSPICION is a no-op under every figure, so — unlike
+        # pacing — the service switches quiet rounds on unconditionally.
+        service = build_sharded_service(
+            num_shards=2, n=3, t=1, seed=1, omega_cls=omega_cls
+        )
+        for shard in range(2):
+            assert all(r.omega.config.quiet_rounds for r in service.replicas(shard))
+
+    def test_omega_only_builders_keep_the_papers_line_10(self):
+        scenario = ConstantDelayScenario(n=3, t=1)
+        omega = build_omega_system(3, 1, scenario)
+        consensus = build_consensus_system(3, 1, scenario)
+        assert not any(a.config.quiet_rounds for a in omega.algorithms().values())
+        assert not any(
+            a.omega.config.quiet_rounds for a in consensus.algorithms().values()
+        )
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)

@@ -1,11 +1,14 @@
 """Unit tests for the simulator process shell (crash-stop semantics, timers)."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
-from repro.core.interfaces import Process
+from repro.core.interfaces import Process, TimerHandle
 from repro.core.messages import Alive
+from repro.service import build_sharded_service
 from repro.simulation.delays import ConstantDelay
 from repro.simulation.network import Network
 from repro.simulation.process import SimProcessShell
@@ -149,6 +152,55 @@ class TestTimers:
         shells[0].start()
         with pytest.raises(ValueError):
             shells[0].set_timer(-1.0, "ping")
+
+
+@pytest.fixture
+def collector_off():
+    """Run the test with the cyclic collector off, as timing runs do."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+def _live_timer_handles():
+    return [obj for obj in gc.get_objects() if isinstance(obj, TimerHandle)]
+
+
+@pytest.mark.usefixtures("collector_off")
+class TestTimerHandlesAreFreedByReferenceCount:
+    """A handle holds its scheduler event and the event's argument is the
+    handle: unless the shell breaks that cycle once the event is done with,
+    every timer a run ever armed stays allocated until a ``gc.collect()``."""
+
+    def test_fired_handle_is_freed(self):
+        scheduler, _, shells, algorithms = build_shell()
+        shells[0].start()
+        handle = weakref.ref(shells[0].set_timer(3.0, "ping"))
+        scheduler.run_until(5.0)
+        assert algorithms[0].timers == ["ping"]
+        assert handle() is None
+
+    def test_cancelled_handle_is_freed_once_its_event_is_popped(self):
+        scheduler, _, shells, algorithms = build_shell()
+        shells[0].start()
+        strong = shells[0].set_timer(3.0, "ping")
+        shells[0].cancel_timer(strong)
+        handle = weakref.ref(strong)
+        del strong
+        scheduler.run_until(5.0)
+        assert algorithms[0].timers == []
+        assert handle() is None
+
+    def test_a_service_run_keeps_only_its_pending_timers(self):
+        earlier = {id(handle): handle for handle in _live_timer_handles()}
+        service = build_sharded_service(num_shards=1, n=3, t=1, seed=0)
+        service.run_until(200.0)
+        handles = [h for h in _live_timer_handles() if id(h) not in earlier]
+        assert handles
+        assert [h for h in handles if h.cancelled or h.fires_at <= service.now] == []
 
 
 class TestCrash:
