@@ -56,7 +56,7 @@ Every service workload's row also carries ``events_per_commit`` and
 ``messages_per_commit`` — scheduler events and sent messages per committed
 command.  They are exact counts (pure functions of the seed), the unit the
 consensus layer is priced in; ``tests/integration/test_bench_fingerprints.py``
-pins a ceiling on the ``sharded_service`` quick shape.
+pins a ceiling on each for the ``sharded_service`` quick shape.
 
 Usage::
 

@@ -379,7 +379,8 @@ class RandomSlowPolicy(SenderBehaviourPolicy):
             raise ValueError(f"p_slow must be in [0, 1], got {p_slow}")
         self.p_slow = p_slow
         self.exempt = frozenset(exempt)
-        self._rng_seed = seed
+        # ``child`` reads only ``seed`` and ``label``: one parent serves every pair.
+        self._parent = RandomSource(seed, label="slow")
         self._cache: Dict[Tuple[int, int], bool] = {}
 
     def is_slow(self, sender: int, rn: int) -> bool:
@@ -388,10 +389,7 @@ class RandomSlowPolicy(SenderBehaviourPolicy):
         key = (sender, rn)
         cached = self._cache.get(key)
         if cached is None:
-            cached = (
-                RandomSource(self._rng_seed, label="slow").child(sender, rn).random()
-                < self.p_slow
-            )
+            cached = self._parent.child(sender, rn).random() < self.p_slow
             self._cache[key] = cached
         return cached
 

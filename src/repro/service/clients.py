@@ -2,11 +2,14 @@
 
 Clients are *not* processes of the distributed system: they model the outside
 world.  A :class:`ClosedLoopClient` keeps exactly one command in flight — it issues
-a command, polls (on the shared virtual clock) until a correct replica of the home
-shard has applied it, records the latency, and issues the next one.  If a command
-has not taken effect within ``retry_timeout`` (its gateway crashed, a leader change
-swallowed the forward), the client *retransmits the same* ``(client_id, seq)``
-command through another gateway — the scenario the exactly-once session table of
+a command, is woken when a replica of the home shard applies (or lease-serves) it,
+then observes at its next poll tick whether a correct replica has; if so it
+records the latency and issues the next one.  Poll ticks fall on the shared
+virtual clock every ``poll_interval`` after the issue, but only a wake-up puts an
+observation on one.  If a command has not taken effect within ``retry_timeout``
+(its gateway crashed, a leader change swallowed the forward), the client
+*retransmits the same* ``(client_id, seq)`` command through another gateway — the
+scenario the exactly-once session table of
 :class:`~repro.service.state_machine.KeyValueStore` exists for.
 
 Workloads compose a key sampler (uniform or zipfian) with an operation mix, the
@@ -213,6 +216,15 @@ class OperationRecord:
 class ClosedLoopClient:
     """One client session with exactly one command in flight.
 
+    The client registers its command in :attr:`ShardedService.waiters
+    <repro.service.sharding.ShardedService.waiters>` before submitting it.  A
+    replica that applies or lease-serves the command (or installs a snapshot)
+    wakes the client, which observes once, at the first tick of its poll
+    lattice — issue time + ``poll_interval`` + ``poll_interval`` ..., by
+    repeated addition — at or after the wake-up: the tick a client polling
+    every ``poll_interval`` would have seen the command on.  Retransmissions
+    ride one retry timer per client, re-armed lazily.
+
     Parameters
     ----------
     client_id:
@@ -224,7 +236,7 @@ class ClosedLoopClient:
     rng:
         Deterministic per-client random source.
     poll_interval:
-        Virtual time between completion checks.
+        Spacing of the ticks a completion is observed on.
     retry_timeout:
         In-flight time after which the current command is retransmitted (same
         sequence number) through a fresh gateway.
@@ -275,6 +287,15 @@ class ClosedLoopClient:
         self._shard: Optional[int] = None
         self._issued_at = 0.0
         self._last_submit = 0.0
+        #: The last tick of the poll lattice observed — the in-flight
+        #: command's issue time until its first observation.  The lattice is
+        #: issue time + ``poll_interval`` + ``poll_interval`` ..., by repeated
+        #: addition.
+        self._tick = 0.0
+        #: An observation is scheduled at the next lattice tick.
+        self._observing = False
+        #: The one retry timer is pending.
+        self._retry_armed = False
         #: True while the in-flight command travels the lease read path.
         self._lease_read = False
 
@@ -292,10 +313,15 @@ class ClosedLoopClient:
             client_id=self.client_id, seq=self.seq, op=op, key=key, args=args
         )
         self._current = command
-        self._issued_at = self.service.now
-        self._last_submit = self.service.now
+        now = self.service.now
+        self._issued_at = now
+        self._last_submit = now
+        self._tick = now
+        # Registered before the submit: a leased read can be served inside it.
+        self.service.waiters[(self.client_id, self.seq)] = self._wake
         self._shard = self._submit(command)
-        self.service.scheduler.schedule_after(self.poll_interval, self._poll)
+        if not self._retry_armed:
+            self._arm_retry(self._retry_tick())
 
     def _submit(self, command: Command) -> int:
         """Route *command* in: lease reads to the leader-hint gateway, the rest
@@ -307,20 +333,63 @@ class ClosedLoopClient:
         gateway = hint if hint is not None else self.gateway
         return self.service.submit_read(command, gateway=gateway)
 
-    def _poll(self) -> None:
-        command = self._current
-        if command is None:
+    def _wake(self) -> None:
+        """A replica applied or served the command (or installed a snapshot):
+        observe at the first lattice tick at or after now."""
+        if self._observing:
             return
+        self._observing = True
+        now = self.service.now
+        tick = self._tick + self.poll_interval
+        while tick < now:
+            tick += self.poll_interval
+        self.service.scheduler.schedule_at(tick, self._poll)
+
+    def _retry_tick(self) -> float:
+        """The first lattice tick after the last observed one at which the
+        in-flight command is ``retry_timeout`` past its last submission."""
+        tick = self._tick + self.poll_interval
+        while tick - self._last_submit < self.retry_timeout:
+            tick += self.poll_interval
+        return tick
+
+    def _arm_retry(self, tick: float) -> None:
+        self._retry_armed = True
+        self.service.scheduler.schedule_at(tick, self._on_retry_timer)
+
+    def _on_retry_timer(self) -> None:
+        self._retry_armed = False
+        if self._current is None:
+            return  # thinking or quiesced: the next issue re-arms
+        due = self._retry_tick()
+        if due > self.service.now:
+            # Armed for an earlier command: move on to this one's retry tick.
+            self._arm_retry(due)
+            return
+        self._poll()
+        if self._current is not None:
+            self._arm_retry(self._retry_tick())
+
+    def _poll(self) -> None:
+        """Observe the in-flight command at this lattice tick: complete it if a
+        correct replica applied or lease-served it, retransmit it if overdue.
+
+        A failed check keeps the waiter: the replica that woke the client may
+        be one that is not correct, and a later application wakes it again.
+        """
+        if self.service.now <= self._tick:
+            return  # an observation the retry timer already made at this tick
+        self._tick = self.service.now
+        self._observing = False
+        command = self._current
+        assert command is not None
         if self._lease_read and self._complete_lease_read(command):
             return
         applied_at = self._applied_replica(command)
         if applied_at is not None:
-            self.stats.completed += 1
-            self.stats.latencies.append(self.service.now - self._issued_at)
             if self.record_history:
                 self._record(command, applied_at)
-            self._current = None
-            self.service.scheduler.schedule_after(self.think_time, self._issue_next)
+            self._complete(command)
             return
         if self.service.now - self._last_submit >= self.retry_timeout:
             # Retransmit the *same* (client_id, seq) command through a different
@@ -334,7 +403,13 @@ class ClosedLoopClient:
             else:
                 self.service.submit(command, gateway=self.gateway)
             self._last_submit = self.service.now
-        self.service.scheduler.schedule_after(self.poll_interval, self._poll)
+
+    def _complete(self, command: Command) -> None:
+        self.stats.completed += 1
+        self.stats.latencies.append(self.service.now - self._issued_at)
+        del self.service.waiters[(command.client_id, command.seq)]
+        self._current = None
+        self.service.scheduler.schedule_after(self.think_time, self._issue_next)
 
     def _complete_lease_read(self, command: Command) -> bool:
         """Complete *command* if some correct replica lease-served it."""
@@ -344,8 +419,6 @@ class ClosedLoopClient:
             if served is None:
                 continue
             result, index = served
-            self.stats.completed += 1
-            self.stats.latencies.append(self.service.now - self._issued_at)
             self.service.read_audits[self._shard].append(
                 (
                     command.client_id,
@@ -370,8 +443,7 @@ class ClosedLoopClient:
                         result=result,
                     )
                 )
-            self._current = None
-            self.service.scheduler.schedule_after(self.think_time, self._issue_next)
+            self._complete(command)
             return True
         return False
 

@@ -31,7 +31,7 @@ rehydrates snapshot-then-tail instead of replaying the full history.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.consensus.commands import Command, flatten_value
 from repro.consensus.leases import LeaseManager
@@ -82,6 +82,12 @@ class ServiceReplica(OmegaConsensusStack):
         #: and reset to the capture point when a snapshot is installed.
         self.commands_delivered = 0
         self.log.on_deliver = self._apply_delivered
+        #: Wake hook: called with ``(client_id, seq)`` for every command applied
+        #: (absorbed duplicates included) and every lease read served, and once
+        #: with ``None`` — anything may have changed — when a snapshot is
+        #: installed.  :class:`~repro.service.sharding.ShardedService` wires it
+        #: to its waiter table so clients are woken instead of polling.
+        self.on_wake: Optional[Callable[[Optional[Tuple[str, int]]], None]] = None
         #: The lease manager of this incarnation (None = consensus-only reads).
         self.leases = leases
         self._read_timeout = read_timeout
@@ -106,9 +112,12 @@ class ServiceReplica(OmegaConsensusStack):
 
     # ------------------------------------------------------------------ application --
     def _apply_delivered(self, position: int, value: Any) -> None:
+        wake = self.on_wake
         for command in flatten_value(value):
             self.state_machine.apply(command)
             self.commands_delivered += 1
+            if wake is not None:
+                wake((command.client_id, command.seq))
         if self._pending_reads:
             self._serve_matured_reads()
 
@@ -124,6 +133,8 @@ class ServiceReplica(OmegaConsensusStack):
         self.commands_delivered = (
             self.state_machine.applied + self.state_machine.duplicates_skipped
         )
+        if self.on_wake is not None:
+            self.on_wake(None)
 
     # ------------------------------------------------------------------ client API --
     def submit_command(self, command: Command) -> None:
@@ -134,8 +145,8 @@ class ServiceReplica(OmegaConsensusStack):
 
     # ------------------------------------------------------------------ lease reads --
     def submit_read(self, command: Command, now: float) -> None:
-        """Submit a ``get`` through the lease read path (poll for the result
-        with :meth:`lease_read_result`).
+        """Submit a ``get`` through the lease read path (read the result with
+        :meth:`lease_read_result` once :attr:`on_wake` reports it served).
 
         A trusted leader holding read authority serves from its local state
         machine immediately; anyone else queues the read behind a read-index
@@ -179,6 +190,8 @@ class ServiceReplica(OmegaConsensusStack):
         # fresh read always supersedes the previous one.
         self._lease_read_results[command.client_id] = (command.seq, result, index)
         self.counters["lease_reads_served"] += 1  # answered locally, never entered the log
+        if self.on_wake is not None:
+            self.on_wake((command.client_id, command.seq))
 
     def _on_read_index(self, read_id: int, index: int) -> None:
         """The leader certified *index* for *read_id* (read-index protocol)."""

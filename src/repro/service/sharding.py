@@ -216,6 +216,10 @@ class ShardedService:
         #: :class:`~repro.service.clients.ClosedLoopClient`:
         #: ``(client_id, seq, key, result, index, invoked_at, completed_at)``.
         self.read_audits: List[List[Tuple]] = [[] for _ in range(self.num_shards)]
+        #: ``(client_id, seq) -> waker`` of every command a client waits on.  A
+        #: replica that applies or lease-serves the command calls its waker
+        #: (every waker, when it installs a snapshot) — see :meth:`_wake`.
+        self.waiters: Dict[Tuple[str, int], Callable[[], None]] = {}
         self.router = ShardRouter(num_shards)
         self.scheduler = EventScheduler()
         self.systems: List[System] = []
@@ -308,7 +312,7 @@ class ShardedService:
                         validate_clock=self.lease_validation,
                         audit=self.lease_audits[_shard],
                     )
-                return ServiceReplica(
+                replica = ServiceReplica(
                     pid=pid,
                     n=n,
                     t=t,
@@ -325,6 +329,10 @@ class ShardedService:
                     compaction=self.compaction,
                     leases=lease_manager,
                 )
+                # Wired per incarnation, before any storage replay, so a
+                # recovered replica wakes clients like a fresh one.
+                replica.on_wake = self._wake
+                return replica
 
             self.systems.append(
                 System(
@@ -387,10 +395,12 @@ class ShardedService:
         The gateway replica serves it locally when it is a leader holding read
         authority, queues it behind a read-index certification otherwise, and
         times it out into the ordinary consensus path when neither works — so
-        the client contract is the same as :meth:`submit`: poll until some
-        correct replica reports the read complete (via
+        the client contract is the same as :meth:`submit`: once woken through
+        :attr:`waiters`, check whether some correct replica reports the read
+        complete (via
         :meth:`~repro.service.replica.ServiceReplica.lease_read_result` or,
-        after a fallback, ``command_applied``).
+        after a fallback, ``command_applied``).  A local serve happens inside
+        this call, so a client registers its waiter *before* submitting.
         """
         if not self.leases:
             raise RuntimeError("submit_read requires ShardedService(leases=True)")
@@ -405,6 +415,16 @@ class ShardedService:
             shell = alive[0]
         shell.algorithm.submit_read(command, now=self.now)
         return shard
+
+    def _wake(self, key: Optional[Tuple[str, int]]) -> None:
+        """Replica wake hook: call the waker of *key*, or every waker (``None``)."""
+        if key is None:
+            for waker in list(self.waiters.values()):
+                waker()
+            return
+        waker = self.waiters.get(key)
+        if waker is not None:
+            waker()
 
     # ------------------------------------------------------------------ accessors --
     def replicas(self, shard: int) -> List[ServiceReplica]:

@@ -272,10 +272,18 @@ class System:
 
         ``None`` when the alive processes disagree (or there is no oracle process).
         """
-        outputs = set(self.leaders().values())
-        if len(outputs) == 1:
-            return outputs.pop()
-        return None
+        agreed: Optional[int] = None
+        seen = False
+        for shell in self.shells:
+            algorithm = shell.algorithm
+            if shell.crashed or not isinstance(algorithm, LeaderOracle):
+                continue
+            leader = algorithm.leader()
+            if not seen:
+                agreed, seen = leader, True
+            elif leader != agreed:
+                return None
+        return agreed
 
     @property
     def stats(self) -> NetworkStats:

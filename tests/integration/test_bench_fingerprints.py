@@ -37,7 +37,13 @@ PINNED_QUICK_FINGERPRINTS = {
     "sharded_service": "06db6bfa3fc5d242bd9e90d340ea1bf0a3dff60cab8e6c30e248bebfbeee9714",
     "sharded_service_storage": "7b05e1520fa7ff3ae59a305354cab619260e5bf5a690e462f9fe8cbd5ea2850b",
     "sharded_service_compaction": "88935d4eebebd272fe6745c6adec15b7c65693b36223abcd3ccef763c31ca4d6",
-    "sharded_service_read_leases": "e5ae32a813bd3ad7853602a24efd39e4e3b5311d03bdff0bad287424fb677abd",
+    # Re-pinned when clients stopped polling every tick: the leased run is
+    # unchanged (3290 commands, state and histories identical) and
+    # ``read_speedup`` stays 7.38.  Only the leases-off baseline moved —
+    # clients 2 and 11 start 3 x 0.25 apart and so share one poll lattice, and
+    # their same-instant submits fire in a different order once each is
+    # scheduled by its own wake-up rather than by its own previous poll.
+    "sharded_service_read_leases": "8ba126220d07febc822db142ad1e5a167a84a9cb479991a3682c0b2ad3ab5516",
 }
 
 #: Messages per committed command of the ``sharded_service`` quick shape — an
@@ -47,6 +53,14 @@ PINNED_QUICK_FINGERPRINTS = {
 #: (``OmegaConfig.quiet_rounds``); a change that raises it again must say why
 #: and re-pin.
 SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 6.365
+
+#: Scheduler events per committed command of the same run — exact, like the
+#: messages ceiling.  It was 14.036 while every closed-loop client re-armed a
+#: poll every ``poll_interval`` and asked the correct replicas "applied yet?"
+#: (about half of all events); since a replica *wakes* the client, which then
+#: observes once at its next poll tick, it is 11.933.  A change that raises it
+#: again — per-tick polling coming back, say — must say why and re-pin.
+SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT = 11.933
 
 #: Exact sends by tag of one default-star shard that no client ever talks to,
 #: run for 200 vt at seed 0 — ``(n, t) -> tag -> count``; every other tag is 0.
@@ -86,6 +100,11 @@ def test_sequential_workload_matches_pinned_fingerprint(workload, runner):
 def test_sharded_service_stays_under_its_messages_per_commit_ceiling():
     result = bench_perf.bench_sharded_service(quick=True)
     assert result["messages_per_commit"] <= SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT
+
+
+def test_sharded_service_stays_under_its_events_per_commit_ceiling():
+    result = bench_perf.bench_sharded_service(quick=True)
+    assert result["events_per_commit"] <= SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT
 
 
 @pytest.mark.parametrize("n, t", sorted(IDLE_SHARD_SENDS_BY_TAG))
