@@ -381,17 +381,21 @@ class RandomSlowPolicy(SenderBehaviourPolicy):
         self.exempt = frozenset(exempt)
         # ``child`` reads only ``seed`` and ``label``: one parent serves every pair.
         self._parent = RandomSource(seed, label="slow")
-        self._cache: Dict[Tuple[int, int], bool] = {}
+        #: sender -> (rn, is_slow) of its latest classification.  The draw is a
+        #: pure function of ``(seed, sender, rn)``, so a memo only has to
+        #: spare a broadcast's ``n - 1`` destinations the re-derivation — one
+        #: entry per sender, however long the run.
+        self._last: Dict[int, Tuple[int, bool]] = {}
 
     def is_slow(self, sender: int, rn: int) -> bool:
         if sender in self.exempt:
             return False
-        key = (sender, rn)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self._parent.child(sender, rn).random() < self.p_slow
-            self._cache[key] = cached
-        return cached
+        last = self._last.get(sender)
+        if last is not None and last[0] == rn:
+            return last[1]
+        slow = self._parent.child(sender, rn).random() < self.p_slow
+        self._last[sender] = (rn, slow)
+        return slow
 
     def describe(self) -> str:
         return f"random-slow(p={self.p_slow}, exempt={sorted(self.exempt)})"

@@ -134,7 +134,10 @@ class RoundRecords:
     ``purge_below(limit)`` drops rounds strictly below ``limit``.  The algorithm only
     calls it with limits that are below every round the line-``*`` window test can
     still consult, so collection never changes a decision; tests compare GC-enabled
-    and GC-disabled runs to confirm this.
+    and GC-disabled runs to confirm this.  It runs at every round close, so it
+    costs what it drops, not what is retained: it walks the round numbers from
+    the previous limit up (or the tables, when those are fewer), plus the few
+    late ``SUSPICION`` rounds stored below the previous limit.
     """
 
     def __init__(self, owner: int) -> None:
@@ -143,6 +146,9 @@ class RoundRecords:
         self._suspicions: Dict[int, Dict[int, int]] = {}
         #: Rounds strictly below this limit have been purged.
         self.purged_below: int = 0
+        #: Suspicion rounds stored although already below ``purged_below`` (a
+        #: late SUSPICION); the next purge drops them.
+        self._late_suspicions: Set[int] = set()
 
     # -- rec_from --------------------------------------------------------------
     def rec_from(self, rn: int) -> Set[int]:
@@ -171,7 +177,11 @@ class RoundRecords:
     # -- suspicions -------------------------------------------------------------
     def add_suspicion(self, rn: int, suspect: int) -> int:
         """Increment ``suspicions[rn][suspect]`` (line 15) and return the new count."""
-        counters = self._suspicions.setdefault(rn, {})
+        counters = self._suspicions.get(rn)
+        if counters is None:
+            counters = self._suspicions[rn] = {}
+            if rn < self.purged_below:
+                self._late_suspicions.add(rn)
         value = counters.get(suspect, 0) + 1
         counters[suspect] = value
         return value
@@ -212,10 +222,18 @@ class RoundRecords:
             return 0
         dropped = 0
         for table in (self._rec_from, self._suspicions):
-            stale = [rn for rn in table if rn < limit]
-            dropped += len(stale)
+            if limit - self.purged_below <= len(table):
+                # Every retained round is at or above the previous limit.
+                stale = range(self.purged_below, limit)
+            else:
+                stale = [rn for rn in table if rn < limit]
             for rn in stale:
-                del table[rn]
+                if table.pop(rn, None) is not None:
+                    dropped += 1
+        for rn in self._late_suspicions:
+            if self._suspicions.pop(rn, None) is not None:
+                dropped += 1
+        self._late_suspicions.clear()
         self.purged_below = limit
         return dropped
 

@@ -55,6 +55,23 @@ class TestRandomSlow:
         rate = sum(samples) / len(samples)
         assert 0.2 < rate < 0.4
 
+    def test_memo_holds_one_entry_per_sender_and_answers_like_a_fresh_policy(self):
+        policy = RandomSlowPolicy(p_slow=0.5, seed=5)
+        # Broadcast-shaped queries: each (sender, rn) asked once per
+        # destination, senders interleaved, rounds revisited out of order.
+        queries = [(sender, rn) for rn in range(1, 300) for sender in range(4)] * 2
+        queries += [(sender, rn) for rn in (250, 3, 250) for sender in range(4)]
+        answers = []
+        for sender, rn in queries:
+            answers += [policy.is_slow(sender, rn) for _ in range(3)]
+        fresh = [
+            RandomSlowPolicy(p_slow=0.5, seed=5).is_slow(sender, rn)
+            for sender, rn in queries
+            for _ in range(3)
+        ]
+        assert answers == fresh
+        assert len(policy._last) == 4
+
 
 class TestEscalatingPersecution:
     def test_requires_victims(self):

@@ -153,6 +153,27 @@ class TestRoundRecords:
         assert records.purge_below(2) == 0
         assert records.purged_below == 3
 
+    def test_late_suspicion_below_the_limit_is_counted_then_dropped(self):
+        records = RoundRecords(owner=0)
+        for rn in range(1, 9):
+            records.add_reception(rn, 1)
+            records.add_suspicion(rn, 2)
+        assert records.purge_below(5) == 8  # rounds 1-4 of both tables
+        # A SUSPICION for a purged round still counts until the next purge ...
+        assert records.add_suspicion(2, 3) == 1
+        assert records.add_suspicion(2, 3) == 2
+        # ... which drops it with the rounds it walks (5 and 6, both tables).
+        assert records.purge_below(7) == 5
+        assert records.suspicion_count(2, 3) == 0
+        assert records.tracked_rounds() == 2
+
+    def test_a_far_limit_drops_everything_below_it(self):
+        records = RoundRecords(owner=0)
+        for rn in (3, 40, 41, 10_000):
+            records.add_suspicion(rn, 1)
+        assert records.purge_below(5_000) == 3
+        assert records.tracked_rounds() == 1
+
     def test_memory_cells(self):
         records = RoundRecords(owner=0)
         records.add_reception(1, 1)
