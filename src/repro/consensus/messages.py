@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Tuple
 
+from repro.core import messages as core_messages
 from repro.core.interfaces import Message
 
 
@@ -131,13 +132,14 @@ class Forward(Message):
 class CatchUpRequest(Message):
     """A replica asks a peer for decisions at positions >= ``frontier``.
 
-    Sent by non-leaders on every drive tick (to the process they currently
-    trust as leader).  In a steady-state run the leader has nothing newer and
-    stays silent; a replica that fell behind — it recovered from a crash, or sat
-    on the minority side of a partition while the majority kept deciding — is
-    answered with the decisions it missed.  This is what makes crash-recovery
-    and partition healing converge: ``Decide`` announcements are broadcast once
-    and are gone for whoever was not listening.
+    Sent on a drive tick to the peer whose :class:`FrontierAdvert` proved it
+    is ahead (or, by a follower that has heard no advertisement for a
+    ``retry_period``, to the leader it trusts).  A replica that fell behind —
+    it recovered from a crash, or sat on the minority side of a partition
+    while the majority kept deciding — is answered with the decisions it
+    missed.  This is what makes crash-recovery and partition healing
+    converge: ``Decide`` announcements are broadcast once and are gone for
+    whoever was not listening.
     """
 
     frontier: int
@@ -160,6 +162,25 @@ class CatchUpReply(Message):
     @property
     def tag(self) -> str:
         return "CATCHUP_REP"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class FrontierAdvert(core_messages.Wrapped):
+    """The oracle's ``ALIVE`` in its omega-channel envelope, with the sender's
+    decided frontier as a header.
+
+    :class:`~repro.consensus.stack.OmegaConsensusStack` wraps every outgoing
+    ``ALIVE`` in this envelope, so the heartbeat the detector already
+    broadcasts to every peer once per period also tells each of them the first
+    position the sender has not decided.  A replica sends a
+    :class:`CatchUpRequest` only to a peer whose latest advertisement is above
+    its own frontier.  The receiving stack hands ``(sender, frontier)`` to its
+    log and the bare ``ALIVE`` to its oracle, which never sees the header; the
+    network walks ``inner`` for the tag and the round number, so the
+    ``ALIVE``'s delay is drawn exactly as for the plain envelope.
+    """
+
+    frontier: int
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -95,26 +95,34 @@ The catch-up protocol
 ``Decide`` announcements are broadcast once and are gone for whoever was not
 listening — a replica that recovered from a crash (empty log) or sat on the
 minority side of a partition (holes in the log) would stay behind forever.
-Catch-up closes the gap with two messages and one rule:
+Catch-up closes the gap with two messages and one rule, **poll on evidence**:
 
-* every **non-leader** sends, on each drive tick, a
-  :class:`~repro.consensus.messages.CatchUpRequest` carrying its frontier (the
-  first undecided position) to the process it currently trusts as leader.  A
-  peer with nothing newer stays silent, so steady state costs one small message
-  per tick;
-* a peer that *does* hold newer decisions answers with a bounded
+* the evidence travels for free: hosted in an
+  :class:`~repro.consensus.stack.OmegaConsensusStack`, every ``ALIVE`` the
+  oracle broadcasts carries the sender's frontier (the first undecided
+  position) as a header, and the stack hands it to :meth:`heard_frontier`,
+  which keeps the *latest* advertisement per peer — after a storage-less
+  restart a peer's frontier goes down, and a stale maximum would keep a
+  replica polling a peer that cannot serve it;
+* on a drive tick any replica, leader or follower, whose frontier is below
+  some peer's latest advertisement sends one
+  :class:`~repro.consensus.messages.CatchUpRequest` carrying its frontier to
+  the peer advertising the highest one.  That advertisement is then spent: a
+  live peer renews it with its next ``ALIVE``, a crashed one is not polled
+  again.  A current replica — the steady state — sends nothing.  This also
+  covers a restarted replica that trusts *itself* as leader: its followers'
+  heartbeats advertise their higher frontiers;
+* **fallback**: a follower that has heard no advertisement for longer than
+  ``retry_period`` (counted from its incarnation's start) polls the leader it
+  trusts on every tick, as every follower once did — a bare log under a
+  scripted oracle hears none, and neither does a follower cut off from every
+  peer;
+* the polled peer answers with a bounded
   :class:`~repro.consensus.messages.CatchUpReply` (at most ``CATCH_UP_BATCH``
-  positions; the requester's next tick continues from its advanced frontier),
-  and the receiver learns each ``(position, value)`` through
-  :meth:`ConsensusInstance.learn`;
-* **poll-back**: a peer polled by someone *ahead* of it cannot serve the
-  request, but the request's frontier just revealed that the *peer* is the one
-  missing decisions — so it polls the requester back.  This is how a freshly
-  restarted replica that trusts *itself* as leader (and therefore polls nobody)
-  still converges: its followers' routine polls carry their higher frontiers
-  and the poll-back turns them into servers.  No ping-pong arises because the
-  poll-back carries a strictly lower frontier, which the other side answers
-  with data, not another poll.
+  decided positions; the requester's next tick continues from its advanced
+  frontier) or stays silent when it holds nothing newer, and the receiver
+  learns each ``(position, value)`` through :meth:`ConsensusInstance.learn`.
+  A request never triggers a request back.
 
 Payload integrity
 -----------------
@@ -246,7 +254,9 @@ class ReplicatedLog(Process):
         non-leader: time after which its whole pending set is forwarded again to
         an unchanged trusted leader (covers a lost or tampered ``Forward`` and
         an amnesic leader restart; see "The command path" in the module
-        docstring).
+        docstring).  Also how long a follower goes without hearing a frontier
+        advertisement before it falls back to polling its trusted leader
+        (see "The catch-up protocol").
     batch_size:
         Maximum number of distinct commands the leader packs into one consensus
         value.  1 (the default) proposes bare values exactly like the seed
@@ -368,6 +378,12 @@ class ReplicatedLog(Process):
         #: pending set was last forwarded to it (the re-send rule's two inputs).
         self._forward_leader: Optional[int] = None
         self._full_forward_time = 0.0
+        #: Catch-up evidence: peer -> the frontier its latest heartbeat
+        #: advertised (dropped once it justified a poll), and when any
+        #: advertisement last arrived (the fallback poll's clock; the
+        #: incarnation's start until the first one).
+        self._advertised: Dict[int, int] = {}
+        self._advert_time = 0.0
 
         # Hot-path state: first position not yet decided (contiguous-prefix
         # cursor), highest decided position, decided-command index, and the
@@ -547,7 +563,14 @@ class ReplicatedLog(Process):
 
     # ------------------------------------------------------------------ lifecycle --
     def on_start(self, env: Environment) -> None:
+        self._advert_time = env.now
         env.set_timer(self.drive_period, _DRIVE_TIMER)
+
+    def heard_frontier(self, now: float, sender: int, frontier: int) -> None:
+        """Record *sender*'s advertised decided frontier (the heartbeat header
+        of :class:`~repro.consensus.stack.OmegaConsensusStack`)."""
+        self._advertised[sender] = frontier
+        self._advert_time = now
 
     def on_timer(self, env: Environment, timer: TimerHandle) -> None:
         if timer.name != _DRIVE_TIMER:
@@ -816,17 +839,6 @@ class ReplicatedLog(Process):
             # installed, its next poll fetches the decided tail normally).
             self.snapshots.serve(env, sender)
             return
-        if frontier > self._frontier:
-            # The requester is ahead of us — we cannot serve it, but its
-            # frontier just revealed that *we* are missing decisions.  Poll it
-            # back.  This is how a freshly restarted replica that trusts itself
-            # as leader (and therefore polls nobody) still catches up: its
-            # followers' routine polls carry their higher frontiers, and the
-            # poll-back turns them into servers.  No ping-pong: the poll-back
-            # carries a *lower* frontier, so the peer answers with data.
-            self.counters["catchup_polls"] += 1
-            env.send(sender, CatchUpRequest(frontier=self._frontier))
-            return
         if self._max_decided < frontier:
             return  # nothing newer than the requester's frontier: stay silent
         decisions: List[Any] = []
@@ -913,6 +925,24 @@ class ReplicatedLog(Process):
             self.counters["forward_commands_sent"] += len(commands)
             env.send(leader, Forward(value=Batch(commands=commands)))
 
+    def _catch_up(self, env: Environment, leader: int) -> None:
+        """Poll for missed decisions only on evidence: at most one request,
+        to the peer whose latest heartbeat advertised the highest frontier
+        above ours — or, for a follower that heard no advertisement for
+        longer than ``retry_period``, to the trusted leader."""
+        source, highest = None, self._frontier
+        for peer, advertised in self._advertised.items():
+            if advertised > highest:
+                source, highest = peer, advertised
+        if source is not None:
+            del self._advertised[source]  # spent; a live peer re-advertises
+        elif leader != self.pid and env.now - self._advert_time > self.retry_period:
+            source = leader
+        else:
+            return
+        self.counters["catchup_polls"] += 1
+        env.send(source, CatchUpRequest(frontier=self._frontier))
+
     def _drive(self, env: Environment) -> None:
         leader = self.oracle.leader()
         if self.leases is not None:
@@ -922,19 +952,16 @@ class ReplicatedLog(Process):
         if leader != self.pid:
             self._drop_ballot()  # the oracle demoted us (no-op for a follower)
             self._forward_pending(env, leader)
-            # Poll the leader for decisions we may have missed (a crashed-and-
-            # recovered replica restarts with an empty log; a replica on the
-            # minority side of a healed partition has holes).  The leader stays
-            # silent unless it actually has something newer, so the poll costs
-            # one small message per drive tick.
-            self.counters["catchup_polls"] += 1
-            env.send(leader, CatchUpRequest(frontier=self._frontier))
-            return
-        # Leader: nothing to forward; a later demotion is a leader change, so
-        # whatever is still pending then goes out whole.
-        self._forward_leader = leader
-        self._unforwarded.clear()
-        self._lead(env)
+        else:
+            # Leader: nothing to forward; a later demotion is a leader change,
+            # so whatever is still pending then goes out whole.
+            self._forward_leader = leader
+            self._unforwarded.clear()
+            self._lead(env)
+        # Decisions we may have missed (a restarted replica has an empty or
+        # stale log, one on the minority side of a healed partition has
+        # holes): asked for only when a heartbeat proved some peer ahead.
+        self._catch_up(env, leader)
 
     # ------------------------------------------------------------------ acceptor --
     def _promise(self, ballot: int) -> None:

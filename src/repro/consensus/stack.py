@@ -6,6 +6,19 @@ share its links and timers.  :class:`OmegaConsensusStack` is that composition: a
 :class:`~repro.core.composition.CompositeProcess` with an ``"omega"`` channel (any
 of the paper's algorithms, Figure 3 by default) and a ``"log"`` channel (the
 replicated log), with the log querying the co-located oracle for the current leader.
+
+The frontier header
+-------------------
+The oracle's ``ALIVE`` already reaches every peer from every process once per
+period, so the stack lets it carry one more field: every outgoing ``ALIVE``
+leaves in a :class:`~repro.consensus.messages.FrontierAdvert` holding the
+log's decided frontier instead of the plain omega-channel envelope.  On
+receipt the stack hands ``(sender, frontier)`` to the log
+(:meth:`~repro.consensus.replicated_log.ReplicatedLog.heard_frontier`) and the
+bare ``ALIVE`` to the oracle.  Omega's messages, state and delays are
+untouched — the innermost tag and round number are the same — and the log
+polls a peer for missed decisions only when a header proved that peer ahead
+("The catch-up protocol" in :mod:`repro.consensus.replicated_log`).
 """
 
 from __future__ import annotations
@@ -14,16 +27,37 @@ from typing import Callable, Optional, Type, Union
 
 from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.leases import LeaseManager
+from repro.consensus.messages import FrontierAdvert
 from repro.consensus.replicated_log import ReplicatedLog
-from repro.core.composition import CompositeProcess
+from repro.core.composition import ChannelEnvironment, CompositeProcess
 from repro.core.config import OmegaConfig
 from repro.core.figure3 import Figure3Omega
-from repro.core.interfaces import LeaderOracle
+from repro.core.interfaces import Environment, LeaderOracle, Message
+from repro.core.messages import Alive
 from repro.core.omega_base import RotatingStarOmegaBase
 
 #: Channel names used by the stack.
 OMEGA_CHANNEL = "omega"
 LOG_CHANNEL = "log"
+
+
+class _AdvertisingEnvironment(ChannelEnvironment):
+    """The oracle's environment: an ``ALIVE`` leaves with the log's frontier."""
+
+    def __init__(self, outer: Environment, log: ReplicatedLog) -> None:
+        super().__init__(OMEGA_CHANNEL, outer)
+        self._log = log
+
+    def broadcast(self, message: Message, include_self: bool = False) -> None:
+        if isinstance(message, Alive):
+            self._outer.broadcast(
+                FrontierAdvert(
+                    channel=OMEGA_CHANNEL, inner=message, frontier=self._log.frontier
+                ),
+                include_self,
+            )
+        else:
+            super().broadcast(message, include_self)
 
 
 class OmegaConsensusStack(CompositeProcess, LeaderOracle):
@@ -57,6 +91,9 @@ class OmegaConsensusStack(CompositeProcess, LeaderOracle):
             on_read_index=on_read_index,
         )
         super().__init__({OMEGA_CHANNEL: omega, LOG_CHANNEL: log})
+        # Direct references for the per-ALIVE path (no channel lookup).
+        self._omega = omega
+        self._log = log
         #: The process's one counter registry: the oracle counts into the
         #: mapping the log already shares with its lease and snapshot managers.
         self.counters = omega.counters = log.counters
@@ -64,16 +101,32 @@ class OmegaConsensusStack(CompositeProcess, LeaderOracle):
         self.n = n
         self.t = t
 
+    # ------------------------------------------------------------------ lifecycle --
+    def _channel_environment(self, name: str, env: Environment) -> ChannelEnvironment:
+        if name == OMEGA_CHANNEL:
+            return _AdvertisingEnvironment(env, self._log)
+        return super()._channel_environment(name, env)
+
+    def on_message(self, env: Environment, sender: int, message: Message) -> None:
+        if isinstance(message, FrontierAdvert):
+            # The header is the log's; the oracle sees the bare ALIVE.
+            self._log.heard_frontier(env.now, sender, message.frontier)
+            self._omega.on_message(
+                self._environment_for(OMEGA_CHANNEL, env), sender, message.inner
+            )
+            return
+        super().on_message(env, sender, message)
+
     # ------------------------------------------------------------------ accessors --
     @property
     def omega(self) -> RotatingStarOmegaBase:
         """The co-located leader oracle."""
-        return self.child(OMEGA_CHANNEL)  # type: ignore[return-value]
+        return self._omega
 
     @property
     def log(self) -> ReplicatedLog:
         """The co-located replicated log."""
-        return self.child(LOG_CHANNEL)  # type: ignore[return-value]
+        return self._log
 
     def leader(self) -> int:
         """Delegate to the co-located oracle (lets system helpers poll leaders)."""

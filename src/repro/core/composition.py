@@ -25,7 +25,7 @@ from repro.util.rng import RandomSource
 _SEPARATOR = "/"
 
 
-class _ChannelEnvironment(Environment):
+class ChannelEnvironment(Environment):
     """Environment handed to a child protocol of a :class:`CompositeProcess`.
 
     It delegates everything to the composite's outer environment, wrapping messages
@@ -102,7 +102,7 @@ class CompositeProcess(Process):
             if _SEPARATOR in name:
                 raise ValueError(f"channel name {name!r} must not contain {_SEPARATOR!r}")
         self._children: Dict[str, Process] = dict(children)
-        self._environments: Dict[str, _ChannelEnvironment] = {}
+        self._environments: Dict[str, ChannelEnvironment] = {}
 
     # ------------------------------------------------------------------ accessors --
     def child(self, name: str) -> Process:
@@ -114,12 +114,17 @@ class CompositeProcess(Process):
         return tuple(self._children)
 
     # ------------------------------------------------------------------ lifecycle --
-    def _environment_for(self, name: str, env: Environment) -> _ChannelEnvironment:
+    def _environment_for(self, name: str, env: Environment) -> ChannelEnvironment:
         channel_env = self._environments.get(name)
         if channel_env is None or channel_env._outer is not env:
-            channel_env = _ChannelEnvironment(name, env)
+            channel_env = self._channel_environment(name, env)
             self._environments[name] = channel_env
         return channel_env
+
+    def _channel_environment(self, name: str, env: Environment) -> ChannelEnvironment:
+        """Build the environment channel *name* sees; a composite that adds
+        to what one channel sends overrides this."""
+        return ChannelEnvironment(name, env)
 
     def on_start(self, env: Environment) -> None:
         for name, process in self._children.items():

@@ -6,6 +6,7 @@ from repro.consensus.commands import Batch, Command, flatten_value, payload_inta
 from repro.consensus.messages import (
     Accepted,
     AcceptRequest,
+    CatchUpRequest,
     Decide,
     Forward,
     Nack,
@@ -927,3 +928,99 @@ class TestSteadyStateCost:
         sent = run.stats.sent_by_tag
         assert sent["PREPARE"] == 2 + 2  # p0's ballot, then p2's: one each
         assert run.shells[2].algorithm.counters["ballots_started"] == 1
+
+
+def catch_up_requests(env):
+    """``(dest, frontier)`` of every CatchUpRequest sent so far."""
+    return [
+        (sent.dest, sent.message.frontier)
+        for sent in env.sent
+        if isinstance(sent.message, CatchUpRequest)
+    ]
+
+
+def tick_hearing(log, env, adverts, ticks=1):
+    """Like :func:`tick`, with the heartbeats ``{peer: frontier}`` heard
+    before each tick."""
+    for _ in range(ticks):
+        for peer, frontier in adverts.items():
+            log.heard_frontier(env.now, peer, frontier)
+        tick(log, env)
+
+
+class TestCatchUpOnEvidence:
+    """A replica polls for missed decisions only when a peer's heartbeat
+    advertised a higher frontier — or, as a follower that heard no
+    advertisement for ``retry_period`` (10.0 here), its trusted leader."""
+
+    def test_a_current_replica_sends_nothing(self):
+        log, _, env = make(pid=1, leader=0)
+        tick_hearing(log, env, {0: 0, 2: 0, 3: 0, 4: 0}, ticks=20)
+        assert catch_up_requests(env) == []
+        assert log.counters["catchup_polls"] == 0
+
+    def test_one_request_per_tick_to_the_highest_advertisement_above_ours(self):
+        log, _, env = make(pid=1, leader=0)
+        log.on_message(env, 0, Decide(instance=0, value="a"))
+        log.heard_frontier(env.now, 0, 3)
+        log.heard_frontier(env.now, 2, 5)
+        log.heard_frontier(env.now, 3, 1)  # not above ours: no evidence
+        tick(log, env)
+        assert catch_up_requests(env) == [(2, 1)]
+
+    def test_an_advertisement_is_spent_by_its_poll(self):
+        # A peer that advertised once and then crashed is polled once, after
+        # which the next-best live advertisement is used.
+        log, _, env = make(pid=1, leader=0)
+        log.heard_frontier(env.now, 2, 6)
+        log.heard_frontier(env.now, 3, 4)
+        tick(log, env, ticks=4)
+        assert catch_up_requests(env) == [(2, 0), (3, 0)]
+
+    def test_a_peer_whose_frontier_went_down_is_not_polled(self):
+        log, _, env = make(pid=1, leader=0)
+        log.on_message(env, 0, Decide(instance=0, value="a"))
+        log.heard_frontier(env.now, 2, 6)
+        # Peer 2 restarted without storage before our tick: its latest
+        # advertisement is below ours, and the stale 6 is not remembered.
+        tick_hearing(log, env, {2: 0}, ticks=10)
+        assert catch_up_requests(env) == []
+
+    def test_a_replica_that_trusts_itself_polls_the_follower_that_is_ahead(self):
+        # What the deleted poll-back covered: a restarted replica the oracle
+        # names leader learns it is behind from its followers' heartbeats.
+        log, _, env = make(pid=0, leader=0)
+        log.heard_frontier(env.now, 3, 7)
+        tick(log, env)
+        assert catch_up_requests(env) == [(3, 0)]
+
+    def test_a_request_from_a_replica_ahead_gets_no_request_back(self):
+        log, _, env = make(pid=0, leader=1)
+        log.on_message(env, 1, CatchUpRequest(frontier=9))
+        assert env.sent == []
+
+    def test_a_follower_hearing_no_advertisement_falls_back_to_polling_its_leader(self):
+        log, _, env = make(pid=1, leader=0)
+        tick(log, env, ticks=5)  # t = 10: not *longer* than retry_period yet
+        assert catch_up_requests(env) == []
+        tick(log, env, ticks=3)
+        assert catch_up_requests(env) == [(0, 0)] * 3
+        # An advertisement, even one that proves nothing, resets the clock.
+        log.heard_frontier(env.now, 2, 0)
+        env.clear_sent()
+        tick(log, env, ticks=5)
+        assert catch_up_requests(env) == []
+
+    def test_a_leader_never_falls_back(self):
+        log, _, env = make(pid=0, leader=0)
+        tick(log, env, ticks=20)
+        assert catch_up_requests(env) == []
+
+    def test_the_fallback_clock_starts_with_the_incarnation(self):
+        oracle = _FixedOracle(0)
+        log = ReplicatedLog(pid=1, n=5, t=2, oracle=oracle)
+        env = FakeEnvironment(pid=1, n=5)
+        env.set_time(500.0)  # a recovered incarnation starting late
+        log.on_start(env)
+        tick(log, env, ticks=5)
+        assert catch_up_requests(env) == []

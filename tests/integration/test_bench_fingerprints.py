@@ -32,45 +32,50 @@ _spec.loader.exec_module(bench_perf)
 
 #: Quick-shape fingerprints of the sequential workloads (see module docstring
 #: for when these may be re-pinned).
+#: The four ``sharded_service*`` digests were last re-pinned when catch-up
+#: began to ride the heartbeat: replicas stopped sending a ``CATCHUP_REQ``
+#: every drive tick, and ``StarDelayModel`` draws consensus delays from the
+#: ``control`` stream it shares with SUSPICION, so every later draw moved.
+#: ``omega_broadcast`` runs no log and did not move.
 PINNED_QUICK_FINGERPRINTS = {
     "omega_broadcast": "5b36c19e15a2d846c7993c1ab1ae0ea3c4168de467ca0aeb79e9c3d3da0685cb",
-    "sharded_service": "06db6bfa3fc5d242bd9e90d340ea1bf0a3dff60cab8e6c30e248bebfbeee9714",
-    "sharded_service_storage": "7b05e1520fa7ff3ae59a305354cab619260e5bf5a690e462f9fe8cbd5ea2850b",
-    "sharded_service_compaction": "88935d4eebebd272fe6745c6adec15b7c65693b36223abcd3ccef763c31ca4d6",
-    # Re-pinned when clients stopped polling every tick: the leased run is
-    # unchanged (3290 commands, state and histories identical) and
-    # ``read_speedup`` stays 7.38.  Only the leases-off baseline moved —
-    # clients 2 and 11 start 3 x 0.25 apart and so share one poll lattice, and
-    # their same-instant submits fire in a different order once each is
-    # scheduled by its own wake-up rather than by its own previous poll.
-    "sharded_service_read_leases": "8ba126220d07febc822db142ad1e5a167a84a9cb479991a3682c0b2ad3ab5516",
+    "sharded_service": "98215c4f7a9140969cdd12a9c906b6f37929a6e3ae8e22a73fa048af1474622d",
+    "sharded_service_storage": "2992082a5910e5615b429ef513848385862ad1526417c1d60360565fa745e77d",
+    "sharded_service_compaction": "d4a55a5c9ba062099363fda1d9ab06f5ba9cce33140513075f01ae252f2338ca",
+    "sharded_service_read_leases": "aae8348f9daee2d614a6ccdb3f2680a1612cd63d652eff1eb0c86a972847cf6a",
 }
 
 #: Messages per committed command of the ``sharded_service`` quick shape — an
 #: exact count.  It was 13.463 while every pending command was re-forwarded on
-#: every drive tick, 12.826 while every log position ran its own Paxos phase 1
-#: and 9.69 while every receiving round broadcast a SUSPICION, empty or not
-#: (``OmegaConfig.quiet_rounds``); a change that raises it again must say why
-#: and re-pin.
-SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 6.365
+#: every drive tick, 12.826 while every log position ran its own Paxos phase 1,
+#: 9.69 while every receiving round broadcast a SUSPICION, empty or not
+#: (``OmegaConfig.quiet_rounds``), and 6.365 while every follower polled its
+#: leader for missed decisions on every drive tick instead of only when a
+#: heartbeat advertised a higher frontier; a change that raises it again must
+#: say why and re-pin.
+SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 5.808
 
 #: Scheduler events per committed command of the same run — exact, like the
 #: messages ceiling.  It was 14.036 while every closed-loop client re-armed a
 #: poll every ``poll_interval`` and asked the correct replicas "applied yet?"
 #: (about half of all events); since a replica *wakes* the client, which then
-#: observes once at its next poll tick, it is 11.933.  A change that raises it
-#: again — per-tick polling coming back, say — must say why and re-pin.
-SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT = 11.933
+#: observes once at its next poll tick, 11.933; since followers stopped
+#: polling their leader for missed decisions every drive tick (catch-up on
+#: heartbeat evidence), it is 11.348.  A change that raises it again — per-tick
+#: polling coming back, say — must say why and re-pin.
+SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT = 11.348
 
 #: Exact sends by tag of one default-star shard that no client ever talks to,
 #: run for 200 vt at seed 0 — ``(n, t) -> tag -> count``; every other tag is 0.
 #: What the failure detector and the drive tick cost when nothing is failing
-#: and nothing is asked: per process per ALIVE period ``n - 1`` ALIVE, a
-#: SUSPICION broadcast only for a round in which someone was late, and one
-#: CATCHUP_REQ per follower per drive tick.
+#: and nothing is asked: per process per ALIVE period ``n - 1`` ALIVE and a
+#: SUSPICION broadcast only for a round in which someone was late.  The log's
+#: catch-up rides the ALIVE as a frontier header, so a current replica sends
+#: nothing; it used to send one CATCHUP_REQ per follower per drive tick (200
+#: and 600 here), with ALIVE and SUSPICION exactly as now.
 IDLE_SHARD_SENDS_BY_TAG = {
-    (3, 1): {"ALIVE": 1206, "SUSPICION": 279, "CATCHUP_REQ": 200},
-    (7, 3): {"ALIVE": 8442, "SUSPICION": 2121, "CATCHUP_REQ": 600},
+    (3, 1): {"ALIVE": 1206, "SUSPICION": 279},
+    (7, 3): {"ALIVE": 8442, "SUSPICION": 2121},
 }
 
 
