@@ -223,7 +223,8 @@ class RoundRecords:
         dropped = 0
         for table in (self._rec_from, self._suspicions):
             if limit - self.purged_below <= len(table):
-                # Every retained round is at or above the previous limit.
+                # Every retained round but the late SUSPICION ones (dropped
+                # below) is at or above the previous limit.
                 stale = range(self.purged_below, limit)
             else:
                 stale = [rn for rn in table if rn < limit]
