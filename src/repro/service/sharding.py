@@ -43,6 +43,7 @@ from repro.service.state_machine import KeyValueStore, StateMachine
 from repro.simulation.adversary import ADVERSARIES, adversary_by_name
 from repro.simulation.crash import random_crash_times
 from repro.simulation.faults import DEFAULT_ROUND_RESYNC_GAP, FaultPlan
+from repro.simulation.process import SimProcessShell
 from repro.simulation.scheduler import EventScheduler
 from repro.simulation.system import System, SystemConfig
 from repro.storage.compaction import CompactionPolicy
@@ -377,16 +378,7 @@ class ShardedService:
         alive replica, modelling client fail-over.
         """
         shard = self.router.shard_for(command.key)
-        system = self.systems[shard]
-        shell = None
-        if gateway is not None and not system.shells[gateway].crashed:
-            shell = system.shells[gateway]
-        else:
-            alive = system.alive_shells()
-            if not alive:
-                raise RuntimeError(f"shard {shard} has no alive replica")
-            shell = alive[0]
-        shell.algorithm.submit_command(command)
+        self._gateway(shard, gateway).algorithm.submit_command(command)
         return shard
 
     def submit_read(self, command: Command, gateway: Optional[int] = None) -> int:
@@ -405,16 +397,19 @@ class ShardedService:
         if not self.leases:
             raise RuntimeError("submit_read requires ShardedService(leases=True)")
         shard = self.router.shard_for(command.key)
+        self._gateway(shard, gateway).algorithm.submit_read(command, now=self.now)
+        return shard
+
+    def _gateway(self, shard: int, gateway: Optional[int]) -> SimProcessShell:
+        """The shell a command enters *shard* through: *gateway* unless it is
+        ``None`` or crashed, else the first alive replica."""
         system = self.systems[shard]
         if gateway is not None and not system.shells[gateway].crashed:
-            shell = system.shells[gateway]
-        else:
-            alive = system.alive_shells()
-            if not alive:
-                raise RuntimeError(f"shard {shard} has no alive replica")
-            shell = alive[0]
-        shell.algorithm.submit_read(command, now=self.now)
-        return shard
+            return system.shells[gateway]
+        alive = system.alive_shells()
+        if not alive:
+            raise RuntimeError(f"shard {shard} has no alive replica")
+        return alive[0]
 
     def _wake(self, key: Optional[Tuple[str, int]]) -> None:
         """Replica wake hook: call the waker of *key*, or every waker (``None``)."""

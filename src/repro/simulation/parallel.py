@@ -32,16 +32,6 @@ cross-shard transactions or reads, a shared random stream, and any use of one
 global virtual clock for cross-shard timing.  Virtual time is per shard;
 whole-run wall-clock time is the only cross-shard time that exists, and it
 never influences results (fingerprints exclude every wall measurement).
-
-Throughput accounting
----------------------
-The merged report carries two honest rates: ``events_per_sec`` divides the
-total event count by the whole-run wall time (what this machine actually
-sustained end to end, pool start-up included), and
-``aggregate_events_per_sec`` sums the per-shard rates ``events_i / wall_i``
-(the deployment-level rate of the worker fleet — on a single-core host the
-two coincide up to pool overhead; with real cores they diverge by the
-parallel speedup).
 """
 
 from __future__ import annotations
@@ -78,11 +68,6 @@ class ShardResult:
     violations: Tuple[str, ...]
     wall_seconds: float
     fingerprint: str
-
-    @property
-    def events_per_sec(self) -> float:
-        """This shard's own event rate (0.0 for a degenerate zero-time run)."""
-        return self.events / self.wall_seconds if self.wall_seconds else 0.0
 
     def to_dict(self) -> Dict:
         return {
@@ -196,8 +181,8 @@ class ParallelRunReport:
     """The deterministic merge of every shard's result.
 
     ``run_fingerprint`` digests the ordered per-shard fingerprints (shard 0
-    first), so it is byte-identical across worker counts; ``wall_seconds``
-    and the two rates are the only fields that vary between runs.
+    first), so it is byte-identical across worker counts; ``wall_seconds`` is
+    the only field that varies between runs.
     """
 
     spec: ServiceSpec
@@ -213,16 +198,6 @@ class ParallelRunReport:
     wall_seconds: float
     run_fingerprint: str
 
-    @property
-    def events_per_sec(self) -> float:
-        """Whole-run rate: total events over end-to-end wall time."""
-        return self.events / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def aggregate_events_per_sec(self) -> float:
-        """Fleet rate: sum of per-shard ``events_i / wall_i``."""
-        return sum(result.events_per_sec for result in self.shards)
-
     def to_dict(self) -> Dict:
         return {
             "spec": self.spec.to_dict(),
@@ -236,8 +211,6 @@ class ParallelRunReport:
             "counters": dict(self.counters),
             "violations": list(self.violations),
             "wall_seconds": self.wall_seconds,
-            "events_per_sec": round(self.events_per_sec),
-            "aggregate_events_per_sec": round(self.aggregate_events_per_sec),
             "run_fingerprint": self.run_fingerprint,
         }
 

@@ -10,8 +10,8 @@ unordered containers, RNG draws keyed on object identity, wall-clock leakage.
 
 It cannot see a change that deterministically alters both runs the same way
 (e.g. swapping broadcast destination order); that cross-version guarantee is
-covered by ``benchmarks/bench_perf.py``, whose run fingerprints are compared
-against the committed ``benchmarks/perf_baseline.json``.
+covered by the fingerprints pinned in
+``tests/integration/test_bench_fingerprints.py``.
 """
 
 from repro.core.figure3 import Figure3Omega
