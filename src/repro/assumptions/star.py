@@ -36,7 +36,7 @@ import abc
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.simulation.delays import DelayModel, MessageContext, UniformStream
+from repro.simulation.delays import DelayModel, MessageContext
 from repro.util.rng import RandomSource
 from repro.util.validation import validate_process_count
 
@@ -505,23 +505,19 @@ class StarDelayModel(DelayModel):
         self.constrained_tags = frozenset(constrained_tags)
         # One RNG stream per delay category.  Draws happen in simulation event order,
         # which is itself deterministic for a given seed, so runs are reproducible.
-        # Each category's exclusively-owned source is wrapped in a pre-drawing
-        # UniformStream — delay sequences stay bit-identical to direct
-        # ``uniform`` calls (see repro.simulation.delays.UniformStream).
         root = RandomSource(seed, label="star-delays")
-        self._control_rng = UniformStream(root.child("control"))
-        self._fast_rng = UniformStream(root.child("fast"))
-        self._slow_rng = UniformStream(root.child("slow"))
-        self._timely_rng = UniformStream(root.child("timely"))
+        self._control_rng = root.child("control")
+        self._fast_rng = root.child("fast")
+        self._slow_rng = root.child("slow")
+        self._timely_rng = root.child("timely")
 
     # ------------------------------------------------------------------ helpers --
     @staticmethod
-    def _uniform(stream: UniformStream, low: float, high: float) -> float:
-        # Degenerate bounds return ``low`` without consuming a draw, exactly
-        # like the pre-stream implementation.
+    def _uniform(rng: RandomSource, low: float, high: float) -> float:
+        # Degenerate bounds return ``low`` without consuming a draw.
         if high <= low:
             return low
-        return stream.draw(low, high)
+        return rng.uniform(low, high)
 
     def _control_delay(self, ctx: MessageContext) -> float:
         return self._uniform(

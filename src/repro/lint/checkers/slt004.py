@@ -9,7 +9,7 @@ assignment or ``@dataclass(slots=True)``), and no function in those modules
 may allocate a lambda or nested ``def`` per call (closures allocate a cell +
 function object on every execution of the enclosing body).
 
-Per-run singletons (the scheduler, the network, the event queue) gain nothing
+Per-run singletons (the scheduler, the network) gain nothing
 from slots; they are suppressed in the committed baseline with that
 justification rather than special-cased here — the rule stays mechanical.
 """

@@ -38,7 +38,7 @@ from repro.simulation.delays import (
     TagFilteredDelay,
     UniformDelay,
 )
-from repro.simulation.events import Event, EventQueue
+from repro.simulation.events import Event
 from repro.simulation.network import Envelope, Network, NetworkStats
 from repro.simulation.process import SimProcessShell
 from repro.simulation.scheduler import EventScheduler
@@ -51,7 +51,6 @@ __all__ = [
     "DelayModel",
     "Envelope",
     "Event",
-    "EventQueue",
     "EventScheduler",
     "ExponentialDelay",
     "FaultEvent",

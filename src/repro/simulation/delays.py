@@ -15,7 +15,7 @@ paper's reliable links.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.util.rng import RandomSource
 from repro.util.validation import require_non_negative, require_positive
@@ -65,49 +65,6 @@ class MessageContext:
         )
 
 
-class UniformStream:
-    """Pre-drawn uniform variates over an *exclusively owned* random source.
-
-    Delay models draw one uniform per message — the hottest RNG path of the
-    simulator.  A stream pre-draws raw ``random()`` variates in blocks and
-    scales them at consumption time with exactly the arithmetic of
-    :meth:`random.Random.uniform` (``low + (high - low) * u``), so the sequence
-    of delays is **bit-identical** to calling ``rng.uniform(low, high)`` once
-    per message; only the Python call overhead is amortised.
-
-    The source handed in must not be shared with any other consumer: block
-    pre-drawing advances the underlying generator ahead of consumption, which
-    would reorder an interleaved consumer's draws.  Every delay model in this
-    repository owns its sources outright (one labelled sub-stream per
-    category), which is the library-wide convention ``derive_seed`` exists for.
-    """
-
-    __slots__ = ("_random", "_buffer", "_next")
-
-    #: Variates drawn per refill. Large enough to amortise the refill, small
-    #: enough that an idle stream wastes little work.
-    BLOCK = 512
-
-    def __init__(self, rng: RandomSource) -> None:
-        self._random = rng.random
-        self._buffer: List[float] = []
-        self._next = 0
-
-    def draw(self, low: float, high: float) -> float:
-        """Return the next variate scaled to ``[low, high]``.
-
-        Bit-identical to ``rng.uniform(low, high)`` on the wrapped source.
-        """
-        index = self._next
-        buffer = self._buffer
-        if index >= len(buffer):
-            draw = self._random
-            self._buffer = buffer = [draw() for _ in range(self.BLOCK)]
-            index = 0
-        self._next = index + 1
-        return low + (high - low) * buffer[index]
-
-
 class DelayModel(abc.ABC):
     """Decides the transfer delay of each message."""
 
@@ -138,12 +95,7 @@ class ConstantDelay(DelayModel):
 
 
 class UniformDelay(DelayModel):
-    """Delays drawn uniformly from ``[low, high]``, independently per message.
-
-    Draws are pre-drawn in blocks through a :class:`UniformStream` (the rng
-    handed in is owned by this model, per the module convention); the delay
-    sequence is bit-identical to one ``rng.uniform(low, high)`` per message.
-    """
+    """Delays drawn uniformly from ``[low, high]``, independently per message."""
 
     def __init__(self, low: float, high: float, rng: RandomSource) -> None:
         require_non_negative(low, "low")
@@ -152,10 +104,9 @@ class UniformDelay(DelayModel):
         self.low = low
         self.high = high
         self._rng = rng
-        self._stream = UniformStream(rng)
 
     def delay(self, ctx: MessageContext) -> float:
-        return self._stream.draw(self.low, self.high)
+        return self._rng.uniform(self.low, self.high)
 
     def describe(self) -> str:
         return f"uniform[{self.low}, {self.high}]"

@@ -24,7 +24,7 @@ Hot-path design
 The paper's algorithms broadcast an ALIVE every period and a SUSPICION every round
 — n² messages per period whether or not anyone is suspected (the ALIVE half alone
 once ``OmegaConfig.quiet_rounds`` silences the rounds that suspect nobody) — so
-per-message cost dominates simulated throughput.  Three choices keep one message
+per-message cost dominates simulated throughput.  Four choices keep one message
 cheap:
 
 * :meth:`Network.broadcast` is the native fan-out entry point: the innermost tag and
@@ -34,16 +34,18 @@ cheap:
 * :class:`Envelope` is a plain ``__slots__`` object that carries its precomputed
   ``tag``, and is handed directly to the scheduler as the event argument — no
   closure, no dict, and delivery never re-derives the tag.
-* :class:`NetworkStats` keeps plain integer counters keyed by interned tags (dict
-  views are materialised lazily), and trace bookkeeping is skipped entirely when no
-  tracer is installed.
+* :class:`NetworkStats` is plain public counters — one ``Counter`` per outcome,
+  keyed by tag, and an integer total each — and trace bookkeeping is skipped
+  entirely when no tracer is installed.
+* One endpoint table maps a pid to its ``(is_alive, deliver)`` pair: a delivery
+  costs one dict hit.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.composition import unwrap_round_number, unwrap_tag
 from repro.core.interfaces import Message
@@ -101,143 +103,92 @@ class Envelope:
 class NetworkStats:
     """Message accounting used by the cost experiments (E6, E9).
 
-    Counters are plain ``dict[str, int]`` updated inline (the per-message cost is
-    one dict increment and an integer add); the public ``*_by_tag`` attributes of
-    the original API are exposed as lazily materialised
-    :class:`collections.Counter` views, so ``as_dict()`` output and
-    ``stats.sent_by_tag["ALIVE"]``-style reads are unchanged.
+    Attributes
+    ----------
+    sent_by_tag / delivered_by_tag / dropped_by_tag / corrupted_by_tag:
+        Per innermost tag: messages handed to the network, delivered to a live
+        process, dropped (lossy links, unreachable or crashed destination), and
+        tampered in flight.  Live counters, not copies.
+    total_sent / total_delivered / total_dropped / total_corrupted:
+        The same four counts over all tags.  ``total_corrupted`` is counted at
+        send time, when a :class:`~repro.simulation.faults.CorruptLink` actually
+        garbled the payload; the receiving side's integrity check is what turns
+        these deliveries into rejections (the log's ``corruption_rejections``).
+    corrupted_delivered:
+        Tampered messages actually handed to an alive destination — at most
+        ``total_corrupted``.  Unlike the receiver-side rejection counters, this
+        network-side count survives crash-recovery (a recovered process restarts
+        its algorithm, and its counters, from the initial state).
+    total_delay / max_delay:
+        Sum and maximum of the transfer delays of delivered messages.
     """
 
     __slots__ = (
-        "_sent_by_tag",
-        "_delivered_by_tag",
-        "_dropped_by_tag",
-        "_corrupted_by_tag",
-        "_total_sent",
-        "_total_delivered",
-        "_total_dropped",
-        "_total_corrupted",
-        "_corrupted_delivered",
+        "sent_by_tag",
+        "delivered_by_tag",
+        "dropped_by_tag",
+        "corrupted_by_tag",
+        "total_sent",
+        "total_delivered",
+        "total_dropped",
+        "total_corrupted",
+        "corrupted_delivered",
         "total_delay",
         "max_delay",
     )
 
     def __init__(self) -> None:
-        self._sent_by_tag: Dict[str, int] = {}
-        self._delivered_by_tag: Dict[str, int] = {}
-        self._dropped_by_tag: Dict[str, int] = {}
-        self._corrupted_by_tag: Dict[str, int] = {}
-        self._total_sent = 0
-        self._total_delivered = 0
-        self._total_dropped = 0
-        self._total_corrupted = 0
-        self._corrupted_delivered = 0
+        self.sent_by_tag: Counter = Counter()
+        self.delivered_by_tag: Counter = Counter()
+        self.dropped_by_tag: Counter = Counter()
+        self.corrupted_by_tag: Counter = Counter()
+        self.total_sent = 0
+        self.total_delivered = 0
+        self.total_dropped = 0
+        self.total_corrupted = 0
+        self.corrupted_delivered = 0
         self.total_delay = 0.0
         self.max_delay = 0.0
-
-    # -- lazy dict views (API-compatible with the former Counter attributes) ------
-    @property
-    def sent_by_tag(self) -> Counter:
-        """Messages handed to the network, per innermost tag."""
-        return Counter(self._sent_by_tag)
-
-    @property
-    def delivered_by_tag(self) -> Counter:
-        """Messages delivered to a live process, per innermost tag."""
-        return Counter(self._delivered_by_tag)
-
-    @property
-    def dropped_by_tag(self) -> Counter:
-        """Messages dropped (lossy links or destination crashed), per tag."""
-        return Counter(self._dropped_by_tag)
-
-    @property
-    def corrupted_by_tag(self) -> Counter:
-        """Messages whose payload was tampered in flight, per innermost tag."""
-        return Counter(self._corrupted_by_tag)
-
-    @property
-    def total_sent(self) -> int:
-        """Total number of messages handed to the network."""
-        return self._total_sent
-
-    @property
-    def total_delivered(self) -> int:
-        """Total number of messages delivered to a live process."""
-        return self._total_delivered
-
-    @property
-    def total_dropped(self) -> int:
-        """Messages dropped (lossy links or destination crashed)."""
-        return self._total_dropped
-
-    @property
-    def total_corrupted(self) -> int:
-        """Messages whose payload was tampered in flight.
-
-        Counted at send time, when a :class:`~repro.simulation.faults.CorruptLink`
-        actually garbled the payload; the receiving side's integrity check is
-        what turns these deliveries into rejections (see
-        the log's ``corruption_rejections`` counter)."""
-        return self._total_corrupted
-
-    @property
-    def corrupted_delivered(self) -> int:
-        """Tampered messages actually handed to an alive destination.
-
-        At most :attr:`total_corrupted` (a tampered message addressed to a
-        crashed process is dropped like any other).  Unlike the receiver-side
-        rejection counters, this network-side count survives crash-recovery
-        (a recovered process restarts its algorithm — and its counters — from
-        the initial state)."""
-        return self._corrupted_delivered
 
     @property
     def mean_delay(self) -> float:
         """Mean transfer delay over delivered messages."""
-        delivered = self._total_delivered
+        delivered = self.total_delivered
         return self.total_delay / delivered if delivered else 0.0
 
     # -- recording (hot path) ------------------------------------------------------
     def record_sent(self, tag: str, count: int = 1) -> None:
         """Count *count* messages with *tag* handed to the network."""
-        self._total_sent += count
-        by_tag = self._sent_by_tag
-        by_tag[tag] = by_tag.get(tag, 0) + count
+        self.total_sent += count
+        self.sent_by_tag[tag] += count
 
     def record_delivered(self, tag: str, delay: float) -> None:
-        self._total_delivered += 1
-        by_tag = self._delivered_by_tag
-        by_tag[tag] = by_tag.get(tag, 0) + 1
+        self.total_delivered += 1
+        self.delivered_by_tag[tag] += 1
         self.total_delay += delay
         if delay > self.max_delay:
             self.max_delay = delay
 
     def record_dropped(self, tag: str) -> None:
-        self._total_dropped += 1
-        by_tag = self._dropped_by_tag
-        by_tag[tag] = by_tag.get(tag, 0) + 1
+        self.total_dropped += 1
+        self.dropped_by_tag[tag] += 1
 
     def record_corrupted(self, tag: str) -> None:
-        self._total_corrupted += 1
-        by_tag = self._corrupted_by_tag
-        by_tag[tag] = by_tag.get(tag, 0) + 1
-
-    def record_corrupted_delivered(self) -> None:
-        self._corrupted_delivered += 1
+        self.total_corrupted += 1
+        self.corrupted_by_tag[tag] += 1
 
     def as_dict(self) -> Dict[str, object]:
         """Return a JSON-friendly summary."""
         return {
-            "sent": dict(self._sent_by_tag),
-            "delivered": dict(self._delivered_by_tag),
-            "dropped": dict(self._dropped_by_tag),
-            "corrupted": dict(self._corrupted_by_tag),
-            "total_sent": self._total_sent,
-            "total_delivered": self._total_delivered,
-            "total_dropped": self._total_dropped,
-            "total_corrupted": self._total_corrupted,
-            "corrupted_delivered": self._corrupted_delivered,
+            "sent": dict(self.sent_by_tag),
+            "delivered": dict(self.delivered_by_tag),
+            "dropped": dict(self.dropped_by_tag),
+            "corrupted": dict(self.corrupted_by_tag),
+            "total_sent": self.total_sent,
+            "total_delivered": self.total_delivered,
+            "total_dropped": self.total_dropped,
+            "total_corrupted": self.total_corrupted,
+            "corrupted_delivered": self.corrupted_delivered,
             "mean_delay": self.mean_delay,
             "max_delay": self.max_delay,
         }
@@ -261,16 +212,13 @@ class Network:
         self._scheduler = scheduler
         self.delay_model = delay_model
         self._tracer = tracer
-        self._deliver: Dict[int, DeliveryCallback] = {}
-        self._is_alive: Dict[int, LivenessCallback] = {}
-        #: pid -> (is_alive, deliver): one dict hit per delivery instead of two.
-        self._endpoints: Dict[int, tuple] = {}
-        # Messages are scheduled through the queue's raw push (deliver_time is
-        # ``now + delay`` with delay >= 0, so the schedule_at validation is
+        #: pid -> (is_alive, deliver): one dict hit per delivery.
+        self._endpoints: Dict[int, Tuple[LivenessCallback, DeliveryCallback]] = {}
+        # Messages are scheduled through the scheduler's raw push (deliver_time
+        # is ``now + delay`` with delay >= 0, so the schedule_at validation is
         # redundant on this path).
         self._push_event = scheduler.push_event
         self._msg_ids = itertools.count(1)
-        self._registered_ids: List[int] = []
         # Reachability/quality matrix; installed by the fault injector only when
         # the fault plan contains topology events, so fault-free and pure
         # crash-stop runs pay a single ``is None`` check per message.
@@ -282,17 +230,14 @@ class Network:
         self, pid: int, deliver: DeliveryCallback, is_alive: LivenessCallback
     ) -> None:
         """Register the delivery endpoint of process *pid*."""
-        if pid in self._deliver:
+        if pid in self._endpoints:
             raise ValueError(f"process {pid} already registered with the network")
-        self._deliver[pid] = deliver
-        self._is_alive[pid] = is_alive
         self._endpoints[pid] = (is_alive, deliver)
-        self._registered_ids = sorted(self._deliver)
 
     @property
-    def registered_ids(self) -> list:
-        """Return the registered process ids (sorted; cached at registration)."""
-        return list(self._registered_ids)
+    def registered_ids(self) -> List[int]:
+        """Return the registered process ids, sorted."""
+        return sorted(self._endpoints)
 
     def install_link_state(self, link_state) -> None:
         """Install the :class:`~repro.simulation.faults.LinkState` matrix.
@@ -324,7 +269,7 @@ class Network:
         Returns the in-flight :class:`Envelope`, or ``None`` when the delay model
         dropped the message (lossy links only).
         """
-        if dest not in self._deliver:
+        if dest not in self._endpoints:
             raise KeyError(f"destination process {dest} is not registered")
         tag = unwrap_tag(message)
         self.stats.record_sent(tag)
@@ -360,9 +305,9 @@ class Network:
             # Parity with the loop-of-sends path: no stats entries, not even
             # zero-count tag/sender keys.
             return []
-        deliver = self._deliver
+        endpoints = self._endpoints
         for dest in dests:
-            if dest not in deliver:
+            if dest not in endpoints:
                 raise KeyError(f"destination process {dest} is not registered")
         tag = unwrap_tag(message)
         rn = unwrap_round_number(message)
@@ -481,7 +426,7 @@ class Network:
         delay = envelope.deliver_time - envelope.send_time
         self.stats.record_delivered(tag, delay)
         if envelope.corrupted:
-            self.stats.record_corrupted_delivered()
+            self.stats.corrupted_delivered += 1
         if self._tracer is not None:
             self._tracer.record(
                 envelope.deliver_time,

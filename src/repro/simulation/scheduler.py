@@ -9,14 +9,23 @@ Both scheduling entry points accept an optional ``arg`` that is passed to the
 callback at execution time (see :mod:`repro.simulation.events`): schedulers of hot
 per-message work hand over ``(bound_method, payload)`` pairs instead of allocating a
 closure per event.
+
+Hot-path design
+---------------
+The scheduler owns its ``(time, seq, event)`` heap, and :meth:`EventScheduler.run_until`
+is one pop-and-run loop over it: an event cancelled by an earlier event of its own
+timestamp is still in the heap when the flag is set, so popping it skips it, and a
+raising callback leaves everything after it pending.  The clock is only advanced
+when an event's time is later than ``now``, never reassigned on ties (see the loop).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Optional
+import itertools
+from typing import Any, List, Optional
 
-from repro.simulation.events import NO_ARG, Event, EventCallback, EventQueue
+from repro.simulation.events import NO_ARG, Event, EventCallback
 from repro.util.validation import require_non_negative
 
 
@@ -24,15 +33,10 @@ class EventScheduler:
     """Discrete-event scheduler with a monotonically advancing virtual clock."""
 
     def __init__(self) -> None:
-        self._queue = EventQueue()
+        self._heap: List[tuple] = []
+        self._seq = itertools.count()
         self._now = 0.0
         self._executed = 0
-        #: Hot-path alias of the queue's ``push``: schedules ``callback(arg)``
-        #: at an absolute time **without** the in-the-past validation of
-        #: :meth:`schedule_at`.  Reserved for callers whose times are
-        #: ``now + delay`` with ``delay >= 0`` by construction — the network's
-        #: message dispatch is the one user.
-        self.push_event = self._queue.push
 
     # ------------------------------------------------------------------ clock --
     @property
@@ -42,8 +46,8 @@ class EventScheduler:
 
     @property
     def pending(self) -> int:
-        """Number of events still scheduled."""
-        return len(self._queue)
+        """Number of events still scheduled (cancelled ones excluded)."""
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     @property
     def executed(self) -> int:
@@ -51,6 +55,18 @@ class EventScheduler:
         return self._executed
 
     # ------------------------------------------------------------------ scheduling --
+    def push_event(
+        self, time: float, callback: EventCallback, arg: Any = NO_ARG
+    ) -> Event:
+        """Schedule ``callback(arg)`` at absolute *time* **without** validation.
+
+        Reserved for callers whose times are ``now + delay`` with ``delay >= 0``
+        by construction — the network's message dispatch is the one user.
+        """
+        event = Event(time, next(self._seq), callback, arg)
+        heapq.heappush(self._heap, (time, event.seq, event))
+        return event
+
     def schedule_at(
         self, time: float, callback: EventCallback, arg: Any = NO_ARG
     ) -> Event:
@@ -64,30 +80,33 @@ class EventScheduler:
             raise ValueError(
                 f"cannot schedule an event in the past: {time} < now {self._now}"
             )
-        return self._queue.push(time, callback, arg)
+        return self.push_event(time, callback, arg)
 
     def schedule_after(
         self, delay: float, callback: EventCallback, arg: Any = NO_ARG
     ) -> Event:
         """Schedule *callback* after *delay* virtual time units."""
         require_non_negative(delay, "delay")
-        return self._queue.push(self._now + delay, callback, arg)
+        return self.push_event(self._now + delay, callback, arg)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event (safe to call twice)."""
-        self._queue.cancel(event)
+        """Cancel a scheduled event (safe to call twice, or after it ran)."""
+        event.cancel()
 
     # ------------------------------------------------------------------ execution --
     def step(self) -> bool:
-        """Execute the next event; return False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time > self._now:
-            self._now = event.time
-        self._executed += 1
-        event.run()
-        return True
+        """Execute the next event; return False when none is left."""
+        heap = self._heap
+        while heap:
+            run_time, _, event = heapq.heappop(heap)
+            if event.cancelled:
+                continue
+            if run_time > self._now:
+                self._now = run_time
+            self._executed += 1
+            event.run()
+            return True
+        return False
 
     def run_until(self, time: float, max_events: Optional[int] = None) -> int:
         """Run every event scheduled up to and including *time*.
@@ -112,101 +131,30 @@ class EventScheduler:
         """
         if time < self._now:
             raise ValueError(f"cannot run until {time}, clock already at {self._now}")
-        # Tight loop, operating directly on the queue's heap (scheduler and
-        # queue are one subsystem; this loop is the hottest code in the
-        # simulator).  Two execution paths:
-        #
-        # * **fast path** — the next live event's timestamp is unique (the
-        #   common case under continuous delay distributions): pop and execute
-        #   it with no per-event method call and no batch machinery;
-        # * **timestamp run** — the following heap entry shares the timestamp
-        #   (timer ticks, synchronized polls): the whole run is drained first
-        #   and applied back to back.  Cancellations *by an earlier event of
-        #   the same run* are honoured via the per-event ``cancelled``
-        #   re-check (``EventQueue.cancel`` flags drained events too), and a
-        #   raising callback requeues the unexecuted tail so the pending set
-        #   is exactly what per-event popping would have left.
-        #
-        # Execution order is identical on both paths: events fire in
-        # ``(time, seq)`` order, and events scheduled *at* the draining
-        # timestamp by a batch callback carry higher sequence numbers, so the
-        # next loop iteration picks them up in order.
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         heappop = heapq.heappop
         no_arg = NO_ARG
         executed = 0
-        batch: list = []
-        while True:
-            while heap:
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    heappop(heap)
-                    event._in_queue = False
-                    continue
-                break
-            else:
-                break
-            run_time = entry[0]
-            if run_time > time:
-                break
-            heappop(heap)
-            event._in_queue = False
-            queue._live -= 1
+        while heap and heap[0][0] <= time:
+            run_time, _, event = heappop(heap)
+            if event.cancelled:
+                continue
+            # Guarded, not assigned on every event: client histories store
+            # ``now`` and equal-time events carry distinct float objects, so
+            # reassigning would make every record pin its own float (peak RSS).
             if run_time > self._now:
                 self._now = run_time
-            if not heap or heap[0][0] != run_time:
-                # Fast path: a unique timestamp, execute in place.
-                self._executed += 1
-                if event.arg is no_arg:
-                    event.callback()
-                else:
-                    event.callback(event.arg)
-                executed += 1
-                if max_events is not None and executed > max_events:
-                    raise RuntimeError(
-                        f"run_until({time}) exceeded max_events={max_events}; "
-                        "suspected event loop"
-                    )
-                continue
-            # Timestamp run: drain every live event sharing run_time, then
-            # apply the batch back to back.
-            batch.append(event)
-            while heap:
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    heappop(heap)
-                    event._in_queue = False
-                    continue
-                if entry[0] != run_time:
-                    break
-                heappop(heap)
-                event._in_queue = False
-                queue._live -= 1
-                batch.append(event)
-            index = 0
-            try:
-                for event in batch:
-                    index += 1
-                    if event.cancelled:
-                        continue
-                    self._executed += 1
-                    if event.arg is no_arg:
-                        event.callback()
-                    else:
-                        event.callback(event.arg)
-                    executed += 1
-                    if max_events is not None and executed > max_events:
-                        raise RuntimeError(
-                            f"run_until({time}) exceeded max_events="
-                            f"{max_events}; suspected event loop"
-                        )
-            except BaseException:
-                queue.requeue_run(batch[index:])
-                raise
-            batch.clear()
+            self._executed += 1
+            if event.arg is no_arg:
+                event.callback()
+            else:
+                event.callback(event.arg)
+            executed += 1
+            if max_events is not None and executed > max_events:
+                raise RuntimeError(
+                    f"run_until({time}) exceeded max_events={max_events}; "
+                    "suspected event loop"
+                )
         self._now = time
         return executed
 

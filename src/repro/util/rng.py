@@ -55,6 +55,19 @@ class RandomSource:
     label:
         Optional label; when given, the effective seed is derived from
         ``(seed, label)`` so that differently-labelled sources are independent.
+
+    Draws
+    -----
+    The numeric draws are the underlying :class:`random.Random`'s own bound
+    methods, attached per instance (no extra Python call frame: message delays
+    and workload sampling draw once per simulated event):
+
+    * ``random()`` — a float uniformly drawn from [0, 1);
+    * ``uniform(low, high)`` — a float uniformly drawn from [low, high];
+    * ``randint(low, high)`` — an integer uniformly drawn from [low, high];
+    * ``expovariate(rate)`` — an exponentially distributed float;
+    * ``paretovariate(alpha)`` — a Pareto-distributed float (heavy-tailed delays);
+    * ``gauss(mu, sigma)`` — a normally distributed float.
     """
 
     def __init__(self, seed: int, label: Optional[str] = None) -> None:
@@ -62,12 +75,6 @@ class RandomSource:
         self.label = label
         effective = self.seed if label is None else derive_seed(self.seed, label)
         self._rng = random.Random(effective)
-        # Hot-path bind-through: the numeric draw methods are rebound per
-        # instance to the underlying random.Random's bound methods, removing
-        # one Python call frame per draw (message delays and workload sampling
-        # draw once per simulated event).  Semantics are identical — the class
-        # methods below remain as documentation and as the fallback for
-        # anything accessing them on the class.
         self.random = self._rng.random
         self.uniform = self._rng.uniform
         self.randint = self._rng.randint
@@ -80,22 +87,6 @@ class RandomSource:
         return RandomSource(derive_seed(self.seed, self.label, *labels))
 
     # -- thin delegation to random.Random -------------------------------------
-    def random(self) -> float:
-        """Return a float uniformly drawn from [0, 1)."""
-        return self._rng.random()
-
-    def uniform(self, low: float, high: float) -> float:
-        """Return a float uniformly drawn from [low, high]."""
-        return self._rng.uniform(low, high)
-
-    def expovariate(self, rate: float) -> float:
-        """Return an exponentially distributed float with the given rate."""
-        return self._rng.expovariate(rate)
-
-    def randint(self, low: int, high: int) -> int:
-        """Return an integer uniformly drawn from [low, high]."""
-        return self._rng.randint(low, high)
-
     def choice(self, items: Sequence[T]) -> T:
         """Return a uniformly chosen element of *items*."""
         return self._rng.choice(items)
@@ -107,14 +98,6 @@ class RandomSource:
     def shuffle(self, items: list) -> None:
         """Shuffle *items* in place."""
         self._rng.shuffle(items)
-
-    def paretovariate(self, alpha: float) -> float:
-        """Return a Pareto-distributed float (heavy-tailed delays)."""
-        return self._rng.paretovariate(alpha)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Return a normally distributed float."""
-        return self._rng.gauss(mu, sigma)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(seed={self.seed}, label={self.label!r})"

@@ -261,6 +261,23 @@ class TestOneRoundClock:
         assert clock.sending_spread <= DEFAULT_ROUND_RESYNC_GAP + 4, clock
         assert clock.receive_lag <= 90, clock
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+    @pytest.mark.parametrize("n, t", [(3, 1), (7, 3)])
+    def test_a_recover_injected_into_a_plan_less_shard_rejoins_the_round_clock(
+        self, n, t
+    ):
+        """The service turns resync on only for a static plan that needs it,
+        so a process recovered at run time on a plan-less shard keeps its
+        receiving round at 1 and never rejoins the ALIVE numbering."""
+        service = build_sharded_service(num_shards=1, n=n, t=t, seed=2)
+        system = service.systems[0]
+        system.inject_fault(Crash(time=300.0, pid=1))
+        system.inject_fault(Recover(time=360.0, pid=1))
+        service.run_until(self.HORIZON)
+        clock = round_clock(system)
+        assert clock.sending_spread <= DEFAULT_ROUND_RESYNC_GAP + 4, clock
+        assert clock.receive_lag <= 90, clock
+
     @given(
         seed=st.integers(0, 10_000),
         size=st.sampled_from([(3, 1), (5, 2)]),

@@ -7,7 +7,6 @@ from repro.core.figure3 import Figure3Omega
 from repro.core.messages import Alive, Suspicion
 from repro.core.state import SuspicionLevels
 from repro.simulation.delays import UniformDelay
-from repro.simulation.events import EventQueue
 from repro.simulation.network import Network
 from repro.simulation.scheduler import EventScheduler
 from repro.testing import FakeEnvironment
@@ -26,22 +25,18 @@ class TestSchedulerProperties:
         assert fired == sorted(fired)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=30))
-    def test_queue_pop_order_matches_sorted_times(self, times):
-        queue = EventQueue()
-        for time in times:
-            queue.push(time, lambda: None)
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event)
-        assert [e.time for e in popped] == sorted(times)
-        # Ties must respect insertion order: within a group of equal times, the
-        # sequence numbers (assigned in push order) must be increasing.
-        for first, second in zip(popped, popped[1:]):
-            if first.time == second.time:
-                assert first.seq < second.seq
+    def test_run_order_matches_sorted_times(self, times):
+        scheduler = EventScheduler()
+        ran = []
+        for index, time in enumerate(times):
+            scheduler.schedule_at(time, ran.append, index)
+        scheduler.run_until(50.0)
+        assert [times[index] for index in ran] == sorted(times)
+        # Ties must respect scheduling order: within a group of equal times,
+        # the events run in the order they were scheduled.
+        for first, second in zip(ran, ran[1:]):
+            if times[first] == times[second]:
+                assert first < second
 
 
 class TestSuspicionLevelLattice:

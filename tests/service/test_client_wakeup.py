@@ -296,7 +296,7 @@ def test_a_long_run_keeps_two_events_per_client_and_observes_only_what_took_effe
     for client in clients:
         poll = client._poll
         client._poll = lambda poll=poll: (polls.append(1), poll())
-    heap = service.scheduler._queue._heap
+    heap = service.scheduler._heap
     peak = 0
     time = 0.0
     while sum(client.stats.completed for client in clients) < 2000:
