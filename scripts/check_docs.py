@@ -12,7 +12,12 @@ out of sync with ``examples/*.py``.  This script fails the build on either:
   "Examples" table, and every script the table mentions must exist;
 * the architecture guide's "Static analysis" rule table and the checkers
   registered in ``repro.lint`` must be in bijection — a new rule cannot land
-  undocumented, and a documented rule must exist.
+  undocumented, and a documented rule must exist;
+* every `` `path.py:Symbol` `` pointer in ``README.md`` and ``docs/*.md`` must
+  name something that exists: ``path.py`` is a path suffix of the repo's
+  ``.py`` files (lint fixtures excluded), and exactly one of those files
+  defines ``Symbol`` (or ``Class.attr``) — as a ``def``, a class, a module or
+  class-level assignment, or a ``self.attr =`` assignment in a method.
 
 Usage::
 
@@ -21,9 +26,11 @@ Usage::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
+from typing import Dict, Iterable, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 # The docs CI job runs without PYTHONPATH; make repro.lint importable anyway.
@@ -133,6 +140,107 @@ def check_lint_rule_table(architecture: Path) -> list:
     return errors
 
 
+#: A code pointer: `path.py:Name` or `path.py:Class.attr`, optionally with a
+#: call's arguments after the name.  One line only, like a code span.
+_POINTER = re.compile(
+    r"`([\w./-]+\.py):([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\([^`\n]*\))?`"
+)
+#: The documents' own description of the pointer form.
+_FORMAT_EXAMPLE = ("path.py", "Symbol")
+
+
+def _python_files() -> List[str]:
+    """Repo-relative paths of the ``.py`` files pointers may name."""
+    files = []
+    for path in REPO_ROOT.rglob("*.py"):
+        parts = path.relative_to(REPO_ROOT).parts
+        if any(part.startswith(".") or part in ("__pycache__", "fixtures") for part in parts):
+            continue
+        files.append("/".join(parts))
+    return sorted(files)
+
+
+def _scope_names(body: Iterable[ast.stmt]) -> Dict[str, Optional[ast.ClassDef]]:
+    """Names a module or class body defines; a class maps to its node."""
+    names: Dict[str, Optional[ast.ClassDef]] = {}
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            names[node.name] = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names[node.name] = None
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names[leaf.id] = None
+    return names
+
+
+def _class_names(node: ast.ClassDef) -> Dict[str, Optional[ast.ClassDef]]:
+    """What ``Class.attr`` may name: the class body, plus ``self.attr =``
+    assignments in its methods."""
+    names = _scope_names(node.body)
+    for method in node.body:
+        if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for statement in ast.walk(method):
+            if isinstance(statement, ast.Assign):
+                targets = statement.targets
+            elif isinstance(statement, ast.AnnAssign):
+                targets = [statement.target]
+            else:
+                continue
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ):
+                    names.setdefault(target.attr, None)
+    return names
+
+
+def defines(source: str, symbol: str) -> bool:
+    """True when the module *source* defines the dotted *symbol*."""
+    names = _scope_names(ast.parse(source).body)
+    parts = symbol.split(".")
+    for index, part in enumerate(parts):
+        if part not in names:
+            return False
+        node = names[part]
+        if index + 1 < len(parts):
+            if node is None:
+                return False
+            names = _class_names(node)
+    return True
+
+
+def check_pointers(path: Path, files: Optional[List[str]] = None) -> list:
+    """Return an error string for every `path.py:Symbol` pointer in *path*
+    that names no file, no definition, or more than one."""
+    files = _python_files() if files is None else files
+    errors = []
+    for pointer, symbol in _POINTER.findall(path.read_text(encoding="utf-8")):
+        if (pointer, symbol) == _FORMAT_EXAMPLE:
+            continue
+        candidates = [f for f in files if f == pointer or f.endswith("/" + pointer)]
+        defining = [
+            f for f in candidates
+            if defines((REPO_ROOT / f).read_text(encoding="utf-8"), symbol)
+        ]
+        if len(defining) == 1:
+            continue
+        if not candidates:
+            problem = "no such file"
+        elif not defining:
+            problem = f"not defined in {', '.join(candidates)}"
+        else:
+            problem = f"ambiguous between {', '.join(defining)}"
+        errors.append(f"{path.name}: unresolved pointer `{pointer}:{symbol}` ({problem})")
+    return errors
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md"]
     documents += sorted((REPO_ROOT / "docs").glob("*.md"))
@@ -140,6 +248,9 @@ def main() -> int:
     for document in documents:
         if document.exists():
             errors.extend(check_links(document))
+    files = _python_files()
+    for document in [REPO_ROOT / "README.md"] + sorted((REPO_ROOT / "docs").glob("*.md")):
+        errors.extend(check_pointers(document, files))
     errors.extend(check_examples_table(REPO_ROOT / "README.md"))
     errors.extend(check_lint_rule_table(REPO_ROOT / "docs" / "ARCHITECTURE.md"))
     if errors:

@@ -30,7 +30,7 @@ _RETRANSMIT_TIMER = "retransmit"
 _INNER_PREFIX = "inner:"
 
 
-class _ChannelEnvironment(Environment):
+class _ReliableEnvironment(Environment):
     """Environment handed to the wrapped process: sends go through the channel."""
 
     def __init__(self, channel: "ReliableChannel", outer: Environment) -> None:
@@ -84,13 +84,13 @@ class ReliableChannel(Process):
         #: Counters for tests and reports.
         self.retransmissions = 0
         self.duplicates_dropped = 0
-        self._inner_env: Dict[int, _ChannelEnvironment] = {}
+        self._inner_env: Dict[int, _ReliableEnvironment] = {}
 
     # ------------------------------------------------------------------ helpers --
-    def _env_for(self, env: Environment) -> _ChannelEnvironment:
+    def _env_for(self, env: Environment) -> _ReliableEnvironment:
         wrapped = self._inner_env.get(env.pid)
         if wrapped is None or wrapped._outer is not env:
-            wrapped = _ChannelEnvironment(self, env)
+            wrapped = _ReliableEnvironment(self, env)
             self._inner_env[env.pid] = wrapped
         return wrapped
 

@@ -12,7 +12,7 @@ from repro.consensus.messages import (
     Promise,
 )
 from repro.consensus.replicated_log import NOOP, ReplicatedLog
-from repro.consensus.stack import LOG_CHANNEL, OMEGA_CHANNEL, OmegaConsensusStack
+from repro.consensus.stack import OmegaConsensusStack
 
 __all__ = [
     "AcceptRequest",
@@ -22,11 +22,9 @@ __all__ = [
     "ConsensusInstance",
     "Decide",
     "Forward",
-    "LOG_CHANNEL",
     "NOOP",
     "NO_BALLOT",
     "Nack",
-    "OMEGA_CHANNEL",
     "OmegaConsensusStack",
     "Prepare",
     "Promise",

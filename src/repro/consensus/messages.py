@@ -165,11 +165,10 @@ class CatchUpReply(Message):
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class FrontierAdvert(core_messages.Wrapped):
-    """The oracle's ``ALIVE`` in its omega-channel envelope, with the sender's
-    decided frontier as a header.
+class FrontierAdvert(Message):
+    """The oracle's ``ALIVE`` with the sender's decided frontier as a header.
 
-    :class:`~repro.consensus.stack.OmegaConsensusStack` wraps every outgoing
+    :class:`~repro.consensus.stack.OmegaConsensusStack` sends every outgoing
     ``ALIVE`` in this envelope, so the heartbeat the detector already
     broadcasts to every peer once per period also tells each of them the first
     position the sender has not decided.  A replica sends a
@@ -177,9 +176,10 @@ class FrontierAdvert(core_messages.Wrapped):
     its own frontier.  The receiving stack hands ``(sender, frontier)`` to its
     log and the bare ``ALIVE`` to its oracle, which never sees the header; the
     network walks ``inner`` for the tag and the round number, so the
-    ``ALIVE``'s delay is drawn exactly as for the plain envelope.
+    ``ALIVE``'s delay is drawn exactly as for a bare one.
     """
 
+    inner: core_messages.Alive
     frontier: int
 
 

@@ -225,7 +225,8 @@ from repro.util.validation import require_positive, validate_process_count
 #: Value proposed to fill a hole in the log when a leader has nothing to propose.
 NOOP = "<noop>"
 
-_DRIVE_TIMER = "drive"
+#: Name of the log's one timer; the stack routes every other name to the oracle.
+DRIVE_TIMER = "drive"
 
 #: Maximum decided positions shipped per CatchUpReply (bounds message size; the
 #: requester's next drive tick continues from its advanced frontier).
@@ -241,7 +242,7 @@ class ReplicatedLog(Process):
         System parameters; consensus safety requires ``t < n/2`` (Theorem 5).
     oracle:
         The local leader oracle instance (typically the Figure 3 algorithm running
-        in the same process, composed via
+        in the same process, held beside the log by
         :class:`~repro.consensus.stack.OmegaConsensusStack`).
     drive_period:
         How often (virtual time) the process re-evaluates leadership, forwards its
@@ -564,7 +565,7 @@ class ReplicatedLog(Process):
     # ------------------------------------------------------------------ lifecycle --
     def on_start(self, env: Environment) -> None:
         self._advert_time = env.now
-        env.set_timer(self.drive_period, _DRIVE_TIMER)
+        env.set_timer(self.drive_period, DRIVE_TIMER)
 
     def heard_frontier(self, now: float, sender: int, frontier: int) -> None:
         """Record *sender*'s advertised decided frontier (the heartbeat header
@@ -573,10 +574,10 @@ class ReplicatedLog(Process):
         self._advert_time = now
 
     def on_timer(self, env: Environment, timer: TimerHandle) -> None:
-        if timer.name != _DRIVE_TIMER:
+        if timer.name != DRIVE_TIMER:
             raise ValueError(f"unknown timer {timer.name!r}")
         self._drive(env)
-        env.set_timer(self.drive_period, _DRIVE_TIMER)
+        env.set_timer(self.drive_period, DRIVE_TIMER)
 
     def on_message(self, env: Environment, sender: int, message: Message) -> None:
         if not payload_intact(message):

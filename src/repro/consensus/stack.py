@@ -1,66 +1,93 @@
-"""Composition of the leader oracle and the replicated log into one process.
+"""The leader oracle and the replicated log in one process.
 
 Theorem 5 of the paper is obtained by plugging the Omega construction into an
 Omega-based consensus algorithm; operationally both run inside the same process and
-share its links and timers.  :class:`OmegaConsensusStack` is that composition: a
-:class:`~repro.core.composition.CompositeProcess` with an ``"omega"`` channel (any
-of the paper's algorithms, Figure 3 by default) and a ``"log"`` channel (the
-replicated log), with the log querying the co-located oracle for the current leader.
+share its links and timers.  :class:`OmegaConsensusStack` is that process: it holds
+an oracle (any of the paper's algorithms, Figure 3 by default) and a replicated log
+as attributes, the log querying the oracle for the current leader, and routes every
+event to one of them:
+
+* a delivered ``ALIVE`` / ``SUSPICION`` goes to the oracle, everything else to the
+  log, whose own dispatcher raises on a class it does not know;
+* the log's :data:`~repro.consensus.replicated_log.DRIVE_TIMER` goes to the log,
+  every other timer to the oracle, which raises on a name it does not know (the two
+  sets of names are disjoint);
+* start, crash and stop reach the oracle first, then the log.  Timers are numbered
+  in the order they are armed, so executions depend on this order.
 
 The frontier header
 -------------------
 The oracle's ``ALIVE`` already reaches every peer from every process once per
 period, so the stack lets it carry one more field: every outgoing ``ALIVE``
-leaves in a :class:`~repro.consensus.messages.FrontierAdvert` holding the
-log's decided frontier instead of the plain omega-channel envelope.  On
-receipt the stack hands ``(sender, frontier)`` to the log
+leaves in a :class:`~repro.consensus.messages.FrontierAdvert` holding the log's
+decided frontier.  On receipt the stack hands ``(sender, frontier)`` to the log
 (:meth:`~repro.consensus.replicated_log.ReplicatedLog.heard_frontier`) and the
 bare ``ALIVE`` to the oracle.  Omega's messages, state and delays are
-untouched — the innermost tag and round number are the same — and the log
-polls a peer for missed decisions only when a header proved that peer ahead
-("The catch-up protocol" in :mod:`repro.consensus.replicated_log`).
+untouched — the network reads the tag and round number of the inner ``ALIVE`` —
+and the log polls a peer for missed decisions only when a header proved that
+peer ahead ("The catch-up protocol" in :mod:`repro.consensus.replicated_log`).
+Every other message, the oracle's ``SUSPICION`` included, travels bare.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Type, Union
+from typing import Any, Callable, Optional, Sequence, Type, Union
 
 from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import FrontierAdvert
-from repro.consensus.replicated_log import ReplicatedLog
-from repro.core.composition import ChannelEnvironment, CompositeProcess
+from repro.consensus.replicated_log import DRIVE_TIMER, ReplicatedLog
 from repro.core.config import OmegaConfig
 from repro.core.figure3 import Figure3Omega
-from repro.core.interfaces import Environment, LeaderOracle, Message
-from repro.core.messages import Alive
+from repro.core.interfaces import Environment, LeaderOracle, Message, Process, TimerHandle
+from repro.core.messages import Alive, Suspicion
 from repro.core.omega_base import RotatingStarOmegaBase
-
-#: Channel names used by the stack.
-OMEGA_CHANNEL = "omega"
-LOG_CHANNEL = "log"
+from repro.util.rng import RandomSource
 
 
-class _AdvertisingEnvironment(ChannelEnvironment):
-    """The oracle's environment: an ``ALIVE`` leaves with the log's frontier."""
+class _AdvertisingEnvironment(Environment):
+    """The oracle's environment: the process's own, except that an ``ALIVE``
+    broadcast leaves in a :class:`FrontierAdvert` with the log's frontier."""
 
     def __init__(self, outer: Environment, log: ReplicatedLog) -> None:
-        super().__init__(OMEGA_CHANNEL, outer)
+        self.outer = outer
         self._log = log
+
+    @property
+    def pid(self) -> int:
+        return self.outer.pid
+
+    @property
+    def process_ids(self) -> Sequence[int]:
+        return self.outer.process_ids
+
+    @property
+    def now(self) -> float:
+        return self.outer.now
+
+    @property
+    def random(self) -> RandomSource:
+        return self.outer.random
+
+    def send(self, dest: int, message: Message) -> None:
+        self.outer.send(dest, message)
 
     def broadcast(self, message: Message, include_self: bool = False) -> None:
         if isinstance(message, Alive):
-            self._outer.broadcast(
-                FrontierAdvert(
-                    channel=OMEGA_CHANNEL, inner=message, frontier=self._log.frontier
-                ),
-                include_self,
-            )
-        else:
-            super().broadcast(message, include_self)
+            message = FrontierAdvert(inner=message, frontier=self._log.frontier)
+        self.outer.broadcast(message, include_self)
+
+    def set_timer(self, delay: float, name: str, payload: Any = None) -> TimerHandle:
+        return self.outer.set_timer(delay, name, payload)
+
+    def cancel_timer(self, handle: TimerHandle) -> None:
+        self.outer.cancel_timer(handle)
+
+    def log(self, kind: str, **details: Any) -> None:
+        self.outer.log(kind, **details)
 
 
-class OmegaConsensusStack(CompositeProcess, LeaderOracle):
+class OmegaConsensusStack(Process, LeaderOracle):
     """One process running an Omega oracle and a replicated log side by side."""
 
     variant_name = "omega-consensus-stack"
@@ -78,56 +105,67 @@ class OmegaConsensusStack(CompositeProcess, LeaderOracle):
         leases: Optional[LeaseManager] = None,
         on_read_index: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        omega = omega_cls(pid=pid, n=n, t=t, config=omega_config)
-        log = ReplicatedLog(
+        #: The co-located leader oracle.
+        self.omega: RotatingStarOmegaBase = omega_cls(
+            pid=pid, n=n, t=t, config=omega_config
+        )
+        #: The co-located replicated log.
+        self.log = ReplicatedLog(
             pid=pid,
             n=n,
             t=t,
-            oracle=omega,
+            oracle=self.omega,
             drive_period=drive_period,
             retry_period=retry_period,
             batch_size=batch_size,
             leases=leases,
             on_read_index=on_read_index,
         )
-        super().__init__({OMEGA_CHANNEL: omega, LOG_CHANNEL: log})
-        # Direct references for the per-ALIVE path (no channel lookup).
-        self._omega = omega
-        self._log = log
         #: The process's one counter registry: the oracle counts into the
         #: mapping the log already shares with its lease and snapshot managers.
-        self.counters = omega.counters = log.counters
+        self.counters = self.omega.counters = self.log.counters
         self.pid = pid
         self.n = n
         self.t = t
+        self._oracle_env: Optional[_AdvertisingEnvironment] = None
+
+    def _oracle_environment(self, env: Environment) -> _AdvertisingEnvironment:
+        """The oracle's view of *env*, built once per outer environment."""
+        oracle_env = self._oracle_env
+        if oracle_env is None or oracle_env.outer is not env:
+            oracle_env = self._oracle_env = _AdvertisingEnvironment(env, self.log)
+        return oracle_env
 
     # ------------------------------------------------------------------ lifecycle --
-    def _channel_environment(self, name: str, env: Environment) -> ChannelEnvironment:
-        if name == OMEGA_CHANNEL:
-            return _AdvertisingEnvironment(env, self._log)
-        return super()._channel_environment(name, env)
+    def on_start(self, env: Environment) -> None:
+        self.omega.on_start(self._oracle_environment(env))
+        self.log.on_start(env)
 
     def on_message(self, env: Environment, sender: int, message: Message) -> None:
         if isinstance(message, FrontierAdvert):
             # The header is the log's; the oracle sees the bare ALIVE.
-            self._log.heard_frontier(env.now, sender, message.frontier)
-            self._omega.on_message(
-                self._environment_for(OMEGA_CHANNEL, env), sender, message.inner
-            )
-            return
-        super().on_message(env, sender, message)
+            self.log.heard_frontier(env.now, sender, message.frontier)
+            self.omega.on_message(self._oracle_environment(env), sender, message.inner)
+        elif isinstance(message, (Alive, Suspicion)):
+            self.omega.on_message(self._oracle_environment(env), sender, message)
+        else:
+            self.log.on_message(env, sender, message)
+
+    def on_timer(self, env: Environment, timer: TimerHandle) -> None:
+        if timer.name == DRIVE_TIMER:
+            self.log.on_timer(env, timer)
+        else:
+            self.omega.on_timer(self._oracle_environment(env), timer)
+
+    def on_crash(self, env: Environment) -> None:
+        self.omega.on_crash(self._oracle_environment(env))
+        self.log.on_crash(env)
+
+    def on_stop(self, env: Environment) -> None:
+        self.omega.on_stop(self._oracle_environment(env))
+        self.log.on_stop(env)
 
     # ------------------------------------------------------------------ accessors --
-    @property
-    def omega(self) -> RotatingStarOmegaBase:
-        """The co-located leader oracle."""
-        return self._omega
-
-    @property
-    def log(self) -> ReplicatedLog:
-        """The co-located replicated log."""
-        return self._log
-
     def leader(self) -> int:
         """Delegate to the co-located oracle (lets system helpers poll leaders)."""
         return self.omega.leader()

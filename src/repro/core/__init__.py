@@ -17,7 +17,7 @@ and the configuration dataclass (:class:`OmegaConfig`).
 """
 
 from repro.core.config import OmegaConfig, TimeoutFunction, WindowFunction
-from repro.core.composition import CompositeProcess, unwrap_round_number, unwrap_tag
+from repro.core.composition import unwrap_round_number, unwrap_tag
 from repro.core.figure1 import Figure1Omega
 from repro.core.figure2 import Figure2Omega
 from repro.core.figure3 import Figure3Omega
@@ -29,14 +29,13 @@ from repro.core.interfaces import (
     Process,
     TimerHandle,
 )
-from repro.core.messages import Alive, Suspicion, Wrapped
+from repro.core.messages import Alive, Suspicion
 from repro.core.omega_base import ALIVE_TIMER, ROUND_TIMER, RotatingStarOmegaBase
 from repro.core.state import RoundRecords, SuspicionLevels, lexicographic_min
 
 __all__ = [
     "ALIVE_TIMER",
     "Alive",
-    "CompositeProcess",
     "Environment",
     "Figure1Omega",
     "Figure2Omega",
@@ -54,7 +53,6 @@ __all__ = [
     "TimeoutFunction",
     "TimerHandle",
     "WindowFunction",
-    "Wrapped",
     "lexicographic_min",
     "unwrap_round_number",
     "unwrap_tag",

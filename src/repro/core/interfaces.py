@@ -131,10 +131,11 @@ class Environment(abc.ABC):
         with a semantically identical native fan-out — the simulator's
         :class:`~repro.simulation.process.SimProcessShell` forwards the whole
         fan-out to :meth:`repro.simulation.network.Network.broadcast`, and the
-        composition layer wraps the message once per broadcast instead of once
-        per destination.  Destination order (ascending process id) and the
-        one-delay-decision-per-destination contract are part of the semantics;
-        overrides must preserve both so executions stay deterministic.
+        consensus stack puts an ``ALIVE`` in its heartbeat header once per
+        broadcast instead of once per destination.  Destination order (ascending
+        process id) and the one-delay-decision-per-destination contract are part
+        of the semantics; overrides must preserve both so executions stay
+        deterministic.
         """
         for dest in self.process_ids:
             if dest == self.pid and not include_self:

@@ -71,20 +71,3 @@ class Suspicion(Message):
     def make(rn: int, suspects: Iterable[int]) -> "Suspicion":
         """Build a ``SUSPICION`` message from any iterable of suspect ids."""
         return Suspicion(rn=rn, suspects=frozenset(suspects))
-
-
-@dataclasses.dataclass(frozen=True)
-class Wrapped(Message):
-    """Envelope used to multiplex several sub-protocols inside one process.
-
-    The consensus layer runs an Omega instance *and* a consensus protocol inside the
-    same process; their messages are wrapped with the name of the logical channel so
-    the composite process can route them (see :mod:`repro.core.composition`).
-    """
-
-    channel: str
-    inner: Message
-
-    @property
-    def tag(self) -> str:
-        return f"{self.channel}:{self.inner.tag}"

@@ -13,7 +13,7 @@ The model is deliberately *tamper-evident*, not arbitrary-Byzantine:
 
 * Tampering targets **integrity-protected payloads** — any frozen dataclass
   carrying a ``checksum`` field (a ``Command``, or a ``Batch`` of them, found
-  inside a ``Wrapped`` envelope, a ``value`` field, the ``decisions`` of a
+  inside an envelope's ``inner``, a ``value`` field, the ``decisions`` of a
   catch-up reply or the ``accepted`` / ``decisions`` rows of a ``Promise``).
   The payload is garbled while the *stale* checksum is preserved, exactly like
   a bit-flip that a forwarding hop passes on but an end-to-end CRC catches.

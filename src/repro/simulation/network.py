@@ -295,8 +295,8 @@ class Network:
         Semantically identical to a loop of :meth:`send` calls over *dests* (one
         independent delay decision per destination, in order; per-destination
         drops; identical stats), but the envelope walk — innermost tag and round
-        number of a possibly :class:`~repro.core.messages.Wrapped` message — is
-        done once and shared by the whole fan-out.
+        number (:mod:`repro.core.composition`) — is done once and shared by the
+        whole fan-out.
 
         Returns the per-destination in-flight envelopes (``None`` where the delay
         model dropped the message).

@@ -1,120 +1,10 @@
-"""Unit tests for the composite-process multiplexer and message unwrapping."""
-
-import pytest
+"""Unit tests for envelope walking: innermost tag and round number."""
 
 from repro.channels.messages import Data
-from repro.core.composition import CompositeProcess, unwrap_round_number, unwrap_tag
-from repro.core.interfaces import Message, Process
-from repro.core.messages import Alive, Suspicion, Wrapped
-from repro.testing import FakeEnvironment
-
-
-class _Echo(Process):
-    """Child protocol that records events and sends one message per event."""
-
-    def __init__(self, reply_to=1):
-        self.reply_to = reply_to
-        self.started = False
-        self.received = []
-        self.timers = []
-        self.crashed = False
-        self.stopped = False
-
-    def on_start(self, env):
-        self.started = True
-        env.set_timer(1.0, "tick")
-
-    def on_message(self, env, sender, message):
-        self.received.append((sender, message))
-        env.send(self.reply_to, message)
-
-    def on_timer(self, env, timer):
-        self.timers.append(timer.name)
-
-    def on_crash(self, env):
-        self.crashed = True
-
-    def on_stop(self, env):
-        self.stopped = True
-
-
-class TestCompositeProcess:
-    def test_requires_at_least_one_child(self):
-        with pytest.raises(ValueError):
-            CompositeProcess({})
-
-    def test_rejects_channel_name_with_separator(self):
-        with pytest.raises(ValueError):
-            CompositeProcess({"a/b": _Echo()})
-
-    def test_start_propagates_to_all_children(self):
-        composite = CompositeProcess({"a": _Echo(), "b": _Echo()})
-        env = FakeEnvironment(pid=0, n=3)
-        composite.on_start(env)
-        assert composite.child("a").started
-        assert composite.child("b").started
-
-    def test_outgoing_messages_are_wrapped_with_channel(self):
-        composite = CompositeProcess({"omega": _Echo(reply_to=2)})
-        env = FakeEnvironment(pid=0, n=3)
-        composite.on_start(env)
-        composite.on_message(env, 1, Wrapped("omega", Alive.make(1, {0: 0})))
-        sent = env.messages_to(2)
-        assert len(sent) == 1
-        assert isinstance(sent[0], Wrapped)
-        assert sent[0].channel == "omega"
-
-    def test_incoming_messages_routed_by_channel(self):
-        echo_a, echo_b = _Echo(), _Echo()
-        composite = CompositeProcess({"a": echo_a, "b": echo_b})
-        env = FakeEnvironment(pid=0, n=3)
-        composite.on_start(env)
-        composite.on_message(env, 1, Wrapped("b", Suspicion.make(1, [2])))
-        assert echo_a.received == []
-        assert len(echo_b.received) == 1
-
-    def test_unwrapped_message_rejected(self):
-        composite = CompositeProcess({"a": _Echo()})
-        env = FakeEnvironment(pid=0, n=3)
-        with pytest.raises(TypeError):
-            composite.on_message(env, 1, Alive.make(1, {0: 0}))
-
-    def test_unknown_channel_rejected(self):
-        composite = CompositeProcess({"a": _Echo()})
-        env = FakeEnvironment(pid=0, n=3)
-        with pytest.raises(KeyError):
-            composite.on_message(env, 1, Wrapped("zzz", Alive.make(1, {0: 0})))
-
-    def test_timers_namespaced_and_routed(self):
-        echo_a, echo_b = _Echo(), _Echo()
-        composite = CompositeProcess({"a": echo_a, "b": echo_b})
-        env = FakeEnvironment(pid=0, n=3)
-        composite.on_start(env)
-        timer_names = [timer.name for timer in env.timers]
-        assert sorted(timer_names) == ["a/tick", "b/tick"]
-        env.advance(1.0)
-        env.fire_due_timers(composite)
-        assert echo_a.timers == ["tick"]
-        assert echo_b.timers == ["tick"]
-
-    def test_unknown_timer_channel_rejected(self):
-        composite = CompositeProcess({"a": _Echo()})
-        env = FakeEnvironment(pid=0, n=3)
-        timer = env.set_timer(0.0, "zzz/tick")
-        with pytest.raises(KeyError):
-            composite.on_timer(env, timer)
-
-    def test_crash_and_stop_propagate(self):
-        echo = _Echo()
-        composite = CompositeProcess({"a": echo})
-        env = FakeEnvironment(pid=0, n=3)
-        composite.on_crash(env)
-        composite.on_stop(env)
-        assert echo.crashed and echo.stopped
-
-    def test_channels_listing(self):
-        composite = CompositeProcess({"a": _Echo(), "b": _Echo()})
-        assert sorted(composite.channels()) == ["a", "b"]
+from repro.consensus.messages import FrontierAdvert
+from repro.core.composition import unwrap_round_number, unwrap_tag
+from repro.core.interfaces import Message
+from repro.core.messages import Alive
 
 
 class TestUnwrapping:
@@ -124,7 +14,7 @@ class TestUnwrapping:
         assert unwrap_tag(message) == "ALIVE"
 
     def test_wrapped_message(self):
-        message = Wrapped("omega", Alive.make(3, {0: 0}))
+        message = FrontierAdvert(inner=Alive.make(3, {0: 0}), frontier=12)
         assert unwrap_round_number(message) == 3
         assert unwrap_tag(message) == "ALIVE"
 
@@ -134,9 +24,10 @@ class TestUnwrapping:
         assert unwrap_tag(message) == "ALIVE"
 
     def test_doubly_wrapped(self):
-        message = Data(seq=1, inner=Wrapped("omega", Suspicion.make(6, [1])))
+        advert = FrontierAdvert(inner=Alive.make(6, {0: 0}), frontier=0)
+        message = Data(seq=1, inner=advert)
         assert unwrap_round_number(message) == 6
-        assert unwrap_tag(message) == "SUSPICION"
+        assert unwrap_tag(message) == "ALIVE"
 
     def test_message_without_round_number(self):
         class Plain(Message):

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.messages import Alive, Suspicion, Wrapped
+from repro.core.messages import Alive, Suspicion
 
 
 class TestAlive:
@@ -49,14 +49,3 @@ class TestSuspicion:
 
     def test_hashable(self):
         assert hash(Suspicion.make(1, [2])) == hash(Suspicion.make(1, [2]))
-
-
-class TestWrapped:
-    def test_tag_includes_channel_and_inner(self):
-        wrapped = Wrapped(channel="omega", inner=Alive.make(1, {0: 0}))
-        assert wrapped.tag == "omega:ALIVE"
-
-    def test_nested_access(self):
-        inner = Suspicion.make(2, [1])
-        wrapped = Wrapped(channel="log", inner=inner)
-        assert wrapped.inner is inner

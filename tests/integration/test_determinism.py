@@ -45,7 +45,8 @@ def _omega_run():
 
 
 def _service_run():
-    """A sharded service with closed-loop clients: the composite/Wrapped path."""
+    """A sharded service with closed-loop clients: the consensus stack's
+    routing and its heartbeat header."""
     service = build_sharded_service(num_shards=2, n=3, t=1, seed=SEED, batch_size=4)
     clients = start_clients(
         service,

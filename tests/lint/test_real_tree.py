@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.consensus import messages
 from repro.consensus.stack import OmegaConsensusStack
 from repro.core.interfaces import Message
+from repro.core.messages import Alive
 from repro.lint import build_model, run_checkers
 from repro.testing import FakeEnvironment, deliver_suspicions
 
@@ -83,6 +84,9 @@ class TestMessageSlotsRegression:
         prepare = messages.Prepare(ballot=1, from_position=0)
         assert not hasattr(prepare, "__dict__")
         assert prepare.tag == "PREPARE"  # the class-level tag cache still works
+        # The heartbeat header rides every ALIVE, so it must be slotted too.
+        advert = messages.FrontierAdvert(inner=Alive.make(1, {0: 0}), frontier=0)
+        assert not hasattr(advert, "__dict__")
 
     def test_baseline_file_is_committed_and_justified(self):
         from repro.lint import Baseline

@@ -5,8 +5,6 @@ import pytest
 from repro.assumptions import IntermittentRotatingStarScenario
 from repro.consensus.commands import Batch, Command
 from repro.consensus.messages import Decide
-from repro.consensus.stack import LOG_CHANNEL
-from repro.core.messages import Wrapped
 from repro.service.replica import ServiceReplica
 from repro.simulation.system import System, SystemConfig
 from repro.testing import FakeEnvironment
@@ -20,9 +18,7 @@ def make_replica(pid=0, n=3, t=1, **kwargs):
 
 
 def decide(replica, env, instance, value):
-    replica.on_message(
-        env, 0, Wrapped(channel=LOG_CHANNEL, inner=Decide(instance=instance, value=value))
-    )
+    replica.on_message(env, 0, Decide(instance=instance, value=value))
 
 
 class TestApplication:

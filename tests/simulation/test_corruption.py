@@ -2,16 +2,18 @@
 
 import pytest
 
+from repro.channels.messages import Data
 from repro.consensus.commands import Batch, Command, payload_intact
 from repro.consensus.messages import (
     AcceptRequest,
     CatchUpReply,
     Forward,
+    FrontierAdvert,
     Prepare,
     Promise,
 )
 from repro.core.config import OmegaConfig
-from repro.core.messages import Alive, Wrapped
+from repro.core.messages import Alive
 from repro.service.replica import ServiceReplica
 from repro.simulation import (
     ConstantDelay,
@@ -86,7 +88,7 @@ class TestChecksums:
 class TestCorruptMessage:
     def test_garbles_forward_and_preserves_stale_checksum(self):
         rng = RandomSource(1)
-        message = Wrapped(channel="log", inner=Forward(value=command()))
+        message = Data(seq=1, inner=Forward(value=command()))
         tampered = corrupt_message(message, rng)
         assert tampered is not None
         assert payload_intact(message)  # the original is untouched
@@ -130,7 +132,7 @@ class TestCorruptMessage:
         rng = RandomSource(4)
         alive = Alive(rn=7, susp_level=((0, 1), (1, 0)))
         assert corrupt_message(alive, rng) is None
-        assert corrupt_message(Wrapped(channel="omega", inner=alive), rng) is None
+        assert corrupt_message(FrontierAdvert(inner=alive, frontier=3), rng) is None
         # A Promise that reports nothing, and a Prepare, carry no payload either.
         assert corrupt_message(Promise(ballot=1, accepted=(), decisions=()), rng) is None
         assert corrupt_message(Prepare(ballot=1, from_position=0), rng) is None
@@ -342,8 +344,7 @@ class TestEndToEndCorruption:
         assert count_before >= 0
         system.run_until(31.0)
         marker = command(seq=99, key="after-heal")
-        wrapped = Wrapped(channel="log", inner=Forward(value=marker))
-        assert link_state.maybe_corrupt(0, 1, wrapped) is None
+        assert link_state.maybe_corrupt(0, 1, Forward(value=marker)) is None
 
     def test_overlapping_corruption_windows_do_not_heal_early(self):
         plan = FaultPlan(
@@ -353,11 +354,11 @@ class TestEndToEndCorruption:
             ]
         )
         system = build_service_system(plan)
-        wrapped = Wrapped(channel="log", inner=Forward(value=command()))
+        forward = Forward(value=command())
         system.run_until(25.0)  # first window expired inside the second
-        assert system.link_state.maybe_corrupt(0, 1, wrapped) is not None
+        assert system.link_state.maybe_corrupt(0, 1, forward) is not None
         system.run_until(41.0)
-        assert system.link_state.maybe_corrupt(0, 1, wrapped) is None
+        assert system.link_state.maybe_corrupt(0, 1, forward) is None
 
     def test_corruption_run_is_deterministic(self):
         def run():

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.messages import Alive, Wrapped
+from repro.consensus.messages import FrontierAdvert
+from repro.core.messages import Alive
 from repro.simulation.delays import ConstantDelay, DelayModel, MessageContext
 from repro.simulation.network import Network, NetworkStats
 from repro.simulation.scheduler import EventScheduler
@@ -133,7 +134,7 @@ class TestStats:
 
     def test_wrapped_messages_counted_under_inner_tag(self):
         scheduler, network, _ = make_network(ConstantDelay(1.0))
-        network.send(0, 1, Wrapped(channel="omega", inner=alive()))
+        network.send(0, 1, FrontierAdvert(inner=alive(), frontier=0))
         scheduler.run_until(2.0)
         assert network.stats.sent_by_tag["ALIVE"] == 1
 

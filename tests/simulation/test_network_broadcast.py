@@ -9,7 +9,8 @@ discard at delivery time, and identical stats — while computing the envelope w
 
 import pytest
 
-from repro.core.messages import Alive, Wrapped
+from repro.consensus.messages import FrontierAdvert
+from repro.core.messages import Alive
 from repro.simulation.delays import ConstantDelay, DelayModel, MessageContext, UniformDelay
 from repro.simulation.network import Network
 from repro.simulation.scheduler import EventScheduler
@@ -117,7 +118,7 @@ class TestFanOut:
 
     def test_envelopes_carry_precomputed_inner_tag(self):
         _, network, _ = make_network(ConstantDelay(1.0))
-        envelopes = network.broadcast(0, (1, 2), Wrapped(channel="omega", inner=alive()))
+        envelopes = network.broadcast(0, (1, 2), FrontierAdvert(inner=alive(), frontier=0))
         assert all(env.tag == "ALIVE" for env in envelopes)
 
 
@@ -151,7 +152,7 @@ class TestStatsParity:
     def _run(self, use_broadcast: bool):
         delay_model = UniformDelay(0.5, 3.0, RandomSource(7, label="parity"))
         scheduler, network, endpoints = make_network(delay_model)
-        message = Wrapped(channel="omega", inner=alive(rn=3))
+        message = FrontierAdvert(inner=alive(rn=3), frontier=0)
         if use_broadcast:
             network.broadcast(0, (1, 2, 3), message)
         else:
