@@ -56,7 +56,7 @@ def run_replication(
         "completion_time": completion_time,
         "messages": system.stats.total_sent,
         "decided_positions": max(
-            len(shell.algorithm.decided_log()) for shell in system.correct_shells()
+            len(shell.algorithm.log.decided_log()) for shell in system.correct_shells()
         ),
     }
 

@@ -31,7 +31,7 @@ def run_adversarial(n, t, seed, crash_times):
 
     per_position = {}
     for shell in system.shells:
-        for position, value in shell.algorithm.decided_log().items():
+        for position, value in shell.algorithm.log.decided_log().items():
             per_position.setdefault(position, set()).add(value)
     agreement_violations = sum(1 for values in per_position.values() if len(values) > 1)
     validity_violations = sum(

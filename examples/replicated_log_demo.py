@@ -39,14 +39,14 @@ def main() -> None:
     for checkpoint in (100.0, 200.0, 300.0, HORIZON):
         system.run_until(checkpoint)
         lengths = {
-            shell.pid: len(shell.algorithm.delivered()) for shell in system.alive_shells()
+            shell.pid: len(shell.algorithm.log.delivered()) for shell in system.alive_shells()
         }
         print(f"t={checkpoint:>5}: delivered log lengths per alive process: {lengths}")
 
     print()
     reference = None
     for shell in system.correct_shells():
-        log = shell.algorithm.delivered()
+        log = shell.algorithm.log.delivered()
         if reference is None:
             reference = log
             print(f"log at process {shell.pid} ({len(log)} entries): {log}")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Documentation consistency checks (run by the CI ``docs`` job).
+"""Documentation consistency checks (run in tier-1 by ``tests/test_check_docs.py``).
 
 Two classes of drift have bitten this repository before: markdown links that
 point at files which were later moved, and the README's examples table falling
@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-# The docs CI job runs without PYTHONPATH; make repro.lint importable anyway.
+# Run as a script without PYTHONPATH, make repro.lint importable anyway.
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 #: Inline markdown links: [text](target); images share the syntax.

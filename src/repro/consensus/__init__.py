@@ -1,7 +1,7 @@
 """Omega-based consensus and replicated log (Theorem 5)."""
 
 from repro.consensus.commands import Batch, Command, flatten_value
-from repro.consensus.instance import NO_BALLOT, ConsensusInstance
+from repro.consensus.instance import NO_BALLOT
 from repro.consensus.messages import (
     AcceptRequest,
     Accepted,
@@ -19,7 +19,6 @@ __all__ = [
     "Accepted",
     "Batch",
     "Command",
-    "ConsensusInstance",
     "Decide",
     "Forward",
     "NOOP",

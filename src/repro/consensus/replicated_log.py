@@ -121,8 +121,8 @@ Catch-up closes the gap with two messages and one rule, **poll on evidence**:
   :class:`~repro.consensus.messages.CatchUpReply` (at most ``CATCH_UP_BATCH``
   decided positions; the requester's next tick continues from its advanced
   frontier) or stays silent when it holds nothing newer, and the receiver
-  learns each ``(position, value)`` through :meth:`ConsensusInstance.learn`.
-  A request never triggers a request back.
+  learns each ``(position, value)`` through :meth:`_learn`, which skips a
+  position already learnt.  A request never triggers a request back.
 
 Payload integrity
 -----------------
@@ -144,15 +144,17 @@ restarted acceptor forgets its promises.  Attaching a
 :class:`~repro.storage.stable_store.StableStore` (:meth:`attach_storage`, done
 by the :class:`~repro.simulation.system.System` when built with ``storage=``)
 makes the log durable: the log-wide promise is persisted under
-``("promised",)`` and each accepted value under ``("acceptor", pos)`` before
-the reply that reveals it leaves, and every decided position under
-``("decided", pos)`` before it is indexed.  A leader promises its own ballot
+``("promised",)`` and each accept under ``("acceptor", pos)`` before the reply
+that reveals it leaves, and every decided position under ``("decided", pos)``
+before it is indexed.  In memory a position is held by the acceptor map
+``_accepted`` while undecided and by :attr:`decisions` once learnt; the
+durable acceptor record stays until compaction.  A leader promises its own ballot
 like any acceptor, so the durable promise is also what keeps a restarted
 proposer from reusing one of its own ballots.  Attaching a non-empty store
 (the recovery path) **rehydrates** the new incarnation: decided positions are
 replayed in log order (driving ``on_deliver``, which rebuilds the state
 machine and its exactly-once session table), then the promise and the
-surviving accepted values are restored.
+accepted values of the still undecided positions are restored.
 Pending/forwarded submissions are deliberately volatile — losing them is
 message loss, which client retransmission already covers.
 
@@ -164,10 +166,9 @@ ServiceReplica` built with a compaction policy) bounds the log's memory:
 whenever the contiguous decided prefix grows past the policy interval the
 manager captures a checksummed :class:`~repro.storage.snapshot.Snapshot` of
 the applied state and the log **truncates** everything below the truncation
-floor — ``decisions``, the decided-value index, consensus instances, the
-delivered window and (when durable) the ``("decided"/"acceptor", pos)`` store
-entries.  Steady-state residency becomes O(interval + retain) instead of
-O(history).
+floor — ``decisions``, the decided-value index and (when durable) the
+``("decided"/"acceptor", pos)`` store entries.  Steady-state residency
+becomes O(interval + retain) instead of O(history).
 
 Three protocol consequences:
 
@@ -200,7 +201,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.commands import Batch, flatten_value, payload_intact
-from repro.consensus.instance import NO_BALLOT, ConsensusInstance
+from repro.consensus.instance import NO_BALLOT
 from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import (
     Accepted,
@@ -337,15 +338,13 @@ class ReplicatedLog(Process):
         #: it to expire pending lease reads into the consensus fallback.
         #: Invoked only when leases are enabled.
         self.on_drive: Optional[Callable[[float], None]] = None
-        #: Undecided positions holding an accepted value — the accepted
-        #: ingredient of lease barrier hints (a commit may be in flight whose
-        #: Decide this replica never saw).  Maintained only when leases are on
-        #: and repopulated from the rehydrated acceptor states on recovery.
-        self._accepted_undecided: set = set()
 
-        self._instances: Dict[int, ConsensusInstance] = {}
         #: Acceptor: the one log-wide promise (durable under ``("promised",)``).
         self._promised = NO_BALLOT
+        #: Acceptor: undecided position -> the ``(ballot, value)`` accepted
+        #: there.  A position leaves it when it is learnt; from then on only
+        #: :attr:`decisions` holds it.
+        self._accepted: Dict[int, Tuple[int, Any]] = {}
         # Proposer, all volatile: the ballot being prepared or owned (owned
         # once a quorum promised it), when its Prepare left, who promised,
         # and the highest-ballot accepted value they reported per position —
@@ -357,9 +356,10 @@ class ReplicatedLog(Process):
         self._recovered: Dict[int, Tuple[int, Any]] = {}
         #: Highest promise a Nack reported; the next ballot starts above it.
         self._nacked_ballot = NO_BALLOT
-        # The one accept round in flight: its position, when its
+        # The one accept round in flight: its position and value, when its
         # AcceptRequest last left, and who voted for it so far.
         self._inflight = -1
+        self._inflight_value: Any = None
         self._inflight_time = 0.0
         self._votes: Set[int] = set()
         #: Log position -> decided value (learnt locally; with compaction,
@@ -387,13 +387,10 @@ class ReplicatedLog(Process):
         self._advert_time = 0.0
 
         # Hot-path state: first position not yet decided (contiguous-prefix
-        # cursor), highest decided position, decided-command index, and the
-        # materialised delivered window (non-noop values at positions < cursor
-        # and >= the truncation floor).
+        # cursor), highest decided position, and decided-command index.
         self._frontier = 0
         self._max_decided = -1
         self._decided_index: Set[Any] = set()
-        self._delivered: List[Any] = []
 
         # Observer state that survives windowing: total non-noop deliveries,
         # total non-noop decisions, and the lazily folded delivered-prefix
@@ -466,13 +463,15 @@ class ReplicatedLog(Process):
         """Return the delivered window: decided non-noop values at contiguous
         positions below the frontier (and, with compaction, at or above the
         truncation floor — the prefix below it is summarised by
-        :attr:`delivered_total` / :meth:`delivered_digest`)."""
-        return list(self._delivered)
+        :attr:`delivered_total` / :meth:`delivered_digest`).  Derived from
+        :attr:`decisions` per call; the protocol itself never reads it."""
+        window = map(self.decisions.__getitem__, range(self._floor, self._frontier))
+        return [value for value in window if value != NOOP]
 
     def delivered_commands(self) -> List[Any]:
         """Return the delivered window with batches flattened into commands."""
         commands: List[Any] = []
-        for value in self._delivered:
+        for value in self.delivered():
             commands.extend(flatten_value(value))
         return commands
 
@@ -524,9 +523,10 @@ class ReplicatedLog(Process):
         attached, the newest verifying durable snapshot is installed first
         (restoring the state machine and fast-forwarding the frontier to its
         floor), then only the decided tail at or above the floor is replayed —
-        through :meth:`_on_decide`, so ``on_deliver`` rebuilds the rest of the
+        through :meth:`_learn`, so ``on_deliver`` rebuilds the rest of the
         state machine exactly as the dead incarnation built it — and finally
-        the persisted promise and accepted values are restored.
+        the persisted promise and the accepted values of undecided positions
+        are restored.
         Stale entries below the snapshot floor (a crash can land between the
         snapshot write and its truncations) are deleted rather than replayed.
         """
@@ -544,21 +544,15 @@ class ReplicatedLog(Process):
                 if position < floor:
                     store.delete(("decided", position))
                     continue
-                self._instance(position).learn(value)
+                self._learn(position, value)
             self._promised = store.get(("promised",), NO_BALLOT)
             for (_, position), accepted in store.items_with_prefix("acceptor"):
                 if position < floor:
                     store.delete(("acceptor", position))
-                    continue
-                self._instance(position).restore(*accepted)
-                if self.leases is not None and position not in self.decisions:
-                    # _accept tracks these only while running; a rehydrated
-                    # acceptor must re-enter its durably accepted undecided
-                    # positions here, or this granter's barrier hints would
-                    # omit commits that were in flight at the crash — letting
-                    # a new leaseholder gain read authority below a
-                    # committed-but-unlearnt write.
-                    self._accepted_undecided.add(position)
+                elif position not in self.decisions:
+                    # Also what keeps this granter's lease barrier hints
+                    # covering the commits that were in flight at the crash.
+                    self._accepted[position] = accepted
         finally:
             self._rehydrating = False
 
@@ -593,7 +587,7 @@ class ReplicatedLog(Process):
                     self._on_accept_request(env, sender, message)
             elif self._resident(message.instance):
                 if isinstance(message, Decide):
-                    self._instance(message.instance).learn(message.value)
+                    self._learn(message.instance, message.value)
                 else:
                     self._on_accepted(env, sender, message)
             return
@@ -608,7 +602,7 @@ class ReplicatedLog(Process):
         if isinstance(message, CatchUpReply):
             for position, value in message.decisions:
                 if self._resident(position):
-                    self._instance(position).learn(value)
+                    self._learn(position, value)
             return
         if isinstance(message, SnapshotReply):
             if self.snapshots is not None:
@@ -675,7 +669,7 @@ class ReplicatedLog(Process):
     def _resident(self, position: int) -> bool:
         """False (and counted) for a position compaction truncated: it is
         decided and snapshotted away.  The caller then stays silent — never
-        answer from a reborn empty instance, that would be manufactured
+        answer as if nothing were held there, that would be manufactured
         amnesia; to the sender this looks exactly like a crashed acceptor,
         which the indulgent protocol tolerates."""
         if position >= self._floor:
@@ -684,27 +678,29 @@ class ReplicatedLog(Process):
         return False
 
     # ------------------------------------------------------------------ internals --
-    def _instance(self, instance_id: int) -> ConsensusInstance:
-        instance = self._instances.get(instance_id)
-        if instance is None:
-            instance = ConsensusInstance(instance_id, self._on_decide, self._store)
-            self._instances[instance_id] = instance
-        return instance
-
     def _is_decided_value(self, value: Any) -> bool:
         return value in self._decided_index
 
-    def _on_decide(self, instance_id: int, value: Any) -> None:
+    def _learn(self, position: int, value: Any) -> None:
+        """Learn *value* as the decision at *position* (idempotent).
+
+        The value comes from a ``Decide``, a catch-up reply, a ``Promise``'s
+        decisions, the store or this process's own vote count — in every case
+        a quorum accepted it first, so learning cannot contradict a decision.
+        """
+        if position in self.decisions:
+            return
         if self._store is not None and not self._rehydrating:
             # Durable before the decision is indexed or applied: the decided
             # prefix must survive this process's restarts.
-            self._store.put(("decided", instance_id), value)
-        self.decisions[instance_id] = value
+            self._store.put(("decided", position), value)
+        self.decisions[position] = value
+        self._accepted.pop(position, None)
         if len(self.decisions) > self.counters["peak_decided_residency"]:
             # The bounded-memory metric: resident decided entries, high water.
             self.counters["peak_decided_residency"] = len(self.decisions)
-        if instance_id > self._max_decided:
-            self._max_decided = instance_id
+        if position > self._max_decided:
+            self._max_decided = position
         if value != NOOP:
             self.decided_value_count += 1
         for command in flatten_value(value):
@@ -715,7 +711,6 @@ class ReplicatedLog(Process):
             # admit an already-decided value, so nothing else can match).
             self._pending.pop(command, None)
             self._arrivals.pop(command, None)
-        self._accepted_undecided.discard(instance_id)
         self._advance_frontier()
         if self.snapshots is not None and not self._rehydrating:
             self.snapshots.maybe_snapshot()
@@ -727,7 +722,6 @@ class ReplicatedLog(Process):
             self._frontier += 1
             if value != NOOP:
                 self.delivered_total += 1
-                self._delivered.append(value)
                 if self.on_deliver is not None:
                     self.on_deliver(position, value)
 
@@ -737,31 +731,23 @@ class ReplicatedLog(Process):
 
         Called by the snapshot manager after a snapshot covering those
         positions is (durably, when storage is attached) in place: the decided
-        values, their index entries, the consensus instances with their
-        acceptor state, the delivered-window entries and the durable
-        ``("decided"/"acceptor", pos)`` records all go.  The digest chain is
-        folded first so no unfolded position is lost.
+        values, their index entries and the durable ``("decided"/"acceptor",
+        pos)`` records all go.  The digest chain is folded first so no
+        unfolded position is lost.
         """
         if floor <= self._floor:
             return 0
         self._fold_digest()
         compacted = 0
-        dropped_deliveries = 0
         for position in range(self._floor, min(floor, self._frontier)):
             value = self.decisions.pop(position, None)
             if value is not None:
                 compacted += 1
-                if value != NOOP:
-                    dropped_deliveries += 1
                 for command in flatten_value(value):
                     self._decided_index.discard(command)
-            self._instances.pop(position, None)
-            self._accepted_undecided.discard(position)
             if self._store is not None:
                 self._store.delete(("decided", position))
                 self._store.delete(("acceptor", position))
-        if dropped_deliveries:
-            self._delivered = self._delivered[dropped_deliveries:]
         self._floor = floor
         return compacted
 
@@ -781,10 +767,8 @@ class ReplicatedLog(Process):
         for position in [p for p in self.decisions if p < floor]:
             del self.decisions[position]
             dropped += 1
-        for position in [p for p in self._instances if p < floor]:
-            del self._instances[position]
-        for position in [p for p in self._accepted_undecided if p < floor]:
-            self._accepted_undecided.discard(position)
+        for position in [p for p in self._accepted if p < floor]:
+            del self._accepted[position]
         if self._store is not None and not self._rehydrating:
             for key, _ in self._store.items_with_prefix("decided"):
                 if key[1] < floor:
@@ -799,7 +783,6 @@ class ReplicatedLog(Process):
         self.delivered_total = snapshot.delivered_total
         self._digest_state = snapshot.digest
         self._digest_pos = floor
-        self._delivered = []
         # The prefix below the floor contributed snapshot.delivered_total
         # non-noop values; re-count the still-resident tail on top of it.
         self.decided_value_count = snapshot.delivered_total + sum(
@@ -877,7 +860,7 @@ class ReplicatedLog(Process):
         latency — a leader's reads wait out its own in-flight proposals —
         never safety."""
         hint = self._max_decided
-        for position in self._accepted_undecided:
+        for position in self._accepted:
             if position > hint:
                 hint = position
         return hint
@@ -979,24 +962,29 @@ class ReplicatedLog(Process):
             self._store.put(("promised",), ballot)
 
     def _accept(self, position: int, ballot: int, value: Any) -> None:
-        """Accept *value* at *position* (the caller checked the promise)."""
-        self._instance(position).accept(ballot, value)
-        if self.leases is not None and position not in self.decisions:
-            self._accepted_undecided.add(position)
+        """Accept *value* at *position*, durably (the caller checked the promise).
+
+        A decided position is written through too — a late ``AcceptRequest``
+        is answered like any other — but stays in :attr:`decisions` only.
+        """
+        if position not in self.decisions:
+            self._accepted[position] = (ballot, value)
+        if self._store is not None:
+            self._store.put(("acceptor", position), (ballot, value))
 
     def _held_from(self, from_position: int) -> Tuple[tuple, tuple]:
         """What this acceptor holds at or above *from_position*: the
-        ``(accepted, decisions)`` payload of a :class:`Promise`."""
-        accepted, decisions = [], []
-        for position in sorted(p for p in self._instances if p >= from_position):
-            instance = self._instances[position]
-            if instance.decided:
-                decisions.append((position, instance.decided_value))
-            elif instance.accepted_ballot != NO_BALLOT:
-                accepted.append(
-                    (position, instance.accepted_ballot, instance.accepted_value)
-                )
-        return tuple(accepted), tuple(decisions)
+        ``(accepted, decisions)`` payload of a :class:`Promise`, each in
+        position order."""
+        accepted = tuple(
+            (position, *self._accepted[position])
+            for position in sorted(p for p in self._accepted if p >= from_position)
+        )
+        decisions = tuple(
+            (position, self.decisions[position])
+            for position in sorted(p for p in self.decisions if p >= from_position)
+        )
+        return accepted, decisions
 
     def _on_prepare(self, env: Environment, sender: int, message: Prepare) -> None:
         if self._gated(env, sender):
@@ -1060,7 +1048,7 @@ class ReplicatedLog(Process):
     ) -> None:
         for position, value in decisions:
             if self._resident(position):
-                self._instance(position).learn(value)
+                self._learn(position, value)
         for position, ballot, value in accepted:
             best = self._recovered.get(position)
             if best is None or ballot > best[0]:
@@ -1094,7 +1082,7 @@ class ReplicatedLog(Process):
             if env.now - self._inflight_time < self.retry_period:
                 return
             # Unanswered: same ballot, so it must be the same value.
-            value = self._instances[position].accepted_value
+            value = self._inflight_value
         else:
             recovered = self._recovered.pop(position, None)
             if recovered is not None:
@@ -1109,6 +1097,7 @@ class ReplicatedLog(Process):
                 else:
                     return
             self._inflight = position
+            self._inflight_value = value
             self._votes = set()
         self._inflight_time = env.now
         self.counters["accept_rounds_started"] += 1  # = AcceptRequest broadcasts
@@ -1132,6 +1121,8 @@ class ReplicatedLog(Process):
         self._votes.add(voter)
         if len(self._votes) >= self.quorum:
             position, self._inflight = self._inflight, -1
-            value = self._instances[position].accepted_value
+            # The proposer's copy: a catch-up may have learnt the position
+            # already, and a learnt position keeps no acceptor record.
+            value = self._inflight_value
             env.broadcast(Decide(instance=position, value=value))
-            self._instances[position].learn(value)
+            self._learn(position, value)

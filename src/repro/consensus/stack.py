@@ -181,19 +181,3 @@ class OmegaConsensusStack(Process, LeaderOracle):
     def submit(self, value) -> None:
         """Submit a command to the replicated log."""
         self.log.submit(value)
-
-    def delivered(self):
-        """Return the locally delivered (contiguous, de-noop-ed) values.
-
-        With a compaction policy attached this is the retained *window*; the
-        truncated prefix is summarised by ``log.delivered_total`` and the
-        incremental ``log.delivered_digest()``.
-        """
-        return self.log.delivered()
-
-    def decided_log(self):
-        """Return the locally resident decisions (position -> value).
-
-        The full history without compaction, the retained window with it.
-        """
-        return self.log.decided_log()

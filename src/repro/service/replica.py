@@ -238,13 +238,3 @@ class ServiceReplica(OmegaConsensusStack):
         raise NotImplementedError(
             "command_applied requires a session-tracking state machine"
         )
-
-    # ------------------------------------------------------------------ reporting --
-    def decided_command_positions(self) -> int:
-        """Number of decided non-noop log positions (consensus instances spent).
-
-        Counter-backed (O(1)) rather than a scan of ``decisions``: under
-        compaction the resident window no longer holds the whole history, and
-        snapshots carry the below-floor count across installs.
-        """
-        return self.log.decided_value_count

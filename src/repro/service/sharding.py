@@ -487,8 +487,13 @@ class ShardedService:
         raise NotImplementedError("applied_commands requires a KeyValueStore")
 
     def decided_instances(self, shard: int) -> int:
-        """Decided non-noop consensus instances at the reference replica."""
-        return self.reference_replica(shard).decided_command_positions()
+        """Decided non-noop consensus instances at the reference replica.
+
+        Counter-backed (O(1)) rather than a scan of ``decisions``: under
+        compaction the resident window no longer holds the whole history, and
+        snapshots carry the below-floor count across installs.
+        """
+        return self.reference_replica(shard).log.decided_value_count
 
     def total_applied(self) -> int:
         """Effective commands applied across all shards."""

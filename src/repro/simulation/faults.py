@@ -880,22 +880,17 @@ class LinkState:
     __slots__ = (
         "_component_of",
         "_corrupt",
-        "_groups",
         "_links",
         "_slow",
         "_rng",
-        "epoch",
     )
 
     def __init__(self, rng: RandomSource) -> None:
         self._component_of: Optional[Dict[int, int]] = None
-        self._groups: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._links: Dict[Tuple[int, int], _LinkSpec] = {}
         self._corrupt: Dict[Tuple[int, int], float] = {}
         self._slow: Dict[int, float] = {}
         self._rng = rng
-        #: Bumped on every topology change; lets observers cache derived views.
-        self.epoch = 0
 
     # ------------------------------------------------------------------ queries --
     def reachable(self, sender: int, dest: int) -> bool:
@@ -969,36 +964,28 @@ class LinkState:
         for pid in range(n):
             component_of.setdefault(pid, rest)
         self._component_of = component_of
-        self._groups = groups
-        self.epoch += 1
 
     def heal_partition(self) -> None:
         """Remove the partition currently in force."""
         self._component_of = None
-        self._groups = None
-        self.epoch += 1
 
     def set_link_fault(self, fault: LinkFault) -> None:
         """Install (or replace) the fault on the ``sender -> dest`` link."""
         self._links[(fault.sender, fault.dest)] = _LinkSpec(
             fault.block, fault.loss_probability, fault.delay_factor, fault.delay_add
         )
-        self.epoch += 1
 
     def heal_link(self, sender: int, dest: int) -> None:
         """Restore the ``sender -> dest`` link to its nominal behaviour."""
         self._links.pop((sender, dest), None)
-        self.epoch += 1
 
     def set_corruption(self, fault: CorruptLink) -> None:
         """Install (or replace) payload corruption on the ``sender -> dest`` link."""
         self._corrupt[(fault.sender, fault.dest)] = fault.probability
-        self.epoch += 1
 
     def heal_corruption(self, sender: int, dest: int) -> None:
         """Stop corrupting payloads on the ``sender -> dest`` link."""
         self._corrupt.pop((sender, dest), None)
-        self.epoch += 1
 
     def set_slowdown(self, pid: int, factor: float) -> None:
         """Install (``factor != 1``) or remove (``factor == 1``) a slowdown."""
@@ -1006,7 +993,6 @@ class LinkState:
             self._slow.pop(pid, None)
         else:
             self._slow[pid] = factor
-        self.epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

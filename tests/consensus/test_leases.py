@@ -13,9 +13,10 @@ fuzz soak):
   a proposer pid cannot distinguish the grantee's current incarnation from an
   amnesic pre-crash one, so excluding them would let a restarted leader read
   past its dead incarnation's in-flight commits;
-* rehydrating acceptor state from stable storage re-enters durably accepted
-  undecided positions into the barrier-hint fold, so a crash-recovered
-  granter never attests a frontier below a committed-but-unlearnt write;
+* rehydrating acceptor state from stable storage restores durably accepted
+  undecided positions, which the barrier-hint fold reads, so a
+  crash-recovered granter never attests a frontier below a
+  committed-but-unlearnt write;
 * gating covers the leader ballot: a foreign ranged ``Prepare`` and a foreign
   ``AcceptRequest`` at any position are dropped while a grant is live, and a
   leader whose own grant is held by someone else does not vote for itself.
@@ -117,15 +118,15 @@ class TestBarrierHints:
     def test_hint_covers_decided_and_foreign_accepted_positions(self):
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         assert log._lease_barrier_hint() == -1
-        log._on_decide(0, "a")
+        log._learn(0, "a")
         log._accept(2, 4, "v")  # pid 1's ballot
         assert log._lease_barrier_hint() == 2
 
     def test_decided_positions_leave_the_accepted_fold(self):
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         log._accept(0, 4, "a")
-        log._on_decide(0, "a")
-        assert log._accepted_undecided == set()
+        log._learn(0, "a")
+        assert log._accepted == {}
         assert log._lease_barrier_hint() == 0  # now via max-decided
 
 
@@ -138,7 +139,7 @@ class TestRehydratedBarrierHints:
             store.put(("acceptor", position), state)
         return store
 
-    def test_recovery_reenters_accepted_undecided_positions(self):
+    def test_recovery_restores_accepted_positions_still_in_flight(self):
         # Position 0 decided; position 1 durably accepted but undecided at the
         # crash — exactly the commit-in-flight a recovered granter's hints
         # omitted before the fix, letting a new leaseholder gain read
@@ -149,7 +150,7 @@ class TestRehydratedBarrierHints:
         )
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         log.attach_storage(store)
-        assert 1 in log._accepted_undecided
+        assert log._accepted == {1: (7, "b")}
         assert log._lease_barrier_hint() == 1
 
     def test_recovery_skips_decided_positions(self):
@@ -157,17 +158,19 @@ class TestRehydratedBarrierHints:
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         log.attach_storage(store)
         # Already covered by the max-decided ingredient.
-        assert log._accepted_undecided == set()
+        assert log._accepted == {}
         assert log._lease_barrier_hint() == 0
 
-    def test_recovery_without_leases_tracks_nothing(self):
-        store = self._store_with(
-            decided={},
-            acceptors={1: (7, "b")},
-        )
-        log = make_log()
-        log.attach_storage(store)
-        assert log._accepted_undecided == set()
+    def test_recovery_restores_the_acceptor_record_with_leases_on_or_off(self):
+        # The hints read the protocol's own acceptor map, so whether leases
+        # are on cannot change what a recovery restores.
+        hints = set()
+        for leases in (None, LeaseManager(pid=0, n=3, t=1)):
+            log = make_log(leases=leases)
+            log.attach_storage(self._store_with(decided={}, acceptors={1: (7, "b")}))
+            assert log._accepted == {1: (7, "b")}
+            hints.add(log._lease_barrier_hint())
+        assert hints == {1}
 
 
 class TestLeaseGating:
@@ -203,7 +206,7 @@ class TestLeaseGating:
         log, env = self.granted_to(holder=1)
         for position in (0, 9):
             log.on_message(env, 2, AcceptRequest(instance=position, ballot=8, value="x"))
-        assert env.sent == [] and log._instances == {}
+        assert env.sent == [] and log._accepted == {}
         assert log.counters["lease_gated_drops"] == 2
 
     def test_a_gated_leader_proposes_nothing_not_even_to_itself(self):

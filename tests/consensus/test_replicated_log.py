@@ -1,11 +1,14 @@
 """Unit tests for the leader-driven replicated log."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.consensus.commands import Batch, Command, flatten_value, payload_intact
 from repro.consensus.messages import (
     Accepted,
     AcceptRequest,
+    CatchUpReply,
     CatchUpRequest,
     Decide,
     Forward,
@@ -516,13 +519,13 @@ class TestHotPathCursors:
         log.on_message(env, 0, Decide(instance=5, value="f"))
         assert log.frontier == 2
 
-    def test_delivered_is_incremental_not_a_rescan(self):
+    def test_delivered_is_the_decided_window_below_the_frontier(self):
         log, _, env = make(pid=1)
         for position in range(50):
             log.on_message(env, 0, Decide(instance=position, value=f"v{position}"))
         assert log.delivered() == [f"v{position}" for position in range(50)]
-        # The cache is the source: mutating decisions out of band has no effect.
-        assert len(log._delivered) == 50
+        log.compact_below(20)
+        assert log.delivered() == [f"v{position}" for position in range(20, 50)]
 
 
 def sent_to(env, message_type):
@@ -630,6 +633,89 @@ class TestLogWideAcceptor:
         assert sent_to(env, Promise) == [
             (2, Promise(ballot=7, accepted=(), decisions=((2, "c"),)))
         ]
+
+
+class TestPositionRecords:
+    """What is left per position: the ``(ballot, value)`` accepted at an
+    undecided one, the value learnt at a decided one — never both."""
+
+    def durable(self):
+        log, _, env = make(pid=1)
+        store = StableStore(pid=1)
+        log.attach_storage(store)
+        return log, env, store
+
+    def test_a_fresh_log_holds_nothing(self):
+        log, _, _ = make(pid=1)
+        assert log._accepted == {} and log.decisions == {}
+        assert log._held_from(0) == ((), ())
+
+    def test_an_accept_records_ballot_and_value_in_one_durable_write(self):
+        log, env, store = self.durable()
+        log.on_message(env, 0, Prepare(ballot=5, from_position=0))
+        writes = store.writes
+        log.on_message(env, 0, AcceptRequest(instance=7, ballot=5, value="v"))
+        assert log._accepted == {7: (5, "v")}
+        assert store.writes == writes + 1
+        assert store.get(("acceptor", 7)) == (5, "v")
+
+    def test_a_later_accept_replaces_the_earlier_one(self):
+        log, _, env = make(pid=1)
+        log.on_message(env, 0, AcceptRequest(instance=0, ballot=5, value="old"))
+        log.on_message(env, 2, AcceptRequest(instance=0, ballot=9, value="new"))
+        assert log._accepted == {0: (9, "new")}
+
+    def test_rehydration_restores_the_record_and_writes_nothing_back(self):
+        log, env, store = self.durable()
+        log.on_message(env, 0, AcceptRequest(instance=7, ballot=5, value="v"))
+        writes = store.writes
+        reborn, _, _ = make(pid=1)
+        reborn.attach_storage(store)
+        assert reborn._accepted == {7: (5, "v")}
+        assert store.writes == writes
+
+    def test_accepting_does_not_decide(self):
+        log, _, env = make(pid=1)
+        log.on_message(env, 0, AcceptRequest(instance=0, ballot=5, value="v"))
+        assert log.decisions == {} and log.frontier == 0
+
+    def test_learning_is_idempotent(self):
+        log, _, env = make(pid=1)
+        seen = []
+        log.on_deliver = lambda position, value: seen.append((position, value))
+        log.on_message(env, 0, Decide(instance=0, value="x"))
+        log.on_message(env, 2, Decide(instance=0, value="x"))
+        assert seen == [(0, "x")] and log.decided_value_count == 1
+
+    def test_a_decision_keeps_the_durable_record_and_is_promised_as_decided(self):
+        log, env, store = self.durable()
+        log.on_message(env, 0, AcceptRequest(instance=0, ballot=5, value="stale"))
+        log.on_message(env, 0, Decide(instance=0, value="chosen"))
+        assert log._accepted == {} and log.decisions == {0: "chosen"}
+        assert store.get(("acceptor", 0)) == (5, "stale")
+        log.on_message(env, 2, Prepare(ballot=9, from_position=0))
+        assert sent_to(env, Promise) == [
+            (2, Promise(ballot=9, accepted=(), decisions=((0, "chosen"),)))
+        ]
+
+    def test_a_late_accept_for_a_decided_position_is_answered_and_written(self):
+        # Its leader may still be collecting a quorum.
+        log, env, store = self.durable()
+        log.on_message(env, 0, Decide(instance=0, value="x"))
+        writes = store.writes
+        log.on_message(env, 0, AcceptRequest(instance=0, ballot=9, value="x"))
+        assert sent_to(env, Accepted) == [(0, Accepted(instance=0, ballot=9, value="x"))]
+        assert store.writes == writes + 2  # the promise it implies, then the record
+        assert store.get(("acceptor", 0)) == (9, "x")
+        assert log._accepted == {} and log.decisions == {0: "x"}
+
+    def test_an_adopted_snapshot_drops_the_records_below_its_floor(self):
+        log, _, env = make(pid=1)
+        for position in (1, 4):
+            log.on_message(env, 0, AcceptRequest(instance=position, ballot=5, value="v"))
+        log.adopt_snapshot(SimpleNamespace(floor=3, delivered_total=2, digest="d"))
+        assert log._accepted == {4: (5, "v")}
+        assert (log.frontier, log.delivered(), log.delivered_total) == (3, [], 2)
 
 
 class TestLeaderBallot:
@@ -812,6 +898,21 @@ class TestLeaderBallot:
         assert env.messages_of_type(Prepare) == []
         vote(log, env)
         assert log.decided_log()[1] == "second"
+
+    def test_in_flight_position_learnt_by_catch_up_still_decides_the_proposal(self):
+        log, _, env = self.owning_leader()
+        log.submit("second")
+        tick(log, env)
+        request = env.messages_of_type(AcceptRequest)[-1]
+        assert (request.instance, request.value) == (1, "second")
+        env.clear_sent()
+        log.on_message(env, 3, CatchUpReply(decisions=((1, "second"),)))
+        assert log.frontier == 2  # learnt before the quorum closed
+        for sender in (1, 2, 4):  # the quorum closes at the second vote
+            log.on_message(env, sender, Accepted(1, request.ballot, "second"))
+        assert sent_to(env, Decide) == [
+            (dest, Decide(instance=1, value="second")) for dest in (1, 2, 3, 4)
+        ]
 
     def test_votes_for_another_round_do_not_count(self):
         log, _, env = self.owning_leader()

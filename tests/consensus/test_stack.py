@@ -50,12 +50,10 @@ class TestStack:
         stack = OmegaConsensusStack(pid=1, n=5, t=2)
         assert stack.leader() == stack.omega.leader()
 
-    def test_submit_and_delivered_delegate_to_log(self):
+    def test_submit_delegates_to_log(self):
         stack = OmegaConsensusStack(pid=1, n=5, t=2)
         stack.submit("cmd")
         assert stack.log.pending == ["cmd"]
-        assert stack.delivered() == []
-        assert stack.decided_log() == {}
 
     def test_consensus_requires_majority(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ def check_safety(system, allowed_values):
     """Per-position agreement + validity over every process (even crashed ones)."""
     per_position = {}
     for shell in system.shells:
-        for position, value in shell.algorithm.decided_log().items():
+        for position, value in shell.algorithm.log.decided_log().items():
             per_position.setdefault(position, set()).add(value)
     for position, values in per_position.items():
         assert len(values) == 1, f"agreement violated at position {position}: {values}"
@@ -50,7 +50,7 @@ class TestE7LivenessUnderTheStarAssumption:
         system.run_until(300.0)
         expected = submitted_commands(system)
         for shell in system.correct_shells():
-            assert set(shell.algorithm.delivered()) == expected
+            assert set(shell.algorithm.log.delivered()) == expected
         check_safety(system, expected)
 
     def test_all_commands_decided_despite_crashes(self):
@@ -66,7 +66,7 @@ class TestE7LivenessUnderTheStarAssumption:
         # survived; commands of processes that crashed early may or may not make it.
         must_deliver = {f"cmd-{pid}" for pid in system.correct_ids()}
         for shell in system.correct_shells():
-            delivered = set(shell.algorithm.delivered())
+            delivered = set(shell.algorithm.log.delivered())
             assert must_deliver <= delivered
 
     def test_logs_are_prefix_consistent(self):
@@ -74,7 +74,7 @@ class TestE7LivenessUnderTheStarAssumption:
         system = build_consensus_system(n=7, t=3, scenario=scenario, seed=303)
         submit_one_per_process(system)
         system.run_until(300.0)
-        logs = [shell.algorithm.delivered() for shell in system.correct_shells()]
+        logs = [shell.algorithm.log.delivered() for shell in system.correct_shells()]
         longest = max(logs, key=len)
         for log in logs:
             assert log == longest[: len(log)]
@@ -111,4 +111,4 @@ class TestE8IndulgenceUnderNoAssumption:
         submit_one_per_process(system)
         system.run_until(300.0)
         for shell in system.correct_shells():
-            assert set(shell.algorithm.delivered()) == submitted_commands(system)
+            assert set(shell.algorithm.log.delivered()) == submitted_commands(system)

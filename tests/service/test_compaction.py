@@ -93,8 +93,9 @@ class TestBoundedResidency:
         assert digests != {""}  # the chain actually advanced
 
     def test_applied_command_accounting_survives_compaction(self):
-        """decided_command_positions() is counter-backed, so batching metrics
-        keep working after the positions themselves were truncated."""
+        """decided_instances() reads the log's decided_value_count counter, so
+        batching metrics keep working after the positions themselves were
+        truncated."""
         service = build(batch_size=4)
         submit_puts(service, range(1, 41))
         service.run_until(HORIZON)

@@ -66,13 +66,13 @@ class TestApplication:
         decide(replica, env, 0, Command.put("a", 1, "x", "1"))
         assert replica.command_applied("a", 1)
 
-    def test_decided_command_positions_excludes_noops(self):
+    def test_decided_value_count_excludes_noops(self):
         from repro.consensus.replicated_log import NOOP
 
         replica, env = make_replica()
         decide(replica, env, 0, Command.put("a", 1, "x", "1"))
         decide(replica, env, 1, NOOP)
-        assert replica.decided_command_positions() == 1
+        assert replica.log.decided_value_count == 1
 
 
 class TestSimulatedGroup:
