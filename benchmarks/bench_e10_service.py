@@ -102,6 +102,7 @@ def test_e10_shard_scaling(benchmark, quick, num_shards):
             service,
             num_clients=num_clients,
             workload_factory=lambda i: zipfian_workload(num_keys=64),
+            record_history=True,
         )
         service.run_until(horizon)
         summary = summarize_service(service, clients, duration=horizon)

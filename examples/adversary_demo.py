@@ -105,6 +105,7 @@ def main() -> None:
         service,
         num_clients=num_clients,
         workload_factory=lambda i: zipfian_workload(num_keys=num_keys, read_fraction=0.4),
+        record_history=True,
     )
     print(f"{SHARDS} shards x {N} replicas, {num_clients} closed-loop clients")
     print(f"fault plan per shard (shard 0): {shard_fault_plan(0).describe()}")

@@ -97,6 +97,7 @@ def main() -> None:
         num_clients=num_clients,
         workload_factory=lambda i: zipfian_workload(num_keys=64, read_fraction=0.2),
         stop_at=horizon - 150.0,
+        record_history=True,
     )
     print(f"{SHARDS} shards x {N} replicas, {num_clients} clients, {POLICY.describe()}")
     print(f"horizon {horizon:g} (one follower per shard restarted at t={horizon * 0.6:g})")

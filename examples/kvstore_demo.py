@@ -45,6 +45,7 @@ def main() -> None:
         service,
         num_clients=num_clients,
         workload_factory=lambda i: zipfian_workload(num_keys=num_keys, read_fraction=0.5),
+        record_history=True,
     )
     print(f"{SHARDS} shards x {N} replicas, {num_clients} zipfian closed-loop clients")
     print()

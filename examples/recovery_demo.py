@@ -93,6 +93,7 @@ def main() -> None:
         # Quiesce before the digests are compared: a Decide still in flight to
         # one replica at the horizon is lag, not divergence.
         stop_at=HORIZON - 20.0,
+        record_history=True,
     )
     print(f"{SHARDS} shards x {N} replicas, {num_clients} closed-loop clients")
     print(f"fault plan per shard (shard 0): {shard_fault_plan(0).describe()}")

@@ -6,8 +6,9 @@ The quantities of interest for the service layer:
   unit, summed over shards;
 * **commands per instance** — how many commands each consensus instance ordered;
   the batching amortisation factor (1.0 for the unbatched seed behaviour);
-* **latency** — client-observed issue-to-apply times (closed-loop clients record
-  them on the shared virtual clock).
+* **latency** — client-observed issue-to-apply times, ``completed_at -
+  invoked_at`` of each record in the closed-loop clients' histories (timed on
+  the shared virtual clock).
 """
 
 from __future__ import annotations
@@ -122,7 +123,10 @@ def summarize_service(service, clients=(), duration: Optional[float] = None) -> 
         A :class:`~repro.service.sharding.ShardedService`.
     clients:
         The closed-loop clients that drove the run (latency/retry accounting);
-        may be empty when commands were submitted directly.
+        may be empty when commands were submitted directly.  Latencies are
+        read off each client's history, so a client that completed operations
+        must have been started with ``record_history=True`` (else
+        :class:`ValueError`).
     duration:
         Virtual-time denominator for throughput (defaults to ``service.now``).
     """
@@ -149,7 +153,12 @@ def summarize_service(service, clients=(), duration: Optional[float] = None) -> 
     completed = 0
     retries = 0
     for client in clients:
-        latencies.extend(client.stats.latencies)
+        if client.stats.completed and not client.record_history:
+            raise ValueError(
+                f"client {client.client_id!r} completed operations but kept no "
+                "history to read latencies from: start it with record_history=True"
+            )
+        latencies.extend(record.completed_at - record.invoked_at for record in client.history)
         completed += client.stats.completed
         retries += client.stats.retries
     counters = service.counters()

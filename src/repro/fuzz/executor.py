@@ -256,8 +256,8 @@ def durability_violations(
     lease_served: set = set()
     if service.leases:
         for audits in service.read_audits:
-            for client_id, seq, *_ in audits:
-                lease_served.add((client_id, seq))
+            for read in audits:
+                lease_served.add((read.client_id, read.seq))
     for client in clients:
         for record in client.history:
             if record.op == "get" and (record.client_id, record.seq) in lease_served:
@@ -337,18 +337,19 @@ def stale_read_violations(
                     writes.setdefault(record.key, []).append(
                         (record.completed_at, position)
                     )
-        for client_id, seq, key, _result, index, invoked_at, _completed_at in audits:
-            for completed_at, position in writes.get(key, ()):
-                if completed_at <= invoked_at and position >= index:
+        for read in audits:
+            for completed_at, position in writes.get(read.key, ()):
+                if completed_at <= read.invoked_at and position >= read.read_index:
                     violations.append(
                         Violation(
                             kind="stale-read",
                             shard=shard,
                             detail=(
-                                f"read ({client_id!r}, seq={seq}) of {key!r} was "
-                                f"served at index {index} after a write decided at "
-                                f"position {position} had completed by "
-                                f"t={completed_at} (read invoked at t={invoked_at})"
+                                f"read ({read.client_id!r}, seq={read.seq}) of "
+                                f"{read.key!r} was served at index {read.read_index} "
+                                f"after a write decided at position {position} had "
+                                f"completed by t={completed_at} (read invoked at "
+                                f"t={read.invoked_at})"
                             ),
                         )
                     )

@@ -49,15 +49,22 @@ def _build_cdf(weights: Sequence[float]) -> List[float]:
 
 
 # --------------------------------------------------------------------- key samplers --
+def _key_names(num_keys: int) -> List[str]:
+    """The names ``key-0 .. key-{num_keys-1}``, built once per sampler so every
+    sample of a key is the same string object."""
+    return [f"key-{rank}" for rank in range(num_keys)]
+
+
 class UniformKeys:
     """Keys ``key-0 .. key-{num_keys-1}`` drawn uniformly."""
 
     def __init__(self, num_keys: int) -> None:
         require_positive(num_keys, "num_keys")
         self.num_keys = num_keys
+        self._names = _key_names(num_keys)
 
     def sample(self, rng: RandomSource) -> str:
-        return f"key-{rng.randint(0, self.num_keys - 1)}"
+        return self._names[rng.randint(0, self.num_keys - 1)]
 
 
 class ZipfianKeys:
@@ -74,10 +81,11 @@ class ZipfianKeys:
         self.num_keys = num_keys
         self.theta = theta
         self._cdf = _build_cdf([1.0 / (rank**theta) for rank in range(1, num_keys + 1)])
+        self._names = _key_names(num_keys)
 
     def sample(self, rng: RandomSource) -> str:
         rank = bisect.bisect_left(self._cdf, rng.random())
-        return f"key-{min(rank, self.num_keys - 1)}"
+        return self._names[min(rank, self.num_keys - 1)]
 
 
 # ------------------------------------------------------------------------ workloads --
@@ -157,11 +165,11 @@ def generate_commands(
 # -------------------------------------------------------------------- closed loop --
 @dataclasses.dataclass
 class ClientStats:
-    """Aggregate statistics of one client session."""
+    """Aggregate counts of one client session (latencies are read off
+    :attr:`ClosedLoopClient.history`)."""
 
     completed: int = 0
     retries: int = 0
-    latencies: List[float] = dataclasses.field(default_factory=list)
 
 
 #: Sentinel result recorded when a completed operation's return value could not
@@ -171,7 +179,7 @@ class ClientStats:
 RESULT_UNKNOWN = "__result_unknown__"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class OperationRecord:
     """One completed client operation, timed on the shared virtual clock.
 
@@ -181,6 +189,11 @@ class OperationRecord:
     inside ``[invoked_at, completed_at]``, which is exactly what a
     Wing–Gong-style linearizability check needs; observing the response late
     only loosens the real-time order, it can never manufacture a violation.
+
+    ``read_index`` is set only on a lease-served read: the log index certified
+    for it (the serving replica had applied every position below it).  The
+    same object is the client's history entry and the shard's
+    :attr:`~repro.service.sharding.ShardedService.read_audits` entry.
     """
 
     client_id: str
@@ -191,9 +204,11 @@ class OperationRecord:
     invoked_at: float
     completed_at: float
     result: object
+    read_index: Optional[int] = None
 
     def to_tuple(self) -> Tuple:
-        """Stable tuple form (fingerprints and cross-process transport)."""
+        """Stable tuple form (fingerprints and cross-process transport);
+        ``read_index`` is left out, so fingerprints of histories do not see it."""
         return (
             self.client_id,
             self.seq,
@@ -245,7 +260,9 @@ class ClosedLoopClient:
         an :class:`OperationRecord` — operation, key, arguments, invocation and
         completion times, and the result read back from the applying replica.
         This is the client-visible history the linearizability probe of
-        :mod:`repro.fuzz` checks against the key-value specification.
+        :mod:`repro.fuzz` checks against the key-value specification, and the
+        only record of latencies: :func:`~repro.analysis.service_metrics.summarize_service`
+        reads them off it.
     """
 
     def __init__(
@@ -378,10 +395,12 @@ class ClosedLoopClient:
         assert command is not None
         if self._lease_read and self._complete_lease_read(command):
             return
-        applied_at = self._applied_replica(command)
-        if applied_at is not None:
+        replica = self._applied_replica(command)
+        if replica is not None:
             if self.record_history:
-                self._record(command, applied_at)
+                self.history.append(
+                    self._record(command, self._result_at(command, replica))
+                )
             self._complete(command)
             return
         if self.service.now - self._last_submit >= self.retry_timeout:
@@ -399,43 +418,26 @@ class ClosedLoopClient:
 
     def _complete(self, command: Command) -> None:
         self.stats.completed += 1
-        self.stats.latencies.append(self.service.now - self._issued_at)
         del self.service.waiters[(command.client_id, command.seq)]
         self._current = None
         self.service.scheduler.schedule_after(self.think_time, self._issue_next)
 
     def _complete_lease_read(self, command: Command) -> bool:
-        """Complete *command* if some correct replica lease-served it."""
+        """Complete *command* if some correct replica lease-served it.
+
+        One record is kept: the shard's read audit and (when recording) the
+        history entry are the same object.
+        """
         assert self._shard is not None
         for replica in self.service.correct_replicas(self._shard):
             served = replica.lease_read_result(command.client_id, command.seq)
             if served is None:
                 continue
             result, index = served
-            self.service.read_audits[self._shard].append(
-                (
-                    command.client_id,
-                    command.seq,
-                    command.key,
-                    result,
-                    index,
-                    self._issued_at,
-                    self.service.now,
-                )
-            )
+            record = self._record(command, result, read_index=index)
+            self.service.read_audits[self._shard].append(record)
             if self.record_history:
-                self.history.append(
-                    OperationRecord(
-                        client_id=command.client_id,
-                        seq=command.seq,
-                        op=command.op,
-                        key=command.key,
-                        args=tuple(command.args),
-                        invoked_at=self._issued_at,
-                        completed_at=self.service.now,
-                        result=result,
-                    )
-                )
+                self.history.append(record)
             self._complete(command)
             return True
         return False
@@ -448,27 +450,32 @@ class ClosedLoopClient:
                 return replica
         return None
 
-    def _record(self, command: Command, replica) -> None:
-        """Append the completed *command* (result read from *replica*) to history."""
+    @staticmethod
+    def _result_at(command: Command, replica) -> object:
+        """The result of the completing *command*, read back from *replica*."""
         machine = replica.state_machine
-        result = RESULT_UNKNOWN
         if machine.last_seq(command.client_id) == command.seq:
             # The session cache still holds this command's result (it does
             # whenever this client's newest command at this shard is the one
             # completing, i.e. always in the one-in-flight discipline — a
             # duplicate decided later never advances the cache).
-            result = machine.last_result(command.client_id)
-        self.history.append(
-            OperationRecord(
-                client_id=command.client_id,
-                seq=command.seq,
-                op=command.op,
-                key=command.key,
-                args=tuple(command.args),
-                invoked_at=self._issued_at,
-                completed_at=self.service.now,
-                result=result,
-            )
+            return machine.last_result(command.client_id)
+        return RESULT_UNKNOWN
+
+    def _record(
+        self, command: Command, result: object, read_index: Optional[int] = None
+    ) -> OperationRecord:
+        """The record of *command*, completing now with *result*."""
+        return OperationRecord(
+            client_id=command.client_id,
+            seq=command.seq,
+            op=command.op,
+            key=command.key,
+            args=tuple(command.args),
+            invoked_at=self._issued_at,
+            completed_at=self.service.now,
+            result=result,
+            read_index=read_index,
         )
 
 

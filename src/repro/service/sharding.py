@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import zlib
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple, Type, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type, Union
 
 from repro.assumptions.base import Scenario
 from repro.assumptions.scenarios import (
@@ -49,6 +49,9 @@ from repro.storage.compaction import CompactionPolicy
 from repro.storage.stable_store import StableStorage, WriteCostModel
 from repro.util.rng import RandomSource, derive_seed
 from repro.util.validation import require_positive
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.service.clients import OperationRecord
 
 #: The registry counts ``ShardedService.perf_counters`` reports.
 _PERF_COUNTERS = (
@@ -156,9 +159,11 @@ class ShardedService:
         the virtual clock); followers serve through the read-index protocol;
         reads that cannot be certified in time fall back to the consensus
         path.  Per-shard renewal audits land in :attr:`lease_audits` (the
-        mutual-exclusion evidence the property tests check) and client-side
-        read observations in :attr:`read_audits` (the stale-read probe's
-        input) — both lists survive replica recoveries.
+        mutual-exclusion evidence the property tests check) and the
+        lease-served operation records
+        (:class:`~repro.service.clients.OperationRecord`, with ``read_index``
+        set) in :attr:`read_audits` (the stale-read probe's input) — both
+        lists survive replica recoveries.
     lease_duration:
         Lease term in virtual time (must comfortably exceed ``drive_period``,
         the renewal cadence).
@@ -203,10 +208,13 @@ class ShardedService:
         self.lease_audits: List[List[Tuple[int, float, float]]] = [
             [] for _ in range(self.num_shards)
         ]
-        #: Per-shard client-observed lease reads, appended by
-        #: :class:`~repro.service.clients.ClosedLoopClient`:
-        #: ``(client_id, seq, key, result, index, invoked_at, completed_at)``.
-        self.read_audits: List[List[Tuple]] = [[] for _ in range(self.num_shards)]
+        #: Per-shard lease-served operation records
+        #: (:class:`~repro.service.clients.OperationRecord`, with ``read_index``
+        #: set), appended by :class:`~repro.service.clients.ClosedLoopClient`:
+        #: the same objects as its history entries when it records one.
+        self.read_audits: List[List[OperationRecord]] = [
+            [] for _ in range(self.num_shards)
+        ]
         #: ``(client_id, seq) -> waker`` of every command a client waits on.  A
         #: replica that applies or lease-serves the command calls its waker
         #: (every waker, when it installs a snapshot) — see :meth:`_wake`.
@@ -357,8 +365,9 @@ class ShardedService:
         """Submit *command* to its home shard; return the shard index.
 
         ``gateway`` selects the replica the command enters through (the client's
-        session affinity); a crashed or missing gateway falls back to the first
-        alive replica, modelling client fail-over.
+        session affinity); a crashed gateway, or ``None``, falls back to the
+        first alive replica, modelling client fail-over.  A gateway outside
+        ``[0, n)`` raises :class:`ValueError` (here and in :meth:`submit_read`).
         """
         shard = self.router.shard_for(command.key)
         self._gateway(shard, gateway).algorithm.submit_command(command)
@@ -385,10 +394,14 @@ class ShardedService:
 
     def _gateway(self, shard: int, gateway: Optional[int]) -> SimProcessShell:
         """The shell a command enters *shard* through: *gateway* unless it is
-        ``None`` or crashed, else the first alive replica."""
+        ``None`` or crashed, else the first alive replica.  A gateway outside
+        ``[0, n)`` names no replica and is rejected."""
         system = self.systems[shard]
-        if gateway is not None and not system.shells[gateway].crashed:
-            return system.shells[gateway]
+        if gateway is not None:
+            if not 0 <= gateway < self.n:
+                raise ValueError(f"gateway {gateway} is not a replica in [0, {self.n})")
+            if not system.shells[gateway].crashed:
+                return system.shells[gateway]
         alive = system.alive_shells()
         if not alive:
             raise RuntimeError(f"shard {shard} has no alive replica")

@@ -68,7 +68,5 @@ class TestLeaseModeDurabilityCoverage:
         )
         client.history.append(phantom)
         shard = service.shard_for(phantom.key)
-        service.read_audits[shard].append(
-            (phantom.client_id, phantom.seq, phantom.key, None, 0, 1.0, 2.0)
-        )
+        service.read_audits[shard].append(dataclasses.replace(phantom, read_index=0))
         assert durability_violations(service, clients) == []

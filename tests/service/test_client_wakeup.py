@@ -21,6 +21,7 @@ import pytest
 from repro.consensus.commands import Command
 from repro.service import (
     ClosedLoopClient,
+    KeyValueStore,
     ServiceReplica,
     build_sharded_service,
     start_clients,
@@ -110,6 +111,7 @@ def test_history_is_the_polling_clients_history(name):
 class _StubReplica:
     def __init__(self):
         self.applied = set()
+        self.state_machine = KeyValueStore()  # results read back: none applied
 
     def command_applied(self, client_id, seq):
         return (client_id, seq) in self.applied
@@ -153,8 +155,13 @@ def _stub_client(poll_interval, retry_timeout=40.0, seed=5):
         RandomSource(seed),
         poll_interval=poll_interval,
         retry_timeout=retry_timeout,
+        record_history=True,
     )
     return service, client
+
+
+def _latencies(client):
+    return [record.completed_at - record.invoked_at for record in client.history]
 
 
 def _lattice_tick_at_or_after(issued_at, poll_interval, instant):
@@ -179,7 +186,7 @@ def test_observation_lands_on_the_repeated_addition_lattice():
     expected = _lattice_tick_at_or_after(offset, poll_interval, applied_at)
     # The multiplied lattice is a different float here: the test can tell.
     assert expected != offset + 26 * poll_interval
-    assert client.stats.latencies == [expected - offset]
+    assert _latencies(client) == [expected - offset]
     assert key not in service.waiters
 
 
@@ -216,7 +223,7 @@ def test_a_wake_up_observed_on_the_retry_tick_completes_once():
     service.replica.applied.add(("c", 1))
     service.waiters[("c", 1)]()  # observation due at 5.0, the retry tick too
     service.run_until(5.0)
-    assert client.stats.latencies == [5.0]
+    assert _latencies(client) == [5.0]
     assert client.stats.retries == 0
     assert client.seq == 2 and ("c", 2) in service.waiters
 
@@ -235,7 +242,7 @@ def test_command_applied_only_at_a_replica_that_is_not_correct_does_not_complete
     service.replica.applied.add(key)
     service.waiters[key]()
     service.run_until(11.0)
-    assert client.stats.latencies == [10.0]
+    assert _latencies(client) == [10.0]
 
 
 def test_snapshot_installation_wakes_every_waiter():
@@ -282,7 +289,8 @@ def test_leased_read_served_at_submit_is_observed_one_tick_later():
     assert [(r.invoked_at, r.completed_at) for r in client.history] == [
         (60.0, 60.0 + poll_interval)
     ]
-    assert service.read_audits[0][-1][:2] == ("reader", 1)
+    audit = service.read_audits[0][-1]
+    assert (audit.client_id, audit.seq) == ("reader", 1)
 
 
 def test_a_long_run_keeps_two_events_per_client_and_observes_only_what_took_effect():

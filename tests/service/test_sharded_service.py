@@ -124,6 +124,21 @@ class TestRoutingAndSubmission:
         service.run_until(120.0)
         assert service.reference_replica(0).command_applied("a", 1)
 
+    @pytest.mark.parametrize("gateway", [-1, 3])
+    def test_a_gateway_outside_the_replicas_is_rejected(self, gateway):
+        # -1 used to enter silently through replica n-1, and n raised a bare
+        # IndexError; None still means "first alive".
+        service = build_sharded_service(num_shards=1, n=3, t=1, seed=4, leases=True)
+        with pytest.raises(ValueError, match="gateway"):
+            service.submit(Command.put("a", 1, "k", "v"), gateway=gateway)
+        with pytest.raises(ValueError, match="gateway"):
+            service.submit_read(Command.get("a", 2, "k"), gateway=gateway)
+        service.submit(Command.put("a", 3, "k", "w"), gateway=None)
+        service.run_until(60.0)
+        replica = service.reference_replica(0)
+        assert not replica.command_applied("a", 1)
+        assert replica.command_applied("a", 3)
+
     def test_scenario_shape_validated(self):
         from repro.assumptions import IntermittentRotatingStarScenario
         from repro.service import ShardedService
@@ -147,6 +162,7 @@ class TestClosedLoopClients:
             service,
             num_clients=20,
             workload_factory=lambda i: zipfian_workload(num_keys=32),
+            record_history=True,
         )
         service.run_until(300.0)
         summary = summarize_service(service, clients, duration=300.0)
