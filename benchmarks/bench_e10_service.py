@@ -17,7 +17,7 @@ Run with::
 import pytest
 
 from _harness import scaled
-from repro.analysis import summarize_service
+from repro.analysis import record_run
 from repro.service import (
     build_sharded_service,
     generate_commands,
@@ -51,17 +51,18 @@ def drain_workload(num_shards, batch_size, num_commands, seed, horizon):
         if service.total_applied() >= len(commands) and service.is_consistent():
             completion_time = time
             break
-    summary = summarize_service(service, duration=service.now)
+    record = record_run(service)
+    assert record.ok, record.violations
     return {
         "shards": num_shards,
         "batch": batch_size,
         "commands": len(commands),
         "completion_time": completion_time,
-        "cmds_per_instance": round(summary.commands_per_instance, 3),
+        "cmds_per_instance": round(record.commands_per_instance, 3),
         "committed_per_time": (
             round(len(commands) / completion_time, 3) if completion_time else 0.0
         ),
-        "consistent": service.is_consistent(),
+        "consistent": record.consistent,
     }
 
 
@@ -105,16 +106,17 @@ def test_e10_shard_scaling(benchmark, quick, num_shards):
             record_history=True,
         )
         service.run_until(horizon)
-        summary = summarize_service(service, clients, duration=horizon)
+        record = record_run(service, clients, duration=horizon)
+        assert record.ok, record.violations
         return {
             "shards": num_shards,
             "clients": num_clients,
-            "committed": summary.committed,
-            "instances": summary.instances,
-            "cmds_per_instance": round(summary.commands_per_instance, 3),
-            "throughput": round(summary.throughput, 3),
-            "p95_latency": round(summary.latency.p95, 3),
-            "consistent": service.is_consistent(),
+            "committed": sum(record.applied),
+            "instances": sum(record.instances),
+            "cmds_per_instance": round(record.commands_per_instance, 3),
+            "throughput": round(record.throughput, 3),
+            "p95_latency": round(record.latency["p95"], 3),
+            "consistent": record.consistent,
         }
 
     row = benchmark.pedantic(run, rounds=1, iterations=1)

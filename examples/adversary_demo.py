@@ -29,7 +29,7 @@ Run with:  python examples/adversary_demo.py [--quick]
 
 import argparse
 
-from repro.analysis import summarize_service
+from repro.analysis import record_run
 from repro.service import build_sharded_service, start_clients, zipfian_workload
 from repro.simulation import FaultPlan
 from repro.simulation.adversary import LeaderHunter
@@ -171,11 +171,11 @@ def main() -> None:
         f"{rejected} reached an alive replica and were rejected at the "
         f"checksum boundary (the rest were addressed to crashed victims)"
     )
-    summary = summarize_service(service, clients, duration=HORIZON)
+    record = record_run(service, clients, duration=HORIZON)
     print(
-        f"throughput: {summary.throughput:.2f} commands/time-unit, "
-        f"latency p50={summary.latency.p50:.1f} p95={summary.latency.p95:.1f}, "
-        f"{summary.retries} client retransmissions (all deduplicated)"
+        f"throughput: {record.throughput:.2f} commands/time-unit, "
+        f"latency p50={record.latency['p50']:.1f} p95={record.latency['p95']:.1f}, "
+        f"{record.retries} client retransmissions (all deduplicated)"
     )
 
     failures = []

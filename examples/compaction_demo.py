@@ -33,7 +33,7 @@ Run with:  python examples/compaction_demo.py [--quick]
 
 import argparse
 
-from repro.analysis import summarize_service
+from repro.analysis import record_run
 from repro.service import build_sharded_service, start_clients, zipfian_workload
 from repro.simulation import FaultPlan
 from repro.storage import CompactionPolicy
@@ -149,21 +149,21 @@ def main() -> None:
         )
     )
     print()
-    summary = summarize_service(service, clients, duration=horizon)
+    record = record_run(service, clients, duration=horizon)
     print(
-        f"snapshots: {summary.snapshots_taken} taken, "
+        f"snapshots: {record.counters.get('snapshots_taken', 0)} taken, "
         f"{counters['snapshot_restores']} installed "
         f"(restarted replicas recovered by snapshot transfer), "
-        f"{summary.positions_compacted} positions compacted"
+        f"{record.counters.get('positions_compacted', 0)} positions compacted"
     )
     print(
         f"memory: peak decided-log residency {peak} entries "
         f"(bound {bound} = interval + retain + slack) over "
-        f"{summary.instances}+ decided instances"
+        f"{sum(record.instances)}+ decided instances"
     )
     print(
-        f"throughput: {summary.throughput:.2f} commands/time-unit, "
-        f"latency p50={summary.latency.p50:.1f} p95={summary.latency.p95:.1f}"
+        f"throughput: {record.throughput:.2f} commands/time-unit, "
+        f"latency p50={record.latency['p50']:.1f} p95={record.latency['p95']:.1f}"
     )
 
     failures = []

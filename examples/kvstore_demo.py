@@ -13,7 +13,7 @@ Run with:  python examples/kvstore_demo.py [--quick]
 
 import argparse
 
-from repro.analysis import summarize_service
+from repro.analysis import record_run
 from repro.service import build_sharded_service, start_clients, zipfian_workload
 from repro.util.tables import format_table
 
@@ -59,17 +59,17 @@ def main() -> None:
         )
 
     print()
-    summary = summarize_service(service, clients, duration=HORIZON)
+    record = record_run(service, clients, duration=HORIZON)
     rows = [
         [
-            report.shard,
-            report.leader,
-            report.applied,
-            report.instances,
-            round(report.commands_per_instance, 2),
-            "yes" if report.consistent else "NO (BUG!)",
+            shard,
+            record.leaders[shard],
+            applied,
+            instances,
+            round(applied / instances if instances else 0.0, 2),
+            "yes" if len(set(record.state_digests(shard))) == 1 else "NO (BUG!)",
         ]
-        for report in summary.per_shard
+        for shard, (applied, instances) in enumerate(zip(record.applied, record.instances))
     ]
     print(
         format_table(
@@ -80,9 +80,9 @@ def main() -> None:
     )
     print()
     print(
-        f"throughput: {summary.throughput:.2f} commands/time-unit, "
-        f"latency p50={summary.latency.p50:.1f} p95={summary.latency.p95:.1f}, "
-        f"{summary.retries} client retransmissions (all deduplicated)"
+        f"throughput: {record.throughput:.2f} commands/time-unit, "
+        f"latency p50={record.latency['p50']:.1f} p95={record.latency['p95']:.1f}, "
+        f"{record.retries} client retransmissions (all deduplicated)"
     )
     print(f"service consistent across every replica: {service.is_consistent()}")
 

@@ -23,7 +23,7 @@ Run with:  python examples/partition_demo.py [--quick]
 
 import argparse
 
-from repro.analysis import summarize_service
+from repro.analysis import record_run
 from repro.analysis.metrics import component_agreed_leaders, reachable_components
 from repro.service import build_sharded_service, start_clients, zipfian_workload
 from repro.simulation import FaultPlan
@@ -134,11 +134,11 @@ def main() -> None:
         )
     )
     print()
-    summary = summarize_service(service, clients, duration=HORIZON)
+    record = record_run(service, clients, duration=HORIZON)
     print(
-        f"throughput: {summary.throughput:.2f} commands/time-unit, "
-        f"latency p50={summary.latency.p50:.1f} p95={summary.latency.p95:.1f}, "
-        f"{summary.retries} client retransmissions (all deduplicated)"
+        f"throughput: {record.throughput:.2f} commands/time-unit, "
+        f"latency p50={record.latency['p50']:.1f} p95={record.latency['p95']:.1f}, "
+        f"{record.retries} client retransmissions (all deduplicated)"
     )
     print(f"single leader re-elected per shard and all replicas identical: {converged}")
     if not converged:

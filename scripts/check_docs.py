@@ -17,7 +17,10 @@ out of sync with ``examples/*.py``.  This script fails the build on either:
   name something that exists: ``path.py`` is a path suffix of the repo's
   ``.py`` files (lint fixtures excluded), and exactly one of those files
   defines ``Symbol`` (or ``Class.attr``) — as a ``def``, a class, a module or
-  class-level assignment, or a ``self.attr =`` assignment in a method.
+  class-level assignment, or a ``self.attr =`` assignment in a method;
+* every ``repro`` import in a ```` ```python ```` block of ``README.md`` and
+  ``docs/*.md`` must resolve: the module imports and has the name (or the
+  name is its submodule), so a snippet cannot keep naming a deleted API.
 
 Usage::
 
@@ -27,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -241,6 +245,46 @@ def check_pointers(path: Path, files: Optional[List[str]] = None) -> list:
     return errors
 
 
+#: A fenced ```python block of a document.
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+
+
+def _resolves(module: str, name: Optional[str]) -> bool:
+    """True when ``import module`` (or ``from module import name``) works."""
+    try:
+        imported = importlib.import_module(module)
+        if name is not None and not hasattr(imported, name):
+            importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def check_snippet_imports(path: Path) -> list:
+    """Return an error string for every ``repro`` import in a python block of
+    *path* that does not resolve, and for every block that does not parse."""
+    errors = []
+    for block in _PYTHON_BLOCK.findall(path.read_text(encoding="utf-8")):
+        try:
+            tree = ast.parse(block)
+        except SyntaxError as error:
+            errors.append(f"{path.name}: python block does not parse ({error})")
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports = [(node.module, alias.name) for alias in node.names if alias.name != "*"]
+            elif isinstance(node, ast.Import):
+                imports = [(alias.name, None) for alias in node.names]
+            else:
+                continue
+            for module, name in imports:
+                if module.split(".")[0] != "repro" or _resolves(module, name):
+                    continue
+                statement = f"from {module} import {name}" if name else f"import {module}"
+                errors.append(f"{path.name}: unresolved snippet import `{statement}`")
+    return errors
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md"]
     documents += sorted((REPO_ROOT / "docs").glob("*.md"))
@@ -251,6 +295,7 @@ def main() -> int:
     files = _python_files()
     for document in [REPO_ROOT / "README.md"] + sorted((REPO_ROOT / "docs").glob("*.md")):
         errors.extend(check_pointers(document, files))
+        errors.extend(check_snippet_imports(document))
     errors.extend(check_examples_table(REPO_ROOT / "README.md"))
     errors.extend(check_lint_rule_table(REPO_ROOT / "docs" / "ARCHITECTURE.md"))
     if errors:

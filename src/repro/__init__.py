@@ -90,9 +90,9 @@ from repro.analysis import (
     ExperimentResult,
     LeaderPoller,
     MessageStats,
-    ServiceSummary,
+    RunRecord,
+    record_run,
     run_omega_experiment,
-    summarize_service,
 )
 from repro.consensus import Batch, Command
 from repro.storage import StableStorage, StableStore, WriteCostModel
@@ -153,9 +153,9 @@ __all__ = [
     "ExperimentResult",
     "LeaderPoller",
     "MessageStats",
-    "ServiceSummary",
+    "RunRecord",
+    "record_run",
     "run_omega_experiment",
-    "summarize_service",
     # storage
     "StableStorage",
     "StableStore",

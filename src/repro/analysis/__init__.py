@@ -20,26 +20,18 @@ from repro.analysis.metrics import (
     round_clock,
     summarize_levels,
 )
-from repro.analysis.service_metrics import (
-    LatencyStats,
-    ServiceSummary,
-    ShardReport,
-    latency_stats,
-    summarize_service,
-)
+from repro.analysis.service_metrics import RunRecord, record_run
 from repro.analysis.trace import TraceEvent, Tracer
 
 __all__ = [
     "AvailabilitySampler",
     "BoundsAudit",
     "ExperimentResult",
-    "LatencyStats",
     "LeaderPoller",
     "LeaderSample",
     "MessageStats",
     "RoundClock",
-    "ServiceSummary",
-    "ShardReport",
+    "RunRecord",
     "TraceEvent",
     "Tracer",
     "audit_bounds",
@@ -47,11 +39,10 @@ __all__ = [
     "compare_algorithms",
     "component_agreed_leaders",
     "component_leaders",
-    "latency_stats",
     "reachable_components",
+    "record_run",
     "round_clock",
     "run_omega_experiment",
     "summarize_levels",
     "summarize_run",
-    "summarize_service",
 ]

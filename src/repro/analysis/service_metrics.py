@@ -1,180 +1,513 @@
-"""Throughput, latency and batching metrics of the sharded service (E10).
+"""The outcome of one sharded-service run: :class:`RunRecord`.
 
-The quantities of interest for the service layer:
+A :class:`~repro.service.sharding.ServiceSpec` (plus its fault plans) describes
+a run; :func:`record_run` reads what a finished or paused
+:class:`~repro.service.sharding.ShardedService` did into one frozen, JSON-flat
+record.  The examples, E10, the fuzz executor, the parallel shard runner and
+the pinned fingerprints all read that record instead of recounting the
+service:
 
-* **throughput** — effective (duplicate-free) commands applied per virtual time
-  unit, summed over shards;
-* **commands per instance** — how many commands each consensus instance ordered;
-  the batching amortisation factor (1.0 for the unbatched seed behaviour);
-* **latency** — client-observed issue-to-apply times, ``completed_at -
-  invoked_at`` of each record in the closed-loop clients' histories (timed on
-  the shared virtual clock).
+* **counts** — scheduler events, messages sent, per-shard applied commands and
+  decided instances, client completions (``completed``) and retries, the folded
+  counter registry and the recovery/storage/network totals;
+* **state** — every replica's digest with its correct/crashed flag;
+* **leadership** — each shard's agreed leader and the leader-change instants;
+* **latency** — client-observed issue-to-completion times read off the client
+  histories, summarised by nearest rank;
+* **verdicts** — the invariant probes below: agreement and divergence always,
+  the client probes (exactly-once, durability, stale-read) when clients drove
+  the run;
+* a **fingerprint** over all of it and the operation histories: equal runs
+  produce byte-identical fingerprints in any process.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.consensus.commands import Command, flatten_value
+from repro.core.interfaces import fold_counters
+from repro.util.rng import fingerprint
 from repro.util.validation import require_positive
 
-
-@dataclasses.dataclass(frozen=True)
-class LatencyStats:
-    """Summary of a latency sample (virtual time units)."""
-
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    max: float
-
-    @classmethod
-    def empty(cls) -> "LatencyStats":
-        return cls(count=0, mean=0.0, p50=0.0, p95=0.0, max=0.0)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.service.clients import ClosedLoopClient
+    from repro.service.sharding import ShardedService
 
 
-def latency_stats(latencies: Sequence[float]) -> LatencyStats:
-    """Compute count/mean/p50/p95/max of a latency sample."""
-    values = sorted(latencies)
-    if not values:
-        return LatencyStats.empty()
-
-    def percentile(fraction: float) -> float:
-        index = min(len(values) - 1, int(fraction * len(values)))
-        return values[index]
-
-    return LatencyStats(
-        count=len(values),
-        mean=sum(values) / len(values),
-        p50=percentile(0.50),
-        p95=percentile(0.95),
-        max=values[-1],
-    )
+def _checked_fields(cls, data: Dict, what: str) -> Dict:
+    """*data* as constructor arguments of the dataclass *cls*, or ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a dict, got {data!r}")
+    names = {field.name for field in dataclasses.fields(cls)}
+    missing = sorted(names - set(data))
+    if missing:
+        raise ValueError(f"{what} is missing field(s) {missing}")
+    unknown = sorted(set(data) - names)
+    if unknown:
+        raise ValueError(f"unknown {what} field(s) {unknown}")
+    return dict(data)
 
 
 @dataclasses.dataclass(frozen=True)
-class ShardReport:
-    """Per-shard service metrics."""
+class Violation:
+    """One invariant breach observed by a probe."""
 
+    kind: str  # "agreement" | "exactly-once" | "divergence" | "durability" | "stale-read" | "linearizability"
     shard: int
-    leader: Optional[int]
-    applied: int
-    instances: int
-    commands_per_instance: float
-    consistent: bool
+    detail: str
 
 
 @dataclasses.dataclass(frozen=True)
-class ServiceSummary:
-    """Whole-service metrics over a run of *duration* virtual time units."""
+class RunRecord:
+    """Everything a run did, per shard where it differs by shard.
 
+    Per-shard fields are tuples indexed by shard.  Counts are whole-run
+    totals; ``counters`` is the fold of every process's counter registry, so
+    no total shrinks at a restart (names nothing bumped are absent).
+    """
+
+    #: Virtual-time denominator of :attr:`throughput`.
     duration: float
-    num_shards: int
-    batch_size: int
-    committed: int
-    instances: int
-    commands_per_instance: float
-    throughput: float
-    latency: LatencyStats
+    events: int
+    messages: int
+    #: Effective commands applied at each shard's reference replica.
+    applied: Tuple[int, ...]
+    #: Decided non-noop consensus instances at each shard's reference replica.
+    instances: Tuple[int, ...]
+    #: Operations the clients saw complete (acknowledged, not applied).
     completed: int
     retries: int
-    per_shard: List[ShardReport]
-    #: Snapshot/compaction accounting (0 when the service runs without a
-    #: compaction policy); peak_decided_residency is the bounded-memory metric.
-    snapshots_taken: int = 0
-    positions_compacted: int = 0
-    peak_decided_residency: int = 0
+    counters: Dict[str, int]
+    recoveries: int
+    storage_writes: int
+    corrupted_messages: int
+    messages_dropped: int
+    #: Per shard, ``(state digest, correct)`` of every replica in pid order;
+    #: a crashed replica's digest is its last incarnation's.
+    digests: Tuple[Tuple[Tuple[str, bool], ...], ...]
+    #: Each shard's leader agreed by its alive replicas (None during a split).
+    leaders: Tuple[Optional[int], ...]
+    #: Instants at which a live incarnation's trusted leader changed.
+    leader_change_times: Tuple[float, ...]
+    #: Client-observed operation latencies, ascending; kept whole, not as
+    #: quantiles, so that records of different shards pool exactly.
+    latencies: Tuple[float, ...]
+    #: Per shard, a digest of the client operations on its keys.
+    histories: Tuple[str, ...]
+    violations: Tuple[Violation, ...]
 
-    @staticmethod
-    def row_headers() -> List[str]:
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    @property
+    def throughput(self) -> float:
+        return sum(self.applied) / self.duration
+
+    @property
+    def commands_per_instance(self) -> float:
+        instances = sum(self.instances)
+        return sum(self.applied) / instances if instances else 0.0
+
+    @property
+    def latency(self) -> Dict[str, float]:
+        """count/mean/p50/p95/p99/max of :attr:`latencies`, quantiles by
+        nearest rank (``ceil(f * N) - 1``); all 0 without latencies."""
+        values = self.latencies
+        if not values:
+            return dict.fromkeys(("count", "mean", "p50", "p95", "p99", "max"), 0)
+
+        def rank(fraction: float) -> float:
+            return values[max(0, math.ceil(fraction * len(values)) - 1)]
+
+        return {
+            "count": len(values),
+            "mean": sum(values) / len(values),
+            "p50": rank(0.50),
+            "p95": rank(0.95),
+            "p99": rank(0.99),
+            "max": values[-1],
+        }
+
+    def state_digests(self, shard: int, correct_only: bool = True) -> List[str]:
+        """What ``ShardedService.state_digests`` returned when recorded."""
         return [
-            "shards",
-            "batch",
-            "committed",
-            "instances",
-            "cmds/inst",
-            "throughput",
-            "p50_lat",
-            "p95_lat",
-            "retries",
+            state for state, correct in self.digests[shard] if correct or not correct_only
         ]
 
-    def as_row(self) -> List[object]:
-        return [
-            self.num_shards,
-            self.batch_size,
-            self.committed,
-            self.instances,
-            round(self.commands_per_instance, 3),
-            round(self.throughput, 3),
-            round(self.latency.p50, 3),
-            round(self.latency.p95, 3),
-            self.retries,
-        ]
+    @property
+    def consistent(self) -> bool:
+        """Per shard, every correct replica held the identical state."""
+        return all(
+            len(set(self.state_digests(shard))) == 1 for shard in range(len(self.digests))
+        )
+
+    @property
+    def fingerprint(self) -> str:
+        return fingerprint(self.to_dict())
+
+    def to_dict(self) -> Dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "RunRecord":
+        fields = _checked_fields(cls, data, "run record")
+        for name in ("applied", "instances", "leaders", "leader_change_times", "latencies", "histories"):
+            fields[name] = tuple(fields[name])
+        fields["counters"] = dict(fields["counters"])
+        fields["digests"] = tuple(
+            tuple((state, correct) for state, correct in shard) for shard in fields["digests"]
+        )
+        fields["violations"] = tuple(
+            Violation(**_checked_fields(Violation, violation, "violation"))
+            for violation in fields["violations"]
+        )
+        return cls(**fields)
 
 
-def summarize_service(service, clients=(), duration: Optional[float] = None) -> ServiceSummary:
-    """Summarise a finished (or paused) service run.
+def record_run(
+    service: "ShardedService",
+    clients: Sequence["ClosedLoopClient"] = (),
+    duration: Optional[float] = None,
+) -> RunRecord:
+    """Read a finished (or paused) service run into a :class:`RunRecord`.
 
     Parameters
     ----------
     service:
         A :class:`~repro.service.sharding.ShardedService`.
     clients:
-        The closed-loop clients that drove the run (latency/retry accounting);
-        may be empty when commands were submitted directly.  Latencies are
-        read off each client's history, so a client that completed operations
-        must have been started with ``record_history=True`` (else
+        The closed-loop clients that drove the run; empty when commands were
+        submitted directly, which also leaves the client probes out (direct
+        submissions would read as phantom sessions).  Latencies are read off
+        each client's history, so a client that completed operations must
+        have been started with ``record_history=True`` (else
         :class:`ValueError`).
     duration:
         Virtual-time denominator for throughput (defaults to ``service.now``).
     """
     span = duration if duration is not None else service.now
     require_positive(span, "duration")
-    per_shard: List[ShardReport] = []
-    leaders = service.leaders()
-    for shard in range(service.num_shards):
-        applied = service.applied_commands(shard)
-        instances = service.decided_instances(shard)
-        per_shard.append(
-            ShardReport(
-                shard=shard,
-                leader=leaders[shard],
-                applied=applied,
-                instances=instances,
-                commands_per_instance=applied / instances if instances else 0.0,
-                consistent=len(set(service.state_digests(shard))) == 1,
-            )
-        )
-    committed = sum(report.applied for report in per_shard)
-    instances = sum(report.instances for report in per_shard)
-    latencies: List[float] = []
-    completed = 0
-    retries = 0
     for client in clients:
         if client.stats.completed and not client.record_history:
             raise ValueError(
                 f"client {client.client_id!r} completed operations but kept no "
                 "history to read latencies from: start it with record_history=True"
             )
-        latencies.extend(record.completed_at - record.invoked_at for record in client.history)
-        completed += client.stats.completed
-        retries += client.stats.retries
-    counters = service.counters()
-    return ServiceSummary(
+    shards = range(service.num_shards)
+    operations = [record for client in clients for record in client.history]
+    histories: List[list] = [[] for _ in shards]
+    for record in operations:
+        histories[service.shard_for(record.key)].append(record.to_tuple())
+    violations = agreement_violations(service)
+    if clients:
+        violations += session_violations(service, clients)
+    violations += divergence_violations(service)
+    if clients:
+        violations += durability_violations(service, clients)
+        violations += stale_read_violations(service, clients)
+    leaders = service.leaders()
+    shells = [shell for system in service.systems for shell in system.shells]
+    return RunRecord(
         duration=span,
-        num_shards=service.num_shards,
-        batch_size=service.batch_size,
-        committed=committed,
-        instances=instances,
-        commands_per_instance=committed / instances if instances else 0.0,
-        throughput=committed / span,
-        latency=latency_stats(latencies),
-        completed=completed,
-        retries=retries,
-        per_shard=per_shard,
-        snapshots_taken=counters["snapshots_taken"],
-        positions_compacted=counters["positions_compacted"],
-        peak_decided_residency=counters["peak_decided_residency"],
+        events=service.scheduler.executed,
+        messages=sum(system.stats.total_sent for system in service.systems),
+        applied=tuple(service.applied_commands(shard) for shard in shards),
+        instances=tuple(service.decided_instances(shard) for shard in shards),
+        completed=sum(client.stats.completed for client in clients),
+        retries=sum(client.stats.retries for client in clients),
+        counters=dict(sorted(service.counters().items())),
+        recoveries=sum(shell.recoveries for shell in shells),
+        storage_writes=service.storage_writes(),
+        corrupted_messages=service.corrupted_messages(),
+        messages_dropped=sum(system.stats.total_dropped for system in service.systems),
+        digests=tuple(
+            tuple(
+                (shell.algorithm.state_machine.digest(), shell in system.correct_shells())
+                for shell in system.shells
+            )
+            for system in service.systems
+        ),
+        leaders=tuple(leaders[shard] for shard in shards),
+        leader_change_times=tuple(
+            sorted(
+                {
+                    round(float(when), 6)
+                    for shell in shells
+                    for when, _leader in shell.algorithm.omega.leader_history[1:]
+                }
+            )
+        ),
+        latencies=tuple(
+            sorted(record.completed_at - record.invoked_at for record in operations)
+        ),
+        histories=tuple(fingerprint(sorted(history)) for history in histories),
+        violations=tuple(violations),
     )
+
+
+def merge_records(records: Sequence[RunRecord]) -> RunRecord:
+    """Fold the records of independently run shards, in shard order.
+
+    Totals sum, counters fold with :func:`~repro.core.interfaces.fold_counters`
+    (high-water marks with ``max``), per-shard fields concatenate in the given
+    order, latencies pool, and each violation is relabelled with its record's
+    index.  Nothing here reads a clock or an rng, so the merge is a pure
+    function of the ordered records.
+    """
+    counters: Dict[str, int] = {}
+    for record in records:
+        fold_counters(counters, record.counters)
+
+    def total(name: str) -> int:
+        return sum(getattr(record, name) for record in records)
+
+    def concatenated(name: str) -> tuple:
+        return tuple(item for record in records for item in getattr(record, name))
+
+    return RunRecord(
+        duration=max(record.duration for record in records),
+        events=total("events"),
+        messages=total("messages"),
+        applied=concatenated("applied"),
+        instances=concatenated("instances"),
+        completed=total("completed"),
+        retries=total("retries"),
+        counters=dict(sorted(counters.items())),
+        recoveries=total("recoveries"),
+        storage_writes=total("storage_writes"),
+        corrupted_messages=total("corrupted_messages"),
+        messages_dropped=total("messages_dropped"),
+        digests=concatenated("digests"),
+        leaders=concatenated("leaders"),
+        leader_change_times=tuple(sorted(set(concatenated("leader_change_times")))),
+        latencies=tuple(sorted(concatenated("latencies"))),
+        histories=concatenated("histories"),
+        violations=tuple(
+            dataclasses.replace(violation, shard=index)
+            for index, record in enumerate(records)
+            for violation in record.violations
+        ),
+    )
+
+
+# ------------------------------------------------------------------ invariant probes --
+def _iter_logs(service: "ShardedService", shard: int):
+    """Yield ``(pid, replicated log)`` of every shell of *shard* (crashed too).
+
+    A crashed shell's algorithm object is its last incarnation — its decisions
+    were really made, so agreement must hold across them as well.
+    """
+    for shell in service.systems[shard].shells:
+        log = getattr(shell.algorithm, "log", None)
+        if log is not None:
+            yield shell.pid, log
+
+
+def agreement_violations(service: "ShardedService") -> List[Violation]:
+    """Per-position agreement across every replica of every shard."""
+    violations: List[Violation] = []
+    for shard in range(service.num_shards):
+        decided: Dict[int, Dict[object, List[int]]] = {}
+        for pid, log in _iter_logs(service, shard):
+            for position, value in log.decided_log().items():
+                decided.setdefault(position, {}).setdefault(repr(value), []).append(pid)
+        for position in sorted(decided):
+            values = decided[position]
+            if len(values) > 1:
+                detail = "; ".join(
+                    f"pids {sorted(pids)} decided {value[:80]}"
+                    for value, pids in sorted(values.items())
+                )
+                violations.append(
+                    Violation(
+                        kind="agreement",
+                        shard=shard,
+                        detail=f"position {position} decided differently: {detail}",
+                    )
+                )
+    return violations
+
+
+def session_violations(
+    service: "ShardedService", clients: Sequence["ClosedLoopClient"]
+) -> List[Violation]:
+    """Exactly-once safety: no phantom and no cross-shard duplicate commands."""
+    violations: List[Violation] = []
+    issued = {client.client_id: client.seq for client in clients}
+    seen_at: Dict[Tuple[str, int], List[int]] = {}
+    for shard in range(service.num_shards):
+        replicas = service.correct_replicas(shard)
+        if not replicas:
+            continue
+        sessions = replicas[0].state_machine.sessions()
+        for client_id, seqs in sessions.items():
+            for seq in seqs:
+                if seq < 1 or seq > issued.get(client_id, 0):
+                    violations.append(
+                        Violation(
+                            kind="exactly-once",
+                            shard=shard,
+                            detail=(
+                                f"phantom command ({client_id!r}, seq={seq}) applied "
+                                f"but the client issued only {issued.get(client_id, 0)}"
+                            ),
+                        )
+                    )
+                else:
+                    seen_at.setdefault((client_id, seq), []).append(shard)
+    for (client_id, seq), shards in sorted(seen_at.items()):
+        if len(shards) > 1:
+            violations.append(
+                Violation(
+                    kind="exactly-once",
+                    shard=shards[0],
+                    detail=(
+                        f"command ({client_id!r}, seq={seq}) applied on "
+                        f"{len(shards)} shards {shards} — keys map to one shard"
+                    ),
+                )
+            )
+    return violations
+
+
+def divergence_violations(service: "ShardedService") -> List[Violation]:
+    """Digest-chain convergence: equally-advanced correct replicas agree.
+
+    Replicas that delivered the same number of commands applied — if the log
+    layer is safe — the same prefix, so their state digests must be equal.
+    Laggards (catch-up still in flight at the horizon) are compared only with
+    their equally-advanced peers, never with the frontier group, keeping the
+    probe free of liveness false positives.
+    """
+    violations: List[Violation] = []
+    for shard in range(service.num_shards):
+        groups: Dict[int, Dict[str, List[int]]] = {}
+        for replica in service.correct_replicas(shard):
+            advance = replica.log.delivered_total
+            digest = replica.state_machine.digest()
+            groups.setdefault(advance, {}).setdefault(digest, []).append(replica.pid)
+        for advance in sorted(groups):
+            digests = groups[advance]
+            if len(digests) > 1:
+                sides = "; ".join(
+                    f"pids {sorted(pids)} at {digest[:12]}"
+                    for digest, pids in sorted(digests.items())
+                )
+                violations.append(
+                    Violation(
+                        kind="divergence",
+                        shard=shard,
+                        detail=(
+                            f"replicas that delivered {advance} commands disagree "
+                            f"on state: {sides}"
+                        ),
+                    )
+                )
+    return violations
+
+
+def durability_violations(
+    service: "ShardedService", clients: Sequence["ClosedLoopClient"]
+) -> List[Violation]:
+    """Every acknowledged operation is still applied somewhere correct.
+
+    Lease-served reads are exempt when the lease path is on: they are answered
+    from a replica's applied state without ever entering the log, so "applied
+    at a correct replica" is not their durability contract — their correctness
+    is checked by the linearizability and stale-read probes instead.  Only
+    reads that actually appear in the lease-read audit trail are exempt: a get
+    that timed out and *fell back* to the ordered consensus path did enter the
+    log and stays subject to the check like any write.
+    """
+    violations: List[Violation] = []
+    lease_served: set = set()
+    if service.leases:
+        for audits in service.read_audits:
+            for read in audits:
+                lease_served.add((read.client_id, read.seq))
+    for client in clients:
+        for record in client.history:
+            if record.op == "get" and (record.client_id, record.seq) in lease_served:
+                continue
+            shard = service.shard_for(record.key)
+            if not any(
+                replica.command_applied(record.client_id, record.seq)
+                for replica in service.correct_replicas(shard)
+            ):
+                violations.append(
+                    Violation(
+                        kind="durability",
+                        shard=shard,
+                        detail=(
+                            f"acknowledged op ({record.client_id!r}, seq={record.seq}, "
+                            f"{record.op} {record.key!r}) is applied at no correct replica"
+                        ),
+                    )
+                )
+    return violations
+
+
+def stale_read_violations(
+    service: "ShardedService", clients: Sequence["ClosedLoopClient"]
+) -> List[Violation]:
+    """No lease-served read misses a write that completed before it started.
+
+    The lease path's end-to-end staleness check, independent of the Wing–Gong
+    probe: every lease-served read was audited with the log index certified
+    for it (the serving replica had applied positions ``< index``).  For each
+    audited read, any write on the same key whose client observed completion
+    at or before the read's invocation must sit at a decided position below
+    that index — a position at or above it means the read was served from a
+    state provably missing an already-acknowledged write.
+
+    Write positions are recovered from a correct replica's resident decided
+    log; writes whose position was compacted away are skipped (under-coverage,
+    never a false positive).
+    """
+    if not service.leases:
+        return []
+    violations: List[Violation] = []
+    for shard in range(service.num_shards):
+        audits = service.read_audits[shard]
+        if not audits:
+            continue
+        replicas = service.correct_replicas(shard)
+        if not replicas:
+            continue
+        position_of: Dict[Tuple[str, int], int] = {}
+        for position, value in replicas[0].log.decided_log().items():
+            for command in flatten_value(value):
+                if isinstance(command, Command):
+                    position_of[(command.client_id, command.seq)] = position
+        # key -> [(completion observed at, decided position)] of write ops.
+        writes: Dict[str, List[Tuple[float, int]]] = {}
+        for client in clients:
+            for record in client.history:
+                if record.op == "get":
+                    continue
+                position = position_of.get((record.client_id, record.seq))
+                if position is not None and service.shard_for(record.key) == shard:
+                    writes.setdefault(record.key, []).append(
+                        (record.completed_at, position)
+                    )
+        for read in audits:
+            for completed_at, position in writes.get(read.key, ()):
+                if completed_at <= read.invoked_at and position >= read.read_index:
+                    violations.append(
+                        Violation(
+                            kind="stale-read",
+                            shard=shard,
+                            detail=(
+                                f"read ({read.client_id!r}, seq={read.seq}) of "
+                                f"{read.key!r} was served at index {read.read_index} "
+                                f"after a write decided at position {position} had "
+                                f"completed by t={completed_at} (read invoked at "
+                                f"t={read.invoked_at})"
+                            ),
+                        )
+                    )
+    return violations

@@ -295,6 +295,9 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
     def _record_leader(self, env: Environment) -> None:
         current = self.leader()
         if not self.leader_history or self.leader_history[-1][1] != current:
+            if self.leader_history:
+                # The history is this incarnation's; the count is the process's.
+                self.counters["leader_changes"] += 1
             self.leader_history.append((env.now, current))
             env.log("leader_change", leader=current)
 

@@ -8,9 +8,9 @@ service layer, the way a coverage-guided fuzzer closes one over a program:
   per entry;
 * :mod:`~repro.fuzz.executor` — deterministic ``(spec, plan)`` executions
   (a :class:`~repro.service.sharding.ServiceSpec` and a fault plan) of the
-  *real* stack with invariant probes (per-position
-  agreement, exactly-once sessions, digest convergence, durability of
-  acknowledged writes) and a behavioural feature harvest;
+  *real* stack, each returning the run's
+  :class:`~repro.analysis.service_metrics.RunRecord` with its invariant
+  verdicts, and the behavioural feature harvest projected from it;
 * :mod:`~repro.fuzz.linearizability` — a real Wing–Gong checker validating
   recorded client histories against the key-value specification;
 * :mod:`~repro.fuzz.coverage` — log2-bucketed feature coverage, the novelty
@@ -42,9 +42,7 @@ from repro.fuzz.corpus import (
 from repro.fuzz.coverage import CoverageMap, bucket, signature
 from repro.fuzz.executor import (
     FUZZ_BASELINE,
-    ExecutionResult,
     Violation,
-    check_invariants,
     harvest_features,
     run_scenario,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "Corpus",
     "CorpusEntry",
     "CoverageMap",
-    "ExecutionResult",
     "FUZZ_BASELINE",
     "Finding",
     "LinearizabilityVerdict",
@@ -81,7 +78,6 @@ __all__ = [
     "benign_seed_plans",
     "bucket",
     "check_history",
-    "check_invariants",
     "ddmin",
     "emit_regression_test",
     "harvest_features",

@@ -24,9 +24,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.service_metrics import RunRecord
 from repro.fuzz.corpus import Corpus, CorpusEntry
 from repro.fuzz.coverage import CoverageMap
-from repro.fuzz.executor import FUZZ_BASELINE, ExecutionResult, run_scenario
+from repro.fuzz.executor import FUZZ_BASELINE, harvest_features, run_scenario
 from repro.fuzz.minimize import emit_regression_test, minimize
 from repro.fuzz.mutators import MutationEngine
 from repro.service.sharding import ServiceSpec
@@ -99,7 +100,7 @@ class Finding:
             return None
         return FaultPlan.from_dict(self.minimized_plan_data)
 
-    def replay(self) -> ExecutionResult:
+    def replay(self) -> RunRecord:
         """Re-execute the finding's exact ``(spec, plan)`` pair."""
         return run_scenario(self.spec(), self.plan())
 
@@ -256,28 +257,29 @@ class CampaignRunner:
     # ------------------------------------------------------------------ execution --
     def _execute(
         self, tasks: Sequence[Tuple[str, ServiceSpec, FaultPlan]]
-    ) -> List[ExecutionResult]:
+    ) -> List[RunRecord]:
         payloads = [
             {"spec": spec.to_dict(), "plan": plan.to_dict()}
             for _, spec, plan in tasks
         ]
         raw = run_tasks(_execute_payload, payloads, workers=self.config.workers)
-        return [ExecutionResult.from_dict(data) for data in raw]
+        return [RunRecord.from_dict(data) for data in raw]
 
     # ------------------------------------------------------------------ folding --
     def _fold(
         self,
         round_index: int,
         tasks: Sequence[Tuple[str, ServiceSpec, FaultPlan]],
-        results: Sequence[ExecutionResult],
+        results: Sequence[RunRecord],
     ) -> None:
         for slot, ((parent, spec, plan), result) in enumerate(zip(tasks, results)):
             self._executions += 1
-            new_pairs, new_signature = self.coverage.observe(result.features)
+            features = harvest_features(result, leases=spec.leases)
+            new_pairs, new_signature = self.coverage.observe(features)
             entry = self.corpus.get(parent)
             if round_index == 0 and entry is not None:
                 # Seeds learn their own execution metadata in place.
-                entry.features = dict(result.features)
+                entry.features = features
                 entry.leader_change_times = result.leader_change_times
             elif new_pairs or new_signature:
                 self.corpus.add(
@@ -285,7 +287,7 @@ class CampaignRunner:
                         name=f"gen{round_index}-{slot}",
                         plan_data=plan.to_dict(),
                         notes=f"mutant of {parent} (+{new_pairs} coverage pairs)",
-                        features=dict(result.features),
+                        features=features,
                         leader_change_times=result.leader_change_times,
                     )
                 )

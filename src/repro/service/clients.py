@@ -261,7 +261,7 @@ class ClosedLoopClient:
         completion times, and the result read back from the applying replica.
         This is the client-visible history the linearizability probe of
         :mod:`repro.fuzz` checks against the key-value specification, and the
-        only record of latencies: :func:`~repro.analysis.service_metrics.summarize_service`
+        only record of latencies: :func:`~repro.analysis.service_metrics.record_run`
         reads them off it.
     """
 

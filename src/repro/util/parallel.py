@@ -45,7 +45,8 @@ def run_tasks(worker: TaskWorker, payloads: Sequence[Dict], workers: int = 0) ->
     workers:
         Worker processes.  ``0`` or ``1`` executes inline in this process —
         same results, no pool — as does a single-payload task list (a pool
-        would only add start-up latency).
+        would only add start-up latency).  Negative counts raise
+        :class:`ValueError`.
 
     Returns
     -------
@@ -53,8 +54,10 @@ def run_tasks(worker: TaskWorker, payloads: Sequence[Dict], workers: int = 0) ->
         ``[worker(p) for p in payloads]`` — literally so on the inline path,
         and element-wise identical on the pool path.
     """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     payloads = list(payloads)
-    if workers and workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(payloads) > 1:
         context = multiprocessing.get_context()
         processes = min(workers, len(payloads))
         with context.Pool(processes=processes) as pool:

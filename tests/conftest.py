@@ -20,6 +20,10 @@ from repro.core.config import OmegaConfig
 # before any test module) so the per-test ``@settings(...)`` inherit it.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+# The randomized soak CI runs beside tier-1: fresh examples on every run
+# (``--hypothesis-profile=soak`` overrides the load above).  A failure it finds
+# is pinned as an ``@example``, never loosened.
+settings.register_profile("soak", derandomize=False, database=None)
 
 
 @pytest.fixture

@@ -13,8 +13,9 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.service_metrics import record_run
 from repro.fuzz.executor import FUZZ_BASELINE, harvest_features
-from repro.service.clients import start_clients, zipfian_workload
+from repro.service.clients import start_clients, start_workload, zipfian_workload
 from repro.service.sharding import build_service
 from repro.simulation.faults import Crash, FaultPlan, Recover
 
@@ -28,6 +29,7 @@ def _loaded_service(spec, plan, stop_at):
         num_clients=6,
         workload_factory=lambda i: zipfian_workload(num_keys=8),
         stop_at=stop_at,
+        record_history=True,
     )
     return service, clients
 
@@ -110,6 +112,30 @@ class TestTotalsAreMonotoneInVirtualTime:
         assert sum(shell.recoveries for shell in service.systems[0].shells) == len(restarts)
 
 
+class TestLeaderChanges:
+    def test_the_feature_does_not_shrink_when_a_replica_recovers(self):
+        # Read off the current incarnations' leader histories, this fell from
+        # 3 to 2 when p2's new incarnation replaced the one that had seen the
+        # changes; the count is the process's, not the incarnation's.
+        spec = dataclasses.replace(FUZZ_BASELINE, seed=3)
+        plan = FaultPlan(
+            [
+                Crash(time=40.0, pid=0),
+                Recover(time=50.0, pid=0),
+                Crash(time=100.0, pid=2),
+                Recover(time=110.0, pid=2),
+            ]
+        )
+        service = build_service(spec, fault_plan_factory=lambda shard: plan)
+        clients = start_workload(service, spec, record_history=True)
+        seen = []
+        for checkpoint in (109.9, 110.0):
+            service.run_until(checkpoint)
+            seen.append(harvest_features(record_run(service, clients))["leader_changes"])
+        assert seen[0] >= 3
+        assert seen[1] >= seen[0]
+
+
 class TestForwardCounters:
     """``forward_msgs_sent`` / ``forward_commands_sent``: the command path's
     cost, countable from ``counters()`` without the perfbench harness."""
@@ -150,7 +176,7 @@ class TestBallotCounters:
 
     def test_both_are_fuzz_coverage_features_and_perf_counters(self):
         service, clients = self._loaded_service_with_leader_restart()
-        features = harvest_features(service, clients)
+        features = harvest_features(record_run(service, clients))
         perf = service.perf_counters()
         counters = service.counters()
         for name in ("ballots_started", "accept_rounds_started"):

@@ -24,6 +24,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.service_metrics import record_run
 from repro.core.figure3 import Figure3Omega
 from repro.service import ServiceSpec, build_service, build_sharded_service, start_workload
 from repro.simulation.delays import UniformDelay
@@ -129,14 +130,21 @@ def _restart_first_follower(start, downtime):
     return plan
 
 
-def _committed(clients):
-    return sum(client.stats.completed for client in clients)
+def _recorded_run(spec, fault_plan_factory=None, checkpoints=()):
+    """Run *spec* to its horizon; the record at each checkpoint, then at the end."""
+    service = build_service(spec, fault_plan_factory=fault_plan_factory)
+    clients = start_workload(service, spec, record_history=True)
+    records = []
+    for time in (*checkpoints, spec.horizon):
+        service.run_until(time)
+        records.append(record_run(service, clients))
+    return records
 
 
-def _digests(service, correct_only=True):
+def _digests(record, correct_only=True):
     return {
-        shard: service.state_digests(shard, correct_only=correct_only)
-        for shard in range(service.num_shards)
+        shard: record.state_digests(shard, correct_only=correct_only)
+        for shard in range(len(record.digests))
     }
 
 
@@ -165,24 +173,17 @@ def omega_broadcast():
 
 @pytest.fixture(scope="module")
 def sharded_service():
-    spec = SHARDED_SERVICE
-    service = build_service(spec)
-    clients = start_workload(service, spec)
-    service.run_until(spec.horizon)
-    committed = _committed(clients)
-    messages = sum(system.stats.total_sent for system in service.systems)
+    (record,) = _recorded_run(SHARDED_SERVICE)
     return {
-        "events_per_commit": round(service.scheduler.executed / committed, 3),
-        "messages_per_commit": round(messages / committed, 3),
+        "records": (record,),
+        "events_per_commit": round(record.events / record.completed, 3),
+        "messages_per_commit": round(record.messages / record.completed, 3),
         "fingerprint": fingerprint(
             {
-                "digests": _digests(service),
-                "applied": [
-                    service.applied_commands(shard)
-                    for shard in range(service.num_shards)
-                ],
-                "committed": committed,
-                "consistent": service.is_consistent(),
+                "digests": _digests(record),
+                "applied": list(record.applied),
+                "committed": record.completed,
+                "consistent": record.consistent,
             }
         ),
     }
@@ -190,41 +191,37 @@ def sharded_service():
 
 @pytest.fixture(scope="module")
 def sharded_service_storage():
-    spec = SHARDED_SERVICE_STORAGE
-    service = build_service(
-        spec, fault_plan_factory=_restart_first_follower(start=40.0, downtime=12.0)
+    (record,) = _recorded_run(
+        SHARDED_SERVICE_STORAGE,
+        fault_plan_factory=_restart_first_follower(start=40.0, downtime=12.0),
     )
-    clients = start_workload(service, spec)
-    service.run_until(spec.horizon)
     return {
+        "records": (record,),
         "fingerprint": fingerprint(
             {
-                "digests": _digests(service, correct_only=False),
-                "committed": _committed(clients),
-                "recoveries": service.perf_counters()["recoveries"],
-                "storage_writes": service.storage_writes(),
-                "consistent": service.is_consistent(),
+                "digests": _digests(record, correct_only=False),
+                "committed": record.completed,
+                "recoveries": record.recoveries,
+                "storage_writes": record.storage_writes,
+                "consistent": record.consistent,
             }
-        )
+        ),
     }
 
 
 @pytest.fixture(scope="module")
 def sharded_service_compaction():
     spec = SHARDED_SERVICE_COMPACTION
-    service = build_service(
-        spec, fault_plan_factory=_restart_first_follower(start=900.0, downtime=75.0)
+    mid_run, record = _recorded_run(
+        spec,
+        fault_plan_factory=_restart_first_follower(start=900.0, downtime=75.0),
+        checkpoints=(spec.horizon / 2,),
     )
-    clients = start_workload(service, spec)
-    service.run_until(spec.horizon / 2)
-    committed_mid_run = _committed(clients)
-    service.run_until(spec.horizon)
-    committed = _committed(clients)
-    totals = service.counters()
-    peak = totals["peak_decided_residency"]
-    consistent = service.is_consistent()
+    committed = record.completed
+    peak = record.counters["peak_decided_residency"]
+    consistent = record.consistent
     counters = {
-        name: totals[name]
+        name: record.counters.get(name, 0)
         for name in (
             "snapshots_taken",
             "snapshot_restores",
@@ -233,13 +230,14 @@ def sharded_service_compaction():
         )
     }
     return {
+        "records": (record,),
         "committed": committed,
-        "committed_mid_run": committed_mid_run,
+        "committed_mid_run": mid_run.completed,
         "peak_decided_residency": peak,
         "consistent": consistent,
         "fingerprint": fingerprint(
             {
-                "digests": _digests(service, correct_only=False),
+                "digests": _digests(record, correct_only=False),
                 "committed": committed,
                 "counters": counters,
                 "peak_decided_residency": peak,
@@ -251,17 +249,13 @@ def sharded_service_compaction():
 
 @pytest.fixture(scope="module")
 def sharded_service_read_leases():
-    runs = {}
-    for leases in (False, True):
-        spec = dataclasses.replace(SHARDED_SERVICE_READ_LEASES, leases=leases)
-        service = build_service(spec)
-        clients = start_workload(service, spec)
-        service.run_until(spec.horizon)
-        runs[leases] = (service, _committed(clients))
-    (baseline, baseline_committed), (leased, committed) = runs[False], runs[True]
-    perf = leased.perf_counters()
+    baseline, leased = (
+        _recorded_run(dataclasses.replace(SHARDED_SERVICE_READ_LEASES, leases=leases))[0]
+        for leases in (False, True)
+    )
+    committed, baseline_committed = leased.completed, baseline.completed
     lease_counters = {
-        key: perf[key]
+        key: leased.counters.get(key, 0)
         for key in (
             "lease_renewals",
             "lease_reads_served",
@@ -270,10 +264,11 @@ def sharded_service_read_leases():
         )
     }
     return {
+        "records": (baseline, leased),
         "committed": committed,
         "baseline_committed": baseline_committed,
         "lease_reads_served": lease_counters["lease_reads_served"],
-        "consistent": leased.is_consistent() and baseline.is_consistent(),
+        "consistent": leased.consistent and baseline.consistent,
         "fingerprint": fingerprint(
             {
                 "digests": _digests(leased),
@@ -281,8 +276,8 @@ def sharded_service_read_leases():
                 "committed": committed,
                 "baseline_committed": baseline_committed,
                 "lease_counters": lease_counters,
-                "consistent": leased.is_consistent(),
-                "baseline_consistent": baseline.is_consistent(),
+                "consistent": leased.consistent,
+                "baseline_consistent": baseline.consistent,
             }
         ),
     }
@@ -292,6 +287,16 @@ def sharded_service_read_leases():
 def test_sequential_workload_matches_pinned_fingerprint(workload, request):
     run = request.getfixturevalue(workload)
     assert run["fingerprint"] == PINNED_QUICK_FINGERPRINTS[workload]
+
+
+@pytest.mark.parametrize(
+    "workload", sorted(set(PINNED_QUICK_FINGERPRINTS) - {"omega_broadcast"})
+)
+def test_pinned_service_runs_break_no_invariant(workload, request):
+    """Every probe of the run record is clean on the five pinned service runs
+    (the read-lease shape runs twice), client probes included."""
+    for record in request.getfixturevalue(workload)["records"]:
+        assert record.violations == ()
 
 
 def test_sharded_service_stays_under_its_messages_per_commit_ceiling(sharded_service):

@@ -112,7 +112,7 @@ class TestLeaseReadLinearizability:
     def test_read_histories_linearizable_under_leader_hunter(self, seed):
         result = run_scenario(lease_spec(seed), FaultPlan.none())
         assert result.ok, [v.detail for v in result.violations]
-        assert result.features.get("lease_reads_served", 0) > 0
+        assert result.counters.get("lease_reads_served", 0) > 0
 
 
 class TestLeaseDeterminism:
@@ -123,4 +123,4 @@ class TestLeaseDeterminism:
         first = run_scenario(spec, FaultPlan.none())
         second = run_scenario(spec, FaultPlan.none())
         assert first.fingerprint == second.fingerprint
-        assert first.features == second.features
+        assert first == second

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from repro.analysis import summarize_service
+from repro.analysis import record_run
 from repro.service import (
     ClosedLoopClient,
     OperationRecord,
@@ -75,7 +75,7 @@ def test_latency_statistics_need_the_history():
     service.run_until(40.0)
     assert sum(client.stats.completed for client in clients) > 0
     with pytest.raises(ValueError, match="record_history=True"):
-        summarize_service(service, clients, duration=40.0)
+        record_run(service, clients, duration=40.0)
 
 
 def test_a_completed_operation_stays_within_its_memory_budget():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import build_consensus_system, build_omega_system
-from repro.analysis import summarize_service
+from repro.analysis import record_run
 from repro.assumptions import ConstantDelayScenario
 from repro.core import Figure1Omega, Figure2Omega, Figure3Omega
 from repro.service import (
@@ -77,8 +77,9 @@ class TestAcceptanceWorkload:
             assert len(digests) == 3 - crashes_per_shard
             assert len(set(digests)) == 1
         # Batching amortised consensus: strictly more than one command/instance.
-        summary = summarize_service(service, duration=completion)
-        assert summary.commands_per_instance > 1.0
+        record = record_run(service, duration=completion)
+        assert record.commands_per_instance > 1.0
+        assert record.ok
 
     def test_crashed_replicas_do_not_block_progress(self):
         service = build_sharded_service(
@@ -165,8 +166,9 @@ class TestClosedLoopClients:
             record_history=True,
         )
         service.run_until(300.0)
-        summary = summarize_service(service, clients, duration=300.0)
-        assert summary.completed > 100
+        record = record_run(service, clients, duration=300.0)
+        assert record.completed > 100
+        assert record.ok
         assert service.is_consistent()
         # Exactly-once held even if clients retransmitted.
         applied_identities = set()
@@ -178,7 +180,7 @@ class TestClosedLoopClients:
                 .items()
                 for seq in seqs
             }
-        assert len(applied_identities) == summary.committed
+        assert len(applied_identities) == sum(record.applied)
 
 
 class TestFaultPlans:

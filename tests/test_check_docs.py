@@ -63,3 +63,33 @@ class TestPointers:
             assert check_docs.defines(source, symbol), symbol
         for symbol in ("Box.missing", "helper.attr", "LIMIT.real", "items"):
             assert not check_docs.defines(source, symbol), symbol
+
+
+class TestSnippetImports:
+    def test_a_deleted_name_and_a_missing_module_are_reported(self, tmp_path):
+        document = tmp_path / "GUIDE.md"
+        document.write_text(
+            "```python\n"
+            "import json\n"
+            "from repro.analysis import record_run, summarize_service\n"
+            "from repro.simulation import parallel\n"
+            "import repro.fuzz.executor\n"
+            "import repro.nowhere\n"
+            "```\n"
+            "```bash\n"
+            "python -c 'from repro.gone import thing'\n"
+            "```\n"
+            "Prose naming `from repro.gone import thing` is not a snippet.\n",
+            encoding="utf-8",
+        )
+        assert check_docs.check_snippet_imports(document) == [
+            "GUIDE.md: unresolved snippet import "
+            "`from repro.analysis import summarize_service`",
+            "GUIDE.md: unresolved snippet import `import repro.nowhere`",
+        ]
+
+    def test_a_block_that_does_not_parse_is_reported(self, tmp_path):
+        document = tmp_path / "GUIDE.md"
+        document.write_text("```python\nfrom repro import (\n```\n", encoding="utf-8")
+        (problem,) = check_docs.check_snippet_imports(document)
+        assert "python block does not parse" in problem

@@ -6,6 +6,8 @@ pool paths element-wise identical — is what makes those subsystems
 worker-count-independent.
 """
 
+import pytest
+
 from repro.util.parallel import run_tasks
 
 
@@ -37,6 +39,12 @@ class TestRunTasksInline:
 
     def test_empty_task_list(self):
         assert run_tasks(_square, [], workers=4) == []
+
+    @pytest.mark.parametrize("workers", [-1, -2])
+    def test_a_negative_worker_count_is_rejected(self, workers):
+        # It used to run inline and be reported as given.
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            run_tasks(_square, _payloads(3), workers=workers)
 
 
 class TestRunTasksPool:
