@@ -11,12 +11,12 @@ service:
   decided instances, client completions (``completed``) and retries, the folded
   counter registry and the recovery/storage/network totals;
 * **state** — every replica's digest with its correct/crashed flag;
-* **leadership** — each shard's agreed leader and the leader-change instants;
+* **leadership** — each shard's agreed leader and its leader-change instants;
 * **latency** — client-observed issue-to-completion times read off the client
   histories, summarised by nearest rank;
 * **verdicts** — the invariant probes below: agreement and divergence always,
   the client probes (exactly-once, durability, stale-read) when clients drove
-  the run;
+  the run — and, per shard, the fault plan's admission flags (``hazards``);
 * a **fingerprint** over all of it and the operation histories: equal runs
   produce byte-identical fingerprints in any process.
 """
@@ -90,13 +90,20 @@ class RunRecord:
     digests: Tuple[Tuple[Tuple[str, bool], ...], ...]
     #: Each shard's leader agreed by its alive replicas (None during a split).
     leaders: Tuple[Optional[int], ...]
-    #: Instants at which a live incarnation's trusted leader changed.
-    leader_change_times: Tuple[float, ...]
+    #: Per shard, on that shard's clock, the instants at which a *live*
+    #: incarnation's trusted leader changed; ``counters["leader_changes"]``
+    #: also counts the changes of incarnations a restart replaced.
+    leader_change_times: Tuple[Tuple[float, ...], ...]
     #: Client-observed operation latencies, ascending; kept whole, not as
     #: quantiles, so that records of different shards pool exactly.
     latencies: Tuple[float, ...]
     #: Per shard, a digest of the client operations on its keys.
     histories: Tuple[str, ...]
+    #: Per shard, what its fault plan was flagged for at admission:
+    #: ``"assumption: …"`` breaches of the scenario's assumption and
+    #: ``"amnesia: …"`` storage-off restart hazards.  Flags, not verdicts: the
+    #: run may still be clean.
+    hazards: Tuple[Tuple[str, ...], ...]
     violations: Tuple[Violation, ...]
 
     @property
@@ -155,8 +162,10 @@ class RunRecord:
     @classmethod
     def from_dict(cls, data: Dict) -> "RunRecord":
         fields = _checked_fields(cls, data, "run record")
-        for name in ("applied", "instances", "leaders", "leader_change_times", "latencies", "histories"):
+        for name in ("applied", "instances", "leaders", "latencies", "histories"):
             fields[name] = tuple(fields[name])
+        for name in ("leader_change_times", "hazards"):
+            fields[name] = tuple(tuple(shard) for shard in fields[name])
         fields["counters"] = dict(fields["counters"])
         fields["digests"] = tuple(
             tuple((state, correct) for state, correct in shard) for shard in fields["digests"]
@@ -233,18 +242,28 @@ def record_run(
         ),
         leaders=tuple(leaders[shard] for shard in shards),
         leader_change_times=tuple(
-            sorted(
-                {
-                    round(float(when), 6)
-                    for shell in shells
-                    for when, _leader in shell.algorithm.omega.leader_history[1:]
-                }
+            tuple(
+                sorted(
+                    {
+                        round(float(when), 6)
+                        for shell in system.shells
+                        for when, _leader in shell.algorithm.omega.leader_history[1:]
+                    }
+                )
             )
+            for system in service.systems
         ),
         latencies=tuple(
             sorted(record.completed_at - record.invoked_at for record in operations)
         ),
         histories=tuple(fingerprint(sorted(history)) for history in histories),
+        hazards=tuple(
+            tuple(
+                [f"assumption: {flag}" for flag in service.assumption_violations[shard]]
+                + [f"amnesia: {flag}" for flag in service.amnesia_hazards[shard]]
+            )
+            for shard in shards
+        ),
         violations=tuple(violations),
     )
 
@@ -254,7 +273,8 @@ def merge_records(records: Sequence[RunRecord]) -> RunRecord:
 
     Totals sum, counters fold with :func:`~repro.core.interfaces.fold_counters`
     (high-water marks with ``max``), per-shard fields concatenate in the given
-    order, latencies pool, and each violation is relabelled with its record's
+    order (so each shard's leader-change instants stay on its own clock),
+    latencies pool, and each violation is relabelled with its record's
     index.  Nothing here reads a clock or an rng, so the merge is a pure
     function of the ordered records.
     """
@@ -283,9 +303,10 @@ def merge_records(records: Sequence[RunRecord]) -> RunRecord:
         messages_dropped=total("messages_dropped"),
         digests=concatenated("digests"),
         leaders=concatenated("leaders"),
-        leader_change_times=tuple(sorted(set(concatenated("leader_change_times")))),
+        leader_change_times=concatenated("leader_change_times"),
         latencies=tuple(sorted(concatenated("latencies"))),
         histories=concatenated("histories"),
+        hazards=concatenated("hazards"),
         violations=tuple(
             dataclasses.replace(violation, shard=index)
             for index, record in enumerate(records)

@@ -275,12 +275,14 @@ class CampaignRunner:
         for slot, ((parent, spec, plan), result) in enumerate(zip(tasks, results)):
             self._executions += 1
             features = harvest_features(result, leases=spec.leases)
+            # The mutators' time hints: every shard shares the run's one clock.
+            change_times = tuple(sorted(set().union(*result.leader_change_times)))
             new_pairs, new_signature = self.coverage.observe(features)
             entry = self.corpus.get(parent)
             if round_index == 0 and entry is not None:
                 # Seeds learn their own execution metadata in place.
                 entry.features = features
-                entry.leader_change_times = result.leader_change_times
+                entry.leader_change_times = change_times
             elif new_pairs or new_signature:
                 self.corpus.add(
                     CorpusEntry(
@@ -288,7 +290,7 @@ class CampaignRunner:
                         plan_data=plan.to_dict(),
                         notes=f"mutant of {parent} (+{new_pairs} coverage pairs)",
                         features=features,
-                        leader_change_times=result.leader_change_times,
+                        leader_change_times=change_times,
                     )
                 )
             self._violations_seen += len(result.violations)

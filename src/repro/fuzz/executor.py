@@ -91,7 +91,7 @@ _COUNTER_FEATURES = (
 )
 
 
-def harvest_features(record: RunRecord, leases: bool = False) -> Dict[str, int]:
+def harvest_features(record: RunRecord, leases: bool) -> Dict[str, int]:
     """The coverage feature vector of a run (every value a non-negative int).
 
     Protocol counts come from the record's counter registry fold — registries

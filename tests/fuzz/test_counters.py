@@ -131,7 +131,8 @@ class TestLeaderChanges:
         seen = []
         for checkpoint in (109.9, 110.0):
             service.run_until(checkpoint)
-            seen.append(harvest_features(record_run(service, clients))["leader_changes"])
+            features = harvest_features(record_run(service, clients), leases=False)
+            seen.append(features["leader_changes"])
         assert seen[0] >= 3
         assert seen[1] >= seen[0]
 
@@ -176,7 +177,7 @@ class TestBallotCounters:
 
     def test_both_are_fuzz_coverage_features_and_perf_counters(self):
         service, clients = self._loaded_service_with_leader_restart()
-        features = harvest_features(record_run(service, clients))
+        features = harvest_features(record_run(service, clients), leases=False)
         perf = service.perf_counters()
         counters = service.counters()
         for name in ("ballots_started", "accept_rounds_started"):

@@ -61,8 +61,26 @@ class TestWorkerCountIndependence:
         inline = run_parallel_service(spec, workers=0, plans={0: plan})
         pooled = run_parallel_service(spec, workers=2, plans={0: plan})
         assert inline == pooled
-        # The restart actually happened, once: on the planned shard only.
-        assert inline.recoveries == 1
+        # The plan reached shard 0 only: the merge is of exactly these runs,
+        # and the restart happened there, not on shard 1.
+        planned, unplanned = run_shard(spec, 0, plan), run_shard(spec, 1)
+        assert inline == merge_records([planned, unplanned])
+        assert (planned.recoveries, unplanned.recoveries) == (1, 0)
+
+    def test_a_storage_off_restart_plan_is_flagged_in_the_record(self):
+        # One restart of three replicas with storage off can shrink a promise
+        # quorum: the merged record keeps the flag, on the planned shard.
+        plan = FaultPlan.rolling_restarts([1], start=20.0, downtime=8.0)
+        spec = spec_with(num_shards=2, seed=77, horizon=70.0, num_clients=3)
+        assert spec.storage_write_cost is None
+        record = run_parallel_service(spec, workers=0, plans={0: plan})
+        assert record.hazards[1] == ()
+        assert [flag.split(":")[0] for flag in record.hazards[0]] == ["amnesia"]
+        assert record.hazards[0][0] == "amnesia: " + plan.amnesia_hazards(3, 1)[0]
+        stored = run_parallel_service(
+            dataclasses.replace(spec, storage_write_cost=0.0), workers=0, plans={0: plan}
+        )
+        assert stored.hazards == ((), ())
 
     def test_storage_mode_is_worker_count_independent(self):
         spec = spec_with(
@@ -152,6 +170,11 @@ class TestMerge:
         assert merged.applied == first.applied + second.applied
         assert merged.digests == first.digests + second.digests
         assert merged.histories == first.histories + second.histories
+        # Each shard ran on its own clock: its instants are not pooled.
+        assert merged.leader_change_times == (
+            first.leader_change_times + second.leader_change_times
+        )
+        assert merged.hazards == first.hazards + second.hazards
         assert merged.latencies == tuple(sorted(first.latencies + second.latencies))
         assert merged.fingerprint != merge_records([second, first]).fingerprint
 
