@@ -3,7 +3,7 @@
 
 Two pinned-seed campaigns over the full service stack (Omega elections,
 consensus, sharded KV store, closed-loop clients), both built from the same
-seed corpus (``repro.fuzz.seed_corpus``):
+seed corpus (``repro.fuzz.corpus.seed_corpus``):
 
 * **Hunt** — stable storage OFF.  The corpus carries the PR-5 quorum-amnesia
   witness (two followers restarted back to back inside the catch-up repair
@@ -27,7 +27,9 @@ Run with:  python examples/fuzz_demo.py [--quick]
 import argparse
 import dataclasses
 
-from repro.fuzz import FUZZ_BASELINE, CampaignConfig, run_campaign, seed_corpus
+from repro.fuzz import FUZZ_BASELINE
+from repro.fuzz.campaign import CampaignConfig, run_campaign
+from repro.fuzz.corpus import seed_corpus
 from repro.simulation import FaultPlan
 from repro.util.tables import format_table
 

@@ -8,6 +8,13 @@ equality over the frozen dataclass *is* identity, retransmissions of the same
 command compare equal (and are deduplicated), while distinct commands with equal
 effects compare different (and are both ordered and applied).
 
+A replica remembers which identities it has applied (the state machine's
+session table) and which its log has decided (until compaction).
+:class:`SeqSet` stores one client's seqs as a sorted array of 8-byte integers,
+and :class:`CommandSet` keys decided values by identity on top of it, so each
+remembered command costs 8 bytes instead of a hash-set slot and a boxed
+integer.
+
 A :class:`Batch` groups many commands into a single consensus value so that one
 consensus instance (one Paxos round trip) orders many commands — the classic
 amortisation that turns a per-command protocol into a high-throughput log.
@@ -31,7 +38,9 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from typing import Any, Optional, Tuple
+from array import array
+from bisect import bisect_left
+from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 
 def _crc32(payload: object) -> int:
@@ -46,10 +55,12 @@ class Command:
     Attributes
     ----------
     client_id:
-        Identifier of the issuing client session.
+        Identifier of the issuing client session (a ``str``).
     seq:
-        Per-client sequence number (1, 2, ...); retransmissions reuse it, so the
-        state machine can apply each command exactly once.
+        Per-client sequence number (1, 2, ...; an ``int``, never a float or a
+        bool, which would compare equal to a distinct command's seq);
+        retransmissions reuse it, so the state machine can apply each command
+        exactly once.
     op:
         Operation name (the key-value store understands ``put``, ``get``,
         ``delete``, ``cas`` and ``incr``).
@@ -73,6 +84,10 @@ class Command:
     checksum: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.client_id, str):
+            raise TypeError(f"client_id must be a str, got {self.client_id!r}")
+        if type(self.seq) is not int:
+            raise TypeError(f"seq must be an int, got {self.seq!r}")
         if self.checksum is None:
             object.__setattr__(self, "checksum", self.expected_checksum())
 
@@ -122,6 +137,99 @@ class Command:
     def incr(cls, client_id: str, seq: int, key: str, delta: int = 1) -> "Command":
         """Add *delta* to the integer counter under *key* (0 when absent)."""
         return cls(client_id=client_id, seq=seq, op="incr", key=key, args=(delta,))
+
+
+class SeqSet:
+    """An exact set of sequence numbers, kept as one sorted ``array("q")``.
+
+    Membership is a binary search; adding a seq above every stored one — the
+    common case, since a client numbers its commands upwards — is an O(1)
+    append, and any other add or discard shifts the tail.  Each entry costs
+    8 bytes (a ``set`` of ints costs about 40), and iteration yields the seqs
+    in ascending order.  Seqs must fit a signed 64-bit integer.
+    """
+
+    __slots__ = ("_seqs",)
+
+    def __init__(self, seqs: Iterable[int] = ()) -> None:
+        self._seqs = array("q", sorted(set(seqs)))
+
+    def add(self, seq: int) -> None:
+        seqs = self._seqs
+        if not seqs or seq > seqs[-1]:
+            seqs.append(seq)
+            return
+        index = bisect_left(seqs, seq)
+        if seqs[index] != seq:
+            seqs.insert(index, seq)
+
+    def discard(self, seq: int) -> None:
+        seqs = self._seqs
+        index = bisect_left(seqs, seq)
+        if index < len(seqs) and seqs[index] == seq:
+            del seqs[index]
+
+    def __contains__(self, seq: object) -> bool:
+        seqs = self._seqs
+        if not seqs or seq > seqs[-1]:
+            return False
+        return seqs[bisect_left(seqs, seq)] == seq
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._seqs)
+
+    def __len__(self) -> int:
+        return len(self._seqs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SeqSet):
+            return NotImplemented
+        return self._seqs == other._seqs
+
+    def __repr__(self) -> str:
+        return f"SeqSet({list(self._seqs)!r})"
+
+
+class CommandSet:
+    """An exact set of log values in which a :class:`Command` is its identity.
+
+    Commands are keyed by ``(client_id, seq)``, one :class:`SeqSet` per
+    client; any other value (the no-op filler, an opaque test value) is kept
+    by equality in a plain set.  Two commands with one identity but different
+    payloads are the same member: honest clients never reuse a seq, and a
+    garbled copy is rejected by :func:`payload_intact` before a log sees it.
+    """
+
+    __slots__ = ("_seqs", "_others")
+
+    def __init__(self) -> None:
+        self._seqs: Dict[str, SeqSet] = {}
+        self._others: Set[Any] = set()
+
+    def add(self, value: Any) -> None:
+        if isinstance(value, Command):
+            seqs = self._seqs.get(value.client_id)
+            if seqs is None:
+                seqs = self._seqs[value.client_id] = SeqSet()
+            seqs.add(value.seq)
+        else:
+            self._others.add(value)
+
+    def discard(self, value: Any) -> None:
+        if isinstance(value, Command):
+            seqs = self._seqs.get(value.client_id)
+            if seqs is not None:
+                seqs.discard(value.seq)
+                if not seqs:
+                    del self._seqs[value.client_id]
+        else:
+            self._others.discard(value)
+
+    def __contains__(self, value: Any) -> bool:
+        if isinstance(value, Command):
+            seqs = self._seqs.get(value.client_id)
+            return seqs is not None and value.seq in seqs
+        return value in self._others
 
 
 @dataclasses.dataclass(frozen=True)

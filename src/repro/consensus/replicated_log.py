@@ -200,7 +200,7 @@ from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.consensus.batching import ADAPTIVE, AdaptiveBatchPolicy, require_batch_size
-from repro.consensus.commands import Batch, flatten_value, payload_intact
+from repro.consensus.commands import Batch, CommandSet, flatten_value, payload_intact
 from repro.consensus.instance import NO_BALLOT
 from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import (
@@ -387,7 +387,7 @@ class ReplicatedLog(Process):
         # cursor), highest decided position, and decided-command index.
         self._frontier = 0
         self._max_decided = -1
-        self._decided_index: Set[Any] = set()
+        self._decided_index = CommandSet()
 
         # Observer state that survives windowing: total non-noop deliveries,
         # total non-noop decisions, and the lazily folded delivered-prefix
@@ -411,10 +411,11 @@ class ReplicatedLog(Process):
     def submit(self, value: Any) -> None:
         """Submit a command for total-order delivery (callable from outside handlers).
 
-        Values are deduplicated by equality: retransmissions of the same
-        :class:`~repro.consensus.commands.Command` (same ``(client_id, seq)`` and
-        payload) are dropped, while distinct commands with equal effects carry
-        distinct identities and are both kept.
+        :class:`~repro.consensus.commands.Command` values are deduplicated by
+        their identity ``(client_id, seq)``: a retransmission of a pending or
+        decided command is dropped, while distinct commands with equal effects
+        carry distinct identities and are both kept.  Any other value is
+        deduplicated by equality.
         """
         if value == NOOP:
             raise ValueError("the no-op filler value cannot be submitted")

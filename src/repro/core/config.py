@@ -53,11 +53,13 @@ class OmegaConfig:
         The Section-7 ``g`` function extending the timeout; ``None`` for the plain
         algorithms (equivalent to ``g(rn) == 0``).
     history_horizon:
-        Number of past receiving rounds for which ``rec_from`` / ``suspicions``
-        entries are retained, *in addition to* the window required by the line-``*``
-        test.  ``None`` disables garbage collection (faithful to the paper's
+        Number of past receiving rounds for which ``suspicions`` entries are
+        retained, *in addition to* the window required by the line-``*`` test.
+        ``None`` disables their garbage collection (faithful to the paper's
         pseudo-code, which keeps every round); the default keeps memory bounded in
-        long benchmark runs without affecting any decision of the algorithm.
+        long benchmark runs without affecting any decision of the algorithm.  It
+        does not apply to ``rec_from``: a round's reception set is dropped as soon
+        as the round closes, because no later step reads it.
     round_resync_gap:
         Crash-recovery / partition extension (NOT part of the paper, whose model
         is crash-stop with reliable links): when set, the process keeps its two

@@ -90,7 +90,8 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         self._started = False
 
         # -- instrumentation (read by repro.analysis) ---------------------------------
-        #: History of (time, timeout_value) pairs, one per line-11 reset.
+        #: History of (time, timeout_value) pairs, one per change of the
+        #: line-11 value: a reset to the value already in force adds nothing.
         self.timeout_history: List[tuple] = []
         #: History of (time, leader) pairs, recorded at every leader change.
         self.leader_history: List[tuple] = []
@@ -221,6 +222,8 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         )
         self.counters["round_resyncs"] += 1
         env.log("round_resync", from_rn=self.receiving_round, to_rn=target)
+        for skipped in range(self.receiving_round, target):
+            self.records.close_round(skipped)
         self.receiving_round = target
         self._arm_round_timer(env, self._timeout_value())
         self._collect_garbage()
@@ -245,7 +248,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
 
     def _finish_round(self, env: Environment) -> None:
         rn = self.receiving_round
-        received = self.records.rec_from(rn)
+        received = self.records.close_round(rn)
         suspects = frozenset(pid for pid in range(self.n) if pid not in received)
         # The paper broadcasts unconditionally (line 10), even when the suspect set is
         # empty; so do we by default, so message-count experiments match its cost
@@ -264,7 +267,8 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
     def _arm_round_timer(self, env: Environment, timeout: float) -> None:
         self._round_timer_expired = False
         self._round_timer = env.set_timer(timeout, ROUND_TIMER)
-        self.timeout_history.append((env.now, timeout))
+        if not self.timeout_history or self.timeout_history[-1][1] != timeout:
+            self.timeout_history.append((env.now, timeout))
 
     def _timeout_value(self) -> float:
         """Line 11: reset the timer to ``max(susp_level)`` (in ``timeout_unit``s).

@@ -131,13 +131,22 @@ class RoundRecords:
 
     Garbage collection
     ------------------
-    ``purge_below(limit)`` drops rounds strictly below ``limit``.  The algorithm only
-    calls it with limits that are below every round the line-``*`` window test can
-    still consult, so collection never changes a decision; tests compare GC-enabled
-    and GC-disabled runs to confirm this.  It runs at every round close, so it
-    costs what it drops, not what is retained: it walks the round numbers from
-    the previous limit up (or the tables, when those are fewer), plus the few
-    late ``SUSPICION`` rounds stored below the previous limit.
+    The two tables are read on different schedules, so they are freed on
+    different schedules:
+
+    * ``rec_from[rn]`` is read only while ``rn`` is at or above the receiving
+      round (ALIVEs of a closed round are not counted, line 6).  The algorithm
+      therefore hands a round's set back with :meth:`close_round` when it
+      closes or skips the round, and ``rec_from`` holds only open rounds.
+    * ``suspicions[rn]`` can still be incremented and consulted after ``rn``
+      closed (a late ``SUSPICION``, the line-``*`` window).  ``purge_below(limit)``
+      drops rounds strictly below ``limit``; the algorithm only calls it with
+      limits below every round the window test can still consult, so collection
+      never changes a decision, and tests compare GC-enabled and GC-disabled
+      runs to confirm this.  It runs at every round close, so it costs what it
+      drops, not what is retained: it walks the round numbers from the previous
+      limit up (or the tables, when those are fewer), plus the few late
+      ``SUSPICION`` rounds stored below the previous limit.
     """
 
     def __init__(self, owner: int) -> None:
@@ -166,6 +175,12 @@ class RoundRecords:
     def add_reception(self, rn: int, sender: int) -> None:
         """Record that ``ALIVE(rn)`` from *sender* was counted (line 6)."""
         self.rec_from(rn).add(sender)
+
+    def close_round(self, rn: int) -> Set[int]:
+        """Forget round *rn*'s reception set and return it (``{owner}`` when the
+        round holds none or was purged); no later call reads it again."""
+        record = self._rec_from.pop(rn, None)
+        return {self.owner} if record is None else record
 
     def reception_count(self, rn: int) -> int:
         """Return ``|rec_from[rn]|``."""

@@ -22,24 +22,13 @@ service layer, the way a coverage-guided fuzzer closes one over a program:
   deterministic regression tests from findings;
 * :mod:`~repro.fuzz.campaign` — the multiprocessing campaign runner whose
   merged report is reproducible bit-for-bit across worker counts.
+
+Only the probes are imported here: ``import repro.fuzz.executor`` (which a
+benchmark run does) must not pay for the campaign stack and
+``multiprocessing``.  Import the campaign, corpus, coverage, mutation and
+minimisation names from their modules.
 """
 
-from repro.fuzz.campaign import (
-    CampaignConfig,
-    CampaignReport,
-    CampaignRunner,
-    Finding,
-    run_campaign,
-)
-from repro.fuzz.corpus import (
-    Corpus,
-    CorpusEntry,
-    amnesia_witness_plan,
-    benign_seed_plans,
-    plan_fingerprint,
-    seed_corpus,
-)
-from repro.fuzz.coverage import CoverageMap, bucket, signature
 from repro.fuzz.executor import (
     FUZZ_BASELINE,
     Violation,
@@ -52,40 +41,14 @@ from repro.fuzz.linearizability import (
     check_history,
     sequential_history,
 )
-from repro.fuzz.minimize import (
-    MinimizationResult,
-    ddmin,
-    emit_regression_test,
-    minimize,
-)
-from repro.fuzz.mutators import MutationEngine
 
 __all__ = [
-    "CampaignConfig",
-    "CampaignReport",
-    "CampaignRunner",
-    "Corpus",
-    "CorpusEntry",
-    "CoverageMap",
     "FUZZ_BASELINE",
-    "Finding",
     "LinearizabilityVerdict",
-    "MinimizationResult",
-    "MutationEngine",
     "Violation",
-    "amnesia_witness_plan",
     "apply_kv",
-    "benign_seed_plans",
-    "bucket",
     "check_history",
-    "ddmin",
-    "emit_regression_test",
     "harvest_features",
-    "minimize",
-    "plan_fingerprint",
-    "run_campaign",
     "run_scenario",
-    "seed_corpus",
     "sequential_history",
-    "signature",
 ]

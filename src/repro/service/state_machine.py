@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Dict, Set, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.consensus.commands import Command
+from repro.consensus.commands import Command, SeqSet
 
 #: Sentinel distinguishing "key absent" from "value is None" in ``delete``.
 _MISSING = object()
@@ -31,13 +31,16 @@ class ClientSessionState:
     """Exactly-once bookkeeping for one client at one shard.
 
     A shard sees an arbitrary *subset* of a client's sequence numbers (the other
-    commands hashed to other shards) in decided-log order, which need not be seq
-    order.  Deduplication therefore tracks the applied seq *set*, not a high-water
-    mark; ``last_seq``/``last_result`` cache the most recently applied command so
-    a retry of it can be answered with the original result.
+    commands hashed to other shards, and lease-served reads are never applied)
+    in decided-log order, which need not be seq order.  Deduplication therefore
+    tracks the applied seq *set*: no contiguous-prefix watermark could ever
+    advance past the first seq this shard never sees.  The set is a
+    :class:`~repro.consensus.commands.SeqSet`, 8 bytes per applied command.
+    ``last_seq``/``last_result`` cache the most recently applied command so a
+    retry of it can be answered with the original result.
     """
 
-    applied_seqs: Set[int] = dataclasses.field(default_factory=set)
+    applied_seqs: SeqSet = dataclasses.field(default_factory=SeqSet)
     last_seq: int = -1
     last_result: Any = None
 
@@ -138,7 +141,7 @@ class KeyValueStore:
     def sessions(self) -> Dict[str, Tuple[int, ...]]:
         """Return client_id -> sorted applied sequence numbers."""
         return {
-            client: tuple(sorted(session.applied_seqs))
+            client: tuple(session.applied_seqs)
             for client, session in self._sessions.items()
         }
 
@@ -179,7 +182,7 @@ class KeyValueStore:
                 (
                     "session",
                     client,
-                    tuple(sorted(session.applied_seqs)),
+                    tuple(session.applied_seqs),
                     session.last_seq,
                     session.last_result,
                 )
@@ -202,7 +205,7 @@ class KeyValueStore:
             elif kind == "session":
                 _, client, applied_seqs, last_seq, last_result = item
                 self._sessions[client] = ClientSessionState(
-                    applied_seqs=set(applied_seqs),
+                    applied_seqs=SeqSet(applied_seqs),
                     last_seq=last_seq,
                     last_result=last_result,
                 )

@@ -436,6 +436,16 @@ class TestRoundResync:
         assert algorithm.receiving_round == 10
         assert env.messages_of_type(Suspicion) == []
 
+    def test_resync_forgets_the_receptions_of_the_rounds_it_skips(self):
+        algorithm, env = self._stuck_at_round_1()
+        for rn in range(2, 10):
+            deliver_round_alive(algorithm, env, rn, senders=[1] if rn < 5 else [1, 2])
+        algorithm.on_message(env, 1, Alive(rn=10, susp_level=()))
+        assert algorithm.receiving_round == 5
+        assert sorted(algorithm.records._rec_from) == [5, 6, 7, 8, 9, 10]
+        env.fire_due_timers(algorithm)
+        assert sorted(algorithm.records._rec_from) == [10]
+
 
 class TestErrorsAndHousekeeping:
     def test_unknown_message_type_rejected(self):

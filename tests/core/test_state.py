@@ -180,6 +180,15 @@ class TestRoundRecords:
         records.add_suspicion(1, 2)
         assert records.memory_cells() >= 2
 
+    def test_close_round_hands_back_the_set_and_keeps_the_suspicions(self):
+        records = RoundRecords(owner=0)
+        records.add_reception(4, 2)
+        records.add_suspicion(4, 3)
+        assert records.close_round(4) == {0, 2}
+        assert records.close_round(5) == {0}
+        assert records.tracked_rounds() == 1
+        assert records.suspicion_count(4, 3) == 1
+
 
 class TestLexicographicMin:
     def test_prefers_lower_value(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.consensus.commands import Batch, Command, flatten_value
 from repro.service.sharding import ShardRouter
+from repro.service.state_machine import KeyValueStore
 
 
 class TestCommand:
@@ -30,6 +31,30 @@ class TestCommand:
         assert hash(command) == hash(Command.put("a", 1, "k", "v"))
         with pytest.raises(Exception):
             command.seq = 2
+
+
+class TestCommandIdentityTypes:
+    """``(client_id, seq)`` is a command's identity, so both must have one type:
+    a float or bool seq compares equal to an int one and would merge two
+    distinct commands in the exactly-once session table."""
+
+    @pytest.mark.parametrize("seq", [1.0, "1", True, None])
+    def test_a_seq_that_is_not_an_int_is_rejected(self, seq):
+        with pytest.raises(TypeError, match="seq must be an int"):
+            Command("c", seq, "put", "k", ("a",))
+
+    @pytest.mark.parametrize("client_id", [1, None, ("c",)])
+    def test_a_client_id_that_is_not_a_str_is_rejected(self, client_id):
+        with pytest.raises(TypeError, match="client_id must be a str"):
+            Command(client_id, 1, "put", "k", ("a",))
+
+    def test_two_distinct_commands_cannot_merge_through_a_float_seq(self):
+        store = KeyValueStore()
+        store.apply(Command("c", 1, "put", "k", ("b",)))
+        with pytest.raises(TypeError):
+            store.apply(Command("c", 1.0, "put", "k", ("a",)))
+        assert store.get("k") == "b"
+        assert store.duplicates_skipped == 0
 
 
 class TestBatch:
