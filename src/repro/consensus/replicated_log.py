@@ -83,12 +83,16 @@ own vote without a network round trip.  Sending first matters under a
 write-cost model: the fan-out is not charged the leader's own fsync (the two
 overlap, as they would on a real disk), while every *reply* an acceptor sends
 still leaves after its write.  A steady leader therefore spends
-``3 × (n - 1)`` messages and two message delays per decided position.  The
-drive tick still paces proposals with one position in flight, and
-``retry_period`` re-sends an unanswered ``AcceptRequest`` under the same
-ballot with the same value (an unanswered ``Prepare`` is retried with a
-higher ballot: acceptors nack a ballot they already promised, which is what
-stops an amnesic restarted proposer from reusing one).
+``3 × (n - 1)`` messages and two message delays per decided position.  One
+position is in flight at a time.  A ``Forward`` that reaches a leader which
+owns its ballot and has nothing in flight is proposed in the same handler
+turn, so a follower's batch does not wait for the leader's next drive tick.
+Everything else stays on the drive tick: starting a ballot, proposing local
+submissions, proposing again once a quorum closed, and re-sending an
+unanswered ``AcceptRequest`` after ``retry_period`` under the same ballot
+with the same value (an unanswered ``Prepare`` is retried with a higher
+ballot: acceptors nack a ballot they already promised, which is what stops
+an amnesic restarted proposer from reusing one).
 
 The catch-up protocol
 ---------------------
@@ -593,6 +597,15 @@ class ReplicatedLog(Process):
             for value in flatten_value(message.value):
                 if not self._is_decided_value(value):
                     self._arrivals[value] = None
+            # An idle owning leader proposes the batch now, not at its next
+            # tick.  The oracle is asked as well: a demotion drops ownership
+            # only on the next tick.
+            if (
+                self._owned
+                and self._inflight == -1
+                and self.oracle.leader() == self.pid
+            ):
+                self._lead(env)
             return
         if isinstance(message, CatchUpRequest):
             self._serve_catch_up(env, sender, message.frontier)
@@ -1060,8 +1073,12 @@ class ReplicatedLog(Process):
     def _lead(self, env: Environment) -> None:
         """The leader's proposal step: one position in flight at a time.
 
-        Runs on every drive tick of a process its oracle names leader, and
-        once more the moment a promise quorum hands it the ballot.
+        Three triggers run it:
+
+        * every drive tick of a process its oracle names leader;
+        * the moment a promise quorum hands it the ballot;
+        * a ``Forward`` arriving while its oracle names it leader, it owns
+          its ballot and no position is in flight.
         """
         position = self._frontier
         value = self._candidate_value()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.consensus.batching import AdaptiveBatchPolicy
 from repro.consensus.commands import Batch, Command, flatten_value, payload_intact
+from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import (
     Accepted,
     AcceptRequest,
@@ -13,6 +14,8 @@ from repro.consensus.messages import (
     CatchUpRequest,
     Decide,
     Forward,
+    LeaseGrant,
+    LeaseRequest,
     Nack,
     Prepare,
     Promise,
@@ -144,6 +147,17 @@ def vote(log, env, senders=None):
             Accepted(instance=request.instance, ballot=request.ballot, value=request.value),
         )
     return request
+
+
+def owning_leader(**kwargs):
+    """A leader that owns its ballot and has decided ``first`` at position 0."""
+    log, oracle, env = make(pid=0, leader=0, **kwargs)
+    log.submit("first")
+    tick(log, env)
+    promise(log, env)
+    vote(log, env)
+    assert log.decided_log() == {0: "first"}
+    return log, oracle, env
 
 
 def forwarded_batches(env, dest=None):
@@ -729,16 +743,6 @@ class TestLeaderBallot:
     """One ballot, many positions: phase 1 once per leadership, the leader as
     its own acceptor and learner (default shape n=5, t=2: quorum 3)."""
 
-    def owning_leader(self, **kwargs):
-        """A leader that owns its ballot and has decided ``first`` at position 0."""
-        log, oracle, env = make(pid=0, leader=0, **kwargs)
-        log.submit("first")
-        tick(log, env)
-        promise(log, env)
-        vote(log, env)
-        assert log.decided_log() == {0: "first"}
-        return log, oracle, env
-
     def test_first_proposal_prepares_the_suffix_at_the_peers_only(self):
         log, _, env = make(pid=0, leader=0)
         log.on_message(env, 1, Decide(instance=0, value="a"))
@@ -768,7 +772,7 @@ class TestLeaderBallot:
         assert log.delivered() == ["cmd"]  # learnt locally, same turn
 
     def test_later_positions_skip_phase_one(self):
-        log, _, env = self.owning_leader()
+        log, _, env = owning_leader()
         env.clear_sent()
         for position, command in enumerate(("second", "third"), start=1):
             log.submit(command)
@@ -842,7 +846,7 @@ class TestLeaderBallot:
         assert (request.instance, request.value) == (2, "mine")
 
     def test_nack_drops_ownership_and_the_next_ballot_clears_it_in_one_step(self):
-        log, _, env = self.owning_leader()
+        log, _, env = owning_leader()
         owned = env.messages_of_type(Prepare)[-1].ballot
         log.submit("second")
         tick(log, env)
@@ -858,7 +862,7 @@ class TestLeaderBallot:
         assert vote(log, env).value == "second"
 
     def test_stale_nack_is_ignored(self):
-        log, _, env = self.owning_leader()
+        log, _, env = owning_leader()
         owned = env.messages_of_type(Prepare)[-1].ballot
         log.on_message(env, 1, Nack(ballot=owned - 5, promised=1000))
         log.submit("second")
@@ -866,7 +870,7 @@ class TestLeaderBallot:
         assert env.messages_of_type(AcceptRequest)[-1].value == "second"
 
     def test_demotion_by_the_oracle_drops_ownership(self):
-        log, oracle, env = self.owning_leader()
+        log, oracle, env = owning_leader()
         owned = env.messages_of_type(Prepare)[-1].ballot
         oracle.set(3)
         tick(log, env)
@@ -878,7 +882,7 @@ class TestLeaderBallot:
         assert {m.ballot for m in env.messages_of_type(Prepare)} == {owned + 5}
 
     def test_promising_a_rival_drops_ownership(self):
-        log, _, env = self.owning_leader()
+        log, _, env = owning_leader()
         log.on_message(env, 3, Prepare(ballot=43, from_position=1))
         assert sent_to(env, Promise)[-1][0] == 3
         log.submit("second")
@@ -888,7 +892,7 @@ class TestLeaderBallot:
         assert {m.ballot for m in env.messages_of_type(Prepare)} == {45}
 
     def test_unanswered_accept_request_is_resent_unchanged(self):
-        log, _, env = self.owning_leader(batch_size=4, retry_period=10.0)
+        log, _, env = owning_leader(batch_size=4, retry_period=10.0)
         store = StableStore(pid=0)
         log.attach_storage(store)
         log.submit("second")
@@ -907,7 +911,7 @@ class TestLeaderBallot:
         assert log.decided_log()[1] == "second"
 
     def test_in_flight_position_learnt_by_catch_up_still_decides_the_proposal(self):
-        log, _, env = self.owning_leader()
+        log, _, env = owning_leader()
         log.submit("second")
         tick(log, env)
         request = env.messages_of_type(AcceptRequest)[-1]
@@ -922,7 +926,7 @@ class TestLeaderBallot:
         ]
 
     def test_votes_for_another_round_do_not_count(self):
-        log, _, env = self.owning_leader()
+        log, _, env = owning_leader()
         owned = env.messages_of_type(Prepare)[-1].ballot
         log.submit("second")
         tick(log, env)
@@ -962,6 +966,71 @@ class TestLeaderBallot:
         assert witness_env.sent == []
         tick(leader, leader_env, ticks=3)
         assert leader_env.messages_of_type(AcceptRequest) == []
+
+
+class TestProposeOnForward:
+    """A ``Forward`` that reaches an idle leader owning its ballot is proposed
+    in the same handler turn; everything else waits for the drive tick."""
+
+    BATCH = Batch(commands=("a", "b", "c"))
+
+    def owning_idle_leader(self, **kwargs):
+        """An owning leader with nothing in flight and nothing sent yet."""
+        log, oracle, env = owning_leader(batch_size=4, **kwargs)
+        env.clear_sent()
+        return log, oracle, env
+
+    def test_a_forward_to_an_idle_owning_leader_is_proposed_in_the_same_turn(self):
+        log, _, env = self.owning_idle_leader()
+        log.on_message(env, 3, Forward(value=self.BATCH))
+        requests = sent_to(env, AcceptRequest)
+        assert [dest for dest, _ in requests] == [1, 2, 3, 4]
+        assert {message.instance for _, message in requests} == {1}
+        assert {message.value for _, message in requests} == {self.BATCH}
+        assert log.counters["accept_rounds_started"] == 2  # one broadcast each
+        vote(log, env)
+        assert log.delivered_commands() == ["first", "a", "b", "c"]
+
+    def test_with_a_position_in_flight_the_forward_waits_for_the_tick(self):
+        log, _, env = self.owning_idle_leader()
+        log.submit("second")
+        tick(log, env)
+        in_flight = env.messages_of_type(AcceptRequest)[-1]
+        log.on_message(env, 3, Forward(value=self.BATCH))
+        env.advance(log.retry_period)  # a re-send is due, but a tick sends it
+        log.on_message(env, 4, Forward(value=self.BATCH))
+        assert env.messages_of_type(AcceptRequest) == [in_flight] * 4
+        vote(log, env)  # the quorum closes: decided, but not proposed again
+        assert log.decided_log()[1] == "second"
+        assert env.messages_of_type(AcceptRequest) == [in_flight] * 4
+        tick(log, env)
+        request = env.messages_of_type(AcceptRequest)[-1]
+        assert (request.instance, request.value) == (2, self.BATCH)
+
+    def test_a_leader_owning_no_ballot_prepares_only_on_the_tick(self):
+        log, _, env = make(pid=0, leader=0, batch_size=4)
+        log.on_message(env, 3, Forward(value=self.BATCH))
+        assert env.sent == []
+        assert log.forwarded == ["a", "b", "c"]
+        tick(log, env)
+        assert log.counters["ballots_started"] == 1
+        assert len(env.messages_of_type(Prepare)) == 4
+
+    def test_a_demoted_leader_proposes_nothing_on_a_forward(self):
+        log, oracle, env = self.owning_idle_leader()
+        oracle.set(3)  # ownership is only dropped at the next tick
+        log.on_message(env, 3, Forward(value=self.BATCH))
+        assert env.sent == []
+
+    def test_a_lease_gated_leader_proposes_nothing_on_a_forward(self):
+        log, _, env = self.owning_idle_leader(leases=LeaseManager(pid=0, n=5, t=2))
+        env.set_time(10.0)  # past the post-start grant blackout
+        log.on_message(env, 3, LeaseRequest(round=1, sent_at=9.5))
+        assert [type(m) for m in env.messages_to(3)] == [LeaseGrant]
+        env.clear_sent()
+        log.on_message(env, 2, Forward(value=self.BATCH))
+        assert env.sent == []
+        assert log.forwarded == ["a", "b", "c"]
 
 
 class _Scripted:

@@ -10,7 +10,8 @@ execution computes.  Five runs are pinned by fingerprint: Figure 3 alone
 order, delay arithmetic, digest content) flips one of the digests and fails
 loudly.  Beside the digests sit the exact per-commit costs of the
 ``sharded_service`` run, the idle-shard message budget, the lease read path's
-speedup floor and the compaction soak's verdicts.
+speedup floor, the compaction soak's verdicts and, on every service run, a
+monitor that holds each leader to one log position in flight.
 
 When a PR *intentionally* changes executions (new protocol feature, changed
 default, a protocol-level optimisation that sends different messages), re-pin
@@ -25,6 +26,7 @@ import dataclasses
 import pytest
 
 from repro.analysis.service_metrics import record_run
+from repro.consensus.messages import AcceptRequest
 from repro.core.figure3 import Figure3Omega
 from repro.service import ServiceSpec, build_service, build_sharded_service, start_workload
 from repro.simulation.delays import UniformDelay
@@ -34,28 +36,34 @@ from repro.util.rng import RandomSource, fingerprint
 
 #: Fingerprints of the five pinned runs (see module docstring for when these
 #: may be re-pinned).
-#: The four ``sharded_service*`` digests were last re-pinned when catch-up
-#: began to ride the heartbeat: replicas stopped sending a ``CATCHUP_REQ``
-#: every drive tick, and ``StarDelayModel`` draws consensus delays from the
-#: ``control`` stream it shares with SUSPICION, so every later draw moved.
+#: The four ``sharded_service*`` digests were last re-pinned when an idle
+#: leader that owns its ballot began proposing the moment a ``Forward``
+#: arrives instead of at its next drive tick.  Consensus messages leave
+#: earlier, and ``StarDelayModel`` draws their delays from the ``control``
+#: stream it shares with SUSPICION, so every later draw moved (as when
+#: catch-up began to ride the heartbeat, the re-pin before).
 #: ``omega_broadcast`` runs no log and did not move.
 PINNED_QUICK_FINGERPRINTS = {
     "omega_broadcast": "5b36c19e15a2d846c7993c1ab1ae0ea3c4168de467ca0aeb79e9c3d3da0685cb",
-    "sharded_service": "98215c4f7a9140969cdd12a9c906b6f37929a6e3ae8e22a73fa048af1474622d",
-    "sharded_service_storage": "2992082a5910e5615b429ef513848385862ad1526417c1d60360565fa745e77d",
-    "sharded_service_compaction": "d4a55a5c9ba062099363fda1d9ab06f5ba9cce33140513075f01ae252f2338ca",
-    "sharded_service_read_leases": "aae8348f9daee2d614a6ccdb3f2680a1612cd63d652eff1eb0c86a972847cf6a",
+    "sharded_service": "d8ae2b7f52ccd70209c9123dd6d801527dac3b121d26f9b8c421950691281e71",
+    "sharded_service_storage": "faa53902aa90b8ce164e3725f41450f7313585f93a4b8b0866cb81d0bc1b7000",
+    "sharded_service_compaction": "231d40e91b9ffc525b67b9b8d85b590ab2a39344fc790684c7488b225d567b35",
+    "sharded_service_read_leases": "097d1ceaa95b91d3c52987d6f11822998bc9f2a7b1575eccd0361bad8b44ad62",
 }
 
 #: Messages per committed command of the ``sharded_service`` quick shape — an
 #: exact count.  It was 13.463 while every pending command was re-forwarded on
 #: every drive tick, 12.826 while every log position ran its own Paxos phase 1,
 #: 9.69 while every receiving round broadcast a SUSPICION, empty or not
-#: (``OmegaConfig.quiet_rounds``), and 6.365 while every follower polled its
+#: (``OmegaConfig.quiet_rounds``), 6.365 while every follower polled its
 #: leader for missed decisions on every drive tick instead of only when a
-#: heartbeat advertised a higher frontier; a change that raises it again must
-#: say why and re-pin.
-SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 5.808
+#: heartbeat advertised a higher frontier, and 5.808 while an idle leader
+#: held every forwarded batch until its next drive tick.  That fall is the
+#: unchanged ALIVE/SUSPICION background shared by 14% more commits; the
+#: consensus messages per commit rose a little (1.95 → 2.16), because this
+#: shape's batches got smaller.  A change that raises it again must say why
+#: and re-pin.
+SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 5.552
 
 #: Scheduler events per committed command of the same run — exact, like the
 #: messages ceiling.  It was 14.036 while every closed-loop client re-armed a
@@ -63,9 +71,11 @@ SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 5.808
 #: (about half of all events); since a replica *wakes* the client, which then
 #: observes once at its next poll tick, 11.933; since followers stopped
 #: polling their leader for missed decisions every drive tick (catch-up on
-#: heartbeat evidence), it is 11.348.  A change that raises it again — per-tick
-#: polling coming back, say — must say why and re-pin.
-SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT = 11.348
+#: heartbeat evidence), 11.348; since an idle leader proposes a forwarded
+#: batch on arrival instead of at its next drive tick, it is 10.669.  A change
+#: that raises it again — per-tick polling coming back, say — must say why and
+#: re-pin.
+SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT = 10.669
 
 #: Exact sends by tag of one default-star shard that no client ever talks to,
 #: run for 200 vt at seed 0 — ``(n, t) -> tag -> count``; every other tag is 0.
@@ -130,15 +140,55 @@ def _restart_first_follower(start, downtime):
     return plan
 
 
+class _OnePositionInFlight:
+    """Watches every ``AcceptRequest`` broadcast of a service's shards: under
+    one ballot, a log proposes a new position only once it has learnt the
+    previous one (W=1).  A re-send of the same position is allowed.
+
+    It wraps each shard's ``Network.broadcast`` and reads the sending log's
+    state at the send, so it observes without changing the run.
+    """
+
+    def __init__(self, service):
+        self.proposals = 0
+        self.violations = []
+        # Per log incarnation: the (ballot, position) it last proposed.
+        self._last = {}
+        for system in service.systems:
+            system.network.broadcast = self._watch(system, system.network.broadcast)
+
+    def _watch(self, system, broadcast):
+        def watched(sender, dests, message, **keywords):
+            if isinstance(message, AcceptRequest):
+                self._check(system.shells[sender].algorithm.log, message)
+            return broadcast(sender, dests, message, **keywords)
+
+        return watched
+
+    def _check(self, log, request):
+        proposal = (request.ballot, request.instance)
+        previous = self._last.get(log)
+        if previous == proposal:
+            return
+        if previous is not None and previous[0] == request.ballot:
+            position = previous[1]
+            if position >= log.compaction_floor and position not in log.decisions:
+                self.violations.append((log.pid, request.ballot, position, request.instance))
+        self._last[log] = proposal
+        self.proposals += 1
+
+
 def _recorded_run(spec, fault_plan_factory=None, checkpoints=()):
-    """Run *spec* to its horizon; the record at each checkpoint, then at the end."""
+    """Run *spec* to its horizon under the W=1 monitor; the record at each
+    checkpoint, then at the end, and the monitor."""
     service = build_service(spec, fault_plan_factory=fault_plan_factory)
+    monitor = _OnePositionInFlight(service)
     clients = start_workload(service, spec, record_history=True)
     records = []
     for time in (*checkpoints, spec.horizon):
         service.run_until(time)
         records.append(record_run(service, clients))
-    return records
+    return records, monitor
 
 
 def _digests(record, correct_only=True):
@@ -173,9 +223,10 @@ def omega_broadcast():
 
 @pytest.fixture(scope="module")
 def sharded_service():
-    (record,) = _recorded_run(SHARDED_SERVICE)
+    (record,), monitor = _recorded_run(SHARDED_SERVICE)
     return {
         "records": (record,),
+        "monitors": (monitor,),
         "events_per_commit": round(record.events / record.completed, 3),
         "messages_per_commit": round(record.messages / record.completed, 3),
         "fingerprint": fingerprint(
@@ -191,12 +242,13 @@ def sharded_service():
 
 @pytest.fixture(scope="module")
 def sharded_service_storage():
-    (record,) = _recorded_run(
+    (record,), monitor = _recorded_run(
         SHARDED_SERVICE_STORAGE,
         fault_plan_factory=_restart_first_follower(start=40.0, downtime=12.0),
     )
     return {
         "records": (record,),
+        "monitors": (monitor,),
         "fingerprint": fingerprint(
             {
                 "digests": _digests(record, correct_only=False),
@@ -212,7 +264,7 @@ def sharded_service_storage():
 @pytest.fixture(scope="module")
 def sharded_service_compaction():
     spec = SHARDED_SERVICE_COMPACTION
-    mid_run, record = _recorded_run(
+    (mid_run, record), monitor = _recorded_run(
         spec,
         fault_plan_factory=_restart_first_follower(start=900.0, downtime=75.0),
         checkpoints=(spec.horizon / 2,),
@@ -231,6 +283,7 @@ def sharded_service_compaction():
     }
     return {
         "records": (record,),
+        "monitors": (monitor,),
         "committed": committed,
         "committed_mid_run": mid_run.completed,
         "peak_decided_residency": peak,
@@ -249,8 +302,8 @@ def sharded_service_compaction():
 
 @pytest.fixture(scope="module")
 def sharded_service_read_leases():
-    baseline, leased = (
-        _recorded_run(dataclasses.replace(SHARDED_SERVICE_READ_LEASES, leases=leases))[0]
+    ((baseline,), baseline_monitor), ((leased,), leased_monitor) = (
+        _recorded_run(dataclasses.replace(SHARDED_SERVICE_READ_LEASES, leases=leases))
         for leases in (False, True)
     )
     committed, baseline_committed = leased.completed, baseline.completed
@@ -265,6 +318,7 @@ def sharded_service_read_leases():
     }
     return {
         "records": (baseline, leased),
+        "monitors": (baseline_monitor, leased_monitor),
         "committed": committed,
         "baseline_committed": baseline_committed,
         "lease_reads_served": lease_counters["lease_reads_served"],
@@ -297,6 +351,19 @@ def test_pinned_service_runs_break_no_invariant(workload, request):
     (the read-lease shape runs twice), client probes included."""
     for record in request.getfixturevalue(workload)["records"]:
         assert record.violations == ()
+
+
+@pytest.mark.parametrize(
+    "workload", sorted(set(PINNED_QUICK_FINGERPRINTS) - {"omega_broadcast"})
+)
+def test_pinned_service_runs_keep_one_position_in_flight(workload, request):
+    """W=1 on the pinned service runs: no log proposes a new position under
+    one ballot before it has learnt the previous one, whichever trigger (drive
+    tick, promise quorum, ``Forward`` arrival) ran ``_lead``.  A window of
+    W > 1 positions must change this test on purpose."""
+    for monitor in request.getfixturevalue(workload)["monitors"]:
+        assert monitor.proposals > 0
+        assert monitor.violations == []
 
 
 def test_sharded_service_stays_under_its_messages_per_commit_ceiling(sharded_service):

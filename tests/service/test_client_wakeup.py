@@ -10,10 +10,12 @@ same ticks as under per-tick polling, so for shapes in which no two clients
 share a lattice the client histories are those of polling clients.
 
 The equality with polling clients was proven on the tree just before clients
-were woken: the digests below passed there, with per-tick polling.  Catch-up
-on evidence later removed the routine catch-up polls, which moved the shared
-``control`` delay stream, so the digests were re-recorded then; the shapes
-and the assertions on them are unchanged.
+were woken: the digests below passed there, with per-tick polling.  Two later
+protocol changes moved the shared ``control`` delay stream, and the digests
+were re-recorded after each: catch-up on evidence removed the routine
+catch-up polls, and an idle leader that owns its ballot began proposing a
+``Forward`` the moment it arrives instead of at its next drive tick.  The
+shapes and the assertions on them are unchanged.
 """
 
 import pytest
@@ -47,20 +49,20 @@ def _restart_follower(downtime):
 POLLING_HISTORIES = {
     "leases_off": (
         {}, {}, 0.5,
-        "02dea5f3484b28c16f6bd98777f1f6abeec12a7c671dee56416bcf3e631ed91c",
+        "1d25de43ecc1dd8cf9cf558e899549d38431e1e72b3f3514bf3c6ec9448761d1",
     ),
     "leases_on": (
         dict(leases=True), {}, 0.8,
-        "26be231624c7b8906f88f630a66a0696115373b0a3ee587bbd295f4a27b9e1b3",
+        "45ea5e3f499608427f882ae13a37f94cb26013eb30c5254e389f346f07782805",
     ),
     "think_time": (
         {}, dict(think_time=2.0), 0.5,
-        "f8349cbb6010f375a6851ed8a41bcbf54964084d89453a1320c18d40efed576a",
+        "e33a7a904db128cd7e5b9b6b911b54a82fed4214c6913a1acfb997e38a4ee80c",
     ),
     "gateway_crash": (
         dict(fault_plan_factory=lambda shard: FaultPlan.crashes({(shard + 1) % 3: 20.0})),
         {}, 0.5,
-        "b3ae4cdccca8912cd9d47eebad61d7a3ce196ab6dea8097b075fc2ec489b7370",
+        "9f6a7381858b0d28cc42fcad88b9af86ed39800da514e1361b6fce43654bb8f4",
     ),
     "compaction_restart": (
         dict(
@@ -68,12 +70,12 @@ POLLING_HISTORIES = {
             fault_plan_factory=_restart_follower(30.0),
         ),
         {}, 0.5,
-        "20df42d67dd16a59537046d3e9c7ba4ffffb5b9ff9ec0ab6f4e89acc9b493c71",
+        "15ce74ea6041212436f0d461b58f92e487e2f87a652a354aeadd288f149c089d",
     ),
     "storage_replay": (
         dict(stable_storage=True, fault_plan_factory=_restart_follower(20.0)),
         {}, 0.5,
-        "03edb5e6d92005be7245182f202a5de84297494a5bb8d2b3a8b05e2d65c5c2d4",
+        "2684899b4022707c67af8583f27550f343f2644a5025b18733a023bcd729bbc7",
     ),
 }
 
