@@ -33,10 +33,25 @@ A command submitted at a non-leader reaches the leader in a
 on a drive tick a non-leader sends *at most one* ``Forward`` to the process it
 trusts, carrying — as a :class:`~repro.consensus.commands.Batch`, so the
 payload check and the corruption model treat it like any other command
-envelope — only the commands submitted since its previous tick.  The whole
-pending set is sent again only when
+envelope — only the commands submitted since its previous ``Forward``.
 
-* the trusted leader **changed** since the previous tick (the new leader has
+A submission that finds the replica **idle** — nothing of its own undecided
+and nothing forwarded to it queued — does not wait for the tick (Nagle's
+rule: send at once only when nothing is outstanding).
+:meth:`ReplicatedLog.submit` dispatches it in the submitting turn, through
+the environment the process was started with: a non-leader sends a
+``Forward`` holding just this command, and a leader that owns its ballot
+with no position in flight proposes it.  A replica with anything
+outstanding queues the command for its next tick, and so does one not yet
+started, crashed or stopped.  How often a replica is idle depends on the
+load: in the perfbench workloads (seed 1104) 95% of the submissions of six
+thinking clients find it idle, 21% at 60% of capacity and still 8.5% at
+the throughput knee.  Each idle dispatch travels as a batch of one, so at
+the knee the average batch shrinks (5.2 to 4.2 commands per position).
+
+The whole pending set is sent again only when
+
+* the trusted leader **changed** since the previous forward (the new leader has
   never seen them; a process that was leader itself and got demoted is the
   same case), or
 * ``retry_period`` has elapsed since the last full send to an unchanged
@@ -86,13 +101,15 @@ still leaves after its write.  A steady leader therefore spends
 ``3 × (n - 1)`` messages and two message delays per decided position.  One
 position is in flight at a time.  A ``Forward`` that reaches a leader which
 owns its ballot and has nothing in flight is proposed in the same handler
-turn, so a follower's batch does not wait for the leader's next drive tick.
+turn, so a follower's batch does not wait for the leader's next drive tick;
+so is a local submission that finds such a leader with an empty queue.
 Everything else stays on the drive tick: starting a ballot, proposing local
-submissions, proposing again once a quorum closed, and re-sending an
-unanswered ``AcceptRequest`` after ``retry_period`` under the same ballot
-with the same value (an unanswered ``Prepare`` is retried with a higher
-ballot: acceptors nack a ballot they already promised, which is what stops
-an amnesic restarted proposer from reusing one).
+submissions that arrive while others are queued, proposing again once a
+quorum closed, and re-sending an unanswered ``AcceptRequest`` after
+``retry_period`` under the same ballot with the same value (an unanswered
+``Prepare`` is retried with a higher ballot: acceptors nack a ballot they
+already promised, which is what stops an amnesic restarted proposer from
+reusing one).
 
 The catch-up protocol
 ---------------------
@@ -251,7 +268,9 @@ class ReplicatedLog(Process):
         :class:`~repro.consensus.stack.OmegaConsensusStack`).
     drive_period:
         How often (virtual time) the process re-evaluates leadership, forwards its
-        newly submitted commands and (if leader) starts proposals.
+        newly submitted commands and (if leader) starts proposals.  A
+        submission that finds the replica idle does not wait for it (see
+        :meth:`submit`).
     retry_period:
         The retransmission clock of the command path, with two meanings.  For a
         leader: how long an unanswered ``Prepare`` or ``AcceptRequest`` stays in
@@ -373,7 +392,7 @@ class ReplicatedLog(Process):
         #: this process learnt of them — the order a leader proposes in, so its
         #: own gateway cannot starve the followers'.
         self._arrivals: Dict[Any, None] = {}
-        #: Commands submitted since the last drive tick (submission order) —
+        #: Commands submitted since the last forward (submission order) —
         #: what a tick forwards when no full re-send is due.
         self._unforwarded: List[Any] = []
         #: Whom the last drive tick trusted as leader, and when the whole
@@ -411,6 +430,10 @@ class ReplicatedLog(Process):
         self._store = None
         self._rehydrating = False
 
+        #: The environment this process runs under, from ``on_start`` until
+        #: ``on_crash`` / ``on_stop`` — what an idle :meth:`submit` sends through.
+        self._env: Optional[Environment] = None
+
     # ------------------------------------------------------------------ client API --
     def submit(self, value: Any) -> None:
         """Submit a command for total-order delivery (callable from outside handlers).
@@ -420,13 +443,33 @@ class ReplicatedLog(Process):
         decided command is dropped, while distinct commands with equal effects
         carry distinct identities and are both kept.  Any other value is
         deduplicated by equality.
+
+        A newly admitted command that finds nothing of this replica's
+        undecided or queued is dispatched at once, through the environment the
+        process runs under: a follower forwards it, an owning leader with no
+        position in flight proposes it (see "The command path" in the module
+        docstring).  Before ``on_start`` and after ``on_crash`` / ``on_stop``
+        there is no such environment, and the command waits for the next
+        drive tick of a (re)started process.  Since it may send, call it from
+        the thread that runs the process's handlers (on the asyncio runtime,
+        the event loop's).
         """
         if value == NOOP:
             raise ValueError("the no-op filler value cannot be submitted")
-        if value not in self._pending and not self._is_decided_value(value):
-            self._pending[value] = None
-            self._arrivals[value] = None
-            self._unforwarded.append(value)
+        if value in self._pending or self._is_decided_value(value):
+            return
+        idle = not self._arrivals
+        self._pending[value] = None
+        self._arrivals[value] = None
+        self._unforwarded.append(value)
+        env = self._env
+        if env is None or not idle:
+            return
+        leader = self.oracle.leader()
+        if leader != self.pid:
+            self._forward_pending(env, leader)
+        elif self._owned and self._inflight == -1:
+            self._lead(env)
 
     @property
     def pending(self) -> List[Any]:
@@ -560,8 +603,15 @@ class ReplicatedLog(Process):
 
     # ------------------------------------------------------------------ lifecycle --
     def on_start(self, env: Environment) -> None:
+        self._env = env
         self._advert_time = env.now
         env.set_timer(self.drive_period, DRIVE_TIMER)
+
+    def on_crash(self, env: Environment) -> None:
+        self._env = None
+
+    def on_stop(self, env: Environment) -> None:
+        self._env = None
 
     def heard_frontier(self, now: float, sender: int, frontier: int) -> None:
         """Record *sender*'s advertised decided frontier (the heartbeat header
@@ -901,8 +951,9 @@ class ReplicatedLog(Process):
         """Hand pending commands to the trusted leader: at most one message.
 
         The whole pending set goes out when the trusted leader changed since
-        the last tick or ``retry_period`` elapsed since the last full send;
-        otherwise only the commands submitted since the last tick do.
+        the last forward or ``retry_period`` elapsed since the last full send;
+        otherwise only the commands submitted since the last forward do.
+        Called on every drive tick of a follower and by an idle :meth:`submit`.
         """
         if (
             leader != self._forward_leader
@@ -1073,12 +1124,14 @@ class ReplicatedLog(Process):
     def _lead(self, env: Environment) -> None:
         """The leader's proposal step: one position in flight at a time.
 
-        Three triggers run it:
+        Four triggers run it:
 
         * every drive tick of a process its oracle names leader;
         * the moment a promise quorum hands it the ballot;
         * a ``Forward`` arriving while its oracle names it leader, it owns
-          its ballot and no position is in flight.
+          its ballot and no position is in flight;
+        * a local :meth:`submit` that finds the queue empty while its oracle
+          names it leader, it owns its ballot and no position is in flight.
         """
         position = self._frontier
         value = self._candidate_value()

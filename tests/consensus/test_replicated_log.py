@@ -42,9 +42,14 @@ class _FixedOracle:
         self._leader = leader
 
 
-def make(pid=0, n=5, t=2, leader=0, **kwargs):
+def make(pid=0, n=5, t=2, leader=0, submitted=(), **kwargs):
+    """A started log and its fake environment.  *submitted* values are
+    submitted before ``on_start``: with no environment to send through yet,
+    they queue for the first drive tick together."""
     oracle = _FixedOracle(leader)
     log = ReplicatedLog(pid=pid, n=n, t=t, oracle=oracle, **kwargs)
+    for value in submitted:
+        log.submit(value)
     env = FakeEnvironment(pid=pid, n=n)
     log.on_start(env)
     return log, oracle, env
@@ -177,10 +182,8 @@ class TestForwardOnceBatched:
         return [Command.put(client, seq, f"k{seq}", seq) for seq in range(1, count + 1)]
 
     def test_k_pending_commands_travel_in_exactly_one_forward(self):
-        log, _, env = make(pid=2, leader=4)
         commands = self.commands(5)
-        for command in commands:
-            log.submit(command)
+        log, _, env = make(pid=2, leader=4, submitted=commands)
         tick(log, env)
         assert forwarded_batches(env) == [tuple(commands)]
         assert forwarded_batches(env, dest=4) == [tuple(commands)]
@@ -189,9 +192,7 @@ class TestForwardOnceBatched:
         assert log.counters["forward_commands_sent"] == 5
 
     def test_nothing_resent_while_leader_unchanged_and_retry_not_elapsed(self):
-        log, _, env = make(pid=2, leader=4)
-        for command in self.commands(3):
-            log.submit(command)
+        log, _, env = make(pid=2, leader=4, submitted=self.commands(3))
         tick(log, env)  # t=2: the full send
         env.clear_sent()
         tick(log, env, ticks=4)  # t=4..10: retry_period (10) not yet elapsed
@@ -230,10 +231,10 @@ class TestForwardOnceBatched:
         assert forwarded_batches(env) == []
 
     def test_full_resend_after_retry_period(self):
-        log, _, env = make(pid=2, leader=4, drive_period=2.0, retry_period=10.0)
         commands = self.commands(3)
-        for command in commands:
-            log.submit(command)
+        log, _, env = make(
+            pid=2, leader=4, submitted=commands, drive_period=2.0, retry_period=10.0
+        )
         tick(log, env)  # t=2
         env.clear_sent()
         tick(log, env, ticks=4)  # t=10
@@ -249,10 +250,12 @@ class TestForwardOnceBatched:
     def test_command_decided_between_submit_and_tick_is_not_forwarded(self):
         log, _, env = make(pid=2, leader=4)
         tick(log, env)  # spend the initial full send on an empty pending set
-        decided, kept = self.commands(2)
+        held, decided, kept = self.commands(3)
+        log.submit(held)  # forwarded at once; undecided, so the next two queue
         log.submit(decided)
         log.submit(kept)
         log.on_message(env, 4, Decide(instance=0, value=decided))
+        env.clear_sent()
         tick(log, env)
         assert forwarded_batches(env) == [(kept,)]
 
@@ -274,11 +277,9 @@ class TestForwardOnceBatched:
         assert log.pending == [pending]
 
     def test_tampered_batch_rejected_whole_and_recovered_by_the_resend(self):
-        sender, _, sender_env = make(pid=2, leader=4)
-        leader, _, leader_env = make(pid=4, leader=4)
         commands = self.commands(3)
-        for command in commands:
-            sender.submit(command)
+        sender, _, sender_env = make(pid=2, leader=4, submitted=commands)
+        leader, _, leader_env = make(pid=4, leader=4)
         tick(sender, sender_env)
         (forward,) = sender_env.messages_of_type(Forward)
         tampered = corrupt_message(forward, RandomSource(7, label="tamper"))
@@ -895,8 +896,7 @@ class TestLeaderBallot:
         log, _, env = owning_leader(batch_size=4, retry_period=10.0)
         store = StableStore(pid=0)
         log.attach_storage(store)
-        log.submit("second")
-        tick(log, env)
+        log.submit("second")  # an idle owning leader proposes it at once
         first = env.messages_of_type(AcceptRequest)[-1]
         assert store.snapshot() == {("acceptor", 1): (first.ballot, "second")}
         log.submit("third")  # must not leak into the re-send
@@ -1033,6 +1033,93 @@ class TestProposeOnForward:
         assert log.forwarded == ["a", "b", "c"]
 
 
+class TestDispatchOnIdleSubmit:
+    """A submission that finds nothing of this replica's undecided or queued
+    is forwarded (follower) or proposed (idle owning leader) in the
+    submitting turn; anything else waits for the drive tick."""
+
+    def idle_follower(self):
+        """A follower whose one earlier submission is already decided."""
+        log, _, env = make(pid=2, leader=4)
+        log.submit("old")
+        log.on_message(env, 4, Decide(instance=0, value="old"))
+        env.clear_sent()
+        return log, env
+
+    def test_an_idle_follower_forwards_only_the_new_command_at_once(self):
+        log, env = self.idle_follower()
+        log.submit("new")
+        assert forwarded_batches(env, dest=4) == [("new",)]
+        assert len(env.sent) == 1
+        assert log.counters["forward_msgs_sent"] == 2
+
+    def test_a_follower_holding_an_undecided_submission_waits_for_its_tick(self):
+        log, env = self.idle_follower()
+        log.submit("first")
+        env.clear_sent()
+        log.submit("second")
+        assert env.sent == []
+        tick(log, env)
+        assert forwarded_batches(env, dest=4) == [("second",)]
+
+    def test_an_idle_owning_leader_proposes_at_once(self):
+        log, _, env = owning_leader()
+        env.clear_sent()
+        log.submit("second")
+        requests = sent_to(env, AcceptRequest)
+        assert [dest for dest, _ in requests] == [1, 2, 3, 4]
+        assert {(m.instance, m.value) for _, m in requests} == {(1, "second")}
+        assert len(env.sent) == 4
+        assert log.counters["accept_rounds_started"] == 2  # one broadcast each
+
+    @pytest.mark.parametrize("state", ["position_in_flight", "no_ballot", "lease_gated"])
+    def test_a_leader_that_cannot_propose_now_sends_nothing(self, state):
+        if state == "position_in_flight":
+            # Its proposal was learnt through catch-up before the quorum
+            # closed: the queue is empty, the position still in flight.
+            log, _, env = owning_leader()
+            log.submit("second")
+            tick(log, env)
+            log.on_message(env, 3, CatchUpReply(decisions=((1, "second"),)))
+            assert log.frontier == 2
+        elif state == "no_ballot":
+            log, _, env = make(pid=0, leader=0)
+        else:
+            log, _, env = owning_leader(leases=LeaseManager(pid=0, n=5, t=2))
+            env.set_time(10.0)  # past the post-start grant blackout
+            env.clear_sent()
+            log.on_message(env, 3, LeaseRequest(round=1, sent_at=9.5))
+            assert [type(m) for m in env.messages_to(3)] == [LeaseGrant]
+        env.clear_sent()
+        log.submit("cmd")
+        assert env.sent == []
+        assert log.pending == ["cmd"]
+
+    @pytest.mark.parametrize("ending", ["on_crash", "on_stop"])
+    def test_before_start_and_once_stopped_submit_sends_nothing(self, ending):
+        log, _, env = make(pid=2, leader=4, submitted=["early"])
+        assert env.sent == []
+        tick(log, env)  # the first drive tick forwards it
+        assert forwarded_batches(env, dest=4) == [("early",)]
+        log.on_message(env, 4, Decide(instance=0, value="early"))
+        getattr(log, ending)(env)
+        env.clear_sent()
+        log.submit("late")
+        assert env.sent == []
+        assert log.pending == ["late"]
+
+    def test_a_retransmission_sends_nothing(self):
+        log, env = self.idle_follower()
+        log.submit("new")
+        env.clear_sent()
+        log.submit("new")  # pending
+        log.submit("old")  # decided
+        assert env.sent == []
+        assert log.pending == ["new"]
+        tick(log, env)  # nor is it queued to be forwarded again
+        assert env.sent == []
+
+
 class _Scripted:
     """Leader oracle reading a virtual clock: *first* until *switch_at*, then *second*."""
 
@@ -1087,11 +1174,12 @@ class TestSteadyStateCost:
         assert sent.get("NACK", 0) == 0
 
     def test_a_commit_under_an_owned_ballot_takes_two_message_delays(self):
-        # Submitted at t=9 (a drive tick is due at t=10), delays 0.5: the
-        # AcceptRequest leaves at 10, the quorum's Accepted is back at 11.
-        run = run_log_system(3, 1, [(1.0, 0, "warm"), (9.0, 0, "timed")], horizon=10.9)
+        # Submitted at t=9 to an idle leader owning its ballot, delays 0.5:
+        # the AcceptRequest leaves at 9, the quorum's Accepted is back at 10
+        # (no drive tick in between; the next is due at t=10).
+        run = run_log_system(3, 1, [(1.0, 0, "warm"), (9.0, 0, "timed")], horizon=9.9)
         assert run.shells[0].algorithm.delivered() == ["warm"]
-        run = run_log_system(3, 1, [(1.0, 0, "warm"), (9.0, 0, "timed")], horizon=11.0)
+        run = run_log_system(3, 1, [(1.0, 0, "warm"), (9.0, 0, "timed")], horizon=10.0)
         assert run.shells[0].algorithm.delivered() == ["warm", "timed"]
 
     def test_leader_change_costs_one_prepare_broadcast_and_keeps_the_value(self):

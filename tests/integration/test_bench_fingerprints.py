@@ -9,9 +9,10 @@ execution computes.  Five runs are pinned by fingerprint: Figure 3 alone
 ``start_workload``.  Any change that alters an execution (event order, RNG draw
 order, delay arithmetic, digest content) flips one of the digests and fails
 loudly.  Beside the digests sit the exact per-commit costs of the
-``sharded_service`` run, the idle-shard message budget, the lease read path's
-speedup floor, the compaction soak's verdicts and, on every service run, a
-monitor that holds each leader to one log position in flight.
+``sharded_service`` run, the idle-shard message budget, the mean latency of
+clients that find their gateway idle, the lease read path's speedup floor,
+the compaction soak's verdicts and, on every service run, a monitor that
+holds each leader to one log position in flight.
 
 When a PR *intentionally* changes executions (new protocol feature, changed
 default, a protocol-level optimisation that sends different messages), re-pin
@@ -28,7 +29,14 @@ import pytest
 from repro.analysis.service_metrics import record_run
 from repro.consensus.messages import AcceptRequest
 from repro.core.figure3 import Figure3Omega
-from repro.service import ServiceSpec, build_service, build_sharded_service, start_workload
+from repro.service import (
+    ServiceSpec,
+    build_service,
+    build_sharded_service,
+    start_clients,
+    start_workload,
+    zipfian_workload,
+)
 from repro.simulation.delays import UniformDelay
 from repro.simulation.faults import FaultPlan
 from repro.simulation.system import System, SystemConfig
@@ -36,19 +44,25 @@ from repro.util.rng import RandomSource, fingerprint
 
 #: Fingerprints of the five pinned runs (see module docstring for when these
 #: may be re-pinned).
-#: The four ``sharded_service*`` digests were last re-pinned when an idle
-#: leader that owns its ballot began proposing the moment a ``Forward``
-#: arrives instead of at its next drive tick.  Consensus messages leave
-#: earlier, and ``StarDelayModel`` draws their delays from the ``control``
-#: stream it shares with SUSPICION, so every later draw moved (as when
-#: catch-up began to ride the heartbeat, the re-pin before).
-#: ``omega_broadcast`` runs no log and did not move.
+#: The four ``sharded_service*`` digests were last re-pinned when a replica
+#: with nothing undecided began dispatching a submission in the submitting
+#: turn — a follower forwards it, an idle owning leader proposes it —
+#: instead of holding it until its next drive tick.  ``Forward`` and
+#: ``AcceptRequest`` messages leave earlier, and ``StarDelayModel`` draws
+#: their delays from the ``control`` stream it shares with SUSPICION, so
+#: every later draw moved.  In ``sharded_service_read_leases`` this covers
+#: a lease read that times out and falls back to the ordered path too: it is
+#: submitted from the drive tick's hook and, finding the replica idle, leaves
+#: in that same turn as one command rather than in the tick's batch.  The
+#: re-pin before was for an idle owning leader proposing a ``Forward`` the
+#: moment it arrives, and the one before that for catch-up riding the
+#: heartbeat.  ``omega_broadcast`` runs no log and did not move.
 PINNED_QUICK_FINGERPRINTS = {
     "omega_broadcast": "5b36c19e15a2d846c7993c1ab1ae0ea3c4168de467ca0aeb79e9c3d3da0685cb",
-    "sharded_service": "d8ae2b7f52ccd70209c9123dd6d801527dac3b121d26f9b8c421950691281e71",
-    "sharded_service_storage": "faa53902aa90b8ce164e3725f41450f7313585f93a4b8b0866cb81d0bc1b7000",
-    "sharded_service_compaction": "231d40e91b9ffc525b67b9b8d85b590ab2a39344fc790684c7488b225d567b35",
-    "sharded_service_read_leases": "097d1ceaa95b91d3c52987d6f11822998bc9f2a7b1575eccd0361bad8b44ad62",
+    "sharded_service": "fad43f5b32e2051f4456d8125e83abe00def05dec1470894af371aaae1a0cdf3",
+    "sharded_service_storage": "ecec4764075de7649aa16e4709f3497e0e22e87bc1dc4c8f19c6cd32227e9523",
+    "sharded_service_compaction": "90175dcb2d2c17984b5c400e8160c3be9484c4100362cd3c2eeaecfa08f392e5",
+    "sharded_service_read_leases": "71d5487eb2b8a8227715651fe7232857be6b588e0f183a203f631f57f3ebfa11",
 }
 
 #: Messages per committed command of the ``sharded_service`` quick shape — an
@@ -57,13 +71,14 @@ PINNED_QUICK_FINGERPRINTS = {
 #: 9.69 while every receiving round broadcast a SUSPICION, empty or not
 #: (``OmegaConfig.quiet_rounds``), 6.365 while every follower polled its
 #: leader for missed decisions on every drive tick instead of only when a
-#: heartbeat advertised a higher frontier, and 5.808 while an idle leader
-#: held every forwarded batch until its next drive tick.  That fall is the
-#: unchanged ALIVE/SUSPICION background shared by 14% more commits; the
-#: consensus messages per commit rose a little (1.95 → 2.16), because this
-#: shape's batches got smaller.  A change that raises it again must say why
-#: and re-pin.
-SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 5.552
+#: heartbeat advertised a higher frontier, 5.808 while an idle leader
+#: held every forwarded batch until its next drive tick, and 5.552 while a
+#: replica with nothing undecided held a client submission until its next
+#: drive tick.  Both later falls are the unchanged ALIVE/SUSPICION background
+#: shared by more commits (14%, then 21%); the consensus messages per commit
+#: rose (1.95 → 2.16 → 2.53), because this shape's batches got smaller.  A
+#: change that raises it again must say why and re-pin.
+SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 5.338
 
 #: Scheduler events per committed command of the same run — exact, like the
 #: messages ceiling.  It was 14.036 while every closed-loop client re-armed a
@@ -72,10 +87,11 @@ SHARDED_SERVICE_QUICK_MESSAGES_PER_COMMIT = 5.552
 #: observes once at its next poll tick, 11.933; since followers stopped
 #: polling their leader for missed decisions every drive tick (catch-up on
 #: heartbeat evidence), 11.348; since an idle leader proposes a forwarded
-#: batch on arrival instead of at its next drive tick, it is 10.669.  A change
-#: that raises it again — per-tick polling coming back, say — must say why and
-#: re-pin.
-SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT = 10.669
+#: batch on arrival instead of at its next drive tick, 10.669; since a replica
+#: with nothing undecided forwards or proposes a submission in the submitting
+#: turn, it is 9.912.  A change that raises it again — per-tick polling coming
+#: back, say — must say why and re-pin.
+SHARDED_SERVICE_QUICK_EVENTS_PER_COMMIT = 9.912
 
 #: Exact sends by tag of one default-star shard that no client ever talks to,
 #: run for 200 vt at seed 0 — ``(n, t) -> tag -> count``; every other tag is 0.
@@ -93,6 +109,13 @@ IDLE_SHARD_SENDS_BY_TAG = {
 #: Minimum committed-ops ratio (leases on / leases off) of the read-lease run:
 #: the read path's order-of-magnitude contract.
 LEASE_READ_SPEEDUP_FLOOR = 5.0
+
+#: Mean client-observed latency (vt) of the idle-clients run below — exact,
+#: like the per-commit ceilings.  It was 1.600 while a replica with nothing
+#: undecided still held a client submission until its next drive tick; since
+#: such a submission is forwarded or proposed in the submitting turn, it is
+#: 1.101.  A change that raises it again must say why and re-pin.
+IDLE_CLIENTS_MEAN_LATENCY = 1.101
 
 #: An E10-style sharded KV service with closed-loop zipfian clients.
 SHARDED_SERVICE = ServiceSpec(
@@ -359,8 +382,8 @@ def test_pinned_service_runs_break_no_invariant(workload, request):
 def test_pinned_service_runs_keep_one_position_in_flight(workload, request):
     """W=1 on the pinned service runs: no log proposes a new position under
     one ballot before it has learnt the previous one, whichever trigger (drive
-    tick, promise quorum, ``Forward`` arrival) ran ``_lead``.  A window of
-    W > 1 positions must change this test on purpose."""
+    tick, promise quorum, ``Forward`` arrival, idle submit) ran ``_lead``.  A
+    window of W > 1 positions must change this test on purpose."""
     for monitor in request.getfixturevalue(workload)["monitors"]:
         assert monitor.proposals > 0
         assert monitor.violations == []
@@ -385,6 +408,26 @@ def test_idle_shard_stays_within_its_message_budget(n, t):
     # Before quiet rounds SUSPICION *exceeded* ALIVE (1.34x at n=3, 1.03x at
     # n=7 on this run); the first election's share is included here.
     assert sent["SUSPICION"] < sent["ALIVE"] / 2
+
+
+def test_idle_clients_stay_under_their_mean_latency_ceiling():
+    """Latency, not only cost: two shards of n=7 whose six clients think
+    5 vt between operations, so a submission mostly finds its gateway idle
+    and its latency is the bare commit path."""
+    service = build_sharded_service(num_shards=2, n=7, t=3, seed=7)
+    clients = start_clients(
+        service,
+        num_clients=6,
+        workload_factory=lambda index: zipfian_workload(num_keys=16),
+        poll_interval=0.5,
+        think_time=5.0,
+        stop_at=290.0,
+        record_history=True,
+    )
+    service.run_until(300.0)
+    record = record_run(service, clients)
+    assert record.ok
+    assert round(record.latency["mean"], 3) <= IDLE_CLIENTS_MEAN_LATENCY
 
 
 def test_read_lease_workload_clears_the_speedup_floor(sharded_service_read_leases):

@@ -10,11 +10,13 @@ same ticks as under per-tick polling, so for shapes in which no two clients
 share a lattice the client histories are those of polling clients.
 
 The equality with polling clients was proven on the tree just before clients
-were woken: the digests below passed there, with per-tick polling.  Two later
+were woken: the digests below passed there, with per-tick polling.  Three later
 protocol changes moved the shared ``control`` delay stream, and the digests
 were re-recorded after each: catch-up on evidence removed the routine
-catch-up polls, and an idle leader that owns its ballot began proposing a
-``Forward`` the moment it arrives instead of at its next drive tick.  The
+catch-up polls, an idle leader that owns its ballot began proposing a
+``Forward`` the moment it arrives instead of at its next drive tick, and a
+replica with nothing undecided began forwarding or proposing a client
+submission in the submitting turn instead of at its next drive tick.  The
 shapes and the assertions on them are unchanged.
 """
 
@@ -49,20 +51,20 @@ def _restart_follower(downtime):
 POLLING_HISTORIES = {
     "leases_off": (
         {}, {}, 0.5,
-        "1d25de43ecc1dd8cf9cf558e899549d38431e1e72b3f3514bf3c6ec9448761d1",
+        "b3539f55b4bc96f16b4e44f8c3ad147cafd5939b19aad2f165d763682c072d09",
     ),
     "leases_on": (
         dict(leases=True), {}, 0.8,
-        "45ea5e3f499608427f882ae13a37f94cb26013eb30c5254e389f346f07782805",
+        "b9b45b18e65b6d7177c5a41ae347f19e066cb00ce9fa9c53dd4924c8d547816c",
     ),
     "think_time": (
         {}, dict(think_time=2.0), 0.5,
-        "e33a7a904db128cd7e5b9b6b911b54a82fed4214c6913a1acfb997e38a4ee80c",
+        "56e7215a4bbd939d7617f559f247f4205d48cdc520416a2f721923f9fe7b5e90",
     ),
     "gateway_crash": (
         dict(fault_plan_factory=lambda shard: FaultPlan.crashes({(shard + 1) % 3: 20.0})),
         {}, 0.5,
-        "9f6a7381858b0d28cc42fcad88b9af86ed39800da514e1361b6fce43654bb8f4",
+        "dc4aa5fe375ce74491a0c72c882be5459656819a7cb8dda0c3437190d5346fbd",
     ),
     "compaction_restart": (
         dict(
@@ -70,12 +72,12 @@ POLLING_HISTORIES = {
             fault_plan_factory=_restart_follower(30.0),
         ),
         {}, 0.5,
-        "15ce74ea6041212436f0d461b58f92e487e2f87a652a354aeadd288f149c089d",
+        "f1a4dd074a95c308ee085f55d728770da204e534c83c3f3f384796ef48629680",
     ),
     "storage_replay": (
         dict(stable_storage=True, fault_plan_factory=_restart_follower(20.0)),
         {}, 0.5,
-        "2684899b4022707c67af8583f27550f343f2644a5025b18733a023bcd729bbc7",
+        "180a2b342562757e78efba70866151b2354e88512839c659fdd1fee565fce3c2",
     ),
 }
 
