@@ -48,7 +48,7 @@ def _crc32(payload: object) -> int:
     return zlib.crc32(repr(payload).encode("utf-8"))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class Command:
     """One client command, uniquely identified by ``(client_id, seq)``.
 
@@ -83,13 +83,34 @@ class Command:
     args: Tuple[Any, ...] = ()
     checksum: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.client_id, str):
-            raise TypeError(f"client_id must be a str, got {self.client_id!r}")
-        if type(self.seq) is not int:
-            raise TypeError(f"seq must be an int, got {self.seq!r}")
-        if self.checksum is None:
-            object.__setattr__(self, "checksum", self.expected_checksum())
+    def __init__(
+        self,
+        client_id: str,
+        seq: int,
+        op: str,
+        key: str,
+        args: Tuple[Any, ...] = (),
+        checksum: Optional[int] = None,
+    ) -> None:
+        # Hand-written rather than generated, because one command is built
+        # per client operation: the checks and the CRC run on the arguments,
+        # with no ``__post_init__`` call and no field stored twice.  Fields are
+        # stored one by one, not through ``self.__dict__``: touching the dict
+        # would materialise it and double what a decided command costs.
+        # ``__eq__``/``__hash__``/``__repr__`` stay generated.
+        if not isinstance(client_id, str):
+            raise TypeError(f"client_id must be a str, got {client_id!r}")
+        if type(seq) is not int:
+            raise TypeError(f"seq must be an int, got {seq!r}")
+        if checksum is None:
+            checksum = _crc32((client_id, seq, op, key, args))
+        store = object.__setattr__
+        store(self, "client_id", client_id)
+        store(self, "seq", seq)
+        store(self, "op", op)
+        store(self, "key", key)
+        store(self, "args", args)
+        store(self, "checksum", checksum)
 
     def expected_checksum(self) -> int:
         """Recompute the CRC-32 the payload fields should carry."""

@@ -169,6 +169,10 @@ class OmegaConsensusStack(Process, LeaderOracle):
         """Delegate to the co-located oracle (lets system helpers poll leaders)."""
         return self.omega.leader()
 
+    def leader_callable(self) -> Callable[[], int]:
+        """The co-located oracle's own lookup: no delegation frame."""
+        return self.omega.leader_callable()
+
     def attach_storage(self, store) -> None:
         """Attach a stable store to the replicated log (rehydrating from it).
 

@@ -22,7 +22,7 @@ import dataclasses
 import itertools
 import sys
 import types
-from typing import Any, Dict, Mapping, Sequence
+from typing import Any, Callable, Dict, Mapping, Sequence
 
 from repro.util.rng import RandomSource
 
@@ -228,3 +228,13 @@ class LeaderOracle(abc.ABC):
     @abc.abstractmethod
     def leader(self) -> int:
         """Return the identifier of the process currently trusted as leader."""
+
+    def leader_callable(self) -> Callable[[], int]:
+        """The callable that answers :meth:`leader`, for holders that ask often
+        (a simulator shell resolves it once per incarnation).
+
+        An oracle whose ``leader()`` only delegates returns its delegate's
+        callable, so the holder skips the delegation frames; a subclass that
+        overrides ``leader()`` must override this too.
+        """
+        return self.leader

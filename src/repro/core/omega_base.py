@@ -31,7 +31,7 @@ lines 19-21     :meth:`leader`
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.config import OmegaConfig
 from repro.core.interfaces import Environment, LeaderOracle, Message, Process, TimerHandle
@@ -107,6 +107,10 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         ``(susp_level, id)`` pair.
         """
         return self.susp_level.least_suspected()
+
+    def leader_callable(self) -> Callable[[], int]:
+        """:meth:`leader` without its frame: the suspicion array's own query."""
+        return self.susp_level.least_suspected
 
     # ------------------------------------------------------------------ lifecycle --
     def on_start(self, env: Environment) -> None:

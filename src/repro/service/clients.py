@@ -206,6 +206,50 @@ class OperationRecord:
     result: object
     read_index: Optional[int] = None
 
+    @classmethod
+    def build(
+        cls,
+        client_id: str,
+        seq: int,
+        op: str,
+        key: str,
+        args: Tuple,
+        invoked_at: float,
+        completed_at: float,
+        result: object,
+        read_index: Optional[int] = None,
+    ) -> "OperationRecord":
+        """The record the constructor would build from these fields.
+
+        The generated ``__init__`` of a frozen dataclass stores each field
+        through ``object.__setattr__``.  A client builds one record per
+        completed operation, so this builder fills the slots through their
+        descriptors instead.  Only the fields of :class:`OperationRecord` are
+        filled: a subclass adding fields builds through its own constructor.
+        """
+        (
+            set_client_id,
+            set_seq,
+            set_op,
+            set_key,
+            set_args,
+            set_invoked_at,
+            set_completed_at,
+            set_result,
+            set_read_index,
+        ) = _RECORD_SLOT_SETTERS
+        record = object.__new__(cls)
+        set_client_id(record, client_id)
+        set_seq(record, seq)
+        set_op(record, op)
+        set_key(record, key)
+        set_args(record, args)
+        set_invoked_at(record, invoked_at)
+        set_completed_at(record, completed_at)
+        set_result(record, result)
+        set_read_index(record, read_index)
+        return record
+
     def to_tuple(self) -> Tuple:
         """Stable tuple form (fingerprints and cross-process transport);
         ``read_index`` is left out, so fingerprints of histories do not see it."""
@@ -221,6 +265,13 @@ class OperationRecord:
         )
 
 
+#: The ``__set__`` of each slot of :class:`OperationRecord`, in field order.
+_RECORD_SLOT_SETTERS = tuple(
+    vars(OperationRecord)[field.name].__set__
+    for field in dataclasses.fields(OperationRecord)
+)
+
+
 class ClosedLoopClient:
     """One client session with exactly one command in flight.
 
@@ -232,6 +283,12 @@ class ClosedLoopClient:
     repeated addition — at or after the wake-up: the tick a client polling
     every ``poll_interval`` would have seen the command on.  Retransmissions
     ride one retry timer per client, re-armed lazily.
+
+    The next command is issued ``think_time`` after the observation that
+    completes the last.  With ``think_time == 0`` it is issued inside that
+    observation's event, at the same instant, so a completed operation costs
+    one scheduler event (its observation); a positive think time schedules the
+    issue.
 
     Parameters
     ----------
@@ -291,6 +348,9 @@ class ClosedLoopClient:
         #: Completed operations in completion order (empty unless recording).
         self.history: List[OperationRecord] = []
         self.stats = ClientStats()
+        self._scheduler = service.scheduler
+        #: This client's waker, bound once (registered in ``service.waiters``).
+        self._waker = self._wake
         self.seq = 0
         self.gateway = rng.randint(0, service.n - 1)
         self._current: Optional[Command] = None
@@ -312,23 +372,21 @@ class ClosedLoopClient:
     # ------------------------------------------------------------------ lifecycle --
     def start(self, delay: float = 0.0) -> None:
         """Arm the first issue on the service's shared virtual clock."""
-        self.service.scheduler.schedule_after(delay, self._issue_next)
+        self._scheduler.schedule_after(delay, self._issue_next)
 
     def _issue_next(self) -> None:
-        if self.stop_at is not None and self.service.now >= self.stop_at:
+        now = self._scheduler.now
+        if self.stop_at is not None and now >= self.stop_at:
             return  # quiesced: the session is over, issue nothing new
         op, key, args = self.workload.next_operation(self.rng)
         self.seq += 1
-        command = Command(
-            client_id=self.client_id, seq=self.seq, op=op, key=key, args=args
-        )
+        command = Command(self.client_id, self.seq, op, key, args)
         self._current = command
-        now = self.service.now
         self._issued_at = now
         self._last_submit = now
         self._tick = now
         # Registered before the submit: a leased read can be served inside it.
-        self.service.waiters[(self.client_id, self.seq)] = self._wake
+        self.service.waiters[(self.client_id, self.seq)] = self._waker
         self._shard = self._submit(command)
         if not self._retry_armed:
             self._arm_retry(self._retry_tick())
@@ -349,11 +407,13 @@ class ClosedLoopClient:
         if self._observing:
             return
         self._observing = True
-        now = self.service.now
+        scheduler = self._scheduler
+        now = scheduler.now
         tick = self._tick + self.poll_interval
         while tick < now:
             tick += self.poll_interval
-        self.service.scheduler.schedule_at(tick, self._poll)
+        # Pushed raw: the loop above leaves the tick at or after now.
+        scheduler.push_event(tick, self._poll)
 
     def _retry_tick(self) -> float:
         """The first lattice tick after the last observed one at which the
@@ -365,19 +425,21 @@ class ClosedLoopClient:
 
     def _arm_retry(self, tick: float) -> None:
         self._retry_armed = True
-        self.service.scheduler.schedule_at(tick, self._on_retry_timer)
+        self._scheduler.schedule_at(tick, self._on_retry_timer)
 
     def _on_retry_timer(self) -> None:
         self._retry_armed = False
         if self._current is None:
             return  # thinking or quiesced: the next issue re-arms
         due = self._retry_tick()
-        if due > self.service.now:
+        if due > self._scheduler.now:
             # Armed for an earlier command: move on to this one's retry tick.
             self._arm_retry(due)
             return
         self._poll()
-        if self._current is not None:
+        # A completion in _poll may have issued the next command already, and
+        # that issue armed the timer for it.
+        if self._current is not None and not self._retry_armed:
             self._arm_retry(self._retry_tick())
 
     def _poll(self) -> None:
@@ -387,9 +449,10 @@ class ClosedLoopClient:
         A failed check keeps the waiter: the replica that woke the client may
         be one that is not correct, and a later application wakes it again.
         """
-        if self.service.now <= self._tick:
+        now = self._scheduler.now
+        if now <= self._tick:
             return  # an observation the retry timer already made at this tick
-        self._tick = self.service.now
+        self._tick = now
         self._observing = False
         command = self._current
         assert command is not None
@@ -403,7 +466,7 @@ class ClosedLoopClient:
                 )
             self._complete(command)
             return
-        if self.service.now - self._last_submit >= self.retry_timeout:
+        if now - self._last_submit >= self.retry_timeout:
             # Retransmit the *same* (client_id, seq) command through a different
             # gateway; the session table makes a double decision harmless (and a
             # lease read is served from the newest registry entry or, fallen
@@ -414,13 +477,18 @@ class ClosedLoopClient:
                 self._submit(command)
             else:
                 self.service.submit(command, gateway=self.gateway)
-            self._last_submit = self.service.now
+            self._last_submit = now
 
     def _complete(self, command: Command) -> None:
         self.stats.completed += 1
         del self.service.waiters[(command.client_id, command.seq)]
         self._current = None
-        self.service.scheduler.schedule_after(self.think_time, self._issue_next)
+        if self.think_time == 0:
+            # No recursion: this command completed in _poll, and the next one
+            # can only complete in a later _poll, at a lattice tick after now.
+            self._issue_next()
+        else:
+            self._scheduler.schedule_after(self.think_time, self._issue_next)
 
     def _complete_lease_read(self, command: Command) -> bool:
         """Complete *command* if some correct replica lease-served it.
@@ -466,16 +534,16 @@ class ClosedLoopClient:
         self, command: Command, result: object, read_index: Optional[int] = None
     ) -> OperationRecord:
         """The record of *command*, completing now with *result*."""
-        return OperationRecord(
-            client_id=command.client_id,
-            seq=command.seq,
-            op=command.op,
-            key=command.key,
-            args=tuple(command.args),
-            invoked_at=self._issued_at,
-            completed_at=self.service.now,
-            result=result,
-            read_index=read_index,
+        return OperationRecord.build(
+            command.client_id,
+            command.seq,
+            command.op,
+            command.key,
+            tuple(command.args),
+            self._issued_at,
+            self._scheduler.now,
+            result,
+            read_index,
         )
 
 

@@ -79,15 +79,22 @@ LEASE_MODE_COUNTERS = (
 
 
 class ShardRouter:
-    """Deterministic key -> shard mapping."""
+    """Deterministic key -> shard mapping, memoised per key (a lease read
+    routes its key twice: once for the leader hint, once to submit)."""
 
     def __init__(self, num_shards: int) -> None:
         require_positive(num_shards, "num_shards")
         self.num_shards = int(num_shards)
+        self._shards: Dict[str, int] = {}
 
     def shard_for(self, key: str) -> int:
         """Return the shard owning *key*."""
-        return zlib.crc32(str(key).encode("utf-8")) % self.num_shards
+        shard = self._shards.get(key)
+        if shard is None:
+            shard = self._shards[key] = (
+                zlib.crc32(str(key).encode("utf-8")) % self.num_shards
+            )
+        return shard
 
 
 class ShardedService:
@@ -389,7 +396,9 @@ class ShardedService:
         if not self.leases:
             raise RuntimeError("submit_read requires ShardedService(leases=True)")
         shard = self.router.shard_for(command.key)
-        self._gateway(shard, gateway).algorithm.submit_read(command, now=self.now)
+        self._gateway(shard, gateway).algorithm.submit_read(
+            command, now=self.scheduler.now
+        )
         return shard
 
     def _gateway(self, shard: int, gateway: Optional[int]) -> SimProcessShell:

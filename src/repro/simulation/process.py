@@ -25,9 +25,9 @@ in-flight timer events (they fire later as cheap no-ops and are never re-armed).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from repro.core.interfaces import Environment, Message, Process, TimerHandle, fold_counters
+from repro.core.interfaces import Environment, LeaderOracle, Message, Process, TimerHandle, fold_counters
 from repro.simulation.network import Network
 from repro.simulation.scheduler import EventScheduler
 from repro.util.rng import RandomSource
@@ -37,6 +37,13 @@ from repro.util.validation import require_non_negative
 _SIM_EVENT_ATTR = "_sim_event"
 #: Attribute attached to a TimerHandle naming the incarnation that armed it.
 _SIM_INCARNATION_ATTR = "_sim_incarnation"
+
+
+def _leader_of(algorithm: Process) -> Optional[Callable[[], int]]:
+    """The callable answering *algorithm*'s ``leader()`` (its
+    :meth:`~repro.core.interfaces.LeaderOracle.leader_callable`), or ``None``
+    when the algorithm is not a :class:`~repro.core.interfaces.LeaderOracle`."""
+    return algorithm.leader_callable() if isinstance(algorithm, LeaderOracle) else None
 
 
 class SimProcessShell(Environment):
@@ -59,6 +66,9 @@ class SimProcessShell(Environment):
         # :meth:`recover` when the algorithm object is swapped).
         self._on_message = algorithm.on_message
         self._on_timer = algorithm.on_timer
+        #: The current incarnation's ``leader()`` callable, or ``None`` when
+        #: the algorithm is not a leader oracle (refreshed by :meth:`recover`).
+        self.leader_lookup = _leader_of(algorithm)
         self._scheduler = scheduler
         self._network = network
         self._process_ids = tuple(process_ids)
@@ -162,6 +172,7 @@ class SimProcessShell(Environment):
         self.algorithm = algorithm
         self._on_message = algorithm.on_message
         self._on_timer = algorithm.on_timer
+        self.leader_lookup = _leader_of(algorithm)
         self.started = True
         self.log("process_recovered", incarnation=self.recoveries)
         algorithm.on_start(self)

@@ -15,8 +15,13 @@ Hot-path design
 The scheduler owns its ``(time, seq, event)`` heap, and :meth:`EventScheduler.run_until`
 is one pop-and-run loop over it: an event cancelled by an earlier event of its own
 timestamp is still in the heap when the flag is set, so popping it skips it, and a
-raising callback leaves everything after it pending.  The clock is only advanced
-when an event's time is later than ``now``, never reassigned on ties (see the loop).
+raising callback leaves everything after it pending.  The clock is the plain
+attribute ``now``, which only the run loops assign: every layer reads it on its hot
+path, so it costs an attribute load rather than a property call.  It is only
+advanced when an event's time is later than ``now``, never reassigned on ties (see
+the loop).  Callers whose times are never earlier than ``now`` by construction push
+their events raw (:meth:`EventScheduler.push_event`), skipping the validation of
+:meth:`~EventScheduler.schedule_at`.
 """
 
 from __future__ import annotations
@@ -35,15 +40,12 @@ class EventScheduler:
     def __init__(self) -> None:
         self._heap: List[tuple] = []
         self._seq = itertools.count()
-        self._now = 0.0
+        #: Current virtual time.  A plain attribute, assigned only by the run
+        #: loops: it is read on every hot path, where a property costs a call.
+        self.now = 0.0
         self._executed = 0
 
-    # ------------------------------------------------------------------ clock --
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
+    # ------------------------------------------------------------------ counts --
     @property
     def pending(self) -> int:
         """Number of events still scheduled (cancelled ones excluded)."""
@@ -60,8 +62,9 @@ class EventScheduler:
     ) -> Event:
         """Schedule ``callback(arg)`` at absolute *time* **without** validation.
 
-        Reserved for callers whose times are ``now + delay`` with ``delay >= 0``
-        by construction — the network's message dispatch is the one user.
+        Reserved for callers whose *time* is never earlier than ``now`` by
+        construction: the network's message dispatch (``now + delay`` with
+        ``delay >= 0``) and a client's poll at the next tick of its lattice.
         """
         event = Event(time, next(self._seq), callback, arg)
         heapq.heappush(self._heap, (time, event.seq, event))
@@ -76,9 +79,9 @@ class EventScheduler:
         current time is allowed (the event runs after all previously scheduled
         events with the same timestamp).
         """
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule an event in the past: {time} < now {self._now}"
+                f"cannot schedule an event in the past: {time} < now {self.now}"
             )
         return self.push_event(time, callback, arg)
 
@@ -87,7 +90,7 @@ class EventScheduler:
     ) -> Event:
         """Schedule *callback* after *delay* virtual time units."""
         require_non_negative(delay, "delay")
-        return self.push_event(self._now + delay, callback, arg)
+        return self.push_event(self.now + delay, callback, arg)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event (safe to call twice, or after it ran)."""
@@ -101,8 +104,8 @@ class EventScheduler:
             run_time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            if run_time > self._now:
-                self._now = run_time
+            if run_time > self.now:
+                self.now = run_time
             self._executed += 1
             event.run()
             return True
@@ -129,8 +132,8 @@ class EventScheduler:
         int
             The number of events executed by this call.
         """
-        if time < self._now:
-            raise ValueError(f"cannot run until {time}, clock already at {self._now}")
+        if time < self.now:
+            raise ValueError(f"cannot run until {time}, clock already at {self.now}")
         heap = self._heap
         heappop = heapq.heappop
         no_arg = NO_ARG
@@ -142,8 +145,8 @@ class EventScheduler:
             # Guarded, not assigned on every event: client histories store
             # ``now`` and equal-time events carry distinct float objects, so
             # reassigning would make every record pin its own float (peak RSS).
-            if run_time > self._now:
-                self._now = run_time
+            if run_time > self.now:
+                self.now = run_time
             self._executed += 1
             if event.arg is no_arg:
                 event.callback()
@@ -155,7 +158,7 @@ class EventScheduler:
                     f"run_until({time}) exceeded max_events={max_events}; "
                     "suspected event loop"
                 )
-        self._now = time
+        self.now = time
         return executed
 
     def run_to_quiescence(self, max_events: int = 1_000_000) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.core.interfaces import LeaderOracle, Process
+from repro.core.interfaces import Process
 from repro.simulation.delays import DelayModel
 from repro.simulation.faults import FaultInjector, FaultPlan, LinkState
 from repro.simulation.network import Network, NetworkStats
@@ -255,29 +255,36 @@ class System:
         """Return the current ``leader()`` output of each (alive) oracle process.
 
         Processes whose algorithm does not implement
-        :class:`~repro.core.interfaces.LeaderOracle` are skipped.
+        :class:`~repro.core.interfaces.LeaderOracle` are skipped (see
+        :meth:`agreed_leader` for where each answer comes from).
         """
         shells: Sequence[SimProcessShell] = (
             self.alive_shells() if only_alive else self.shells
         )
         return {
-            shell.pid: shell.algorithm.leader()
+            shell.pid: shell.leader_lookup()
             for shell in shells
-            if isinstance(shell.algorithm, LeaderOracle)
+            if shell.leader_lookup is not None
         }
 
     def agreed_leader(self) -> Optional[int]:
         """Return the leader every alive oracle process currently agrees on.
 
         ``None`` when the alive processes disagree (or there is no oracle process).
+        Each process answers through its shell's
+        :attr:`~repro.simulation.process.SimProcessShell.leader_lookup`: the
+        ``leader()`` callable the shell resolved once for its current
+        incarnation (``None`` for an algorithm that is not a
+        :class:`~repro.core.interfaces.LeaderOracle`), so a lease-read leader
+        hint pays no type check per process.
         """
         agreed: Optional[int] = None
         seen = False
         for shell in self.shells:
-            algorithm = shell.algorithm
-            if shell.crashed or not isinstance(algorithm, LeaderOracle):
+            lookup = shell.leader_lookup
+            if shell.crashed or lookup is None:
                 continue
-            leader = algorithm.leader()
+            leader = lookup()
             if not seen:
                 agreed, seen = leader, True
             elif leader != agreed:

@@ -232,6 +232,29 @@ def test_a_wake_up_observed_on_the_retry_tick_completes_once():
     assert client.seq == 2 and ("c", 2) in service.waiters
 
 
+def test_a_completion_on_the_retry_tick_issues_at_once_under_one_retry_timer():
+    """A client that does not think issues its next command inside the
+    observation that completed the last.  Here that observation is the retry
+    timer's own: the issue arms the timer for the new command, and the timer
+    must not arm a second one on top."""
+    service, client = _stub_client(poll_interval=1.0, retry_timeout=5.0)
+    assert client.think_time == 0
+    client.start()
+    service.run_until(4.5)
+    service.replica.applied.add(("c", 1))  # applied, but nobody wakes the client
+    service.run_until(5.0)  # the retry tick observes it
+    assert _latencies(client) == [5.0]
+    assert client.stats.retries == 0
+    # The successor was submitted at the completing instant ...
+    assert [time for time, _gateway in service.submits] == [0.0, 5.0]
+    assert client.seq == 2 and ("c", 2) in service.waiters
+    # ... and only its one retry timer is pending: no issue event, no twin timer.
+    assert service.scheduler.pending == 1
+    service.run_until(10.0)
+    assert client.stats.retries == 1
+    assert service.scheduler.pending == 1
+
+
 def test_command_applied_only_at_a_replica_that_is_not_correct_does_not_complete():
     service, client = _stub_client(poll_interval=1.0)
     client.start()

@@ -1,5 +1,8 @@
 """Unit tests for command envelopes, batches and the shard router."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.consensus.commands import Batch, Command, flatten_value
@@ -31,6 +34,42 @@ class TestCommand:
         assert hash(command) == hash(Command.put("a", 1, "k", "v"))
         with pytest.raises(Exception):
             command.seq = 2
+
+
+class TestCommandContract:
+    """``Command`` builds itself in a hand-written ``__init__``; what the
+    generated one gave callers must still hold."""
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = Command("alice", 3, "put", "k", ("v",))
+        keyword = Command(client_id="alice", seq=3, op="put", key="k", args=("v",))
+        assert positional == keyword
+        assert positional.checksum == keyword.checksum == keyword.expected_checksum()
+        assert Command("a", 1, "get", "k").args == ()
+
+    def test_replace_keeps_the_stale_checksum(self):
+        """The corruption model's path: a tampered copy carries the old CRC."""
+        command = Command.put("alice", 3, "k", "v")
+        tampered = dataclasses.replace(command, args=("x",))
+        assert tampered.checksum == command.checksum
+        assert not tampered.verify()
+        assert command.verify()
+        assert not Batch((tampered,)).verify()
+
+    def test_pickling_round_trips(self):
+        command = Command.cas("alice", 3, "k", None, "v")
+        command.verify()  # the memo must not break the round trip
+        copy = pickle.loads(pickle.dumps(command))
+        assert copy == command
+        assert copy.checksum == command.checksum
+        assert copy.verify()
+
+    def test_repr_is_pinned(self):
+        """``repr`` feeds the delivered-digest chain, so it may not drift."""
+        assert repr(Command("alice", 3, "put", "k", ("v",))) == (
+            "Command(client_id='alice', seq=3, op='put', key='k', args=('v',), "
+            "checksum=1477676257)"
+        )
 
 
 class TestCommandIdentityTypes:

@@ -7,6 +7,8 @@ the history, and key samplers hand out one string per key.  The memory budget
 below pins what a completed operation costs a lease-heavy service.
 """
 
+import dataclasses
+import pickle
 import tracemalloc
 
 import pytest
@@ -57,6 +59,56 @@ def test_an_operation_record_has_no_instance_dict():
     record = OperationRecord("c", 1, "get", "key-0", (), 0.0, 1.0, None)
     assert not hasattr(record, "__dict__")
     assert record.read_index is None
+
+
+_FIELDS = ("c", 1, "put", "key-0", ("v",), 0.5, 1.0, None)
+
+
+def test_positional_keyword_and_built_records_agree():
+    positional = OperationRecord(*_FIELDS, 7)
+    keyword = OperationRecord(
+        client_id="c",
+        seq=1,
+        op="put",
+        key="key-0",
+        args=("v",),
+        invoked_at=0.5,
+        completed_at=1.0,
+        result=None,
+        read_index=7,
+    )
+    built = OperationRecord.build(*_FIELDS, 7)
+    assert positional == keyword == built
+    assert type(built) is OperationRecord
+    assert not hasattr(built, "__dict__")
+    assert OperationRecord.build(*_FIELDS) == OperationRecord(*_FIELDS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.seq = 2
+
+
+def test_an_operation_record_pickles_and_replaces():
+    record = OperationRecord.build(*_FIELDS, 7)
+    assert pickle.loads(pickle.dumps(record)) == record
+    later = dataclasses.replace(record, completed_at=2.0)
+    assert later.completed_at == 2.0 and later.read_index == 7
+
+
+@dataclasses.dataclass(frozen=True)
+class _DueRecord(OperationRecord):
+    """Shaped like the open-loop benchmark's record: one more field, frozen,
+    not slotted."""
+
+    due_at: float = 0.0
+
+
+def test_a_frozen_subclass_still_builds_compares_and_keeps_its_tuple():
+    record = _DueRecord(*_FIELDS, due_at=0.25)
+    assert record == _DueRecord(*_FIELDS, due_at=0.25)
+    assert record != _DueRecord(*_FIELDS, due_at=0.5)
+    assert record.due_at == 0.25 and record.read_index is None
+    assert record.to_tuple() == OperationRecord(*_FIELDS).to_tuple()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.due_at = 1.0
 
 
 @pytest.mark.parametrize("sampler", [UniformKeys(1), ZipfianKeys(1)], ids=["uniform", "zipfian"])

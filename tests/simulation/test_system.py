@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core import Figure3Omega, OmegaConfig
+from repro.core.interfaces import LeaderOracle, Process
 from repro.simulation import (
     ConstantDelay,
+    Crash,
     FaultPlan,
+    Recover,
     System,
     SystemConfig,
     UniformDelay,
@@ -121,3 +124,61 @@ class TestLeaderHelpers:
         algorithms = system.algorithms()
         assert set(algorithms) == {0, 1, 2, 3}
         assert all(isinstance(a, Figure3Omega) for a in algorithms.values())
+
+
+class _Named(Process, LeaderOracle):
+    """An oracle that always names *answer*."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def on_message(self, env, sender, message):
+        pass
+
+    def leader(self):
+        return self.answer
+
+
+class _NotAnOracle(Process):
+    def on_message(self, env, sender, message):
+        pass
+
+
+class TestLeaderLookups:
+    """Leader helpers ask each shell's current incarnation, resolved once per
+    incarnation, and skip a process that is no oracle."""
+
+    def build(self):
+        built = {0: 0, 1: 0}
+
+        def factory(pid):
+            if pid == 2:
+                return _NotAnOracle()
+            built[pid] += 1
+            # Process 1's second incarnation names itself.
+            return _Named(1 if (pid, built[pid]) == (1, 2) else 0)
+
+        plan = FaultPlan([Crash(time=1.0, pid=1), Recover(time=2.0, pid=1)])
+        return System(SystemConfig(n=3, t=1), factory, ConstantDelay(0.2), fault_plan=plan)
+
+    def test_a_process_that_is_no_oracle_is_skipped(self):
+        system = self.build()
+        system.run_until(0.5)
+        assert system.leaders() == {0: 0, 1: 0}
+        assert system.leaders(only_alive=False) == {0: 0, 1: 0}
+        assert system.agreed_leader() == 0
+
+    def test_a_crashed_process_is_skipped_by_the_alive_views(self):
+        system = self.build()
+        system.run_until(1.5)
+        assert system.leaders() == {0: 0}
+        assert system.leaders(only_alive=False) == {0: 0, 1: 0}
+        assert system.agreed_leader() == 0
+
+    def test_after_a_recover_the_new_incarnation_answers(self):
+        system = self.build()
+        system.run_until(2.5)
+        assert system.shell(1).recoveries == 1
+        assert system.shell(1).algorithm.answer == 1
+        assert system.leaders() == {0: 0, 1: 1}
+        assert system.agreed_leader() is None  # 0 and 1 now disagree
