@@ -8,10 +8,17 @@ assumption keeps holding per shard, so every shard keeps committing, clients
 fail over and retransmit, and the exactly-once session table absorbs the
 duplicates.  At the end every replica of every shard holds the identical store.
 
+Every replica compacts under the default policy, so however long the run the
+decided log keeps only the compaction window, while each shard's agreement
+monitor checks every decision as a replica learns it.  The demo exits non-zero
+unless the replicas are consistent, the agreement monitor found nothing and the
+decided log stayed within the window.
+
 Run with:  python examples/kvstore_demo.py [--quick]
 """
 
 import argparse
+import sys
 
 from repro.analysis import record_run
 from repro.service import build_sharded_service, start_clients, zipfian_workload
@@ -21,6 +28,8 @@ SHARDS = 3
 N, T = 3, 1
 CLIENTS = 100
 HORIZON = 400.0
+#: Decisions a replica may hold above its frontier, learnt out of order.
+RESIDENCY_SLACK = 16
 
 
 def main() -> None:
@@ -84,7 +93,19 @@ def main() -> None:
         f"latency p50={record.latency['p50']:.1f} p95={record.latency['p95']:.1f}, "
         f"{record.retries} client retransmissions (all deduplicated)"
     )
-    print(f"service consistent across every replica: {service.is_consistent()}")
+    consistent = service.is_consistent()
+    disagreements = [v for v in record.violations if v.kind == "agreement"]
+    policy = service.compaction
+    bound = policy.interval + policy.retain + RESIDENCY_SLACK
+    peak = record.counters.get("peak_decided_residency", 0)
+    print(f"service consistent across every replica: {consistent}")
+    print(f"agreement monitor: {len(disagreements)} positions decided differently")
+    print(
+        f"decided log: {record.counters.get('snapshots_taken', 0)} snapshots, "
+        f"peak residency {peak} positions (bound {bound} under {policy.describe()})"
+    )
+    if not consistent or disagreements or peak > bound:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

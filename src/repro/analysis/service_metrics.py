@@ -16,7 +16,10 @@ service:
   histories, summarised by nearest rank;
 * **verdicts** — the invariant probes below: agreement and divergence always,
   the client probes (exactly-once, durability, stale-read) when clients drove
-  the run — and, per shard, the fault plan's admission flags (``hazards``);
+  the run — and, per shard, the fault plan's admission flags (``hazards``).
+  Agreement and the stale-read positions are read off each shard's
+  :class:`AgreementMonitor`, which the replicas feed as they learn, so log
+  compaction hides nothing from them;
 * a **fingerprint** over all of it and the operation histories: equal runs
   produce byte-identical fingerprints in any process.
 """
@@ -25,9 +28,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_right
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.consensus.commands import Command, flatten_value
+from repro.consensus.commands import Command, flatten_value, value_checksum
 from repro.core.interfaces import fold_counters
 from repro.util.rng import fingerprint
 from repro.util.validation import require_positive
@@ -315,41 +321,101 @@ def merge_records(records: Sequence[RunRecord]) -> RunRecord:
     )
 
 
-# ------------------------------------------------------------------ invariant probes --
-def _iter_logs(service: "ShardedService", shard: int):
-    """Yield ``(pid, replicated log)`` of every shell of *shard* (crashed too).
+# ------------------------------------------------------------------ monitors --
+#: The checksum slot of a position no replica has learnt yet (a CRC-32 is
+#: never negative).
+_UNLEARNT = -1
 
-    A crashed shell's algorithm object is its last incarnation — its decisions
-    were really made, so agreement must hold across them as well.
+
+class AgreementMonitor:
+    """What one shard decided, recorded as each replica learns it.
+
+    Every replica incarnation of the shard reports each position it learns
+    (:attr:`~repro.consensus.replicated_log.ReplicatedLog.on_learn`), however
+    it learnt it: its own vote count, a ``Decide``, catch-up, a promise or a
+    replay of its store.  The monitor keeps, per position, the checksum of
+    the first value learnt there (:func:`~repro.consensus.commands.
+    value_checksum`, 8 bytes in an ``array``, never the value) and records
+    every later learn of a value with another checksum as a conflict.  So
+    agreement is checked when a decision happens, across incarnations a
+    restart replaced and positions compaction truncated since.  Values are
+    compared by checksum only: two different values decided at one position
+    that share a CRC-32 pass unreported.
+
+    With ``record_writes`` it also keeps, per write command ``(client_id,
+    seq)``, the lowest position it was decided at — where it was applied; a
+    retried command decided again higher up is absorbed there as a duplicate.
+    The stale-read check joins that with the service's lease-read audits.
+    That record has one entry per write, so in lease mode the monitor grows
+    with history, as the audits do.
     """
-    for shell in service.systems[shard].shells:
-        log = getattr(shell.algorithm, "log", None)
-        if log is not None:
-            yield shell.pid, log
+
+    __slots__ = ("_checksums", "conflicts", "write_positions")
+
+    def __init__(self, record_writes: bool = False) -> None:
+        self._checksums = array("q")
+        #: position -> ``(pid, value repr)`` of each learn that disagreed
+        #: with the first value learnt there.
+        self.conflicts: Dict[int, List[Tuple[int, str]]] = {}
+        #: ``(client_id, seq)`` -> lowest decided position of each write
+        #: command, or None when writes are not recorded.
+        self.write_positions: Optional[Dict[Tuple[str, int], int]] = (
+            {} if record_writes else None
+        )
+
+    def learn(self, pid: int, position: int, value: Any) -> None:
+        """Record that replica *pid* learnt *value* at *position*."""
+        checksum = value_checksum(value)
+        checksums = self._checksums
+        if position < len(checksums):
+            first = checksums[position]
+            if first == checksum:
+                return
+            if first != _UNLEARNT:
+                self.conflicts.setdefault(position, []).append((pid, repr(value)[:80]))
+                return
+            checksums[position] = checksum
+        else:
+            checksums.extend(repeat(_UNLEARNT, position - len(checksums)))
+            checksums.append(checksum)
+        writes = self.write_positions
+        if writes is not None:
+            for command in flatten_value(value):
+                if isinstance(command, Command) and command.op != "get":
+                    identity = (command.client_id, command.seq)
+                    known = writes.get(identity)
+                    if known is None or position < known:
+                        writes[identity] = position
+
+    def first_checksum(self, position: int) -> Optional[int]:
+        """Checksum of the first value learnt at *position* (None: unlearnt)."""
+        if position < len(self._checksums):
+            first = self._checksums[position]
+            if first != _UNLEARNT:
+                return first
+        return None
 
 
+# ------------------------------------------------------------------ invariant probes --
 def agreement_violations(service: "ShardedService") -> List[Violation]:
-    """Per-position agreement across every replica of every shard."""
+    """Per-position agreement across every replica incarnation of every shard,
+    as each shard's :class:`AgreementMonitor` recorded it."""
     violations: List[Violation] = []
-    for shard in range(service.num_shards):
-        decided: Dict[int, Dict[object, List[int]]] = {}
-        for pid, log in _iter_logs(service, shard):
-            for position, value in log.decided_log().items():
-                decided.setdefault(position, {}).setdefault(repr(value), []).append(pid)
-        for position in sorted(decided):
-            values = decided[position]
-            if len(values) > 1:
-                detail = "; ".join(
-                    f"pids {sorted(pids)} decided {value[:80]}"
-                    for value, pids in sorted(values.items())
+    for shard, monitor in enumerate(service.monitors):
+        for position in sorted(monitor.conflicts):
+            detail = "; ".join(
+                f"pid {pid} learnt {value}" for pid, value in monitor.conflicts[position]
+            )
+            violations.append(
+                Violation(
+                    kind="agreement",
+                    shard=shard,
+                    detail=(
+                        f"position {position} decided differently: checksum "
+                        f"{monitor.first_checksum(position)} was learnt first; {detail}"
+                    ),
                 )
-                violations.append(
-                    Violation(
-                        kind="agreement",
-                        shard=shard,
-                        detail=f"position {position} decided differently: {detail}",
-                    )
-                )
+            )
     return violations
 
 
@@ -485,9 +551,11 @@ def stale_read_violations(
     that index — a position at or above it means the read was served from a
     state provably missing an already-acknowledged write.
 
-    Write positions are recovered from a correct replica's resident decided
-    log; writes whose position was compacted away are skipped (under-coverage,
-    never a false positive).
+    A write's position is the lowest one the shard's :class:`AgreementMonitor`
+    saw it decided at, where it was applied, so compaction hides none.  Per
+    key, the writes are sorted by completion and read through a prefix
+    maximum of their positions, so each read costs one binary search and is
+    reported at most once, against the highest-placed write it missed.
     """
     if not service.leases:
         return []
@@ -496,14 +564,7 @@ def stale_read_violations(
         audits = service.read_audits[shard]
         if not audits:
             continue
-        replicas = service.correct_replicas(shard)
-        if not replicas:
-            continue
-        position_of: Dict[Tuple[str, int], int] = {}
-        for position, value in replicas[0].log.decided_log().items():
-            for command in flatten_value(value):
-                if isinstance(command, Command):
-                    position_of[(command.client_id, command.seq)] = position
+        position_of = service.monitors[shard].write_positions
         # key -> [(completion observed at, decided position)] of write ops.
         writes: Dict[str, List[Tuple[float, int]]] = {}
         for client in clients:
@@ -515,20 +576,37 @@ def stale_read_violations(
                     writes.setdefault(record.key, []).append(
                         (record.completed_at, position)
                     )
+        # key -> (completion instants ascending, the write with the highest
+        # position among the first i + 1 of them, for each i).
+        latest: Dict[str, Tuple[List[float], List[Tuple[float, int]]]] = {}
+        for key, entries in writes.items():
+            entries.sort()
+            highest: List[Tuple[float, int]] = []
+            for entry in entries:
+                if highest and highest[-1][1] >= entry[1]:
+                    entry = highest[-1]
+                highest.append(entry)
+            latest[key] = ([completed_at for completed_at, _ in entries], highest)
         for read in audits:
-            for completed_at, position in writes.get(read.key, ()):
-                if completed_at <= read.invoked_at and position >= read.read_index:
-                    violations.append(
-                        Violation(
-                            kind="stale-read",
-                            shard=shard,
-                            detail=(
-                                f"read ({read.client_id!r}, seq={read.seq}) of "
-                                f"{read.key!r} was served at index {read.read_index} "
-                                f"after a write decided at position {position} had "
-                                f"completed by t={completed_at} (read invoked at "
-                                f"t={read.invoked_at})"
-                            ),
-                        )
+            if read.key not in latest:
+                continue
+            completions, highest = latest[read.key]
+            count = bisect_right(completions, read.invoked_at)
+            if not count:
+                continue
+            completed_at, position = highest[count - 1]
+            if position >= read.read_index:
+                violations.append(
+                    Violation(
+                        kind="stale-read",
+                        shard=shard,
+                        detail=(
+                            f"read ({read.client_id!r}, seq={read.seq}) of "
+                            f"{read.key!r} was served at index {read.read_index} "
+                            f"after a write decided at position {position} had "
+                            f"completed by t={completed_at} (read invoked at "
+                            f"t={read.invoked_at})"
+                        ),
                     )
+                )
     return violations

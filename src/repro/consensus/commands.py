@@ -309,6 +309,14 @@ def flatten_value(value: Any) -> Tuple[Any, ...]:
     return (value,)
 
 
+def value_checksum(value: Any) -> int:
+    """The CRC-32 a decided value is known by: the checksum a command or batch
+    carries (computed once, at construction), else the CRC of its ``repr``
+    (the no-op filler, opaque values of a bare log)."""
+    checksum = getattr(value, "checksum", None)
+    return _crc32(value) if checksum is None else checksum
+
+
 def _value_intact(value: Any) -> bool:
     """True when *value* carries no checksum or its checksum verifies."""
     verify = getattr(value, "verify", None)

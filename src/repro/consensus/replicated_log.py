@@ -221,7 +221,13 @@ from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.consensus.batching import ADAPTIVE, AdaptiveBatchPolicy, require_batch_size
-from repro.consensus.commands import Batch, CommandSet, flatten_value, payload_intact
+from repro.consensus.commands import (
+    Batch,
+    CommandSet,
+    flatten_value,
+    payload_intact,
+    value_checksum,
+)
 from repro.consensus.instance import NO_BALLOT
 from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import (
@@ -358,6 +364,11 @@ class ReplicatedLog(Process):
         #: it to expire pending lease reads into the consensus fallback.
         #: Invoked only when leases are enabled.
         self.on_drive: Optional[Callable[[float], None]] = None
+        #: Optional hook ``(position, value)`` called once per position this
+        #: incarnation learns — from a vote count, a ``Decide``, a catch-up
+        #: reply, a promise or a replay of its store — before it is applied.
+        #: The sharded service feeds its agreement monitor through it.
+        self.on_learn: Optional[Callable[[int, Any], None]] = None
 
         #: Acceptor: the one log-wide promise (durable under ``("promised",)``).
         self._promised = NO_BALLOT
@@ -521,28 +532,35 @@ class ReplicatedLog(Process):
         return commands
 
     def delivered_digest(self) -> str:
-        """Incremental SHA-256 chain over the decided prefix ``(pos, value)``.
+        """Incremental SHA-256 chain over the decided prefix, one
+        ``(position, value checksum)`` step per position.
 
         Folded lazily up to the current frontier, so reading it is O(new
         decisions since the last read) and O(1) amortised per decision — the
         windowed replacement for hashing a full ``decided_log()`` copy, which
         cost O(history) per observation.  Two replicas whose frontiers agree
-        have equal digests iff they decided the same prefix (noop fillers
-        included in the chain).  Snapshots carry the chain at their floor, so
+        have equal digests when they decided the same prefix (noop fillers
+        included in the chain), and different ones unless two values at one
+        position share a CRC-32.  Snapshots carry the chain at their floor, so
         the digest stays comparable across snapshot-restored replicas.
         """
         self._fold_digest()
         return self._digest_state
 
     def _fold_digest(self) -> None:
-        """Fold decided positions up to the frontier into the digest chain."""
-        while self._digest_pos < self._frontier:
-            position = self._digest_pos
-            step = repr((position, self.decisions[position]))
-            self._digest_state = hashlib.sha256(
-                (self._digest_state + step).encode("utf-8")
-            ).hexdigest()
-            self._digest_pos += 1
+        """Fold decided positions up to the frontier into the digest chain.
+
+        A step is the position and the value's checksum
+        (:func:`~repro.consensus.commands.value_checksum`), not its ``repr``:
+        a batch's checksum already covers every member's, and it is computed
+        once per value rather than once per fold.
+        """
+        state = self._digest_state
+        for position in range(self._digest_pos, self._frontier):
+            step = f"{position}:{value_checksum(self.decisions[position])}"
+            state = hashlib.sha256((state + step).encode("utf-8")).hexdigest()
+        self._digest_state = state
+        self._digest_pos = self._frontier
 
     # ------------------------------------------------------------------ storage --
     def attach_snapshots(self, manager) -> None:
@@ -665,13 +683,14 @@ class ReplicatedLog(Process):
                 if self._resident(position):
                     self._learn(position, value)
             return
+        # Snapshot traffic flows only between logs that have a manager: a
+        # log without one never truncates, so it never serves a transfer,
+        # and never falls below a floor, so it never asks for one.
         if isinstance(message, SnapshotReply):
-            if self.snapshots is not None:
-                self.snapshots.on_chunk(env, sender, message)
+            self.snapshots.on_chunk(env, sender, message)
             return
         if isinstance(message, SnapshotRequest):
-            if self.snapshots is not None:
-                self.snapshots.on_request(env, sender, message)
+            self.snapshots.on_request(env, sender, message)
             return
         if isinstance(message, LeaseRequest):
             if self.leases is not None and self.leases.try_grant(env.now, sender):
@@ -751,6 +770,8 @@ class ReplicatedLog(Process):
         """
         if position in self.decisions:
             return
+        if self.on_learn is not None:
+            self.on_learn(position, value)
         if self._store is not None and not self._rehydrating:
             # Durable before the decision is indexed or applied: the decided
             # prefix must survive this process's restarts.

@@ -21,12 +21,14 @@ rebuilds the key-value state *and* the exactly-once session table — so a
 client command applied before the crash reads as applied immediately after
 recovery, and its retransmission is absorbed as a duplicate, not re-executed.
 
-With a compaction policy (``ShardedService(compaction=...)``) the replica owns
-a :class:`~repro.storage.snapshot.SnapshotManager`: the state machine is
-periodically serialized into a checksummed snapshot, the decided prefix it
-covers is truncated out of the log (bounded memory), laggards below the floor
-are served the snapshot over the wire, and — with storage attached — recovery
-rehydrates snapshot-then-tail instead of replaying the full history.
+Every replica compacts: it owns a :class:`~repro.storage.snapshot.
+SnapshotManager` under its :class:`~repro.storage.compaction.CompactionPolicy`
+(the default one unless ``ShardedService(compaction=...)`` names another).
+The state machine is periodically serialized into a checksummed snapshot, the
+decided prefix it covers is truncated out of the log (bounded memory),
+laggards below the floor are served the snapshot over the wire, and — with
+storage attached — recovery rehydrates snapshot-then-tail instead of
+replaying the full history.
 """
 
 from __future__ import annotations
@@ -99,17 +101,17 @@ class ServiceReplica(OmegaConsensusStack):
         self._lease_read_results: Dict[str, Tuple[int, Any, int]] = {}
         if leases is not None:
             self.log.on_drive = self._expire_pending_reads
-        self.compaction = compaction
-        if compaction is not None:
-            # Attached before the system calls attach_storage, so recovery can
-            # rehydrate snapshot-then-tail.
-            self.log.attach_snapshots(
-                SnapshotManager(
-                    policy=compaction,
-                    capture=self._capture_snapshot,
-                    restore=self._restore_snapshot,
-                )
+        #: The policy this replica compacts under (``None`` given: the default).
+        self.compaction = compaction if compaction is not None else CompactionPolicy()
+        # Attached before the system calls attach_storage, so recovery can
+        # rehydrate snapshot-then-tail.
+        self.log.attach_snapshots(
+            SnapshotManager(
+                policy=self.compaction,
+                capture=self._capture_snapshot,
+                restore=self._restore_snapshot,
             )
+        )
 
     # ------------------------------------------------------------------ application --
     def _apply_delivered(self, position: int, value: Any) -> None:

@@ -27,6 +27,7 @@ import zlib
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type, Union
 
+from repro.analysis.service_metrics import AgreementMonitor
 from repro.assumptions.base import Scenario
 from repro.assumptions.scenarios import (
     ConstantDelayScenario,
@@ -145,17 +146,19 @@ class ShardedService:
         amnesia-safe with storage on — the static hazard check cannot see
         their future injections.
     compaction:
-        Snapshot/log-compaction policy for every replica.  ``None`` (the
-        default) keeps full history resident — all committed fingerprints stay
-        byte-identical.  A :class:`~repro.storage.compaction.CompactionPolicy`
-        gives every replica a :class:`~repro.storage.snapshot.SnapshotManager`:
-        periodic state snapshots, truncation of the covered decided prefix
-        (bounded memory), snapshot-based catch-up for laggards below the floor
-        and — with ``stable_storage`` on — snapshot-then-tail rehydration at
-        recovery.  Composes with either storage mode; note that snapshots do
-        **not** cure quorum amnesia (they restore applied state, never promise
-        memory), so :attr:`amnesia_hazards` is computed exactly as without
-        compaction.
+        Snapshot/log-compaction policy of every replica; ``None`` (the
+        default) is the default :class:`~repro.storage.compaction.
+        CompactionPolicy`.  Every replica compacts — there is no off switch:
+        each owns a :class:`~repro.storage.snapshot.SnapshotManager` that
+        takes periodic state snapshots, truncates the decided prefix they
+        cover (so the decided log stays O(interval + retain) however long the
+        run), serves laggards below the floor a snapshot and — with
+        ``stable_storage`` on — rehydrates snapshot-then-tail at recovery.
+        Composes with either storage mode; note that snapshots do **not** cure
+        quorum amnesia (they restore applied state, never promise memory), so
+        :attr:`amnesia_hazards` is computed as if nothing were compacted.
+        Agreement and stale reads are checked by :attr:`monitors` as replicas
+        learn, so truncation hides nothing from those verdicts.
     leases:
         Lease-based read path.  ``False`` (the default) keeps every ``get``
         on the consensus path — all committed fingerprints stay
@@ -241,8 +244,15 @@ class ShardedService:
                 StableStorage(cost_model=self._write_cost_model)
                 for _ in range(self.num_shards)
             ]
-        #: The snapshot/compaction policy shared by every replica, or ``None``.
-        self.compaction: Optional[CompactionPolicy] = compaction
+        #: The snapshot/compaction policy shared by every replica.
+        self.compaction = compaction if compaction is not None else CompactionPolicy()
+        #: Per shard, the :class:`~repro.analysis.service_metrics.
+        #: AgreementMonitor` every replica incarnation reports its learnt
+        #: positions to (it records write positions in lease mode, for the
+        #: stale-read check); shared across recoveries like the audits.
+        self.monitors: List[AgreementMonitor] = [
+            AgreementMonitor(record_writes=self.leases) for _ in range(self.num_shards)
+        ]
         #: shard -> descriptions of how its fault plan permanently breaks the
         #: shard's assumption (empty lists when every plan is assumption-safe).
         self.assumption_violations: Dict[int, List[str]] = {}
@@ -329,8 +339,12 @@ class ShardedService:
                     leases=lease_manager,
                 )
                 # Wired per incarnation, before any storage replay, so a
-                # recovered replica wakes clients like a fresh one.
+                # recovered replica wakes clients like a fresh one and its
+                # replayed decisions are checked like live ones.
                 replica.on_wake = self._wake
+                replica.log.on_learn = functools.partial(
+                    self.monitors[_shard].learn, pid
+                )
                 return replica
 
             self.systems.append(
@@ -624,8 +638,10 @@ class ServiceSpec:
         ``stable_storage``: ``None`` off, ``0.0`` free durable writes, ``> 0``
         a ``WriteCostModel(per_write=...)`` charged on the virtual clock.
     ``compaction_interval`` / ``compaction_retain``
-        ``compaction``: ``None`` off, else a ``CompactionPolicy`` (whose
-        default ``retain`` is this one's).
+        ``compaction``: ``None`` is the default ``CompactionPolicy()`` (and
+        ``compaction_retain`` is then unused), else a ``CompactionPolicy``
+        with these two numbers; ``compaction_retain`` defaults to the
+        policy's ``retain``.
     ``scenario`` / ``delay``
         ``scenario_factory``: ``"star"`` is :func:`default_star_scenario`,
         ``"constant"`` a ``ConstantDelayScenario(delay=...)`` on every shard.
@@ -654,7 +670,7 @@ class ServiceSpec:
     retry_period: float = 10.0
     storage_write_cost: Optional[float] = None
     compaction_interval: Optional[int] = None
-    compaction_retain: int = 32
+    compaction_retain: int = CompactionPolicy.retain
     leases: bool = False
     lease_duration: float = 6.0
     #: **Unsafe when False** — see :class:`ShardedService`.

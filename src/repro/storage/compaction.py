@@ -46,8 +46,8 @@ class CompactionPolicy:
         served to ordinarily-lagging peers without a snapshot transfer).
     """
 
-    interval: int = 128
-    retain: int = 32
+    interval: int = 64
+    retain: int = 16
 
     def __post_init__(self) -> None:
         require_positive(self.interval, "interval")

@@ -7,11 +7,18 @@ round's ``rec_from`` set is never read again and goes when the round closes;
 per-command bookkeeping (the applied seqs of the session table and the
 decided-command index) costs 8 bytes per command in each.  The two budgets
 below pin these costs, measured with tracemalloc on CPython 3.11.
+
+Every replica compacts, so the decided log stays within the compaction window
+however long the run; what agreement and stale-read checking keep instead is
+the shards' agreement monitors, budgeted per completed operation below.
 """
 
 import tracemalloc
 
-from repro.service import build_sharded_service, start_clients, uniform_workload
+import pytest
+
+from repro.service import build_sharded_service, start_clients, uniform_workload, zipfian_workload
+from repro.storage import CompactionPolicy
 
 #: Traced bytes one closed receiving round may add per process on an idle
 #: n=7 shard.  Measured: about 410 B; about 1210 B when every closed round
@@ -23,6 +30,14 @@ BYTES_PER_CLOSED_ROUND_BUDGET = 600
 #: client histories.  Measured: about 815 B; about 1690 B when the session
 #: table and the decided index were hash sets.
 BYTES_PER_APPLIED_COMMAND_BUDGET = 1000
+
+#: Traced bytes the agreement monitors may hold per completed operation: a
+#: tenth of what compaction frees (a steady_mixed decided log that never
+#: compacted kept about 312 B per operation).  Measured at 1x and 2x the
+#: horizons below: about 2.2 B on the steady_mixed shape; about 3.9 B on the
+#: read_mostly_leases shape, where each write's lowest decided position is
+#: also kept (about 84 B per write, one write in twenty operations).
+MONITOR_BYTES_PER_OPERATION_BUDGET = 30
 
 
 def traced_growth(service, until):
@@ -69,3 +84,48 @@ def test_an_applied_command_stays_within_its_memory_budget():
     applied = service.total_applied() - applied_before
     assert applied > 600
     assert growth / applied <= BYTES_PER_APPLIED_COMMAND_BUDGET
+
+
+@pytest.mark.parametrize(
+    "shape, horizon",
+    [
+        (dict(read_fraction=0.5, poll_interval=0.5, batch_size=8, leases=False), 150.0),
+        (dict(read_fraction=0.95, poll_interval=0.25, batch_size="adaptive", leases=True), 100.0),
+    ],
+    ids=["steady_mixed", "read_mostly_leases"],
+)
+def test_a_long_run_keeps_its_decided_log_in_the_window_and_its_monitors_small(shape, horizon):
+    """perfbench's steady_mixed and read_mostly_leases shapes, fault-free: the
+    decided log's high water stays within the default compaction window, and
+    the monitors stay within their per-operation budget, from 1x to 2x the
+    horizon."""
+    policy = CompactionPolicy()
+    slack = 16  # decisions learnt above the frontier, out of order
+    tracemalloc.start()
+    try:
+        service = build_sharded_service(
+            num_shards=4, n=3, t=1, seed=110400, batch_size=shape["batch_size"], leases=shape["leases"]
+        )
+        clients = start_clients(
+            service,
+            num_clients=48,
+            workload_factory=lambda index: zipfian_workload(
+                num_keys=64, theta=0.99, read_fraction=shape["read_fraction"]
+            ),
+            poll_interval=shape["poll_interval"],
+        )
+        for until in (horizon, 2 * horizon):
+            service.run_until(until)
+            monitors = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, "*/analysis/service_metrics.py")]
+            )
+            monitor_bytes = sum(stat.size for stat in monitors.statistics("filename"))
+            completed = sum(client.stats.completed for client in clients)
+            assert service.counters()["snapshots_taken"] > 0
+            assert service.counters()["peak_decided_residency"] <= policy.interval + policy.retain + slack
+            assert monitor_bytes / completed <= MONITOR_BYTES_PER_OPERATION_BUDGET
+    finally:
+        tracemalloc.stop()
+    assert completed > 3000
+    if shape["leases"]:
+        assert all(monitor.write_positions for monitor in service.monitors)

@@ -6,6 +6,8 @@ counterexample.  The scenario replays deterministically from the embedded
 observed.
 """
 
+import pytest
+
 from repro.fuzz.executor import run_scenario
 from repro.service.sharding import ServiceSpec
 from repro.simulation.faults import FaultPlan
@@ -63,3 +65,27 @@ def test_lease_stale_read_is_prevented_by_clock_validation():
     plan = FaultPlan.from_dict(PLAN, n=spec.n, t=spec.t)
     result = run_scenario(spec, plan)
     assert result.ok, [violation.detail for violation in result.violations]
+
+
+#: Every kind the witness reports once every replica compacts.
+KINDS_UNDER_COMPACTION = ('linearizability', 'stale-read')
+
+
+@pytest.mark.parametrize(
+    "compaction",
+    [{}, {"compaction_interval": 16, "compaction_retain": 4}],
+    ids=["default_policy", "interval_16_retain_4"],
+)
+def test_lease_stale_read_survives_compaction(compaction):
+    """The stale-read finding joins each write's lowest decided position,
+    recorded as replicas learn it, so truncating that position later hides
+    nothing: the witness reports every kind under the default policy and at
+    (16, 4)."""
+    spec = ServiceSpec.from_dict({**SPEC, **compaction})
+    plan = FaultPlan.from_dict(PLAN, n=spec.n, t=spec.t)
+    result = run_scenario(spec, plan)
+    # At (16, 4) the position behind the finding is truncated by the horizon.
+    assert bool(compaction) == (result.counters.get("snapshots_taken", 0) > 0)
+    assert {violation.kind for violation in result.violations} == set(
+        KINDS_UNDER_COMPACTION
+    )

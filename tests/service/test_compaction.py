@@ -272,15 +272,18 @@ class TestCompactionComposition:
 
         assert fingerprint() == fingerprint()
 
-    def test_no_compaction_policy_means_no_snapshot_activity(self):
-        """The default path must not grow any snapshot machinery (this is the
-        fingerprint-identity guarantee in counter form)."""
+    def test_no_compaction_policy_means_the_default_policy(self):
+        """There is no off switch: ``compaction=None`` builds the default
+        policy, and a run that fills its interval snapshots and truncates."""
+        default = CompactionPolicy()
         service = build(compaction=None)
-        submit_puts(service, range(1, 21))
-        service.run_until(200.0)
-        assert service.counters()["snapshots_taken"] == 0
-        assert service.counters()["positions_compacted"] == 0
+        submit_puts(service, range(1, 2 * default.interval + 1))
+        service.run_until(HORIZON)
+        assert service.compaction == default
+        assert service.counters()["snapshots_taken"] > 0
+        assert service.counters()["positions_compacted"] > 0
         for replica in service.replicas(0):
-            assert replica.log.snapshots is None
-            assert replica.log.compaction_floor == 0
+            assert replica.log.snapshots.policy == default
+            assert replica.log.compaction_floor > 0
+            assert replica.log.delivered_total == 2 * default.interval
         assert service.is_consistent()
