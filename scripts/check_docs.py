@@ -20,7 +20,10 @@ out of sync with ``examples/*.py``.  This script fails the build on either:
   class-level assignment, or a ``self.attr =`` assignment in a method;
 * every ``repro`` import in a ```` ```python ```` block of ``README.md`` and
   ``docs/*.md`` must resolve: the module imports and has the name (or the
-  name is its submodule), so a snippet cannot keep naming a deleted API.
+  name is its submodule), so a snippet cannot keep naming a deleted API;
+* every backticked dotted name `` `repro.pkg.name` `` (a call's arguments
+  allowed) in ``README.md`` and ``docs/*.md`` must resolve the same way, with
+  its last component as the name.
 
 Usage::
 
@@ -285,6 +288,22 @@ def check_snippet_imports(path: Path) -> list:
     return errors
 
 
+#: A dotted name under ``repro`` in a code span, optionally with a call's
+#: arguments after it: `repro.pkg.module` or `repro.pkg.module.name(args)`.
+_DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\([^`\n]*\))?`")
+
+
+def check_dotted_names(path: Path) -> list:
+    """Return an error string for every `repro.*` name in *path* whose last
+    component is neither an attribute nor a submodule of the rest."""
+    errors = []
+    for dotted in _DOTTED.findall(path.read_text(encoding="utf-8")):
+        module, _, name = dotted.rpartition(".")
+        if not _resolves(module, name):
+            errors.append(f"{path.name}: unresolved name `{dotted}`")
+    return errors
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md"]
     documents += sorted((REPO_ROOT / "docs").glob("*.md"))
@@ -296,6 +315,7 @@ def main() -> int:
     for document in [REPO_ROOT / "README.md"] + sorted((REPO_ROOT / "docs").glob("*.md")):
         errors.extend(check_pointers(document, files))
         errors.extend(check_snippet_imports(document))
+        errors.extend(check_dotted_names(document))
     errors.extend(check_examples_table(REPO_ROOT / "README.md"))
     errors.extend(check_lint_rule_table(REPO_ROOT / "docs" / "ARCHITECTURE.md"))
     if errors:

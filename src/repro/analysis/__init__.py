@@ -4,12 +4,10 @@ from repro.analysis.bounds import BoundsAudit, audit_bounds
 from repro.analysis.experiments import (
     ExperimentResult,
     build_system,
-    compare_algorithms,
     run_omega_experiment,
     summarize_run,
 )
 from repro.analysis.metrics import (
-    AvailabilitySampler,
     LeaderPoller,
     LeaderSample,
     MessageStats,
@@ -18,13 +16,11 @@ from repro.analysis.metrics import (
     component_leaders,
     reachable_components,
     round_clock,
-    summarize_levels,
 )
 from repro.analysis.service_metrics import RunRecord, record_run
 from repro.analysis.trace import TraceEvent, Tracer
 
 __all__ = [
-    "AvailabilitySampler",
     "BoundsAudit",
     "ExperimentResult",
     "LeaderPoller",
@@ -36,13 +32,11 @@ __all__ = [
     "Tracer",
     "audit_bounds",
     "build_system",
-    "compare_algorithms",
     "component_agreed_leaders",
     "component_leaders",
     "reachable_components",
     "record_run",
     "round_clock",
     "run_omega_experiment",
-    "summarize_levels",
     "summarize_run",
 ]

@@ -10,7 +10,7 @@ leader changes, message counts, boundedness statistics.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Type
 
 from repro.analysis.bounds import BoundsAudit, audit_bounds
 from repro.analysis.metrics import LeaderPoller
@@ -212,22 +212,3 @@ def summarize_run(
         crashed=system.fault_plan.final_down_ids(),
     )
 
-
-def compare_algorithms(
-    scenario: Scenario,
-    algorithm_classes: Sequence[Type[RotatingStarOmegaBase]],
-    duration: float = 600.0,
-    seed: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-) -> List[ExperimentResult]:
-    """Run several algorithms under the same scenario (same seed, same faults)."""
-    return [
-        run_omega_experiment(
-            scenario,
-            algorithm_cls,
-            duration=duration,
-            seed=seed,
-            fault_plan=fault_plan,
-        )
-        for algorithm_cls in algorithm_classes
-    ]

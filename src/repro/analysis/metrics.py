@@ -15,13 +15,11 @@ every live process of a system.  From those samples the module computes:
 every alive process: how far apart the ALIVE numberings are and how far the
 receiving rounds trail them — the quantities a slow re-election hides in.
 
-The fault-plan engine (:mod:`repro.simulation.faults`) adds partition-aware and
-availability views: :func:`reachable_components` groups the alive processes by
-the partition currently in force, :func:`component_leaders` measures leader
-agreement *per reachable component* (during a split brain "one leader per
-component" is the correct expectation, not global agreement), and
-:class:`AvailabilitySampler` tracks how many processes are up over time under
-crash-recovery plans.
+The fault-plan engine (:mod:`repro.simulation.faults`) adds partition-aware
+views: :func:`reachable_components` groups the alive processes by the partition
+currently in force, and :func:`component_leaders` measures leader agreement
+*per reachable component* (during a split brain "one leader per component" is
+the correct expectation, not global agreement).
 """
 
 from __future__ import annotations
@@ -268,50 +266,3 @@ def component_agreed_leaders(system: System) -> List[Optional[int]]:
         agreed.append(values.pop() if len(values) == 1 else None)
     return agreed
 
-
-class AvailabilitySampler:
-    """Samples how many processes are up, at a fixed virtual-time interval.
-
-    Under crash-recovery fault plans availability is a trajectory, not a
-    constant: processes leave and rejoin.  The sampler records the alive
-    fraction at every interval; :meth:`availability` is the mean over the whole
-    run (the standard "fraction of process-time up" reading) and
-    :meth:`min_alive` the worst instant.
-    """
-
-    def __init__(self, system: System, interval: float = 5.0) -> None:
-        require_positive(interval, "interval")
-        self.system = system
-        self.interval = interval
-        #: ``(time, alive_count)`` pairs, one per sample.
-        self.samples: List[tuple] = []
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        self.system.scheduler.schedule_after(self.interval, self._sample)
-
-    def _sample(self) -> None:
-        alive = sum(1 for shell in self.system.shells if not shell.crashed)
-        self.samples.append((self.system.now, alive))
-        self._schedule_next()
-
-    def availability(self) -> float:
-        """Mean alive fraction over the sampled run (1.0 when never sampled)."""
-        if not self.samples:
-            return 1.0
-        n = self.system.config.n
-        return sum(count for _, count in self.samples) / (len(self.samples) * n)
-
-    def min_alive(self) -> int:
-        """Smallest number of alive processes seen in any sample."""
-        if not self.samples:
-            return self.system.config.n
-        return min(count for _, count in self.samples)
-
-
-def summarize_levels(levels: Dict[int, Dict[int, int]]) -> Dict[str, int]:
-    """Summary statistics over a pid -> susp_level mapping (for reports)."""
-    all_values = [value for array in levels.values() for value in array.values()]
-    if not all_values:
-        return {"max": 0, "min": 0}
-    return {"max": max(all_values), "min": min(all_values)}

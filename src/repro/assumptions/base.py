@@ -84,8 +84,8 @@ class Scenario(abc.ABC):
         violation: that is precisely what makes the engine composable with the
         paper's *eventual* assumptions.
 
-        Returns a list of human-readable violation descriptions (empty when the
-        plan preserves the assumption; see :meth:`admits_fault_plan`).
+        Returns a list of human-readable violation descriptions, empty exactly
+        when the plan preserves the assumption.
         """
         violations: List[str] = []
         protected = self.protected_processes()
@@ -135,10 +135,6 @@ class Scenario(abc.ABC):
                     "permanently corrupts payloads"
                 )
         return violations
-
-    def admits_fault_plan(self, plan: FaultPlan) -> bool:
-        """True when *plan* leaves this scenario's assumption intact."""
-        return not self.fault_plan_violations(plan)
 
     def recommended_omega_config(self) -> OmegaConfig:
         """An :class:`~repro.core.config.OmegaConfig` whose time constants match the

@@ -30,11 +30,7 @@ class OmegaConfig:
     alive_period:
         The bound ``beta`` between two consecutive ALIVE broadcasts by the same
         process (task T1 "repeat regularly").  Each process broadcasts exactly every
-        ``alive_period`` local time units (plus optional per-process jitter).
-    alive_jitter:
-        Maximal random extra delay added to each ALIVE period, drawn uniformly from
-        ``[0, alive_jitter]``.  The paper only requires the period to be *bounded*, so
-        jitter is allowed; it defaults to 0 for determinism.
+        ``alive_period`` local time units (stretched by ``pace_alive`` when on).
     timeout_unit:
         Multiplier converting the (integer) timer value ``max(susp_level)`` prescribed
         by line 11 into time units.  This is a pure change of time scale.
@@ -130,7 +126,6 @@ class OmegaConfig:
     """
 
     alive_period: float = 1.0
-    alive_jitter: float = 0.0
     timeout_unit: float = 1.0
     initial_timeout: float = 0.0
     alpha: Optional[int] = None
@@ -143,7 +138,6 @@ class OmegaConfig:
 
     def __post_init__(self) -> None:
         require_positive(self.alive_period, "alive_period")
-        require_non_negative(self.alive_jitter, "alive_jitter")
         require_positive(self.timeout_unit, "timeout_unit")
         require_non_negative(self.initial_timeout, "initial_timeout")
         if self.alpha is not None and self.alpha < 1:

@@ -147,8 +147,6 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         if self.config.pace_alive:
             # Send no faster than a receiving round can close (line 11).
             period = max(period, self.config.timeout_unit * self.susp_level.maximum())
-        if self.config.alive_jitter:
-            period += env.random.uniform(0.0, self.config.alive_jitter)
         env.set_timer(period, ALIVE_TIMER)
 
     def _on_alive_timer(self, env: Environment) -> None:

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.consensus.commands import Command
 from repro.service.sharding import ServiceSpec, ShardedService
 from repro.util.rng import RandomSource
-from repro.util.validation import require_positive
+from repro.util.validation import require_non_negative, require_positive
 
 #: A sampled operation: (op name, key, args) — the payload of a Command.
 Operation = Tuple[str, str, Tuple]
@@ -342,7 +342,7 @@ class ClosedLoopClient:
         self.rng = rng
         self.poll_interval = poll_interval
         self.retry_timeout = retry_timeout
-        self.think_time = think_time
+        self.think_time = require_non_negative(think_time, "think_time")
         self.stop_at = stop_at
         self.record_history = record_history
         #: Completed operations in completion order (empty unless recording).

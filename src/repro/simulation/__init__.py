@@ -30,12 +30,7 @@ from repro.simulation.faults import (
 from repro.simulation.delays import (
     ConstantDelay,
     DelayModel,
-    ExponentialDelay,
-    HeavyTailDelay,
     MessageContext,
-    PartiallySynchronousDelay,
-    PerLinkDelay,
-    TagFilteredDelay,
     UniformDelay,
 )
 from repro.simulation.events import Event
@@ -52,28 +47,23 @@ __all__ = [
     "Envelope",
     "Event",
     "EventScheduler",
-    "ExponentialDelay",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
-    "HeavyTailDelay",
     "LinkFault",
     "LinkHeal",
     "LinkState",
     "MessageContext",
     "Network",
     "NetworkStats",
-    "PartiallySynchronousDelay",
     "PartitionHeal",
     "PartitionStart",
-    "PerLinkDelay",
     "ProcessFactory",
     "Recover",
     "SimProcessShell",
     "SlowProcess",
     "System",
     "SystemConfig",
-    "TagFilteredDelay",
     "UniformDelay",
     "corrupt_message",
     "corrupt_value",

@@ -7,18 +7,20 @@ assumptions of :mod:`repro.assumptions` are implemented as delay models that
 constrain exactly the messages the assumption talks about (ALIVE messages of star
 rounds from the centre to the points) and leave every other message unconstrained.
 
-A model may also return ``None`` to drop a message; only the fair-lossy models of
-:mod:`repro.channels` do so — every model in this module is loss-free, matching the
-paper's reliable links.
+This module holds the interface and two unconstrained models:
+:class:`ConstantDelay` (what ``ConstantDelayScenario`` builds) and
+:class:`UniformDelay`.  A model may also return ``None`` to drop a message; only
+the fair-lossy models of :mod:`repro.channels` do so — both models here are
+loss-free, matching the paper's reliable links.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.util.rng import RandomSource
-from repro.util.validation import require_non_negative, require_positive
+from repro.util.validation import require_non_negative
 
 
 class MessageContext:
@@ -110,114 +112,3 @@ class UniformDelay(DelayModel):
 
     def describe(self) -> str:
         return f"uniform[{self.low}, {self.high}]"
-
-
-class ExponentialDelay(DelayModel):
-    """Exponentially distributed delays with the given *mean*, capped at *cap*.
-
-    The cap keeps every delay finite and bounded, as required for messages that an
-    assumption needs to be merely "eventually received"; it defaults to 50 times the
-    mean, which is far out in the tail.
-    """
-
-    def __init__(self, mean: float, rng: RandomSource, cap: Optional[float] = None) -> None:
-        self.mean = require_positive(mean, "mean")
-        self.cap = cap if cap is not None else 50.0 * mean
-        require_positive(self.cap, "cap")
-        self._rng = rng
-
-    def delay(self, ctx: MessageContext) -> float:
-        return min(self._rng.expovariate(1.0 / self.mean), self.cap)
-
-    def describe(self) -> str:
-        return f"exponential(mean={self.mean}, cap={self.cap})"
-
-
-class HeavyTailDelay(DelayModel):
-    """Pareto-distributed delays: most messages fast, a few extremely slow.
-
-    Stresses an algorithm with long-tail behaviour while keeping every delay
-    finite (capped).  No scenario builds it; it is a library model.
-    """
-
-    def __init__(
-        self,
-        scale: float,
-        shape: float,
-        rng: RandomSource,
-        cap: Optional[float] = None,
-    ) -> None:
-        self.scale = require_positive(scale, "scale")
-        self.shape = require_positive(shape, "shape")
-        self.cap = cap if cap is not None else 200.0 * scale
-        self._rng = rng
-
-    def delay(self, ctx: MessageContext) -> float:
-        return min(self.scale * self._rng.paretovariate(self.shape), self.cap)
-
-    def describe(self) -> str:
-        return f"pareto(scale={self.scale}, shape={self.shape}, cap={self.cap})"
-
-
-class PerLinkDelay(DelayModel):
-    """A different delay model per directed link, with a default for the rest."""
-
-    def __init__(
-        self,
-        default: DelayModel,
-        overrides: Optional[Dict[Tuple[int, int], DelayModel]] = None,
-    ) -> None:
-        self.default = default
-        self.overrides = dict(overrides or {})
-
-    def set_link(self, sender: int, dest: int, model: DelayModel) -> None:
-        """Install *model* on the directed link ``sender -> dest``."""
-        self.overrides[(sender, dest)] = model
-
-    def delay(self, ctx: MessageContext) -> Optional[float]:
-        model = self.overrides.get((ctx.sender, ctx.dest), self.default)
-        return model.delay(ctx)
-
-    def describe(self) -> str:
-        return f"per-link({len(self.overrides)} overrides, default={self.default.describe()})"
-
-
-class PartiallySynchronousDelay(DelayModel):
-    """Chaotic delays before a global stabilisation time (GST), bounded after.
-
-    This is the classical partial-synchrony shape (no scenario builds it; it is a
-    library model): before ``gst`` the *chaotic* model applies, from ``gst`` on the
-    *stable* model applies (typically a small constant or narrow uniform delay).
-    The switch is based on the message's send time.
-    """
-
-    def __init__(self, gst: float, chaotic: DelayModel, stable: DelayModel) -> None:
-        self.gst = require_non_negative(gst, "gst")
-        self.chaotic = chaotic
-        self.stable = stable
-
-    def delay(self, ctx: MessageContext) -> Optional[float]:
-        model = self.stable if ctx.send_time >= self.gst else self.chaotic
-        return model.delay(ctx)
-
-    def describe(self) -> str:
-        return (
-            f"partially-synchronous(gst={self.gst}, chaotic={self.chaotic.describe()}, "
-            f"stable={self.stable.describe()})"
-        )
-
-
-class TagFilteredDelay(DelayModel):
-    """Apply *special* to messages whose tag matches, *default* to the others."""
-
-    def __init__(self, tag: str, special: DelayModel, default: DelayModel) -> None:
-        self.tag = tag
-        self.special = special
-        self.default = default
-
-    def delay(self, ctx: MessageContext) -> Optional[float]:
-        model = self.special if ctx.tag == self.tag else self.default
-        return model.delay(ctx)
-
-    def describe(self) -> str:
-        return f"tag[{self.tag}]->{self.special.describe()} else {self.default.describe()}"

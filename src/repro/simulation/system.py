@@ -36,7 +36,7 @@ ProcessFactory = Callable[[int], Process]
 
 @dataclasses.dataclass
 class SystemConfig:
-    """Static parameters of a simulated system.
+    """Static parameters of a simulated system; every process starts at time 0.
 
     Attributes
     ----------
@@ -46,20 +46,14 @@ class SystemConfig:
         Maximum number of crashes tolerated (used for validation and by factories).
     seed:
         Master seed; every random choice of the run derives from it.
-    start_jitter:
-        Processes start at independent uniformly random times in
-        ``[0, start_jitter]``, modelling unsynchronised boots.  0 starts everyone at
-        time 0 (still deterministic).
     """
 
     n: int
     t: int
     seed: int = 0
-    start_jitter: float = 0.0
 
     def __post_init__(self) -> None:
         validate_process_count(self.n, self.t)
-        require_non_negative(self.start_jitter, "start_jitter")
 
 
 class System:
@@ -114,14 +108,8 @@ class System:
             if storage is not None:
                 self._attach_storage(shell, algorithm)
 
-        start_rng = self._master_rng.child("start-jitter")
         for shell in self.shells:
-            offset = (
-                start_rng.uniform(0.0, config.start_jitter)
-                if config.start_jitter
-                else 0.0
-            )
-            self.scheduler.schedule_at(offset, shell.start)
+            self.scheduler.schedule_at(0.0, shell.start)
 
         self.injector = FaultInjector(self, self.fault_plan)
         self.injector.schedule_plan()

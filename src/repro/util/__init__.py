@@ -1,7 +1,6 @@
 """Small shared helpers used across the reproduction packages."""
 
 from repro.util.validation import (
-    require_at_least,
     require_in_range,
     require_non_negative,
     require_positive,
@@ -15,7 +14,6 @@ __all__ = [
     "derive_seed",
     "fingerprint",
     "format_table",
-    "require_at_least",
     "require_in_range",
     "require_non_negative",
     "require_positive",

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -64,9 +64,7 @@ class RandomSource:
 
     * ``random()`` — a float uniformly drawn from [0, 1);
     * ``uniform(low, high)`` — a float uniformly drawn from [low, high];
-    * ``randint(low, high)`` — an integer uniformly drawn from [low, high];
-    * ``expovariate(rate)`` — an exponentially distributed float;
-    * ``paretovariate(alpha)`` — a Pareto-distributed float (heavy-tailed delays).
+    * ``randint(low, high)`` — an integer uniformly drawn from [low, high].
     """
 
     def __init__(self, seed: int, label: Optional[str] = None) -> None:
@@ -77,8 +75,6 @@ class RandomSource:
         self.random = self._rng.random
         self.uniform = self._rng.uniform
         self.randint = self._rng.randint
-        self.expovariate = self._rng.expovariate
-        self.paretovariate = self._rng.paretovariate
 
     def child(self, *labels: object) -> "RandomSource":
         """Return an independent child source labelled by *labels*."""
@@ -93,17 +89,6 @@ class RandomSource:
         """Return *k* distinct elements sampled from *items*."""
         return self._rng.sample(items, k)
 
-    def shuffle(self, items: list) -> None:
-        """Shuffle *items* in place."""
-        self._rng.shuffle(items)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RandomSource(seed={self.seed}, label={self.label!r})"
 
-
-def spread(values: Iterable[float]) -> float:
-    """Return ``max(values) - min(values)`` (0.0 for an empty iterable)."""
-    items = list(values)
-    if not items:
-        return 0.0
-    return max(items) - min(items)

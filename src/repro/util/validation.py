@@ -25,13 +25,6 @@ def require_non_negative(value: float, name: str) -> float:
     return value
 
 
-def require_at_least(value: float, minimum: float, name: str) -> float:
-    """Return *value* if it is >= *minimum*, otherwise raise ``ValueError``."""
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-    return value
-
-
 def require_in_range(
     value: float,
     name: str,

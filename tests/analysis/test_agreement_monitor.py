@@ -62,6 +62,14 @@ class TestAgreement:
         assert "pid 1 learnt '<noop>'" in violation.detail
         assert "pid 2 learnt Batch(" in violation.detail
 
+    def test_conflicts_are_reported_in_position_order(self):
+        service = lease_service()
+        for position in (5, 2):
+            service.monitors[0].learn(0, position, PUT)
+            service.monitors[0].learn(1, position, OTHER)
+        details = [violation.detail for violation in agreement_violations(service)]
+        assert [detail.split(" decided")[0] for detail in details] == ["position 2", "position 5"]
+
     def test_a_position_truncated_by_compaction_is_still_checked(self):
         policy = CompactionPolicy(interval=8, retain=2)
         service = build_sharded_service(num_shards=1, n=3, t=1, seed=13, batch_size=1, compaction=policy)
@@ -101,6 +109,16 @@ class TestStaleReads:
         (violation,) = stale_read_violations(service, clients)
         assert violation.kind == "stale-read"
         assert "decided at position 3" in violation.detail
+
+    def test_a_shard_without_lease_reads_does_not_end_the_scan(self):
+        service = build_sharded_service(num_shards=2, n=3, t=1, seed=5, leases=True)
+        key = next(f"k{index}" for index in range(64) if service.shard_for(f"k{index}") == 1)
+        service.monitors[1].learn(0, 3, Command.put("writer", 1, key, "v"))
+        written = record("writer", 1, "put", 0.0, 5.0, key=key)
+        read = record("reader", 1, "get", 6.0, 6.5, read_index=3, key=key)
+        service.read_audits[1].append(read)
+        (violation,) = stale_read_violations(service, [SimpleNamespace(history=[written, read])])
+        assert (violation.kind, violation.shard) == ("stale-read", 1)
 
     def test_gets_are_never_recorded_as_writes(self):
         monitor = AgreementMonitor(record_writes=True)

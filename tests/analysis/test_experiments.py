@@ -6,11 +6,10 @@ from repro.analysis.bounds import audit_bounds
 from repro.analysis.experiments import (
     ExperimentResult,
     build_system,
-    compare_algorithms,
     run_omega_experiment,
 )
 from repro.assumptions import EventualTSourceScenario, IntermittentRotatingStarScenario
-from repro.core import Figure1Omega, Figure3Omega, OmegaConfig
+from repro.core import Figure3Omega, OmegaConfig
 from repro.simulation import Crash, FaultPlan, Recover
 
 
@@ -85,15 +84,6 @@ class TestRunOmegaExperiment:
         assert result.messages_per_time_unit() == pytest.approx(
             result.messages_sent / 80.0
         )
-
-
-class TestCompareAlgorithms:
-    def test_runs_each_algorithm_once(self):
-        scenario = IntermittentRotatingStarScenario(n=5, t=2, seed=2)
-        results = compare_algorithms(
-            scenario, [Figure1Omega, Figure3Omega], duration=100.0, seed=2
-        )
-        assert [result.algorithm for result in results] == ["figure1", "figure3"]
 
 
 class TestBoundsAudit:

@@ -7,7 +7,6 @@ from repro.analysis.metrics import (
     LeaderPoller,
     LeaderSample,
     round_clock,
-    summarize_levels,
 )
 from repro.assumptions import EventualTSourceScenario
 from repro.core import Figure3Omega
@@ -188,14 +187,6 @@ class TestRoundClock:
         assert (clock.rounds, clock.sending_spread, clock.receive_lag) == ({}, 0, 0)
 
 
-class TestSummarizeLevels:
-    def test_empty(self):
-        assert summarize_levels({}) == {"max": 0, "min": 0}
-
-    def test_values(self):
-        assert summarize_levels({0: {0: 1, 1: 5}, 1: {0: 2, 1: 0}}) == {"max": 5, "min": 0}
-
-
 class TestPartitionAwareMetrics:
     def _partitioned_system(self):
         from repro.core import OmegaConfig
@@ -239,20 +230,3 @@ class TestPartitionAwareMetrics:
         assert [sorted(outputs) for outputs in per_component] == [[0, 1], [2, 4]]
         agreed = component_agreed_leaders(system)
         assert len(agreed) == 2
-
-    def test_availability_sampler_tracks_crash_recovery(self):
-        from repro.analysis.metrics import AvailabilitySampler
-        from repro.core import OmegaConfig
-        from repro.simulation import ConstantDelay, FaultPlan, System, SystemConfig
-
-        plan = FaultPlan.rolling_restarts([1], start=10.0, downtime=20.0)
-        system = System(
-            SystemConfig(n=4, t=1, seed=0),
-            lambda pid: Figure3Omega(pid=pid, n=4, t=1, config=OmegaConfig()),
-            ConstantDelay(0.2),
-            fault_plan=plan,
-        )
-        sampler = AvailabilitySampler(system, interval=5.0)
-        system.run_until(40.0)
-        assert sampler.min_alive() == 3
-        assert 0.75 < sampler.availability() < 1.0

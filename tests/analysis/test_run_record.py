@@ -92,6 +92,14 @@ class TestLatencyQuantiles:
         assert set(_with_latencies(run[2], []).latency.values()) == {0}
 
 
+class TestDerivedFigures:
+    def test_two_correct_states_are_not_consistent(self, run):
+        assert not dataclasses.replace(run[2], digests=((("a", True), ("b", True)),)).consistent
+
+    def test_no_decided_instance_reads_as_zero_commands_per_instance(self, run):
+        assert dataclasses.replace(run[2], instances=(0, 0)).commands_per_instance == 0.0
+
+
 class TestSerialization:
     def test_round_trips_through_json(self, run):
         record = dataclasses.replace(
@@ -110,8 +118,9 @@ class TestSerialization:
                 lambda data: data.update(violations=[{"kind": "agreement", "shard": 0}]),
                 r"violation is missing field\(s\) \['detail'\]",
             ),
+            (lambda data: data.update(violations=["agreement"]), r"violation must be a dict, got 'agreement'"),
         ],
-        ids=["missing", "unknown", "bad-violation"],
+        ids=["missing", "unknown", "bad-violation", "violation-not-a-dict"],
     )
     def test_from_dict_rejects_a_missing_or_unknown_field(self, run, change, message):
         data = run[2].to_dict()

@@ -23,10 +23,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             OmegaConfig(alive_period=0.0)
 
-    def test_rejects_negative_jitter(self):
-        with pytest.raises(ValueError):
-            OmegaConfig(alive_jitter=-0.5)
-
     def test_rejects_non_positive_timeout_unit(self):
         with pytest.raises(ValueError):
             OmegaConfig(timeout_unit=0.0)

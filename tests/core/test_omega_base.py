@@ -97,14 +97,6 @@ class TestTaskT1:
         (alive_timer,) = [t for t in env.timers if t.name == ALIVE_TIMER]
         assert alive_timer.fires_at == expected
 
-    def test_jitter_is_added_on_top_of_the_paced_period(self):
-        algorithm, env = make(pace_alive=True, timeout_unit=2.0, alive_jitter=0.5)
-        algorithm.susp_level.merge({2: 3})
-        algorithm.on_start(env)
-        (alive_timer,) = [t for t in env.timers if t.name == ALIVE_TIMER]
-        assert 6.0 <= alive_timer.fires_at <= 6.5
-        assert alive_timer.fires_at != 6.0
-
 
 class TestAliveReception:
     def test_gossip_merges_levels(self):

@@ -9,8 +9,13 @@ arrival order of its operations and with any subset of results masked as
 RESULT_UNKNOWN.
 """
 
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.service_metrics import Violation
+from repro.fuzz.executor import linearizability_violations
 from repro.fuzz.linearizability import (
     apply_kv,
     check_history,
@@ -192,3 +197,35 @@ class TestSequentialProperty:
             for record in shuffled
         ]
         assert check_history(masked).ok
+
+
+class TestExecutorProbe:
+    """``linearizability_violations`` merges every client's history and reports
+    one finding per failing key, on no shard (-1): the merged history is
+    checked whole."""
+
+    @pytest.mark.parametrize(
+        "read, expected",
+        [
+            ("a", []),
+            (
+                None,
+                [
+                    Violation(
+                        kind="linearizability",
+                        shard=-1,
+                        detail=(
+                            "key 'k': no linearization of 2 completed operation(s) "
+                            "matches the key-value specification; first ops: "
+                            "put(k,'a')->'OK', get(k)->None"
+                        ),
+                    )
+                ],
+            ),
+        ],
+        ids=["clean_history", "stale_get"],
+    )
+    def test_a_get_after_a_completed_put(self, read, expected):
+        writer = SimpleNamespace(history=[op("c0", 1, "put", "k", ("a",), 0, 1, "OK")])
+        reader = SimpleNamespace(history=[op("c1", 1, "get", "k", (), 2, 3, read)])
+        assert linearizability_violations([writer, reader]) == expected

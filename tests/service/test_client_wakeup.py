@@ -347,3 +347,12 @@ def test_a_long_run_keeps_two_events_per_client_and_observes_only_what_took_effe
     # Fault-free, nothing is retried, so every observation completed a command.
     assert retries == 0
     assert len(polls) == completed
+
+
+def test_a_negative_think_time_is_refused_at_construction():
+    """Accepted, it would fail only at the first completion, when the
+    scheduler refuses the negative delay."""
+    with pytest.raises(ValueError, match="think_time must be >= 0"):
+        ClosedLoopClient(
+            "c", _StubService(), uniform_workload(4), RandomSource(5), think_time=-3.0
+        )

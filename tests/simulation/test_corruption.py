@@ -394,13 +394,12 @@ class TestScenarioAdmission:
         permanent = FaultPlan([CorruptLink(time=5.0, sender=0, dest=1)])
         violations = scenario.fault_plan_violations(permanent)
         assert any("corrupts payloads" in v for v in violations)
-        assert not scenario.admits_fault_plan(permanent)
 
     def test_bounded_or_unprotected_corruption_is_admitted(self):
         from repro.assumptions.scenarios import IntermittentRotatingStarScenario
 
         scenario = IntermittentRotatingStarScenario(n=3, t=1, center=0, seed=1)
         bounded = FaultPlan([CorruptLink(time=5.0, sender=0, dest=1, until=50.0)])
-        assert scenario.admits_fault_plan(bounded)
+        assert scenario.fault_plan_violations(bounded) == []
         unprotected = FaultPlan([CorruptLink(time=5.0, sender=1, dest=2)])
-        assert scenario.admits_fault_plan(unprotected)
+        assert scenario.fault_plan_violations(unprotected) == []

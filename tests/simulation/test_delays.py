@@ -4,12 +4,7 @@ import pytest
 
 from repro.simulation.delays import (
     ConstantDelay,
-    ExponentialDelay,
-    HeavyTailDelay,
     MessageContext,
-    PartiallySynchronousDelay,
-    PerLinkDelay,
-    TagFilteredDelay,
     UniformDelay,
 )
 from repro.util.rng import RandomSource
@@ -48,57 +43,3 @@ class TestUniformDelay:
         b = UniformDelay(0.0, 1.0, RandomSource(9))
         assert [a.delay(ctx()) for _ in range(5)] == [b.delay(ctx()) for _ in range(5)]
 
-
-class TestExponentialDelay:
-    def test_positive_and_capped(self):
-        model = ExponentialDelay(mean=1.0, rng=RandomSource(1), cap=3.0)
-        for _ in range(500):
-            value = model.delay(ctx())
-            assert 0.0 <= value <= 3.0
-
-    def test_default_cap_is_generous(self):
-        model = ExponentialDelay(mean=2.0, rng=RandomSource(1))
-        assert model.cap == 100.0
-
-    def test_rejects_non_positive_mean(self):
-        with pytest.raises(ValueError):
-            ExponentialDelay(mean=0.0, rng=RandomSource(1))
-
-
-class TestHeavyTailDelay:
-    def test_at_least_scale_and_capped(self):
-        model = HeavyTailDelay(scale=1.0, shape=1.5, rng=RandomSource(2), cap=50.0)
-        for _ in range(500):
-            value = model.delay(ctx())
-            assert 1.0 <= value <= 50.0
-
-
-class TestPerLinkDelay:
-    def test_override_applies_to_specific_link(self):
-        model = PerLinkDelay(default=ConstantDelay(1.0))
-        model.set_link(0, 1, ConstantDelay(9.0))
-        assert model.delay(ctx(sender=0, dest=1)) == 9.0
-        assert model.delay(ctx(sender=1, dest=0)) == 1.0
-
-    def test_constructor_overrides(self):
-        model = PerLinkDelay(
-            default=ConstantDelay(1.0), overrides={(2, 3): ConstantDelay(5.0)}
-        )
-        assert model.delay(ctx(sender=2, dest=3)) == 5.0
-
-
-class TestPartiallySynchronousDelay:
-    def test_switches_at_gst(self):
-        model = PartiallySynchronousDelay(
-            gst=10.0, chaotic=ConstantDelay(50.0), stable=ConstantDelay(1.0)
-        )
-        assert model.delay(ctx(send_time=5.0)) == 50.0
-        assert model.delay(ctx(send_time=10.0)) == 1.0
-        assert model.delay(ctx(send_time=100.0)) == 1.0
-
-
-class TestTagFilteredDelay:
-    def test_special_tag_gets_special_model(self):
-        model = TagFilteredDelay("ALIVE", ConstantDelay(7.0), ConstantDelay(1.0))
-        assert model.delay(ctx(tag="ALIVE")) == 7.0
-        assert model.delay(ctx(tag="SUSPICION")) == 1.0

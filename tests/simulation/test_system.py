@@ -16,8 +16,8 @@ from repro.simulation import (
 from repro.util.rng import RandomSource
 
 
-def build(n=4, t=1, seed=0, fault_plan=None, start_jitter=0.0, delay=None):
-    config = SystemConfig(n=n, t=t, seed=seed, start_jitter=start_jitter)
+def build(n=4, t=1, seed=0, fault_plan=None, delay=None):
+    config = SystemConfig(n=n, t=t, seed=seed)
     omega_config = OmegaConfig()
 
     def factory(pid):
@@ -31,10 +31,6 @@ class TestConfigValidation:
     def test_rejects_bad_process_count(self):
         with pytest.raises(ValueError):
             SystemConfig(n=1, t=0)
-
-    def test_rejects_negative_jitter(self):
-        with pytest.raises(ValueError):
-            SystemConfig(n=3, t=1, start_jitter=-1.0)
 
     def test_rejects_fault_plan_exceeding_t(self):
         with pytest.raises(ValueError):
@@ -58,13 +54,6 @@ class TestExecution:
         system.run_until(5.0)
         assert all(shell.started for shell in system.shells)
         assert system.stats.total_sent > 0
-
-    def test_start_jitter_delays_starts_deterministically(self):
-        system_a = build(seed=3, start_jitter=2.0)
-        system_b = build(seed=3, start_jitter=2.0)
-        system_a.run_until(5.0)
-        system_b.run_until(5.0)
-        assert system_a.stats.total_sent == system_b.stats.total_sent
 
     def test_deterministic_given_seed(self):
         results = []

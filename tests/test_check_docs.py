@@ -1,7 +1,10 @@
-"""The documentation checker's `path.py:Symbol` pointer resolution."""
+"""The documentation checker's name resolution: `path.py:Symbol` pointers,
+snippet imports and backticked dotted `repro.*` names."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,3 +96,31 @@ class TestSnippetImports:
         document.write_text("```python\nfrom repro import (\n```\n", encoding="utf-8")
         (problem,) = check_docs.check_snippet_imports(document)
         assert "python block does not parse" in problem
+
+
+class TestDottedNames:
+    @pytest.mark.parametrize(
+        "text, unresolved",
+        [
+            ("`repro.simulation.faults`", []),
+            ("`repro.analysis.metrics.reachable_components`", []),
+            ("`repro.analysis.metrics.AvailabilitySampler`", ["repro.analysis.metrics.AvailabilitySampler"]),
+            ("`repro.nowhere`", ["repro.nowhere"]),
+            ("`repro.fuzz.executor.gone(service, clients)`", ["repro.fuzz.executor.gone"]),
+            ("a bare `repro` and prose repro.gone.thing", []),
+        ],
+        ids=[
+            "module",
+            "attribute",
+            "deleted_attribute",
+            "missing_module",
+            "call_form",
+            "not_a_dotted_code_span",
+        ],
+    )
+    def test_each_backticked_name_resolves_or_is_reported(self, tmp_path, text, unresolved):
+        document = tmp_path / "GUIDE.md"
+        document.write_text(text + "\n", encoding="utf-8")
+        assert check_docs.check_dotted_names(document) == [
+            f"GUIDE.md: unresolved name `{name}`" for name in unresolved
+        ]

@@ -1,9 +1,8 @@
 """Unit tests for repro.util.rng."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import RandomSource, derive_seed, spread
+from repro.util.rng import RandomSource, derive_seed
 
 
 class TestDeriveSeed:
@@ -63,25 +62,3 @@ class TestRandomSource:
         rng = RandomSource(5)
         assert rng.choice(["a", "b"]) in ("a", "b")
 
-    def test_expovariate_positive(self):
-        rng = RandomSource(5)
-        assert rng.expovariate(1.0) > 0
-
-    def test_paretovariate_at_least_one(self):
-        rng = RandomSource(5)
-        assert rng.paretovariate(2.0) >= 1.0
-
-    def test_shuffle_preserves_elements(self):
-        rng = RandomSource(5)
-        items = list(range(20))
-        shuffled = list(items)
-        rng.shuffle(shuffled)
-        assert sorted(shuffled) == items
-
-
-class TestSpread:
-    def test_empty_iterable(self):
-        assert spread([]) == 0.0
-
-    def test_spread_of_values(self):
-        assert spread([3.0, 7.5, 5.0]) == pytest.approx(4.5)

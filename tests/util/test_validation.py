@@ -3,7 +3,6 @@
 import pytest
 
 from repro.util.validation import (
-    require_at_least,
     require_in_range,
     require_non_negative,
     require_positive,
@@ -31,15 +30,6 @@ class TestRequireNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="x must be >= 0"):
             require_non_negative(-0.1, "x")
-
-
-class TestRequireAtLeast:
-    def test_accepts_boundary(self):
-        assert require_at_least(3, 3, "x") == 3
-
-    def test_rejects_below_minimum(self):
-        with pytest.raises(ValueError):
-            require_at_least(2, 3, "x")
 
 
 class TestRequireInRange:
