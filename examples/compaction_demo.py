@@ -20,9 +20,10 @@ Midway through, one follower per shard is restarted *without* stable storage:
 it comes back with an empty log whose prefix the survivors have long since
 truncated, so plain catch-up cannot serve it — the replica recovers through a
 **snapshot transfer** (chunked, CRC-checked) and then tails the retained log.
-The truncated history is still accounted for: every replica folds each
-delivered value into an incremental digest chain, and the demo requires those
-chains — not just the final key-value states — to agree everywhere.
+The truncated history is still checked: each shard's agreement monitor
+records every position as a replica learns it, before compaction truncates
+it, and the demo requires no position to have been learnt two ways, every
+replica to reach the same frontier, and the final key-value states to agree.
 
 The demo exits non-zero unless residency stayed bounded, every replica
 (including the restarted ones) converged, and at least one snapshot transfer
@@ -34,6 +35,7 @@ Run with:  python examples/compaction_demo.py [--quick]
 import argparse
 
 from repro.analysis import record_run
+from repro.analysis.service_metrics import agreement_violations
 from repro.service import build_sharded_service, start_clients, zipfian_workload
 from repro.simulation import FaultPlan
 from repro.storage import CompactionPolicy
@@ -125,10 +127,11 @@ def main() -> None:
     bound = POLICY.interval + POLICY.retain + RESIDENCY_SLACK
     rows = []
     converged = True
+    disagreeing = {violation.shard for violation in agreement_violations(service)}
     for shard in range(SHARDS):
         digests = set(service.state_digests(shard, correct_only=False))
-        chains = {replica.log.delivered_digest() for replica in service.replicas(shard)}
-        ok = len(digests) == 1 and len(chains) == 1
+        frontiers = {replica.log.frontier for replica in service.replicas(shard)}
+        ok = len(digests) == 1 and len(frontiers) == 1 and shard not in disagreeing
         converged = converged and ok
         resident, floor, frontier = residency_row(service, shard)
         rows.append(
@@ -170,12 +173,12 @@ def main() -> None:
     if peak > bound:
         failures.append(f"peak residency {peak} exceeded the bound {bound}")
     if not converged:
-        failures.append("replica digests or digest chains diverged")
+        failures.append("replica states, frontiers or decided values diverged")
     if counters["snapshot_restores"] < 1:
         failures.append("no snapshot transfer happened (recovery took the wrong path)")
     if failures:
         raise SystemExit("compaction demo FAILED: " + "; ".join(failures))
-    print("bounded residency, converged digest chains, snapshot recovery: all OK")
+    print("bounded residency, converged replicas, snapshot recovery: all OK")
 
 
 if __name__ == "__main__":

@@ -23,7 +23,11 @@ out of sync with ``examples/*.py``.  This script fails the build on either:
   name is its submodule), so a snippet cannot keep naming a deleted API;
 * every backticked dotted name `` `repro.pkg.name` `` (a call's arguments
   allowed) in ``README.md`` and ``docs/*.md`` must resolve the same way, with
-  its last component as the name.
+  its last component as the name;
+* every bare `` `Class.member` `` span (a call's arguments allowed) in
+  ``README.md`` and ``docs/*.md`` whose ``Class`` is defined at the top level
+  of exactly one ``src/repro`` file must name something that file defines on
+  the class; spans naming any other class, or none, are skipped.
 
 Usage::
 
@@ -304,6 +308,34 @@ def check_dotted_names(path: Path) -> list:
     return errors
 
 
+#: A bare member span: `Class.member`, optionally with a call's arguments.
+_MEMBER = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\([^`\n]*\))?`")
+
+
+def _repro_classes() -> Dict[str, List[str]]:
+    """Class name -> the source of each ``src/repro`` file defining it at the
+    top level."""
+    classes: Dict[str, List[str]] = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for name, node in _scope_names(ast.parse(source).body).items():
+            if node is not None:
+                classes.setdefault(name, []).append(source)
+    return classes
+
+
+def check_members(path: Path, classes: Optional[Dict[str, List[str]]] = None) -> list:
+    """Return an error string for every `Class.member` span in *path* whose
+    class one ``src/repro`` file defines, without the member."""
+    classes = _repro_classes() if classes is None else classes
+    errors = []
+    for cls, member in _MEMBER.findall(path.read_text(encoding="utf-8")):
+        sources = classes.get(cls, [])
+        if len(sources) == 1 and not defines(sources[0], f"{cls}.{member}"):
+            errors.append(f"{path.name}: unresolved member `{cls}.{member}`")
+    return errors
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md"]
     documents += sorted((REPO_ROOT / "docs").glob("*.md"))
@@ -312,10 +344,12 @@ def main() -> int:
         if document.exists():
             errors.extend(check_links(document))
     files = _python_files()
+    classes = _repro_classes()
     for document in [REPO_ROOT / "README.md"] + sorted((REPO_ROOT / "docs").glob("*.md")):
         errors.extend(check_pointers(document, files))
         errors.extend(check_snippet_imports(document))
         errors.extend(check_dotted_names(document))
+        errors.extend(check_members(document, classes))
     errors.extend(check_examples_table(REPO_ROOT / "README.md"))
     errors.extend(check_lint_rule_table(REPO_ROOT / "docs" / "ARCHITECTURE.md"))
     if errors:

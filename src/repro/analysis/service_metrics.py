@@ -462,7 +462,7 @@ def session_violations(
 
 
 def divergence_violations(service: "ShardedService") -> List[Violation]:
-    """Digest-chain convergence: equally-advanced correct replicas agree.
+    """State-digest convergence: equally-advanced correct replicas agree.
 
     Replicas that delivered the same number of commands applied — if the log
     layer is safe — the same prefix, so their state digests must be equal.

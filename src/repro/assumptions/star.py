@@ -36,7 +36,7 @@ import abc
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.simulation.delays import DelayModel, MessageContext
+from repro.simulation.delays import DelayModel
 from repro.util.rng import RandomSource
 from repro.util.validation import validate_process_count
 
@@ -519,13 +519,13 @@ class StarDelayModel(DelayModel):
             return low
         return rng.uniform(low, high)
 
-    def _control_delay(self, ctx: MessageContext) -> float:
+    def _control_delay(self) -> float:
         return self._uniform(
             self._control_rng, self.timing.control_low, self.timing.control_high
         )
 
-    def _background_delay(self, ctx: MessageContext, rn: int) -> float:
-        if self.policy.is_slow(ctx.sender, rn):
+    def _background_delay(self, sender: int, rn: int) -> float:
+        if self.policy.is_slow(sender, rn):
             low, high = self.timing.slow_delay_bounds(rn)
             return self._uniform(self._slow_rng, low, high)
         return self._uniform(
@@ -540,26 +540,28 @@ class StarDelayModel(DelayModel):
         return (self.timing.timely_low, self.timing.timely_high)
 
     # ------------------------------------------------------------------ DelayModel --
-    def delay(self, ctx: MessageContext) -> float:
-        if ctx.tag not in self.constrained_tags or ctx.round_number is None:
-            return self._control_delay(ctx)
-        rn = ctx.round_number
+    def delay(
+        self, sender: int, dest: int, tag: str, round_number: Optional[int]
+    ) -> float:
+        if tag not in self.constrained_tags or round_number is None:
+            return self._control_delay()
+        rn = round_number
         schedule = self.schedule
         if schedule is not None and schedule.is_star_round(rn):
             points = schedule.points(rn)
-            if ctx.sender == schedule.center and ctx.dest in points:
-                prop = schedule.point_property(rn, ctx.dest)
+            if sender == schedule.center and dest in points:
+                prop = schedule.point_property(rn, dest)
                 if prop == WINNING:
                     return self.timing.winning_delay_for(rn)
                 low, high = self.timely_delay(rn)
                 return self._uniform(self._timely_rng, low, high)
             if (
-                ctx.dest in points
-                and schedule.point_property(rn, ctx.dest) == WINNING
-                and ctx.sender in schedule.blockers(rn, ctx.dest)
+                dest in points
+                and schedule.point_property(rn, dest) == WINNING
+                and sender in schedule.blockers(rn, dest)
             ):
                 return self.timing.blocker_delay_for(rn)
-        return self._background_delay(ctx, rn)
+        return self._background_delay(sender, rn)
 
     def describe(self) -> str:
         star = self.schedule.describe() if self.schedule is not None else "no-star"

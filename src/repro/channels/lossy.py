@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.simulation.delays import DelayModel, MessageContext
+from repro.simulation.delays import DelayModel
 from repro.util.rng import RandomSource
 from repro.util.validation import require_in_range
 
@@ -42,11 +42,13 @@ class BernoulliLossModel(DelayModel):
         self.protect_acks = protect_acks
         self._rng = RandomSource(seed, label="bernoulli-loss")
 
-    def delay(self, ctx: MessageContext) -> Optional[float]:
-        if not (self.protect_acks and ctx.tag == "ACK"):
+    def delay(
+        self, sender: int, dest: int, tag: str, round_number: Optional[int]
+    ) -> Optional[float]:
+        if not (self.protect_acks and tag == "ACK"):
             if self._rng.random() < self.loss_probability:
                 return None
-        return self.base.delay(ctx)
+        return self.base.delay(sender, dest, tag, round_number)
 
     def describe(self) -> str:
         return f"bernoulli-loss(p={self.loss_probability}, base={self.base.describe()})"
@@ -67,13 +69,15 @@ class PeriodicLossModel(DelayModel):
         self.period = period
         self._counters: Dict[Tuple[int, int], int] = {}
 
-    def delay(self, ctx: MessageContext) -> Optional[float]:
-        key = (ctx.sender, ctx.dest)
+    def delay(
+        self, sender: int, dest: int, tag: str, round_number: Optional[int]
+    ) -> Optional[float]:
+        key = (sender, dest)
         count = self._counters.get(key, 0) + 1
         self._counters[key] = count
         if count % self.period == 0:
             return None
-        return self.base.delay(ctx)
+        return self.base.delay(sender, dest, tag, round_number)
 
     def describe(self) -> str:
         return f"periodic-loss(every {self.period}th, base={self.base.describe()})"

@@ -290,7 +290,7 @@ class SnapshotReply(Message):
     truncation floor: the decided prefix the requester is missing no longer
     exists position-by-position, so the server ships its latest
     :class:`~repro.storage.snapshot.Snapshot` instead.  Every chunk repeats the
-    snapshot header (``floor``, ``delivered_total``, ``digest``, whole-snapshot
+    snapshot header (``floor``, ``delivered_total``, whole-snapshot
     ``checksum``) so the receiver can assemble from any subset order; the
     payload integrity check happens once, over the *assembled* snapshot,
     against ``checksum`` — a chunk tampered in flight surfaces there and the
@@ -299,7 +299,6 @@ class SnapshotReply(Message):
 
     floor: int
     delivered_total: int
-    digest: str
     checksum: int
     index: int
     total: int

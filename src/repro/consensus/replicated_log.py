@@ -210,13 +210,18 @@ Three protocol consequences:
   previous slot) and replays only the decided entries at or above its floor,
   so recovery time is bounded by the compaction window, not the history.
 
+A truncated prefix leaves no record of its values in the log, only the
+counts :attr:`ReplicatedLog.delivered_total` (which the divergence probe
+reads) and :attr:`ReplicatedLog.decided_value_count`.  Agreement across truncation and restarts is checked outside the log, by the
+shard's :class:`~repro.analysis.service_metrics.AgreementMonitor`, which
+:attr:`ReplicatedLog.on_learn` feeds each position as a replica learns it.
+
 With no manager attached nothing changes: the floor stays 0 and every code
 path behaves (and fingerprints) exactly as before.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -226,7 +231,6 @@ from repro.consensus.commands import (
     CommandSet,
     flatten_value,
     payload_intact,
-    value_checksum,
 )
 from repro.consensus.instance import NO_BALLOT
 from repro.consensus.leases import LeaseManager
@@ -423,13 +427,10 @@ class ReplicatedLog(Process):
         self._max_decided = -1
         self._decided_index = CommandSet()
 
-        # Observer state that survives windowing: total non-noop deliveries,
-        # total non-noop decisions, and the lazily folded delivered-prefix
-        # digest chain (_digest_pos = first position not folded yet).
+        # Observer state that survives windowing: total non-noop deliveries
+        # and total non-noop decisions.
         self.delivered_total = 0
         self.decided_value_count = 0
-        self._digest_state = ""
-        self._digest_pos = 0
 
         # Compaction (attach_snapshots): _floor is the truncation floor —
         # positions below it were snapshotted away and no longer exist here.
@@ -510,16 +511,17 @@ class ReplicatedLog(Process):
 
         With compaction this is the retained *window* — positions below
         :attr:`compaction_floor` live only inside the latest snapshot;
-        whole-history observers should use :attr:`decided_value_count` and
-        :meth:`delivered_digest` instead of materialising the log.
+        whole-history observers should use :attr:`decided_value_count`, or
+        the shard's agreement monitor fed by :attr:`on_learn`, instead of
+        materialising the log.
         """
         return dict(self.decisions)
 
     def delivered(self) -> List[Any]:
         """Return the delivered window: decided non-noop values at contiguous
         positions below the frontier (and, with compaction, at or above the
-        truncation floor — the prefix below it is summarised by
-        :attr:`delivered_total` / :meth:`delivered_digest`).  Derived from
+        truncation floor — the prefix below it is counted by
+        :attr:`delivered_total`).  Derived from
         :attr:`decisions` per call; the protocol itself never reads it."""
         window = map(self.decisions.__getitem__, range(self._floor, self._frontier))
         return [value for value in window if value != NOOP]
@@ -530,37 +532,6 @@ class ReplicatedLog(Process):
         for value in self.delivered():
             commands.extend(flatten_value(value))
         return commands
-
-    def delivered_digest(self) -> str:
-        """Incremental SHA-256 chain over the decided prefix, one
-        ``(position, value checksum)`` step per position.
-
-        Folded lazily up to the current frontier, so reading it is O(new
-        decisions since the last read) and O(1) amortised per decision — the
-        windowed replacement for hashing a full ``decided_log()`` copy, which
-        cost O(history) per observation.  Two replicas whose frontiers agree
-        have equal digests when they decided the same prefix (noop fillers
-        included in the chain), and different ones unless two values at one
-        position share a CRC-32.  Snapshots carry the chain at their floor, so
-        the digest stays comparable across snapshot-restored replicas.
-        """
-        self._fold_digest()
-        return self._digest_state
-
-    def _fold_digest(self) -> None:
-        """Fold decided positions up to the frontier into the digest chain.
-
-        A step is the position and the value's checksum
-        (:func:`~repro.consensus.commands.value_checksum`), not its ``repr``:
-        a batch's checksum already covers every member's, and it is computed
-        once per value rather than once per fold.
-        """
-        state = self._digest_state
-        for position in range(self._digest_pos, self._frontier):
-            step = f"{position}:{value_checksum(self.decisions[position])}"
-            state = hashlib.sha256((state + step).encode("utf-8")).hexdigest()
-        self._digest_state = state
-        self._digest_pos = self._frontier
 
     # ------------------------------------------------------------------ storage --
     def attach_snapshots(self, manager) -> None:
@@ -814,12 +785,10 @@ class ReplicatedLog(Process):
         Called by the snapshot manager after a snapshot covering those
         positions is (durably, when storage is attached) in place: the decided
         values, their index entries and the durable ``("decided"/"acceptor",
-        pos)`` records all go.  The digest chain is folded first so no
-        unfolded position is lost.
+        pos)`` records all go.
         """
         if floor <= self._floor:
             return 0
-        self._fold_digest()
         compacted = 0
         for position in range(self._floor, min(floor, self._frontier)):
             value = self.decisions.pop(position, None)
@@ -838,8 +807,7 @@ class ReplicatedLog(Process):
 
         Called by the snapshot manager (after the state machine was restored
         from the snapshot payload): the frontier jumps to the snapshot floor,
-        observer counters and the digest chain resume from the snapshot's
-        carried values, everything below the floor is truncated, and decided
+        observer counters resume from the snapshot's carried values, everything below the floor is truncated, and decided
         values this replica had already learnt *above* the floor are delivered
         through the normal frontier advance — applying them on top of the
         restored state.
@@ -863,8 +831,6 @@ class ReplicatedLog(Process):
             self._max_decided = floor - 1
         self._floor = floor
         self.delivered_total = snapshot.delivered_total
-        self._digest_state = snapshot.digest
-        self._digest_pos = floor
         # The prefix below the floor contributed snapshot.delivered_total
         # non-noop values; re-count the still-resident tail on top of it.
         self.decided_value_count = snapshot.delivered_total + sum(

@@ -7,7 +7,7 @@ consensus, actual clients — no scripted oracles), injects the fault plan,
 drives closed-loop clients that record timed operation histories, and returns
 the run's :class:`~repro.analysis.service_metrics.RunRecord`.  Its
 ``violations`` are the record's invariant verdicts — per-position agreement
-across every replica incarnation, exactly-once session safety, digest-chain
+across every replica incarnation, exactly-once session safety, state-digest
 convergence of equally-advanced replicas, durability of acknowledged writes,
 stale lease reads — followed by a real Wing–Gong linearizability check of the
 merged client history against the key-value specification, which only the

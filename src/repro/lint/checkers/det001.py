@@ -42,10 +42,7 @@ ALLOWED_MODULE_SUFFIXES = ("util/rng.py", "util/wallclock.py")
 
 #: Modules that own a digest format and so call ``hashlib`` themselves (the
 #: ``util/rng.py`` home of ``fingerprint`` / ``derive_seed`` is allowed above).
-DIGEST_OWNER_SUFFIXES = (
-    "consensus/replicated_log.py",  # delivered-prefix digest chain
-    "service/state_machine.py",  # state digest
-)
+DIGEST_OWNER_SUFFIXES = ("service/state_machine.py",)  # state digest
 
 #: Dotted call names that leak wall-clock or process-random state.
 BANNED_CALLS = frozenset(

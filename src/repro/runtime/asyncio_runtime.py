@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import itertools
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.composition import unwrap_round_number, unwrap_tag
 from repro.core.interfaces import Environment, LeaderOracle, Message, Process, TimerHandle
-from repro.simulation.delays import ConstantDelay, DelayModel, MessageContext
+from repro.simulation.delays import ConstantDelay, DelayModel
 from repro.util.rng import RandomSource
 from repro.util.validation import require_non_negative, validate_process_count
 
@@ -175,7 +174,6 @@ class AsyncioCluster:
         ]
         self.trace: List[tuple] = []
         self._start_time: Optional[float] = None
-        self._msg_counter = itertools.count(1)
 
     # ------------------------------------------------------------------ clock --
     @property
@@ -190,14 +188,9 @@ class AsyncioCluster:
     def transmit(self, sender: int, dest: int, message: Message) -> None:
         """Schedule delivery of *message* to *dest* after the model's delay."""
         node = self.nodes[dest]
-        ctx = MessageContext(
-            sender=sender,
-            dest=dest,
-            tag=unwrap_tag(message),
-            round_number=unwrap_round_number(message),
-            send_time=self.now,
+        delay = self.delay_model.delay(
+            sender, dest, unwrap_tag(message), unwrap_round_number(message)
         )
-        delay = self.delay_model.delay(ctx)
         if delay is None:
             return
         loop = asyncio.get_event_loop()

@@ -27,12 +27,7 @@ from repro.simulation.faults import (
     Recover,
     SlowProcess,
 )
-from repro.simulation.delays import (
-    ConstantDelay,
-    DelayModel,
-    MessageContext,
-    UniformDelay,
-)
+from repro.simulation.delays import ConstantDelay, DelayModel, UniformDelay
 from repro.simulation.events import Event
 from repro.simulation.network import Envelope, Network, NetworkStats
 from repro.simulation.process import SimProcessShell
@@ -53,7 +48,6 @@ __all__ = [
     "LinkFault",
     "LinkHeal",
     "LinkState",
-    "MessageContext",
     "Network",
     "NetworkStats",
     "PartitionHeal",

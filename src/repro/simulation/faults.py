@@ -75,6 +75,17 @@ from repro.util.validation import (
 
 
 # ---------------------------------------------------------------------------- events
+#: Fields of the event kinds that name a process.
+_PID_FIELDS = ("pid", "sender", "dest")
+
+
+def _require_pid(value: object, name: str) -> None:
+    """A process id is an ``int`` proper: not a bool, and not a float that
+    ``int()`` would silently truncate."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultEvent:
     """Base class of every timed fault event."""
@@ -83,6 +94,9 @@ class FaultEvent:
 
     def __post_init__(self) -> None:
         require_non_negative(self.time, "fault event time")
+        for name in _PID_FIELDS:
+            if name in self.__dataclass_fields__:
+                _require_pid(getattr(self, name), name)
 
     def describe(self) -> str:
         return f"{type(self).__name__}@{self.time:g}"
@@ -124,6 +138,7 @@ class PartitionStart(FaultEvent):
         seen: Set[int] = set()
         for group in self.groups:
             for pid in group:
+                _require_pid(pid, "partition group member")
                 if pid in seen:
                     raise ValueError(f"process {pid} appears in two partition groups")
                 seen.add(pid)
@@ -296,9 +311,10 @@ def event_from_dict(data: Mapping[str, object]) -> FaultEvent:
     """Rebuild a :class:`FaultEvent` from :func:`event_to_dict` output.
 
     Validation happens on load: an unknown ``kind``, an unknown field, a
-    missing field or an out-of-range value (the dataclasses re-run their
-    ``__post_init__`` checks) all raise ``ValueError`` — a corrupted or
-    hand-edited corpus entry fails loudly instead of mutating silently.
+    missing field, a process id that is not an ``int`` or an out-of-range
+    value (the dataclasses re-run their ``__post_init__`` checks) all raise
+    ``ValueError`` — a corrupted or hand-edited corpus entry fails loudly
+    instead of mutating silently.
     """
     if not isinstance(data, Mapping):
         raise ValueError(f"fault event must be a mapping, got {data!r}")
@@ -315,14 +331,14 @@ def event_from_dict(data: Mapping[str, object]) -> FaultEvent:
         raise ValueError(f"unknown field(s) {unknown} for fault event kind {kind!r}")
     if "groups" in payload:
         groups = payload["groups"]
-        if not isinstance(groups, (list, tuple)):
-            raise ValueError(f"partition groups must be a list, got {groups!r}")
-        payload["groups"] = tuple(
-            tuple(int(pid) for pid in group) for group in groups
-        )
+        if not isinstance(groups, (list, tuple)) or not all(
+            isinstance(group, (list, tuple)) for group in groups
+        ):
+            raise ValueError(f"partition groups must be lists, got {groups!r}")
+        payload["groups"] = tuple(tuple(group) for group in groups)
     try:
         return cls(**payload)
-    except TypeError as exc:  # missing required fields
+    except TypeError as exc:  # missing fields, process ids that are not ints
         raise ValueError(f"invalid {kind!r} event {dict(data)!r}: {exc}") from exc
 
 

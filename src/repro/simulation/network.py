@@ -31,7 +31,10 @@ cheap:
   round number of the (possibly wrapped) message are computed **once** per broadcast
   and shared by every destination, instead of re-walking the envelope chain per
   destination as a loop of :meth:`Network.send` calls would.
-* :class:`Envelope` is a plain ``__slots__`` object that carries its precomputed
+* :class:`Envelope` is the one object a (message, destination) pair costs: the
+  delay model takes ``(sender, dest, tag, round_number)`` as plain arguments,
+  and :meth:`Network.send` / :meth:`Network.broadcast` return nothing.  It is
+  a plain ``__slots__`` record of what delivery reads, carries its precomputed
   ``tag``, and is handed directly to the scheduler as the event argument — no
   closure, no dict, and delivery never re-derives the tag.
 * :class:`NetworkStats` is plain public counters — one ``Counter`` per outcome,
@@ -43,13 +46,12 @@ cheap:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.composition import unwrap_round_number, unwrap_tag
 from repro.core.interfaces import Message
-from repro.simulation.delays import DelayModel, MessageContext
+from repro.simulation.delays import DelayModel
 from repro.simulation.scheduler import EventScheduler
 
 
@@ -63,7 +65,6 @@ class Envelope:
     """
 
     __slots__ = (
-        "msg_id",
         "sender",
         "dest",
         "message",
@@ -75,7 +76,6 @@ class Envelope:
 
     def __init__(
         self,
-        msg_id: int,
         sender: int,
         dest: int,
         message: Message,
@@ -84,7 +84,6 @@ class Envelope:
         tag: str,
         corrupted: bool = False,
     ) -> None:
-        self.msg_id = msg_id
         self.sender = sender
         self.dest = dest
         self.message = message
@@ -95,7 +94,7 @@ class Envelope:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Envelope(msg_id={self.msg_id}, {self.sender}->{self.dest}, "
+            f"Envelope({self.sender}->{self.dest}, "
             f"tag={self.tag!r}, deliver_time={self.deliver_time})"
         )
 
@@ -218,7 +217,6 @@ class Network:
         # is ``now + delay`` with delay >= 0, so the schedule_at validation is
         # redundant on this path).
         self._push_event = scheduler.push_event
-        self._msg_ids = itertools.count(1)
         # Reachability/quality matrix; installed by the fault injector only when
         # the fault plan contains topology events, so fault-free and pure
         # crash-stop runs pay a single ``is None`` check per message.
@@ -257,7 +255,7 @@ class Network:
     # ------------------------------------------------------------------ transport --
     def send(
         self, sender: int, dest: int, message: Message, extra_delay: float = 0.0
-    ) -> Optional[Envelope]:
+    ) -> None:
         """Send *message* from *sender* to *dest*.
 
         ``extra_delay`` is added to the drawn delay (after link adjustments);
@@ -265,15 +263,12 @@ class Network:
         messages of the writing handler turn (fsync before reply).  It never
         affects loss decisions or RNG draws, so passing 0.0 is byte-identical
         to not passing it.
-
-        Returns the in-flight :class:`Envelope`, or ``None`` when the delay model
-        dropped the message (lossy links only).
         """
         if dest not in self._endpoints:
             raise KeyError(f"destination process {dest} is not registered")
         tag = unwrap_tag(message)
         self.stats.record_sent(tag)
-        return self._dispatch(
+        self._dispatch(
             sender,
             dest,
             message,
@@ -289,7 +284,7 @@ class Network:
         dests: Sequence[int],
         message: Message,
         extra_delay: float = 0.0,
-    ) -> List[Optional[Envelope]]:
+    ) -> None:
         """Send *message* from *sender* to every process in *dests*.
 
         Semantically identical to a loop of :meth:`send` calls over *dests* (one
@@ -297,14 +292,11 @@ class Network:
         drops; identical stats), but the envelope walk — innermost tag and round
         number (:mod:`repro.core.composition`) — is done once and shared by the
         whole fan-out.
-
-        Returns the per-destination in-flight envelopes (``None`` where the delay
-        model dropped the message).
         """
         if not dests:
             # Parity with the loop-of-sends path: no stats entries, not even
             # zero-count tag/sender keys.
-            return []
+            return
         endpoints = self._endpoints
         for dest in dests:
             if dest not in endpoints:
@@ -314,10 +306,8 @@ class Network:
         now = self._scheduler.now
         self.stats.record_sent(tag, count=len(dests))
         dispatch = self._dispatch
-        return [
+        for dest in dests:
             dispatch(sender, dest, message, tag, rn, now, extra_delay)
-            for dest in dests
-        ]
 
     def _dispatch(
         self,
@@ -328,7 +318,7 @@ class Network:
         round_number: Optional[int],
         send_time: float,
         extra_delay: float = 0.0,
-    ) -> Optional[Envelope]:
+    ) -> None:
         """Decide the delay of one (message, destination) pair and schedule delivery.
 
         ``record_sent`` has already been done by the caller (once per destination
@@ -351,16 +341,8 @@ class Network:
                     dest=dest,
                     reason="unreachable",
                 )
-            return None
-        delay = self.delay_model.delay(
-            MessageContext(
-                sender=sender,
-                dest=dest,
-                tag=tag,
-                round_number=round_number,
-                send_time=send_time,
-            )
-        )
+            return
+        delay = self.delay_model.delay(sender, dest, tag, round_number)
         if delay is not None and link_state is not None:
             delay = link_state.adjust(sender, dest, delay)
         if delay is None:
@@ -369,7 +351,7 @@ class Network:
                 self._tracer.record(
                     send_time, sender, "message_dropped", tag=tag, dest=dest
                 )
-            return None
+            return
         if delay < 0:
             raise ValueError(
                 f"delay model {self.delay_model.describe()} returned negative delay "
@@ -394,7 +376,6 @@ class Network:
                         send_time, sender, "message_corrupted", tag=tag, dest=dest
                     )
         envelope = Envelope(
-            next(self._msg_ids),
             sender,
             dest,
             message,
@@ -413,7 +394,6 @@ class Network:
                 dest=dest,
                 deliver_time=envelope.deliver_time,
             )
-        return envelope
 
     def _deliver_envelope(self, envelope: Envelope) -> None:
         dest = envelope.dest

@@ -14,13 +14,16 @@ The pieces
     An immutable, CRC-32-checksummed capture of one replica at one log
     position: the state-machine payload (for the key-value service: data,
     exactly-once session table and applied counters), the snapshot ``floor``
-    (first position *not* covered), and the log's delivered-prefix metadata
-    (count + incremental digest) so an installer adopts consistent observer
-    counters.  The checksum follows the :class:`~repro.consensus.commands.
-    Command` discipline: computed at construction, verified (memoised) at every
-    trust boundary, so the corruption suite cannot forge a snapshot — a
-    tampered chunk surfaces as a checksum mismatch over the assembled payload
-    and the transfer is rejected and restarted.
+    (first position *not* covered), and the count of values the log delivered
+    below it, so an installer adopts a consistent observer counter.  It
+    records no per-position values: agreement across snapshot-restored
+    replicas is checked by the shard's :class:`~repro.analysis.
+    service_metrics.AgreementMonitor`.  The checksum follows the
+    :class:`~repro.consensus.commands.Command` discipline: computed at
+    construction, verified (memoised) at every trust boundary, so the
+    corruption suite cannot forge a snapshot — a tampered chunk surfaces as a
+    checksum mismatch over the assembled payload and the transfer is rejected
+    and restarted.
 
 :class:`SnapshotManager`
     One per compacting replica, attached to its
@@ -98,10 +101,6 @@ class Snapshot:
     delivered_total:
         Non-noop values delivered below ``floor`` (the installer's observer
         counter resumes from here).
-    digest:
-        The log's incremental decided-prefix digest folded up to ``floor``
-        (see ``ReplicatedLog.delivered_digest``); installers adopt it so the
-        digest chain stays comparable across snapshot-restored replicas.
     payload:
         Opaque state-machine items (the capture callback's output, e.g.
         ``("kv", ...)`` / ``("session", ...)`` rows for the key-value store).
@@ -114,7 +113,6 @@ class Snapshot:
 
     floor: int
     delivered_total: int
-    digest: str
     payload: Tuple[Any, ...]
     checksum: Optional[int] = None
 
@@ -124,7 +122,7 @@ class Snapshot:
 
     def expected_checksum(self) -> int:
         """Recompute the CRC-32 the snapshot's fields should carry."""
-        return _crc32((self.floor, self.delivered_total, self.digest, self.payload))
+        return _crc32((self.floor, self.delivered_total, self.payload))
 
     def verify(self) -> bool:
         """True when the carried checksum matches the contents (memoised)."""
@@ -148,7 +146,6 @@ class Snapshot:
         return SnapshotReply(
             floor=self.floor,
             delivered_total=self.delivered_total,
-            digest=self.digest,
             checksum=self.checksum,
             index=index,
             total=self.chunk_count(items_per_chunk),
@@ -159,13 +156,12 @@ class Snapshot:
 class _IncomingTransfer:
     """Assembly state of one in-flight snapshot transfer at the receiver."""
 
-    __slots__ = ("floor", "checksum", "delivered_total", "digest", "total", "chunks")
+    __slots__ = ("floor", "checksum", "delivered_total", "total", "chunks")
 
     def __init__(self, first: SnapshotReply) -> None:
         self.floor = first.floor
         self.checksum = first.checksum
         self.delivered_total = first.delivered_total
-        self.digest = first.digest
         self.total = first.total
         self.chunks: Dict[int, Tuple[Any, ...]] = {}
 
@@ -193,7 +189,6 @@ class _IncomingTransfer:
         return Snapshot(
             floor=self.floor,
             delivered_total=self.delivered_total,
-            digest=self.digest,
             payload=payload,
             checksum=self.checksum,  # carried, so tampering fails verify()
         )
@@ -290,7 +285,6 @@ class SnapshotManager:
         snapshot = Snapshot(
             floor=log.frontier,
             delivered_total=log.delivered_total,
-            digest=log.delivered_digest(),
             payload=self._capture(),
         )
         self._latest = snapshot

@@ -6,6 +6,8 @@ import dataclasses
 import random
 from types import SimpleNamespace
 
+import pytest
+
 from repro.analysis.service_metrics import (
     AgreementMonitor,
     agreement_violations,
@@ -82,6 +84,55 @@ class TestAgreement:
         # another value there now is still a disagreement.
         service.monitors[0].learn(1, 0, OTHER)
         assert [violation.kind for violation in agreement_violations(service)] == ["agreement"]
+
+
+class TestValueIdentity:
+    """A value is known by its checksum: rebuilding an equal value is no
+    conflict, and any other value at the same position is one."""
+
+    A = Command.put("c1", 1, "k", "a")
+    B = Command.put("c2", 1, "k", "b")
+
+    @staticmethod
+    def conflicts(first, then):
+        """Conflicts after replica 0 learns *first* and replica 1 *then*, one
+        value per position."""
+        monitor = AgreementMonitor()
+        for pid, values in ((0, first), (1, then)):
+            for position, value in enumerate(values):
+                monitor.learn(pid, position, value)
+        return monitor.conflicts
+
+    @pytest.mark.parametrize(
+        "value, rebuilt",
+        [
+            (A, Command.put("c1", 1, "k", "a")),
+            (NOOP, NOOP),
+            (Batch(commands=(A, B)), Batch(commands=(Command.put("c1", 1, "k", "a"), B))),
+        ],
+        ids=["command", "noop", "batch"],
+    )
+    def test_a_rebuilt_equal_value_is_no_conflict(self, value, rebuilt):
+        assert self.conflicts([self.A, value], [self.A, rebuilt]) == {}
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Command.put("c2", 1, "k", "b"),
+            Command.put("c1", 1, "k", "z"),
+            NOOP,
+            Batch(commands=(Command.put("c2", 1, "k", "b"), Command.put("c1", 1, "k", "a"))),
+        ],
+        ids=["other-command", "other-payload", "noop", "reordered-batch"],
+    )
+    def test_a_different_value_at_one_position_is_a_conflict(self, other):
+        decided = Batch(commands=(self.A, self.B))
+        conflicts = self.conflicts([self.A, decided, NOOP], [self.A, other, NOOP])
+        assert list(conflicts) == [1]
+        assert [pid for pid, _ in conflicts[1]] == [1]
+
+    def test_two_values_swapped_between_positions_conflict_at_both(self):
+        assert sorted(self.conflicts([self.A, NOOP], [NOOP, self.A])) == [0, 1]
 
 
 class TestStaleReads:

@@ -11,11 +11,6 @@ from repro.assumptions.star import (
     StarSchedule,
     StarTiming,
 )
-from repro.simulation.delays import MessageContext
-
-
-def ctx(sender, dest, tag="ALIVE", rn=1, send_time=0.0):
-    return MessageContext(sender=sender, dest=dest, tag=tag, round_number=rn, send_time=send_time)
 
 
 def timely_schedule(**kwargs):
@@ -67,7 +62,7 @@ class TestStarOverrides:
         rn = 1
         point = next(iter(schedule.points(rn)))
         for _ in range(20):
-            delay = model.delay(ctx(0, point, rn=rn))
+            delay = model.delay(0, point, "ALIVE", rn)
             assert delay <= StarTiming().delta
 
     def test_center_to_non_point_uses_background(self):
@@ -77,14 +72,14 @@ class TestStarOverrides:
         rn = 1
         non_points = set(range(7)) - schedule.points(rn) - {0}
         for dest in non_points:
-            delay = model.delay(ctx(0, dest, rn=rn))
+            delay = model.delay(0, dest, "ALIVE", rn)
             assert timing.fast_low <= delay <= timing.fast_high
 
     def test_non_star_round_unprotected(self):
         schedule = timely_schedule(first_star_round=100)
         timing = StarTiming()
         model = StarDelayModel(schedule, FixedSlowSetPolicy([0]), timing, seed=0)
-        delay = model.delay(ctx(0, 1, rn=5))
+        delay = model.delay(0, 1, "ALIVE", 5)
         assert delay >= timing.slow_low
 
     def test_winning_point_gets_winning_delay_and_blockers(self):
@@ -93,14 +88,14 @@ class TestStarOverrides:
         model = StarDelayModel(schedule, AlwaysFastPolicy(), timing, seed=0)
         rn = 1
         point = next(iter(schedule.points(rn)))
-        assert model.delay(ctx(0, point, rn=rn)) == timing.winning_delay
+        assert model.delay(0, point, "ALIVE", rn) == timing.winning_delay
         blockers = schedule.blockers(rn, point)
         for blocker in blockers:
-            assert model.delay(ctx(blocker, point, rn=rn)) == timing.blocker_delay
+            assert model.delay(blocker, point, "ALIVE", rn) == timing.blocker_delay
         # Non-blocker senders to the same point remain fast.
         others = set(range(7)) - blockers - {0, point}
         for sender in others:
-            assert model.delay(ctx(sender, point, rn=rn)) <= timing.fast_high
+            assert model.delay(sender, point, "ALIVE", rn) <= timing.fast_high
 
     def test_winning_delay_is_beyond_fast_messages(self):
         timing = StarTiming()
@@ -111,26 +106,26 @@ class TestBackgroundAndControl:
     def test_slow_sender_gets_slow_delay(self):
         timing = StarTiming()
         model = StarDelayModel(None, FixedSlowSetPolicy([2]), timing, seed=0)
-        assert model.delay(ctx(2, 1, rn=5)) >= timing.slow_low
-        assert model.delay(ctx(3, 1, rn=5)) <= timing.fast_high
+        assert model.delay(2, 1, "ALIVE", 5) >= timing.slow_low
+        assert model.delay(3, 1, "ALIVE", 5) <= timing.fast_high
 
     def test_unconstrained_tags_use_control_delay(self):
         timing = StarTiming()
         model = StarDelayModel(None, FixedSlowSetPolicy([2]), timing, seed=0)
-        delay = model.delay(ctx(2, 1, tag="SUSPICION", rn=5))
+        delay = model.delay(2, 1, "SUSPICION", 5)
         assert delay <= timing.control_high
 
     def test_message_without_round_number_uses_control_delay(self):
         timing = StarTiming()
         model = StarDelayModel(None, FixedSlowSetPolicy([2]), timing, seed=0)
-        delay = model.delay(ctx(2, 1, tag="ALIVE", rn=None))
+        delay = model.delay(2, 1, "ALIVE", None)
         assert delay <= timing.control_high
 
     def test_heartbeat_and_response_tags_constrained(self):
         timing = StarTiming()
         model = StarDelayModel(None, FixedSlowSetPolicy([2]), timing, seed=0)
         for tag in ("HEARTBEAT", "RESPONSE"):
-            assert model.delay(ctx(2, 1, tag=tag, rn=5)) >= timing.slow_low
+            assert model.delay(2, 1, tag, 5) >= timing.slow_low
 
     def test_describe_mentions_schedule_and_policy(self):
         model = StarDelayModel(
@@ -155,4 +150,4 @@ class TestBackgroundAndControl:
                 if sender == dest:
                     continue
                 for rn in range(1, 10):
-                    assert model.delay(ctx(sender, dest, rn=rn)) >= 0.0
+                    assert model.delay(sender, dest, "ALIVE", rn) >= 0.0

@@ -17,7 +17,6 @@ from repro.assumptions import (
 )
 from repro.assumptions.growing import GrowingStarDelayModel
 from repro.assumptions.star import TIMELY, WINNING
-from repro.simulation.delays import MessageContext
 
 
 class TestCommonBehaviour:
@@ -152,15 +151,7 @@ class TestGrowingScenario:
         model = scenario.build_delay_model()
         point = next(iter(model.schedule.points(model.schedule.first_star_round)))
         with pytest.raises(ValueError):
-            model.delay(
-                MessageContext(
-                    sender=0,
-                    dest=point,
-                    tag="ALIVE",
-                    round_number=model.schedule.first_star_round,
-                    send_time=0.0,
-                )
-            )
+            model.delay(0, point, "ALIVE", model.schedule.first_star_round)
 
     def test_recommended_config_carries_f_and_g(self):
         scenario = GrowingStarScenario(

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.channels.lossy import BernoulliLossModel, PeriodicLossModel
-from repro.simulation.delays import ConstantDelay, MessageContext
-
-
-def ctx(sender=0, dest=1, tag="ALIVE", rn=1):
-    return MessageContext(sender=sender, dest=dest, tag=tag, round_number=rn, send_time=0.0)
+from repro.simulation.delays import ConstantDelay
 
 
 class TestBernoulliLoss:
@@ -19,24 +15,24 @@ class TestBernoulliLoss:
 
     def test_zero_probability_never_drops(self):
         model = BernoulliLossModel(ConstantDelay(1.0), loss_probability=0.0, seed=0)
-        assert all(model.delay(ctx()) == 1.0 for _ in range(100))
+        assert all(model.delay(0, 1, "ALIVE", 1) == 1.0 for _ in range(100))
 
     def test_loss_rate_roughly_matches(self):
         model = BernoulliLossModel(ConstantDelay(1.0), loss_probability=0.3, seed=1)
-        outcomes = [model.delay(ctx()) for _ in range(2000)]
+        outcomes = [model.delay(0, 1, "ALIVE", 1) for _ in range(2000)]
         rate = outcomes.count(None) / len(outcomes)
         assert 0.2 < rate < 0.4
 
     def test_fairness_some_messages_get_through(self):
         model = BernoulliLossModel(ConstantDelay(1.0), loss_probability=0.9, seed=2)
-        outcomes = [model.delay(ctx()) for _ in range(500)]
+        outcomes = [model.delay(0, 1, "ALIVE", 1) for _ in range(500)]
         assert any(outcome is not None for outcome in outcomes)
 
     def test_protect_acks(self):
         model = BernoulliLossModel(
             ConstantDelay(1.0), loss_probability=0.99, seed=3, protect_acks=True
         )
-        assert all(model.delay(ctx(tag="ACK")) == 1.0 for _ in range(50))
+        assert all(model.delay(0, 1, "ACK", 1) == 1.0 for _ in range(50))
 
 
 class TestPeriodicLoss:
@@ -46,18 +42,18 @@ class TestPeriodicLoss:
 
     def test_every_kth_message_dropped_per_link(self):
         model = PeriodicLossModel(ConstantDelay(1.0), period=3)
-        outcomes = [model.delay(ctx(sender=0, dest=1)) for _ in range(9)]
+        outcomes = [model.delay(0, 1, "ALIVE", 1) for _ in range(9)]
         assert outcomes.count(None) == 3
         assert outcomes[2] is None and outcomes[5] is None and outcomes[8] is None
 
     def test_links_counted_independently(self):
         model = PeriodicLossModel(ConstantDelay(1.0), period=2)
-        assert model.delay(ctx(sender=0, dest=1)) is not None
-        assert model.delay(ctx(sender=1, dest=0)) is not None
-        assert model.delay(ctx(sender=0, dest=1)) is None
+        assert model.delay(0, 1, "ALIVE", 1) is not None
+        assert model.delay(1, 0, "ALIVE", 1) is not None
+        assert model.delay(0, 1, "ALIVE", 1) is None
 
     def test_no_two_consecutive_drops(self):
         model = PeriodicLossModel(ConstantDelay(1.0), period=2)
-        outcomes = [model.delay(ctx()) for _ in range(20)]
+        outcomes = [model.delay(0, 1, "ALIVE", 1) for _ in range(20)]
         for first, second in zip(outcomes, outcomes[1:]):
             assert not (first is None and second is None)

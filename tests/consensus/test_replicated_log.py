@@ -550,42 +550,6 @@ class TestHotPathCursors:
         assert log.delivered() == [f"v{position}" for position in range(20, 50)]
 
 
-class TestDigestChain:
-    """The delivered-prefix chain folds each position's value checksum."""
-
-    A = Command.put("c1", 1, "k", "a")
-    B = Command.put("c2", 1, "k", "b")
-
-    @staticmethod
-    def chain(values):
-        log, _, env = make(pid=1)
-        for position, value in enumerate(values):
-            log.on_message(env, 0, Decide(instance=position, value=value))
-        return log.delivered_digest()
-
-    def test_equal_logs_give_equal_chains(self):
-        values = [self.A, NOOP, Batch(commands=(self.A, self.B))]
-        rebuilt = [Command.put("c1", 1, "k", "a"), NOOP, Batch(commands=(self.A, self.B))]
-        assert self.chain(values) == self.chain(rebuilt)
-
-    @pytest.mark.parametrize(
-        "other",
-        [
-            Command.put("c2", 1, "k", "b"),
-            Command.put("c1", 1, "k", "z"),
-            NOOP,
-            Batch(commands=(Command.put("c2", 1, "k", "b"), Command.put("c1", 1, "k", "a"))),
-        ],
-        ids=["other-command", "other-payload", "noop", "reordered-batch"],
-    )
-    def test_a_different_value_at_one_position_gives_a_different_chain(self, other):
-        decided = Batch(commands=(self.A, self.B))
-        assert self.chain([self.A, decided, NOOP]) != self.chain([self.A, other, NOOP])
-
-    def test_the_position_is_part_of_each_step(self):
-        assert self.chain([self.A, NOOP]) != self.chain([NOOP, self.A])
-
-
 def sent_to(env, message_type):
     """``(dest, message)`` pairs of the *message_type* messages sent so far."""
     return [
@@ -771,7 +735,7 @@ class TestPositionRecords:
         log, _, env = make(pid=1)
         for position in (1, 4):
             log.on_message(env, 0, AcceptRequest(instance=position, ballot=5, value="v"))
-        log.adopt_snapshot(SimpleNamespace(floor=3, delivered_total=2, digest="d"))
+        log.adopt_snapshot(SimpleNamespace(floor=3, delivered_total=2))
         assert log._accepted == {4: (5, "v")}
         assert (log.frontier, log.delivered(), log.delivered_total) == (3, [], 2)
 

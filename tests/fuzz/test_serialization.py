@@ -73,6 +73,20 @@ class TestEventRoundTrip:
         with pytest.raises(ValueError):
             event_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"kind": "crash", "time": 1.0, "pid": True},
+            {"kind": "crash", "time": 1.0, "pid": 1.0},
+            {"kind": "crash", "time": 1.0, "pid": "1"},
+            {"kind": "partition_start", "time": 1.0, "groups": [[0, 1.7]]},
+        ],
+        ids=["bool", "float", "str", "truncated-float"],
+    )
+    def test_a_process_id_that_is_not_an_int_is_rejected(self, event):
+        with pytest.raises(ValueError, match="must be an int"):
+            FaultPlan.from_dict({"version": 1, "events": [event]}, n=3, t=1)
+
     def test_partition_groups_restored_as_tuples(self):
         event = PartitionStart(time=2.0, groups=((0,), (1, 2)))
         rebuilt = event_from_dict(json.loads(json.dumps(event_to_dict(event))))

@@ -10,6 +10,7 @@ storage-less restart of the trusted replica converges, and a replica
 restarted below the compaction floor gets the snapshot and then the tail.
 """
 
+from repro.analysis.service_metrics import agreement_violations
 from repro.consensus.commands import Command
 from repro.consensus.messages import Decide
 from repro.service import build_sharded_service, start_clients, zipfian_workload
@@ -21,10 +22,14 @@ CONTROL_HIGH = 0.40
 DRIVE_PERIOD = 2.0
 
 
-def _converged(replicas):
-    return len({replica.log.frontier for replica in replicas}) == 1 and len(
-        {replica.log.delivered_digest() for replica in replicas}
-    ) == 1
+def _converged(service):
+    """Shard 0's replicas share one frontier and one state, and no replica
+    ever learnt a value another learnt differently."""
+    return (
+        len({replica.log.frontier for replica in service.replicas(0)}) == 1
+        and agreement_violations(service) == []
+        and len(set(service.state_digests(0, correct_only=False))) == 1
+    )
 
 
 def test_a_fault_free_run_sends_no_catch_up_request():
@@ -75,7 +80,7 @@ def test_a_missed_decide_is_fetched_at_the_first_tick_after_an_advertisement():
     assert log.frontier == missed[0] + 1
     assert now <= proofs[0] + DRIVE_PERIOD + 2 * CONTROL_HIGH + 0.05
     assert log.counters["catchup_polls"] == polls_before + 1
-    assert _converged(service.replicas(0))
+    assert _converged(service)
 
 
 def test_a_storage_less_restart_of_the_trusted_replica_converges():
@@ -105,8 +110,7 @@ def test_a_storage_less_restart_of_the_trusted_replica_converges():
         assert {replica.leader() for replica in service.replicas(0)} == {0}
     assert fresh.log.frontier == decided
     assert fresh.log.counters["catchup_polls"] == 1
-    assert _converged(service.replicas(0))
-    assert len(set(service.state_digests(0, correct_only=False))) == 1
+    assert _converged(service)
 
 
 def test_a_replica_restarted_below_the_floor_gets_the_snapshot_then_the_tail():
@@ -136,5 +140,4 @@ def test_a_replica_restarted_below_the_floor_gets_the_snapshot_then_the_tail():
     assert fresh.log.compaction_floor < fresh.log.frontier == 44
     sent = service.systems[0].network.stats.sent_by_tag
     assert (sent["SNAP_REP"], sent["CATCHUP_REP"]) == (1, 1)
-    assert _converged(service.replicas(0))
-    assert len(set(service.state_digests(0, correct_only=False))) == 1
+    assert _converged(service)

@@ -323,11 +323,11 @@ class _ArithmeticDelay(DelayModel):
     miss their round, so live processes get suspected now and then.
     """
 
-    def delay(self, ctx):
-        rn = ctx.round_number or 0
-        delay = 0.05 + 0.01 * ((3 * ctx.sender + 5 * ctx.dest + rn) % 11)
-        if ctx.tag == "ALIVE" and (rn + 2 * ctx.sender) % 9 < 2 and rn % 5 != ctx.dest:
-            delay += 4.0 + ctx.sender
+    def delay(self, sender, dest, tag, round_number):
+        rn = round_number or 0
+        delay = 0.05 + 0.01 * ((3 * sender + 5 * dest + rn) % 11)
+        if tag == "ALIVE" and (rn + 2 * sender) % 9 < 2 and rn % 5 != dest:
+            delay += 4.0 + sender
         return delay
 
 

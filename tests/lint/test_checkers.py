@@ -38,6 +38,21 @@ class TestDET001:
     def test_near_misses_stay_clean(self):
         assert findings_for("DET001", "ok") == []
 
+    @pytest.mark.parametrize(
+        "relpath, flagged",
+        [("consensus/replicated_log.py", True), ("service/state_machine.py", False)],
+        ids=["replicated-log", "state-machine"],
+    )
+    def test_hashlib_is_left_to_the_state_digest_owner(self, tmp_path, relpath, flagged):
+        module = tmp_path / "pkg" / relpath
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "import hashlib\n\n\ndef digest(blob):\n"
+            "    return hashlib.sha256(blob).hexdigest()\n"
+        )
+        found = run_checkers(build_model([tmp_path / "pkg"]), select=["DET001"])
+        assert symbols(found) == (["hashlib.sha256"] if flagged else [])
+
 
 class TestCNT002:
     def test_attribute_counter_is_flagged(self):

@@ -65,7 +65,8 @@ class TestCommandContract:
         assert copy.verify()
 
     def test_repr_is_pinned(self):
-        """``repr`` feeds the delivered-digest chain, so it may not drift."""
+        """``repr`` names a command in agreement-violation details, which run
+        fingerprints hash, so it may not drift."""
         assert repr(Command("alice", 3, "put", "k", ("v",))) == (
             "Command(client_id='alice', seq=3, op='put', key='k', args=('v',), "
             "checksum=1477676257)"

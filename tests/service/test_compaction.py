@@ -3,6 +3,7 @@ torn-snapshot recovery, exactly-once below the floor, and determinism."""
 
 import dataclasses
 
+from repro.analysis.service_metrics import agreement_violations
 from repro.consensus.commands import Command
 from repro.service.sharding import build_sharded_service
 from repro.simulation.faults import CorruptLink, FaultPlan
@@ -51,7 +52,7 @@ class TestBoundedResidency:
     def test_long_run_keeps_the_decided_log_windowed(self):
         """80 positions decide over a long horizon, yet no replica ever holds
         more than O(interval + retain) of them resident — the tentpole's
-        bounded-memory claim, with full history only in the digest chain."""
+        bounded-memory claim, with full history only in the counters."""
         service = build()
         submit_puts(service, range(1, 81))
         service.run_until(HORIZON)
@@ -82,15 +83,18 @@ class TestBoundedResidency:
         assert service.counters()["peak_decided_residency"] == peak
         assert service.perf_counters()["peak_decided_residency"] == peak
 
-    def test_digest_chains_converge_across_compacting_replicas(self):
-        """The incremental digest covers the *full* prefix even though most of
-        it is no longer resident: all replicas fold to the same chain."""
+    def test_compacting_replicas_converge(self):
+        """Most of the prefix is no longer resident, yet every replica reached
+        one frontier and one state, and the agreement monitor saw no position
+        learnt two ways."""
         service = build()
         submit_puts(service, range(1, 41))
         service.run_until(HORIZON)
-        digests = {replica.log.delivered_digest() for replica in service.replicas(0)}
-        assert len(digests) == 1
-        assert digests != {""}  # the chain actually advanced
+        replicas = service.replicas(0)
+        assert len({replica.log.frontier for replica in replicas}) == 1
+        assert min(replica.log.compaction_floor for replica in replicas) > 0
+        assert agreement_violations(service) == []
+        assert len(set(service.state_digests(0, correct_only=False))) == 1
 
     def test_applied_command_accounting_survives_compaction(self):
         """decided_instances() reads the log's decided_value_count counter, so
@@ -267,7 +271,8 @@ class TestCompactionComposition:
                 service.scheduler.executed,
                 sorted(service.counters().items()),
                 service.state_digests(0, correct_only=False),
-                [replica.log.delivered_digest() for replica in service.replicas(0)],
+                [replica.log.frontier for replica in service.replicas(0)],
+                agreement_violations(service),
             )
 
         assert fingerprint() == fingerprint()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.consensus.messages import FrontierAdvert
 from repro.core.messages import Alive
-from repro.simulation.delays import ConstantDelay, DelayModel, MessageContext
+from repro.simulation.delays import ConstantDelay, DelayModel
 from repro.simulation.network import Network, NetworkStats
 from repro.simulation.scheduler import EventScheduler
 
@@ -16,7 +16,7 @@ class _SequenceDelay(DelayModel):
         self.delays = list(delays)
         self.index = 0
 
-    def delay(self, ctx: MessageContext):
+    def delay(self, sender, dest, tag, round_number):
         value = self.delays[min(self.index, len(self.delays) - 1)]
         self.index += 1
         return value

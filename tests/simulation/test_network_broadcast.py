@@ -11,7 +11,7 @@ import pytest
 
 from repro.consensus.messages import FrontierAdvert
 from repro.core.messages import Alive
-from repro.simulation.delays import ConstantDelay, DelayModel, MessageContext, UniformDelay
+from repro.simulation.delays import ConstantDelay, DelayModel, UniformDelay
 from repro.simulation.network import Network
 from repro.simulation.scheduler import EventScheduler
 from repro.util.rng import RandomSource
@@ -24,7 +24,7 @@ class _SequenceDelay(DelayModel):
         self.delays = list(delays)
         self.index = 0
 
-    def delay(self, ctx: MessageContext):
+    def delay(self, sender, dest, tag, round_number):
         value = self.delays[min(self.index, len(self.delays) - 1)]
         self.index += 1
         return value
@@ -37,19 +37,22 @@ class _DropFor(DelayModel):
         self.drop_dests = set(drop_dests)
         self.value = value
 
-    def delay(self, ctx: MessageContext):
-        if ctx.dest in self.drop_dests:
+    def delay(self, sender, dest, tag, round_number):
+        if dest in self.drop_dests:
             return None
         return self.value
 
 
 class _Endpoint:
-    def __init__(self):
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
         self.received = []
+        self.delivered_at = []
         self.alive = True
 
     def deliver(self, sender, message):
         self.received.append((sender, message))
+        self.delivered_at.append(self.scheduler.now)
 
     def is_alive(self):
         return self.alive
@@ -60,7 +63,7 @@ def make_network(delay_model, n=4):
     network = Network(scheduler, delay_model)
     endpoints = {}
     for pid in range(n):
-        endpoint = _Endpoint()
+        endpoint = _Endpoint(scheduler)
         endpoints[pid] = endpoint
         network.register(pid, endpoint.deliver, endpoint.is_alive)
     return scheduler, network, endpoints
@@ -88,11 +91,11 @@ class TestFanOut:
             assert endpoints[dest].received[0][1] is message
 
     def test_per_destination_independent_delays_in_dest_order(self):
-        scheduler, network, _ = make_network(_SequenceDelay([5.0, 1.0, 3.0]))
-        envelopes = network.broadcast(0, (1, 2, 3), alive())
+        scheduler, network, endpoints = make_network(_SequenceDelay([5.0, 1.0, 3.0]))
+        network.broadcast(0, (1, 2, 3), alive())
+        scheduler.run_until(10.0)
         # One delay decision per destination, drawn in destination order.
-        assert [env.deliver_time for env in envelopes] == [5.0, 1.0, 3.0]
-        assert [env.dest for env in envelopes] == [1, 2, 3]
+        assert [endpoints[dest].delivered_at for dest in (1, 2, 3)] == [[5.0], [1.0], [3.0]]
 
     def test_broadcast_reorders_like_independent_sends(self):
         scheduler, network, endpoints = make_network(_SequenceDelay([5.0, 1.0]))
@@ -105,8 +108,9 @@ class TestFanOut:
 
     def test_empty_destination_list_leaves_stats_untouched(self):
         # Parity with a loop of zero sends: no zero-count tag/sender entries.
-        _, network, _ = make_network(ConstantDelay(1.0))
-        assert network.broadcast(0, (), alive()) == []
+        scheduler, network, _ = make_network(ConstantDelay(1.0))
+        network.broadcast(0, (), alive())
+        assert scheduler.pending == 0
         assert network.stats.as_dict()["sent"] == {}
         assert network.stats.total_sent == 0
 
@@ -117,22 +121,20 @@ class TestFanOut:
         assert network.stats.total_sent == 0
 
     def test_envelopes_carry_precomputed_inner_tag(self):
-        _, network, _ = make_network(ConstantDelay(1.0))
-        envelopes = network.broadcast(0, (1, 2), FrontierAdvert(inner=alive(), frontier=0))
-        assert all(env.tag == "ALIVE" for env in envelopes)
+        scheduler, network, _ = make_network(ConstantDelay(1.0))
+        network.broadcast(0, (1, 2), FrontierAdvert(inner=alive(), frontier=0))
+        scheduler.run_until(2.0)
+        assert network.stats.delivered_by_tag == {"ALIVE": 2}
 
 
 class TestDropsAndCrashes:
     def test_per_destination_drops(self):
         scheduler, network, endpoints = make_network(_DropFor({2}))
-        envelopes = network.broadcast(0, (1, 2, 3), alive())
-        assert envelopes[0] is not None
-        assert envelopes[1] is None
-        assert envelopes[2] is not None
+        network.broadcast(0, (1, 2, 3), alive())
         scheduler.run_until(2.0)
-        assert len(endpoints[1].received) == 1
-        assert endpoints[2].received == []
-        assert len(endpoints[3].received) == 1
+        assert endpoints[1].delivered_at == [1.0]
+        assert endpoints[2].delivered_at == []
+        assert endpoints[3].delivered_at == [1.0]
         assert network.stats.total_sent == 3
         assert network.stats.total_dropped == 1
         assert network.stats.total_delivered == 2

@@ -42,7 +42,6 @@ class TestSnapshotIntegrity:
         fields = dict(
             floor=5,
             delivered_total=4,
-            digest="d" * 64,
             payload=(("meta", 4, 0), ("kv", "k", 1)),
         )
         fields.update(overrides)
@@ -67,7 +66,6 @@ class TestSnapshotIntegrity:
         for field, forged_value in [
             ("floor", 6),
             ("delivered_total", 5),
-            ("digest", "e" * 64),
             ("payload", ()),
         ]:
             forged = dataclasses.replace(
@@ -114,9 +112,6 @@ class _StubLog:
         self.delivered_total = frontier
         self.compacted = []
         self.adopted = None
-
-    def delivered_digest(self):
-        return f"digest@{self.frontier}"
 
     def compact_below(self, floor):
         self.compacted.append(floor)
@@ -171,9 +166,7 @@ class TestSnapshotManagerCapture:
 class TestSnapshotTransfer:
     def build_server_snapshot(self, rows=5, floor=40):
         payload = tuple(("kv", f"k{i}", i) for i in range(rows))
-        return Snapshot(
-            floor=floor, delivered_total=floor, digest="d" * 64, payload=payload
-        )
+        return Snapshot(floor=floor, delivered_total=floor, payload=payload)
 
     def feed(self, manager, env, snapshot, chunk_indices, items_per_chunk=2):
         for index in chunk_indices:
@@ -248,8 +241,8 @@ class TestSnapshotTransfer:
 class TestRehydration:
     def test_torn_newest_slot_falls_back_to_previous(self):
         store = StableStore(pid=0)
-        good = Snapshot(floor=8, delivered_total=8, digest="d", payload=(("kv", "k", 1),))
-        torn = Snapshot(floor=12, delivered_total=12, digest="d", payload=(("kv", "k", 2),))
+        good = Snapshot(floor=8, delivered_total=8, payload=(("kv", "k", 1),))
+        torn = Snapshot(floor=12, delivered_total=12, payload=(("kv", "k", 2),))
         torn = dataclasses.replace(torn, payload=(), checksum=torn.checksum)
         store.put(("snapshot", 0), good)
         store.put(("snapshot", 1), torn)

@@ -1,5 +1,5 @@
 """The documentation checker's name resolution: `path.py:Symbol` pointers,
-snippet imports and backticked dotted `repro.*` names."""
+snippet imports, backticked dotted `repro.*` names and `Class.member` spans."""
 
 import importlib.util
 from pathlib import Path
@@ -123,4 +123,22 @@ class TestDottedNames:
         document.write_text(text + "\n", encoding="utf-8")
         assert check_docs.check_dotted_names(document) == [
             f"GUIDE.md: unresolved name `{name}`" for name in unresolved
+        ]
+
+
+class TestMembers:
+    @pytest.mark.parametrize(
+        "text, unresolved",
+        [
+            ("`ReplicatedLog.on_learn` and `ShardedService.state_digests(shard)`", []),
+            ("`ReplicatedLog.delivered_digest`", ["ReplicatedLog.delivered_digest"]),
+            ("`collections.Counter`, `Counter.most_common()` and `Finding.gone`", []),
+        ],
+        ids=["resolving_member", "deleted_member", "not_one_repro_class"],
+    )
+    def test_each_member_of_a_repro_class_resolves_or_is_reported(self, tmp_path, text, unresolved):
+        document = tmp_path / "GUIDE.md"
+        document.write_text(text + "\n", encoding="utf-8")
+        assert check_docs.check_members(document) == [
+            f"GUIDE.md: unresolved member `{name}`" for name in unresolved
         ]
