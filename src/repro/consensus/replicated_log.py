@@ -181,9 +181,10 @@ message loss, which client retransmission already covers.
 
 Snapshots and compaction
 ------------------------
-Attaching a :class:`~repro.storage.snapshot.SnapshotManager`
-(:meth:`attach_snapshots`, done by a :class:`~repro.service.replica.
-ServiceReplica` built with a compaction policy) bounds the log's memory:
+A :class:`~repro.storage.snapshot.SnapshotManager` assigned to
+:attr:`ReplicatedLog.snapshots` (every :class:`~repro.service.replica.
+ServiceReplica` assigns one, bound to its log, under its compaction policy)
+bounds the log's memory:
 whenever the contiguous decided prefix grows past the policy interval the
 manager captures a checksummed :class:`~repro.storage.snapshot.Snapshot` of
 the applied state and the log **truncates** everything below the truncation
@@ -300,20 +301,18 @@ class ReplicatedLog(Process):
         log builds its own :class:`~repro.consensus.batching.AdaptiveBatchPolicy`
         (EWMA of the backlog observed at each proposal opportunity).  Anything
         else raises ``ValueError``.
-    on_deliver:
-        Optional callback ``(position, value)`` invoked, in log order, for every
-        non-noop value as the contiguous decided prefix extends.
     leases:
         Optional :class:`~repro.consensus.leases.LeaseManager` enabling the
         lease-based read path: lease requests/grants piggyback on the drive
-        tick, grant holders gate foreign proposer traffic, and the read-index
-        hooks below become live.  ``None`` (the default) leaves every code
-        path — and every fingerprint — exactly as before.
-    on_read_index:
-        Optional callback ``(read_id, index)`` invoked when the leader
-        certifies a commit frontier for a pending follower read (either a
-        :class:`~repro.consensus.messages.ReadIndexReply` arrived, or this
-        process is itself the leader with read authority).
+        tick, grant holders gate foreign proposer traffic, and the
+        :attr:`on_read_index` and :attr:`on_drive` hooks become live.
+        ``None`` (the default) leaves every code path — and every
+        fingerprint — exactly as before.
+
+    The log's hooks — :attr:`on_deliver`, :attr:`on_learn`,
+    :attr:`on_read_index`, :attr:`on_drive` — and its snapshot manager
+    (:attr:`snapshots`) are plain attributes, ``None`` until their owner
+    assigns them.
     """
 
     variant_name = "replicated-log"
@@ -327,9 +326,7 @@ class ReplicatedLog(Process):
         drive_period: float = 2.0,
         retry_period: float = 10.0,
         batch_size: Union[int, str] = 1,
-        on_deliver: Optional[Callable[[int, Any], None]] = None,
         leases: Optional[LeaseManager] = None,
-        on_read_index: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         validate_process_count(n, t)
         if t >= n / 2:
@@ -351,7 +348,6 @@ class ReplicatedLog(Process):
         self.drive_period = drive_period
         self.retry_period = retry_period
         self.batch_size = batch_size
-        self.on_deliver = on_deliver
         #: Counter registry (see :attr:`~repro.core.interfaces.Process.counters`),
         #: shared with the lease and snapshot managers this log is handed; a
         #: stack hosting the log shares it with the oracle too.
@@ -360,7 +356,6 @@ class ReplicatedLog(Process):
         self.leases = leases
         if leases is not None:
             leases.counters = self.counters
-        self.on_read_index = on_read_index
         #: Pending follower reads awaiting a leader frontier certification
         #: (read ids queued by the service replica, flushed on drive ticks).
         self._read_index_queue: List[int] = []
@@ -373,6 +368,15 @@ class ReplicatedLog(Process):
         #: reply, a promise or a replay of its store — before it is applied.
         #: The sharded service feeds its agreement monitor through it.
         self.on_learn: Optional[Callable[[int, Any], None]] = None
+        #: Optional hook ``(position, value)`` called, in log order, for every
+        #: non-noop value as the contiguous decided prefix extends — the
+        #: service replica applies the log to its state machine through it.
+        self.on_deliver: Optional[Callable[[int, Any], None]] = None
+        #: Optional hook ``(read_id, index)`` called when the leader certifies
+        #: a commit frontier for a pending follower read (a
+        #: :class:`~repro.consensus.messages.ReadIndexReply` arrived, or this
+        #: process is itself the leader with read authority).
+        self.on_read_index: Optional[Callable[[int, int], None]] = None
 
         #: Acceptor: the one log-wide promise (durable under ``("promised",)``).
         self._promised = NO_BALLOT
@@ -432,9 +436,12 @@ class ReplicatedLog(Process):
         self.delivered_total = 0
         self.decided_value_count = 0
 
-        # Compaction (attach_snapshots): _floor is the truncation floor —
-        # positions below it were snapshotted away and no longer exist here.
+        #: The :class:`~repro.storage.snapshot.SnapshotManager` bound to this
+        #: log (None = no compaction).  Assigned before :meth:`attach_storage`,
+        #: so recovery can rehydrate snapshot-then-tail.
         self.snapshots = None
+        # _floor is the truncation floor: positions below it were
+        # snapshotted away and no longer exist here.
         self._floor = 0
 
         # Stable storage (attach_storage); _rehydrating suppresses re-persisting
@@ -534,19 +541,6 @@ class ReplicatedLog(Process):
         return commands
 
     # ------------------------------------------------------------------ storage --
-    def attach_snapshots(self, manager) -> None:
-        """Attach a :class:`~repro.storage.snapshot.SnapshotManager`.
-
-        Must happen before :meth:`attach_storage` (a
-        :class:`~repro.service.replica.ServiceReplica` wires the manager in its
-        constructor; the system attaches storage right after building it), so
-        recovery can rehydrate snapshot-then-tail.
-        """
-        if self.snapshots is not None:
-            raise RuntimeError("a snapshot manager is already attached to this log")
-        self.snapshots = manager
-        manager.bind_log(self)
-
     def attach_storage(self, store) -> None:
         """Attach a :class:`~repro.storage.stable_store.StableStore` and
         rehydrate from it.

@@ -18,9 +18,13 @@ event to one of them:
 The frontier header
 -------------------
 The oracle's ``ALIVE`` already reaches every peer from every process once per
-period, so the stack lets it carry one more field: every outgoing ``ALIVE``
-leaves in a :class:`~repro.consensus.messages.FrontierAdvert` holding the log's
-decided frontier.  On receipt the stack hands ``(sender, frontier)`` to the log
+period, so the stack lets it carry one more field.  Both parts run on the
+process's own environment; the stack sets the oracle's
+:attr:`~repro.core.omega_base.RotatingStarOmegaBase.wrap_alive` hook, so every
+outgoing ``ALIVE`` leaves in a :class:`~repro.consensus.messages.FrontierAdvert`
+holding the log's decided frontier as it stands at broadcast time (a bare
+oracle, outside a stack, sends its ``ALIVE`` messages bare).  On receipt the
+stack hands ``(sender, frontier)`` to the log
 (:meth:`~repro.consensus.replicated_log.ReplicatedLog.heard_frontier`) and the
 bare ``ALIVE`` to the oracle.  Omega's messages, state and delays are
 untouched — the network reads the tag and round number of the inner ``ALIVE`` —
@@ -31,7 +35,7 @@ Every other message, the oracle's ``SUSPICION`` included, travels bare.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence, Type, Union
+from typing import Callable, Optional, Type, Union
 
 from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import FrontierAdvert
@@ -41,49 +45,6 @@ from repro.core.figure3 import Figure3Omega
 from repro.core.interfaces import Environment, LeaderOracle, Message, Process, TimerHandle
 from repro.core.messages import Alive, Suspicion
 from repro.core.omega_base import RotatingStarOmegaBase
-from repro.util.rng import RandomSource
-
-
-class _AdvertisingEnvironment(Environment):
-    """The oracle's environment: the process's own, except that an ``ALIVE``
-    broadcast leaves in a :class:`FrontierAdvert` with the log's frontier."""
-
-    def __init__(self, outer: Environment, log: ReplicatedLog) -> None:
-        self.outer = outer
-        self._log = log
-
-    @property
-    def pid(self) -> int:
-        return self.outer.pid
-
-    @property
-    def process_ids(self) -> Sequence[int]:
-        return self.outer.process_ids
-
-    @property
-    def now(self) -> float:
-        return self.outer.now
-
-    @property
-    def random(self) -> RandomSource:
-        return self.outer.random
-
-    def send(self, dest: int, message: Message) -> None:
-        self.outer.send(dest, message)
-
-    def broadcast(self, message: Message, include_self: bool = False) -> None:
-        if isinstance(message, Alive):
-            message = FrontierAdvert(inner=message, frontier=self._log.frontier)
-        self.outer.broadcast(message, include_self)
-
-    def set_timer(self, delay: float, name: str, payload: Any = None) -> TimerHandle:
-        return self.outer.set_timer(delay, name, payload)
-
-    def cancel_timer(self, handle: TimerHandle) -> None:
-        self.outer.cancel_timer(handle)
-
-    def log(self, kind: str, **details: Any) -> None:
-        self.outer.log(kind, **details)
 
 
 class OmegaConsensusStack(Process, LeaderOracle):
@@ -102,7 +63,6 @@ class OmegaConsensusStack(Process, LeaderOracle):
         retry_period: float = 10.0,
         batch_size: Union[int, str] = 1,
         leases: Optional[LeaseManager] = None,
-        on_read_index: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         #: The co-located leader oracle.
         self.omega: RotatingStarOmegaBase = omega_cls(
@@ -118,35 +78,32 @@ class OmegaConsensusStack(Process, LeaderOracle):
             retry_period=retry_period,
             batch_size=batch_size,
             leases=leases,
-            on_read_index=on_read_index,
         )
         #: The process's one counter registry: the oracle counts into the
         #: mapping the log already shares with its lease and snapshot managers.
         self.counters = self.omega.counters = self.log.counters
+        self.omega.wrap_alive = self._advertise
         self.pid = pid
         self.n = n
         self.t = t
-        self._oracle_env: Optional[_AdvertisingEnvironment] = None
 
-    def _oracle_environment(self, env: Environment) -> _AdvertisingEnvironment:
-        """The oracle's view of *env*, built once per outer environment."""
-        oracle_env = self._oracle_env
-        if oracle_env is None or oracle_env.outer is not env:
-            oracle_env = self._oracle_env = _AdvertisingEnvironment(env, self.log)
-        return oracle_env
+    def _advertise(self, alive: Alive) -> FrontierAdvert:
+        """The oracle's ``wrap_alive`` hook: the log's frontier, read at
+        broadcast time, rides on every outgoing ``ALIVE``."""
+        return FrontierAdvert(inner=alive, frontier=self.log.frontier)
 
     # ------------------------------------------------------------------ lifecycle --
     def on_start(self, env: Environment) -> None:
-        self.omega.on_start(self._oracle_environment(env))
+        self.omega.on_start(env)
         self.log.on_start(env)
 
     def on_message(self, env: Environment, sender: int, message: Message) -> None:
         if isinstance(message, FrontierAdvert):
             # The header is the log's; the oracle sees the bare ALIVE.
             self.log.heard_frontier(env.now, sender, message.frontier)
-            self.omega.on_message(self._oracle_environment(env), sender, message.inner)
+            self.omega.on_message(env, sender, message.inner)
         elif isinstance(message, (Alive, Suspicion)):
-            self.omega.on_message(self._oracle_environment(env), sender, message)
+            self.omega.on_message(env, sender, message)
         else:
             self.log.on_message(env, sender, message)
 
@@ -154,14 +111,14 @@ class OmegaConsensusStack(Process, LeaderOracle):
         if timer.name == DRIVE_TIMER:
             self.log.on_timer(env, timer)
         else:
-            self.omega.on_timer(self._oracle_environment(env), timer)
+            self.omega.on_timer(env, timer)
 
     def on_crash(self, env: Environment) -> None:
-        self.omega.on_crash(self._oracle_environment(env))
+        self.omega.on_crash(env)
         self.log.on_crash(env)
 
     def on_stop(self, env: Environment) -> None:
-        self.omega.on_stop(self._oracle_environment(env))
+        self.omega.on_stop(env)
         self.log.on_stop(env)
 
     # ------------------------------------------------------------------ accessors --

@@ -98,6 +98,9 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         #: Counter registry (see :attr:`Process.counters`); a stack hosting this
         #: oracle replaces it with the process-wide one.
         self.counters: Dict[str, int] = Counter()
+        #: Optional hook wrapping each outgoing ``ALIVE`` before it is broadcast
+        #: (a stack hosting this oracle adds a header); ``None`` sends it bare.
+        self.wrap_alive: Optional[Callable[[Alive], Message]] = None
 
     # ------------------------------------------------------------------ oracle --
     def leader(self) -> int:
@@ -157,6 +160,8 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         """Lines 2-3: increment ``s_rn`` and broadcast ``ALIVE(s_rn, susp_level)``."""
         self.sending_round += 1
         message = Alive(rn=self.sending_round, susp_level=self.susp_level.snapshot())
+        if self.wrap_alive is not None:
+            message = self.wrap_alive(message)
         env.broadcast(message, include_self=False)
         env.log("alive_broadcast", rn=self.sending_round)
 

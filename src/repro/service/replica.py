@@ -4,7 +4,10 @@
 (:class:`~repro.consensus.stack.OmegaConsensusStack`) with a
 :class:`~repro.service.state_machine.KeyValueStore`: every value of the delivered
 log prefix is flattened (batches into commands) and applied, in log order, through
-the replicated log's ``on_deliver`` hook.  The class is runtime-agnostic like every
+the replicated log's ``on_deliver`` hook, which the replica assigns.  Clients
+enter through one typed :meth:`ServiceReplica.submit`: anything but a
+:class:`~repro.consensus.commands.Command` raises ``TypeError`` before it can
+reach the log.  The class is runtime-agnostic like every
 other :class:`~repro.core.interfaces.Process` — the same object runs under the
 discrete-event simulator and under the asyncio runtime.
 
@@ -21,9 +24,10 @@ rebuilds the key-value state *and* the exactly-once session table — so a
 client command applied before the crash reads as applied immediately after
 recovery, and its retransmission is absorbed as a duplicate, not re-executed.
 
-Every replica compacts: it owns a :class:`~repro.storage.snapshot.
-SnapshotManager` under its :class:`~repro.storage.compaction.CompactionPolicy`
-(the default one unless ``ShardedService(compaction=...)`` names another).
+Every replica compacts: it assigns its log a :class:`~repro.storage.snapshot.
+SnapshotManager`, bound to that log from construction, under its
+:class:`~repro.storage.compaction.CompactionPolicy` (the default one unless
+``ShardedService(compaction=...)`` names another).
 The state machine is periodically serialized into a checksummed snapshot, the
 decided prefix it covers is truncated out of the log (bounded memory),
 laggards below the floor are served the snapshot over the wire, and — with
@@ -78,7 +82,6 @@ class ServiceReplica(OmegaConsensusStack):
             retry_period=retry_period,
             batch_size=batch_size,
             leases=leases,
-            on_read_index=self._on_read_index if leases is not None else None,
         )
         self.state_machine = KeyValueStore()
         #: Commands applied to the state machine (includes absorbed duplicates).
@@ -100,17 +103,17 @@ class ServiceReplica(OmegaConsensusStack):
         #: client_id -> (seq, result, certified index) of the latest served read.
         self._lease_read_results: Dict[str, Tuple[int, Any, int]] = {}
         if leases is not None:
+            self.log.on_read_index = self._on_read_index
             self.log.on_drive = self._expire_pending_reads
         #: The policy this replica compacts under (``None`` given: the default).
         self.compaction = compaction if compaction is not None else CompactionPolicy()
-        # Attached before the system calls attach_storage, so recovery can
+        # Assigned before the system calls attach_storage, so recovery can
         # rehydrate snapshot-then-tail.
-        self.log.attach_snapshots(
-            SnapshotManager(
-                policy=self.compaction,
-                capture=self._capture_snapshot,
-                restore=self._restore_snapshot,
-            )
+        self.log.snapshots = SnapshotManager(
+            self.log,
+            policy=self.compaction,
+            capture=self._capture_snapshot,
+            restore=self._restore_snapshot,
         )
 
     # ------------------------------------------------------------------ application --
@@ -140,11 +143,16 @@ class ServiceReplica(OmegaConsensusStack):
             self.on_wake(None)
 
     # ------------------------------------------------------------------ client API --
-    def submit_command(self, command: Command) -> None:
-        """Submit a client command to this replica (it forwards to the leader)."""
+    def submit(self, command: Command) -> None:
+        """Submit a client command to this replica (it forwards to the leader).
+
+        Only a :class:`~repro.consensus.commands.Command` is accepted: the
+        state machine applies nothing else, so a raw value raises
+        ``TypeError`` here rather than once it is decided.
+        """
         if not isinstance(command, Command):
             raise TypeError(f"expected a Command, got {command!r}")
-        self.submit(command)
+        self.log.submit(command)
 
     # ------------------------------------------------------------------ lease reads --
     def submit_read(self, command: Command, now: float) -> None:

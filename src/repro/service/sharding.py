@@ -391,7 +391,7 @@ class ShardedService:
         ``[0, n)`` raises :class:`ValueError` (here and in :meth:`submit_read`).
         """
         shard = self.router.shard_for(command.key)
-        self._gateway(shard, gateway).algorithm.submit_command(command)
+        self._gateway(shard, gateway).algorithm.submit(command)
         return shard
 
     def submit_read(self, command: Command, gateway: Optional[int] = None) -> int:

@@ -62,6 +62,7 @@ Semantics
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.simulation.corruption import corrupt_message
@@ -86,17 +87,38 @@ def _require_pid(value: object, name: str) -> None:
         raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+def _require_time(value: object, name: str) -> None:
+    """A time is a finite ``int`` or ``float`` >= 0: not a bool, NaN or inf,
+    none of which the scheduler's clock could order."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultEvent:
-    """Base class of every timed fault event."""
+    """Base class of every timed fault event.
+
+    Kinds that heal by themselves carry an optional ``until``: a time after
+    :attr:`time`, checked here like :attr:`time` itself.
+    """
 
     time: float
 
     def __post_init__(self) -> None:
-        require_non_negative(self.time, "fault event time")
+        _require_time(self.time, "fault event time")
         for name in _PID_FIELDS:
             if name in self.__dataclass_fields__:
                 _require_pid(getattr(self, name), name)
+        until = getattr(self, "until", None)
+        if until is not None:
+            _require_time(until, "until")
+            if until <= self.time:
+                raise ValueError(
+                    f"{type(self).__name__} until={until} must be after "
+                    f"time={self.time}"
+                )
 
     def describe(self) -> str:
         return f"{type(self).__name__}@{self.time:g}"
@@ -188,10 +210,6 @@ class LinkFault(FaultEvent):
         require_in_range(self.loss_probability, "loss_probability", 0.0, 1.0)
         require_positive(self.delay_factor, "delay_factor")
         require_non_negative(self.delay_add, "delay_add")
-        if self.until is not None and self.until <= self.time:
-            raise ValueError(
-                f"link fault until={self.until} must be after time={self.time}"
-            )
 
     def describe(self) -> str:
         what = "cut" if self.block else (
@@ -240,10 +258,6 @@ class CorruptLink(FaultEvent):
         require_in_range(self.probability, "probability", 0.0, 1.0)
         if self.probability == 0.0:
             raise ValueError("a CorruptLink with probability=0 corrupts nothing")
-        if self.until is not None and self.until <= self.time:
-            raise ValueError(
-                f"corruption until={self.until} must be after time={self.time}"
-            )
 
     def describe(self) -> str:
         window = f"..{self.until:g}" if self.until is not None else ".."
@@ -269,8 +283,6 @@ class SlowProcess(FaultEvent):
     def __post_init__(self) -> None:
         super().__post_init__()
         require_positive(self.factor, "factor")
-        if self.until is not None and self.until <= self.time:
-            raise ValueError(f"slowdown until={self.until} must be after time={self.time}")
 
     def describe(self) -> str:
         return f"slow(p{self.pid} x{self.factor:g})@{self.time:g}"
@@ -393,7 +405,7 @@ class FaultPlan:
     @classmethod
     def crashes(cls, crash_times: Mapping[int, float]) -> "FaultPlan":
         """Pure crash-stop plan from a ``pid -> time`` mapping (insertion order)."""
-        return cls(Crash(time=float(t), pid=int(pid)) for pid, t in crash_times.items())
+        return cls(Crash(time=float(t), pid=pid) for pid, t in crash_times.items())
 
     @classmethod
     def rolling_restarts(
@@ -430,11 +442,7 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Partition the system into *groups* at *at*, optionally healing later."""
         plan = cls()
-        plan.add(
-            PartitionStart(
-                time=at, groups=tuple(tuple(int(p) for p in g) for g in groups)
-            )
-        )
+        plan.add(PartitionStart(time=at, groups=tuple(tuple(g) for g in groups)))
         if heal_at is not None:
             if heal_at <= at:
                 raise ValueError(f"heal_at={heal_at} must be after at={at}")
@@ -455,8 +463,8 @@ class FaultPlan:
         return cls(
             LinkFault(
                 time=at,
-                sender=int(s),
-                dest=int(d),
+                sender=s,
+                dest=d,
                 loss_probability=loss_probability,
                 delay_factor=delay_factor,
                 delay_add=delay_add,
@@ -477,8 +485,8 @@ class FaultPlan:
         return cls(
             CorruptLink(
                 time=at,
-                sender=int(s),
-                dest=int(d),
+                sender=s,
+                dest=d,
                 probability=probability,
                 until=until,
             )
@@ -1039,12 +1047,10 @@ class FaultInjector:
         #: adversary refusals.  Such events changed nothing — they must not be
         #: read as applied.
         self.rejections: List[str] = []
-        # Monotone tokens guarding the auto-heals of `until`-bearing faults: a
-        # scheduled heal only fires if no newer fault re-faulted the same link
-        # (or re-slowed the same process) in the meantime.
-        self._link_fault_tokens: Dict[Tuple[int, int], int] = {}
-        self._corruption_tokens: Dict[Tuple[int, int], int] = {}
-        self._slowdown_tokens: Dict[int, int] = {}
+        # Monotone tokens guarding the expiry of `until`-bearing faults, keyed
+        # by (event kind, link or pid): a scheduled expiry only fires if no
+        # newer fault of the same kind hit the same target in the meantime.
+        self._tokens: Dict[Tuple[type, object], int] = {}
         if plan.has_topology_events():
             self._ensure_link_state()
 
@@ -1108,15 +1114,8 @@ class FaultInjector:
         elif kind is PartitionHeal:
             self._ensure_link_state().heal_partition()
         elif kind is LinkFault:
-            link_state = self._ensure_link_state()
-            link_state.set_link_fault(event)
-            key = (event.sender, event.dest)
-            token = self._link_fault_tokens.get(key, 0) + 1
-            self._link_fault_tokens[key] = token
-            if event.until is not None:
-                system.scheduler.schedule_at(
-                    event.until, self._heal_link_cb, (key, token)
-                )
+            self._ensure_link_state().set_link_fault(event)
+            self._arm_expiry(event, (event.sender, event.dest))
         elif kind is LinkHeal:
             # An explicit heal restores the link to nominal behaviour in every
             # respect: loss/delay faults and payload corruption alike.
@@ -1124,44 +1123,37 @@ class FaultInjector:
             link_state.heal_link(event.sender, event.dest)
             link_state.heal_corruption(event.sender, event.dest)
         elif kind is CorruptLink:
-            link_state = self._ensure_link_state()
-            link_state.set_corruption(event)
-            key = (event.sender, event.dest)
-            token = self._corruption_tokens.get(key, 0) + 1
-            self._corruption_tokens[key] = token
-            if event.until is not None:
-                system.scheduler.schedule_at(
-                    event.until, self._heal_corruption_cb, (key, token)
-                )
+            self._ensure_link_state().set_corruption(event)
+            self._arm_expiry(event, (event.sender, event.dest))
         elif kind is SlowProcess:
-            link_state = self._ensure_link_state()
-            link_state.set_slowdown(event.pid, event.factor)
-            token = self._slowdown_tokens.get(event.pid, 0) + 1
-            self._slowdown_tokens[event.pid] = token
-            if event.until is not None:
-                system.scheduler.schedule_at(
-                    event.until, self._end_slowdown_cb, (event.pid, token)
-                )
+            self._ensure_link_state().set_slowdown(event.pid, event.factor)
+            self._arm_expiry(event, event.pid)
         else:  # pragma: no cover - future event kinds
             raise TypeError(f"unknown fault event {event!r}")
 
-    def _heal_link_cb(self, arg: Tuple[Tuple[int, int], int]) -> None:
-        key, token = arg
-        # Only the *latest* fault on this link may auto-heal it: if a newer
-        # LinkFault re-faulted the link inside this fault's window, its token is
-        # higher and this expired heal must not remove it.
-        if self._link_fault_tokens.get(key) == token:
-            self.link_state.heal_link(*key)
+    def _arm_expiry(self, event: FaultEvent, target: object) -> None:
+        """Make *event* the latest fault of its kind on *target*, and schedule
+        its expiry when it carries an ``until``."""
+        key = (type(event), target)
+        token = self._tokens.get(key, 0) + 1
+        self._tokens[key] = token
+        if event.until is not None:
+            self._system.scheduler.schedule_at(event.until, self._expire, (key, token))
 
-    def _end_slowdown_cb(self, arg: Tuple[int, int]) -> None:
-        pid, token = arg
-        if self._slowdown_tokens.get(pid) == token:
-            self.link_state.set_slowdown(pid, 1.0)
-
-    def _heal_corruption_cb(self, arg: Tuple[Tuple[int, int], int]) -> None:
+    def _expire(self, arg: Tuple[Tuple[type, object], int]) -> None:
         key, token = arg
-        if self._corruption_tokens.get(key) == token:
-            self.link_state.heal_corruption(*key)
+        # Only the *latest* fault of a kind on a target may expire: if a newer
+        # one hit the target inside this fault's window, its token is higher
+        # and this expiry must not remove it.
+        if self._tokens.get(key) != token:
+            return
+        kind, target = key
+        if kind is LinkFault:
+            self.link_state.heal_link(*target)
+        elif kind is CorruptLink:
+            self.link_state.heal_corruption(*target)
+        else:
+            self.link_state.set_slowdown(target, 1.0)
 
 
 __all__ = [

@@ -84,10 +84,6 @@ class SimProcessShell(Environment):
         #: the current incarnation number: timers armed by incarnation ``k`` are
         #: silently discarded once a recovery moves the shell to ``k+1``.
         self.recoveries = 0
-        #: Number of messages this process has sent / received (handler deliveries);
-        #: cumulative across incarnations.
-        self.messages_sent = 0
-        self.messages_received = 0
         # Stable-storage write cost accrued during the current handler turn
         # (identified by the scheduler's executed-event count); added to the
         # delay of every message this turn still sends — fsync before reply.
@@ -218,7 +214,6 @@ class SimProcessShell(Environment):
     def send(self, dest: int, message: Message) -> None:
         if self.crashed:
             return
-        self.messages_sent += 1
         if self._write_debt:
             self._network.send(
                 self._pid, dest, message, extra_delay=self._pending_write_debt()
@@ -236,7 +231,6 @@ class SimProcessShell(Environment):
         if self.crashed:
             return
         dests = self._process_ids if include_self else self._peers
-        self.messages_sent += len(dests)
         if self._write_debt:
             self._network.broadcast(
                 self._pid, dests, message, extra_delay=self._pending_write_debt()
@@ -247,7 +241,6 @@ class SimProcessShell(Environment):
     def _deliver(self, sender: int, message: Message) -> None:
         if self.crashed:
             return
-        self.messages_received += 1
         self._on_message(self, sender, message)
 
     # ------------------------------------------------------------------ timers --

@@ -75,13 +75,14 @@ class EventScheduler:
     ) -> Event:
         """Schedule *callback* at absolute virtual time *time*.
 
-        Scheduling strictly in the past is an error; scheduling exactly at the
-        current time is allowed (the event runs after all previously scheduled
-        events with the same timestamp).
+        Scheduling strictly in the past is an error, and so is a NaN time,
+        which no clock reading can order; scheduling exactly at the current
+        time is allowed (the event runs after all previously scheduled events
+        with the same timestamp).
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
-                f"cannot schedule an event in the past: {time} < now {self.now}"
+                f"cannot schedule an event in the past: {time} is not >= now {self.now}"
             )
         return self.push_event(time, callback, arg)
 

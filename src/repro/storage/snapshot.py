@@ -26,7 +26,7 @@ The pieces
     and restarted.
 
 :class:`SnapshotManager`
-    One per compacting replica, attached to its
+    One per compacting replica, built bound to its
     :class:`~repro.consensus.replicated_log.ReplicatedLog`.  It
 
     * **captures** a snapshot whenever the contiguous decided prefix grew by
@@ -199,6 +199,10 @@ class SnapshotManager:
 
     Parameters
     ----------
+    log:
+        The :class:`~repro.consensus.replicated_log.ReplicatedLog` this
+        manager compacts; its owner assigns the manager to the log's
+        ``snapshots`` attribute.
     policy:
         The :class:`~repro.storage.compaction.CompactionPolicy` deciding when
         to snapshot and how much decided tail to retain.
@@ -209,11 +213,10 @@ class SnapshotManager:
         Callback taking such a payload and resetting the state machine to it;
         called when a verified snapshot is installed.
 
-    The manager is bound to its log with :meth:`bind_log` (done by
-    ``ReplicatedLog.attach_snapshots``) and, when stable storage is attached,
-    to the replica's store with :meth:`bind_store`.
+    When stable storage is attached, the log binds the manager to the
+    replica's store with :meth:`bind_store`.
 
-    Counts into the bound log's counter registry:
+    Counts into the log's counter registry:
 
     ``snapshots_taken``
         Snapshots captured locally.
@@ -231,14 +234,17 @@ class SnapshotManager:
 
     def __init__(
         self,
+        log: "ReplicatedLog",
         policy: CompactionPolicy,
         capture: Callable[[], Tuple[Any, ...]],
         restore: Callable[[Tuple[Any, ...]], None],
     ) -> None:
+        self._log = log
+        #: The log's counter registry (rehydration counts into it too).
+        self.counters = log.counters
         self.policy = policy
         self._capture = capture
         self._restore = restore
-        self._log: Optional["ReplicatedLog"] = None
         self._store: Optional["StableStore"] = None
         self._latest: Optional[Snapshot] = None
         self._incoming: Optional[_IncomingTransfer] = None
@@ -246,11 +252,6 @@ class SnapshotManager:
         self._next_slot = 0
 
     # ------------------------------------------------------------------ wiring --
-    def bind_log(self, log: "ReplicatedLog") -> None:
-        self._log = log
-        #: The log's counter registry — bound before rehydration, which counts.
-        self.counters = log.counters
-
     def bind_store(self, store: "StableStore") -> None:
         self._store = store
 
@@ -266,10 +267,7 @@ class SnapshotManager:
         Called by the log after each frontier advance; cheap when there is
         nothing to do (one subtraction and compare).
         """
-        log = self._log
-        if log is None:
-            return
-        if self.policy.should_snapshot(log.frontier, self._last_floor):
+        if self.policy.should_snapshot(self._log.frontier, self._last_floor):
             self.take_snapshot()
 
     def take_snapshot(self) -> Snapshot:

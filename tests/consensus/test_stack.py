@@ -10,7 +10,7 @@ from repro.core.figure3 import Figure3Omega
 from repro.core.interfaces import Message
 from repro.core.messages import Alive, Suspicion
 from repro.core.omega_base import ALIVE_TIMER, ROUND_TIMER
-from repro.testing import FakeEnvironment
+from repro.testing import FakeEnvironment, deliver_round_alive
 
 
 def started(pid=0, n=5, t=2):
@@ -75,6 +75,16 @@ class TestStack:
             for sent in env.sent
             if not isinstance(sent.message, FrontierAdvert)
         )
+
+    def test_a_bare_oracle_broadcasts_bare_alives(self):
+        omega = Figure3Omega(pid=0, n=5, t=2)
+        env = FakeEnvironment(pid=0, n=5)
+        omega.on_start(env)
+        env.advance(1.0)
+        env.fire_due_timers(omega)
+        assert [(sent.dest, type(sent.message)) for sent in env.sent] == [
+            (pid, Alive) for pid in (1, 2, 3, 4)
+        ] * 2
 
     def test_a_received_advert_feeds_the_log_and_the_bare_alive_the_oracle(self):
         stack, env = started()
@@ -163,19 +173,14 @@ class TestRouting:
 
     def test_the_oracle_broadcasts_a_suspicion_bare_to_everyone(self):
         stack, env = started()
+        env.fire_due_timers(stack)  # round 1's timer (initial timeout 0) expires
         env.clear_sent()
-        oracle_env = stack._oracle_environment(env)
-        suspicion = Suspicion.make(1, [2])
-        oracle_env.broadcast(suspicion, include_self=True)
+        # With its own, ALIVE(1) from 1 and 3 makes alpha = 3: round 1 closes
+        # suspecting the two silent processes.
+        deliver_round_alive(stack, env, rn=1, senders=[1, 3])
         assert [(sent.dest, sent.message) for sent in env.sent] == [
-            (pid, suspicion) for pid in range(5)
+            (pid, Suspicion.make(1, [2, 4])) for pid in range(5)
         ]
-
-    def test_the_oracle_environment_is_built_once_per_outer_environment(self):
-        stack, env = started()
-        assert stack._oracle_environment(env) is stack._oracle_environment(env)
-        other = FakeEnvironment(pid=0, n=5)
-        assert stack._oracle_environment(other).outer is other
 
     def test_oracle_trace_events_reach_the_outer_environment_unchanged(self):
         _, env = started()

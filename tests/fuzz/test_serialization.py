@@ -8,6 +8,7 @@ from_dict`` bit-for-bit — including through the validation hook that
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +86,21 @@ class TestEventRoundTrip:
     )
     def test_a_process_id_that_is_not_an_int_is_rejected(self, event):
         with pytest.raises(ValueError, match="must be an int"):
+            FaultPlan.from_dict({"version": 1, "events": [event]}, n=3, t=1)
+
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"kind": "crash", "time": math.nan, "pid": 1},
+            {"kind": "crash", "time": math.inf, "pid": 1},
+            {"kind": "crash", "time": True, "pid": 1},
+            {"kind": "crash", "time": "1.0", "pid": 1},
+            {"kind": "link_fault", "time": 1.0, "sender": 0, "dest": 1, "until": math.nan},
+        ],
+        ids=["nan", "inf", "bool", "str", "nan-until"],
+    )
+    def test_a_time_that_is_not_a_finite_number_is_rejected(self, event):
+        with pytest.raises(ValueError, match="must be (a number|finite)"):
             FaultPlan.from_dict({"version": 1, "events": [event]}, n=3, t=1)
 
     def test_partition_groups_restored_as_tuples(self):

@@ -68,9 +68,9 @@ def build(seed, phases, losses, restarts):
                 machine.apply(command)
 
         oracle = FlappingOracle(pid, lambda: holder[0].scheduler.now, phases)
-        return ReplicatedLog(
-            pid=pid, n=N, t=T, oracle=oracle, batch_size=3, on_deliver=apply
-        )
+        log = ReplicatedLog(pid=pid, n=N, t=T, oracle=oracle, batch_size=3)
+        log.on_deliver = apply
+        return log
 
     calm_at = sum(duration for duration, _ in phases)
     events = [

@@ -48,7 +48,7 @@ class TestServiceOnAsyncio:
             Command.put("bob", 2, "greeting", "ciao"),
         ]
         for index, command in enumerate(commands):
-            cluster.nodes[index % n].algorithm.submit_command(command)
+            cluster.nodes[index % n].algorithm.submit(command)
 
         async def scenario():
             await cluster.run(duration=160.0)

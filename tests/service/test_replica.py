@@ -55,10 +55,13 @@ class TestApplication:
         assert replica.state_machine.get("c") == 1
         assert replica.state_machine.duplicates_skipped == 1
 
-    def test_submit_command_rejects_raw_values(self):
+    def test_submit_rejects_a_raw_value(self):
+        # Accepted, a raw value would be ordered and then crash the state
+        # machine's apply inside a delivery handler.
         replica, _ = make_replica()
-        with pytest.raises(TypeError):
-            replica.submit_command("raw")
+        with pytest.raises(TypeError, match="expected a Command"):
+            replica.submit("raw")
+        assert replica.log.pending == []
 
     def test_command_applied_queries_the_session_table(self):
         replica, env = make_replica()
@@ -93,7 +96,7 @@ class TestSimulatedGroup:
         )
         commands = [Command.incr(f"client-{i}", 1, "counter") for i in range(6)]
         for index, command in enumerate(commands):
-            system.shells[index % n].algorithm.submit_command(command)
+            system.shells[index % n].algorithm.submit(command)
         system.run_until(200.0)
         machines = [shell.algorithm.state_machine for shell in system.shells]
         assert all(machine.get("counter") == 6 for machine in machines)

@@ -121,8 +121,7 @@ class TestMonotonicCountersAcrossRecovery:
     """Satellite audit: whole-run totals built from per-replica counters must
     not shrink when a recovery resets a replica's algorithm object.
 
-    Audit result: ``NetworkStats`` (network-side) and the shell's
-    ``messages_sent`` / ``messages_received`` were already cumulative; the
+    Audit result: ``NetworkStats`` (network-side) was already cumulative; the
     replica-side ``corruption_rejections`` and the proposal counters (today
     ``ballots_started`` / ``accept_rounds_started``) were the remaining
     resettable counters — now kept in the process's counter registry, which

@@ -293,7 +293,7 @@ class TestEndToEndCorruption:
         system.run_until(20.0)
         assert system.agreed_leader() == 0
         for seq in range(1, 6):
-            system.shells[1].algorithm.submit_command(command(seq=seq, key=f"k{seq}"))
+            system.shells[1].algorithm.submit(command(seq=seq, key=f"k{seq}"))
         system.run_until(120.0)
         stats = system.stats
         assert stats.total_corrupted > 0
@@ -317,7 +317,7 @@ class TestEndToEndCorruption:
         system = build_service_system(plan)
         system.run_until(20.0)
         for seq in range(1, 6):
-            system.shells[1].algorithm.submit_command(command(seq=seq, key=f"k{seq}"))
+            system.shells[1].algorithm.submit(command(seq=seq, key=f"k{seq}"))
         system.run_until(200.0)
         # After the window closes, the follower's retried forwards get through
         # and every replica applies the commands identically.
@@ -368,9 +368,7 @@ class TestEndToEndCorruption:
             system = build_service_system(plan, seed=9)
             system.run_until(20.0)
             for seq in range(1, 6):
-                system.shells[1].algorithm.submit_command(
-                    command(seq=seq, key=f"k{seq}")
-                )
+                system.shells[1].algorithm.submit(command(seq=seq, key=f"k{seq}"))
             system.run_until(150.0)
             return {
                 "executed": system.scheduler.executed,

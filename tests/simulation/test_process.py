@@ -90,14 +90,14 @@ class TestLifecycle:
 
 class TestMessaging:
     def test_send_and_deliver(self):
-        scheduler, _, shells, algorithms = build_shell()
+        scheduler, network, shells, algorithms = build_shell()
         shells[0].start()
         shells[1].start()
         shells[0].send(1, Alive.make(1, {0: 0, 1: 0}))
         scheduler.run_until(2.0)
         assert len(algorithms[1].messages) == 1
-        assert shells[0].messages_sent == 1
-        assert shells[1].messages_received == 1
+        assert network.stats.total_sent == 1
+        assert network.stats.total_delivered == 1
 
     def test_crashed_process_does_not_send(self):
         scheduler, network, shells, _ = build_shell()

@@ -29,6 +29,14 @@ class TestScheduling:
         with pytest.raises(ValueError, match="past"):
             scheduler.schedule_at(4.0, lambda: None)
 
+    def test_a_nan_time_is_rejected(self):
+        # NaN compares false with every time, so a plain `time < now` check
+        # lets it onto the heap, where it can be ordered against nothing.
+        scheduler = EventScheduler()
+        with pytest.raises(ValueError, match="past"):
+            scheduler.schedule_at(float("nan"), lambda: None)
+        assert scheduler.pending == 0
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             EventScheduler().schedule_after(-1.0, lambda: None)

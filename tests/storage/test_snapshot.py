@@ -126,13 +126,13 @@ class _StubLog:
 
 def make_manager(policy=None, frontier=0, store=None):
     captured = {"payloads": [], "restored": []}
+    log = _StubLog(frontier=frontier)
     manager = SnapshotManager(
+        log,
         policy=policy or CompactionPolicy(interval=4, retain=1),
         capture=lambda: (("kv", "k", frontier),),
         restore=captured["restored"].append,
     )
-    log = _StubLog(frontier=frontier)
-    manager.bind_log(log)
     if store is not None:
         manager.bind_store(store)
     return manager, log, captured
