@@ -27,7 +27,10 @@ from repro.service import (
 from repro.util.tables import format_table
 
 HORIZON = 700.0
-CHECK_INTERVAL = 20.0
+#: Resolution of a drain's completion time.  It must be finer than the drain
+#: itself: at 20 vt, a 30-command drain finished inside the first interval
+#: both batched (7 vt) and unbatched (15 vt), and the two rates tied.
+CHECK_INTERVAL = 1.0
 #: How long closed-loop clients get to drain after the horizon before replica
 #: states are compared: at the horizon a Decide can still be in flight, which
 #: leaves a replica one position behind without any divergence.

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.simulation.delays import DelayModel
@@ -221,65 +223,70 @@ class StarSchedule:
         self.gap_function = gap_function
         self._rng = RandomSource(seed, label="star-schedule")
         self._others: List[int] = [pid for pid in range(n) if pid != center]
+        #: point -> the processes that may block it: neither centre nor point.
+        self._candidates = [[pid for pid in self._others if pid != point] for point in range(n)]
 
-        # Lazily generated star rounds (sorted) and per-round data.
-        self._star_rounds: List[int] = []
-        self._star_round_set: set = set()
-        self._points_cache: Dict[int, FrozenSet[int]] = {}
-        self._property_cache: Dict[Tuple[int, int], str] = {}
-        self._blockers_cache: Dict[Tuple[int, int], FrozenSet[int]] = {}
+        # The sequence S, generated lazily and in order, one int64 per star
+        # round: its gaps are drawn from one sequential stream, so a round
+        # cannot be re-derived out of order.  Everything else about a round is
+        # a pure function of (seed, rn, point) and is recomputed on demand;
+        # points and "mixed" properties keep a one-round memo, because a
+        # broadcast asks about the same round once per destination.
+        self._star_rounds = array("q", [first_star_round])
+        #: (rn, Q(rn)) of the latest ``points`` call; round 0 is never a star round.
+        self._points_memo: Tuple[int, FrozenSet[int]] = (0, frozenset())
+        #: point -> (rn, property) of its latest ``"mixed"`` draw.
+        self._property_memo: Dict[int, Tuple[int, str]] = {}
 
     # ------------------------------------------------------------------ S sequence --
     def _extend_star_rounds(self, up_to: int) -> None:
         """Generate the sequence ``S`` of star rounds up to round *up_to*."""
-        if not self._star_rounds:
-            self._star_rounds.append(self.first_star_round)
-            self._star_round_set.add(self.first_star_round)
-        while self._star_rounds[-1] < up_to:
-            previous = self._star_rounds[-1]
+        rounds = self._star_rounds
+        while rounds[-1] < up_to:
             if self.max_gap == 1:
                 gap = 1
             else:
                 gap = self._rng.randint(1, self.max_gap)
             if self.gap_function is not None:
-                extra = int(self.gap_function(len(self._star_rounds)))
+                extra = int(self.gap_function(len(rounds)))
                 if extra < 0:
                     raise ValueError("gap_function must be non-negative")
                 gap += extra
-            nxt = previous + gap
-            self._star_rounds.append(nxt)
-            self._star_round_set.add(nxt)
+            rounds.append(rounds[-1] + gap)
 
     def is_star_round(self, rn: int) -> bool:
         """Return True when *rn* belongs to the sequence ``S``."""
         if rn < self.first_star_round:
             return False
-        self._extend_star_rounds(rn)
-        return rn in self._star_round_set
+        rounds = self._star_rounds
+        if rounds[-1] < rn:
+            self._extend_star_rounds(rn)
+        return rounds[bisect_left(rounds, rn)] == rn
 
     def star_rounds_up_to(self, rn: int) -> List[int]:
         """Return the star rounds <= *rn* (mainly for tests and reports)."""
         self._extend_star_rounds(rn)
-        return [value for value in self._star_rounds if value <= rn]
+        rounds = self._star_rounds
+        return rounds[: bisect_right(rounds, rn)].tolist()
 
     # ------------------------------------------------------------------ Q(rn) --
     def points(self, rn: int) -> FrozenSet[int]:
-        """Return ``Q(rn)``, the ``t`` points of the star for star round *rn*."""
+        """Return ``Q(rn)``, the ``t`` points of the star for star round *rn*
+        (empty for any other round)."""
+        memo = self._points_memo
+        if memo[0] == rn:
+            return memo[1]
         if not self.is_star_round(rn):
-            return frozenset()
-        cached = self._points_cache.get(rn)
-        if cached is not None:
-            return cached
-        if self.rotation == "fixed":
-            chosen = self._others[: self.t]
+            result: FrozenSet[int] = frozenset()
+        elif self.rotation == "fixed":
+            result = frozenset(self._others[: self.t])
         elif self.rotation == "round_robin":
             m = len(self._others)
             start = (rn * self.t) % m
-            chosen = [self._others[(start + i) % m] for i in range(self.t)]
+            result = frozenset(self._others[(start + i) % m] for i in range(self.t))
         else:  # random
-            chosen = self._rng.child("points", rn).sample(self._others, self.t)
-        result = frozenset(chosen)
-        self._points_cache[rn] = result
+            result = frozenset(self._rng.child("points", rn).sample(self._others, self.t))
+        self._points_memo = (rn, result)
         return result
 
     def point_property(self, rn: int, point: int) -> Optional[str]:
@@ -289,21 +296,15 @@ class StarSchedule:
         """
         if point not in self.points(rn):
             return None
-        key = (rn, point)
-        cached = self._property_cache.get(key)
-        if cached is not None:
-            return cached
-        if self.point_mode == TIMELY:
-            value = TIMELY
-        elif self.point_mode == WINNING:
-            value = WINNING
-        else:
-            value = (
-                WINNING
-                if self._rng.child("property", rn, point).random() < 0.5
-                else TIMELY
-            )
-        self._property_cache[key] = value
+        if self.point_mode != "mixed":
+            return self.point_mode
+        last = self._property_memo.get(point)
+        if last is not None and last[0] == rn:
+            return last[1]
+        value = (
+            WINNING if self._rng.child("property", rn, point).random() < 0.5 else TIMELY
+        )
+        self._property_memo[point] = (rn, value)
         return value
 
     def blockers(self, rn: int, point: int) -> FrozenSet[int]:
@@ -312,18 +313,12 @@ class StarSchedule:
         Their ``ALIVE(rn)`` messages to *point* are delayed behind the centre's so
         the centre's message is among the first ``n - t`` received by the point.
         """
-        key = (rn, point)
-        cached = self._blockers_cache.get(key)
-        if cached is not None:
-            return cached
-        candidates = [pid for pid in self._others if pid != point]
+        candidates = self._candidates[point]
         # Deterministic rotation of blockers so no fixed set of processes is starved
         # round after round.
         start = (rn + point) % len(candidates)
-        chosen = [candidates[(start + i) % len(candidates)] for i in range(self.t)]
-        result = frozenset(chosen)
-        self._blockers_cache[key] = result
-        return result
+        rotated = candidates[start:] + candidates[:start]
+        return frozenset(rotated[: self.t])
 
     def describe(self) -> str:
         """One-line description of the schedule."""
@@ -547,8 +542,9 @@ class StarDelayModel(DelayModel):
             return self._control_delay()
         rn = round_number
         schedule = self.schedule
-        if schedule is not None and schedule.is_star_round(rn):
-            points = schedule.points(rn)
+        # Outside the star rounds ``points`` is empty.
+        points = schedule.points(rn) if schedule is not None else ()
+        if points:
             if sender == schedule.center and dest in points:
                 prop = schedule.point_property(rn, dest)
                 if prop == WINNING:

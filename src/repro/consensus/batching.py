@@ -50,6 +50,11 @@ class AdaptiveBatchPolicy:
     def observe(self, backlog: int) -> int:
         """Fold one backlog observation in; return the current batch limit."""
         self._ewma += ALPHA * (backlog - self._ewma)
+        return self.limit
+
+    @property
+    def limit(self) -> int:
+        """The current batch limit, read without folding an observation in."""
         return max(MIN_BATCH, min(MAX_BATCH, math.ceil(self._ewma)))
 
 

@@ -44,10 +44,19 @@ the environment the process was started with: a non-leader sends a
 with no position in flight proposes it.  A replica with anything
 outstanding queues the command for its next tick, and so does one not yet
 started, crashed or stopped.  How often a replica is idle depends on the
-load: in the perfbench workloads (seed 1104) 95% of the submissions of six
-thinking clients find it idle, 21% at 60% of capacity and still 8.5% at
-the throughput knee.  Each idle dispatch travels as a batch of one, so at
-the knee the average batch shrinks (5.2 to 4.2 commands per position).
+load: in the perfbench workloads (run seed 110400) 97% of the submissions
+of six thinking clients find it idle, 22% at 60% of capacity and 5.4% at
+the throughput knee.  Each idle dispatch travels as a batch of one.
+
+A queue that one batch per tick cannot drain does not wait for the tick
+either (the **backlog rule**): when a leader's own vote count closes the
+quorum of its position and at least ``BACKLOG_BATCHES`` (two) full batches
+of undecided commands are still queued, it proposes the next position in
+the same turn, if it still owns its ballot and its oracle still names it.
+The early proposal takes one full batch and leaves at least one full batch
+for the tick, so the rule never makes a batch smaller; a shorter queue
+waits for the tick, where it fills a batch.  One position is still in
+flight at a time.
 
 The whole pending set is sent again only when
 
@@ -102,14 +111,15 @@ still leaves after its write.  A steady leader therefore spends
 position is in flight at a time.  A ``Forward`` that reaches a leader which
 owns its ballot and has nothing in flight is proposed in the same handler
 turn, so a follower's batch does not wait for the leader's next drive tick;
-so is a local submission that finds such a leader with an empty queue.
-Everything else stays on the drive tick: starting a ballot, proposing local
-submissions that arrive while others are queued, proposing again once a
-quorum closed, and re-sending an unanswered ``AcceptRequest`` after
-``retry_period`` under the same ballot with the same value (an unanswered
-``Prepare`` is retried with a higher ballot: acceptors nack a ballot they
-already promised, which is what stops an amnesic restarted proposer from
-reusing one).
+so is a local submission that finds such a leader with an empty queue, and
+so is the next position when a quorum closes on a backlog of two full
+batches.  Everything else stays on the drive tick: starting a ballot,
+proposing local submissions that arrive while others are queued, proposing
+again once a quorum closed on a shorter backlog, and re-sending an
+unanswered ``AcceptRequest`` after ``retry_period`` under the same ballot
+with the same value (an unanswered ``Prepare`` is retried with a higher
+ballot: acceptors nack a ballot they already promised, which is what stops
+an amnesic restarted proposer from reusing one).
 
 The catch-up protocol
 ---------------------
@@ -260,6 +270,13 @@ NOOP = "<noop>"
 
 #: Name of the log's one timer; the stack routes every other name to the oracle.
 DRIVE_TIMER = "drive"
+
+#: Queued full batches at which a leader whose quorum just closed proposes the
+#: next position at once instead of at its next drive tick.  Two, because the
+#: early proposal takes one full batch and still leaves at least one full
+#: batch for the tick: the trigger never makes a batch smaller, and it fires
+#: only when one batch per tick cannot drain the queue.
+BACKLOG_BATCHES = 2
 
 #: Maximum decided positions shipped per CatchUpReply (bounds message size; the
 #: requester's next drive tick continues from its advanced frontier).
@@ -841,9 +858,8 @@ class ReplicatedLog(Process):
         with the backlog observed right now.
         """
         if self._batch_policy is not None:
-            limit = self._batch_policy.observe(len(self._arrivals))
-        else:
-            limit = self.batch_size
+            self._batch_policy.observe(len(self._arrivals))
+        limit = self._batch_limit()
         picked: List[Any] = []
         for value in self._arrivals:
             if value in self._decided_index:
@@ -856,6 +872,13 @@ class ReplicatedLog(Process):
         if limit == 1 or len(picked) == 1:
             return picked[0]
         return Batch(commands=tuple(picked))
+
+    def _batch_limit(self) -> int:
+        """The fixed ``batch_size``, or the adaptive policy's current limit
+        (read without folding an observation in)."""
+        if self._batch_policy is not None:
+            return self._batch_policy.limit
+        return self.batch_size
 
     def _serve_catch_up(self, env: Environment, sender: int, frontier: int) -> None:
         """Answer a catch-up poll with decisions the requester is missing."""
@@ -1105,14 +1128,17 @@ class ReplicatedLog(Process):
     def _lead(self, env: Environment) -> None:
         """The leader's proposal step: one position in flight at a time.
 
-        Four triggers run it:
+        Five triggers run it:
 
         * every drive tick of a process its oracle names leader;
         * the moment a promise quorum hands it the ballot;
         * a ``Forward`` arriving while its oracle names it leader, it owns
           its ballot and no position is in flight;
         * a local :meth:`submit` that finds the queue empty while its oracle
-          names it leader, it owns its ballot and no position is in flight.
+          names it leader, it owns its ballot and no position is in flight;
+        * its own vote count closing a quorum while its oracle names it
+          leader, it owns its ballot and at least ``BACKLOG_BATCHES`` full
+          batches are queued (the backlog rule of the module docstring).
         """
         position = self._frontier
         value = self._candidate_value()
@@ -1176,3 +1202,13 @@ class ReplicatedLog(Process):
             value = self._inflight_value
             env.broadcast(Decide(instance=position, value=value))
             self._learn(position, value)
+            # A backlog of two full batches proposes now, not at the next
+            # tick.  The oracle is asked as well: a demotion drops ownership
+            # only on the next tick.
+            if (
+                self._owned
+                and self._inflight == -1
+                and len(self._arrivals) >= BACKLOG_BATCHES * self._batch_limit()
+                and self.oracle.leader() == self.pid
+            ):
+                self._lead(env)

@@ -404,8 +404,12 @@ class FaultPlan:
 
     @classmethod
     def crashes(cls, crash_times: Mapping[int, float]) -> "FaultPlan":
-        """Pure crash-stop plan from a ``pid -> time`` mapping (insertion order)."""
-        return cls(Crash(time=float(t), pid=pid) for pid, t in crash_times.items())
+        """Pure crash-stop plan from a ``pid -> time`` mapping (insertion order).
+
+        Each time reaches :class:`Crash` unconverted, so its check rejects a
+        bool or a string instead of reading it as a number.
+        """
+        return cls(Crash(time=t, pid=pid) for pid, t in crash_times.items())
 
     @classmethod
     def rolling_restarts(

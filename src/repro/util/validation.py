@@ -12,15 +12,18 @@ from typing import Optional
 
 
 def require_positive(value: float, name: str) -> float:
-    """Return *value* if it is strictly positive, otherwise raise ``ValueError``."""
-    if value <= 0:
+    """Return *value* if it is strictly positive, otherwise raise ``ValueError``.
+
+    NaN is rejected: written as ``not value > 0``, the test fails for it.
+    """
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return value
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Return *value* if it is >= 0, otherwise raise ``ValueError``."""
-    if value < 0:
+    """Return *value* if it is >= 0, otherwise raise ``ValueError`` (NaN too)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -99,6 +99,21 @@ class TestPoints:
         schedule = StarSchedule(n=7, t=3, center=0, max_gap=1, rotation="random")
         assert schedule.points(3) == schedule.points(3)
 
+    @pytest.mark.parametrize("rotation", ["fixed", "round_robin", "random"])
+    def test_a_round_asked_again_out_of_order_is_unchanged(self, rotation):
+        """Only the latest round is memoised; an older one is re-derived."""
+        schedule = StarSchedule(n=7, t=3, center=0, max_gap=3, rotation=rotation, seed=4)
+
+        def describe(rn):
+            points = schedule.points(rn)
+            return points, {
+                point: (schedule.point_property(rn, point), schedule.blockers(rn, point))
+                for point in points
+            }
+
+        in_order = [describe(rn) for rn in range(1, 60)]
+        assert [describe(rn) for rn in reversed(range(1, 60))] == in_order[::-1]
+
 
 class TestPointProperties:
     def test_timely_mode(self):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.consensus.batching import AdaptiveBatchPolicy
+from repro.consensus.batching import ADAPTIVE, AdaptiveBatchPolicy
 from repro.consensus.commands import Batch, Command, flatten_value, payload_intact
 from repro.consensus.leases import LeaseManager
 from repro.consensus.messages import (
@@ -20,7 +20,7 @@ from repro.consensus.messages import (
     Prepare,
     Promise,
 )
-from repro.consensus.replicated_log import NOOP, ReplicatedLog
+from repro.consensus.replicated_log import BACKLOG_BATCHES, NOOP, ReplicatedLog
 from repro.simulation.corruption import corrupt_message
 from repro.simulation.delays import ConstantDelay
 from repro.simulation.system import System, SystemConfig
@@ -443,7 +443,10 @@ class TestBatching:
 
     def test_adaptive_limit_tracks_the_backlog(self):
         policy = AdaptiveBatchPolicy()
-        limits = [policy.observe(backlog) for backlog in (0, 40, 40, 3, 0, 100)]
+        limits = []
+        for backlog in (0, 40, 40, 3, 0, 100):
+            limits.append(policy.observe(backlog))
+            assert policy.limit == policy.limit == limits[-1]  # reading feeds nothing
         assert limits == [1, 21, 31, 17, 9, 32]
 
     def test_leader_packs_pending_commands_into_one_batch(self):
@@ -1000,7 +1003,7 @@ class TestProposeOnForward:
         env.advance(log.retry_period)  # a re-send is due, but a tick sends it
         log.on_message(env, 4, Forward(value=self.BATCH))
         assert env.messages_of_type(AcceptRequest) == [in_flight] * 4
-        vote(log, env)  # the quorum closes: decided, but not proposed again
+        vote(log, env)  # the quorum closes on a short queue: decided, not proposed
         assert log.decided_log()[1] == "second"
         assert env.messages_of_type(AcceptRequest) == [in_flight] * 4
         tick(log, env)
@@ -1118,6 +1121,95 @@ class TestDispatchOnIdleSubmit:
         assert log.pending == ["new"]
         tick(log, env)  # nor is it queued to be forwarded again
         assert env.sent == []
+
+
+class TestProposeOnBacklog:
+    """When a leader's own vote count closes a quorum on a backlog of
+    ``BACKLOG_BATCHES`` full batches, it proposes the next position in that
+    turn; a shorter backlog waits for the drive tick."""
+
+    SIZE = 4
+
+    def leader_with_backlog(self, queued, **kwargs):
+        """An owning leader with ``"second"`` in flight at position 1 and
+        *queued* commands behind it; nothing sent since that proposal."""
+        kwargs.setdefault("batch_size", self.SIZE)
+        log, oracle, env = owning_leader(**kwargs)
+        log.submit("second")  # idle: proposed at once
+        commands = [Command.put("c", seq, f"k{seq}", seq) for seq in range(1, queued + 1)]
+        for command in commands:
+            log.submit(command)
+        env.clear_sent()
+        return log, oracle, env, commands
+
+    @staticmethod
+    def close_quorum(log, env, ballot):
+        for sender in two_peers(log):
+            log.on_message(env, sender, Accepted(instance=1, ballot=ballot, value="second"))
+
+    def test_two_full_batches_propose_when_the_quorum_closes(self):
+        log, _, env, commands = self.leader_with_backlog(BACKLOG_BATCHES * self.SIZE)
+        self.close_quorum(log, env, log._ballot)
+        requests = sent_to(env, AcceptRequest)
+        assert [dest for dest, _ in requests] == [1, 2, 3, 4]
+        assert {(m.instance, m.value) for _, m in requests} == {
+            (2, Batch(commands=tuple(commands[: self.SIZE])))
+        }
+
+    def test_one_command_short_of_two_batches_waits_for_the_tick(self):
+        log, _, env, commands = self.leader_with_backlog(BACKLOG_BATCHES * self.SIZE - 1)
+        self.close_quorum(log, env, log._ballot)
+        assert log.decided_log()[1] == "second"
+        assert sent_to(env, AcceptRequest) == []
+        tick(log, env)
+        request = env.messages_of_type(AcceptRequest)[-1]
+        assert (request.instance, request.value) == (2, Batch(commands=tuple(commands[: self.SIZE])))
+
+    def test_the_early_proposal_follows_the_learnt_position(self):
+        """W=1: ``_lead`` runs with nothing in flight and the closed position
+        already learnt, so it proposes at the advanced frontier."""
+        log, _, env, _ = self.leader_with_backlog(BACKLOG_BATCHES * self.SIZE)
+        entries = []
+        lead = log._lead
+
+        def recording(env):
+            entries.append((log._inflight, log.frontier, log.decided_log()))
+            lead(env)
+
+        log._lead = recording
+        self.close_quorum(log, env, log._ballot)
+        assert entries == [(-1, 2, {0: "first", 1: "second"})]
+        assert {m.instance for _, m in sent_to(env, AcceptRequest)} == {2}
+
+    @pytest.mark.parametrize("state", ["demoted", "ballot_lost", "lease_gated"])
+    def test_a_leader_that_cannot_propose_now_waits(self, state):
+        leases = LeaseManager(pid=0, n=5, t=2) if state == "lease_gated" else None
+        log, oracle, env, _ = self.leader_with_backlog(
+            BACKLOG_BATCHES * self.SIZE, leases=leases
+        )
+        ballot = log._ballot
+        if state == "demoted":
+            oracle.set(3)  # ownership is only dropped at the next tick
+        elif state == "ballot_lost":
+            log.on_message(env, 3, Nack(ballot=ballot, promised=ballot + 1))
+        else:
+            env.set_time(10.0)  # past the post-start grant blackout
+            log.on_message(env, 3, LeaseRequest(round=1, sent_at=9.5))
+            assert [type(m) for m in env.messages_to(3)] == [LeaseGrant]
+        self.close_quorum(log, env, ballot)
+        assert sent_to(env, AcceptRequest) == []
+        # The quorum closed, unless the votes came after the ballot was lost.
+        assert log.frontier == (1 if state == "ballot_lost" else 2)
+
+    def test_an_adaptive_limit_is_read_not_fed(self):
+        """The check reads the adaptive limit; only a proposal feeds the
+        EWMA a backlog observation, so a quorum that closes on an empty
+        queue leaves it as it was."""
+        log, _, env, _ = self.leader_with_backlog(0, batch_size=ADAPTIVE)
+        ewma = log._batch_policy._ewma
+        self.close_quorum(log, env, log._ballot)
+        assert log.frontier == 2 and sent_to(env, AcceptRequest) == []
+        assert log._batch_policy._ewma == ewma
 
 
 class _Scripted:

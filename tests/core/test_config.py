@@ -31,6 +31,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             OmegaConfig(initial_timeout=-1.0)
 
+    def test_rejects_nan_initial_timeout(self):
+        with pytest.raises(ValueError, match="initial_timeout"):
+            OmegaConfig(initial_timeout=float("nan"))
+
     def test_rejects_alpha_below_one(self):
         with pytest.raises(ValueError):
             OmegaConfig(alpha=0)

@@ -114,9 +114,11 @@ def test_a_storage_less_restart_of_the_trusted_replica_converges():
 
 
 def test_a_replica_restarted_below_the_floor_gets_the_snapshot_then_the_tail():
-    """44 positions decide while pid 1 is down and nothing after it is back:
-    the survivors' latest snapshot covers 40, so the first poll is answered
-    with the snapshot and the next with positions 40-43."""
+    """18 positions decide before pid 1 goes down, 26 more while it is down
+    and nothing after it is back: the survivors' latest snapshot covers 40,
+    so the first poll is answered with the snapshot and the next with
+    positions 40-43.  The second half is submitted only once pid 1 is down:
+    submitted together, a backlog this deep is decided long before the crash."""
     service = build_sharded_service(
         num_shards=1,
         n=3,
@@ -128,7 +130,10 @@ def test_a_replica_restarted_below_the_floor_gets_the_snapshot_then_the_tail():
             [1], start=40.0, downtime=80.0
         ),
     )
-    for seq in range(1, 45):
+    for seq in range(1, 19):
+        service.submit(Command.put("c", seq, f"k{seq % 7}", seq), gateway=0)
+    service.run_until(41.0)
+    for seq in range(19, 45):
         service.submit(Command.put("c", seq, f"k{seq % 7}", seq), gateway=0)
     service.run_until(119.0)
     assert [r.log.frontier for r in service.replicas(0)] == [44, 18, 44]

@@ -130,18 +130,24 @@ class TestMonotonicCountersAcrossRecovery:
     replay/catch-up recounts it).
     """
 
-    @staticmethod
-    def corrupting_restart_service(stable_storage):
+    CORRUPT_FROM = 5.0
+
+    @classmethod
+    def corrupting_restart_service(cls, stable_storage):
+        """The service, run to the start of the corruption window, with
+        twelve commands submitted at that instant.  Submitted at time 0, a
+        backlog of three batches is decided before any payload is tampered."""
+
         def plan(shard: int) -> FaultPlan:
             # Tamper every command payload sent by the leader/centre (pid 0)
             # to the replica that will later restart, then restart it.
             composed = FaultPlan(
-                [CorruptLink(time=5.0, sender=0, dest=RESTARTED, until=35.0)]
+                [CorruptLink(time=cls.CORRUPT_FROM, sender=0, dest=RESTARTED, until=35.0)]
             )
             composed.extend(restart_plan(shard).events)
             return composed
 
-        return build_sharded_service(
+        service = build_sharded_service(
             num_shards=1,
             n=3,
             t=1,
@@ -150,12 +156,14 @@ class TestMonotonicCountersAcrossRecovery:
             fault_plan_factory=plan,
             stable_storage=stable_storage,
         )
+        service.run_until(cls.CORRUPT_FROM)
+        for seq in range(1, 13):
+            service.submit(Command.put("cli", seq, f"k{seq}", seq), gateway=0)
+        return service
 
     @pytest.mark.parametrize("stable_storage", [False, True])
     def test_rejections_match_deliveries_even_after_recovery(self, stable_storage):
         service = self.corrupting_restart_service(stable_storage)
-        for seq in range(1, 13):
-            service.submit(Command.put("cli", seq, f"k{seq}", seq), gateway=0)
         service.run_until(CRASH_AT - 1.0)
         rejected_before_crash = service.counters()["corruption_rejections"]
         assert rejected_before_crash > 0  # the doomed replica saw tampering
@@ -169,8 +177,6 @@ class TestMonotonicCountersAcrossRecovery:
 
     def test_the_registry_outlives_the_incarnation(self):
         service = self.corrupting_restart_service(False)
-        for seq in range(1, 13):
-            service.submit(Command.put("cli", seq, f"k{seq}", seq), gateway=0)
         service.run_until(RECOVER_AT - 1.0)
         shell = service.systems[0].shells[RESTARTED]
         dying = shell.algorithm

@@ -132,6 +132,21 @@ class TestFaultPlanValidation:
         with pytest.raises(ValueError):
             FaultPlan.crashes({0: -1.0})
 
+    @pytest.mark.parametrize("time", [True, "2"], ids=["bool", "str"])
+    def test_crashes_rejects_a_time_that_is_not_a_number(self, time):
+        # Coerced, True would crash at 1.0 and "2" at 2.0.
+        with pytest.raises(TypeError, match="must be a number"):
+            FaultPlan.crashes({1: time})
+
+    def test_crashes_keeps_the_time_it_was_given(self):
+        plan = FaultPlan.crashes({1: 5, 2: 7.5})
+        assert [(type(event.time), event.time) for event in plan.events] == [(int, 5), (float, 7.5)]
+        assert FaultPlan.from_dict(plan.to_dict()).to_dict() == plan.to_dict()
+
+    def test_rejects_a_nan_link_delay(self):
+        with pytest.raises(ValueError, match="delay_add"):
+            LinkFault(time=1.0, sender=0, dest=1, delay_add=float("nan"))
+
 
 class TestCrashStopPlans:
     def test_faulty_and_correct_sets_reflect_plan(self):

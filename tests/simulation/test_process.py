@@ -153,6 +153,13 @@ class TestTimers:
         with pytest.raises(ValueError):
             shells[0].set_timer(-1.0, "ping")
 
+    def test_a_nan_delay_is_rejected(self):
+        scheduler, _, shells, _ = build_shell()
+        shells[0].start()
+        with pytest.raises(ValueError, match="delay must be >= 0"):
+            shells[0].set_timer(float("nan"), "ping")
+        assert scheduler.pending == 0
+
 
 @pytest.fixture
 def collector_off():

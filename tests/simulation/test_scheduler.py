@@ -41,6 +41,12 @@ class TestScheduling:
         with pytest.raises(ValueError):
             EventScheduler().schedule_after(-1.0, lambda: None)
 
+    def test_a_nan_delay_is_rejected(self):
+        scheduler = EventScheduler()
+        with pytest.raises(ValueError, match="delay must be >= 0"):
+            scheduler.schedule_after(float("nan"), lambda: None)
+        assert scheduler.pending == 0
+
     def test_cancel_prevents_execution(self):
         scheduler = EventScheduler()
         fired = []
