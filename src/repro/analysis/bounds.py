@@ -10,16 +10,19 @@ checked mechanically on any execution:
   (operationally: the final common value of the eventual leader's entry);
 * the **timeout values stabilise** (they are derived from ``max(susp_level)``).
 
-:class:`BoundsAudit` evaluates the three properties from the final state of a system
-plus the polling samples collected by a :class:`~repro.analysis.metrics.LeaderPoller`.
+Nothing here samples.  Each process checks its array at the end of every handler
+that wrote a level and keeps the verdict in its counter registry
+(``peak_susp_level``, ``lemma8_violations``), which survives restarts; each
+incarnation keeps the instants its line-11 timeout changed
+(``timeout_history``).  :func:`audit_bounds` reads those records, so every
+state the arrays took and every timeout change is covered.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.analysis.metrics import LeaderPoller
 from repro.core.omega_base import RotatingStarOmegaBase
 from repro.simulation.system import System
 
@@ -31,16 +34,18 @@ class BoundsAudit:
     Attributes
     ----------
     max_level_ever:
-        Largest suspicion-level entry observed anywhere (final state and samples).
+        Largest suspicion-level entry any process ever held, across restarts.
     bound_b:
         The empirical ``B``: the largest value reached by the minimum entry of any
         live process's array.
     theorem4_holds:
         ``max_level_ever <= bound_b + 1``.
     lemma8_violations:
-        Number of sampled (process, time) points where ``max - min > 1``.
+        Number of handler executions that left some process's array with
+        ``max - min > 1``.
     timeouts_stabilized:
-        True when no live process changed its timeout over the sampling tail.
+        True when no live process changed its line-11 timeout over the last
+        quarter of the run.
     final_timeouts:
         pid -> last line-11 timeout value.
     """
@@ -63,39 +68,33 @@ class BoundsAudit:
         ]
 
 
-def audit_bounds(system: System, poller: Optional[LeaderPoller] = None) -> BoundsAudit:
+def audit_bounds(system: System) -> BoundsAudit:
     """Audit the boundedness claims on a finished (or paused) execution.
 
-    Crashed processes are included for ``max_level_ever`` (their arrays simply froze
-    at crash time) but only live processes contribute to ``B`` — the paper defines
-    ``B`` from the values the arrays converge to, which crashed processes never do.
+    Crashed processes are included for ``max_level_ever`` and Lemma 8 (their
+    records simply froze at crash time) but only live processes contribute to
+    ``B`` and to the timeouts — the paper defines ``B`` from the values the arrays
+    converge to, which crashed processes never do.
     """
     max_level_ever = 0
+    lemma8_violations = 0
     bound_b = 0
     final_timeouts: Dict[int, float] = {}
+    timeouts_stabilized = True
+    tail_start = 0.75 * system.now
     for shell in system.shells:
         algorithm = shell.algorithm
         if not isinstance(algorithm, RotatingStarOmegaBase):
             continue
-        levels = algorithm.susp_level_snapshot()
-        max_level_ever = max(max_level_ever, algorithm.susp_level.max_ever)
+        counters = algorithm.counters
+        max_level_ever = max(max_level_ever, counters.get("peak_susp_level", 0))
+        lemma8_violations += counters.get("lemma8_violations", 0)
         if not shell.crashed:
-            bound_b = max(bound_b, min(levels.values()))
+            bound_b = max(bound_b, algorithm.susp_level.minimum())
             final_timeouts[shell.pid] = algorithm.current_timeout
-
-    lemma8_violations = 0
-    timeouts_stabilized = True
-    if poller is not None:
-        max_level_ever = max(max_level_ever, poller.max_susp_level())
-        lemma8_violations = poller.spread_violations()
-        timeouts_stabilized = poller.timeout_stabilized()
-
-    # Also check the invariant on the final states (cheap, independent of polling).
-    for shell in system.alive_shells():
-        algorithm = shell.algorithm
-        if isinstance(algorithm, RotatingStarOmegaBase):
-            if algorithm.susp_level.spread() > 1:
-                lemma8_violations += 1
+            # An incarnation's first entry is its initial timer, not a change.
+            if any(when >= tail_start for when, _ in algorithm.timeout_history[1:]):
+                timeouts_stabilized = False
 
     return BoundsAudit(
         max_level_ever=max_level_ever,

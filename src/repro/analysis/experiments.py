@@ -208,7 +208,7 @@ def summarize_run(
         messages_sent=system.stats.total_sent,
         messages_by_tag=dict(system.stats.sent_by_tag),
         rounds_completed=rounds,
-        bounds=audit_bounds(system, poller),
+        bounds=audit_bounds(system),
         crashed=system.fault_plan.final_down_ids(),
     )
 

@@ -1,15 +1,16 @@
 """Measurement of the paper's claims on simulated executions.
 
 The central tool is the :class:`LeaderPoller`: it samples, at a fixed virtual-time
-interval, the ``leader()`` output and (when available) the suspicion-level array of
-every live process of a system.  From those samples the module computes:
+interval, the ``leader()`` output of every live process of a system.  From those
+samples the module computes:
 
 * the *stabilisation time* — the earliest sample time from which every correct
   process reports the same, correct, leader until the end of the run (the
   operational reading of the Eventual Leadership property);
-* the number of leader changes observed at correct processes;
-* the boundedness statistics needed by experiment E3 (maximum suspicion level,
-  Lemma 8 spread violations, final timeout values).
+* the number of leader changes observed at correct processes.
+
+The boundedness claims (Lemma 8, Theorem 4, stable timeouts) are not sampled:
+:mod:`repro.analysis.bounds` reads them off what each process records exactly.
 
 :func:`round_clock` reads the two round numbers the three figures share off
 every alive process: how far apart the ALIVE numberings are and how far the
@@ -44,14 +45,10 @@ class LeaderSample:
     time: float
     #: pid -> leader() output, for every live oracle process at sampling time.
     leaders: Dict[int, int]
-    #: pid -> susp_level array copy (only for the paper's algorithms).
-    susp_levels: Dict[int, Dict[int, int]]
-    #: pid -> most recent line-11 timeout value.
-    timeouts: Dict[int, float]
 
 
 class LeaderPoller:
-    """Periodically samples leaders and suspicion levels of a running system."""
+    """Periodically samples the leaders of a running system."""
 
     def __init__(self, system: System, interval: float = 5.0) -> None:
         require_positive(interval, "interval")
@@ -64,21 +61,12 @@ class LeaderPoller:
         self.system.scheduler.schedule_after(self.interval, self._sample)
 
     def _sample(self) -> None:
-        leaders: Dict[int, int] = {}
-        susp: Dict[int, Dict[int, int]] = {}
-        timeouts: Dict[int, float] = {}
-        for shell in self.system.alive_shells():
-            algorithm = shell.algorithm
-            if isinstance(algorithm, LeaderOracle):
-                leaders[shell.pid] = algorithm.leader()
-            if isinstance(algorithm, RotatingStarOmegaBase):
-                susp[shell.pid] = algorithm.susp_level_snapshot()
-                timeouts[shell.pid] = algorithm.current_timeout
-        self.samples.append(
-            LeaderSample(
-                time=self.system.now, leaders=leaders, susp_levels=susp, timeouts=timeouts
-            )
-        )
+        leaders = {
+            shell.pid: shell.algorithm.leader()
+            for shell in self.system.alive_shells()
+            if isinstance(shell.algorithm, LeaderOracle)
+        }
+        self.samples.append(LeaderSample(time=self.system.now, leaders=leaders))
         self._schedule_next()
 
     # ------------------------------------------------------------------ analysis --
@@ -147,44 +135,6 @@ class LeaderPoller:
                     changes += 1
                 previous[pid] = leader
         return changes
-
-    def max_susp_level(self) -> int:
-        """Largest suspicion-level entry observed in any sample at any process."""
-        maximum = 0
-        for sample in self.samples:
-            for levels in sample.susp_levels.values():
-                if levels:
-                    maximum = max(maximum, max(levels.values()))
-        return maximum
-
-    def spread_violations(self) -> int:
-        """Number of (sample, process) pairs violating Lemma 8 (max - min > 1)."""
-        violations = 0
-        for sample in self.samples:
-            for levels in sample.susp_levels.values():
-                if levels and max(levels.values()) - min(levels.values()) > 1:
-                    violations += 1
-        return violations
-
-    def final_timeouts(self) -> Dict[int, float]:
-        """Most recent timeout value per live process (last sample)."""
-        if not self.samples:
-            return {}
-        return dict(self.samples[-1].timeouts)
-
-    def timeout_stabilized(self, tail_fraction: float = 0.25) -> bool:
-        """True when no process's timeout changed during the last *tail_fraction*
-        of the samples (operational reading of "timeouts eventually stop increasing").
-        """
-        if len(self.samples) < 4:
-            return False
-        tail_start = int(len(self.samples) * (1.0 - tail_fraction))
-        tail = self.samples[tail_start:]
-        per_process: Dict[int, set] = {}
-        for sample in tail:
-            for pid, timeout in sample.timeouts.items():
-                per_process.setdefault(pid, set()).add(timeout)
-        return all(len(values) == 1 for values in per_process.values())
 
 
 # ---------------------------------------------------------------------- round clock

@@ -14,12 +14,13 @@ service:
 * **leadership** — each shard's agreed leader and its leader-change instants;
 * **latency** — client-observed issue-to-completion times read off the client
   histories, summarised by nearest rank;
-* **verdicts** — the invariant probes below: agreement and divergence always,
-  the client probes (exactly-once, durability, stale-read) when clients drove
-  the run — and, per shard, the fault plan's admission flags (``hazards``).
-  Agreement and the stale-read positions are read off each shard's
-  :class:`AgreementMonitor`, which the replicas feed as they learn, so log
-  compaction hides nothing from them;
+* **verdicts** — the invariant probes below: agreement, Lemma 8 and
+  divergence always, the client probes (exactly-once, durability, stale-read)
+  when clients drove the run — and, per shard, the fault plan's admission
+  flags (``hazards``).  Agreement and the stale-read positions are read off
+  each shard's :class:`AgreementMonitor`, which the replicas feed as they
+  learn, so log compaction hides nothing from them; Lemma 8 off each replica's
+  registry, which its oracle writes after every handler that moved a level;
 * a **fingerprint** over all of it and the operation histories: equal runs
   produce byte-identical fingerprints in any process.
 """
@@ -34,6 +35,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.commands import Command, flatten_value, value_checksum
+from repro.core.figure3 import Figure3Omega
 from repro.core.interfaces import fold_counters
 from repro.util.rng import fingerprint
 from repro.util.validation import require_positive
@@ -61,7 +63,7 @@ def _checked_fields(cls, data: Dict, what: str) -> Dict:
 class Violation:
     """One invariant breach observed by a probe."""
 
-    kind: str  # "agreement" | "exactly-once" | "divergence" | "durability" | "stale-read" | "linearizability"
+    kind: str  # agreement | exactly-once | divergence | durability | stale-read | linearizability | lemma-8
     shard: int
     detail: str
 
@@ -217,7 +219,7 @@ def record_run(
     histories: List[list] = [[] for _ in shards]
     for record in operations:
         histories[service.shard_for(record.key)].append(record.to_tuple())
-    violations = agreement_violations(service)
+    violations = agreement_violations(service) + lemma8_violations(service)
     if clients:
         violations += session_violations(service, clients)
     violations += divergence_violations(service)
@@ -416,6 +418,23 @@ def agreement_violations(service: "ShardedService") -> List[Violation]:
                     ),
                 )
             )
+    return violations
+
+
+def lemma8_violations(service: "ShardedService") -> List[Violation]:
+    """Lemma 8 at every Figure 3 replica, as its oracle counted breaches in the
+    registry (Figures 1 and 2 are not proven to keep the bound, so only
+    :func:`~repro.analysis.bounds.audit_bounds` counts theirs)."""
+    violations: List[Violation] = []
+    for shard, system in enumerate(service.systems):
+        breaches = [
+            f"{shell.algorithm.counters['lemma8_violations']} at pid {shell.pid}"
+            for shell in system.shells
+            if isinstance(shell.algorithm.omega, Figure3Omega) and shell.algorithm.counters["lemma8_violations"]
+        ]
+        if breaches:
+            detail = "handlers that left a susp_level spread above 1: " + ", ".join(breaches)
+            violations.append(Violation(kind="lemma-8", shard=shard, detail=detail))
     return violations
 
 

@@ -163,7 +163,7 @@ class Environment(abc.ABC):
 
 #: Counter names that are high-water marks: wherever registries are combined
 #: they fold with ``max``.  Every other name is an event count and sums.
-HIGH_WATER_COUNTERS = frozenset({"peak_decided_residency"})
+HIGH_WATER_COUNTERS = frozenset({"peak_decided_residency", "peak_susp_level"})
 
 
 def fold_counters(total: Dict[str, int], part: Mapping[str, int]) -> None:

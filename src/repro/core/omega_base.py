@@ -169,7 +169,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
     def _on_alive_message(self, env: Environment, sender: int, message: Alive) -> None:
         # merge_items consumes the message's snapshot tuple directly (no dict
         # materialised per delivery; one ALIVE is delivered to n-1 processes).
-        self.susp_level.merge_items(message.susp_level)
+        wrote = self.susp_level.merge_items(message.susp_level)
         resync_gap = self.config.round_resync_gap
         if resync_gap is not None and message.rn - self.sending_round > resync_gap:
             # Rejoin the peers' ALIVE numbering: peers count no ALIVE below
@@ -201,6 +201,8 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
                 self._resync_round(env, message.rn)
         self._record_leader(env)
         self._try_finish_round(env)
+        if wrote:
+            self._audit_levels()
 
     def _resync_round(self, env: Environment, rn: int) -> None:
         """Fast-forward a stalled receiving round (crash-recovery extension).
@@ -289,6 +291,7 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
         self, env: Environment, sender: int, message: Suspicion
     ) -> None:
         rn = message.rn
+        wrote = False
         for suspect in message.suspects:
             if suspect not in self.susp_level:
                 raise KeyError(f"suspicion names unknown process {suspect}")
@@ -296,13 +299,28 @@ class RotatingStarOmegaBase(Process, LeaderOracle):
             if count >= self.alpha and self._may_increase_level(suspect, rn):
                 self.susp_level.increase(suspect)
                 self.counters["level_increments"] += 1
+                wrote = True
         self._record_leader(env)
+        if wrote:
+            self._audit_levels()
 
     def _may_increase_level(self, suspect: int, rn: int) -> bool:
         """Guard of line 17.  Figure 1 imposes no extra condition."""
         return True
 
     # ------------------------------------------------------------------ helpers --
+    def _audit_levels(self) -> None:
+        """Section 6's bounds at the end of a handler that wrote a level (handlers
+        are atomic, so no state of the array is missed): the registry keeps the
+        peak entry and counts each handler that left ``max - min > 1``."""
+        levels = self.susp_level
+        top = levels.maximum()
+        counters = self.counters
+        if top > counters["peak_susp_level"]:
+            counters["peak_susp_level"] = top
+        if top - levels.minimum() > 1:
+            counters["lemma8_violations"] += 1
+
     def _record_leader(self, env: Environment) -> None:
         current = self.leader()
         if not self.leader_history or self.leader_history[-1][1] != current:

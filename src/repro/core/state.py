@@ -11,8 +11,10 @@ The paper's pseudo-code manipulates four data structures per process ``p_i``:
 * the round numbers ``s_rn_i`` and ``r_rn_i`` (kept as plain integers by the
   algorithm classes).
 
-The containers also expose the auditing hooks used by :mod:`repro.analysis.bounds`
-to verify the boundedness claims of Section 6 (Theorem 4 and Lemma 8).
+The containers only hold state.  The boundedness claims of Section 6 (Theorem 4
+and Lemma 8) are checked by the algorithm after each handler that wrote a level
+(:meth:`~repro.core.omega_base.RotatingStarOmegaBase._audit_levels`), into the
+process's counter registry, which :mod:`repro.analysis.bounds` reads.
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ class SuspicionLevels:
     """The ``susp_level`` array with element-wise-max gossip merging.
 
     The array is indexed by process id and never decreases (Lemma 8 relies on this
-    monotonicity).  ``merge`` implements line 5 of the algorithms; ``increase``
-    implements line 17.
+    monotonicity).  ``merge`` implements line 5 of the algorithms and reports
+    whether it wrote; ``increase`` implements line 17.
     """
 
     def __init__(self, process_ids: Iterable[int]) -> None:
         self._levels: Dict[int, int] = {pid: 0 for pid in process_ids}
         if not self._levels:
             raise ValueError("SuspicionLevels requires at least one process id")
-        #: Highest value ever stored, kept for the boundedness audit.
-        self.max_ever: int = 0
         # Cached ``least_suspected`` result.  ``leader()`` is queried on every
         # delivered message, so the lexicographic minimum is recomputed only when
         # it can actually change: levels never decrease, hence an increase of a
@@ -58,17 +58,19 @@ class SuspicionLevels:
         """Return a copy of the array as a dictionary."""
         return dict(self._levels)
 
-    def merge(self, other: Mapping[int, int]) -> None:
-        """Element-wise maximum with *other* (line 5: gossip absorption)."""
-        self.merge_items(other.items())
+    def merge(self, other: Mapping[int, int]) -> bool:
+        """Element-wise maximum with *other* (line 5: gossip absorption);
+        True when an entry rose."""
+        return self.merge_items(other.items())
 
-    def merge_items(self, pairs: Iterable[Tuple[int, int]]) -> None:
+    def merge_items(self, pairs: Iterable[Tuple[int, int]]) -> bool:
         """Like :meth:`merge` but over ``(pid, level)`` pairs.
 
         ALIVE messages carry their snapshot as a tuple of pairs; merging it
         directly avoids materialising a dictionary per delivered message.
         """
         levels = self._levels
+        wrote = False
         for pid, level in pairs:
             current = levels.get(pid)
             if current is None:
@@ -77,17 +79,15 @@ class SuspicionLevels:
                 raise KeyError(f"unknown process id {pid} in gossiped susp_level")
             if level > current:
                 levels[pid] = level
-                if level > self.max_ever:
-                    self.max_ever = level
+                wrote = True
                 if pid == self._leader_cache:
                     self._leader_cache = None
+        return wrote
 
     def increase(self, pid: int) -> int:
         """Increment the entry of *pid* (line 17) and return the new value."""
         value = self._levels[pid] + 1
         self._levels[pid] = value
-        if value > self.max_ever:
-            self.max_ever = value
         if pid == self._leader_cache:
             self._leader_cache = None
         return value

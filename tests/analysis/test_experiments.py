@@ -9,8 +9,11 @@ from repro.analysis.experiments import (
     run_omega_experiment,
 )
 from repro.assumptions import EventualTSourceScenario, IntermittentRotatingStarScenario
-from repro.core import Figure3Omega, OmegaConfig
-from repro.simulation import Crash, FaultPlan, Recover
+from repro.core import Figure1Omega, Figure2Omega, Figure3Omega, OmegaConfig
+from repro.simulation import Crash, FaultPlan, PartitionHeal, PartitionStart, Recover
+from repro.simulation.delays import UniformDelay
+from repro.simulation.system import System, SystemConfig
+from repro.util.rng import RandomSource
 
 
 class TestBuildSystem:
@@ -102,3 +105,43 @@ class TestBoundsAudit:
         assert audit.max_level_ever >= 0
         assert isinstance(audit.final_timeouts, dict)
         assert len(audit.as_row()) == 5
+
+    @pytest.mark.parametrize("cls, stabilized", [(Figure2Omega, False), (Figure3Omega, True)])
+    def test_timeouts_are_read_off_their_history(self, cls, stabilized):
+        # One crashed process: Figure 2 charges it for ever, so its timeouts
+        # still change in the last quarter of the run; Figure 3's stop early.
+        scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=202, max_gap=3)
+        system = build_system(scenario, cls, seed=202, fault_plan=FaultPlan.crashes({4: 30.0}))
+        system.run_until(600.0)
+        audit = audit_bounds(system)
+        assert audit.timeouts_stabilized is stabilized
+        assert audit.theorem4_holds is stabilized
+
+    def test_a_restart_keeps_the_earlier_peak(self):
+        # {0, 3, 4} charge 1 and 2 through a partition, then all three restart
+        # where no peer still holds those levels: no array alive at the end
+        # remembers the peak, the registries do.
+        plan = FaultPlan(
+            [
+                PartitionStart(time=0.0, groups=((0, 3, 4), (1, 2))),
+                Crash(time=150.0, pid=0),
+                Crash(time=150.0, pid=3),
+                PartitionStart(time=151.0, groups=((0, 1, 2), (3, 4))),
+                Recover(time=160.0, pid=0),
+                Crash(time=161.0, pid=4),
+                Recover(time=170.0, pid=3),
+                Recover(time=170.0, pid=4),
+                PartitionHeal(time=171.0),
+            ]
+        )
+        system = System(
+            SystemConfig(n=5, t=2, seed=1),
+            lambda pid: Figure1Omega(pid=pid, n=5, t=2),
+            UniformDelay(0.1, 0.5, RandomSource(1, label="delay")),
+            fault_plan=plan,
+        )
+        system.run_until(149.0)
+        peak = system.shell(0).algorithm.susp_level.maximum()
+        system.run_until(180.0)
+        assert max(shell.algorithm.susp_level.maximum() for shell in system.shells) < peak
+        assert audit_bounds(system).max_level_ever >= peak

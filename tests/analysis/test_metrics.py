@@ -21,13 +21,8 @@ def make_poller_with_samples(samples):
     return poller
 
 
-def sample(time, leaders, susp=None, timeouts=None):
-    return LeaderSample(
-        time=time,
-        leaders=leaders,
-        susp_levels=susp or {},
-        timeouts=timeouts or {},
-    )
+def sample(time, leaders):
+    return LeaderSample(time=time, leaders=leaders)
 
 
 class TestStabilizationTime:
@@ -104,45 +99,6 @@ class TestLeaderChanges:
         assert poller.leader_changes([0]) == 0
 
 
-class TestLevelAndTimeoutMetrics:
-    def test_max_susp_level(self):
-        poller = make_poller_with_samples(
-            [sample(5.0, {0: 0}, susp={0: {0: 0, 1: 4}}), sample(10.0, {0: 0}, susp={0: {0: 2, 1: 1}})]
-        )
-        assert poller.max_susp_level() == 4
-
-    def test_spread_violations(self):
-        poller = make_poller_with_samples(
-            [
-                sample(5.0, {0: 0}, susp={0: {0: 0, 1: 3}}),
-                sample(10.0, {0: 0}, susp={0: {0: 3, 1: 3}}),
-            ]
-        )
-        assert poller.spread_violations() == 1
-
-    def test_timeout_stabilized(self):
-        samples = [sample(float(i), {0: 0}, timeouts={0: 2.0}) for i in range(10)]
-        poller = make_poller_with_samples(samples)
-        assert poller.timeout_stabilized()
-
-    def test_timeout_not_stabilized_when_changing_late(self):
-        samples = [
-            sample(float(i), {0: 0}, timeouts={0: float(i)}) for i in range(10)
-        ]
-        poller = make_poller_with_samples(samples)
-        assert not poller.timeout_stabilized()
-
-    def test_timeout_stabilized_needs_enough_samples(self):
-        poller = make_poller_with_samples([sample(1.0, {0: 0}, timeouts={0: 1.0})])
-        assert not poller.timeout_stabilized()
-
-    def test_final_timeouts(self):
-        poller = make_poller_with_samples(
-            [sample(1.0, {0: 0}, timeouts={0: 1.0}), sample(2.0, {0: 0}, timeouts={0: 3.0})]
-        )
-        assert poller.final_timeouts() == {0: 3.0}
-
-
 class TestPollingIntegration:
     def test_poller_collects_samples_from_running_system(self):
         scenario = EventualTSourceScenario(n=4, t=1, seed=1)
@@ -151,7 +107,6 @@ class TestPollingIntegration:
         system.run_until(95.0)
         assert len(poller.samples) == 9
         assert all(set(s.leaders) == {0, 1, 2, 3} for s in poller.samples)
-        assert all(s.susp_levels for s in poller.samples)
 
     def test_interval_validated(self):
         scenario = EventualTSourceScenario(n=4, t=1, seed=1)

@@ -120,6 +120,17 @@ class TestFigure3MinimalityRule:
             assert algorithm.susp_level.spread() <= 1
         assert algorithm.susp_level[4] == 1
 
+    @pytest.mark.parametrize("cls, breaches", [(Figure2Omega, 28), (Figure3Omega, 0)])
+    def test_the_registry_counts_each_handler_that_breaks_lemma_8(self, cls, breaches):
+        # The same stream with and without the line-** test: Figure 2 raises
+        # entry 4 at every round, and each handler that leaves it more than one
+        # above the minimum (rounds 2..29) is counted once.
+        algorithm, env = make(cls)
+        for rn in range(1, 30):
+            deliver_suspicions(algorithm, env, rn=rn, suspect=4, senders=[0, 1, 2])
+        assert algorithm.counters["lemma8_violations"] == breaches
+        assert algorithm.counters["peak_susp_level"] == algorithm.susp_level[4]
+
     def test_all_entries_can_rise_together(self):
         algorithm, env = make(Figure3Omega)
         for rn in range(1, 10):

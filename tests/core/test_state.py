@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.figure1 import Figure1Omega
 from repro.core.state import RoundRecords, SuspicionLevels, lexicographic_min
+from repro.testing import FakeEnvironment, deliver_suspicions
 
 
 class TestSuspicionLevels:
@@ -17,11 +19,25 @@ class TestSuspicionLevels:
             SuspicionLevels([])
 
     def test_increase_and_max_ever(self):
+        """The array only holds levels; the peak ever held is the owning
+        oracle's ``peak_susp_level`` registry counter."""
         levels = SuspicionLevels([0, 1])
         assert levels.increase(1) == 1
         assert levels.increase(1) == 2
         assert levels[1] == 2
-        assert levels.max_ever == 2
+        oracle = Figure1Omega(pid=0, n=5, t=2)
+        env = FakeEnvironment(pid=0, n=5)
+        for rn in (1, 2):
+            deliver_suspicions(oracle, env, rn=rn, suspect=4, senders=[0, 1, 2])
+        assert oracle.susp_level[4] == 2
+        assert oracle.counters["peak_susp_level"] == 2
+
+    def test_merge_reports_whether_it_wrote(self):
+        levels = SuspicionLevels([0, 1])
+        assert levels.merge({0: 1, 1: 0})
+        assert not levels.merge({0: 1, 1: 0})
+        assert not levels.merge_items(((0, 0), (1, 0)))
+        assert levels.merge_items(((1, 2),))
 
     def test_merge_is_elementwise_max(self):
         levels = SuspicionLevels([0, 1, 2])

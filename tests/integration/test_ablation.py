@@ -5,13 +5,16 @@
   survives), while Figures 2 and 3 freeze it.
 * Without the line-``**`` minimality test (i.e. Figure 2), the suspicion levels of
   persistently slow or crashed processes grow without bound, while Figure 3 keeps
-  every entry within ``B + 1`` (Theorem 4).
+  every entry within ``B + 1`` (Theorem 4) and every array's spread within 1
+  (Lemma 8) — in a service run too, whose record reports a replica that breaks it.
 """
 
-from repro.analysis import build_system
+from repro.analysis import audit_bounds, build_system
 from repro.analysis.experiments import run_omega_experiment
+from repro.analysis.service_metrics import record_run
 from repro.assumptions import IntermittentRotatingStarScenario, RotatingPersecutionScenario
 from repro.core import Figure1Omega, Figure2Omega, Figure3Omega
+from repro.service import build_sharded_service
 from repro.simulation import FaultPlan
 
 DURATION = 700.0
@@ -115,3 +118,48 @@ class TestMinimalityTestIsNecessary:
             scenario, Figure3Omega, duration=DURATION, seed=204, fault_plan=crashes
         )
         assert fig3.rounds_completed > fig2.rounds_completed
+
+    def test_figure2_breaks_lemma8_and_the_audit_counts_it(self):
+        scenario = IntermittentRotatingStarScenario(n=5, t=2, center=2, seed=202, max_gap=3)
+        system = build_system(scenario, Figure2Omega, seed=202, fault_plan=FaultPlan.crashes({4: 30.0}))
+        system.run_until(DURATION)
+        breaches = sum(shell.algorithm.counters["lemma8_violations"] for shell in system.shells)
+        # Counted per handler, not per final state, which allows one per process.
+        assert breaches > len(system.shells)
+        assert audit_bounds(system).lemma8_violations == breaches
+
+
+class _Figure3WithoutMinimality(Figure3Omega):
+    """Figure 3 with Figure 2's guard: the line-** test is dropped."""
+
+    _may_increase_level = Figure2Omega._may_increase_level
+
+
+def _one_shard_with_a_crash(omega_cls):
+    service = build_sharded_service(
+        num_shards=1,
+        n=5,
+        t=2,
+        seed=0,
+        omega_cls=omega_cls,
+        fault_plan_factory=lambda shard: FaultPlan.crashes({4: 10.0}),
+    )
+    service.run_until(150.0)
+    return record_run(service)
+
+
+class TestLemma8OnServiceRuns:
+    """Every service run carries Lemma 8: a Figure 3 replica that lets a level
+    run ahead of the minimum shows up in the run record."""
+
+    def test_a_replica_without_the_minimality_test_is_reported(self):
+        record = _one_shard_with_a_crash(_Figure3WithoutMinimality)
+        assert [violation.kind for violation in record.violations] == ["lemma-8"]
+        assert record.counters["peak_susp_level"] > 2
+
+    def test_figure3_replicas_charge_the_crashed_one_within_the_bound(self):
+        record = _one_shard_with_a_crash(Figure3Omega)
+        assert record.violations == ()
+        # The crashed replica was charged, so the check had writes to see.
+        assert record.counters["peak_susp_level"] == 1
+        assert "lemma8_violations" not in record.counters

@@ -407,8 +407,9 @@ def test_pinned_service_runs_break_no_invariant(workload, request):
 def test_pinned_service_runs_keep_one_position_in_flight(workload, request):
     """W=1 on the pinned service runs: no log proposes a new position under
     one ballot before it has learnt the previous one, whichever trigger (drive
-    tick, promise quorum, ``Forward`` arrival, idle submit) ran ``_lead``.  A
-    window of W > 1 positions must change this test on purpose."""
+    tick, promise quorum, ``Forward`` arrival, idle submit, or a quorum closing
+    on a backlog of ``BACKLOG_BATCHES`` full batches) ran ``_lead``.  A window
+    of W > 1 positions must change this test on purpose."""
     for monitor in request.getfixturevalue(workload)["monitors"]:
         assert monitor.proposals > 0
         assert monitor.violations == []
