@@ -1,11 +1,12 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates the rows of one experiment of the per-experiment index
-in ``DESIGN.md`` (E1..E9).  The simulated horizon and system sizes are chosen so
-each benchmark completes in seconds; the qualitative shape of the results (who
-stabilises, whose variables stay bounded, who keeps churning leaders) is what the
-paper's claims are about and is asserted, while the absolute virtual-time numbers
-are reported for inspection in ``EXPERIMENTS.md``.
+Every benchmark regenerates the rows of one experiment (E1..E10), each described
+in its ``bench_e*.py`` docstring; README.md's "Tests and benchmarks" shows how to
+run them.  The simulated horizon and system sizes are chosen so each benchmark
+completes in seconds; the qualitative shape of the results (who stabilises, whose
+variables stay bounded, who keeps churning leaders) is what the paper's claims are
+about and is asserted, while the absolute virtual-time numbers are printed in the
+result tables for inspection.
 """
 
 from __future__ import annotations

@@ -27,7 +27,10 @@ out of sync with ``examples/*.py``.  This script fails the build on either:
 * every bare `` `Class.member` `` span (a call's arguments allowed) in
   ``README.md`` and ``docs/*.md`` whose ``Class`` is defined at the top level
   of exactly one ``src/repro`` file must name something that file defines on
-  the class; spans naming any other class, or none, are skipped.
+  the class; spans naming any other class, or none, are skipped;
+* every ``NAME.md`` a ``src/`` or ``benchmarks/`` Python file names must
+  exist, at the repository root or under ``docs/`` (a path prefix allowed),
+  so a docstring cannot send its reader to a document that was never written.
 
 Usage::
 
@@ -336,6 +339,20 @@ def check_members(path: Path, classes: Optional[Dict[str, List[str]]] = None) ->
     return errors
 
 
+#: A markdown file named in Python source: ``NAME.md``, a path prefix allowed.
+_MARKDOWN_NAME = re.compile(r"(?<![\w/.-])((?:[\w-]+/)*[\w-]+\.md)\b")
+
+
+def check_markdown_names(path: Path) -> list:
+    """Return an error string for every ``NAME.md`` the Python file *path*
+    names that exists neither at the repository root nor under ``docs/``."""
+    errors = []
+    for name in sorted(set(_MARKDOWN_NAME.findall(path.read_text(encoding="utf-8")))):
+        if not any((REPO_ROOT / base / name).exists() for base in (".", "docs")):
+            errors.append(f"{path.name}: names {name}, which does not exist")
+    return errors
+
+
 def main() -> int:
     documents = [REPO_ROOT / "README.md", REPO_ROOT / "ROADMAP.md"]
     documents += sorted((REPO_ROOT / "docs").glob("*.md"))
@@ -350,6 +367,9 @@ def main() -> int:
         errors.extend(check_snippet_imports(document))
         errors.extend(check_dotted_names(document))
         errors.extend(check_members(document, classes))
+    sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+    for source in sources + sorted((REPO_ROOT / "benchmarks").glob("*.py")):
+        errors.extend(check_markdown_names(source))
     errors.extend(check_examples_table(REPO_ROOT / "README.md"))
     errors.extend(check_lint_rule_table(REPO_ROOT / "docs" / "ARCHITECTURE.md"))
     if errors:

@@ -2,9 +2,9 @@
 
 :func:`run_omega_experiment` builds a system from a scenario and an algorithm class,
 runs it for a virtual-time horizon, and condenses the execution into an
-:class:`ExperimentResult` holding exactly the quantities the per-experiment index of
-``DESIGN.md`` calls for: stabilisation time, final leader and its correctness,
-leader changes, message counts, boundedness statistics.
+:class:`ExperimentResult` holding exactly the quantities the experiment benchmarks
+(``benchmarks/bench_e*.py``) report: stabilisation time, final leader and its
+correctness, leader changes, message counts, boundedness statistics.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ used by experiment E6 to measure the coverage gap the paper's algorithm closes:
   (message-pattern style, [16]).
 
 The implementations are documented simplifications "in the style of" the cited
-algorithms (see each module's docstring and DESIGN.md); they are not line-by-line
-reproductions of those papers.
+algorithms (see each module's docstring and the channels / baselines row of
+docs/ARCHITECTURE.md); they are not line-by-line reproductions of those papers.
 """
 
 from repro.baselines.heartbeat import StableLeaderOmega

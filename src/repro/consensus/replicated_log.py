@@ -100,26 +100,29 @@ per leadership, not once per position:
   something to propose prepares afresh, above every ballot this process has
   promised or was nacked with — one round, however long the rival's history.
 
-The leader is its own acceptor and learner: ``Prepare``, ``AcceptRequest``
-and ``Decide`` are fanned out to the *peers* only, and **then** the leader
-promises / accepts / learns locally in the same handler turn and counts its
-own vote without a network round trip.  Sending first matters under a
-write-cost model: the fan-out is not charged the leader's own fsync (the two
-overlap, as they would on a real disk), while every *reply* an acceptor sends
-still leaves after its write.  A steady leader therefore spends
-``3 × (n - 1)`` messages and two message delays per decided position.  One
-position is in flight at a time.  A ``Forward`` that reaches a leader which
-owns its ballot and has nothing in flight is proposed in the same handler
-turn, so a follower's batch does not wait for the leader's next drive tick;
-so is a local submission that finds such a leader with an empty queue, and
-so is the next position when a quorum closes on a backlog of two full
-batches.  Everything else stays on the drive tick: starting a ballot,
-proposing local submissions that arrive while others are queued, proposing
-again once a quorum closed on a shorter backlog, and re-sending an
-unanswered ``AcceptRequest`` after ``retry_period`` under the same ballot
-with the same value (an unanswered ``Prepare`` is retried with a higher
-ballot: acceptors nack a ballot they already promised, which is what stops
-an amnesic restarted proposer from reusing one).
+These rules live in :class:`Ballots`, with no environment, timer or oracle;
+the log does every send.  The leader is its own acceptor and learner:
+``Prepare``, ``AcceptRequest`` and ``Decide`` are fanned out to the *peers*
+only, and **then** the leader runs its own request through the acceptor
+handler a peer runs and the reply through its proposer handler, in the same
+turn, so its own promise and vote pass the same check as a peer's.  Sending
+first matters under a write-cost model: the fan-out is not charged the
+leader's own fsync (the two overlap, as they would on a real disk), while
+every *reply* an acceptor sends still leaves after its write.  A steady
+leader therefore spends ``3 × (n - 1)`` messages and two message delays per
+decided position.  One position is in flight at a time.  A ``Forward`` that
+reaches a leader which owns its ballot and has nothing in flight is proposed
+in the same handler turn, so a follower's batch does not wait for the
+leader's next drive tick; so is a local submission that finds such a leader
+with an empty queue, and so is the next position when a quorum closes on a
+backlog of two full batches.  Everything else stays on the drive tick:
+starting a ballot, proposing local submissions that arrive while others are
+queued, proposing again once a quorum closed on a shorter backlog, and
+re-sending an unanswered ``AcceptRequest`` after ``retry_period`` under the
+same ballot with the same value, to the peers only, since the leader's
+acceptor answered it when it first left (an unanswered ``Prepare`` is retried
+with a higher ballot: acceptors nack a ballot they already promised, which is
+what stops an amnesic restarted proposer from reusing one).
 
 The catch-up protocol
 ---------------------
@@ -178,8 +181,8 @@ makes the log durable: the log-wide promise is persisted under
 ``("promised",)`` and each accept under ``("acceptor", pos)`` before the reply
 that reveals it leaves, and every decided position under ``("decided", pos)``
 before it is indexed.  In memory a position is held by the acceptor map
-``_accepted`` while undecided and by :attr:`decisions` once learnt; the
-durable acceptor record stays until compaction.  A leader promises its own ballot
+:attr:`Ballots.accepted` while undecided and by :attr:`decisions` once learnt;
+the durable acceptor record stays until compaction.  A leader promises its own ballot
 like any acceptor, so the durable promise is also what keeps a restarted
 proposer from reusing one of its own ballots.  Attaching a non-empty store
 (the recovery path) **rehydrates** the new incarnation: decided positions are
@@ -223,8 +226,9 @@ Three protocol consequences:
 
 A truncated prefix leaves no record of its values in the log, only the
 counts :attr:`ReplicatedLog.delivered_total` (which the divergence probe
-reads) and :attr:`ReplicatedLog.decided_value_count`.  Agreement across truncation and restarts is checked outside the log, by the
-shard's :class:`~repro.analysis.service_metrics.AgreementMonitor`, which
+reads) and :attr:`ReplicatedLog.decided_value_count`.  Agreement across
+truncation and restarts is checked outside the log, by the shard's
+:class:`~repro.analysis.service_metrics.AgreementMonitor`, which
 :attr:`ReplicatedLog.on_learn` feeds each position as a replica learns it.
 
 With no manager attached nothing changes: the floor stays 0 and every code
@@ -233,6 +237,7 @@ path behaves (and fingerprints) exactly as before.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
@@ -281,6 +286,179 @@ BACKLOG_BATCHES = 2
 #: Maximum decided positions shipped per CatchUpReply (bounds message size; the
 #: requester's next drive tick continues from its advanced frontier).
 CATCH_UP_BATCH = 16
+
+
+@dataclasses.dataclass(eq=False)
+class Ballots:
+    """The ballot rules of one process (see "The leader ballot" above): each
+    handler returns its reply.  *decisions* is the log's learner map, read only."""
+
+    pid: int
+    n: int
+    quorum: int
+    retry_period: float
+    decisions: Dict[int, Any]
+    counters: Dict[str, int]
+    #: The log's stable store once attached; ``None`` keeps both records volatile.
+    store: Any = None
+    #: Acceptor: the one log-wide promise (durable under ``("promised",)``).
+    promised: int = NO_BALLOT
+    #: Acceptor: undecided position -> the ``(ballot, value)`` accepted
+    #: there.  A position leaves it when it is learnt; from then on only
+    #: the learner map holds it.
+    accepted: Dict[int, Tuple[int, Any]] = dataclasses.field(default_factory=dict)
+    # Proposer, all volatile: the ballot being prepared or owned (owned
+    # once a quorum promised it), when its Prepare left, who promised,
+    # and the highest-ballot accepted value they reported per position —
+    # what this leader is bound to re-propose there.
+    ballot: int = NO_BALLOT
+    owned: bool = False
+    ballot_time: float = 0.0
+    promisers: Set[int] = dataclasses.field(default_factory=set)
+    recovered: Dict[int, Tuple[int, Any]] = dataclasses.field(default_factory=dict)
+    #: Highest promise a Nack reported; the next ballot starts above it.
+    nacked_ballot: int = NO_BALLOT
+    # The one accept round in flight: its position and value, when its
+    # AcceptRequest last left, and who voted for it so far.
+    inflight: int = -1
+    inflight_value: Any = None
+    inflight_time: float = 0.0
+    votes: Set[int] = dataclasses.field(default_factory=set)
+
+    # ------------------------------------------------------------------ acceptor --
+    def _promise(self, ballot: int) -> None:
+        """Raise the log-wide promise to *ballot*, durably, before the reply
+        revealing it leaves: a restart must never make this acceptor honour a
+        lower ballot.  Promising someone else's ballot ends our own."""
+        self.promised = ballot
+        if ballot != self.ballot:
+            self.drop_ballot()
+        if self.store is not None:
+            self.store.put(("promised",), ballot)
+
+    def on_prepare(self, message: Prepare) -> Union[Promise, Nack]:
+        """Promise a higher ballot and report what is held at or above its
+        ``from_position``, in position order; refuse any other."""
+        if message.ballot <= self.promised:
+            return Nack(ballot=message.ballot, promised=self.promised)
+        self._promise(message.ballot)
+        accepted = tuple(
+            (position, *self.accepted[position])
+            for position in sorted(p for p in self.accepted if p >= message.from_position)
+        )
+        decisions = tuple(
+            (position, self.decisions[position])
+            for position in sorted(p for p in self.decisions if p >= message.from_position)
+        )
+        return Promise(ballot=message.ballot, accepted=accepted, decisions=decisions)
+
+    def on_accept_request(self, message: AcceptRequest) -> Union[Accepted, Nack]:
+        """Accept at or above the promise, durably; refuse below it.  A decided
+        position is written through too — its proposer may still be
+        collecting a quorum — but stays in the learner map only."""
+        if message.ballot < self.promised:
+            return Nack(ballot=message.ballot, promised=self.promised)
+        if message.ballot > self.promised:
+            # Accepting is promising: a restart must not let a lower ballot
+            # overwrite what is accepted here.
+            self._promise(message.ballot)
+        position = message.instance
+        if position not in self.decisions:
+            self.accepted[position] = (message.ballot, message.value)
+        if self.store is not None:
+            self.store.put(("acceptor", position), (message.ballot, message.value))
+        return Accepted(instance=position, ballot=message.ballot, value=message.value)
+
+    # ------------------------------------------------------------------ proposer --
+    def drop_ballot(self) -> None:
+        """Give up the ballot being prepared or owned (ownership is volatile)."""
+        self.ballot = NO_BALLOT
+        self.owned = False
+
+    def preparing(self, ballot: int) -> bool:
+        """True when a ``Promise`` for *ballot* still counts."""
+        return ballot == self.ballot and not self.owned
+
+    def on_promise(self, sender: int, message: Promise) -> bool:
+        """Count a promise; True when it completes the quorum that hands this
+        proposer its ballot.  The log learns its decisions before this runs."""
+        if not self.preparing(message.ballot):
+            return False
+        for position, ballot, value in message.accepted:
+            best = self.recovered.get(position)
+            if best is None or ballot > best[0]:
+                self.recovered[position] = (ballot, value)
+        self.promisers.add(sender)
+        self.owned = len(self.promisers) >= self.quorum
+        return self.owned
+
+    def on_nack(self, message: Nack) -> None:
+        """A higher ballot exists: ownership is gone whichever phase or position
+        the refusal was for, and the next ballot starts above the one that won."""
+        if message.ballot == self.ballot:
+            self.nacked_ballot = max(self.nacked_ballot, message.promised)
+            self.drop_ballot()
+
+    def propose(self, now: float, position: int, max_decided: int, value: Any) -> Tuple[Optional[Message], bool]:
+        """The ``Prepare`` or ``AcceptRequest`` (or None) to broadcast for the
+        first undecided *position* and the queue's candidate *value*, and
+        whether our own acceptor has yet to answer it: not on a re-send."""
+        if not self.owned:
+            if self.ballot != NO_BALLOT and now - self.ballot_time < self.retry_period:
+                return None, False  # our Prepare is in flight
+            if value is None and max_decided <= position:
+                return None, False
+            # Phase 1, once per leadership: ask for the whole log suffix.
+            attempt = max(self.promised, self.nacked_ballot) // self.n + 1
+            self.ballot = attempt * self.n + self.pid
+            self.ballot_time = now
+            self.promisers = set()
+            self.recovered = {}
+            self.inflight = -1
+            self.counters["ballots_started"] += 1  # = Prepare broadcasts
+            return Prepare(ballot=self.ballot, from_position=position), True
+        fresh = position != self.inflight
+        if not fresh:
+            if now - self.inflight_time < self.retry_period:
+                return None, False
+            # Unanswered: same ballot, so it must be the same value.
+            value = self.inflight_value
+        else:
+            recovered = self.recovered.pop(position, None)
+            if recovered is not None:
+                value = recovered[1]
+            elif value is None:
+                # Nothing to propose; only fill a hole below something decided
+                # or reported accepted.
+                if max_decided > position or any(
+                    above > position for above in self.recovered
+                ):
+                    value = NOOP
+                else:
+                    return None, False
+            self.inflight = position
+            self.inflight_value = value
+            self.votes = set()
+        self.inflight_time = now
+        self.counters["accept_rounds_started"] += 1  # = AcceptRequest broadcasts
+        return AcceptRequest(instance=position, ballot=self.ballot, value=value), fresh
+
+    def on_accepted(self, sender: int, message: Accepted) -> Optional[Decide]:
+        """Count a vote for the position in flight; the ``Decide`` to
+        broadcast when it closes the quorum."""
+        if not (
+            self.owned
+            and message.ballot == self.ballot
+            and message.instance == self.inflight
+        ):
+            return None
+        self.votes.add(sender)
+        if len(self.votes) < self.quorum:
+            return None
+        self.inflight = -1
+        # The proposer's copy: a catch-up may have learnt the position
+        # already, and a learnt position keeps no acceptor record.
+        return Decide(instance=message.instance, value=self.inflight_value)
 
 
 class ReplicatedLog(Process):
@@ -360,7 +538,6 @@ class ReplicatedLog(Process):
         self.pid = pid
         self.n = n
         self.t = t
-        self.quorum = n - t
         self.oracle = oracle
         self.drive_period = drive_period
         self.retry_period = retry_period
@@ -395,32 +572,11 @@ class ReplicatedLog(Process):
         #: process is itself the leader with read authority).
         self.on_read_index: Optional[Callable[[int, int], None]] = None
 
-        #: Acceptor: the one log-wide promise (durable under ``("promised",)``).
-        self._promised = NO_BALLOT
-        #: Acceptor: undecided position -> the ``(ballot, value)`` accepted
-        #: there.  A position leaves it when it is learnt; from then on only
-        #: :attr:`decisions` holds it.
-        self._accepted: Dict[int, Tuple[int, Any]] = {}
-        # Proposer, all volatile: the ballot being prepared or owned (owned
-        # once a quorum promised it), when its Prepare left, who promised,
-        # and the highest-ballot accepted value they reported per position —
-        # what this leader is bound to re-propose there.
-        self._ballot = NO_BALLOT
-        self._owned = False
-        self._ballot_time = 0.0
-        self._promisers: Set[int] = set()
-        self._recovered: Dict[int, Tuple[int, Any]] = {}
-        #: Highest promise a Nack reported; the next ballot starts above it.
-        self._nacked_ballot = NO_BALLOT
-        # The one accept round in flight: its position and value, when its
-        # AcceptRequest last left, and who voted for it so far.
-        self._inflight = -1
-        self._inflight_value: Any = None
-        self._inflight_time = 0.0
-        self._votes: Set[int] = set()
         #: Log position -> decided value (learnt locally; with compaction,
         #: only positions at or above the truncation floor stay resident).
         self.decisions: Dict[int, Any] = {}
+        #: The ballot rules: promise, acceptor map, proposer and vote count.
+        self.ballots = Ballots(pid, n, n - t, retry_period, self.decisions, self.counters)
         #: Commands submitted locally and not yet known decided — an
         #: insertion-ordered set (a dict's keys), like ``_arrivals``.
         self._pending: Dict[Any, None] = {}
@@ -492,7 +648,7 @@ class ReplicatedLog(Process):
         """
         if value == NOOP:
             raise ValueError("the no-op filler value cannot be submitted")
-        if value in self._pending or self._is_decided_value(value):
+        if value in self._pending or value in self._decided_index:
             return
         idle = not self._arrivals
         self._pending[value] = None
@@ -504,7 +660,7 @@ class ReplicatedLog(Process):
         leader = self.oracle.leader()
         if leader != self.pid:
             self._forward_pending(env, leader)
-        elif self._owned and self._inflight == -1:
+        elif self.ballots.owned and self.ballots.inflight == -1:
             self._lead(env)
 
     @property
@@ -590,14 +746,15 @@ class ReplicatedLog(Process):
                     store.delete(("decided", position))
                     continue
                 self._learn(position, value)
-            self._promised = store.get(("promised",), NO_BALLOT)
+            self.ballots.store = store
+            self.ballots.promised = store.get(("promised",), NO_BALLOT)
             for (_, position), accepted in store.items_with_prefix("acceptor"):
                 if position < floor:
                     store.delete(("acceptor", position))
                 elif position not in self.decisions:
                     # Also what keeps this granter's lease barrier hints
                     # covering the commits that were in flight at the crash.
-                    self._accepted[position] = accepted
+                    self.ballots.accepted[position] = accepted
         finally:
             self._rehydrating = False
 
@@ -632,27 +789,25 @@ class ReplicatedLog(Process):
             # corruption degrades into message loss (which is tolerated).
             self.counters["corruption_rejections"] += 1
             return
-        if isinstance(message, (AcceptRequest, Accepted, Decide)):
-            # Phase 2, about one log position each — most of the traffic.
-            if isinstance(message, AcceptRequest):
-                if not self._gated(env, sender) and self._resident(message.instance):
-                    self._on_accept_request(env, sender, message)
-            elif self._resident(message.instance):
-                if isinstance(message, Decide):
-                    self._learn(message.instance, message.value)
-                else:
-                    self._on_accepted(env, sender, message)
+        if isinstance(message, (AcceptRequest, Accepted, Prepare, Promise, Nack)):
+            reply = self._step(env, sender, message)
+            if reply is not None:
+                env.send(sender, reply)
+            return
+        if isinstance(message, Decide):
+            if self._resident(message.instance):
+                self._learn(message.instance, message.value)
             return
         if isinstance(message, Forward):
             for value in flatten_value(message.value):
-                if not self._is_decided_value(value):
+                if value not in self._decided_index:
                     self._arrivals[value] = None
             # An idle owning leader proposes the batch now, not at its next
             # tick.  The oracle is asked as well: a demotion drops ownership
             # only on the next tick.
             if (
-                self._owned
-                and self._inflight == -1
+                self.ballots.owned
+                and self.ballots.inflight == -1
                 and self.oracle.leader() == self.pid
             ):
                 self._lead(env)
@@ -703,20 +858,49 @@ class ReplicatedLog(Process):
             if self.on_read_index is not None:
                 self.on_read_index(message.read_id, message.index)
             return
-        if isinstance(message, Prepare):
-            self._on_prepare(env, sender, message)
+        raise TypeError(f"replicated log received unexpected {message!r}")
+
+    def _step(self, env: Environment, sender: int, message: Message) -> Optional[Message]:
+        """Run a ballot message through :attr:`ballots` and act on the outcome;
+        return the reply a request draws, after the gate and residency checks."""
+        ballots = self.ballots
+        if isinstance(message, AcceptRequest):
+            if not self._gated(env, sender) and self._resident(message.instance):
+                return ballots.on_accept_request(message)
+        elif isinstance(message, Accepted):
+            if self._resident(message.instance):
+                decide = ballots.on_accepted(sender, message)
+                if decide is None:
+                    return
+                env.broadcast(decide)
+                self._learn(decide.instance, decide.value)
+                # A backlog of two full batches proposes now, not at the next
+                # tick.  The oracle is asked as well: a demotion drops
+                # ownership only on the next tick.
+                if (
+                    ballots.owned
+                    and ballots.inflight == -1
+                    and len(self._arrivals) >= BACKLOG_BATCHES * self._batch_limit()
+                    and self.oracle.leader() == self.pid
+                ):
+                    self._lead(env)
+        elif isinstance(message, Prepare):
+            # With part of the range truncated by compaction, a Promise would
+            # claim "nothing accepted there" about positions this acceptor may
+            # have been the only witness of: silence, as for a single instance.
+            if not self._gated(env, sender) and self._resident(message.from_position):
+                return ballots.on_prepare(message)
         elif isinstance(message, Promise):
-            if message.ballot == self._ballot and not self._owned:
-                self._on_promise(env, sender, message.accepted, message.decisions)
-        elif isinstance(message, Nack):
-            if message.ballot == self._ballot:
-                # A higher ballot exists.  Ownership is gone whichever phase
-                # and position the refusal was for; the next tick prepares
-                # above the ballot that beat this one.
-                self._nacked_ballot = max(self._nacked_ballot, message.promised)
-                self._drop_ballot()
+            if ballots.preparing(message.ballot):
+                # Learnt before the promise counts: nothing learning runs (an
+                # idle submit) may see the ballot owned yet.
+                for position, value in message.decisions:
+                    if self._resident(position):
+                        self._learn(position, value)
+                if ballots.on_promise(sender, message):
+                    self._lead(env)
         else:
-            raise TypeError(f"replicated log received unexpected {message!r}")
+            ballots.on_nack(message)
 
     def _gated(self, env: Environment, proposer: int) -> bool:
         """Lease gating: while our grant to some process is live, proposer
@@ -740,9 +924,6 @@ class ReplicatedLog(Process):
         return False
 
     # ------------------------------------------------------------------ internals --
-    def _is_decided_value(self, value: Any) -> bool:
-        return value in self._decided_index
-
     def _learn(self, position: int, value: Any) -> None:
         """Learn *value* as the decision at *position* (idempotent).
 
@@ -759,7 +940,7 @@ class ReplicatedLog(Process):
             # prefix must survive this process's restarts.
             self._store.put(("decided", position), value)
         self.decisions[position] = value
-        self._accepted.pop(position, None)
+        self.ballots.accepted.pop(position, None)
         if len(self.decisions) > self.counters["peak_decided_residency"]:
             # The bounded-memory metric: resident decided entries, high water.
             self.counters["peak_decided_residency"] = len(self.decisions)
@@ -828,8 +1009,8 @@ class ReplicatedLog(Process):
         for position in [p for p in self.decisions if p < floor]:
             del self.decisions[position]
             dropped += 1
-        for position in [p for p in self._accepted if p < floor]:
-            del self._accepted[position]
+        for position in [p for p in self.ballots.accepted if p < floor]:
+            del self.ballots.accepted[position]
         if self._store is not None and not self._rehydrating:
             for key, _ in self._store.items_with_prefix("decided"):
                 if key[1] < floor:
@@ -926,7 +1107,7 @@ class ReplicatedLog(Process):
         latency — a leader's reads wait out its own in-flight proposals —
         never safety."""
         hint = self._max_decided
-        for position in self._accepted:
+        for position in self.ballots.accepted:
             if position > hint:
                 hint = position
         return hint
@@ -1001,7 +1182,7 @@ class ReplicatedLog(Process):
             if self.on_drive is not None:
                 self.on_drive(env.now)
         if leader != self.pid:
-            self._drop_ballot()  # the oracle demoted us (no-op for a follower)
+            self.ballots.drop_ballot()  # the oracle demoted us (no-op for a follower)
             self._forward_pending(env, leader)
         else:
             # Leader: nothing to forward; a later demotion is a leader change,
@@ -1013,117 +1194,6 @@ class ReplicatedLog(Process):
         # stale log, one on the minority side of a healed partition has
         # holes): asked for only when a heartbeat proved some peer ahead.
         self._catch_up(env, leader)
-
-    # ------------------------------------------------------------------ acceptor --
-    def _promise(self, ballot: int) -> None:
-        """Raise the log-wide promise to *ballot*, durably.
-
-        Called before the message revealing it leaves (a ``Promise``, an
-        ``Accepted``) — a restart must never make this acceptor honour a
-        lower ballot.  Promising someone else's ballot ends our own.
-        """
-        self._promised = ballot
-        if ballot != self._ballot:
-            self._drop_ballot()
-        if self._store is not None:
-            self._store.put(("promised",), ballot)
-
-    def _accept(self, position: int, ballot: int, value: Any) -> None:
-        """Accept *value* at *position*, durably (the caller checked the promise).
-
-        A decided position is written through too — a late ``AcceptRequest``
-        is answered like any other — but stays in :attr:`decisions` only.
-        """
-        if position not in self.decisions:
-            self._accepted[position] = (ballot, value)
-        if self._store is not None:
-            self._store.put(("acceptor", position), (ballot, value))
-
-    def _held_from(self, from_position: int) -> Tuple[tuple, tuple]:
-        """What this acceptor holds at or above *from_position*: the
-        ``(accepted, decisions)`` payload of a :class:`Promise`, each in
-        position order."""
-        accepted = tuple(
-            (position, *self._accepted[position])
-            for position in sorted(p for p in self._accepted if p >= from_position)
-        )
-        decisions = tuple(
-            (position, self.decisions[position])
-            for position in sorted(p for p in self.decisions if p >= from_position)
-        )
-        return accepted, decisions
-
-    def _on_prepare(self, env: Environment, sender: int, message: Prepare) -> None:
-        if self._gated(env, sender):
-            return
-        # With part of the range truncated by compaction, a Promise would
-        # claim "nothing accepted there" about positions this acceptor may
-        # have been the only witness of: silence, as for a single instance.
-        if not self._resident(message.from_position):
-            return
-        if message.ballot > self._promised:
-            self._promise(message.ballot)
-            accepted, decisions = self._held_from(message.from_position)
-            env.send(
-                sender,
-                Promise(ballot=message.ballot, accepted=accepted, decisions=decisions),
-            )
-        else:
-            env.send(sender, Nack(ballot=message.ballot, promised=self._promised))
-
-    def _on_accept_request(
-        self, env: Environment, sender: int, message: AcceptRequest
-    ) -> None:
-        if message.ballot < self._promised:
-            env.send(sender, Nack(ballot=message.ballot, promised=self._promised))
-            return
-        if message.ballot > self._promised:
-            # Accepting is promising: a restart must not let a lower ballot
-            # overwrite what is accepted here.
-            self._promise(message.ballot)
-        self._accept(message.instance, message.ballot, message.value)
-        env.send(
-            sender,
-            Accepted(
-                instance=message.instance, ballot=message.ballot, value=message.value
-            ),
-        )
-
-    # ------------------------------------------------------------------ proposer --
-    def _drop_ballot(self) -> None:
-        """Give up the ballot being prepared or owned (ownership is volatile)."""
-        self._ballot = NO_BALLOT
-        self._owned = False
-
-    def _start_ballot(self, env: Environment) -> None:
-        """Phase 1, once per leadership: ask for the whole log suffix."""
-        attempt = max(self._promised, self._nacked_ballot) // self.n + 1
-        self._ballot = attempt * self.n + self.pid
-        self._ballot_time = env.now
-        self._promisers = set()
-        self._recovered = {}
-        self._inflight = -1
-        self.counters["ballots_started"] += 1  # = Prepare broadcasts
-        env.broadcast(Prepare(ballot=self._ballot, from_position=self._frontier))
-        # Our own promise, after the fan-out (which must not wait for our
-        # fsync).  It is also what keeps a restart from reusing this ballot.
-        self._promise(self._ballot)
-        self._on_promise(env, self.pid, *self._held_from(self._frontier))
-
-    def _on_promise(
-        self, env: Environment, sender: int, accepted: tuple, decisions: tuple
-    ) -> None:
-        for position, value in decisions:
-            if self._resident(position):
-                self._learn(position, value)
-        for position, ballot, value in accepted:
-            best = self._recovered.get(position)
-            if best is None or ballot > best[0]:
-                self._recovered[position] = (ballot, value)
-        self._promisers.add(sender)
-        if len(self._promisers) >= self.quorum:
-            self._owned = True
-            self._lead(env)
 
     def _lead(self, env: Environment) -> None:
         """The leader's proposal step: one position in flight at a time.
@@ -1140,75 +1210,16 @@ class ReplicatedLog(Process):
           leader, it owns its ballot and at least ``BACKLOG_BATCHES`` full
           batches are queued (the backlog rule of the module docstring).
         """
-        position = self._frontier
         value = self._candidate_value()
         if self._gated(env, self.pid):
             return
-        if not self._owned:
-            if (
-                self._ballot != NO_BALLOT
-                and env.now - self._ballot_time < self.retry_period
-            ):
-                return  # our Prepare is in flight
-            if value is not None or self._max_decided > position:
-                self._start_ballot(env)
-            return
-        resend = position == self._inflight
-        if resend:
-            if env.now - self._inflight_time < self.retry_period:
-                return
-            # Unanswered: same ballot, so it must be the same value.
-            value = self._inflight_value
-        else:
-            recovered = self._recovered.pop(position, None)
-            if recovered is not None:
-                value = recovered[1]
-            elif value is None:
-                # Nothing to propose; only fill a hole below something decided
-                # or reported accepted.
-                if self._max_decided > position or any(
-                    above > position for above in self._recovered
-                ):
-                    value = NOOP
-                else:
-                    return
-            self._inflight = position
-            self._inflight_value = value
-            self._votes = set()
-        self._inflight_time = env.now
-        self.counters["accept_rounds_started"] += 1  # = AcceptRequest broadcasts
-        env.broadcast(
-            AcceptRequest(instance=position, ballot=self._ballot, value=value)
+        request, fresh = self.ballots.propose(
+            env.now, self._frontier, self._max_decided, value
         )
-        if not resend:
-            # Our own vote, after the fan-out and without a network round trip.
-            self._accept(position, self._ballot, value)
-            self._count_vote(env, self.pid)
-
-    def _on_accepted(self, env: Environment, sender: int, message: Accepted) -> None:
-        if (
-            self._owned
-            and message.ballot == self._ballot
-            and message.instance == self._inflight
-        ):
-            self._count_vote(env, sender)
-
-    def _count_vote(self, env: Environment, voter: int) -> None:
-        self._votes.add(voter)
-        if len(self._votes) >= self.quorum:
-            position, self._inflight = self._inflight, -1
-            # The proposer's copy: a catch-up may have learnt the position
-            # already, and a learnt position keeps no acceptor record.
-            value = self._inflight_value
-            env.broadcast(Decide(instance=position, value=value))
-            self._learn(position, value)
-            # A backlog of two full batches proposes now, not at the next
-            # tick.  The oracle is asked as well: a demotion drops ownership
-            # only on the next tick.
-            if (
-                self._owned
-                and self._inflight == -1
-                and len(self._arrivals) >= BACKLOG_BATCHES * self._batch_limit()
-                and self.oracle.leader() == self.pid
-            ):
-                self._lead(env)
+        if request is None:
+            return
+        env.broadcast(request)
+        if fresh:
+            # Our acceptor answers after the fan-out, which must not wait for
+            # our fsync; its durable promise keeps a restart off this ballot.
+            self._step(env, self.pid, self._step(env, self.pid, request))

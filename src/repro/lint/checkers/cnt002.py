@@ -7,7 +7,7 @@ A recovery replaces a process's algorithm object, so a plain attribute counter
 by :meth:`repro.simulation.process.SimProcessShell.recover`, so the rule is
 just: count there (``self.counters["drops"] += 1``).
 
-Scope: classes whose name mentions Replica/Stack/Log/Lease/Omega, outside the
+Scope: classes whose name mentions Replica/Stack/Log/Lease/Omega/Ballot, outside the
 paper-baseline package (``baselines/`` algorithms predate the recovery model
 and are exercised crash-stop only).  A *counter* is a non-underscore attribute
 whose only mutations are ``self.<name> += <positive const>`` bumps (plain or
@@ -28,7 +28,7 @@ SUMMARY = "counter kept on a replica class attribute instead of the counter regi
 HISTORICAL_BUG = "PR 5 / PR 7: counters silently reset by crash-recovery"
 
 #: Class names subject to the counter discipline.
-SCOPED_CLASS_NAME = re.compile(r"Replica|Stack|Log|Lease|Omega")
+SCOPED_CLASS_NAME = re.compile(r"Replica|Stack|Log|Lease|Omega|Ballot")
 
 #: Module path fragments excluded from the rule.
 EXCLUDED_PATH_FRAGMENTS = ("baselines/", "consensus/messages.py")

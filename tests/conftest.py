@@ -2,8 +2,9 @@
 
 The integration tests run full simulations; to keep the suite fast they use small
 systems (n in 4..7) and horizons of a few hundred virtual time units, which the
-smoke experiments in DESIGN.md showed to be comfortably beyond the stabilisation
-times of the paper's algorithms under every scenario exercised here.
+experiment benchmarks (``benchmarks/bench_e*.py``) show to be comfortably beyond
+the stabilisation times of the paper's algorithms under every scenario exercised
+here.
 """
 
 from __future__ import annotations

@@ -112,21 +112,21 @@ class TestBarrierHints:
         # Ballot 3 belongs to pid 0 (ballot % n == 0) — the grantee itself.
         # The hint must cover it anyway: by pid alone, a pre-crash amnesic
         # incarnation's in-flight commit is indistinguishable from a live one.
-        log._accept(5, 3, "v")
+        log.ballots.on_accept_request(AcceptRequest(instance=5, ballot=3, value="v"))
         assert log._lease_barrier_hint() == 5
 
     def test_hint_covers_decided_and_foreign_accepted_positions(self):
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         assert log._lease_barrier_hint() == -1
         log._learn(0, "a")
-        log._accept(2, 4, "v")  # pid 1's ballot
+        log.ballots.on_accept_request(AcceptRequest(instance=2, ballot=4, value="v"))  # pid 1's ballot
         assert log._lease_barrier_hint() == 2
 
     def test_decided_positions_leave_the_accepted_fold(self):
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
-        log._accept(0, 4, "a")
+        log.ballots.on_accept_request(AcceptRequest(instance=0, ballot=4, value="a"))
         log._learn(0, "a")
-        assert log._accepted == {}
+        assert log.ballots.accepted == {}
         assert log._lease_barrier_hint() == 0  # now via max-decided
 
 
@@ -150,7 +150,7 @@ class TestRehydratedBarrierHints:
         )
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         log.attach_storage(store)
-        assert log._accepted == {1: (7, "b")}
+        assert log.ballots.accepted == {1: (7, "b")}
         assert log._lease_barrier_hint() == 1
 
     def test_recovery_skips_decided_positions(self):
@@ -158,7 +158,7 @@ class TestRehydratedBarrierHints:
         log = make_log(leases=LeaseManager(pid=0, n=3, t=1))
         log.attach_storage(store)
         # Already covered by the max-decided ingredient.
-        assert log._accepted == {}
+        assert log.ballots.accepted == {}
         assert log._lease_barrier_hint() == 0
 
     def test_recovery_restores_the_acceptor_record_with_leases_on_or_off(self):
@@ -168,7 +168,7 @@ class TestRehydratedBarrierHints:
         for leases in (None, LeaseManager(pid=0, n=3, t=1)):
             log = make_log(leases=leases)
             log.attach_storage(self._store_with(decided={}, acceptors={1: (7, "b")}))
-            assert log._accepted == {1: (7, "b")}
+            assert log.ballots.accepted == {1: (7, "b")}
             hints.add(log._lease_barrier_hint())
         assert hints == {1}
 
@@ -191,7 +191,7 @@ class TestLeaseGating:
         log, env = self.granted_to(holder=1)
         log.on_message(env, 2, Prepare(ballot=8, from_position=0))
         assert env.sent == []  # neither a Promise nor a Nack
-        assert log._promised == -1
+        assert log.ballots.promised == -1
         assert log.counters["lease_gated_drops"] == 1
         # The holder itself is heard ...
         log.on_message(env, 1, Prepare(ballot=7, from_position=0))
@@ -206,7 +206,7 @@ class TestLeaseGating:
         log, env = self.granted_to(holder=1)
         for position in (0, 9):
             log.on_message(env, 2, AcceptRequest(instance=position, ballot=8, value="x"))
-        assert env.sent == [] and log._accepted == {}
+        assert env.sent == [] and log.ballots.accepted == {}
         assert log.counters["lease_gated_drops"] == 2
 
     def test_a_gated_leader_proposes_nothing_not_even_to_itself(self):
@@ -217,7 +217,7 @@ class TestLeaseGating:
         env.set_time(12.0)
         log._drive(env)
         assert env.messages_of_type(Prepare) == []
-        assert log._promised == -1 and log.counters["ballots_started"] == 0
+        assert log.ballots.promised == -1 and log.counters["ballots_started"] == 0
         env.set_time(16.0)
         log._drive(env)
         assert len(env.messages_of_type(Prepare)) == 2

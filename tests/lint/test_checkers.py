@@ -65,6 +65,21 @@ class TestCNT002:
         # reassigned protocol state, not a counter.
         assert findings_for("CNT002", "ok") == []
 
+    def test_the_ballot_rules_are_in_scope(self, tmp_path):
+        # The log's ballot rules count into the log's registry too.
+        module = tmp_path / "pkg" / "consensus" / "rules.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "class Ballots:\n"
+            "    def __init__(self, counters):\n"
+            "        self.counters = counters\n"
+            "        self.ballots_started = 0\n\n"
+            "    def start(self):\n"
+            "        self.ballots_started += 1\n"
+        )
+        found = run_checkers(build_model([tmp_path / "pkg"]), select=["CNT002"])
+        assert symbols(found) == ["Ballots.ballots_started"]
+
 
 class TestMSG003:
     def test_bad_tree_is_flagged(self):

@@ -227,7 +227,7 @@ class TestConsensusAcceptorProperty:
         env = FakeEnvironment(pid=1, n=5)
         accepted = {}
         for kind, ballot, position in operations:
-            promised = log._promised
+            promised = log.ballots.promised
             env.clear_sent()
             if kind == "prepare":
                 log.on_message(env, 0, Prepare(ballot=ballot, from_position=position))
@@ -256,10 +256,10 @@ class TestConsensusAcceptorProperty:
             else:
                 log.on_message(env, 0, Decide(instance=position, value=f"d{position}"))
                 assert env.sent == []
-            assert log._promised >= promised
-            assert all(b <= log._promised for b, _ in accepted.values())
+            assert log.ballots.promised >= promised
+            assert all(b <= log.ballots.promised for b, _ in accepted.values())
             durable = store.snapshot()
-            assert durable.get(("promised",), -1) == log._promised
+            assert durable.get(("promised",), -1) == log.ballots.promised
             for pos, record in accepted.items():
                 assert durable[("acceptor", pos)] == record
-                assert pos in log.decisions or log._accepted[pos] == record
+                assert pos in log.decisions or log.ballots.accepted[pos] == record

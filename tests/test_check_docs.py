@@ -142,3 +142,22 @@ class TestMembers:
         assert check_docs.check_members(document) == [
             f"GUIDE.md: unresolved member `{name}`" for name in unresolved
         ]
+
+
+class TestMarkdownNames:
+    def test_a_document_a_python_file_names_must_exist(self, tmp_path):
+        source = tmp_path / "module.py"
+        source.write_text(
+            '"""See README.md, docs/ARCHITECTURE.md and FAULT_PLAYBOOK.md;\n'
+            'the index was in DESIGN.md and the tables in EXPERIMENTS.md."""\n',
+            encoding="utf-8",
+        )
+        assert check_docs.check_markdown_names(source) == [
+            "module.py: names DESIGN.md, which does not exist",
+            "module.py: names EXPERIMENTS.md, which does not exist",
+        ]
+
+    def test_no_source_or_benchmark_names_a_missing_document(self):
+        sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+        sources += sorted((REPO_ROOT / "benchmarks").glob("*.py"))
+        assert [e for path in sources for e in check_docs.check_markdown_names(path)] == []
