@@ -299,7 +299,7 @@ class Ballots:
     retry_period: float
     decisions: Dict[int, Any]
     counters: Dict[str, int]
-    #: The log's stable store once attached; ``None`` keeps both records volatile.
+    #: The log's stable store once attached, its one reference; ``None``: volatile.
     store: Any = None
     #: Acceptor: the one log-wide promise (durable under ``("promised",)``).
     promised: int = NO_BALLOT
@@ -617,9 +617,8 @@ class ReplicatedLog(Process):
         # snapshotted away and no longer exist here.
         self._floor = 0
 
-        # Stable storage (attach_storage); _rehydrating suppresses re-persisting
-        # state that is being replayed *from* the store.
-        self._store = None
+        # Stable storage (attach_storage, held at ballots.store); _rehydrating
+        # suppresses re-persisting state that is being replayed *from* it.
         self._rehydrating = False
 
         #: The environment this process runs under, from ``on_start`` until
@@ -731,9 +730,9 @@ class ReplicatedLog(Process):
         Stale entries below the snapshot floor (a crash can land between the
         snapshot write and its truncations) are deleted rather than replayed.
         """
-        if self._store is not None:
+        if self.ballots.store is not None:
             raise RuntimeError("a stable store is already attached to this log")
-        self._store = store
+        self.ballots.store = store
         if self.snapshots is not None:
             self.snapshots.bind_store(store)
         self._rehydrating = True
@@ -746,7 +745,6 @@ class ReplicatedLog(Process):
                     store.delete(("decided", position))
                     continue
                 self._learn(position, value)
-            self.ballots.store = store
             self.ballots.promised = store.get(("promised",), NO_BALLOT)
             for (_, position), accepted in store.items_with_prefix("acceptor"):
                 if position < floor:
@@ -788,11 +786,6 @@ class ReplicatedLog(Process):
             # payload is dropped before any protocol state sees it, so
             # corruption degrades into message loss (which is tolerated).
             self.counters["corruption_rejections"] += 1
-            return
-        if isinstance(message, (AcceptRequest, Accepted, Prepare, Promise, Nack)):
-            reply = self._step(env, sender, message)
-            if reply is not None:
-                env.send(sender, reply)
             return
         if isinstance(message, Decide):
             if self._resident(message.instance):
@@ -858,11 +851,14 @@ class ReplicatedLog(Process):
             if self.on_read_index is not None:
                 self.on_read_index(message.read_id, message.index)
             return
-        raise TypeError(f"replicated log received unexpected {message!r}")
+        reply = self._step(env, sender, message)
+        if reply is not None:
+            env.send(sender, reply)
 
     def _step(self, env: Environment, sender: int, message: Message) -> Optional[Message]:
         """Run a ballot message through :attr:`ballots` and act on the outcome;
-        return the reply a request draws, after the gate and residency checks."""
+        return the reply a request draws, after the gate and residency checks.
+        Any other message is none the log takes: ``TypeError``."""
         ballots = self.ballots
         if isinstance(message, AcceptRequest):
             if not self._gated(env, sender) and self._resident(message.instance):
@@ -899,8 +895,10 @@ class ReplicatedLog(Process):
                         self._learn(position, value)
                 if ballots.on_promise(sender, message):
                     self._lead(env)
-        else:
+        elif isinstance(message, Nack):
             ballots.on_nack(message)
+        else:
+            raise TypeError(f"replicated log received unexpected {message!r}")
 
     def _gated(self, env: Environment, proposer: int) -> bool:
         """Lease gating: while our grant to some process is live, proposer
@@ -935,10 +933,10 @@ class ReplicatedLog(Process):
             return
         if self.on_learn is not None:
             self.on_learn(position, value)
-        if self._store is not None and not self._rehydrating:
+        if self.ballots.store is not None and not self._rehydrating:
             # Durable before the decision is indexed or applied: the decided
             # prefix must survive this process's restarts.
-            self._store.put(("decided", position), value)
+            self.ballots.store.put(("decided", position), value)
         self.decisions[position] = value
         self.ballots.accepted.pop(position, None)
         if len(self.decisions) > self.counters["peak_decided_residency"]:
@@ -988,9 +986,9 @@ class ReplicatedLog(Process):
                 compacted += 1
                 for command in flatten_value(value):
                     self._decided_index.discard(command)
-            if self._store is not None:
-                self._store.delete(("decided", position))
-                self._store.delete(("acceptor", position))
+            if self.ballots.store is not None:
+                self.ballots.store.delete(("decided", position))
+                self.ballots.store.delete(("acceptor", position))
         self._floor = floor
         return compacted
 
@@ -1011,13 +1009,13 @@ class ReplicatedLog(Process):
             dropped += 1
         for position in [p for p in self.ballots.accepted if p < floor]:
             del self.ballots.accepted[position]
-        if self._store is not None and not self._rehydrating:
-            for key, _ in self._store.items_with_prefix("decided"):
+        if self.ballots.store is not None and not self._rehydrating:
+            for key, _ in self.ballots.store.items_with_prefix("decided"):
                 if key[1] < floor:
-                    self._store.delete(key)
-            for key, _ in self._store.items_with_prefix("acceptor"):
+                    self.ballots.store.delete(key)
+            for key, _ in self.ballots.store.items_with_prefix("acceptor"):
                 if key[1] < floor:
-                    self._store.delete(key)
+                    self.ballots.store.delete(key)
         self._frontier = floor
         if floor - 1 > self._max_decided:
             self._max_decided = floor - 1
@@ -1222,4 +1220,6 @@ class ReplicatedLog(Process):
         if fresh:
             # Our acceptor answers after the fan-out, which must not wait for
             # our fsync; its durable promise keeps a restart off this ballot.
-            self._step(env, self.pid, self._step(env, self.pid, request))
+            reply = self._step(env, self.pid, request)
+            if reply is not None:
+                self._step(env, self.pid, reply)
