@@ -175,6 +175,17 @@ class SeqSet:
     def __init__(self, seqs: Iterable[int] = ()) -> None:
         self._seqs = array("q", sorted(set(seqs)))
 
+    @classmethod
+    def from_bytes(cls, packed: bytes) -> "SeqSet":
+        """The set whose :meth:`to_bytes` gave *packed*."""
+        seqs = cls()
+        seqs._seqs.frombytes(packed)
+        return seqs
+
+    def to_bytes(self) -> bytes:
+        """The sorted seqs as machine-order 64-bit integers, 8 bytes each."""
+        return self._seqs.tobytes()
+
     def add(self, seq: int) -> None:
         seqs = self._seqs
         if not seqs or seq > seqs[-1]:

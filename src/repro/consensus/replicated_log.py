@@ -48,15 +48,15 @@ load: in the perfbench workloads (run seed 110400) 97% of the submissions
 of six thinking clients find it idle, 22% at 60% of capacity and 5.4% at
 the throughput knee.  Each idle dispatch travels as a batch of one.
 
-A queue that one batch per tick cannot drain does not wait for the tick
-either (the **backlog rule**): when a leader's own vote count closes the
-quorum of its position and at least ``BACKLOG_BATCHES`` (two) full batches
-of undecided commands are still queued, it proposes the next position in
-the same turn, if it still owns its ballot and its oracle still names it.
-The early proposal takes one full batch and leaves at least one full batch
-for the tick, so the rule never makes a batch smaller; a shorter queue
-waits for the tick, where it fills a batch.  One position is still in
-flight at a time.
+A full batch does not wait for the tick either (the **backlog rule**):
+when a leader's own vote count closes the quorum of its position and a full
+batch (the batch limit) of undecided commands is queued, it proposes the
+next position in the same turn, if it still owns its ballot and its oracle
+still names it.  The early proposal takes that full batch, so the rule never
+sends a batch smaller than the limit; a shorter queue waits for the tick.
+With a limit of 1 (``batch_size=1``, or an adaptive limit at its floor), a
+single queued command is a full batch.  One position is still in flight at
+a time.
 
 The whole pending set is sent again only when
 
@@ -115,9 +115,9 @@ reaches a leader which owns its ballot and has nothing in flight is proposed
 in the same handler turn, so a follower's batch does not wait for the
 leader's next drive tick; so is a local submission that finds such a leader
 with an empty queue, and so is the next position when a quorum closes on a
-backlog of two full batches.  Everything else stays on the drive tick:
+full batch.  Everything else stays on the drive tick:
 starting a ballot, proposing local submissions that arrive while others are
-queued, proposing again once a quorum closed on a shorter backlog, and
+queued, proposing again once a quorum closed on less than a batch, and
 re-sending an unanswered ``AcceptRequest`` after ``retry_period`` under the
 same ballot with the same value, to the peers only, since the leader's
 acceptor answered it when it first left (an unanswered ``Prepare`` is retried
@@ -275,13 +275,6 @@ NOOP = "<noop>"
 
 #: Name of the log's one timer; the stack routes every other name to the oracle.
 DRIVE_TIMER = "drive"
-
-#: Queued full batches at which a leader whose quorum just closed proposes the
-#: next position at once instead of at its next drive tick.  Two, because the
-#: early proposal takes one full batch and still leaves at least one full
-#: batch for the tick: the trigger never makes a batch smaller, and it fires
-#: only when one batch per tick cannot drain the queue.
-BACKLOG_BATCHES = 2
 
 #: Maximum decided positions shipped per CatchUpReply (bounds message size; the
 #: requester's next drive tick continues from its advanced frontier).
@@ -870,13 +863,13 @@ class ReplicatedLog(Process):
                     return
                 env.broadcast(decide)
                 self._learn(decide.instance, decide.value)
-                # A backlog of two full batches proposes now, not at the next
-                # tick.  The oracle is asked as well: a demotion drops
-                # ownership only on the next tick.
+                # A full batch queued proposes now, not at the next tick.
+                # The oracle is asked as well: a demotion drops ownership
+                # only on the next tick.
                 if (
                     ballots.owned
                     and ballots.inflight == -1
-                    and len(self._arrivals) >= BACKLOG_BATCHES * self._batch_limit()
+                    and len(self._arrivals) >= self._batch_limit()
                     and self.oracle.leader() == self.pid
                 ):
                     self._lead(env)
@@ -1033,11 +1026,9 @@ class ReplicatedLog(Process):
         """Pick up to the batch limit of undecided commands, oldest arrival first.
 
         The limit is the fixed ``batch_size`` knob, or — with
-        ``batch_size="adaptive"`` — the policy's EWMA-of-backlog limit, fed
-        with the backlog observed right now.
+        ``batch_size="adaptive"`` — the policy's EWMA-of-backlog limit, which
+        :meth:`_lead` feeds before it asks.
         """
-        if self._batch_policy is not None:
-            self._batch_policy.observe(len(self._arrivals))
         limit = self._batch_limit()
         picked: List[Any] = []
         for value in self._arrivals:
@@ -1205,14 +1196,23 @@ class ReplicatedLog(Process):
         * a local :meth:`submit` that finds the queue empty while its oracle
           names it leader, it owns its ballot and no position is in flight;
         * its own vote count closing a quorum while its oracle names it
-          leader, it owns its ballot and at least ``BACKLOG_BATCHES`` full
-          batches are queued (the backlog rule of the module docstring).
+          leader, it owns its ballot and a full batch is queued (the backlog
+          rule of the module docstring).
+
+        A gated leader proposes nothing and, with ``batch_size="adaptive"``,
+        only a call that can propose a fresh position feeds the policy.
         """
-        value = self._candidate_value()
         if self._gated(env, self.pid):
             return
-        request, fresh = self.ballots.propose(
-            env.now, self._frontier, self._max_decided, value
+        ballots = self.ballots
+        if (
+            self._batch_policy is not None
+            and ballots.owned
+            and ballots.inflight != self._frontier
+        ):
+            self._batch_policy.observe(len(self._arrivals))
+        request, fresh = ballots.propose(
+            env.now, self._frontier, self._max_decided, self._candidate_value()
         )
         if request is None:
             return

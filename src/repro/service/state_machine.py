@@ -166,9 +166,11 @@ class KeyValueStore:
 
         * ``("meta", applied, duplicates_skipped)`` — the apply counters;
         * ``("kv", key, value)`` — one materialised key;
-        * ``("session", client_id, applied_seqs, last_seq, last_result)`` —
-          one client's exactly-once state (the complete applied-seq set, so
-          dedup below a compaction floor keeps working from the snapshot).
+        * ``("session", client_id, packed_seqs, last_seq, last_result)`` —
+          one client's exactly-once state: the complete applied-seq set, so
+          dedup below a compaction floor keeps working from the snapshot, as
+          the ``bytes`` of :meth:`~repro.consensus.commands.SeqSet.to_bytes`
+          (8 per seq, where a tuple of ints costs about 36).
 
         Keys and clients are sorted, making the payload — and therefore the
         snapshot's CRC — a deterministic function of the state.
@@ -182,7 +184,7 @@ class KeyValueStore:
                 (
                     "session",
                     client,
-                    tuple(session.applied_seqs),
+                    session.applied_seqs.to_bytes(),
                     session.last_seq,
                     session.last_result,
                 )
@@ -203,9 +205,9 @@ class KeyValueStore:
                 _, key, value = item
                 self._data[key] = value
             elif kind == "session":
-                _, client, applied_seqs, last_seq, last_result = item
+                _, client, packed_seqs, last_seq, last_result = item
                 self._sessions[client] = ClientSessionState(
-                    applied_seqs=SeqSet(applied_seqs),
+                    applied_seqs=SeqSet.from_bytes(packed_seqs),
                     last_seq=last_seq,
                     last_result=last_result,
                 )

@@ -501,10 +501,11 @@ def replay(rules: type, scope: Scope, steps: List[tuple]) -> Tuple[Optional[str]
 # ---------------------------------------------------------------- tests --
 def test_the_real_rules_are_clean_at_the_tier1_scope():
     """Every reachable state of two proposers with one ballot each, two
-    values and one position: 73,528 states, 19 steps deep."""
+    values and one position: 58,756 states, 18 steps deep.  (73,528 and 19
+    while a quorum that closed on one queued value left it to the tick.)"""
     result = Explorer(Ballots, TIER1).explore(trace=False)
     assert result.violation is None
-    assert (result.complete, result.states, result.depth) == (True, 73528, 19)
+    assert (result.complete, result.states, result.depth) == (True, 58756, 18)
 
 
 @pytest.mark.parametrize("mutant", list(COUNTEREXAMPLES), ids=lambda cls: cls.__name__)

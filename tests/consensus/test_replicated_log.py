@@ -20,7 +20,7 @@ from repro.consensus.messages import (
     Prepare,
     Promise,
 )
-from repro.consensus.replicated_log import BACKLOG_BATCHES, NOOP, ReplicatedLog
+from repro.consensus.replicated_log import NOOP, ReplicatedLog
 from repro.simulation.corruption import corrupt_message
 from repro.simulation.delays import ConstantDelay
 from repro.simulation.system import System, SystemConfig
@@ -1133,9 +1133,9 @@ class TestDispatchOnIdleSubmit:
 
 
 class TestProposeOnBacklog:
-    """When a leader's own vote count closes a quorum on a backlog of
-    ``BACKLOG_BATCHES`` full batches, it proposes the next position in that
-    turn; a shorter backlog waits for the drive tick."""
+    """When a leader's own vote count closes a quorum with a full batch
+    queued, it proposes the next position in that turn; a shorter queue
+    waits for the drive tick."""
 
     SIZE = 4
 
@@ -1156,8 +1156,8 @@ class TestProposeOnBacklog:
         for sender in two_peers(log):
             log.on_message(env, sender, Accepted(instance=1, ballot=ballot, value="second"))
 
-    def test_two_full_batches_propose_when_the_quorum_closes(self):
-        log, _, env, commands = self.leader_with_backlog(BACKLOG_BATCHES * self.SIZE)
+    def test_a_full_batch_proposes_when_the_quorum_closes(self):
+        log, _, env, commands = self.leader_with_backlog(self.SIZE)
         self.close_quorum(log, env, log.ballots.ballot)
         requests = sent_to(env, AcceptRequest)
         assert [dest for dest, _ in requests] == [1, 2, 3, 4]
@@ -1165,8 +1165,8 @@ class TestProposeOnBacklog:
             (2, Batch(commands=tuple(commands[: self.SIZE])))
         }
 
-    def test_one_command_short_of_two_batches_waits_for_the_tick(self):
-        log, _, env, commands = self.leader_with_backlog(BACKLOG_BATCHES * self.SIZE - 1)
+    def test_one_command_short_of_a_batch_waits_for_the_tick(self):
+        log, _, env, commands = self.leader_with_backlog(self.SIZE - 1)
         self.close_quorum(log, env, log.ballots.ballot)
         assert log.decided_log()[1] == "second"
         assert sent_to(env, AcceptRequest) == []
@@ -1177,7 +1177,7 @@ class TestProposeOnBacklog:
     def test_the_early_proposal_follows_the_learnt_position(self):
         """W=1: ``_lead`` runs with nothing in flight and the closed position
         already learnt, so it proposes at the advanced frontier."""
-        log, _, env, _ = self.leader_with_backlog(BACKLOG_BATCHES * self.SIZE)
+        log, _, env, _ = self.leader_with_backlog(self.SIZE)
         entries = []
         lead = log._lead
 
@@ -1193,9 +1193,7 @@ class TestProposeOnBacklog:
     @pytest.mark.parametrize("state", ["demoted", "ballot_lost", "lease_gated"])
     def test_a_leader_that_cannot_propose_now_waits(self, state):
         leases = LeaseManager(pid=0, n=5, t=2) if state == "lease_gated" else None
-        log, oracle, env, _ = self.leader_with_backlog(
-            BACKLOG_BATCHES * self.SIZE, leases=leases
-        )
+        log, oracle, env, _ = self.leader_with_backlog(self.SIZE, leases=leases)
         ballot = log.ballots.ballot
         if state == "demoted":
             oracle.set(3)  # ownership is only dropped at the next tick
@@ -1220,13 +1218,20 @@ class TestProposeOnBacklog:
         assert log.frontier == 2 and sent_to(env, AcceptRequest) == []
         assert log._batch_policy._ewma == ewma
 
+    def test_an_adaptive_limit_of_one_proposes_a_single_command(self):
+        """At an adaptive limit of 1 one queued command is a full batch: it
+        leaves when the quorum closes, not at the tick."""
+        log, _, env, (command,) = self.leader_with_backlog(1, batch_size=ADAPTIVE)
+        assert log._batch_policy.limit == 1
+        self.close_quorum(log, env, log.ballots.ballot)
+        assert [(m.instance, m.value) for _, m in sent_to(env, AcceptRequest)] == [
+            (2, command)
+        ] * 4
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 21(a)")
     def test_a_tick_that_proposes_nothing_leaves_the_adaptive_limit_alone(self):
-        """Only a proposal should feed the EWMA: an owning leader with
-        position 1 in flight and five commands queued proposes nothing on its
-        tick, so its limit must not move.  ``_lead`` observes the backlog
-        before its gates, so it moves from 1.0 to 3.5."""
+        """Only a call that can propose a fresh position feeds the EWMA: an
+        owning leader with position 1 in flight and five commands queued
+        proposes nothing on its tick, so its limit does not move."""
         log, _, env, _ = self.leader_with_backlog(5, batch_size=ADAPTIVE)
         ewma = log._batch_policy._ewma
         tick(log, env)

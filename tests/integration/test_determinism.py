@@ -46,12 +46,15 @@ def _omega_run():
 
 def _service_run():
     """A sharded service with closed-loop clients: the consensus stack's
-    routing and its heartbeat header."""
+    routing and its heartbeat header.  The clients stop 3 vt before the
+    horizon, so the replicas are compared drained, not with a ``Decide`` in
+    flight."""
     service = build_sharded_service(num_shards=2, n=3, t=1, seed=SEED, batch_size=4)
     clients = start_clients(
         service,
         num_clients=8,
         workload_factory=lambda i: zipfian_workload(num_keys=16),
+        stop_at=HORIZON - 3.0,
     )
     service.run_until(HORIZON)
     return {

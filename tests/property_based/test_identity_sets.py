@@ -91,7 +91,11 @@ def test_a_store_keeps_sessions_like_plain_sets(identities):
     sessions = {client: tuple(sorted(seqs)) for client, seqs in seen.items()}
 
     assert store.sessions() == sessions
-    rows = {row[1]: row[2] for row in store.snapshot_items() if row[0] == "session"}
+    rows = {
+        row[1]: tuple(SeqSet.from_bytes(row[2]))
+        for row in store.snapshot_items()
+        if row[0] == "session"
+    }
     assert rows == sessions
     payload = repr((sorted(store.snapshot().items()), sorted(sessions.items())))
     assert store.digest() == hashlib.sha256(payload.encode("utf-8")).hexdigest()

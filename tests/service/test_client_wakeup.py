@@ -10,14 +10,16 @@ same ticks as under per-tick polling, so for shapes in which no two clients
 share a lattice the client histories are those of polling clients.
 
 The equality with polling clients was proven on the tree just before clients
-were woken: the digests below passed there, with per-tick polling.  Three later
+were woken: the digests below passed there, with per-tick polling.  Four later
 protocol changes moved the shared ``control`` delay stream, and the digests
 were re-recorded after each: catch-up on evidence removed the routine
 catch-up polls, an idle leader that owns its ballot began proposing a
-``Forward`` the moment it arrives instead of at its next drive tick, and a
+``Forward`` the moment it arrives instead of at its next drive tick, a
 replica with nothing undecided began forwarding or proposing a client
-submission in the submitting turn instead of at its next drive tick.  The
-shapes and the assertions on them are unchanged.
+submission in the submitting turn instead of at its next drive tick, and a
+leader whose quorum closes with a full batch queued began proposing it in
+that turn (``leases_on`` and ``think_time`` never queue a full batch there
+and did not move).  The shapes and the assertions on them are unchanged.
 """
 
 import pytest
@@ -51,7 +53,7 @@ def _restart_follower(downtime):
 POLLING_HISTORIES = {
     "leases_off": (
         {}, {}, 0.5,
-        "b3539f55b4bc96f16b4e44f8c3ad147cafd5939b19aad2f165d763682c072d09",
+        "5e1042b02225cc34d228202e267a309d04f7ce771506e5bd1b17003d9087ef68",
     ),
     "leases_on": (
         dict(leases=True), {}, 0.8,
@@ -64,7 +66,7 @@ POLLING_HISTORIES = {
     "gateway_crash": (
         dict(fault_plan_factory=lambda shard: FaultPlan.crashes({(shard + 1) % 3: 20.0})),
         {}, 0.5,
-        "dc4aa5fe375ce74491a0c72c882be5459656819a7cb8dda0c3437190d5346fbd",
+        "650aeac8e845b082f4d893a4ca378b1a4d96827ac4a91b1a60d52bcb56e14de0",
     ),
     "compaction_restart": (
         dict(
@@ -72,12 +74,12 @@ POLLING_HISTORIES = {
             fault_plan_factory=_restart_follower(30.0),
         ),
         {}, 0.5,
-        "f1a4dd074a95c308ee085f55d728770da204e534c83c3f3f384796ef48629680",
+        "b1abd30ce540654cd27820a2ac018c469c2d075375b4bbd7a6571631f8ba8a4a",
     ),
     "storage_replay": (
         dict(stable_storage=True, fault_plan_factory=_restart_follower(20.0)),
         {}, 0.5,
-        "180a2b342562757e78efba70866151b2354e88512839c659fdd1fee565fce3c2",
+        "fe87be0398f0bbb6ebfb8aff23f3f6a4b7240e74b4c8d39013d64fb4ba9e753d",
     ),
 }
 

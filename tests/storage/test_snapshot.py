@@ -5,11 +5,13 @@ from collections import Counter
 
 import pytest
 
-from repro.consensus.commands import Command
+from repro.consensus.commands import Command, SeqSet
 from repro.consensus.messages import SnapshotReply, SnapshotRequest
 from repro.service.state_machine import KeyValueStore
 from repro.storage import CompactionPolicy, Snapshot, SnapshotManager, StableStore
+from repro.simulation.corruption import corrupt_message
 from repro.storage.snapshot import RETAINED_SNAPSHOTS, SNAPSHOT_CHUNK_ITEMS
+from repro.util.rng import RandomSource
 
 
 class TestCompactionPolicy:
@@ -313,3 +315,26 @@ class TestKeyValueStoreSnapshotRoundTrip:
     def test_unknown_item_kind_is_rejected(self):
         with pytest.raises(ValueError):
             KeyValueStore().restore_snapshot((("mystery",),))
+
+    def test_session_rows_carry_the_seqs_packed(self):
+        store = self.populated_store()
+        store.apply(Command.put("alice", 3, "y", 1))
+        rows = {row[1]: row[2] for row in store.snapshot_items() if row[0] == "session"}
+        assert rows == {"alice": SeqSet([1, 3]).to_bytes(), "bob": SeqSet([7]).to_bytes()}
+        assert [list(SeqSet.from_bytes(packed)) for packed in rows.values()] == [[1, 3], [7]]
+
+    @pytest.mark.parametrize("garble", ["flipped_bit", "corrupt_chunk"])
+    def test_garbled_packed_seqs_fail_the_snapshot_crc(self, garble):
+        store = self.populated_store()
+        snapshot = Snapshot(floor=3, delivered_total=2, payload=store.snapshot_items())
+        index = next(i for i, row in enumerate(snapshot.payload) if row[0] == "session")
+        if garble == "flipped_bit":
+            row = snapshot.payload[index]
+            garbled = (row[:2] + (bytes([row[2][0] ^ 1]) + row[2][1:],) + row[3:],)
+        else:  # the corruption model, on a chunk holding just that row
+            chunk = snapshot.chunk(index, items_per_chunk=1)
+            garbled = corrupt_message(chunk, RandomSource(3)).items
+        assert garbled != (snapshot.payload[index],)
+        payload = snapshot.payload[:index] + garbled + snapshot.payload[index + 1 :]
+        forged = dataclasses.replace(snapshot, payload=payload, checksum=snapshot.checksum)
+        assert not forged.verify()
