@@ -34,7 +34,7 @@ Run with:  python examples/recovery_demo.py [--quick]
 
 import argparse
 
-from repro.analysis import round_clock, record_run
+from repro.analysis import record_run, round_clock
 from repro.service import build_sharded_service, start_clients, zipfian_workload
 from repro.simulation import Crash, FaultPlan
 from repro.storage import WriteCostModel

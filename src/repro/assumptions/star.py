@@ -230,13 +230,15 @@ class StarSchedule:
         # round: its gaps are drawn from one sequential stream, so a round
         # cannot be re-derived out of order.  Everything else about a round is
         # a pure function of (seed, rn, point) and is recomputed on demand;
-        # points and "mixed" properties keep a one-round memo, because a
-        # broadcast asks about the same round once per destination.
+        # points, "mixed" properties and blockers keep a one-round memo,
+        # because a broadcast asks about the same round once per destination.
         self._star_rounds = array("q", [first_star_round])
         #: (rn, Q(rn)) of the latest ``points`` call; round 0 is never a star round.
         self._points_memo: Tuple[int, FrozenSet[int]] = (0, frozenset())
         #: point -> (rn, property) of its latest ``"mixed"`` draw.
         self._property_memo: Dict[int, Tuple[int, str]] = {}
+        #: point -> (rn, blockers) of its latest ``blockers`` call.
+        self._blockers_memo: Dict[int, Tuple[int, FrozenSet[int]]] = {}
 
     # ------------------------------------------------------------------ S sequence --
     def _extend_star_rounds(self, up_to: int) -> None:
@@ -285,7 +287,7 @@ class StarSchedule:
             start = (rn * self.t) % m
             result = frozenset(self._others[(start + i) % m] for i in range(self.t))
         else:  # random
-            result = frozenset(self._rng.child("points", rn).sample(self._others, self.t))
+            result = frozenset(self._rng.child_sample(self._others, self.t, "points", rn))
         self._points_memo = (rn, result)
         return result
 
@@ -301,9 +303,7 @@ class StarSchedule:
         last = self._property_memo.get(point)
         if last is not None and last[0] == rn:
             return last[1]
-        value = (
-            WINNING if self._rng.child("property", rn, point).random() < 0.5 else TIMELY
-        )
+        value = WINNING if self._rng.child_random("property", rn, point) < 0.5 else TIMELY
         self._property_memo[point] = (rn, value)
         return value
 
@@ -313,12 +313,17 @@ class StarSchedule:
         Their ``ALIVE(rn)`` messages to *point* are delayed behind the centre's so
         the centre's message is among the first ``n - t`` received by the point.
         """
+        last = self._blockers_memo.get(point)
+        if last is not None and last[0] == rn:
+            return last[1]
         candidates = self._candidates[point]
         # Deterministic rotation of blockers so no fixed set of processes is starved
         # round after round.
         start = (rn + point) % len(candidates)
         rotated = candidates[start:] + candidates[:start]
-        return frozenset(rotated[: self.t])
+        result = frozenset(rotated[: self.t])
+        self._blockers_memo[point] = (rn, result)
+        return result
 
     def describe(self) -> str:
         """One-line description of the schedule."""
@@ -374,7 +379,7 @@ class RandomSlowPolicy(SenderBehaviourPolicy):
             raise ValueError(f"p_slow must be in [0, 1], got {p_slow}")
         self.p_slow = p_slow
         self.exempt = frozenset(exempt)
-        # ``child`` reads only ``seed`` and ``label``: one parent serves every pair.
+        # A per-key draw reads only ``seed`` and ``label``: one parent serves every pair.
         self._parent = RandomSource(seed, label="slow")
         #: sender -> (rn, is_slow) of its latest classification.  The draw is a
         #: pure function of ``(seed, sender, rn)``, so a memo only has to
@@ -388,7 +393,7 @@ class RandomSlowPolicy(SenderBehaviourPolicy):
         last = self._last.get(sender)
         if last is not None and last[0] == rn:
             return last[1]
-        slow = self._parent.child(sender, rn).random() < self.p_slow
+        slow = self._parent.child_random(sender, rn) < self.p_slow
         self._last[sender] = (rn, slow)
         return slow
 

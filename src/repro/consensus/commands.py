@@ -74,6 +74,8 @@ class Command:
         A command whose stored checksum does not match its recomputed one was
         tampered with in flight (see :func:`payload_intact`); honest code never
         passes ``checksum=`` explicitly.
+
+    The checksum is also the hash: equal commands carry equal checksums.
     """
 
     client_id: str
@@ -82,6 +84,11 @@ class Command:
     key: str
     args: Tuple[Any, ...] = ()
     checksum: Optional[int] = None
+
+    #: What :meth:`verify` answers.  A command whose constructor computed its
+    #: checksum is intact from birth and stores nothing; a copy built around a
+    #: carried checksum stores ``None`` until it is verified.
+    _intact = True
 
     def __init__(
         self,
@@ -97,12 +104,13 @@ class Command:
         # with no ``__post_init__`` call and no field stored twice.  Fields are
         # stored one by one, not through ``self.__dict__``: touching the dict
         # would materialise it and double what a decided command costs.
-        # ``__eq__``/``__hash__``/``__repr__`` stay generated.
+        # ``__eq__``/``__repr__`` stay generated.
         if not isinstance(client_id, str):
             raise TypeError(f"client_id must be a str, got {client_id!r}")
         if type(seq) is not int:
             raise TypeError(f"seq must be an int, got {seq!r}")
-        if checksum is None:
+        carried = checksum is not None
+        if not carried:
             checksum = _crc32((client_id, seq, op, key, args))
         store = object.__setattr__
         store(self, "client_id", client_id)
@@ -111,6 +119,11 @@ class Command:
         store(self, "key", key)
         store(self, "args", args)
         store(self, "checksum", checksum)
+        if carried:
+            store(self, "_intact", None)
+
+    def __hash__(self) -> int:
+        return self.checksum
 
     def expected_checksum(self) -> int:
         """Recompute the CRC-32 the payload fields should carry."""
@@ -119,13 +132,13 @@ class Command:
     def verify(self) -> bool:
         """True when the carried checksum matches the payload (not tampered).
 
-        Memoised per object: commands are immutable and one command object is
-        shared by every message and replica that carries it, so the CRC walk
-        runs once per object, not once per delivery — the boundary check costs
-        a cached attribute read on the hot path.  A garbled copy is a *new*
-        object and gets its own (failing) verification.
+        A command that computed its own checksum is intact from birth, so the
+        boundary check costs an attribute read on the hot path.  A copy built
+        around a carried checksum (``dataclasses.replace``, the corruption
+        model) runs the CRC walk once, on its first check, and keeps the
+        answer: commands are immutable.
         """
-        cached = getattr(self, "_intact", None)
+        cached = self._intact
         if cached is None:
             cached = self.checksum == self.expected_checksum()
             object.__setattr__(self, "_intact", cached)
@@ -276,9 +289,18 @@ class Batch:
     commands: Tuple[Any, ...]
     checksum: Optional[int] = None
 
+    #: What :meth:`verify` answers, as for :class:`Command`: a batch whose
+    #: constructor computed its checksum is intact when its members are, and a
+    #: copy around a carried checksum stores ``None`` until it is verified.
+    _intact = True
+
     def __post_init__(self) -> None:
-        if self.checksum is None:
-            object.__setattr__(self, "checksum", self.expected_checksum())
+        if self.checksum is not None:
+            object.__setattr__(self, "_intact", None)
+            return
+        object.__setattr__(self, "checksum", self.expected_checksum())
+        if not self._members_intact():
+            object.__setattr__(self, "_intact", False)
 
     def expected_checksum(self) -> int:
         """Recompute the CRC-32 over the ordered member checksums."""
@@ -289,19 +311,20 @@ class Batch:
             )
         )
 
+    def _members_intact(self) -> bool:
+        return all(
+            command.verify() for command in self.commands if isinstance(command, Command)
+        )
+
     def verify(self) -> bool:
         """True when the batch and every checksummed member are untampered.
 
-        Memoised per object, like :meth:`Command.verify`: a batch is decided
-        once and then travels through many messages and replicas unchanged.
+        Known from birth for a batch built here, like :meth:`Command.verify`;
+        a copy around a carried checksum is checked once, on its first call.
         """
-        cached = getattr(self, "_intact", None)
+        cached = self._intact
         if cached is None:
-            cached = self.checksum == self.expected_checksum() and all(
-                command.verify()
-                for command in self.commands
-                if isinstance(command, Command)
-            )
+            cached = self.checksum == self.expected_checksum() and self._members_intact()
             object.__setattr__(self, "_intact", cached)
         return cached
 

@@ -40,6 +40,8 @@ class SuspicionLevels:
         # *non*-leader entry leaves the minimum untouched and only an increase of
         # the cached leader's own entry invalidates the cache.
         self._leader_cache: Optional[int] = None
+        # Cached ``snapshot()`` tuple; every write of a level drops it.
+        self._snapshot: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def __getitem__(self, pid: int) -> int:
         return self._levels[pid]
@@ -67,8 +69,12 @@ class SuspicionLevels:
         """Like :meth:`merge` but over ``(pid, level)`` pairs.
 
         ALIVE messages carry their snapshot as a tuple of pairs; merging it
-        directly avoids materialising a dictionary per delivered message.
+        directly avoids materialising a dictionary per delivered message.  A
+        snapshot equal to this array's cached own raises nothing and returns
+        False at once, without walking the pairs.
         """
+        if pairs == self._snapshot:
+            return False
         levels = self._levels
         wrote = False
         for pid, level in pairs:
@@ -82,12 +88,15 @@ class SuspicionLevels:
                 wrote = True
                 if pid == self._leader_cache:
                     self._leader_cache = None
+        if wrote:
+            self._snapshot = None
         return wrote
 
     def increase(self, pid: int) -> int:
         """Increment the entry of *pid* (line 17) and return the new value."""
         value = self._levels[pid] + 1
         self._levels[pid] = value
+        self._snapshot = None
         if pid == self._leader_cache:
             self._leader_cache = None
         return value
@@ -118,8 +127,16 @@ class SuspicionLevels:
         return leader
 
     def snapshot(self) -> Tuple[Tuple[int, int], ...]:
-        """Return an immutable snapshot suitable for embedding in an ALIVE message."""
-        return tuple(sorted(self._levels.items()))
+        """Return an immutable snapshot suitable for embedding in an ALIVE message.
+
+        The sorted ``(pid, level)`` tuple is cached and shared by every call
+        until a level rises: :meth:`increase` and a :meth:`merge_items` that
+        wrote drop it, and they are the array's only writers.
+        """
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = tuple(sorted(self._levels.items()))
+        return snapshot
 
 
 class RoundRecords:

@@ -5,7 +5,8 @@ of :mod:`repro.fuzz` and the parallel-merge equality checks depend on it), so:
 
 * all randomness flows through :class:`repro.util.rng.RandomSource` and all
   wall-clock reads through :mod:`repro.util.wallclock` — direct calls to
-  ``random.*``, ``time.time``/``monotonic``/``perf_counter``, ``datetime.now``,
+  ``random.*``, its C-level generator ``_random.*``, ``secrets.*``,
+  ``time.time``/``monotonic``/``perf_counter``, ``datetime.now``,
   ``os.urandom`` or ``uuid.uuid1/uuid4`` anywhere else are findings, as is
   ``id()`` used inside a ``sorted``/``sort`` call (CPython addresses vary
   between runs);
@@ -68,6 +69,9 @@ BANNED_CALLS = frozenset(
     }
 )
 
+#: Modules every one of whose calls draws from a generator outside RandomSource.
+BANNED_MODULE_PREFIXES = ("random.", "_random.", "secrets.")
+
 #: Function-name markers of fingerprint/digest/merge folds (rule scope (b)).
 _FOLD_MARKERS = ("digest", "fingerprint", "merge")
 
@@ -85,7 +89,7 @@ def _banned_call_findings(model: ProjectModel) -> List[Finding]:
             dotted = resolve_dotted(node.func, module.imports)
             if dotted is None:
                 continue
-            if dotted in BANNED_CALLS or dotted.startswith("random."):
+            if dotted in BANNED_CALLS or dotted.startswith(BANNED_MODULE_PREFIXES):
                 findings.append(
                     Finding(
                         rule=RULE_ID,

@@ -121,8 +121,24 @@ class Snapshot:
             object.__setattr__(self, "checksum", self.expected_checksum())
 
     def expected_checksum(self) -> int:
-        """Recompute the CRC-32 the snapshot's fields should carry."""
-        return _crc32((self.floor, self.delivered_total, self.payload))
+        """Recompute the CRC-32 the snapshot's fields should carry.
+
+        Each ``bytes`` field of a payload row (the packed seqs of a session
+        row) enters the CRC as its raw bytes, after the ``repr`` of the fields
+        with every such field written as its length; ``repr`` would spell most
+        stored bytes as four characters.  Nothing is cached here: the answer
+        is kept by :meth:`verify`, per object, and nothing invalidates it,
+        because a snapshot is frozen and a tampered copy is a new object.
+        """
+        rows = []
+        packed = []
+        for row in self.payload:
+            if type(row) is tuple and bytes in map(type, row):
+                packed.extend(field for field in row if type(field) is bytes)
+                row = tuple(len(field) if type(field) is bytes else field for field in row)
+            rows.append(row)
+        crc = _crc32((self.floor, self.delivered_total, tuple(rows)))
+        return zlib.crc32(b"".join(packed), crc)
 
     def verify(self) -> bool:
         """True when the carried checksum matches the contents (memoised)."""

@@ -115,6 +115,24 @@ class TestPoints:
         assert [describe(rn) for rn in reversed(range(1, 60))] == in_order[::-1]
 
 
+    @pytest.mark.parametrize("rotation", ["fixed", "random"])
+    def test_memos_answer_revisited_rounds_like_a_fresh_schedule(self, rotation):
+        """Points, "mixed" properties and blockers each memoise one round per
+        point; revisiting rounds and interleaving points must not leak it."""
+        params = dict(n=6, t=2, center=0, max_gap=2, rotation=rotation, seed=11)
+        schedule = StarSchedule(**params)
+        seen = set()
+        for rn in list(range(1, 13)) + list(range(12, 0, -1)) + [1, 6, 1, 6]:
+            for point in range(1, 6):
+                fresh = StarSchedule(**params)
+                assert schedule.blockers(rn, point) == fresh.blockers(rn, point), (rn, point)
+                prop = schedule.point_property(rn, point)
+                assert prop == fresh.point_property(rn, point), (rn, point)
+                assert schedule.points(rn) == fresh.points(rn), rn
+                seen.add(prop)
+        assert seen == {None, TIMELY, WINNING}
+
+
 class TestPointProperties:
     def test_timely_mode(self):
         schedule = StarSchedule(n=7, t=3, center=0, point_mode=TIMELY)

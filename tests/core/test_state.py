@@ -81,6 +81,36 @@ class TestSuspicionLevels:
         levels.increase(1)
         assert levels.snapshot() == ((0, 0), (1, 1))
 
+    def test_the_cached_snapshot_follows_every_rise(self):
+        levels = SuspicionLevels([2, 0, 1])
+
+        def fresh():
+            return tuple(sorted(levels.as_dict().items()))
+
+        assert levels.snapshot() is levels.snapshot() == fresh()
+        levels.increase(1)
+        assert levels.snapshot() == fresh() == ((0, 0), (1, 1), (2, 0))
+        assert not levels.merge_items(((0, 0), (1, 1)))
+        assert levels.snapshot() == fresh()
+        assert levels.merge_items(((2, 3),))
+        assert levels.snapshot() == fresh() == ((0, 0), (1, 1), (2, 3))
+        assert levels.merge({0: 2})
+        assert levels.snapshot() == fresh() == ((0, 2), (1, 1), (2, 3))
+
+    def test_an_equal_snapshot_merges_as_false_without_a_walk(self):
+        class Unwalkable(tuple):
+            def __iter__(self):
+                raise AssertionError("an equal snapshot was walked")
+
+        levels = SuspicionLevels([0, 1, 2])
+        levels.increase(0)
+        leader = levels.least_suspected()
+        assert not levels.merge_items(Unwalkable(levels.snapshot()))
+        assert levels._leader_cache == leader == 1
+        assert levels.merge_items(((0, 1), (1, 2)))
+        assert levels.snapshot() == ((0, 1), (1, 2), (2, 0))
+        assert levels.least_suspected() == 2
+
     def test_contains_and_len(self):
         levels = SuspicionLevels([0, 1, 2])
         assert 1 in levels

@@ -23,6 +23,7 @@ from repro.simulation import (
     System,
     SystemConfig,
     corrupt_message,
+    corrupt_value,
 )
 from repro.util.rng import RandomSource
 
@@ -83,6 +84,31 @@ class TestChecksums:
             checksum=batch.checksum,
         )
         assert not tampered.verify()
+
+    def test_copies_around_a_carried_checksum_are_verified(self):
+        """An honestly built command or batch is intact from birth; a copy that
+        carries the checksum over is checked, so garbling still shows."""
+        import dataclasses
+
+        cmd = command()
+        batch = Batch(commands=(command(1), command(2)))
+        rng = RandomSource(3)
+        for value in (cmd, batch):
+            assert value.verify()
+            assert not corrupt_value(value, rng).verify()
+            assert dataclasses.replace(value).verify()
+        assert not dataclasses.replace(cmd, key="other").verify()
+        assert not dataclasses.replace(cmd, args=("forged",)).verify()
+        assert not dataclasses.replace(batch, commands=batch.commands[::-1]).verify()
+
+    def test_a_batch_built_around_a_garbled_member_is_not_intact(self):
+        garbled = corrupt_value(command(), RandomSource(3))
+        assert not Batch(commands=(command(2), garbled)).verify()
+        assert Batch(commands=(command(2), "opaque")).verify()
+
+    def test_a_command_hashes_as_its_checksum(self):
+        assert hash(command()) == command().checksum
+        assert len({command(), command(), command(seq=2)}) == 2
 
 
 class TestCorruptMessage:

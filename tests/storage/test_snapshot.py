@@ -8,8 +8,8 @@ import pytest
 from repro.consensus.commands import Command, SeqSet
 from repro.consensus.messages import SnapshotReply, SnapshotRequest
 from repro.service.state_machine import KeyValueStore
-from repro.storage import CompactionPolicy, Snapshot, SnapshotManager, StableStore
 from repro.simulation.corruption import corrupt_message
+from repro.storage import CompactionPolicy, Snapshot, SnapshotManager, StableStore
 from repro.storage.snapshot import RETAINED_SNAPSHOTS, SNAPSHOT_CHUNK_ITEMS
 from repro.util.rng import RandomSource
 
@@ -74,6 +74,26 @@ class TestSnapshotIntegrity:
                 snapshot, checksum=snapshot.checksum, **{field: forged_value}
             )
             assert not forged.verify(), field
+
+    def test_the_checksum_covers_packed_seqs_session_order_and_values(self):
+        """Packed seqs enter the CRC as raw bytes, not through ``repr``; every
+        forgery of a session or key row still fails."""
+        ones, twos = SeqSet([1, 2, 5]).to_bytes(), SeqSet([1, 3, 4]).to_bytes()
+        meta, kv = ("meta", 6, 0), ("kv", "k", 1)
+        alice, bob = ("session", "a", ones, 5, "ok"), ("session", "b", twos, 4, "ok")
+        snapshot = self.make(payload=(meta, kv, alice, bob))
+        assert snapshot.verify()
+        flipped = bytes([ones[0] ^ 0x04]) + ones[1:]
+        for payload in [
+            (meta, kv, alice[:2] + (flipped,) + alice[3:], bob),
+            (meta, kv, bob, alice),
+            (meta, kv, alice[:2] + (twos,) + alice[3:], bob[:2] + (ones,) + bob[3:]),
+            (meta, kv, alice[:2] + (ones + twos[:8],) + alice[3:], bob),
+            (meta, kv, alice[:3] + (6, "ok"), bob),
+            (meta, ("kv", "k", 2), alice, bob),
+        ]:
+            forged = dataclasses.replace(snapshot, payload=payload, checksum=snapshot.checksum)
+            assert not forged.verify(), payload
 
     def test_chunk_count_covers_empty_and_partial_chunks(self):
         assert self.make(payload=()).chunk_count() == 1

@@ -14,16 +14,20 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def ruff_settings(text):
-    """The one-line ``key = value`` entries of the ``[tool.ruff]`` table."""
+def ruff_settings(text, table="tool.ruff"):
+    """The one-line ``key = value`` entries of one table, ``[tool.ruff]`` by
+    default; a quoted key is unquoted."""
     settings, in_table = {}, False
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line.startswith("["):
-            in_table = line == "[tool.ruff]"
+            in_table = line == f"[{table}]"
         elif in_table and "=" in line:
             key, value = line.split("=", 1)
-            settings[key.strip()] = ast.literal_eval(value.strip())
+            key = key.strip()
+            if key.startswith('"'):
+                key = ast.literal_eval(key)
+            settings[key] = ast.literal_eval(value.strip())
     return settings
 
 
@@ -54,6 +58,8 @@ def test_the_reader_takes_the_ruff_table_only():
         'select = ["E"]\n'
     )
     assert ruff_settings(text) == {"line-length": 99, "extend-exclude": ["a/b", "c"]}
+    assert ruff_settings(text, "tool.ruff.lint") == {"select": ["E"]}
+    assert ruff_settings('[t]\n"**/x.py" = ["I001"]\n', "t") == {"**/x.py": ["I001"]}
 
 
 def test_every_tracked_line_fits_the_configured_length():

@@ -62,3 +62,48 @@ class TestRandomSource:
         rng = RandomSource(5)
         assert rng.choice(["a", "b"]) in ("a", "b")
 
+
+
+class TestPerKeyDraws:
+    """``child_random`` / ``child_sample`` are ``child(...).random()`` /
+    ``child(...).sample(...)`` without building the child."""
+
+    SEEDS = [0, 7, 2**40 + 3, 2**63 + 5, -12]
+    SOURCE_LABELS = [None, "slow", "it's", 'say "hi"']
+    KEYS = [
+        (),
+        (3, 17),
+        (2**33 + 1, -4),
+        ("points", 9),
+        ("q'uote", 'd"q', 5),
+        (None, True, 2.5),
+    ]
+
+    def test_a_draw_equals_the_childs_first_draw(self):
+        for seed in self.SEEDS:
+            for label in self.SOURCE_LABELS:
+                source = RandomSource(seed, label=label)
+                for key in self.KEYS:
+                    expected = RandomSource(seed, label=label).child(*key)
+                    assert source.child_random(*key) == expected.random(), (seed, label, key)
+
+    def test_a_sample_equals_the_childs_sample(self):
+        items = list(range(11))
+        for seed in self.SEEDS:
+            for label in self.SOURCE_LABELS:
+                source = RandomSource(seed, label=label)
+                for key in self.KEYS:
+                    expected = source.child(*key).sample(items, 4)
+                    assert source.child_sample(items, 4, *key) == expected, (seed, label, key)
+
+    def test_per_key_draws_leave_the_sequential_stream_alone(self):
+        drawn = RandomSource(9, label="x")
+        fresh = RandomSource(9, label="x")
+        first = drawn.random()
+        drawn.child_random(1, 2)
+        drawn.child_sample([1, 2, 3], 2, "points", 4)
+        assert [first, drawn.random(), drawn.randint(0, 10**9)] == [
+            fresh.random(),
+            fresh.random(),
+            fresh.randint(0, 10**9),
+        ]
