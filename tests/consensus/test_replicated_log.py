@@ -24,6 +24,8 @@ from repro.consensus.replicated_log import NOOP, ReplicatedLog
 from repro.simulation.corruption import corrupt_message
 from repro.simulation.delays import ConstantDelay
 from repro.simulation.system import System, SystemConfig
+from repro.storage.compaction import CompactionPolicy
+from repro.storage.snapshot import Snapshot, SnapshotManager
 from repro.storage.stable_store import StableStore
 from repro.testing import FakeEnvironment
 from repro.util.rng import RandomSource
@@ -743,6 +745,53 @@ class TestPositionRecords:
         log.adopt_snapshot(SimpleNamespace(floor=3, delivered_total=2))
         assert log.ballots.accepted == {4: (5, "v")}
         assert (log.frontier, log.delivered(), log.delivered_total) == (3, [], 2)
+
+
+def with_snapshots(log):
+    """Give *log* a snapshot manager that never fires on its own."""
+    log.snapshots = SnapshotManager(
+        log, CompactionPolicy(interval=1000), capture=tuple, restore=lambda payload: None
+    )
+    return log
+
+
+class TestDurableTruncation:
+    """What a snapshot floor removes from the store, however the floor came:
+    a rehydration or a snapshot installed over the wire."""
+
+    def test_rehydration_deletes_the_stale_records_below_the_snapshot_floor(self):
+        # A crash between the snapshot write and its truncation leaves both.
+        store = StableStore(pid=1)
+        store.put(("snapshot", 0), Snapshot(floor=4, delivered_total=4, payload=()))
+        for position in range(6):
+            store.put(("decided", position), f"v{position}")
+        for position in (2, 7):
+            store.put(("acceptor", position), (5, f"a{position}"))
+        log, _, _ = make(pid=1)
+        with_snapshots(log).attach_storage(store)
+        assert sorted(key for key in store.snapshot() if key[0] != "snapshot") == [
+            ("acceptor", 7),
+            ("decided", 4),
+            ("decided", 5),
+        ]
+        assert log.decisions == {4: "v4", 5: "v5"}
+        assert log.ballots.accepted == {7: (5, "a7")}
+        assert (log.frontier, log.delivered_total, log.decided_value_count) == (6, 6, 6)
+
+    def test_an_installed_snapshot_deletes_the_durable_records_below_its_floor(self):
+        log, _, env = make(pid=1)
+        store = StableStore(pid=1)
+        with_snapshots(log).attach_storage(store)
+        log.on_message(env, 0, Decide(instance=3, value="d"))
+        for position in (2, 7):
+            log.on_message(env, 0, AcceptRequest(instance=position, ballot=5, value="a"))
+        log.snapshots.install(Snapshot(floor=5, delivered_total=5, payload=()), persist=True)
+        assert sorted(key for key in store.snapshot() if key[0] != "snapshot") == [
+            ("acceptor", 7),
+            ("promised",),
+        ]
+        assert log.decisions == {} and log.ballots.accepted == {7: (5, "a")}
+        assert (log.frontier, log.decided_value_count) == (5, 5)
 
 
 class TestLeaderBallot:
