@@ -89,32 +89,24 @@ class Scenario(abc.ABC):
         """
         violations: List[str] = []
         protected = self.protected_processes()
-        correct = set(plan.correct_ids(self.n))
+        down, links = plan.final_state(self.n)
+        correct = set(range(self.n)) - down
         for pid in sorted(protected):
             if pid not in correct:
                 violations.append(
                     f"protected process {pid} is permanently down under the plan"
                 )
-        final_partition = plan.final_partition()
-        if final_partition is not None and protected:
-            component_of = {}
-            for index, group in enumerate(final_partition):
-                for pid in group:
-                    component_of[pid] = index
-            rest = len(final_partition)
+        sides = links.partition_groups(self.n)
+        if sides is not None:
             for pid in sorted(protected & correct):
-                side = component_of.get(pid, rest)
-                separated = sorted(
-                    peer
-                    for peer in correct
-                    if component_of.get(peer, rest) != side
-                )
+                side = next(group for group in sides if pid in group)
+                separated = sorted(correct.difference(side))
                 if separated:
                     violations.append(
                         f"unhealed partition separates protected process {pid} "
                         f"from correct processes {separated}"
                     )
-        for sender, dest in plan.final_blocked_links():
+        for sender, dest in links.blocked_links():
             if (sender in protected or dest in protected) and (
                 sender in correct and dest in correct
             ):
@@ -122,7 +114,7 @@ class Scenario(abc.ABC):
                     f"link {sender}->{dest} involving a protected process is "
                     "permanently blocked"
                 )
-        for sender, dest in plan.final_corrupt_links():
+        for sender, dest in links.garbling_links():
             # A fully corrupting unhealed link is the data-plane analogue of a
             # blocked one: every payload crossing it is garbled and rejected at
             # the receiving end, forever.  Probabilistic or bounded corruption

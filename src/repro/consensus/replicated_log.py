@@ -201,9 +201,12 @@ bounds the log's memory:
 whenever the contiguous decided prefix grows past the policy interval the
 manager captures a checksummed :class:`~repro.storage.snapshot.Snapshot` of
 the applied state and the log **truncates** everything below the truncation
-floor — ``decisions``, the decided-value index and (when durable) the
-``("decided"/"acceptor", pos)`` store entries.  Steady-state residency
-becomes O(interval + retain) instead of O(history).
+floor — ``decisions``, the decided-value index, the acceptor map and (when
+durable) the ``("decided"/"acceptor", pos)`` store entries.  Steady-state
+residency becomes O(interval + retain) instead of O(history).  One routine,
+:meth:`ReplicatedLog.compact_below`, truncates, position by position from the
+old floor up; installing a snapshot runs it too, whether the snapshot came
+over the wire or from the store at recovery.
 
 Three protocol consequences:
 
@@ -222,11 +225,13 @@ Three protocol consequences:
 * rehydration becomes snapshot-then-tail: :meth:`attach_storage` installs the
   newest verifying durable snapshot (a torn newest write falls back to the
   previous slot) and replays only the decided entries at or above its floor,
-  so recovery time is bounded by the compaction window, not the history.
+  so recovery time is bounded by the compaction window, not the history;
+  installing it already deleted the records a crash left below the floor.
 
 A truncated prefix leaves no record of its values in the log, only the
-counts :attr:`ReplicatedLog.delivered_total` (which the divergence probe
-reads) and :attr:`ReplicatedLog.decided_value_count`.  Agreement across
+count :attr:`ReplicatedLog.delivered_total` (which the divergence probe
+reads, and from which :attr:`ReplicatedLog.decided_value_count` is
+derived).  Agreement across
 truncation and restarts is checked outside the log, by the shard's
 :class:`~repro.analysis.service_metrics.AgreementMonitor`, which
 :attr:`ReplicatedLog.on_learn` feeds each position as a replica learns it.
@@ -597,10 +602,8 @@ class ReplicatedLog(Process):
         self._max_decided = -1
         self._decided_index = CommandSet()
 
-        # Observer state that survives windowing: total non-noop deliveries
-        # and total non-noop decisions.
+        # Observer state that survives windowing: total non-noop deliveries.
         self.delivered_total = 0
-        self.decided_value_count = 0
 
         #: The :class:`~repro.storage.snapshot.SnapshotManager` bound to this
         #: log (None = no compaction).  Assigned before :meth:`attach_storage`,
@@ -720,8 +723,9 @@ class ReplicatedLog(Process):
         state machine exactly as the dead incarnation built it — and finally
         the persisted promise and the accepted values of undecided positions
         are restored.
-        Stale entries below the snapshot floor (a crash can land between the
-        snapshot write and its truncations) are deleted rather than replayed.
+        Installing the snapshot truncates below its floor (:meth:`compact_below`),
+        so the stale records a crash between the snapshot write and its
+        truncation left there are deleted before the replay reads the store.
         """
         if self.ballots.store is not None:
             raise RuntimeError("a stable store is already attached to this log")
@@ -730,19 +734,13 @@ class ReplicatedLog(Process):
             self.snapshots.bind_store(store)
         self._rehydrating = True
         try:
-            floor = 0
             if self.snapshots is not None:
-                floor = self.snapshots.rehydrate()
+                self.snapshots.rehydrate()
             for (_, position), value in store.items_with_prefix("decided"):
-                if position < floor:
-                    store.delete(("decided", position))
-                    continue
                 self._learn(position, value)
             self.ballots.promised = store.get(("promised",), NO_BALLOT)
             for (_, position), accepted in store.items_with_prefix("acceptor"):
-                if position < floor:
-                    store.delete(("acceptor", position))
-                elif position not in self.decisions:
+                if position not in self.decisions:
                     # Also what keeps this granter's lease barrier hints
                     # covering the commits that were in flight at the crash.
                     self.ballots.accepted[position] = accepted
@@ -937,8 +935,6 @@ class ReplicatedLog(Process):
             self.counters["peak_decided_residency"] = len(self.decisions)
         if position > self._max_decided:
             self._max_decided = position
-        if value != NOOP:
-            self.decided_value_count += 1
         for command in flatten_value(value):
             self._decided_index.add(command)
             # O(1) per decided command instead of the seed's O(pending) list
@@ -963,22 +959,26 @@ class ReplicatedLog(Process):
 
     # ------------------------------------------------------------------ compaction --
     def compact_below(self, floor: int) -> int:
-        """Truncate every position below *floor*; return how many were dropped.
+        """Truncate every position below *floor*; return how many decisions
+        were dropped.
 
-        Called by the snapshot manager after a snapshot covering those
-        positions is (durably, when storage is attached) in place: the decided
-        values, their index entries and the durable ``("decided"/"acceptor",
-        pos)`` records all go.
+        The one truncation of the log, run from the old floor up: the decided
+        values, their index entries, the acceptor records and the durable
+        ``("decided"/"acceptor", pos)`` records all go.  The snapshot manager
+        calls it once a snapshot covering those positions is (durably, when
+        storage is attached) in place, and :meth:`adopt_snapshot` calls it
+        for the snapshot it installs.
         """
         if floor <= self._floor:
             return 0
         compacted = 0
-        for position in range(self._floor, min(floor, self._frontier)):
+        for position in range(self._floor, floor):
             value = self.decisions.pop(position, None)
             if value is not None:
                 compacted += 1
                 for command in flatten_value(value):
                     self._decided_index.discard(command)
+            self.ballots.accepted.pop(position, None)
             if self.ballots.store is not None:
                 self.ballots.store.delete(("decided", position))
                 self.ballots.store.delete(("acceptor", position))
@@ -989,38 +989,30 @@ class ReplicatedLog(Process):
         """Fast-forward this log to an installed snapshot; return positions dropped.
 
         Called by the snapshot manager (after the state machine was restored
-        from the snapshot payload): the frontier jumps to the snapshot floor,
-        observer counters resume from the snapshot's carried values, everything below the floor is truncated, and decided
-        values this replica had already learnt *above* the floor are delivered
-        through the normal frontier advance — applying them on top of the
-        restored state.
+        from the snapshot payload): everything below the floor is truncated
+        (:meth:`compact_below`), the frontier jumps to the floor, the delivered
+        count resumes from the snapshot's, and decided values this replica had
+        already learnt *above* the floor are delivered through the normal
+        frontier advance — applying them on top of the restored state.
         """
         floor = snapshot.floor
-        dropped = 0
-        for position in [p for p in self.decisions if p < floor]:
-            del self.decisions[position]
-            dropped += 1
-        for position in [p for p in self.ballots.accepted if p < floor]:
-            del self.ballots.accepted[position]
-        if self.ballots.store is not None and not self._rehydrating:
-            for key, _ in self.ballots.store.items_with_prefix("decided"):
-                if key[1] < floor:
-                    self.ballots.store.delete(key)
-            for key, _ in self.ballots.store.items_with_prefix("acceptor"):
-                if key[1] < floor:
-                    self.ballots.store.delete(key)
+        dropped = self.compact_below(floor)
         self._frontier = floor
         if floor - 1 > self._max_decided:
             self._max_decided = floor - 1
-        self._floor = floor
         self.delivered_total = snapshot.delivered_total
-        # The prefix below the floor contributed snapshot.delivered_total
-        # non-noop values; re-count the still-resident tail on top of it.
-        self.decided_value_count = snapshot.delivered_total + sum(
-            1 for value in self.decisions.values() if value != NOOP
-        )
         self._advance_frontier()
         return dropped
+
+    @property
+    def decided_value_count(self) -> int:
+        """Non-noop decisions over the whole history: the ones delivered
+        (:attr:`delivered_total`, which a snapshot carries across truncation)
+        plus the ones learnt above the frontier."""
+        return self.delivered_total + sum(
+            self.decisions.get(position, NOOP) != NOOP
+            for position in range(self._frontier, self._max_decided + 1)
+        )
 
     def _candidate_value(self) -> Optional[Any]:
         """Pick up to the batch limit of undecided commands, oldest arrival first.

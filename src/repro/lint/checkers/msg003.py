@@ -4,7 +4,7 @@ Two registries must stay total:
 
 * every protocol message class defined in ``consensus/messages.py`` (a
   ``Message`` subclass) must appear in an ``isinstance`` dispatch arm of the
-  consensus layer (``replicated_log.py``, ``stack.py`` or ``instance.py``) —
+  consensus layer (``replicated_log.py`` or ``stack.py``) —
   a message that is constructed and sent but never dispatched is silently
   dropped by the receiver's fallthrough;
 * the ``EVENT_KINDS`` wire registry in ``faults.py`` must be a bijection with
@@ -37,7 +37,6 @@ MESSAGE_MODULE_SUFFIX = "consensus/messages.py"
 DISPATCH_MODULE_SUFFIXES = (
     "consensus/replicated_log.py",
     "consensus/stack.py",
-    "consensus/instance.py",
 )
 
 #: Where the fault-event wire registry lives.
@@ -87,7 +86,7 @@ def _message_findings(model: ProjectModel) -> List[Finding]:
                         symbol=cls.name,
                         message=(
                             f"message {cls.name} has no isinstance dispatch arm in "
-                            "replicated_log.py/stack.py/instance.py; receivers "
+                            "replicated_log.py/stack.py; receivers "
                             "drop it silently"
                         ),
                     )

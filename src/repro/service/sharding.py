@@ -260,10 +260,6 @@ class ShardedService:
         #: off (always empty with ``stable_storage`` on — persisted promises
         #: make restarts memory-preserving).  See ``FaultPlan.amnesia_hazards``.
         self.amnesia_hazards: Dict[int, List[str]] = {}
-        # Per-shard correct-replica lists, keyed by the shard system's fault
-        # epoch: a Recover event replaces algorithm objects, so the cache must
-        # be refreshed whenever the fault state changes — see correct_replicas().
-        self._correct_replicas_cache: Dict[int, Tuple[int, List[ServiceReplica]]] = {}
 
         if scenario_factory is None:
             scenario_factory = functools.partial(default_star_scenario, n, t, seed)
@@ -448,21 +444,13 @@ class ShardedService:
     def correct_replicas(self, shard: int) -> List[ServiceReplica]:
         """Return the replicas of *shard* that are eventually up under its plan.
 
-        Cached per fault epoch, not once: a ``Recover`` event rebuilds a
-        replica's algorithm object from its initial state, so a permanent cache
-        would keep handing out the dead pre-crash object.  The cache is keyed
-        on the shard system's fault epoch, which a recovery or a run-time
-        injection bumps, and rebuilt on the next read.  Callers must not
-        mutate the list.
+        Read from the shard system's correct-set cache
+        (:meth:`~repro.simulation.system.System.correct_algorithms`), which a
+        recovery or a run-time injection refreshes: a ``Recover`` event
+        rebuilds a replica's algorithm object, and the dead pre-crash object
+        is never handed out.  Callers must not mutate the list.
         """
-        system = self.systems[shard]
-        epoch = system.fault_epoch
-        cached = self._correct_replicas_cache.get(shard)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        replicas = [shell.algorithm for shell in system.correct_shells()]
-        self._correct_replicas_cache[shard] = (epoch, replicas)
-        return replicas
+        return self.systems[shard].correct_algorithms()
 
     def reference_replica(self, shard: int) -> ServiceReplica:
         """A correct replica used for shard-level reporting."""
@@ -688,7 +676,7 @@ class ServiceSpec:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.horizon <= 0:
+        if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         require_batch_size(self.batch_size)
         if self.num_clients < 1:
@@ -697,7 +685,7 @@ class ServiceSpec:
             raise ValueError(
                 f"stop_at={self.stop_at} must lie in (0, horizon={self.horizon}]"
             )
-        if self.storage_write_cost is not None and self.storage_write_cost < 0:
+        if self.storage_write_cost is not None and not self.storage_write_cost >= 0:
             raise ValueError(
                 f"storage_write_cost must be >= 0, got {self.storage_write_cost}"
             )

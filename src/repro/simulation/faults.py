@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.simulation.corruption import corrupt_message
@@ -367,6 +368,9 @@ _TOPOLOGY_EVENTS = (
 #: Default receiving-round fast-forward threshold enabled for plans that can
 #: lose messages or reset a process (see OmegaConfig.round_resync_gap).
 DEFAULT_ROUND_RESYNC_GAP = 8
+
+#: Sort key of a plan's time order (a stable sort keeps ties in plan order).
+_time_of = operator.attrgetter("time")
 
 
 # ---------------------------------------------------------------------------- plan
@@ -679,67 +683,75 @@ class FaultPlan:
             for event in self.events
         )
 
-    def _chronological(self) -> List[FaultEvent]:
-        """Events sorted by time, ties broken by plan order (stable sort)."""
-        return sorted(self.events, key=lambda event: event.time)
+    def final_state(self, n: int, t: Optional[int] = None) -> Tuple[Set[int], "LinkState"]:
+        """Replay the plan: the processes down at its end, and the
+        :class:`LinkState` of an *n*-process system once every fault expired.
+
+        Events apply in time order, ties in plan order, as the scheduler runs
+        them.  Each topology event goes through :meth:`LinkState.apply`, the
+        injector's own code, and the latest fault of each kind on each target
+        expires at the end when it carries an ``until`` — the injector's token
+        rule.  With *t* given the replay also checks what :meth:`validate`
+        promises, and raises ``ValueError`` at the first event that breaks it.
+        """
+        checked = t is not None
+
+        def check_pid(pid: int, what: str) -> None:
+            if checked and not 0 <= pid < n:
+                raise ValueError(f"{what} pid {pid} outside [0, {n})")
+
+        down: Set[int] = set()
+        links = LinkState(None)
+        latest: Dict[Tuple[type, object], FaultEvent] = {}
+        for event in sorted(self.events, key=_time_of):
+            kind = type(event)
+            if kind is Crash:
+                check_pid(event.pid, "crashing")
+                if checked and event.pid in down:
+                    raise ValueError(
+                        f"process {event.pid} crashes at {event.time} while already down"
+                    )
+                down.add(event.pid)
+                if checked and len(down) > t:
+                    raise ValueError(
+                        f"plan has {len(down)} processes down at time {event.time} "
+                        f"but t={t}"
+                    )
+            elif kind is Recover:
+                check_pid(event.pid, "recovering")
+                if checked and event.pid not in down:
+                    raise ValueError(
+                        f"process {event.pid} recovers at {event.time} without being down"
+                    )
+                down.discard(event.pid)
+            else:
+                if kind is PartitionStart:
+                    for group in event.groups:
+                        for pid in group:
+                            check_pid(pid, "partitioned")
+                elif kind is SlowProcess:
+                    check_pid(event.pid, "slowed")
+                elif kind is not PartitionHeal:
+                    what = "corrupting link" if kind is CorruptLink else "link"
+                    check_pid(event.sender, f"{what} sender")
+                    check_pid(event.dest, f"{what} dest")
+                target = links.apply(event, n)
+                if target is not None:
+                    latest[kind, target] = event
+        for (kind, target), event in latest.items():
+            if event.until is not None:
+                links.expire(kind, target)
+        return down, links
 
     def final_down_ids(self) -> List[int]:
         """Processes whose final state under the plan is crashed (sorted)."""
-        down: Set[int] = set()
-        for event in self._chronological():
-            if type(event) is Crash:
-                down.add(event.pid)
-            elif type(event) is Recover:
-                down.discard(event.pid)
-        return sorted(down)
+        # The down set does not depend on n, which only sizes partition sides.
+        return sorted(self.final_state(0)[0])
 
     def correct_ids(self, n: int) -> List[int]:
         """Processes that are *eventually up* under the plan, out of ``range(n)``."""
-        down = set(self.final_down_ids())
+        down = self.final_state(n)[0]
         return [pid for pid in range(n) if pid not in down]
-
-    def final_partition(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
-        """The partition still in force at the end of the plan, or ``None``."""
-        current: Optional[Tuple[Tuple[int, ...], ...]] = None
-        for event in self._chronological():
-            if type(event) is PartitionStart:
-                current = event.groups
-            elif type(event) is PartitionHeal:
-                current = None
-        return current
-
-    def final_blocked_links(self) -> List[Tuple[int, int]]:
-        """Directed links still blocked at the end of the plan (sorted)."""
-        blocked: Set[Tuple[int, int]] = set()
-        for event in self._chronological():
-            if type(event) is LinkFault:
-                key = (event.sender, event.dest)
-                if event.block and event.until is None:
-                    blocked.add(key)
-                else:
-                    blocked.discard(key)
-            elif type(event) is LinkHeal:
-                blocked.discard((event.sender, event.dest))
-        return sorted(blocked)
-
-    def final_corrupt_links(self) -> List[Tuple[int, int]]:
-        """Directed links still corrupting *every* payload at the end (sorted).
-
-        Only fully corrupting (``probability == 1``) unhealed links count: a
-        probabilistic corrupter is fair-lossy for the data plane — intact
-        copies eventually get through — and therefore not permanent damage.
-        """
-        corrupting: Set[Tuple[int, int]] = set()
-        for event in self._chronological():
-            if type(event) is CorruptLink:
-                key = (event.sender, event.dest)
-                if event.probability >= 1.0 and event.until is None:
-                    corrupting.add(key)
-                else:
-                    corrupting.discard(key)
-            elif type(event) is LinkHeal:
-                corrupting.discard((event.sender, event.dest))
-        return sorted(corrupting)
 
     def restarted_ids(self) -> List[int]:
         """Processes the plan restarts at least once (sorted).
@@ -815,48 +827,7 @@ class FaultPlan:
         stabilisation).
         """
         validate_process_count(n, t)
-
-        def check_pid(pid: int, what: str) -> None:
-            if not 0 <= pid < n:
-                raise ValueError(f"{what} pid {pid} outside [0, {n})")
-
-        down: Set[int] = set()
-        for event in self._chronological():
-            kind = type(event)
-            if kind is Crash:
-                check_pid(event.pid, "crashing")
-                if event.pid in down:
-                    raise ValueError(
-                        f"process {event.pid} crashes at {event.time} while already down"
-                    )
-                down.add(event.pid)
-                if len(down) > t:
-                    raise ValueError(
-                        f"plan has {len(down)} processes down at time {event.time} "
-                        f"but t={t}"
-                    )
-            elif kind is Recover:
-                check_pid(event.pid, "recovering")
-                if event.pid not in down:
-                    raise ValueError(
-                        f"process {event.pid} recovers at {event.time} without being down"
-                    )
-                down.discard(event.pid)
-            elif kind is PartitionStart:
-                for group in event.groups:
-                    for pid in group:
-                        check_pid(pid, "partitioned")
-            elif kind is LinkFault:
-                check_pid(event.sender, "link sender")
-                check_pid(event.dest, "link dest")
-            elif kind is LinkHeal:
-                check_pid(event.sender, "link sender")
-                check_pid(event.dest, "link dest")
-            elif kind is CorruptLink:
-                check_pid(event.sender, "corrupting link sender")
-                check_pid(event.dest, "corrupting link dest")
-            elif kind is SlowProcess:
-                check_pid(event.pid, "slowed")
+        self.final_state(n, t)
         if require_quorum_memory:
             hazards = self.amnesia_hazards(n, t)
             if hazards:
@@ -869,7 +840,7 @@ class FaultPlan:
         """Human-readable one-line description (used in reports and demos)."""
         if not self.events:
             return "fault-plan(none)"
-        parts = ", ".join(event.describe() for event in self._chronological())
+        parts = ", ".join(event.describe() for event in sorted(self.events, key=_time_of))
         return f"fault-plan({parts})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -895,6 +866,12 @@ class _LinkSpec:
         self.delay_add = delay_add
 
 
+def _draws(probability: float) -> bool:
+    """Whether a corrupting link of this *probability* draws per message, so
+    it may spare one; at 1 (or NaN) it garbles every payload."""
+    return probability < 1.0
+
+
 class LinkState:
     """The current reachability / quality matrix of the directed links.
 
@@ -902,7 +879,9 @@ class LinkState:
     fault plan contains topology events, so fault-free and pure crash-stop runs
     pay nothing beyond a single ``is None`` check per message.  Loss decisions
     draw from a dedicated RNG stream (never the delay model's), so topology
-    faults cannot perturb delay draws elsewhere in the run.
+    faults cannot perturb delay draws elsewhere in the run.  The matrix
+    :meth:`FaultPlan.final_state` replays a plan into has no stream: it never
+    draws.
     """
 
     __slots__ = (
@@ -913,7 +892,7 @@ class LinkState:
         "_rng",
     )
 
-    def __init__(self, rng: RandomSource) -> None:
+    def __init__(self, rng: Optional[RandomSource]) -> None:
         self._component_of: Optional[Dict[int, int]] = None
         self._links: Dict[Tuple[int, int], _LinkSpec] = {}
         self._corrupt: Dict[Tuple[int, int], float] = {}
@@ -960,7 +939,7 @@ class LinkState:
         probability = self._corrupt.get((sender, dest))
         if probability is None:
             return None
-        if probability < 1.0 and self._rng.random() >= probability:
+        if _draws(probability) and self._rng.random() >= probability:
             return None
         return corrupt_message(message, self._rng)
 
@@ -978,49 +957,72 @@ class LinkState:
         """True while a partition is in force."""
         return self._component_of is not None
 
+    def blocked_links(self) -> List[Tuple[int, int]]:
+        """Directed links cut by a ``block`` fault (sorted)."""
+        return sorted(link for link, spec in self._links.items() if spec.block)
+
+    def garbling_links(self) -> List[Tuple[int, int]]:
+        """Directed links that garble every payload crossing them (sorted)."""
+        return sorted(link for link, probability in self._corrupt.items() if not _draws(probability))
+
     # ------------------------------------------------------------------ mutation --
-    def set_partition(self, groups: Tuple[Tuple[int, ...], ...], n: int) -> None:
-        """Install a partition (replacing any current one).
+    def apply(self, event: FaultEvent, n: int) -> object:
+        """Apply the topology *event* in an *n*-process system; return the
+        target (a directed link or a pid) its ``until`` expires on, ``None``
+        for the kinds that carry none.
 
-        Processes not named by *groups* implicitly share one extra side.
+        A :class:`PartitionStart` replaces the partition in force, and the
+        processes its groups do not name share one extra side.  A
+        :class:`LinkFault`, :class:`CorruptLink` or :class:`SlowProcess`
+        replaces the fault of its kind on its target (a slowdown of factor 1
+        removes it).  A :class:`LinkHeal` restores its link to nominal
+        behaviour in every respect: loss/delay faults and payload corruption
+        alike.
         """
-        component_of: Dict[int, int] = {}
-        for index, group in enumerate(groups):
-            for pid in group:
-                component_of[pid] = index
-        rest = len(groups)
-        for pid in range(n):
-            component_of.setdefault(pid, rest)
-        self._component_of = component_of
+        kind = type(event)
+        if kind is PartitionStart:
+            component_of: Dict[int, int] = {}
+            for index, group in enumerate(event.groups):
+                for pid in group:
+                    component_of[pid] = index
+            rest = len(event.groups)
+            for pid in range(n):
+                component_of.setdefault(pid, rest)
+            self._component_of = component_of
+        elif kind is PartitionHeal:
+            self._component_of = None
+        elif kind is LinkHeal:
+            self._links.pop((event.sender, event.dest), None)
+            self._corrupt.pop((event.sender, event.dest), None)
+        elif kind is SlowProcess:
+            if event.factor == 1.0:
+                self._slow.pop(event.pid, None)
+            else:
+                self._slow[event.pid] = event.factor
+            return event.pid
+        elif kind is LinkFault:
+            link = (event.sender, event.dest)
+            self._links[link] = _LinkSpec(
+                event.block, event.loss_probability, event.delay_factor, event.delay_add
+            )
+            return link
+        elif kind is CorruptLink:
+            link = (event.sender, event.dest)
+            self._corrupt[link] = event.probability
+            return link
+        else:  # pragma: no cover - future event kinds
+            raise TypeError(f"unknown fault event {event!r}")
+        return None
 
-    def heal_partition(self) -> None:
-        """Remove the partition currently in force."""
-        self._component_of = None
-
-    def set_link_fault(self, fault: LinkFault) -> None:
-        """Install (or replace) the fault on the ``sender -> dest`` link."""
-        self._links[(fault.sender, fault.dest)] = _LinkSpec(
-            fault.block, fault.loss_probability, fault.delay_factor, fault.delay_add
-        )
-
-    def heal_link(self, sender: int, dest: int) -> None:
-        """Restore the ``sender -> dest`` link to its nominal behaviour."""
-        self._links.pop((sender, dest), None)
-
-    def set_corruption(self, fault: CorruptLink) -> None:
-        """Install (or replace) payload corruption on the ``sender -> dest`` link."""
-        self._corrupt[(fault.sender, fault.dest)] = fault.probability
-
-    def heal_corruption(self, sender: int, dest: int) -> None:
-        """Stop corrupting payloads on the ``sender -> dest`` link."""
-        self._corrupt.pop((sender, dest), None)
-
-    def set_slowdown(self, pid: int, factor: float) -> None:
-        """Install (``factor != 1``) or remove (``factor == 1``) a slowdown."""
-        if factor == 1.0:
-            self._slow.pop(pid, None)
+    def expire(self, kind: type, target: object) -> None:
+        """Remove the fault of *kind* on *target*, the latest there, whose
+        ``until`` has come."""
+        if kind is LinkFault:
+            self._links.pop(target, None)
+        elif kind is CorruptLink:
+            self._corrupt.pop(target, None)
         else:
-            self._slow[pid] = factor
+            self._slow.pop(target, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1113,51 +1115,24 @@ class FaultInjector:
                 self.rejections.append(
                     f"{event.describe()} rejected: process {event.pid} is not crashed"
                 )
-        elif kind is PartitionStart:
-            self._ensure_link_state().set_partition(event.groups, system.config.n)
-        elif kind is PartitionHeal:
-            self._ensure_link_state().heal_partition()
-        elif kind is LinkFault:
-            self._ensure_link_state().set_link_fault(event)
-            self._arm_expiry(event, (event.sender, event.dest))
-        elif kind is LinkHeal:
-            # An explicit heal restores the link to nominal behaviour in every
-            # respect: loss/delay faults and payload corruption alike.
-            link_state = self._ensure_link_state()
-            link_state.heal_link(event.sender, event.dest)
-            link_state.heal_corruption(event.sender, event.dest)
-        elif kind is CorruptLink:
-            self._ensure_link_state().set_corruption(event)
-            self._arm_expiry(event, (event.sender, event.dest))
-        elif kind is SlowProcess:
-            self._ensure_link_state().set_slowdown(event.pid, event.factor)
-            self._arm_expiry(event, event.pid)
-        else:  # pragma: no cover - future event kinds
-            raise TypeError(f"unknown fault event {event!r}")
-
-    def _arm_expiry(self, event: FaultEvent, target: object) -> None:
-        """Make *event* the latest fault of its kind on *target*, and schedule
-        its expiry when it carries an ``until``."""
-        key = (type(event), target)
-        token = self._tokens.get(key, 0) + 1
-        self._tokens[key] = token
-        if event.until is not None:
-            self._system.scheduler.schedule_at(event.until, self._expire, (key, token))
+        else:
+            target = self._ensure_link_state().apply(event, system.config.n)
+            if target is not None:
+                # The latest fault of its kind on the target; its expiry is
+                # scheduled when it carries an ``until``.
+                key = (kind, target)
+                token = self._tokens.get(key, 0) + 1
+                self._tokens[key] = token
+                if event.until is not None:
+                    system.scheduler.schedule_at(event.until, self._expire, (key, token))
 
     def _expire(self, arg: Tuple[Tuple[type, object], int]) -> None:
         key, token = arg
         # Only the *latest* fault of a kind on a target may expire: if a newer
         # one hit the target inside this fault's window, its token is higher
         # and this expiry must not remove it.
-        if self._tokens.get(key) != token:
-            return
-        kind, target = key
-        if kind is LinkFault:
-            self.link_state.heal_link(*target)
-        elif kind is CorruptLink:
-            self.link_state.heal_corruption(*target)
-        else:
-            self.link_state.set_slowdown(target, 1.0)
+        if self._tokens.get(key) == token:
+            self.link_state.expire(*key)
 
 
 __all__ = [

@@ -86,12 +86,14 @@ class System:
         self._process_factory = process_factory
 
         process_ids = list(range(config.n))
-        # The correct-shell set is derived from the fault plan; since the plan can
-        # gain events at run time (injector.inject) the cache is keyed by a fault
-        # epoch rather than computed once — see correct_shells().
+        # The correct set is derived from the fault plan; since the plan can
+        # gain events at run time (injector.inject) and a recovery replaces an
+        # algorithm, its one cache is keyed by a fault epoch rather than
+        # computed once — see correct_algorithms().
         self._fault_epoch = 0
-        self._correct_shells_cache: Optional[List[SimProcessShell]] = None
-        self._correct_cache_epoch = -1
+        self._correct_epoch = -1
+        self._correct_shells: List[SimProcessShell] = []
+        self._correct_algorithms: List[Process] = []
         self.shells: List[SimProcessShell] = []
         for pid in process_ids:
             algorithm = process_factory(pid)
@@ -141,8 +143,9 @@ class System:
         an event is injected at run time (the planned correct set changed) or a
         recovery is applied (the shell holds a new algorithm object).  A crash
         or a topology event changes neither, so it leaves the epoch alone.
-        :meth:`correct_shells` and ``ShardedService.correct_replicas`` key
-        their caches on it."""
+        The one cache of the correct set (:meth:`correct_shells`,
+        :meth:`correct_algorithms`, and through them
+        ``ShardedService.correct_replicas``) is keyed on it."""
         return self._fault_epoch
 
     @property
@@ -222,14 +225,20 @@ class System:
         planned correct set, and the cache is refreshed on the next read after
         it.  The returned list must not be mutated by callers.
         """
-        epoch = self._fault_epoch
-        if self._correct_cache_epoch != epoch:
+        if self._correct_epoch != self._fault_epoch:
             correct = set(self.fault_plan.correct_ids(self.config.n))
-            self._correct_shells_cache = [
-                shell for shell in self.shells if shell.pid in correct
-            ]
-            self._correct_cache_epoch = epoch
-        return self._correct_shells_cache
+            self._correct_shells = [shell for shell in self.shells if shell.pid in correct]
+            self._correct_algorithms = [shell.algorithm for shell in self._correct_shells]
+            self._correct_epoch = self._fault_epoch
+        return self._correct_shells
+
+    def correct_algorithms(self) -> List[Process]:
+        """The algorithm objects of :meth:`correct_shells`, from the same
+        cache: a recovery bumps the fault epoch, so a dead incarnation's
+        object is never handed out.  Callers must not mutate the list."""
+        if self._correct_epoch != self._fault_epoch:
+            self.correct_shells()
+        return self._correct_algorithms
 
     def correct_ids(self) -> List[int]:
         """Return the ids of the processes that are eventually up under the plan."""

@@ -38,17 +38,18 @@ def require_in_range(
 ) -> float:
     """Return *value* if it lies in the requested interval.
 
-    ``low`` / ``high`` may be ``None`` to leave that side unbounded.
+    ``low`` / ``high`` may be ``None`` to leave that side unbounded.  Each
+    bound is written as ``not value >= low`` (and so on), so NaN fails it.
     """
     if low is not None:
-        if low_inclusive and value < low:
+        if low_inclusive and not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value!r}")
-        if not low_inclusive and value <= low:
+        if not low_inclusive and not value > low:
             raise ValueError(f"{name} must be > {low}, got {value!r}")
     if high is not None:
-        if high_inclusive and value > high:
+        if high_inclusive and not value <= high:
             raise ValueError(f"{name} must be <= {high}, got {value!r}")
-        if not high_inclusive and value >= high:
+        if not high_inclusive and not value < high:
             raise ValueError(f"{name} must be < {high}, got {value!r}")
     return value
 

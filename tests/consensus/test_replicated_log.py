@@ -793,6 +793,19 @@ class TestDurableTruncation:
         assert log.decisions == {} and log.ballots.accepted == {7: (5, "a")}
         assert (log.frontier, log.decided_value_count) == (5, 5)
 
+    def test_an_adopted_snapshot_forgets_the_commands_decided_below_its_floor(self):
+        # As compaction does: a retransmission is admitted again, and the
+        # state machine's session table absorbs it if it is decided twice.
+        log, _, env = make(pid=1)
+        below, above = Command.put("c", 1, "k", 1), Command.put("c", 2, "k", 2)
+        log.on_message(env, 0, Decide(instance=2, value=below))
+        log.on_message(env, 0, Decide(instance=6, value=above))
+        log.adopt_snapshot(SimpleNamespace(floor=4, delivered_total=4))
+        log.submit(below)
+        log.submit(above)
+        assert log.pending == [below]
+        assert log.decided_value_count == 5
+
 
 class TestLeaderBallot:
     """One ballot, many positions: phase 1 once per leadership, the leader as

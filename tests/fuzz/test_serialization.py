@@ -103,6 +103,23 @@ class TestEventRoundTrip:
         with pytest.raises(ValueError, match="must be (a number|finite)"):
             FaultPlan.from_dict({"version": 1, "events": [event]}, n=3, t=1)
 
+    @pytest.mark.parametrize(
+        "event",
+        [
+            {"kind": "link_fault", "time": 1.0, "sender": 0, "dest": 1, "loss_probability": math.nan},
+            {"kind": "corrupt_link", "time": 1.0, "sender": 0, "dest": 1, "probability": math.nan},
+        ],
+        ids=["loss", "corruption"],
+    )
+    def test_a_nan_probability_is_rejected(self, event):
+        with pytest.raises(ValueError, match="probability must be >= 0.0"):
+            event_from_dict(event)
+        # JSON text spells it NaN, and Python's json module reads it back.
+        text = json.dumps({"version": 1, "events": [event]})
+        assert "NaN" in text
+        with pytest.raises(ValueError, match="probability must be >= 0.0"):
+            FaultPlan.from_dict(json.loads(text), n=3, t=1)
+
     def test_partition_groups_restored_as_tuples(self):
         event = PartitionStart(time=2.0, groups=((0,), (1, 2)))
         rebuilt = event_from_dict(json.loads(json.dumps(event_to_dict(event))))

@@ -377,10 +377,12 @@ class TestServiceSpec:
             dict(num_shards=0),
             dict(horizon=0.0),
             dict(horizon=-1.0),
+            dict(horizon=float("nan")),
             dict(num_clients=0),
             dict(stop_at=0.0),
             dict(stop_at=60.5),
             dict(storage_write_cost=-0.1),
+            dict(storage_write_cost=float("nan")),
             dict(scenario="ring"),
             dict(adversary="gremlin"),
             dict(batch_size=0),

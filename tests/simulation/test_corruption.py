@@ -200,22 +200,18 @@ class TestCorruptLinkEvents:
         with pytest.raises(ValueError):
             FaultPlan([CorruptLink(time=1.0, sender=9, dest=0)]).validate(n=3, t=1)
 
-    def test_final_corrupt_links_only_permanent_full_corruption(self):
-        permanent = FaultPlan([CorruptLink(time=1.0, sender=0, dest=1)])
-        assert permanent.final_corrupt_links() == [(0, 1)]
-        bounded = FaultPlan([CorruptLink(time=1.0, sender=0, dest=1, until=9.0)])
-        assert bounded.final_corrupt_links() == []
-        probabilistic = FaultPlan(
-            [CorruptLink(time=1.0, sender=0, dest=1, probability=0.5)]
+    def test_only_permanent_full_corruption_garbles_at_the_end(self):
+        def garbling(*events):
+            return FaultPlan(events).final_state(3)[1].garbling_links()
+
+        assert garbling(CorruptLink(time=1.0, sender=0, dest=1)) == [(0, 1)]
+        assert garbling(CorruptLink(time=1.0, sender=0, dest=1, until=9.0)) == []
+        assert garbling(CorruptLink(time=1.0, sender=0, dest=1, probability=0.5)) == []
+        healed = (
+            CorruptLink(time=1.0, sender=0, dest=1),
+            LinkHeal(time=5.0, sender=0, dest=1),
         )
-        assert probabilistic.final_corrupt_links() == []
-        healed = FaultPlan(
-            [
-                CorruptLink(time=1.0, sender=0, dest=1),
-                LinkHeal(time=5.0, sender=0, dest=1),
-            ]
-        )
-        assert healed.final_corrupt_links() == []
+        assert garbling(*healed) == []
 
     def test_random_plan_can_draw_corrupt_links(self):
         plan = FaultPlan.random(

@@ -5,6 +5,7 @@ import pytest
 from repro.core import Figure3Omega, OmegaConfig
 from repro.simulation import (
     ConstantDelay,
+    CorruptLink,
     Crash,
     FaultPlan,
     LinkFault,
@@ -64,9 +65,9 @@ class TestFaultPlanBuilders:
     def test_split_brain_builder(self):
         plan = FaultPlan.split_brain([[0, 1], [2, 3]], at=5.0, heal_at=20.0)
         assert plan.has_topology_events()
-        assert plan.final_partition() is None  # healed
+        assert not plan.final_state(4)[1].partitioned  # healed
         unhealed = FaultPlan.split_brain([[0, 1]], at=5.0)
-        assert unhealed.final_partition() == ((0, 1),)
+        assert unhealed.final_state(5)[1].partition_groups(5) == [[0, 1], [2, 3, 4]]
 
     def test_flaky_links_builder(self):
         plan = FaultPlan.flaky_links([(0, 1), (1, 0)], at=2.0, until=9.0)
@@ -89,7 +90,7 @@ class TestFaultPlanBuilders:
             e.describe() for e in second.events
         ]
         first.validate(n=5, t=2)
-        assert first.final_partition() is None  # random partitions always heal
+        assert not first.final_state(5)[1].partitioned  # random partitions always heal
 
     def test_random_plan_respects_protect(self):
         plan = FaultPlan.random(
@@ -146,6 +147,14 @@ class TestFaultPlanValidation:
     def test_rejects_a_nan_link_delay(self):
         with pytest.raises(ValueError, match="delay_add"):
             LinkFault(time=1.0, sender=0, dest=1, delay_add=float("nan"))
+
+    def test_rejects_nan_probabilities(self):
+        # Unchecked, the engine would draw once per message and never drop one
+        # on the first, and garble every payload on the second.
+        with pytest.raises(ValueError, match="loss_probability"):
+            LinkFault(time=1.0, sender=0, dest=1, loss_probability=float("nan"))
+        with pytest.raises(ValueError, match="probability"):
+            CorruptLink(time=1.0, sender=0, dest=1, probability=float("nan"))
 
 
 class TestCrashStopPlans:

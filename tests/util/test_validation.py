@@ -52,6 +52,19 @@ class TestRequireInRange:
         assert require_in_range(1e9, "p", low=0.0) == 1e9
         assert require_in_range(-1e9, "p", high=0.0) == -1e9
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            dict(low=0.0),
+            dict(low=0.0, low_inclusive=False),
+            dict(high=1.0),
+            dict(high=1.0, high_inclusive=False),
+        ],
+    )
+    def test_nan_fails_every_bound(self, bounds):
+        with pytest.raises(ValueError, match="p must be"):
+            require_in_range(float("nan"), "p", **bounds)
+
 
 class TestValidateProcessCount:
     def test_accepts_paper_parameters(self):
