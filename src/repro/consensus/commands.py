@@ -9,11 +9,12 @@ command compare equal (and are deduplicated), while distinct commands with equal
 effects compare different (and are both ordered and applied).
 
 A replica remembers which identities it has applied (the state machine's
-session table) and which its log has decided (until compaction).
-:class:`SeqSet` stores one client's seqs as a sorted array of 8-byte integers,
-and :class:`CommandSet` keys decided values by identity on top of it, so each
-remembered command costs 8 bytes instead of a hash-set slot and a boxed
-integer.
+session table) and which its log has decided (until compaction).  The session
+table grows with history, so it stores one client's seqs as a :class:`SeqSet`,
+a sorted array of 8-byte integers: each remembered command costs 8 bytes
+instead of a hash-set slot and a boxed integer.  Compaction bounds the decided
+index to the log's window, so the log keeps it as a plain set of
+``(client_id, seq)`` identities.
 
 A :class:`Batch` groups many commands into a single consensus value so that one
 consensus instance (one Paxos round trip) orders many commands — the classic
@@ -21,8 +22,10 @@ amortisation that turns a per-command protocol into a high-throughput log.
 
 Payload integrity
 -----------------
-Both envelopes carry a CRC-32 **checksum** over their payload, computed at
-construction.  The fault layer's corruption model
+Both envelopes carry a CRC-32 **checksum** over their payload: a batch computes
+it at construction, a command the first time something reads it (its hash,
+equality, ``repr``, a batch, a ``dataclasses.replace`` copy), so a read served
+from a lease never pays for it.  The fault layer's corruption model
 (:mod:`repro.simulation.corruption`) tampers with command payloads *while
 preserving the stale checksum*, exactly like a bit-flip on the wire slips past a
 forwarding hop but not past an end-to-end check.  :func:`payload_intact` is the
@@ -40,12 +43,31 @@ import dataclasses
 import zlib
 from array import array
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Iterable, Iterator, Optional, Tuple
 
 
 def _crc32(payload: object) -> int:
     """Stable CRC-32 of a payload's textual representation."""
     return zlib.crc32(repr(payload).encode("utf-8"))
+
+
+class _ChecksumOnFirstRead:
+    """The ``checksum`` of a :class:`Command` built without one.
+
+    A non-data descriptor: the first read of ``command.checksum`` computes
+    :meth:`Command.expected_checksum` and stores it on the instance, whose
+    attribute then shadows the descriptor, so every later read is a plain
+    attribute load.  Read on the class, it is the field's default, ``None``.
+    """
+
+    def __get__(
+        self, command: Optional["Command"], owner: Optional[type] = None
+    ) -> Optional[int]:
+        if command is None:
+            return None
+        checksum = command.expected_checksum()
+        object.__setattr__(command, "checksum", checksum)
+        return checksum
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -70,7 +92,7 @@ class Command:
         Operation-specific arguments (must be hashable; commands travel inside
         frozen consensus messages).
     checksum:
-        CRC-32 over the payload fields, filled in automatically at construction.
+        CRC-32 over the payload fields, computed on its first read and kept.
         A command whose stored checksum does not match its recomputed one was
         tampered with in flight (see :func:`payload_intact`); honest code never
         passes ``checksum=`` explicitly.
@@ -83,11 +105,11 @@ class Command:
     op: str
     key: str
     args: Tuple[Any, ...] = ()
-    checksum: Optional[int] = None
+    checksum: Optional[int] = _ChecksumOnFirstRead()
 
-    #: What :meth:`verify` answers.  A command whose constructor computed its
-    #: checksum is intact from birth and stores nothing; a copy built around a
-    #: carried checksum stores ``None`` until it is verified.
+    #: What :meth:`verify` answers.  A command built without a checksum is
+    #: intact from birth and stores nothing; a copy built around a carried
+    #: checksum stores ``None`` until it is verified.
     _intact = True
 
     def __init__(
@@ -100,26 +122,24 @@ class Command:
         checksum: Optional[int] = None,
     ) -> None:
         # Hand-written rather than generated, because one command is built
-        # per client operation: the checks and the CRC run on the arguments,
-        # with no ``__post_init__`` call and no field stored twice.  Fields are
-        # stored one by one, not through ``self.__dict__``: touching the dict
-        # would materialise it and double what a decided command costs.
-        # ``__eq__``/``__repr__`` stay generated.
+        # per client operation: the checks run on the arguments, with no
+        # ``__post_init__`` call and no field stored twice.  Fields are stored
+        # one by one, not through ``self.__dict__``: touching the dict would
+        # materialise it and double what a decided command costs.  Without a
+        # carried checksum none is stored: the class's descriptor computes it
+        # on the first read.  ``__eq__``/``__repr__`` stay generated.
         if not isinstance(client_id, str):
             raise TypeError(f"client_id must be a str, got {client_id!r}")
         if type(seq) is not int:
             raise TypeError(f"seq must be an int, got {seq!r}")
-        carried = checksum is not None
-        if not carried:
-            checksum = _crc32((client_id, seq, op, key, args))
         store = object.__setattr__
         store(self, "client_id", client_id)
         store(self, "seq", seq)
         store(self, "op", op)
         store(self, "key", key)
         store(self, "args", args)
-        store(self, "checksum", checksum)
-        if carried:
+        if checksum is not None:
+            store(self, "checksum", checksum)
             store(self, "_intact", None)
 
     def __hash__(self) -> int:
@@ -132,7 +152,7 @@ class Command:
     def verify(self) -> bool:
         """True when the carried checksum matches the payload (not tampered).
 
-        A command that computed its own checksum is intact from birth, so the
+        A command built without a checksum is intact from birth, so the
         boundary check costs an attribute read on the hot path.  A copy built
         around a carried checksum (``dataclasses.replace``, the corruption
         model) runs the CRC walk once, on its first check, and keeps the
@@ -171,6 +191,21 @@ class Command:
     def incr(cls, client_id: str, seq: int, key: str, delta: int = 1) -> "Command":
         """Add *delta* to the integer counter under *key* (0 when absent)."""
         return cls(client_id=client_id, seq=seq, op="incr", key=key, args=(delta,))
+
+
+def identity_key(value: Any) -> Tuple[Any, Any]:
+    """What a decided-value index knows *value* by.
+
+    A :class:`Command` is its identity ``(client_id, seq)``, so a copy with
+    another payload is the same member: honest clients never reuse a seq, and
+    a garbled copy is rejected by :func:`payload_intact` before a log sees it.
+    Any other value (the no-op filler, an opaque test value) is
+    ``(None, value)``, kept by equality, and equal to no identity, since a
+    ``client_id`` is a ``str``.
+    """
+    if isinstance(value, Command):
+        return value.client_id, value.seq
+    return None, value
 
 
 class SeqSet:
@@ -233,48 +268,6 @@ class SeqSet:
 
     def __repr__(self) -> str:
         return f"SeqSet({list(self._seqs)!r})"
-
-
-class CommandSet:
-    """An exact set of log values in which a :class:`Command` is its identity.
-
-    Commands are keyed by ``(client_id, seq)``, one :class:`SeqSet` per
-    client; any other value (the no-op filler, an opaque test value) is kept
-    by equality in a plain set.  Two commands with one identity but different
-    payloads are the same member: honest clients never reuse a seq, and a
-    garbled copy is rejected by :func:`payload_intact` before a log sees it.
-    """
-
-    __slots__ = ("_seqs", "_others")
-
-    def __init__(self) -> None:
-        self._seqs: Dict[str, SeqSet] = {}
-        self._others: Set[Any] = set()
-
-    def add(self, value: Any) -> None:
-        if isinstance(value, Command):
-            seqs = self._seqs.get(value.client_id)
-            if seqs is None:
-                seqs = self._seqs[value.client_id] = SeqSet()
-            seqs.add(value.seq)
-        else:
-            self._others.add(value)
-
-    def discard(self, value: Any) -> None:
-        if isinstance(value, Command):
-            seqs = self._seqs.get(value.client_id)
-            if seqs is not None:
-                seqs.discard(value.seq)
-                if not seqs:
-                    del self._seqs[value.client_id]
-        else:
-            self._others.discard(value)
-
-    def __contains__(self, value: Any) -> bool:
-        if isinstance(value, Command):
-            seqs = self._seqs.get(value.client_id)
-            return seqs is not None and value.seq in seqs
-        return value in self._others
 
 
 @dataclasses.dataclass(frozen=True)
@@ -345,8 +338,8 @@ def flatten_value(value: Any) -> Tuple[Any, ...]:
 
 def value_checksum(value: Any) -> int:
     """The CRC-32 a decided value is known by: the checksum a command or batch
-    carries (computed once, at construction), else the CRC of its ``repr``
-    (the no-op filler, opaque values of a bare log)."""
+    carries (computed once, a command's on its first read), else the CRC of
+    its ``repr`` (the no-op filler, opaque values of a bare log)."""
     checksum = getattr(value, "checksum", None)
     return _crc32(value) if checksum is None else checksum
 

@@ -249,8 +249,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.consensus.batching import ADAPTIVE, AdaptiveBatchPolicy, require_batch_size
 from repro.consensus.commands import (
     Batch,
-    CommandSet,
     flatten_value,
+    identity_key,
     payload_intact,
 )
 from repro.consensus.instance import NO_BALLOT
@@ -597,10 +597,12 @@ class ReplicatedLog(Process):
         self._advert_time = 0.0
 
         # Hot-path state: first position not yet decided (contiguous-prefix
-        # cursor), highest decided position, and decided-command index.
+        # cursor), highest decided position, and the decided values'
+        # identity_key set.  Compaction bounds it to the log's window.  It is
+        # probed, never iterated: its order depends on the hash seed.
         self._frontier = 0
         self._max_decided = -1
-        self._decided_index = CommandSet()
+        self._decided_index: Set[Tuple[Any, Any]] = set()
 
         # Observer state that survives windowing: total non-noop deliveries.
         self.delivered_total = 0
@@ -643,7 +645,7 @@ class ReplicatedLog(Process):
         """
         if value == NOOP:
             raise ValueError("the no-op filler value cannot be submitted")
-        if value in self._pending or value in self._decided_index:
+        if value in self._pending or identity_key(value) in self._decided_index:
             return
         idle = not self._arrivals
         self._pending[value] = None
@@ -784,7 +786,7 @@ class ReplicatedLog(Process):
             return
         if isinstance(message, Forward):
             for value in flatten_value(message.value):
-                if value not in self._decided_index:
+                if identity_key(value) not in self._decided_index:
                     self._arrivals[value] = None
             # An idle owning leader proposes the batch now, not at its next
             # tick.  The oracle is asked as well: a demotion drops ownership
@@ -936,7 +938,7 @@ class ReplicatedLog(Process):
         if position > self._max_decided:
             self._max_decided = position
         for command in flatten_value(value):
-            self._decided_index.add(command)
+            self._decided_index.add(identity_key(command))
             # O(1) per decided command instead of the seed's O(pending) list
             # rebuild per decision: undecided bookkeeping only ever *loses*
             # exactly the commands this decision carried (submit/forward never
@@ -977,7 +979,7 @@ class ReplicatedLog(Process):
             if value is not None:
                 compacted += 1
                 for command in flatten_value(value):
-                    self._decided_index.discard(command)
+                    self._decided_index.discard(identity_key(command))
             self.ballots.accepted.pop(position, None)
             if self.ballots.store is not None:
                 self.ballots.store.delete(("decided", position))
@@ -1024,7 +1026,7 @@ class ReplicatedLog(Process):
         limit = self._batch_limit()
         picked: List[Any] = []
         for value in self._arrivals:
-            if value in self._decided_index:
+            if identity_key(value) in self._decided_index:
                 continue
             picked.append(value)
             if len(picked) >= limit:

@@ -6,8 +6,11 @@
 log prefix is flattened (batches into commands) and applied, in log order, through
 the replicated log's ``on_deliver`` hook, which the replica assigns.  Clients
 enter through one typed :meth:`ServiceReplica.submit`: anything but a
-:class:`~repro.consensus.commands.Command` raises ``TypeError`` before it can
-reach the log.  The class is runtime-agnostic like every
+:class:`~repro.consensus.commands.Command` raises ``TypeError``, and a command
+the store cannot run ``ValueError``, before it can reach the log.  A client
+waiting on a command is woken through :attr:`ServiceReplica.waiters`, the
+waiter table the replica looks each applied or served command up in.  The
+class is runtime-agnostic like every
 other :class:`~repro.core.interfaces.Process` — the same object runs under the
 discrete-event simulator and under the asyncio runtime.
 
@@ -55,7 +58,12 @@ READ_TIMEOUT = 12.0
 
 
 class ServiceReplica(OmegaConsensusStack):
-    """A client-serving replica of one shard group."""
+    """A client-serving replica of one shard group.
+
+    It applies the delivered log prefix to its :attr:`state_machine`, serves
+    lease reads when it holds a lease manager, and wakes the waker its
+    :attr:`waiters` table holds for each command it applies or serves.
+    """
 
     variant_name = "service-replica"
 
@@ -89,12 +97,13 @@ class ServiceReplica(OmegaConsensusStack):
         #: and reset to the capture point when a snapshot is installed.
         self.commands_delivered = 0
         self.log.on_deliver = self._apply_delivered
-        #: Wake hook: called with ``(client_id, seq)`` for every command applied
-        #: (absorbed duplicates included) and every lease read served, and once
-        #: with ``None`` — anything may have changed — when a snapshot is
-        #: installed.  :class:`~repro.service.sharding.ShardedService` wires it
-        #: to its waiter table so clients are woken instead of polling.
-        self.on_wake: Optional[Callable[[Optional[Tuple[str, int]]], None]] = None
+        #: The waiter table, ``(client_id, seq) -> waker``: the replica calls
+        #: the waker of every command it applies (absorbed duplicates
+        #: included) and every lease read it serves, and every waker, in table
+        #: order, when it installs a snapshot — anything may have changed.
+        #: :class:`~repro.service.sharding.ShardedService` replaces it with its
+        #: own table, so clients are woken instead of polling.
+        self.waiters: Dict[Tuple[str, int], Callable[[], None]] = {}
         #: The lease manager of this incarnation (None = consensus-only reads).
         self.leases = leases
         self._next_read_id = 0
@@ -118,12 +127,13 @@ class ServiceReplica(OmegaConsensusStack):
 
     # ------------------------------------------------------------------ application --
     def _apply_delivered(self, position: int, value: Any) -> None:
-        wake = self.on_wake
+        waiters = self.waiters
         for command in flatten_value(value):
             self.state_machine.apply(command)
             self.commands_delivered += 1
-            if wake is not None:
-                wake((command.client_id, command.seq))
+            waker = waiters.get((command.client_id, command.seq))
+            if waker is not None:
+                waker()
         if self._pending_reads:
             self._serve_matured_reads()
 
@@ -139,25 +149,28 @@ class ServiceReplica(OmegaConsensusStack):
         self.commands_delivered = (
             self.state_machine.applied + self.state_machine.duplicates_skipped
         )
-        if self.on_wake is not None:
-            self.on_wake(None)
+        for waker in list(self.waiters.values()):
+            waker()
 
     # ------------------------------------------------------------------ client API --
     def submit(self, command: Command) -> None:
         """Submit a client command to this replica (it forwards to the leader).
 
-        Only a :class:`~repro.consensus.commands.Command` is accepted: the
-        state machine applies nothing else, so a raw value raises
-        ``TypeError`` here rather than once it is decided.
+        Only a :class:`~repro.consensus.commands.Command` the state machine can
+        run is accepted, and the check is made here rather than once the
+        command is decided: a raw value raises ``TypeError``, an unknown op or
+        a wrong number of args ``ValueError``
+        (:meth:`~repro.service.state_machine.KeyValueStore.check_operation`).
         """
         if not isinstance(command, Command):
             raise TypeError(f"expected a Command, got {command!r}")
+        KeyValueStore.check_operation(command)
         self.log.submit(command)
 
     # ------------------------------------------------------------------ lease reads --
     def submit_read(self, command: Command, now: float) -> None:
         """Submit a ``get`` through the lease read path (read the result with
-        :meth:`lease_read_result` once :attr:`on_wake` reports it served).
+        :meth:`lease_read_result` once its waker in :attr:`waiters` is called).
 
         A trusted leader holding read authority serves from its local state
         machine immediately; anyone else queues the read behind a read-index
@@ -171,6 +184,9 @@ class ServiceReplica(OmegaConsensusStack):
             raise RuntimeError("submit_read requires a lease-enabled replica")
         if command.op != "get":
             raise ValueError(f"submit_read only serves gets, got {command.op!r}")
+        # A read that times out falls back to :meth:`submit`, inside a drive
+        # tick: a malformed one must be refused here, not there.
+        KeyValueStore.check_operation(command)
         frontier = self.log.frontier
         if self.omega.leader() == self.pid and self.leases.read_authority(
             now, frontier
@@ -198,8 +214,9 @@ class ServiceReplica(OmegaConsensusStack):
         # fresh read always supersedes the previous one.
         self._lease_read_results[command.client_id] = (command.seq, result, index)
         self.counters["lease_reads_served"] += 1  # answered locally, never entered the log
-        if self.on_wake is not None:
-            self.on_wake((command.client_id, command.seq))
+        waker = self.waiters.get((command.client_id, command.seq))
+        if waker is not None:
+            waker()
 
     def _on_read_index(self, read_id: int, index: int) -> None:
         """The leader certified *index* for *read_id* (read-index protocol)."""

@@ -225,9 +225,11 @@ class ShardedService:
         self.read_audits: List[List[OperationRecord]] = [
             [] for _ in range(self.num_shards)
         ]
-        #: ``(client_id, seq) -> waker`` of every command a client waits on.  A
-        #: replica that applies or lease-serves the command calls its waker
-        #: (every waker, when it installs a snapshot) — see :meth:`_wake`.
+        #: ``(client_id, seq) -> waker`` of every command a client waits on.
+        #: Every replica holds this table as its own
+        #: :attr:`~repro.service.replica.ServiceReplica.waiters`: one that
+        #: applies or lease-serves the command calls its waker (every waker,
+        #: when it installs a snapshot).
         self.waiters: Dict[Tuple[str, int], Callable[[], None]] = {}
         self.router = ShardRouter(num_shards)
         self.scheduler = EventScheduler()
@@ -337,7 +339,7 @@ class ShardedService:
                 # Wired per incarnation, before any storage replay, so a
                 # recovered replica wakes clients like a fresh one and its
                 # replayed decisions are checked like live ones.
-                replica.on_wake = self._wake
+                replica.waiters = self.waiters
                 replica.log.on_learn = functools.partial(
                     self.monitors[_shard].learn, pid
                 )
@@ -425,16 +427,6 @@ class ShardedService:
         if not alive:
             raise RuntimeError(f"shard {shard} has no alive replica")
         return alive[0]
-
-    def _wake(self, key: Optional[Tuple[str, int]]) -> None:
-        """Replica wake hook: call the waker of *key*, or every waker (``None``)."""
-        if key is None:
-            for waker in list(self.waiters.values()):
-                waker()
-            return
-        waker = self.waiters.get(key)
-        if waker is not None:
-            waker()
 
     # ------------------------------------------------------------------ accessors --
     def replicas(self, shard: int) -> List[ServiceReplica]:

@@ -85,6 +85,32 @@ class KeyValueStore:
         self.applied += 1
         return result
 
+    #: Operation -> the argument counts :meth:`_execute` runs it with.
+    ARITIES: Dict[str, Tuple[int, ...]] = {
+        "put": (1,),
+        "get": (0,),
+        "delete": (0,),
+        "cas": (2,),
+        "incr": (0, 1),
+    }
+
+    @classmethod
+    def check_operation(cls, command: Command) -> None:
+        """Raise ``ValueError`` unless :meth:`_execute` can run *command*: its
+        op is one of :attr:`ARITIES` and its args are as many as the op takes.
+
+        A replica checks at submit, since a decided command that fails here
+        would raise out of every replica that applies it.
+        """
+        arities = cls.ARITIES.get(command.op)
+        if arities is None:
+            raise ValueError(f"unknown operation {command.op!r}")
+        if len(command.args) not in arities:
+            raise ValueError(
+                f"{command.op} takes {' or '.join(map(str, arities))} argument(s),"
+                f" got {command.args!r}"
+            )
+
     def _execute(self, command: Command) -> Any:
         op, key, args = command.op, command.key, command.args
         if op == "put":

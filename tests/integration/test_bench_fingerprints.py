@@ -10,7 +10,8 @@ execution computes.  Five runs are pinned by fingerprint: Figure 3 alone
 order, delay arithmetic, digest content) flips one of the digests and fails
 loudly.  Beside the digests sit the exact per-commit costs of the
 ``sharded_service`` run, the idle-shard message budget, the mean latency of
-clients that find their gateway idle, the lease read path's speedup floor,
+clients that find their gateway idle, the lease read path's speedup floor
+(at the pinned seed and in the median over twelve seeds),
 the compaction soak's verdicts and, on every service run, a monitor that
 holds each leader to one log position in flight.
 
@@ -23,6 +24,7 @@ algorithm does.  Performance itself is measured by ``perfbench/``.
 """
 
 import dataclasses
+import statistics
 
 import pytest
 
@@ -144,6 +146,11 @@ IDLE_SHARD_SENDS_BY_TAG = {
 #: Minimum committed-ops ratio (leases on / leases off) of the read-lease run:
 #: the read path's order-of-magnitude contract.
 LEASE_READ_SPEEDUP_FLOOR = 5.0
+
+#: Seeds of the read-lease shape whose median ratio must clear the floor too,
+#: so the contract does not rest on one seed.  Measured: 4.994 to 5.917,
+#: median 5.318.
+LEASE_READ_SPEEDUP_SEEDS = range(1300, 1312)
 
 #: Mean client-observed latency (vt) of the idle-clients run below — exact,
 #: like the per-commit ceilings.  It was 1.600 while a replica with nothing
@@ -491,6 +498,24 @@ def test_read_lease_workload_clears_the_speedup_floor(sharded_service_read_lease
     assert run["consistent"]
     assert run["committed"] >= LEASE_READ_SPEEDUP_FLOOR * run["baseline_committed"]
     assert run["lease_reads_served"] > run["baseline_committed"]
+
+
+def _committed(spec):
+    service = build_service(spec)
+    clients = start_workload(service, spec)
+    service.run_until(spec.horizon)
+    return sum(client.stats.completed for client in clients)
+
+
+def test_read_lease_speedup_clears_the_floor_in_the_median_over_seeds():
+    """The speedup floor beside its pinned seed: one seed's ratio may dip
+    below it, the median over :data:`LEASE_READ_SPEEDUP_SEEDS` may not."""
+    ratios = [
+        _committed(dataclasses.replace(SHARDED_SERVICE_READ_LEASES, seed=seed, leases=True))
+        / _committed(dataclasses.replace(SHARDED_SERVICE_READ_LEASES, seed=seed, leases=False))
+        for seed in LEASE_READ_SPEEDUP_SEEDS
+    ]
+    assert statistics.median(ratios) >= LEASE_READ_SPEEDUP_FLOOR
 
 
 def test_compaction_soak_stays_bounded_advancing_and_consistent(sharded_service_compaction):

@@ -11,11 +11,24 @@ unordered containers, RNG draws keyed on object identity, wall-clock leakage.
 It cannot see a change that deterministically alters both runs the same way
 (e.g. swapping broadcast destination order); that cross-version guarantee is
 covered by the fingerprints pinned in
-``tests/integration/test_bench_fingerprints.py``.
+``tests/integration/test_bench_fingerprints.py``.  Nor can two runs in one
+process see a dependence on the hash seed, which both share: one test below
+runs the same shape in two interpreters with different ``PYTHONHASHSEED``.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.core.figure3 import Figure3Omega
-from repro.service import build_sharded_service, start_clients, zipfian_workload
+from repro.service import (
+    ServiceSpec,
+    build_sharded_service,
+    start_clients,
+    zipfian_workload,
+)
 from repro.simulation.delays import UniformDelay
 from repro.simulation.faults import FaultPlan
 from repro.simulation.system import System, SystemConfig
@@ -23,6 +36,40 @@ from repro.util.rng import RandomSource, fingerprint
 
 SEED = 20260730
 HORIZON = 80.0
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: The read-lease shape pinned in ``test_bench_fingerprints.py``, leases on:
+#: batches, lease reads, compaction and the log's decided-value index all run.
+HASH_SEED_SPEC = ServiceSpec(
+    n=3,
+    t=1,
+    num_shards=2,
+    num_clients=12,
+    num_keys=64,
+    zipf_theta=0.99,
+    seed=1302,
+    horizon=120.0,
+    read_fraction=0.95,
+    batch_size="adaptive",
+    poll_interval=0.25,
+    stop_at=119.0,
+    leases=True,
+)
+
+#: Runs the spec given as JSON and prints its run record's fingerprint and
+#: state digests.
+_RECORD_A_RUN = """
+import json, sys
+from repro.analysis import record_run
+from repro.service import ServiceSpec, build_service, start_workload
+spec = ServiceSpec.from_dict(json.loads(sys.argv[1]))
+service = build_service(spec)
+clients = start_workload(service, spec, record_history=True)
+service.run_until(spec.horizon)
+record = record_run(service, clients)
+print(json.dumps({"fingerprint": record.fingerprint, "digests": record.digests}))
+"""
 
 
 def _omega_run():
@@ -220,3 +267,28 @@ class TestCrashOnlyPlan:
                 "executed": system.scheduler.executed,
             }
         )
+
+
+def test_a_run_does_not_depend_on_the_hash_seed():
+    """A set of ``str``-bearing values iterates in an order that depends on
+    ``PYTHONHASHSEED``, which tier-1 leaves random; an execution that read
+    such an order would show only as a flaky pin.  The same shape under hash
+    seeds 0 and 1 must give one run record and the same state digests."""
+    spec = json.dumps(HASH_SEED_SPEC.to_dict())
+    outputs = [
+        json.loads(
+            subprocess.run(
+                [sys.executable, "-c", _RECORD_A_RUN, spec],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed},
+            ).stdout
+        )
+        for hash_seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    assert all(
+        len({state for state, correct in shard if correct}) == 1
+        for shard in outputs[0]["digests"]
+    )

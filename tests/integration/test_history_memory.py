@@ -4,9 +4,11 @@ Theorem 4 bounds every Figure 3 variable but the round numbers, so an idle
 shard's memory should grow by little more than its round numbers.  A closed
 round's ``rec_from`` set is never read again and goes when the round closes;
 ``timeout_history`` records changes of the line-11 value only.  A replica's
-per-command bookkeeping (the applied seqs of the session table and the
-decided-command index) costs 8 bytes per command in each.  The two budgets
-below pin these costs, measured with tracemalloc on CPython 3.11.
+session table costs 8 bytes per applied command (its seqs packed in an
+array); the decided-value index is a plain set of identities, which
+compaction bounds to the log's window, so it adds a constant, not a cost per
+command.  The two budgets below pin these costs, measured with tracemalloc on
+CPython 3.11.
 
 Every replica compacts, so the decided log stays within the compaction window
 however long the run; what agreement and stale-read checking keep instead is
@@ -27,8 +29,11 @@ from repro.storage import CompactionPolicy
 BYTES_PER_CLOSED_ROUND_BUDGET = 600
 
 #: Traced bytes one applied command may add to a two-shard service without
-#: client histories.  Measured: about 815 B; about 1690 B when the session
-#: table and the decided index were hash sets.
+#: client histories.  Measured: about 520 B; about 395 B while the decided
+#: index packed each client's seqs into an array.  The difference is the
+#: index's set of identity tuples, bounded by the compaction window, so it is
+#: a constant the run amortises: about 295 B against 255 B at three times the
+#: horizon below.
 BYTES_PER_APPLIED_COMMAND_BUDGET = 1000
 
 #: Traced bytes the agreement monitors may hold per completed operation: a

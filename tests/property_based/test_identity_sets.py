@@ -1,9 +1,10 @@
-"""Exactness of the compact identity sets (hypothesis).
+"""Exactness of the identity sets (hypothesis).
 
 A replica remembers which command identities it has applied (the session
-table's ``SeqSet`` per client) and which values its log has decided (the
-``CommandSet`` index).  Both replace plain hash sets to save memory, so each
-property below holds the compact structure to a plain-set reference:
+table's ``SeqSet`` per client, packed to save memory because it grows with
+history) and which values its log has decided (a plain set of
+``identity_key`` values, which compaction bounds to the log's window).  Each
+property below holds one of them to a plain-set reference:
 
 * ``SeqSet`` answers membership, ``len`` and sorted iteration like a ``set``
   under interleaved, out-of-order adds, discards and repeats;
@@ -11,7 +12,8 @@ property below holds the compact structure to a plain-set reference:
   table, snapshot rows and digest a plain set of seqs gives, and a snapshot
   round trip keeps the digest;
 * the log finds a decided ``Command`` by ``(client_id, seq)`` and an opaque
-  value by equality, and forgets both below a compaction floor;
+  value by equality, never one through the other, and forgets both below a
+  compaction floor;
 * a garbled copy of a command, on any message that carries values, is
   rejected before it can reach the index.
 """
@@ -130,6 +132,8 @@ def test_the_decided_index_finds_by_identity_and_forgets_below_the_floor(
     log, env = follower_log()
     commands = [command_for(client, seq) for client, seq in identities]
     values = [Batch(commands=tuple(commands[i : i + batch])) for i in range(0, len(commands), batch)]
+    # An opaque value equal to a command's identity is still another value.
+    opaque = [*opaque, (commands[0].client_id, commands[0].seq)]
     values += opaque
     position_of = {}
     for position, value in enumerate(values):
@@ -143,14 +147,17 @@ def test_the_decided_index_finds_by_identity_and_forgets_below_the_floor(
     for value in opaque:
         log.submit(value)
     assert log.pending == []
-    log.submit("never-decided")
-    assert log.pending == ["never-decided"]
+    # Only by identity: another client's command with a decided seq is new.
+    undecided = [Command.get("stranger", commands[0].seq, "k"), "never-decided"]
+    for value in undecided:
+        log.submit(value)
+    assert log.pending == undecided
 
     log.compact_below(floor)
     for value in commands + opaque:
         log.submit(value)
     forgotten = [value for value in commands + opaque if position_of[value] < floor]
-    assert log.pending == ["never-decided"] + forgotten
+    assert log.pending == undecided + forgotten
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,8 @@ that turn (``leases_on`` and ``think_time`` never queue a full batch there
 and did not move).  The shapes and the assertions on them are unchanged.
 """
 
+import functools
+
 import pytest
 
 from repro.consensus.commands import Command
@@ -286,15 +288,28 @@ def test_snapshot_installation_wakes_every_waiter():
     assert sorted(woken) == ["a", "b", "b"]
 
 
-def test_the_hook_reports_applies_duplicates_and_snapshots():
+def test_the_waiter_table_hears_applies_duplicates_serves_and_snapshots():
     replica = ServiceReplica(pid=0, n=3, t=1)
     calls = []
-    replica.on_wake = calls.append
+    for key in [("c", 1), ("r", 2), ("idle", 9)]:
+        replica.waiters[key] = functools.partial(calls.append, key)
     command = Command.put("c", 1, "k", "v")
     replica._apply_delivered(1, command)
-    replica._apply_delivered(2, command)  # a duplicate, absorbed — still reported
+    replica._apply_delivered(2, command)  # a duplicate, absorbed — still wakes
+    replica._serve_read(Command.get("r", 2, "k"), 2)
+    assert calls == [("c", 1), ("c", 1), ("r", 2)]
+    # A snapshot install wakes every waiter, in table order.
     replica._restore_snapshot(replica.state_machine.snapshot_items())
-    assert calls == [("c", 1), ("c", 1), None]
+    assert calls[3:] == [("c", 1), ("r", 2), ("idle", 9)]
+
+
+def test_every_replica_wakes_through_the_services_waiter_table():
+    service = build_sharded_service(num_shards=2, n=3, t=1, seed=1)
+    assert all(
+        replica.waiters is service.waiters
+        for shard in range(service.num_shards)
+        for replica in service.replicas(shard)
+    )
 
 
 def test_leased_read_served_at_submit_is_observed_one_tick_later():

@@ -1,12 +1,14 @@
 """Unit tests for command envelopes, batches and the shard router."""
 
+import copy
 import dataclasses
 import pickle
+import zlib
 
 import pytest
 
 from repro.consensus.commands import Batch, Command, flatten_value
-from repro.service.sharding import ShardRouter
+from repro.service.sharding import ShardRouter, build_sharded_service
 from repro.service.state_machine import KeyValueStore
 
 
@@ -71,6 +73,74 @@ class TestCommandContract:
             "Command(client_id='alice', seq=3, op='put', key='k', args=('v',), "
             "checksum=1477676257)"
         )
+
+
+class TestChecksumOnFirstRead:
+    """A command's CRC-32 is computed the first time something reads it: the
+    value, and everything that reads it, are what an eager CRC gave."""
+
+    @staticmethod
+    def computed(command):
+        return "checksum" in vars(command)
+
+    def test_it_is_the_crc_of_the_fields_in_declaration_order(self):
+        command = Command.cas("alice", 3, "k", None, "v")
+        assert not self.computed(command)
+        fields = ("alice", 3, "cas", "k", (None, "v"))
+        assert command.checksum == zlib.crc32(repr(fields).encode("utf-8"))
+        assert self.computed(command)
+        assert command.checksum == command.expected_checksum()
+
+    @pytest.mark.parametrize(
+        "read",
+        [hash, repr, lambda command: command == Command.put("a", 1, "k", "v"),
+         lambda command: Batch((command,)), lambda command: dataclasses.replace(command)],
+        ids=["hash", "repr", "eq", "batch", "replace"],
+    )
+    def test_every_reader_computes_it(self, read):
+        command = Command.put("a", 1, "k", "v")
+        read(command)
+        assert vars(command)["checksum"] == Command.put("a", 1, "k", "v").expected_checksum()
+
+    def test_verify_does_not_and_a_commands_hash_and_equality_hold(self):
+        command = Command.put("a", 1, "k", "v")
+        assert command.verify() and not self.computed(command)
+        twin = Command.put("a", 1, "k", "v")
+        assert command == twin and hash(command) == hash(twin) == twin.checksum
+        assert command != Command.put("a", 1, "k", "w")
+        assert Command.checksum is None  # the field's default, read on the class
+
+    def test_a_garbled_copy_carries_the_originals_value(self):
+        command = Command.put("alice", 3, "k", "v")
+        garbled = dataclasses.replace(command, args=("x",))
+        assert garbled.checksum == Command.put("alice", 3, "k", "v").expected_checksum()
+        assert vars(garbled)["_intact"] is None
+        assert not garbled.verify()
+        assert command.verify()
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda command: pickle.loads(pickle.dumps(command)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_pickling_and_copying_give_an_equal_command(self, round_trip, read_first):
+        command = Command.cas("alice", 3, "k", None, "v")
+        if read_first:
+            command.checksum
+        twin = round_trip(command)
+        assert twin == command and twin.checksum == command.checksum
+        assert twin.verify()
+
+    def test_a_lease_served_read_never_computes_it(self):
+        service = build_sharded_service(num_shards=1, n=3, t=1, seed=3, leases=True)
+        service.run_until(60.0)
+        served = service.counters()["lease_reads_served"]
+        read = Command.get("reader", 1, "key-0")
+        service.submit_read(read, gateway=service.leaders()[0])
+        assert service.counters()["lease_reads_served"] == served + 1
+        service.run_until(80.0)
+        assert not self.computed(read)
 
 
 class TestCommandIdentityTypes:

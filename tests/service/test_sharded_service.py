@@ -140,6 +140,33 @@ class TestRoutingAndSubmission:
         assert not replica.command_applied("a", 1)
         assert replica.command_applied("a", 3)
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            Command("c", 1, "frobnicate", "k"),
+            Command("c", 1, "put", "k", ()),
+            Command("c", 1, "cas", "k", ("expected",)),
+            Command("c", 1, "get", "k", ("extra",)),
+        ],
+        ids=["unknown-op", "put-without-value", "cas-with-one-arg", "get-with-an-arg"],
+    )
+    def test_a_command_the_store_cannot_run_is_rejected_at_submit(self, command):
+        # Accepted, it used to be decided and then raise out of every
+        # replica's apply, ending the run.
+        service = build_sharded_service(num_shards=1, n=3, t=1, seed=7, leases=True)
+        service.run_until(5.0)
+        with pytest.raises(ValueError):
+            service.submit(command, gateway=0)
+        if command.op == "get":
+            with pytest.raises(ValueError):
+                service.submit_read(command, gateway=0)
+        service.submit(Command.put("c", 2, "k", "v"), gateway=0)
+        service.run_until(60.0)
+        assert service.now == 60.0
+        replica = service.reference_replica(0)
+        assert not replica.command_applied("c", 1)
+        assert replica.command_applied("c", 2)
+
     def test_scenario_shape_validated(self):
         from repro.assumptions import IntermittentRotatingStarScenario
         from repro.service import ShardedService

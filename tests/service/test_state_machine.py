@@ -53,6 +53,20 @@ class TestOperations:
         with pytest.raises(ValueError):
             store.apply(Command(client_id="a", seq=1, op="frobnicate", key="k"))
 
+    def test_every_shape_the_submit_check_admits_runs_and_no_other(self):
+        """``ARITIES`` is what a replica checks at submit; each shape it
+        admits runs, and an arity off by one is refused by the check."""
+        for op, arities in KeyValueStore.ARITIES.items():
+            for arity in arities:
+                command = Command("a", 1, op, "k", (1,) * arity)
+                KeyValueStore.check_operation(command)
+                KeyValueStore().apply(command)
+            for arity in {max(arities) + 1, min(arities) - 1} - {-1}:
+                with pytest.raises(ValueError, match="argument"):
+                    KeyValueStore.check_operation(Command("a", 1, op, "k", (1,) * arity))
+        with pytest.raises(ValueError, match="unknown operation"):
+            KeyValueStore.check_operation(Command("a", 1, "frobnicate", "k"))
+
     def test_non_command_rejected(self):
         store = KeyValueStore()
         with pytest.raises(TypeError):
